@@ -91,6 +91,3 @@ class RepairTooLargeError(NumericError):
 class HorizonTooLongError(NumericError):
     """No admissible rate exists for the requested time-rescaling transform."""
 
-
-class UnresolvableError(NumericError):
-    """A pole-strength estimate saw only clamped samples and cannot resolve a slope."""

@@ -22,7 +22,7 @@ problem transforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,13 @@ from .geometry import (
     comps_eig_min,
     comps_trace_inv,
 )
-from .grid import ScalarField, TorusGrid, hessian_components, oscillation
+from .grid import (
+    ScalarField,
+    TorusGrid,
+    hessian_components,
+    oscillation,
+    solve_shifted_laplacian,
+)
 from .psh import (
     PSH_TOL,
     MollificationLadder,
@@ -324,21 +330,8 @@ class FlowTrajectory:
     def field_at(self, t: float) -> ScalarField:
         return self.fields[self.index_of(t)]
 
-    def phidot_at(self, t: float):
-        return self.phidots[self.index_of(t)]
-
     def final(self) -> ScalarField:
         return self.fields[-1]
-
-    def max_step_residual(self) -> float:
-        if not self.diagnostics:
-            return 0.0
-        return max(d["residual"] for d in self.diagnostics)
-
-    def min_positivity_margin(self) -> float:
-        if not self.diagnostics:
-            return math.inf
-        return min(d["positivity_margin"] for d in self.diagnostics)
 
 
 def trajectory_from_family(grid, times, value_fn, phidot_fn=None, meta=None) -> FlowTrajectory:
@@ -365,22 +358,6 @@ def trajectory_from_family(grid, times, value_fn, phidot_fn=None, meta=None) -> 
 
 def _l2(a: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(a, a).real))
-
-
-def _precond_symbol(grid: TorusGrid, backend: str, shift: float) -> np.ndarray:
-    """Fourier symbol of shift - (1/4) Laplacian for the configured backend."""
-    if backend == "spectral":
-        acc = 0.0
-        for k in grid.wavenumbers():
-            acc = acc + k * k
-        lam = np.pi**2 * acc
-    else:
-        h = grid.spacing
-        acc = 0.0
-        for k in grid.wavenumbers():
-            acc = acc + (2.0 - 2.0 * np.cos(2.0 * np.pi * k * h))
-        lam = (0.25 / h**2) * acc
-    return shift + np.broadcast_to(lam, grid.shape)
 
 
 def _bicgstab(apply_op, b: np.ndarray, rel_tol: float, max_iter: int):
@@ -473,14 +450,9 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords):
             return inv_dt * v - comps_trace_inv(total, hv) + fs * v
 
         shift = inv_dt + max(0.0, float(np.mean(fs)))
-        symbol = _precond_symbol(grid, cfg.backend, shift)
-
-        def precond(v):
-            return np.fft.ifftn(np.fft.fftn(v) / symbol).real
-
         direction, lin_iters = _bicgstab(
-            lambda v: precond(apply_jacobian(v)),
-            precond(-R),
+            lambda v: solve_shifted_laplacian(apply_jacobian(v), grid, cfg.backend, shift),
+            solve_shifted_laplacian(-R, grid, cfg.backend, shift),
             cfg.linear_rel_tol,
             cfg.max_linear,
         )

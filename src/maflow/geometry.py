@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificateError, ConfigError, NotKahlerError
-from .grid import HermitianField, ScalarField, TorusGrid, complex_hessian
+from .grid import HermitianField, ScalarField, TorusGrid, hessian_components
 
 PSD_TOL = 1e-10
 
@@ -119,8 +119,6 @@ def ma_density(
     Raises NotKahlerError (with the worst grid point) when theta + H(phi)
     fails to be positive definite somewhere.
     """
-    from .grid import hessian_components
-
     comps = hessian_components(phi.values, phi.grid, backend)
     total = tuple(t + h for t, h in zip(theta.components(), comps))
     eig = comps_eig_min(total)
@@ -134,36 +132,6 @@ def ma_density(
         )
     dens = comps_det(total) / np.broadcast_to(omega_form.density, phi.grid.shape)
     return ScalarField(phi.grid, np.broadcast_to(dens, phi.grid.shape))
-
-
-def trace_with_respect_to(alpha: HermitianField, base: HermitianField) -> ScalarField:
-    """Pointwise trace of alpha against a positive definite base form.
-
-    In wedge language this is n * (alpha ^ base^{n-1}) / base^n; in the matrix
-    frame it is trace(base^{-1} alpha).
-    """
-    if alpha.grid != base.grid:
-        raise ConfigError("trace operands live on different grids")
-    eig = comps_eig_min(base.components())
-    worst = float(np.min(eig))
-    if worst <= 0.0:
-        loc = _worst_location(eig, base.grid.shape)
-        raise NotKahlerError(
-            f"trace base is singular: min eigenvalue {worst:.3e} at {loc}",
-            location=loc,
-            eigenvalue=worst,
-        )
-    tr = comps_trace_inv(base.components(), alpha.components())
-    return ScalarField(base.grid, np.broadcast_to(np.real(tr), base.grid.shape))
-
-
-def mixed_density(alpha: HermitianField, beta: HermitianField, j: int) -> ScalarField:
-    """Density of the mixed wedge power alpha^j ^ beta^(n-j) against Lebesgue."""
-    if alpha.grid != beta.grid:
-        raise ConfigError("mixed density operands live on different grids")
-    n = alpha.grid.n
-    dens = comps_mixed(alpha.components(), beta.components(), j, n)
-    return ScalarField(alpha.grid, np.broadcast_to(np.real(dens), alpha.grid.shape))
 
 
 def trace_inequality_slacks(omega_prime_mats: np.ndarray, omega_mats: np.ndarray):
@@ -393,7 +361,3 @@ def certify_metric_path(
         raise CertificateError("metric path fails its standing-assumption audit", report=cert.as_dict())
     return cert
 
-
-def flow_omega(theta: HermitianField, phi: ScalarField, backend: str = "spectral") -> HermitianField:
-    """The evolved form theta + H(phi) as a Hermitian field."""
-    return theta + complex_hessian(phi, backend)

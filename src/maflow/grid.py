@@ -19,6 +19,10 @@ Two derivative backends are provided.  "spectral" differentiates through the
 FFT and is the default for smooth fields; "fd" uses second-order centred
 differences and keeps the discrete maximum principle, which is what the
 comparison-sensitive n=1 runs rely on.
+
+Every Fourier symbol of the package lives here, built once per grid on real
+FFTs: the spectral Hessian, the -(1/4) Laplacian of either backend (the flow
+preconditioner's shifted solve) and Gaussian smoothing (mollification).
 """
 
 from __future__ import annotations
@@ -73,21 +77,9 @@ class TorusGrid:
     def num_points(self) -> int:
         return self.resolution ** self.real_dim
 
-    def axis_coordinate(self, axis: int) -> np.ndarray:
-        """1-d coordinate array for one real axis."""
-        return np.arange(self.resolution) * self.spacing
-
     def coordinates(self) -> tuple:
         """Broadcastable coordinate arrays, one per real axis (sparse meshgrid)."""
         return _grid_coordinates(self.n, self.resolution)
-
-    def wavenumbers(self) -> tuple:
-        """Integer wavenumbers per axis, broadcastable; Nyquist retained."""
-        return _grid_wavenumbers(self.n, self.resolution)
-
-    def wavenumbers_d1(self) -> tuple:
-        """Wavenumbers for first derivatives: Nyquist mode zeroed."""
-        return _grid_wavenumbers_d1(self.n, self.resolution)
 
 
 @lru_cache(maxsize=32)
@@ -95,29 +87,6 @@ def _grid_coordinates(n, N):
     axes = [np.arange(N) / N for _ in range(2 * n)]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     return tuple(_freeze(m) for m in mesh)
-
-
-@lru_cache(maxsize=32)
-def _grid_wavenumbers(n, N):
-    k = np.fft.fftfreq(N, d=1.0 / N)  # integers 0..N/2-1, -N/2..-1
-    out = []
-    for axis in range(2 * n):
-        shape = [1] * (2 * n)
-        shape[axis] = N
-        out.append(_freeze(k.reshape(shape)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=32)
-def _grid_wavenumbers_d1(n, N):
-    k = np.fft.fftfreq(N, d=1.0 / N).copy()
-    k[N // 2] = 0.0  # odd-order derivative: drop the unpaired Nyquist mode
-    out = []
-    for axis in range(2 * n):
-        shape = [1] * (2 * n)
-        shape[axis] = N
-        out.append(_freeze(k.reshape(shape)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +233,91 @@ class HermitianField:
 
 
 # ---------------------------------------------------------------------------
-# derivatives
+# spectral layer: every Fourier symbol, in the real-FFT (rfftn) layout
+#
+# Mode k of a field is exp(2 pi i k.x) with integer k.  Every axis but the
+# last carries the N wavenumbers 0..N/2-1, -N/2..-1; the last carries the
+# N/2+1 non-negative ones.  Symbols are cached per grid and broadcast
+# against the spectrum.
 
-def _spectral_second_pair(values, grid, axis_a, axis_b):
-    """d_a d_b of a real field via the FFT (integer wavenumber convention)."""
-    hat = np.fft.fftn(values)
-    if axis_a == axis_b:
-        k = grid.wavenumbers()[axis_a]
-        return np.fft.ifftn(hat * (-4.0 * np.pi**2) * k * k).real
-    kd = grid.wavenumbers_d1()
-    return np.fft.ifftn(hat * (-4.0 * np.pi**2) * kd[axis_a] * kd[axis_b]).real
+
+def _rfft(values, grid):
+    return np.fft.rfftn(values, axes=tuple(range(grid.real_dim)))
+
+
+def _irfft(hat, grid):
+    return np.fft.irfftn(hat, s=grid.shape, axes=tuple(range(grid.real_dim)))
+
+
+@lru_cache(maxsize=32)
+def _wavenumbers(n, N, odd):
+    """Integer wavenumbers per real axis, broadcastable against an rfftn spectrum.
+
+    odd=True zeroes the unpaired Nyquist mode, as odd-order derivatives need.
+    """
+    dim = 2 * n
+    out = []
+    for axis in range(dim):
+        k = np.fft.rfftfreq(N, 1.0 / N) if axis == dim - 1 else np.fft.fftfreq(N, 1.0 / N)
+        if odd:
+            k[N // 2] = 0.0
+        shape = [1] * dim
+        shape[axis] = k.size
+        out.append(_freeze(k.reshape(shape)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def _hessian_symbols(n, N):
+    """Symbols of the real Hessian components, the factor 1/4 included.
+
+    (h11,) for n=1 and (h11, h22, Re h12, Im h12) for n=2, with
+    Re h12 = (x1x2 + y1y2)/4 and Im h12 = (x1y2 - y1x2)/4.  All are even
+    in k, so each one maps a real field's spectrum back to a real field.
+    """
+    c = -np.pi**2
+    k = _wavenumbers(n, N, False)
+    if n == 1:
+        return (_freeze(c * (k[0] ** 2 + k[1] ** 2)),)
+    kd = _wavenumbers(n, N, True)
+    return tuple(
+        _freeze(c * s)
+        for s in (
+            k[0] ** 2 + k[1] ** 2,
+            k[2] ** 2 + k[3] ** 2,
+            kd[0] * kd[2] + kd[1] * kd[3],
+            kd[0] * kd[3] - kd[1] * kd[2],
+        )
+    )
+
+
+@lru_cache(maxsize=32)
+def _quarter_laplacian_symbol(n, N, backend):
+    """Symbol of -(1/4) Laplacian: pi^2 |k|^2, or the fd stencil's eigenvalues."""
+    ks = _wavenumbers(n, N, False)
+    if backend == "spectral":
+        return _freeze(np.pi**2 * sum(k * k for k in ks))
+    h = 1.0 / N
+    return _freeze((0.25 / h**2) * sum(2.0 - 2.0 * np.cos(2.0 * np.pi * k * h) for k in ks))
+
+
+def solve_shifted_laplacian(values: np.ndarray, grid: TorusGrid, backend: str, shift: float):
+    """Solve (shift - (1/4) Laplacian) u = values, Laplacian as the backend discretises it."""
+    symbol = shift + _quarter_laplacian_symbol(grid.n, grid.resolution, backend)
+    return _irfft(_rfft(values, grid) / symbol, grid)
+
+
+def gaussian_smooth(values: np.ndarray, grid: TorusGrid, delta: float) -> np.ndarray:
+    """Convolution with the periodised kernel ~ exp(-|u|^2/delta^2) (mass one).
+
+    Mode k is scaled by exp(-pi^2 delta^2 |k|^2).
+    """
+    symbol = _quarter_laplacian_symbol(grid.n, grid.resolution, "spectral")
+    return _irfft(_rfft(values, grid) * np.exp(-(delta**2) * symbol), grid)
+
+
+# ---------------------------------------------------------------------------
+# derivatives
 
 
 def _fd_second(values, h, axis):
@@ -287,9 +331,8 @@ def _fd_first(values, h, axis):
 def hessian_components(values: np.ndarray, grid: TorusGrid, backend: str = "spectral"):
     """Raw complex-Hessian components of a real sample array.
 
-    Returns (h11,) for n=1 and (h11, h22, h12) for n=2.  This is the
-    allocation-light entry point the flow solver uses; `complex_hessian`
-    wraps the result in a HermitianField.
+    Returns (h11,) for n=1 and (h11, h22, h12) for n=2; for n=1 h11 is the
+    quarter Laplacian (phi_xx + phi_yy)/4.
     """
     if backend not in BACKENDS:
         raise ConfigError(f"unknown derivative backend {backend!r}")
@@ -299,19 +342,13 @@ def hessian_components(values: np.ndarray, grid: TorusGrid, backend: str = "spec
 
 
 def _hessian_spectral(values, grid):
-    hat = np.fft.fftn(values)
-    k = grid.wavenumbers()
-    c = -4.0 * np.pi**2
+    hat = _rfft(values, grid)
+    syms = _hessian_symbols(grid.n, grid.resolution)
     if grid.n == 1:
-        sym = c * (k[0] ** 2 + k[1] ** 2)
-        return (0.25 * np.fft.ifftn(hat * sym).real,)
-    kd = grid.wavenumbers_d1()
-    h11 = 0.25 * np.fft.ifftn(hat * (c * (k[0] ** 2 + k[1] ** 2))).real
-    h22 = 0.25 * np.fft.ifftn(hat * (c * (k[2] ** 2 + k[3] ** 2))).real
-    # real part (x1x2 + y1y2), imaginary part (x1y2 - y1x2)
-    sym12 = c * ((kd[0] * kd[2] + kd[1] * kd[3]) + 1j * (kd[0] * kd[3] - kd[1] * kd[2]))
-    h12 = 0.25 * np.fft.ifftn(hat * sym12)
-    return h11, h22, h12
+        return (_irfft(hat * syms[0], grid),)
+    s11, s22, s_re, s_im = syms
+    h12 = _irfft(hat * s_re, grid) + 1j * _irfft(hat * s_im, grid)
+    return _irfft(hat * s11, grid), _irfft(hat * s22, grid), h12
 
 
 def _hessian_fd(values, grid):
@@ -328,15 +365,6 @@ def _hessian_fd(values, grid):
     return h11, h22, 0.25 * (re + 1j * im)
 
 
-def complex_hessian(phi: ScalarField, backend: str = "spectral") -> HermitianField:
-    """Complex Hessian H(phi) as a Hermitian matrix field.
-
-    For n=1 this is the quarter Laplacian: H(phi) = (1/4) (phi_xx + phi_yy).
-    """
-    comps = hessian_components(phi.values, phi.grid, backend)
-    return HermitianField(phi.grid, *comps)
-
-
 def gradient_sq(phi: ScalarField, backend: str = "spectral") -> ScalarField:
     """Squared norm of the (1,0)-gradient: sum_j |d phi / dz_j|^2.
 
@@ -346,16 +374,15 @@ def gradient_sq(phi: ScalarField, backend: str = "spectral") -> ScalarField:
     a^2 pi^2 sin^2(2 pi x).
     """
     grid = phi.grid
+    acc = np.zeros(grid.shape)
     if backend == "spectral":
-        hat = np.fft.fftn(phi.values)
-        kd = grid.wavenumbers_d1()
-        acc = np.zeros(grid.shape)
+        hat = _rfft(phi.values, grid)
+        kd = _wavenumbers(grid.n, grid.resolution, True)
         for axis in range(grid.real_dim):
-            d = np.fft.ifftn(hat * (2j * np.pi) * kd[axis]).real
+            d = _irfft(hat * (2j * np.pi) * kd[axis], grid)
             acc += d * d
     else:
         h = grid.spacing
-        acc = np.zeros(grid.shape)
         for axis in range(grid.real_dim):
             d = _fd_first(phi.values, h, axis)
             acc += d * d
@@ -364,14 +391,6 @@ def gradient_sq(phi: ScalarField, backend: str = "spectral") -> ScalarField:
 
 # ---------------------------------------------------------------------------
 # norms and distances
-
-
-def norms(phi: ScalarField) -> dict:
-    """Grid sup, inf, oscillation and L1 norm (unit total volume)."""
-    v = phi.values
-    sup = float(v.max())
-    inf = float(v.min())
-    return {"sup": sup, "inf": inf, "osc": sup - inf, "l1": float(np.abs(v).mean())}
 
 
 def oscillation(phi: ScalarField) -> float:
@@ -394,58 +413,3 @@ def torus_separation(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     d = np.minimum(d, 1.0 - d)
     return np.sqrt((d * d).sum(axis=-1))
 
-
-def parabolic_holder_seminorm(
-    snapshots,
-    alpha: float,
-    max_events: int = 1024,
-) -> float:
-    """Space-time Holder seminorm estimate from a finite list of snapshots.
-
-    snapshots : sequence of (time, ScalarField) pairs on a common grid.
-    alpha     : Holder exponent in (0, 1].
-
-    The parabolic distance between events X=(x,t) and Y=(x',t') is
-    rho = |x - x'| + |t - t'|^(1/2) with the torus metric in space, and the
-    returned value is max |f(X) - f(Y)| / rho^alpha over a deterministic
-    stride-based subsample of grid points (identical events excluded).
-    The estimate is a lower bound for the true seminorm and is intended as a
-    regularity diagnostic, not a certified norm.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    snaps = list(snapshots)
-    if not snaps:
-        raise ConfigError("need at least one snapshot")
-    grid = snaps[0][1].grid
-    per_snap = max(1, max_events // len(snaps))
-    stride = 1
-    while grid.num_points // stride ** grid.real_dim > per_snap:
-        stride *= 2
-    sl = (slice(None, None, stride),) * grid.real_dim
-    mesh = np.meshgrid(*(grid.axis_coordinate(a) for a in range(grid.real_dim)), indexing="ij")
-    pts = np.stack([m[sl].ravel() for m in mesh], axis=-1)
-
-    coords, times, vals = [], [], []
-    for t, fld in snaps:
-        if fld.grid != grid:
-            raise ConfigError("snapshots must share one grid")
-        coords.append(pts)
-        times.append(np.full(len(pts), float(t)))
-        vals.append(fld.values[sl].ravel())
-    coords = np.concatenate(coords)
-    times = np.concatenate(times)
-    vals = np.concatenate(vals)
-
-    best = 0.0
-    chunk = 512
-    for i0 in range(0, len(vals), chunk):
-        i1 = min(i0 + chunk, len(vals))
-        dsp = torus_separation(coords[i0:i1, None, :], coords[None, :, :])
-        rho = dsp + np.sqrt(np.abs(times[i0:i1, None] - times[None, :]))
-        dv = np.abs(vals[i0:i1, None] - vals[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = dv / rho**alpha
-        q[rho == 0.0] = 0.0
-        best = max(best, float(q.max()))
-    return best

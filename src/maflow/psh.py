@@ -9,14 +9,13 @@ go through the decreasing mollification ladder below.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NotKahlerError, RepairTooLargeError, UnresolvableError
+from .errors import ConfigError, NotKahlerError, RepairTooLargeError
 from .geometry import VolumeForm, comps_eig_min, comps_mixed
-from .grid import HermitianField, ScalarField, TorusGrid, hessian_components
+from .grid import HermitianField, ScalarField, TorusGrid, gaussian_smooth, hessian_components
 
 TAGS = ("smooth", "lipschitz", "bounded", "unbounded-zero-lelong", "unbounded-positive-lelong")
 FLOW_ADMISSIBLE_TAGS = ("smooth", "lipschitz", "bounded", "unbounded-zero-lelong")
@@ -238,98 +237,6 @@ class RoughPotential:
 
 
 # ---------------------------------------------------------------------------
-# pole strength (Lelong number) estimation
-
-
-def default_lelong_radii(grid: TorusGrid, count: int = 12):
-    """One decade of radii [8h, 80h], capped at a quarter period."""
-    h = grid.spacing
-    lo, hi = 8.0 * h, min(80.0 * h, 0.25)
-    if hi <= lo:
-        raise ConfigError("grid too coarse for the default radius decade")
-    return np.geomspace(lo, hi, count)
-
-
-def _sphere_directions(real_dim: int, count: int) -> np.ndarray:
-    if real_dim == 2:
-        ang = np.arange(count) * (2.0 * np.pi / count)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    rng = np.random.default_rng(1234)  # fixed: sampling pattern is part of the estimator
-    v = rng.standard_normal((count, real_dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _interp_periodic(fld: ScalarField, pts: np.ndarray) -> np.ndarray:
-    """Multilinear periodic interpolation at fractional coordinates (rows of pts)."""
-    grid = fld.grid
-    N = grid.resolution
-    x = (pts % 1.0) * N
-    i0 = np.floor(x).astype(int)
-    w = x - i0
-    out = np.zeros(len(pts))
-    d = grid.real_dim
-    for corner in range(1 << d):
-        idx = []
-        weight = np.ones(len(pts))
-        for axis in range(d):
-            bit = (corner >> axis) & 1
-            idx.append((i0[:, axis] + bit) % N)
-            weight = weight * (w[:, axis] if bit else 1.0 - w[:, axis])
-        out += weight * fld.values[tuple(idx)]
-    return out
-
-
-def lelong_estimate(phi, point, radii=None, directions: int = 64) -> float:
-    """Estimate the pole strength of phi at `point` from circle maxima.
-
-    Fits max_{|z-x|=r} phi against log r by least squares over the given radii
-    and clamps the slope at zero from below.  Smooth fields give ~0; a model
-    pole gamma*log|z-x| gives ~gamma.  Radii fully inside the clamp floor are
-    discarded; if fewer than two radii survive the estimate is unresolvable.
-
-    phi : RoughPotential (closed-form evaluation) or ScalarField (periodic
-        multilinear interpolation; smallest radius must be >= 2 grid spacings).
-    """
-    if isinstance(phi, ScalarField):
-        if radii is None:
-            radii = default_lelong_radii(phi.grid)
-        if min(radii) < 2.0 * phi.grid.spacing:
-            raise ConfigError("smallest radius under-resolves the grid")
-        dim = phi.grid.real_dim
-        floor = None
-    else:
-        if radii is None:
-            raise ConfigError("closed-form potentials need explicit radii")
-        dim = 2 * phi.params.get("n", 1)
-        floor = phi.floor
-    point = np.asarray(point, dtype=float)
-    if point.shape != (dim,):
-        raise ConfigError(f"point must have {dim} coordinates")
-    dirs = _sphere_directions(dim, directions)
-
-    logs, maxima = [], []
-    for r in radii:
-        pts = point[None, :] + float(r) * dirs
-        if isinstance(phi, ScalarField):
-            vals = _interp_periodic(phi, pts)
-            f = float(phi.values.min())
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.asarray(phi.evaluate(*(pts[:, i] for i in range(dim))), dtype=float)
-            vals = np.maximum(vals, floor)
-            f = floor
-        m = float(vals.max())
-        if m <= f + 1e-9:
-            continue  # circle entirely clamped
-        logs.append(math.log(float(r)))
-        maxima.append(m)
-    if len(logs) < 2:
-        raise UnresolvableError("all sampled radii sit at the clamp floor")
-    slope = float(np.polyfit(np.asarray(logs), np.asarray(maxima), 1)[0])
-    return max(slope, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # decreasing mollification
 
 
@@ -361,15 +268,6 @@ class RegularizationSchedule:
 def drift(n: int, delta: float) -> float:
     """Second-moment drift m(delta) = n delta^2 of the width-delta kernel."""
     return n * delta * delta
-
-
-def _gaussian_smooth(values: np.ndarray, grid: TorusGrid, delta: float) -> np.ndarray:
-    """Convolution with the periodised kernel ~ exp(-|u|^2/delta^2) (mass one)."""
-    hat = np.fft.fftn(values)
-    k2 = 0.0
-    for k in grid.wavenumbers():
-        k2 = k2 + k * k
-    return np.fft.ifftn(hat * np.exp(-np.pi**2 * delta**2 * k2)).real
 
 
 def _despike_floor(values: np.ndarray, floor: float) -> np.ndarray:
@@ -447,7 +345,7 @@ def mollify_decreasing(
     schedule.validate_for_grid(grid)
     work = _despike_floor(base.values, floor)
     gate_width = 4.0 * grid.spacing
-    gated = ScalarField(grid, _gaussian_smooth(work, grid, gate_width))
+    gated = ScalarField(grid, gaussian_smooth(work, grid, gate_width))
     gate = psh_margin(gated, backend="spectral")
     if gate < -gate_tol:
         raise NotKahlerError(
@@ -458,7 +356,7 @@ def mollify_decreasing(
     n = grid.n
     fields = []
     for d in schedule.deltas:
-        sm = _gaussian_smooth(work, grid, d) + drift(n, d)
+        sm = gaussian_smooth(work, grid, d) + drift(n, d)
         fields.append(sm)
 
     shifts = [0.0] * len(fields)

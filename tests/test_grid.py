@@ -10,10 +10,13 @@ from maflow.grid import (
     HermitianField,
     ScalarField,
     TorusGrid,
+    _fd_second,
+    gaussian_smooth,
     gradient_sq,
     hessian_components,
     oscillation,
     restrict,
+    solve_shifted_laplacian,
     torus_separation,
 )
 
@@ -22,6 +25,12 @@ def mode_field(grid, amplitude=1.0, axis=0):
     coords = grid.coordinates()
     vals = amplitude * np.cos(2.0 * np.pi * coords[axis])
     return ScalarField(grid, np.broadcast_to(vals, grid.shape).copy())
+
+
+def wave(grid, k):
+    """cos 2 pi (k . x) sampled on the grid, k one integer per real axis."""
+    phase = sum(kj * c for kj, c in zip(k, grid.coordinates()))
+    return np.broadcast_to(np.cos(2.0 * np.pi * phase), grid.shape).copy()
 
 
 class TestTorusGrid:
@@ -88,6 +97,52 @@ class TestHessian:
         assert np.max(np.abs(comps[0] - expected)) < 1e-10
         assert np.max(np.abs(comps[1])) < 1e-12
         assert np.max(np.abs(comps[2])) < 1e-12
+
+    # axes (x1, y1, x2, y2) = (0, 1, 2, 3); for cos 2 pi (x_a + x_b) the exact
+    # h12 is -pi^2 cos times (re, im): Re h12 = (x1x2 + y1y2)/4 and
+    # Im h12 = (x1y2 - y1x2)/4.
+    @pytest.mark.parametrize("backend", ["spectral", "fd"])
+    @pytest.mark.parametrize(
+        "axes, re, im",
+        [((0, 2), 1.0, 0.0), ((1, 3), 1.0, 0.0), ((0, 3), 0.0, 1.0), ((1, 2), 0.0, -1.0)],
+    )
+    def test_n2_mixed_mode_splits_h12(self, backend, axes, re, im):
+        g = TorusGrid(2, 8)
+        k = [0, 0, 0, 0]
+        for a in axes:
+            k[a] = 1
+        v = wave(g, k)
+        h12 = hessian_components(v, g, backend)[2]
+        # centred first differences scale each d/dx by sin(2 pi h) / (2 pi h)
+        h = g.spacing
+        scale = np.pi**2 if backend == "spectral" else (np.sin(2.0 * np.pi * h) / (2.0 * h)) ** 2
+        assert np.max(np.abs(h12.real + re * scale * v)) < 1e-10
+        assert np.max(np.abs(h12.imag + im * scale * v)) < 1e-10
+
+
+class TestSpectralLayer:
+    @pytest.mark.parametrize("backend", ["spectral", "fd"])
+    @pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
+    def test_shifted_laplacian_solve_inverts_backend_operator(self, n, N, backend):
+        g = TorusGrid(n, N)
+        v = np.random.default_rng(7).standard_normal(g.shape)
+        if backend == "fd":
+            lap = sum(_fd_second(v, g.spacing, axis) for axis in range(g.real_dim))
+        else:
+            k = np.meshgrid(*[np.fft.fftfreq(N, 1.0 / N)] * g.real_dim, indexing="ij")
+            k2 = sum(kj * kj for kj in k)
+            lap = np.fft.ifftn(-4.0 * np.pi**2 * k2 * np.fft.fftn(v)).real
+        shift = 3.0
+        u = solve_shifted_laplacian(shift * v - 0.25 * lap, g, backend, shift)
+        assert np.max(np.abs(u - v)) < 1e-10
+
+    @pytest.mark.parametrize("n, N, k", [(1, 32, (2, -3)), (2, 8, (1, 0, -2, 3))])
+    def test_gaussian_smooth_scales_single_mode(self, n, N, k):
+        g = TorusGrid(n, N)
+        v = wave(g, k)
+        delta = 0.07
+        factor = np.exp(-np.pi**2 * delta**2 * sum(kj * kj for kj in k))
+        assert np.max(np.abs(gaussian_smooth(v, g, delta) - factor * v)) < 1e-12
 
 
 class TestHermitianField:
