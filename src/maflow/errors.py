@@ -54,16 +54,29 @@ class CertificateError(NumericError):
 
 
 class NewtonDivergedError(NumericError):
-    """The damped Newton iteration exhausted its iteration budget."""
+    """The damped Newton iteration exhausted its iteration budget.
 
-    def __init__(self, message, residual=None, iterations=None):
+    linear_converged is False when one of the step's linear solves stopped
+    short of its tolerance, which the message then names as the likely cause.
+    """
+
+    def __init__(self, message, residual=None, iterations=None, linear_converged=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.linear_converged = linear_converged
 
 
 class ConeExitError(NumericError):
-    """No admissible damping factor keeps the metric inside the positive cone."""
+    """The metric form leaves the positive cone (or no damping keeps it inside).
+
+    Carries the grid location of the lowest eigenvalue and that eigenvalue.
+    """
+
+    def __init__(self, message, location=None, eigenvalue=None):
+        super().__init__(message)
+        self.location = location
+        self.eigenvalue = eigenvalue
 
 
 class MonotonicityError(NumericError):

@@ -8,8 +8,11 @@ on the flat torus, with theta_t a MetricPath, Omega a VolumeForm and F a
 DrivingTerm.  Time stepping is backward Euler on a geometric schedule
 (anchored at t = 0, with requested probe times inserted exactly), and each
 implicit step is solved by a damped inexact Newton iteration whose linear
-systems go through BiCGSTAB preconditioned by the constant-coefficient
-symbol 1/dt - (1/4) Laplacian.
+systems go through right-preconditioned BiCGSTAB.  The preconditioner is an
+FFT solve of a shifted -(1/4) Laplacian with a pointwise scaling built from
+the harmonic mean of w's eigenvalues (w = theta + dd^c phi), matched to the
+Jacobian at the stiffness of the current Newton residual, so it keeps up
+where w nears the edge of the positive cone.
 
 Rough initial data never enter `run` directly: they are regularized by the
 decreasing mollification ladder and integrated level by level (`run_cascade`),
@@ -38,6 +41,7 @@ from .errors import (
 from .geometry import (
     MetricPath,
     VolumeForm,
+    _worst_location,
     comps_det,
     comps_eig_min,
     comps_trace_inv,
@@ -47,6 +51,7 @@ from .grid import (
     TorusGrid,
     hessian_components,
     oscillation,
+    quarter_laplacian_rayleigh,
     solve_shifted_laplacian,
 )
 from .psh import (
@@ -360,57 +365,123 @@ def _l2(a: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(a, a).real))
 
 
-def _bicgstab(apply_op, b: np.ndarray, rel_tol: float, max_iter: int):
-    """Textbook BiCGSTAB on a matrix-free operator; returns (x, iterations)."""
+def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int):
+    """Right-preconditioned BiCGSTAB on a matrix-free operator.
+
+    Solves apply_op(x) = b through apply_op(precond(y)) = b, x = precond(y),
+    updating x with the preconditioned directions so no solve is left at the
+    end.  The recurrence residual is that of the unpreconditioned system, so
+    the stopping test bounds |b - apply_op(x)| / |b|.  Returns
+    (x, iterations, relative residual, converged).  Vectors are rebound,
+    never updated in place, so b is neither copied nor modified.
+    """
     bnorm = _l2(b)
     x = np.zeros_like(b)
     if bnorm == 0.0:
-        return x, 0
-    r = b.copy()
-    rhat = r.copy()
+        return x, 0, 0.0, True
+    r = rhat = b
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
     target = rel_tol * bnorm
+    res = bnorm
+    it = 0
     for it in range(1, max_iter + 1):
         rho_new = float(np.vdot(rhat, r).real)
         if abs(rho_new) < 1e-300:
-            rhat = r.copy()
+            rhat = r
             rho_new = float(np.vdot(rhat, r).real)
             if abs(rho_new) < 1e-300:
                 break
         beta = (rho_new / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
-        v = apply_op(p)
+        z = precond(p)
+        v = apply_op(z)
         denom = float(np.vdot(rhat, v).real)
         if abs(denom) < 1e-300:
             break
         alpha = rho_new / denom
-        s = r - alpha * v
-        if _l2(s) <= target:
-            x = x + alpha * p
-            return x, it
-        t = apply_op(s)
+        x = x + alpha * z
+        r = r - alpha * v
+        res = _l2(r)
+        if res <= target:
+            return x, it, res / bnorm, True
+        z = precond(r)
+        t = apply_op(z)
         tt = float(np.vdot(t, t).real)
         if tt == 0.0:
             break
-        omega = float(np.vdot(t, s).real) / tt
-        x = x + alpha * p + omega * s
-        r = s - omega * t
-        if _l2(r) <= target:
-            return x, it
+        omega = float(np.vdot(t, r).real) / tt
+        x = x + omega * z
+        r = r - omega * t
+        res = _l2(r)
+        if res <= target:
+            return x, it, res / bnorm, True
         rho = rho_new
     if _l2(x) == 0.0:
         raise NumericError("linear solver stalled with a null direction")
-    return x, max_iter
+    return x, it, res / bnorm, False
 
 
 def _theta_components(path: MetricPath, t: float):
     return path.theta(t).components()
 
 
-def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords):
-    """One backward-Euler step; returns (values, phidot_values, diagnostics)."""
+def _cone_exit(message, total, grid):
+    """ConeExitError at the grid point where the form total has its lowest eigenvalue."""
+    eig = comps_eig_min(total)
+    worst = float(np.min(eig))
+    loc = _worst_location(eig, grid.shape)
+    return ConeExitError(
+        f"{message}: min eigenvalue {worst:.3e} at {loc}", location=loc, eigenvalue=worst
+    )
+
+
+def _jacobian(total, fs, dt, grid, backend):
+    """The Newton operator v -> v/dt + F_s v - tr(w^-1 H(v)), w = total."""
+    inv_dt = 1.0 / dt
+
+    def apply(v):
+        hv = hessian_components(v, grid, backend)
+        return inv_dt * v - comps_trace_inv(total, hv) + fs * v
+
+    return apply
+
+
+def _preconditioner(total, R, fs, dt, grid, backend):
+    """Right preconditioner matched to the Jacobian at the stiffness of R.
+
+    With s = n / tr(w^-1) (the harmonic mean of w's eigenvalues), c the grid
+    harmonic mean of s, l_R the Rayleigh quotient of R against -(1/4)
+    Laplacian and kappa = dt l_R, the preconditioner is
+
+        M^-1 r = (c (1/dt + max(0, mean F_s)) - (1/4) Laplacian)^-1 (D r),
+        D = s (c + kappa) / (s + kappa).
+
+    Frozen coefficients give J M^-1 = 1 at l = l_R at every point (F_s = 0).
+    Where kappa << s, D -> c and M is the constant-coefficient operator
+    1/dt - Laplacian/(4c) (1/dt - Laplacian/4 when w = I); where kappa >> s,
+    D -> s and M follows the pointwise degeneracy of w at the cone's edge.
+    """
+    if len(total) == 1:
+        s = total[0]
+    else:
+        s = 2.0 * comps_det(total) / (total[0] + total[1])
+    c = 1.0 / float(np.mean(1.0 / s))
+    kappa = dt * quarter_laplacian_rayleigh(R, grid, backend)
+    scale = s * ((c + kappa) / (s + kappa))
+    shift = c * (1.0 / dt + max(0.0, float(np.mean(fs))))
+    return lambda r: solve_shifted_laplacian(scale * r, grid, backend, shift)
+
+
+def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords, warm=None):
+    """One backward-Euler step; returns (values, phidot_values, diagnostics).
+
+    warm, when given, is a one-element list holding
+    hessian_components(prev_vals).  The step takes it out and puts back the
+    Hessian of the returned values for the next step's warm start, so the
+    caller holds no stale Hessian while Newton runs.
+    """
     grid = path.grid
     dt = t_to - t_from
     if dt <= 0:
@@ -418,17 +489,16 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords):
     theta = _theta_components(path, t_to)
     log_om = omega_form.log()
     u = prev_vals
-    comps = hessian_components(u, grid, cfg.backend)
+    comps = warm.pop() if warm else hessian_components(u, grid, cfg.backend)
     total = tuple(th + hc for th, hc in zip(theta, comps))
     margin = float(np.min(comps_eig_min(total)))
     if margin <= 0.0:
-        raise ConeExitError(
-            f"warm start leaves the positivity cone at t = {t_to:.6g} "
-            f"(margin {margin:.3e})"
-        )
+        raise _cone_exit(f"warm start leaves the positivity cone at t = {t_to:.6g}", total, grid)
     residual = math.inf
     damping_min = 1.0
     linear_total = 0
+    linear_worst = 0.0
+    linear_converged = True
     iters = 0
     while True:
         R = (u - prev_vals) / dt - np.log(comps_det(total)) + log_om + F(t_to, coords, u)
@@ -437,29 +507,31 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords):
         if residual <= cfg.newton_tol:
             break
         if iters >= cfg.max_newton:
+            cause = "" if linear_converged else (
+                f"; a linear solve did not converge (relative residual {linear_worst:.3e}"
+                f" > {cfg.linear_rel_tol:g})"
+            )
             raise NewtonDivergedError(
-                f"Newton stalled at residual {residual:.3e} after {iters} iterations",
+                f"Newton stalled at residual {residual:.3e} after {iters} iterations{cause}",
                 residual=residual,
                 iterations=iters,
+                linear_converged=linear_converged,
             )
         fs = np.asarray(F.ds_at(t_to, coords, u), dtype=np.float64)
-        inv_dt = 1.0 / dt
-
-        def apply_jacobian(v):
-            hv = hessian_components(v, grid, cfg.backend)
-            return inv_dt * v - comps_trace_inv(total, hv) + fs * v
-
-        shift = inv_dt + max(0.0, float(np.mean(fs)))
-        direction, lin_iters = _bicgstab(
-            lambda v: solve_shifted_laplacian(apply_jacobian(v), grid, cfg.backend, shift),
-            solve_shifted_laplacian(-R, grid, cfg.backend, shift),
+        # J correction = R; the Newton direction is -correction
+        correction, lin_iters, lin_res, lin_ok = _bicgstab(
+            _jacobian(total, fs, dt, grid, cfg.backend),
+            _preconditioner(total, R, fs, dt, grid, cfg.backend),
+            R,
             cfg.linear_rel_tol,
             cfg.max_linear,
         )
         linear_total += lin_iters
+        linear_worst = max(linear_worst, lin_res)
+        linear_converged = linear_converged and lin_ok
         lam = 1.0
         while True:
-            trial = u + lam * direction
+            trial = u - lam * correction
             t_comps = hessian_components(trial, grid, cfg.backend)
             t_total = tuple(th + hc for th, hc in zip(theta, t_comps))
             t_margin = float(np.min(comps_eig_min(t_total)))
@@ -467,9 +539,11 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords):
                 break
             lam *= 0.5
             if lam < cfg.min_damping:
-                raise ConeExitError(
-                    f"no damping factor >= 2^-20 keeps the step inside the cone "
-                    f"at t = {t_to:.6g}"
+                raise _cone_exit(
+                    f"no damping factor >= {cfg.min_damping:.3g} keeps the step inside "
+                    f"the cone at t = {t_to:.6g}",
+                    t_total,
+                    grid,
                 )
         damping_min = min(damping_min, lam)
         u, comps, total, margin = trial, t_comps, t_total, t_margin
@@ -484,7 +558,11 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords):
         "positivity_margin": margin,
         "damping": damping_min,
         "linear_iters": linear_total,
+        "linear_rel_residual": linear_worst,
+        "linear_converged": linear_converged,
     }
+    if warm is not None:
+        warm.append(comps)
     return np.ascontiguousarray(u), phidot, diag
 
 
@@ -508,10 +586,11 @@ def step(
 
 
 def _initial_margin(phi0, path, backend):
+    """(positivity margin, theta(0) + H(phi0), H(phi0)) of the initial data."""
     theta = _theta_components(path, 0.0)
     comps = hessian_components(phi0.values, phi0.grid, backend)
     total = tuple(th + hc for th, hc in zip(theta, comps))
-    return float(np.min(comps_eig_min(total))), total
+    return float(np.min(comps_eig_min(total))), total, comps
 
 
 def run(
@@ -533,11 +612,11 @@ def run(
     if cfg.horizon > path.horizon * (1 + 1e-12):
         raise ConfigError("flow horizon exceeds the metric path horizon")
     notices = []
-    margin0, total0 = _initial_margin(phi0, path, cfg.backend)
+    margin0, total0, comps0 = _initial_margin(phi0, path, cfg.backend)
+    warm = [comps0]
+    del comps0
     if margin0 < -PSH_TOL:
-        raise ConeExitError(
-            f"initial data inadmissible for theta(0): margin {margin0:.3e}"
-        )
+        raise _cone_exit("initial data inadmissible for theta(0)", total0, grid)
     coords = grid.coordinates()
     if check_bounds:
         lo = float(phi0.values.min())
@@ -571,7 +650,7 @@ def run(
     vals = phi0.values
     for k in range(1, len(times)):
         vals, phidot_vals, diag = _advance(
-            vals, times[k - 1], times[k], path, F, omega_form, cfg, coords
+            vals, times[k - 1], times[k], path, F, omega_form, cfg, coords, warm
         )
         diagnostics.append(diag)
         if keep[k]:

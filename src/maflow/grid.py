@@ -21,8 +21,10 @@ differences and keeps the discrete maximum principle, which is what the
 comparison-sensitive n=1 runs rely on.
 
 Every Fourier symbol of the package lives here, built once per grid on real
-FFTs: the spectral Hessian, the -(1/4) Laplacian of either backend (the flow
-preconditioner's shifted solve) and Gaussian smoothing (mollification).
+FFTs: the spectral Hessian, the -(1/4) Laplacian of either backend (the
+shifted solve at the core of the flow's preconditioner, and the Rayleigh
+quotient that sets the stiffness it is matched at) and Gaussian smoothing
+(mollification).
 """
 
 from __future__ import annotations
@@ -305,6 +307,19 @@ def solve_shifted_laplacian(values: np.ndarray, grid: TorusGrid, backend: str, s
     """Solve (shift - (1/4) Laplacian) u = values, Laplacian as the backend discretises it."""
     symbol = shift + _quarter_laplacian_symbol(grid.n, grid.resolution, backend)
     return _irfft(_rfft(values, grid) / symbol, grid)
+
+
+def quarter_laplacian_rayleigh(values: np.ndarray, grid: TorusGrid, backend: str) -> float:
+    """Rayleigh quotient <v, -(1/4) Laplacian v> / <v, v>, Laplacian as the backend discretises it.
+
+    values must not vanish identically.
+    """
+    power = np.abs(_rfft(values, grid)) ** 2
+    # interior last-axis modes stand for themselves and their conjugates
+    N = grid.resolution
+    power[..., 1 : (N + 1) // 2] *= 2.0
+    symbol = _quarter_laplacian_symbol(grid.n, N, backend)
+    return float(np.sum(power * symbol) / np.sum(power))
 
 
 def gaussian_smooth(values: np.ndarray, grid: TorusGrid, delta: float) -> np.ndarray:

@@ -13,6 +13,7 @@ from maflow import (
     FlowConfig,
     HorizonTooLongError,
     MetricPath,
+    NewtonDivergedError,
     RegularizationSchedule,
     RoughPotential,
     ScalarField,
@@ -22,11 +23,13 @@ from maflow import (
     run_cascade,
     run_nef,
 )
+from maflow import flow
 from maflow.flow import (
     instantaneous_residuals,
     monotone_reduction,
     residual_certificate,
     schedule_times,
+    step,
     trajectory_from_family,
     uniqueness_rescale,
 )
@@ -152,8 +155,130 @@ def test_inadmissible_initial_data_is_refused():
     x, y = grid.coordinates()
     # amplitude 0.2 > 1/pi^2 pushes I + Hess outside the positive cone
     phi0 = ScalarField(grid, 0.2 * np.cos(2 * np.pi * x) * np.ones_like(y))
-    with pytest.raises(ConeExitError):
+    with pytest.raises(ConeExitError) as info:
         run(phi0, path, DrivingTerm.zero(), omega, cfg)
+    # I + H(phi0) = 1 - 0.2 pi^2 cos(2 pi x) is lowest at x = 0
+    assert info.value.location[0] == 0
+    assert info.value.eigenvalue == pytest.approx(1.0 - 0.2 * np.pi**2, rel=1e-12)
+
+
+def test_warm_start_outside_the_cone_names_the_worst_point():
+    grid, path, omega, cfg = make_problem(resolution=16)
+    x, y = grid.coordinates()
+    phi = ScalarField(grid, 0.2 * np.cos(2 * np.pi * x) * np.ones_like(y))
+    with pytest.raises(ConeExitError) as info:
+        step(phi, 0.0, 0.01, path, DrivingTerm.zero(), omega, cfg)
+    assert info.value.location[0] == 0
+    assert info.value.eigenvalue == pytest.approx(1.0 - 0.2 * np.pi**2, rel=1e-12)
+
+
+def test_exhausted_damping_names_the_worst_point(monkeypatch):
+    grid, path, omega, cfg = make_problem(resolution=16)
+    x, y = grid.coordinates()
+    # a Newton direction 1e9 cos(2 pi x) (the negated correction) so large
+    # that every damped trial leaves the cone, worst at x = 0
+    correction = -1e9 * np.cos(2 * np.pi * x) * np.ones_like(y)
+    monkeypatch.setattr(flow, "_bicgstab", lambda *a, **k: (correction, 1, 0.0, True))
+    phi0 = ScalarField(grid, 0.02 * np.sin(2 * np.pi * y) * np.ones_like(x))
+    with pytest.raises(ConeExitError) as info:
+        run(phi0, path, DrivingTerm.zero(), omega, cfg)
+    assert info.value.location[0] == 0
+    assert info.value.eigenvalue < 0.0
+
+
+def test_run_reuses_each_accepted_hessian_bitwise():
+    grid, path, omega, cfg = make_problem(resolution=16)
+    x, y = grid.coordinates()
+    phi0 = ScalarField(grid, 0.05 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    F = DrivingTerm.affine(slope=0.5)
+    traj = run(phi0, path, F, omega, cfg)
+    phi = phi0
+    for t_from, t_to in zip(traj.schedule[:-1], traj.schedule[1:]):
+        phi = step(phi, t_from, t_to, path, F, omega, cfg)
+    assert np.array_equal(phi.values, traj.final().values)
+
+
+# -- the Newton solve: preconditioned BiCGSTAB -----------------------------------
+
+
+def constant_metric_system(n, backend, level=0.3):
+    """Newton operator, preconditioner and right-hand side for w = level * I."""
+    grid = TorusGrid(n=n, resolution=16 if n == 1 else 8)
+    w = np.full(grid.shape, level)
+    total = (w,) if n == 1 else (w, w, np.zeros(grid.shape, dtype=complex))
+    R = np.random.default_rng(3).standard_normal(grid.shape)
+    dt, fs = 0.01, np.asarray(0.5)
+    return (
+        flow._jacobian(total, fs, dt, grid, backend),
+        flow._preconditioner(total, R, fs, dt, grid, backend),
+        -R,
+    )
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_preconditioner_inverts_the_jacobian_for_a_constant_metric(n, backend):
+    jac, precond, b = constant_metric_system(n, backend)
+    x, iters, rel_res, converged = flow._bicgstab(jac, precond, b, 1e-12, 1)
+    assert (iters, converged) == (1, True)
+    assert rel_res <= 1e-12
+    assert flow._l2(b - jac(x)) <= 1e-12 * flow._l2(b)
+
+
+def degenerate_problem(**cfg_kw):
+    """Scenario 07's paraboloid corner (curvature 0.999) on a 32^2 fd grid."""
+    grid = TorusGrid(n=1, resolution=32)
+    phi0 = RoughPotential.paraboloid(curvature=0.999).sample(grid)
+    cfg = FlowConfig(horizon=0.003, t_min=1e-3, ratio=1.2, backend="fd", **cfg_kw)
+    return phi0, MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid), cfg
+
+
+def test_degenerate_run_needs_few_linear_iterations_per_newton_step():
+    phi0, path, omega, cfg = degenerate_problem()
+    traj = run(phi0, path, DrivingTerm.zero(), omega, cfg)
+    newton = sum(d["newton_iters"] for d in traj.diagnostics)
+    linear = sum(d["linear_iters"] for d in traj.diagnostics)
+    # linear/Newton is 428/51 = 8.4 under the unscaled shifted-Laplacian
+    # preconditioner 1/dt - Laplacian/4, and 207/48 = 4.3 under this one
+    assert linear / newton < 6.35
+    assert all(d["linear_converged"] for d in traj.diagnostics)
+    assert max(d["linear_rel_residual"] for d in traj.diagnostics) <= cfg.linear_rel_tol
+
+
+def test_bicgstab_reports_a_solve_it_cut_short():
+    phi0, path, omega, cfg = degenerate_problem()
+    grid = phi0.grid
+    dt = cfg.t_min
+    comps = flow.hessian_components(phi0.values, grid, "fd")
+    total = tuple(th + hc for th, hc in zip(path.theta(dt).components(), comps))
+    R = -np.log(total[0])  # the first Newton residual: u = phi0, F = 0, Omega = 1
+    fs = np.asarray(0.0)
+    args = (
+        flow._jacobian(total, fs, dt, grid, "fd"),
+        flow._preconditioner(total, R, fs, dt, grid, "fd"),
+        R,
+        cfg.linear_rel_tol,
+    )
+    _, iters, rel_res, converged = flow._bicgstab(*args, 1)
+    assert (iters, converged) == (1, False)
+    assert rel_res > cfg.linear_rel_tol
+    _, _, rel_res, converged = flow._bicgstab(*args, cfg.max_linear)
+    assert converged and rel_res <= cfg.linear_rel_tol
+
+
+def test_newton_stall_names_the_unconverged_linear_solve():
+    phi0, path, omega, cfg = degenerate_problem(max_linear=1, max_newton=3)
+    with pytest.raises(NewtonDivergedError) as info:
+        run(phi0, path, DrivingTerm.zero(), omega, cfg)
+    assert info.value.linear_converged is False
+    assert "linear solve did not converge" in str(info.value)
+
+
+def test_newton_survives_unconverged_linear_solves():
+    phi0, path, omega, cfg = degenerate_problem(max_linear=2)
+    traj = run(phi0, path, DrivingTerm.zero(), omega, cfg)
+    assert any(not d["linear_converged"] for d in traj.diagnostics)
+    assert all(d["residual"] <= cfg.newton_tol for d in traj.diagnostics)
 
 
 def test_horizon_beyond_metric_path_is_a_config_error():

@@ -15,6 +15,7 @@ from maflow.grid import (
     gradient_sq,
     hessian_components,
     oscillation,
+    quarter_laplacian_rayleigh,
     restrict,
     solve_shifted_laplacian,
     torus_separation,
@@ -120,21 +121,34 @@ class TestHessian:
         assert np.max(np.abs(h12.imag + im * scale * v)) < 1e-10
 
 
+def laplacian_oracle(v, g, backend):
+    """The backend's Laplacian built independently: fd stencils or a complex FFT."""
+    if backend == "fd":
+        return sum(_fd_second(v, g.spacing, axis) for axis in range(g.real_dim))
+    N = g.resolution
+    k = np.meshgrid(*[np.fft.fftfreq(N, 1.0 / N)] * g.real_dim, indexing="ij")
+    k2 = sum(kj * kj for kj in k)
+    return np.fft.ifftn(-4.0 * np.pi**2 * k2 * np.fft.fftn(v)).real
+
+
 class TestSpectralLayer:
     @pytest.mark.parametrize("backend", ["spectral", "fd"])
     @pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
     def test_shifted_laplacian_solve_inverts_backend_operator(self, n, N, backend):
         g = TorusGrid(n, N)
         v = np.random.default_rng(7).standard_normal(g.shape)
-        if backend == "fd":
-            lap = sum(_fd_second(v, g.spacing, axis) for axis in range(g.real_dim))
-        else:
-            k = np.meshgrid(*[np.fft.fftfreq(N, 1.0 / N)] * g.real_dim, indexing="ij")
-            k2 = sum(kj * kj for kj in k)
-            lap = np.fft.ifftn(-4.0 * np.pi**2 * k2 * np.fft.fftn(v)).real
+        lap = laplacian_oracle(v, g, backend)
         shift = 3.0
         u = solve_shifted_laplacian(shift * v - 0.25 * lap, g, backend, shift)
         assert np.max(np.abs(u - v)) < 1e-10
+
+    @pytest.mark.parametrize("backend", ["spectral", "fd"])
+    @pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
+    def test_rayleigh_quotient_matches_physical_space(self, n, N, backend):
+        g = TorusGrid(n, N)
+        v = np.random.default_rng(11).standard_normal(g.shape)
+        want = np.sum(v * (-0.25 * laplacian_oracle(v, g, backend))) / np.sum(v * v)
+        assert quarter_laplacian_rayleigh(v, g, backend) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n, N, k", [(1, 32, (2, -3)), (2, 8, (1, 0, -2, 3))])
     def test_gaussian_smooth_scales_single_mode(self, n, N, k):
