@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,21 +71,7 @@ def build_grid(doc: dict) -> TorusGrid:
 
 def build_flow_config(doc: dict) -> FlowConfig:
     sec = _section(doc, "flow")
-    known = {
-        "horizon",
-        "t_min",
-        "ratio",
-        "dt_max",
-        "newton_tol",
-        "max_newton",
-        "backend",
-        "probes",
-        "store_every",
-        "linear_rel_tol",
-        "max_linear",
-        "min_damping",
-    }
-    extra = set(sec) - known
+    extra = set(sec) - {f.name for f in fields(FlowConfig)}
     if extra:
         raise ConfigError(f"unknown flow settings: {sorted(extra)}")
     kwargs = dict(sec)
@@ -526,6 +512,21 @@ def _uncertified(F: DrivingTerm) -> bool:
     return F.defect is None or not F.smooth
 
 
+def _ordering_report(name, anchor, family, **constants):
+    """The ordering audit of a cascade or nef family as a margin report."""
+    return verify.MarginReport(
+        name=name,
+        anchor=anchor,
+        margin=family.monotone_tol - family.monotone_violation,
+        passed=family.monotone_violation <= family.monotone_tol,
+        constants={
+            "violation": family.monotone_violation,
+            "tol": family.monotone_tol,
+            **constants,
+        },
+    )
+
+
 def integrate_scenario(doc: dict, forced_mode: str = None, seed: int = None):
     """Build the problem, integrate by mode, and return (mode, ctx, reports).
 
@@ -569,18 +570,7 @@ def integrate_scenario(doc: dict, forced_mode: str = None, seed: int = None):
             cascade.notices.append(NO_UNIQUENESS_NOTICE)
         ctx.cascade = cascade
         ctx.traj = cascade.trajectories[-1]
-        reports.append(
-            verify.MarginReport(
-                name="cascade-ordering",
-                anchor="decreasing-level-order",
-                margin=cascade.monotone_tol - cascade.monotone_violation,
-                passed=cascade.monotone_violation <= cascade.monotone_tol,
-                constants={
-                    "violation": cascade.monotone_violation,
-                    "tol": cascade.monotone_tol,
-                },
-            )
-        )
+        reports.append(_ordering_report("cascade-ordering", "decreasing-level-order", cascade))
     elif mode == "nef":
         sec = _section(doc, "metric")
         if sec.get("kind") != "nef":
@@ -591,17 +581,12 @@ def integrate_scenario(doc: dict, forced_mode: str = None, seed: int = None):
         ctx.family = family
         ctx.traj = family.trajectories[-1]
         reports.append(
-            verify.MarginReport(
-                name="nef-ordering",
-                anchor="eps-monotone-family",
-                margin=family.monotone_tol - family.monotone_violation,
-                passed=family.monotone_violation <= family.monotone_tol,
-                constants={
-                    "violation": family.monotone_violation,
-                    "tol": family.monotone_tol,
-                    "limit_gap": family.limit_gap,
-                    "witness_margin": family.witness_margin,
-                },
+            _ordering_report(
+                "nef-ordering",
+                "eps-monotone-family",
+                family,
+                limit_gap=family.limit_gap,
+                witness_margin=family.witness_margin,
             )
         )
     elif mode != "audit":

@@ -14,9 +14,17 @@ the harmonic mean of w's eigenvalues (w = theta + dd^c phi), matched to the
 Jacobian at the stiffness of the current Newton residual, so it keeps up
 where w nears the edge of the positive cone.
 
+The right-hand side is written once (`_rhs`).  The Newton residual, the
+stored phidot and the snapshot audits (`snapshot_rhs`, behind
+`residual_certificate`, `instantaneous_residuals` and verify's role checks)
+all evaluate it, and the audits report a snapshot outside the positive cone
+instead of taking the logarithm there.
+
 Rough initial data never enter `run` directly: they are regularized by the
 decreasing mollification ladder and integrated level by level (`run_cascade`),
-with the pointwise ordering of levels checked at every snapshot.  The
+with the pointwise ordering of levels checked at every snapshot.  That check,
+the eps-shift family's (`run_nef`, members and the unshifted witness) and
+verify's comparison principle share one test, `ordering_gap`.  The
 exponential change of variables that restores d F / d s >= 0, and its
 companion used by the uniqueness argument, are provided as invertible
 problem transforms.
@@ -25,7 +33,7 @@ problem transforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -267,17 +275,9 @@ class FlowConfig:
                 raise ConfigError(f"probe time {p} outside (0, horizon]")
 
     def as_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "t_min": self.t_min,
-            "ratio": self.ratio,
-            "dt_max": self.dt_max,
-            "newton_tol": self.newton_tol,
-            "max_newton": self.max_newton,
-            "backend": self.backend,
-            "probes": list(self.probes),
-            "store_every": self.store_every,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["probes"] = list(self.probes)
+        return d
 
 
 def schedule_times(cfg: FlowConfig) -> np.ndarray:
@@ -423,8 +423,12 @@ def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int):
     return x, it, res / bnorm, False
 
 
-def _theta_components(path: MetricPath, t: float):
-    return path.theta(t).components()
+def _rhs(total, u, t, F, log_om, coords):
+    """The flow's right-hand side log det(total) - log Omega - F(t, z, u).
+
+    total is theta_t + H(u) as components; it must lie inside the cone.
+    """
+    return np.log(comps_det(total)) - log_om - F(t, coords, u)
 
 
 def _cone_exit(message, total, grid):
@@ -486,7 +490,7 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords, warm=Non
     dt = t_to - t_from
     if dt <= 0:
         raise ConfigError("time step must move forward")
-    theta = _theta_components(path, t_to)
+    theta = path.theta(t_to).components()
     log_om = omega_form.log()
     u = prev_vals
     comps = warm.pop() if warm else hessian_components(u, grid, cfg.backend)
@@ -501,8 +505,8 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords, warm=Non
     linear_converged = True
     iters = 0
     while True:
-        R = (u - prev_vals) / dt - np.log(comps_det(total)) + log_om + F(t_to, coords, u)
-        R = np.broadcast_to(R, grid.shape)
+        rhs = _rhs(total, u, t_to, F, log_om, coords)
+        R = np.broadcast_to((u - prev_vals) / dt - rhs, grid.shape)
         residual = float(np.max(np.abs(R)))
         if residual <= cfg.newton_tol:
             break
@@ -548,8 +552,7 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords, warm=Non
         damping_min = min(damping_min, lam)
         u, comps, total, margin = trial, t_comps, t_total, t_margin
         iters += 1
-    phidot = np.log(comps_det(total)) - log_om - F(t_to, coords, u)
-    phidot = np.ascontiguousarray(np.broadcast_to(phidot, grid.shape))
+    phidot = np.ascontiguousarray(np.broadcast_to(rhs, grid.shape))
     diag = {
         "t": float(t_to),
         "dt": float(dt),
@@ -587,7 +590,7 @@ def step(
 
 def _initial_margin(phi0, path, backend):
     """(positivity margin, theta(0) + H(phi0), H(phi0)) of the initial data."""
-    theta = _theta_components(path, 0.0)
+    theta = path.theta(0.0).components()
     comps = hessian_components(phi0.values, phi0.grid, backend)
     total = tuple(th + hc for th, hc in zip(theta, comps))
     return float(np.min(comps_eig_min(total))), total, comps
@@ -626,15 +629,12 @@ def run(
 
     times = schedule_times(cfg)
     if margin0 > 0.0:
-        rhs0 = (
-            np.log(comps_det(total0))
-            - omega_form.log()
-            - F(0.0, coords, phi0.values)
-        )
+        rhs0 = _rhs(total0, phi0.values, 0.0, F, omega_form.log(), coords)
         phidot0 = ScalarField(grid, np.broadcast_to(rhs0, grid.shape))
     else:
         phidot0 = None
         notices.append("right-hand side undefined at t = 0 (cone boundary); phidot omitted there")
+    del total0
 
     keep = np.zeros(len(times), dtype=bool)
     keep[0] = keep[-1] = True
@@ -677,29 +677,43 @@ def run(
     )
 
 
+def snapshot_rhs(traj: FlowTrajectory, k: int, path, F, omega_form, backend: str):
+    """The right-hand side at stored snapshot k, or None outside the cone.
+
+    None means theta_t + H(phi_k) has a non-positive eigenvalue somewhere,
+    where the logarithm is undefined.  One Hessian per call.
+    """
+    t = float(traj.times[k])
+    u = traj.fields[k].values
+    comps = hessian_components(u, traj.grid, backend)
+    total = tuple(th + hc for th, hc in zip(path.theta(t).components(), comps))
+    if float(np.min(comps_eig_min(total))) <= 0.0:
+        return None
+    rhs = _rhs(total, u, t, F, omega_form.log(), traj.grid.coordinates())
+    return np.broadcast_to(rhs, traj.grid.shape)
+
+
 def residual_certificate(traj: FlowTrajectory, path, F, omega_form) -> dict:
     """Recompute backward-Euler residuals from stored snapshots alone.
 
     Covers every stored pair of consecutive schedule points; the recomputed
-    residual must agree with the Newton acceptance (<= 2x its tolerance).
+    residual must agree with the Newton acceptance (<= 2x its tolerance).  A
+    snapshot outside the cone has residual inf.
     """
     cfg = traj.config
     backend = cfg.backend if cfg is not None else "spectral"
-    coords = traj.grid.coordinates()
-    log_om = omega_form.log()
     worst = 0.0
     pairs = 0
     for i in range(1, len(traj.times)):
         if traj.stored_indices[i] - traj.stored_indices[i - 1] != 1:
             continue
-        dt = traj.times[i] - traj.times[i - 1]
-        u = traj.fields[i].values
-        comps = hessian_components(u, traj.grid, backend)
-        theta = _theta_components(path, traj.times[i])
-        total = tuple(th + hc for th, hc in zip(theta, comps))
-        rhs = np.log(comps_det(total)) - log_om - F(traj.times[i], coords, u)
-        R = (u - traj.fields[i - 1].values) / dt - rhs
-        worst = max(worst, float(np.max(np.abs(R))))
+        rhs = snapshot_rhs(traj, i, path, F, omega_form, backend)
+        if rhs is None:
+            worst = math.inf
+        else:
+            dt = traj.times[i] - traj.times[i - 1]
+            R = (traj.fields[i].values - traj.fields[i - 1].values) / dt - rhs
+            worst = max(worst, float(np.max(np.abs(R))))
         pairs += 1
     tol = cfg.newton_tol if cfg is not None else 1e-10
     return {"max_residual": worst, "pairs": pairs, "passes": worst <= 2.0 * tol}
@@ -710,29 +724,45 @@ def instantaneous_residuals(traj: FlowTrajectory, path, F, omega_form, backend=N
 
     Meaningful for analytic families and transformed/pulled-back
     trajectories, where phidot is supplied rather than defined as the RHS.
+    A snapshot outside the cone has residual inf.
     """
     backend = backend or (traj.config.backend if traj.config is not None else "spectral")
-    coords = traj.grid.coordinates()
-    log_om = omega_form.log()
     out = []
-    for t, fld, pd in zip(traj.times, traj.fields, traj.phidots):
+    for k, pd in enumerate(traj.phidots):
         if pd is None:
             out.append(math.nan)
             continue
-        comps = hessian_components(fld.values, traj.grid, backend)
-        theta = _theta_components(path, float(t))
-        total = tuple(th + hc for th, hc in zip(theta, comps))
-        eig = float(np.min(comps_eig_min(total)))
-        if eig <= 0.0:
-            out.append(math.inf)
-            continue
-        rhs = np.log(comps_det(total)) - log_om - F(float(t), coords, fld.values)
-        out.append(float(np.max(np.abs(pd.values - rhs))))
+        rhs = snapshot_rhs(traj, k, path, F, omega_form, backend)
+        out.append(math.inf if rhs is None else float(np.max(np.abs(pd.values - rhs))))
     finite = [v for v in out if not math.isnan(v)]
     return {
         "per_snapshot": out,
         "max_residual": max(finite) if finite else math.nan,
     }
+
+
+# ---------------------------------------------------------------------------
+# pointwise ordering of solution families
+
+
+def ordering_gap(upper: FlowTrajectory, lower: FlowTrajectory):
+    """(gap, t, flat index) of the largest lower - upper over shared snapshots.
+
+    gap > 0 means lower rose above upper at grid point flat index at time t
+    (t as stored by lower).  Both trajectories must store the same snapshot
+    times.
+    """
+    if len(lower.times) != len(upper.times) or not np.allclose(
+        lower.times, upper.times, rtol=1e-9, atol=1e-12
+    ):
+        raise ConfigError("mismatched schedules: comparison needs shared snapshot times")
+    gap, where, index = -math.inf, None, None
+    for t, low, up in zip(lower.times, lower.fields, upper.fields):
+        diff = low.values - up.values
+        j = int(np.argmax(diff))
+        if diff.flat[j] > gap:
+            gap, where, index = float(diff.flat[j]), float(t), j
+    return gap, where, index
 
 
 # ---------------------------------------------------------------------------
@@ -793,15 +823,11 @@ def run_cascade(
     for level in ladder.levels:
         trajectories.append(run(level, path, F, omega_form, cfg, check_bounds=False))
 
-    osc = oscillation(ladder.base)
-    tol = cascade_tolerance(osc, cfg.newton_tol)
-    worst = -math.inf
-    times = trajectories[0].times
-    for j in range(len(trajectories) - 1):
-        upper, lower = trajectories[j], trajectories[j + 1]
-        for k in range(len(times)):
-            gap = float(np.max(lower.fields[k].values - upper.fields[k].values))
-            worst = max(worst, gap)
+    tol = cascade_tolerance(oscillation(ladder.base), cfg.newton_tol)
+    worst = max(
+        (ordering_gap(up, low)[0] for up, low in zip(trajectories, trajectories[1:])),
+        default=-math.inf,
+    )
     if worst > tol:
         raise MonotonicityError(
             f"cascade levels lost their ordering by {worst:.3e} (tol {tol:.3e})",
@@ -817,7 +843,7 @@ def run_cascade(
     return CascadeResult(
         ladder=ladder,
         trajectories=trajectories,
-        times=times,
+        times=trajectories[0].times,
         monotone_violation=worst,
         monotone_tol=tol,
         limit_gaps=limit_gaps,
@@ -858,9 +884,6 @@ class TransformedProblem:
         if arg <= 0:
             raise ConfigError(f"original time {tau} beyond the transform's reach")
         return -math.log(arg) / B
-
-    def push_initial(self, phi0: ScalarField) -> ScalarField:
-        return phi0
 
     def pull_back(self, traj: FlowTrajectory) -> FlowTrajectory:
         """Map a solved transformed trajectory back to the original problem."""
@@ -1108,15 +1131,8 @@ def run_nef(
     for e in eps:
         path = MetricPath.nef(grid, cfg.horizon, theta0, eps=e)
         trajectories.append(run(phi0, path, F, omega_form, cfg))
-    osc = oscillation(phi0)
-    tol = cascade_tolerance(osc, cfg.newton_tol)
-    times = trajectories[0].times
-    worst = -math.inf
-    for j in range(len(eps) - 1):
-        upper, lower = trajectories[j], trajectories[j + 1]
-        for k in range(len(times)):
-            gap = float(np.max(lower.fields[k].values - upper.fields[k].values))
-            worst = max(worst, gap)
+    tol = cascade_tolerance(oscillation(phi0), cfg.newton_tol)
+    worst = max(ordering_gap(up, low)[0] for up, low in zip(trajectories, trajectories[1:]))
     if worst > tol:
         raise MonotonicityError(
             f"eps-trajectories lost their ordering by {worst:.3e} (tol {tol:.3e})",
@@ -1130,11 +1146,8 @@ def run_nef(
     try:
         path0 = MetricPath.nef(grid, cfg.horizon, theta0, eps=0.0)
         witness = run(phi0, path0, F, omega_form, cfg, check_bounds=False)
-        witness_margin = math.inf
-        for traj in trajectories:
-            for k in range(len(times)):
-                m = float(np.min(traj.fields[k].values - witness.fields[k].values))
-                witness_margin = min(witness_margin, m)
+        # every member must dominate the witness: min(member - witness)
+        witness_margin = -max(ordering_gap(traj, witness)[0] for traj in trajectories)
         if witness_margin < -tol:
             raise MonotonicityError(
                 f"a shifted flow dropped below the unshifted witness by "

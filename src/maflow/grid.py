@@ -75,10 +75,6 @@ class TorusGrid:
     def spacing(self) -> float:
         return 1.0 / self.resolution
 
-    @property
-    def num_points(self) -> int:
-        return self.resolution ** self.real_dim
-
     def coordinates(self) -> tuple:
         """Broadcastable coordinate arrays, one per real axis (sparse meshgrid)."""
         return _grid_coordinates(self.n, self.resolution)

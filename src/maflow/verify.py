@@ -17,13 +17,22 @@ Conventions shared by every check in this module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, MissingSnapshotsError, NotKahlerError, NumericError
-from .flow import DrivingTerm, FlowConfig, FlowTrajectory, run, run_cascade, uniqueness_rescale
-from .geometry import MetricPath, VolumeForm, certify_metric_path, comps_det
+from .flow import (
+    DrivingTerm,
+    FlowConfig,
+    FlowTrajectory,
+    ordering_gap,
+    run,
+    run_cascade,
+    snapshot_rhs,
+    uniqueness_rescale,
+)
+from .geometry import MetricPath, VolumeForm, certify_metric_path
 from .grid import ScalarField, gradient_sq, hessian_components, oscillation
 from .psh import RoughPotential, capacity_lower_bound, energy
 
@@ -147,21 +156,18 @@ def comparison_tolerance(grid, backend: str, osc: float) -> float:
 
 
 def _signed_residual_extrema(traj, path, F, omega_form) -> dict:
-    """Range of phidot - RHS over stored snapshots with a recorded phidot."""
+    """Range of phidot - RHS over stored snapshots with a recorded phidot.
+
+    A snapshot outside the positive cone gives (-inf, inf) and its time.
+    """
     backend = _backend_of(traj)
-    coords = traj.grid.coordinates()
-    log_om = omega_form.log()
     lo, hi = math.inf, -math.inf
-    for k, t in enumerate(traj.times):
-        pd = traj.phidots[k]
+    for k, pd in enumerate(traj.phidots):
         if pd is None:
             continue
-        comps = hessian_components(traj.fields[k].values, traj.grid, backend)
-        alpha = tuple(a + b for a, b in zip(path.theta(float(t)).components(), comps))
-        dens = np.real(np.broadcast_to(comps_det(alpha), traj.grid.shape))
-        if float(dens.min()) <= 0.0:
-            return {"min": -math.inf, "max": math.inf, "cone_violation_at": float(t)}
-        rhs = np.log(dens) - log_om - F(float(t), coords, traj.fields[k].values)
+        rhs = snapshot_rhs(traj, k, path, F, omega_form, backend)
+        if rhs is None:
+            return {"min": -math.inf, "max": math.inf, "cone_violation_at": float(traj.times[k])}
         r = pd.values - rhs
         lo = min(lo, float(r.min()))
         hi = max(hi, float(r.max()))
@@ -191,10 +197,7 @@ def check_comparison(
     """
     if phi.grid.n != psi.grid.n or phi.grid.resolution != psi.grid.resolution:
         raise ConfigError("mismatched discretizations: comparison needs one grid")
-    if len(phi.times) != len(psi.times) or not np.allclose(
-        phi.times, psi.times, rtol=1e-9, atol=1e-12
-    ):
-        raise ConfigError("mismatched schedules: comparison needs shared snapshot times")
+    worst, t_worst, j_worst = ordering_gap(psi, phi)
     if F is not None and F.defect is not None and lam < F.defect - 1e-12:
         raise ConfigError(
             f"lambda = {lam} is below the certified monotonicity defect {F.defect}"
@@ -222,23 +225,13 @@ def check_comparison(
     T = float(phi.times[-1])
     gap0 = float((phi.fields[0].values - psi.fields[0].values).max())
     bound = math.exp(lam * T) * max(gap0, 0.0) + tol
-
-    worst = -math.inf
-    where = None
-    for k, t in enumerate(phi.times):
-        diff = phi.fields[k].values - psi.fields[k].values
-        j = int(np.argmax(diff))
-        v = float(diff.flat[j])
-        if v > worst:
-            worst = v
-            where = (float(t),) + _point(grid, j)
     margin = bound - worst
     return MarginReport(
         name="comparison",
         anchor="sup-difference-exponential",
         margin=margin,
         passed=margin >= 0.0,
-        location=where,
+        location=(t_worst,) + _point(grid, j_worst),
         constants={"lambda": lam, "tol": tol, "initial_gap": gap0, "sup_gap": worst},
         details=details,
     )
@@ -993,17 +986,10 @@ def check_transform_roundtrip(
             "no transform applies: need a positive defect or a rescale rate with a declared time bound"
         )
     for label, tp in jobs:
-        tcfg = FlowConfig(
-            horizon=tp.horizon,
-            t_min=min(cfg.t_min, 0.5 * tp.horizon),
-            ratio=cfg.ratio,
-            dt_max=cfg.dt_max,
-            newton_tol=cfg.newton_tol,
-            max_newton=cfg.max_newton,
-            backend=cfg.backend,
-            store_every=cfg.store_every,
+        tcfg = replace(
+            cfg, horizon=tp.horizon, t_min=min(cfg.t_min, 0.5 * tp.horizon), probes=()
         )
-        tilde = run(tp.push_initial(phi0), tp.path, tp.driving, omega_form, tcfg)
+        tilde = run(phi0, tp.path, tp.driving, omega_form, tcfg)
         pulled = tp.pull_back(tilde)
         res = instantaneous_residuals(pulled, tp.base_path, tp.base_driving, omega_form)
         margin = budget - res["max_residual"]

@@ -13,6 +13,7 @@ from maflow import (
     FlowConfig,
     HorizonTooLongError,
     MetricPath,
+    MonotonicityError,
     NewtonDivergedError,
     RegularizationSchedule,
     RoughPotential,
@@ -27,6 +28,7 @@ from maflow import flow
 from maflow.flow import (
     instantaneous_residuals,
     monotone_reduction,
+    ordering_gap,
     residual_certificate,
     schedule_times,
     step,
@@ -336,6 +338,90 @@ def test_family_wrapper_certifies_an_exact_solution():
     rep = instantaneous_residuals(traj, path, DrivingTerm.affine(0.0, 1.0), omega)
     assert rep["max_residual"] <= 1e-12
     assert traj.config is None
+
+
+# -- pointwise ordering of solution families -----------------------------------
+
+
+def flat_family(grid, times, level):
+    """Spatially constant trajectory at a fixed level."""
+    return trajectory_from_family(
+        grid, times, lambda t: ScalarField(grid, np.full(grid.shape, level))
+    )
+
+
+def test_ordering_gap_locates_the_largest_rise_of_lower_over_upper():
+    grid = TorusGrid(n=1, resolution=8)
+    times = np.linspace(0.0, 0.3, 4)
+    bump = np.zeros(grid.shape)
+    bump[5, 2] = 1.0
+    upper = flat_family(grid, times, 0.0)
+    lower = trajectory_from_family(
+        grid, times, lambda t: ScalarField(grid, t * bump - 0.1)
+    )
+    gap, t, index = ordering_gap(upper, lower)
+    assert gap == pytest.approx(0.2, rel=1e-12)
+    assert t == pytest.approx(0.3, rel=1e-12)
+    assert np.unravel_index(index, grid.shape) == (5, 2)
+    # swapped roles: upper - lower peaks at 0.1, first reached at t = 0, point 0
+    assert ordering_gap(lower, upper) == (pytest.approx(0.1, rel=1e-12), 0.0, 0)
+    # an ordered pair has a negative gap
+    assert ordering_gap(flat_family(grid, times, 0.5), upper)[0] == pytest.approx(-0.5)
+
+
+def test_ordering_gap_needs_shared_snapshot_times():
+    grid = TorusGrid(n=1, resolution=8)
+    times = np.linspace(0.0, 0.3, 4)
+    upper = flat_family(grid, times, 0.0)
+    for other in (times + 1e-3, times[:-1]):
+        with pytest.raises(ConfigError, match="shared snapshot times"):
+            ordering_gap(upper, flat_family(grid, other, 0.0))
+
+
+def fake_runs(monkeypatch, levels):
+    """flow.run returns flat trajectories at the given levels, in call order."""
+    queue = list(levels)
+
+    def fake(phi0, path, F, omega_form, cfg, check_bounds=True):
+        return flat_family(phi0.grid, schedule_times(cfg), queue.pop(0))
+
+    monkeypatch.setattr(flow, "run", fake)
+
+
+def test_cascade_refuses_levels_that_lose_their_order(monkeypatch):
+    grid = TorusGrid(n=1, resolution=64)
+    cfg = FlowConfig(horizon=0.01, t_min=1e-3, ratio=1.4, backend="fd")
+    fake_runs(monkeypatch, [0.0, 0.25, 0.375])  # each finer level rises above
+    with pytest.raises(MonotonicityError, match="cascade levels") as info:
+        run_cascade(
+            RoughPotential.max_kink(),
+            RegularizationSchedule.geometric(delta0=0.25, ratio=0.5, levels=3),
+            MetricPath.constant(grid, 0.01),
+            DrivingTerm.zero(),
+            VolumeForm.constant(grid),
+            cfg,
+        )
+    assert info.value.violation == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize(
+    "levels, match, violation",
+    [
+        ([0.0, 0.125], "eps-trajectories", 0.125),  # the smaller shift rises above
+        ([0.5, 0.25, 0.75], "witness", 0.5),  # ordered members, witness above both
+    ],
+    ids=["members", "witness"],
+)
+def test_nef_refuses_a_misordered_family(monkeypatch, levels, match, violation):
+    grid = TorusGrid(n=1, resolution=8)
+    cfg = FlowConfig(horizon=0.01, t_min=1e-3, ratio=1.3)
+    phi0 = ScalarField(grid, np.zeros(grid.shape))
+    fake_runs(monkeypatch, levels)
+    with pytest.raises(MonotonicityError, match=match) as info:
+        run_nef(
+            np.array([[1.0]]), (0.2, 0.1), phi0, DrivingTerm.zero(), VolumeForm.constant(grid), cfg
+        )
+    assert info.value.violation == pytest.approx(violation)
 
 
 # -- rough-data cascades -------------------------------------------------------

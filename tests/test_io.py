@@ -33,7 +33,16 @@ def small_run(probes=(0.02,)):
     grid = TorusGrid(n=1, resolution=16)
     path = MetricPath.constant(grid, 0.05)
     omega = VolumeForm.constant(grid)
-    cfg = FlowConfig(horizon=0.05, t_min=1e-3, ratio=1.3, probes=probes)
+    # non-default solver settings, so an archive must carry every field
+    cfg = FlowConfig(
+        horizon=0.05,
+        t_min=1e-3,
+        ratio=1.3,
+        probes=probes,
+        linear_rel_tol=5e-3,
+        max_linear=7,
+        min_damping=2.0**-12,
+    )
     x, y = grid.coordinates()
     phi0 = ScalarField(grid, 0.02 * np.cos(2 * np.pi * x) * np.ones_like(y))
     traj = run(phi0, path, DrivingTerm.affine(0.0, 0.5), omega, cfg)

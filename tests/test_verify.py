@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from maflow import (
     ConfigError,
     DrivingTerm,
     FlowConfig,
+    HermitianField,
     MarginReport,
     MetricPath,
     MissingSnapshotsError,
@@ -30,9 +32,11 @@ from maflow import (
     run_cascade,
     write_reports,
 )
-from maflow.flow import trajectory_from_family
+from maflow import verify
+from maflow.flow import instantaneous_residuals, residual_certificate, trajectory_from_family
 from maflow.verify import (
     CSV_HEADER,
+    _signed_residual_extrema,
     _tail_margin,
     check_convergence_modes,
     check_residual_certificate,
@@ -123,6 +127,23 @@ def test_comparison_verifies_declared_roles(grid8):
         check_comparison(
             sub, sol, path=path, F=F, omega_form=omega, roles=("super", "solution")
         )
+
+
+def test_residual_audits_agree_on_a_cone_exit():
+    # theta = -I is negative definite, yet det(theta + H(0)) = 1 > 0 at n = 2:
+    # the right-hand side is undefined, and a determinant test would miss it
+    grid = TorusGrid(n=2, resolution=8)
+    neg, zero = HermitianField.identity(grid, -1.0), HermitianField.identity(grid, 0.0)
+    path = MetricPath.from_callables(grid, 1.0, lambda t: neg, lambda t: zero)
+    omega, F = VolumeForm.constant(grid), DrivingTerm.zero()
+    traj = const_family(grid, [0.0, 0.5], lambda t: 0.0, phidot_fn=lambda t: 0.0)
+    assert _signed_residual_extrema(traj, path, F, omega) == {
+        "min": -math.inf,
+        "max": math.inf,
+        "cone_violation_at": 0.0,
+    }
+    assert instantaneous_residuals(traj, path, F, omega)["per_snapshot"] == [math.inf] * 2
+    assert residual_certificate(traj, path, F, omega)["max_residual"] == math.inf
 
 
 # -- a priori bounds ---------------------------------------------------------------
@@ -385,6 +406,33 @@ def test_transform_roundtrip_reports(grid8):
         assert rep.passed, rep.constants
     with pytest.raises(ConfigError, match="no transform applies"):
         check_transform_roundtrip(phi0, path, DrivingTerm.zero(), omega, cfg)
+
+
+def test_transform_roundtrip_keeps_the_solver_settings(grid8, monkeypatch):
+    configs = []
+    real_run = verify.run
+
+    def spy(phi0, path, F, omega_form, cfg, **kwargs):
+        configs.append(cfg)
+        return real_run(phi0, path, F, omega_form, cfg, **kwargs)
+
+    monkeypatch.setattr(verify, "run", spy)
+    omega = VolumeForm.constant(grid8)
+    path = MetricPath.constant(grid8, 0.3)
+    cfg = FlowConfig(
+        horizon=0.3,
+        t_min=1e-3,
+        ratio=1.3,
+        probes=(0.25,),  # beyond the reduced horizon 0.3 log 2
+        linear_rel_tol=5e-3,
+        max_linear=40,
+        min_damping=2.0**-12,
+    )
+    phi0 = ScalarField(grid8, np.zeros(grid8.shape))
+    check_transform_roundtrip(phi0, path, DrivingTerm.affine(0.1, -0.2), omega, cfg)
+    (tcfg,) = configs
+    assert tcfg.horizon == pytest.approx(0.3 * math.log(2.0))
+    assert tcfg == replace(cfg, horizon=tcfg.horizon, probes=())
 
 
 # -- convergence modes --------------------------------------------------------------------------
