@@ -252,15 +252,6 @@ def _need(ctx: RunContext, attr: str, check: str):
     return value
 
 
-def _default_derivative_eps(ctx: RunContext) -> float:
-    traj = _need(ctx, "traj", "time-derivative")
-    floor = 10.0 * ctx.cfg.t_min
-    for t in traj.times:
-        if float(t) >= floor:
-            return float(t)
-    return float(traj.times[-1])
-
-
 def _chk_comparison(ctx: RunContext):
     p = ctx.check_params("comparison")
     phi = _need(ctx, "traj", "comparison")
@@ -295,7 +286,7 @@ def _chk_time_derivative(ctx: RunContext):
     traj = _need(ctx, "traj", "time-derivative")
     eps = p.get("eps")
     if eps is None:
-        eps = _default_derivative_eps(ctx)
+        eps = verify.default_eps(traj, ctx.cfg.t_min)
     return verify.check_time_derivative(
         traj,
         float(eps),
@@ -350,18 +341,10 @@ def _chk_uniqueness(ctx: RunContext):
     p = ctx.check_params("uniqueness")
     sched_a = ctx.doc.get("schedule")
     sched_b = ctx.doc.get("schedule_b")
-    refusal = (
-        ctx.F.defect is None
-        or ctx.F.defect > 0.0
-        or ctx.F.time_bound is None
-        or not ctx.F.smooth
-    )
-    if not refusal and (sched_a is None or sched_b is None):
-        raise ConfigError("uniqueness check needs 'schedule' and 'schedule_b'")
     schedules = (
         (build_schedule(sched_a), build_schedule(sched_b))
         if sched_a is not None and sched_b is not None
-        else (None, None)
+        else None
     )
     rate = p.get("rate")
     return [

@@ -52,7 +52,10 @@ from .geometry import (
     _worst_location,
     comps_det,
     comps_eig_min,
+    comps_harmonic_mean,
     comps_trace_inv,
+    cone_margin,
+    kahler_form,
 )
 from .grid import (
     ScalarField,
@@ -467,10 +470,7 @@ def _preconditioner(total, R, fs, dt, grid, backend):
     1/dt - Laplacian/(4c) (1/dt - Laplacian/4 when w = I); where kappa >> s,
     D -> s and M follows the pointwise degeneracy of w at the cone's edge.
     """
-    if len(total) == 1:
-        s = total[0]
-    else:
-        s = 2.0 * comps_det(total) / (total[0] + total[1])
+    s = comps_harmonic_mean(total)
     c = 1.0 / float(np.mean(1.0 / s))
     kappa = dt * quarter_laplacian_rayleigh(R, grid, backend)
     scale = s * ((c + kappa) / (s + kappa))
@@ -490,12 +490,11 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords, warm=Non
     dt = t_to - t_from
     if dt <= 0:
         raise ConfigError("time step must move forward")
-    theta = path.theta(t_to).components()
+    theta = path.theta(t_to)
     log_om = omega_form.log()
     u = prev_vals
-    comps = warm.pop() if warm else hessian_components(u, grid, cfg.backend)
-    total = tuple(th + hc for th, hc in zip(theta, comps))
-    margin = float(np.min(comps_eig_min(total)))
+    total, comps = kahler_form(theta, u, grid, cfg.backend, hessian=warm.pop() if warm else None)
+    margin = cone_margin(total)
     if margin <= 0.0:
         raise _cone_exit(f"warm start leaves the positivity cone at t = {t_to:.6g}", total, grid)
     residual = math.inf
@@ -536,9 +535,8 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords, warm=Non
         lam = 1.0
         while True:
             trial = u - lam * correction
-            t_comps = hessian_components(trial, grid, cfg.backend)
-            t_total = tuple(th + hc for th, hc in zip(theta, t_comps))
-            t_margin = float(np.min(comps_eig_min(t_total)))
+            t_total, t_comps = kahler_form(theta, trial, grid, cfg.backend)
+            t_margin = cone_margin(t_total)
             if t_margin > 0.0:
                 break
             lam *= 0.5
@@ -590,10 +588,8 @@ def step(
 
 def _initial_margin(phi0, path, backend):
     """(positivity margin, theta(0) + H(phi0), H(phi0)) of the initial data."""
-    theta = path.theta(0.0).components()
-    comps = hessian_components(phi0.values, phi0.grid, backend)
-    total = tuple(th + hc for th, hc in zip(theta, comps))
-    return float(np.min(comps_eig_min(total))), total, comps
+    total, comps = kahler_form(path.theta(0.0), phi0.values, phi0.grid, backend)
+    return cone_margin(total), total, comps
 
 
 def run(
@@ -685,9 +681,8 @@ def snapshot_rhs(traj: FlowTrajectory, k: int, path, F, omega_form, backend: str
     """
     t = float(traj.times[k])
     u = traj.fields[k].values
-    comps = hessian_components(u, traj.grid, backend)
-    total = tuple(th + hc for th, hc in zip(path.theta(t).components(), comps))
-    if float(np.min(comps_eig_min(total))) <= 0.0:
+    total, _ = kahler_form(path.theta(t), u, traj.grid, backend)
+    if cone_margin(total) <= 0.0:
         return None
     rhs = _rhs(total, u, t, F, omega_form.log(), traj.grid.coordinates())
     return np.broadcast_to(rhs, traj.grid.shape)
@@ -1047,7 +1042,7 @@ def uniqueness_rescale(
     for t in np.linspace(0.0, horizon_t, samples):
         tau = (1.0 - math.exp(-A * t)) / A
         cand = path.theta(tau).scaled(A) + path.theta_dot(tau).scaled(math.exp(-A * t))
-        mono = min(mono, float(np.min(comps_eig_min(cand.components()))))
+        mono = min(mono, cone_margin(cand.components()))
     if mono < -1e-10:
         raise CertificateError(
             "transformed metric path is not non-decreasing",

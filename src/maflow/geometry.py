@@ -3,6 +3,11 @@
 Everything is phrased against the flat reference form omega = identity, so a
 "form" is a Hermitian matrix field and wedge-power ratios become determinant
 and mixed-determinant ratios, which have closed forms for n <= 2.
+
+This is the one module that knows the n <= 2 component layout (h11,) or
+(h11, h22, h12) beyond storing it: the flow, the potentials and the checks
+build theta_t + dd^c phi with `kahler_form`, test the positive cone with
+`cone_margin` and take traces with `comps_trace`.
 """
 
 from __future__ import annotations
@@ -36,6 +41,35 @@ def comps_eig_min(comps):
     mid = 0.5 * (h11 + h22)
     rad = np.sqrt(0.25 * (h11 - h22) ** 2 + np.abs(h12) ** 2)
     return mid - rad
+
+
+def comps_trace(comps):
+    if len(comps) == 1:
+        return comps[0]
+    return comps[0] + comps[1]
+
+
+def comps_harmonic_mean(comps):
+    """n / tr(w^-1), the harmonic mean of the eigenvalues of a positive definite w."""
+    if len(comps) == 1:
+        return comps[0]
+    return 2.0 * comps_det(comps) / comps_trace(comps)
+
+
+def cone_margin(comps) -> float:
+    """Smallest eigenvalue over the grid; positive means inside the positive cone."""
+    return float(np.min(comps_eig_min(comps)))
+
+
+def kahler_form(theta: HermitianField, values, grid: TorusGrid, backend: str, hessian=None):
+    """(theta + H(values), H(values)) as component tuples.
+
+    hessian, when given, is H(values) already computed (a warm start); values
+    is then not read and may be None.
+    """
+    if hessian is None:
+        hessian = hessian_components(values, grid, backend)
+    return tuple(th + hc for th, hc in zip(theta.components(), hessian)), hessian
 
 
 def comps_trace_inv(base, alpha):
@@ -119,12 +153,10 @@ def ma_density(
     Raises NotKahlerError (with the worst grid point) when theta + H(phi)
     fails to be positive definite somewhere.
     """
-    comps = hessian_components(phi.values, phi.grid, backend)
-    total = tuple(t + h for t, h in zip(theta.components(), comps))
-    eig = comps_eig_min(total)
-    worst = float(np.min(eig))
+    total, _ = kahler_form(theta, phi.values, phi.grid, backend)
+    worst = cone_margin(total)
     if worst <= 0.0:
-        loc = _worst_location(eig, phi.grid.shape)
+        loc = _worst_location(comps_eig_min(total), phi.grid.shape)
         raise NotKahlerError(
             f"metric form not positive definite: min eigenvalue {worst:.3e} at {loc}",
             location=loc,
@@ -132,6 +164,15 @@ def ma_density(
         )
     dens = comps_det(total) / np.broadcast_to(omega_form.density, phi.grid.shape)
     return ScalarField(phi.grid, np.broadcast_to(dens, phi.grid.shape))
+
+
+def _trace_slacks(wp, w, n):
+    """Left and right slacks of the trace/determinant chain on component tuples."""
+    ratio = comps_det(wp) / comps_det(w)
+    tr_w_wp = np.real(comps_trace_inv(w, wp))
+    lower = tr_w_wp / n - ratio ** (1.0 / n)
+    upper = ratio * np.real(comps_trace_inv(wp, w)) ** (n - 1) - tr_w_wp / n
+    return lower, upper
 
 
 def trace_inequality_slacks(omega_prime_mats: np.ndarray, omega_mats: np.ndarray):
@@ -145,18 +186,12 @@ def trace_inequality_slacks(omega_prime_mats: np.ndarray, omega_mats: np.ndarray
     arrays are the left and right slacks (nonnegative in exact arithmetic).
     """
     def comps(m):
+        m = np.asarray(m)
         if m.shape[-1] == 1:
             return (m[..., 0, 0].real,)
         return (m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1])
 
-    n = omega_mats.shape[-1]
-    wp = comps(np.asarray(omega_prime_mats))
-    w = comps(np.asarray(omega_mats))
-    ratio = comps_det(wp) / comps_det(w)
-    tr_w_wp = np.real(comps_trace_inv(w, wp))
-    lower = tr_w_wp / n - ratio ** (1.0 / n)
-    upper = ratio * np.real(comps_trace_inv(wp, w)) ** (n - 1) - tr_w_wp / n
-    return lower, upper
+    return _trace_slacks(comps(omega_prime_mats), comps(omega_mats), omega_mats.shape[-1])
 
 
 def check_trace_inequality(omega_prime: HermitianField, omega: HermitianField) -> dict:
@@ -166,10 +201,10 @@ def check_trace_inequality(omega_prime: HermitianField, omega: HermitianField) -
     -1e-10 (slacks may round slightly negative for near-degenerate pairs).
     """
     for name, f in (("omega_prime", omega_prime), ("omega", omega)):
-        worst = float(np.min(comps_eig_min(f.components())))
+        worst = cone_margin(f.components())
         if worst <= 0.0:
             raise NotKahlerError(f"{name} is not positive definite (min eig {worst:.3e})")
-    lower, upper = trace_inequality_slacks(omega_prime.as_matrices(), omega.as_matrices())
+    lower, upper = _trace_slacks(omega_prime.components(), omega.components(), omega.grid.n)
     lo, up = float(np.min(lower)), float(np.min(upper))
     return {
         "slack_lower": lo,
@@ -235,7 +270,7 @@ class MetricPath:
     @classmethod
     def nef(cls, grid: TorusGrid, horizon: float, theta0, eps: float = 0.0) -> "MetricPath":
         base = HermitianField.from_matrix(grid, theta0)
-        if float(np.min(comps_eig_min(base.components()))) < -PSD_TOL:
+        if cone_margin(base.components()) < -PSD_TOL:
             raise ConfigError("nef path requires a positive semidefinite theta0")
         ident = HermitianField.identity(grid)
         return cls(
@@ -250,18 +285,6 @@ class MetricPath:
     @classmethod
     def from_callables(cls, grid, horizon, theta_fn, theta_dot_fn, meta=None) -> "MetricPath":
         return cls(grid, horizon, "custom", theta_fn, theta_dot_fn, meta)
-
-    def shifted(self, eps: float) -> "MetricPath":
-        """Path with theta_t replaced by theta_t + eps * omega."""
-        ident = HermitianField.identity(self.grid, eps)
-        return MetricPath(
-            self.grid,
-            self.horizon,
-            self.kind,
-            lambda t: self._theta_fn(t) + ident,
-            self._theta_dot_fn,
-            meta={**self.meta, "shift": eps},
-        )
 
 
 @dataclass
@@ -323,13 +346,13 @@ def certify_metric_path(
     for t in ts:
         th = path.theta(t)
         thd = path.theta_dot(t)
-        lo = float(np.min(comps_eig_min((th - HermitianField.identity(grid, 0.5)).components())))
-        hi = float(np.min(comps_eig_min((HermitianField.identity(grid, 2.0) - th).components())))
+        lo = cone_margin((th - HermitianField.identity(grid, 0.5)).components())
+        hi = cone_margin((HermitianField.identity(grid, 2.0) - th).components())
         if path.kind == "nef":
             sandwich = min(sandwich, hi)
         else:
             sandwich = min(sandwich, lo, hi)
-        mono = float(np.min(comps_eig_min((th - thd.scaled(t)).components())))
+        mono = cone_margin((th - thd.scaled(t)).components())
         monotone = min(monotone, mono)
         det = np.broadcast_to(comps_det(th.components()), grid.shape)
         if det.min() > 0:
@@ -337,11 +360,11 @@ def certify_metric_path(
         else:
             delta = math.inf
         lip = max(lip, float(np.max(np.abs(comps_eig_min(thd.components())))),
-                  float(np.max(np.abs(thd.trace()))))
+                  float(np.max(np.abs(comps_trace(thd.components())))))
     allowance = lip * (ts[1] - ts[0]) / 2.0 if samples > 1 else 0.0
     nef_floor = None
     if path.kind == "nef":
-        nef_floor = float(np.min(comps_eig_min(path.theta(0.0).components())))
+        nef_floor = cone_margin(path.theta(0.0).components())
     passed = (
         sandwich - allowance >= -PSD_TOL
         and monotone >= -PSD_TOL

@@ -128,7 +128,8 @@ class HermitianField:
     h11 (and h22 for n=2) are the real diagonal entries, h12 the complex
     off-diagonal entry of the upper triangle; the lower triangle is implied.
     Components may be full grid-shaped arrays or scalars (spatially constant
-    matrix), and broadcasting is used throughout.
+    matrix), and broadcasting is used throughout.  The pointwise algebra of
+    the components (determinants, eigenvalues, traces) lives in geometry.
     """
 
     grid: TorusGrid
@@ -177,57 +178,18 @@ class HermitianField:
             return (self.h11,)
         return (self.h11, self.h22, self.h12)
 
-    def det(self) -> np.ndarray:
-        if self.grid.n == 1:
-            return self.h11
-        return self.h11 * self.h22 - np.abs(self.h12) ** 2
-
-    def trace(self) -> np.ndarray:
-        if self.grid.n == 1:
-            return self.h11
-        return self.h11 + self.h22
-
-    def eig_min(self) -> np.ndarray:
-        if self.grid.n == 1:
-            return self.h11
-        mid = 0.5 * (self.h11 + self.h22)
-        rad = np.sqrt(0.25 * (self.h11 - self.h22) ** 2 + np.abs(self.h12) ** 2)
-        return mid - rad
-
-    def eig_max(self) -> np.ndarray:
-        if self.grid.n == 1:
-            return self.h11
-        mid = 0.5 * (self.h11 + self.h22)
-        rad = np.sqrt(0.25 * (self.h11 - self.h22) ** 2 + np.abs(self.h12) ** 2)
-        return mid + rad
-
     def __add__(self, other: "HermitianField") -> "HermitianField":
         if self.grid != other.grid:
             raise ConfigError("cannot add Hermitian fields on different grids")
-        if self.grid.n == 1:
-            return HermitianField(self.grid, self.h11 + other.h11)
         return HermitianField(
-            self.grid, self.h11 + other.h11, self.h22 + other.h22, self.h12 + other.h12
+            self.grid, *(a + b for a, b in zip(self.components(), other.components()))
         )
 
     def __sub__(self, other: "HermitianField") -> "HermitianField":
         return self + other.scaled(-1.0)
 
     def scaled(self, c: float) -> "HermitianField":
-        if self.grid.n == 1:
-            return HermitianField(self.grid, c * self.h11)
-        return HermitianField(self.grid, c * self.h11, c * self.h22, c * self.h12)
-
-    def as_matrices(self) -> np.ndarray:
-        """Dense (grid.shape + (n, n)) complex array, mostly for inspection."""
-        n = self.grid.n
-        out = np.zeros(self.grid.shape + (n, n), dtype=np.complex128)
-        out[..., 0, 0] = np.broadcast_to(self.h11, self.grid.shape)
-        if n == 2:
-            out[..., 1, 1] = np.broadcast_to(self.h22, self.grid.shape)
-            out[..., 0, 1] = np.broadcast_to(self.h12, self.grid.shape)
-            out[..., 1, 0] = np.conj(out[..., 0, 1])
-        return out
+        return HermitianField(self.grid, *(c * a for a in self.components()))
 
 
 # ---------------------------------------------------------------------------
@@ -401,26 +363,8 @@ def gradient_sq(phi: ScalarField, backend: str = "spectral") -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# norms and distances
+# norms
 
 
 def oscillation(phi: ScalarField) -> float:
     return float(phi.values.max() - phi.values.min())
-
-
-def restrict(phi: ScalarField, coarse: TorusGrid) -> ScalarField:
-    """Exact restriction to a coarser grid whose points are a subset of the fine ones."""
-    fine = phi.grid
-    if coarse.n != fine.n or fine.resolution % coarse.resolution != 0:
-        raise ConfigError("coarse grid is not nested in the fine grid")
-    s = fine.resolution // coarse.resolution
-    sl = (slice(None, None, s),) * fine.real_dim
-    return ScalarField(coarse, phi.values[sl].copy())
-
-
-def torus_separation(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euclidean distance on the torus between coordinate rows p and q."""
-    d = np.abs(p - q)
-    d = np.minimum(d, 1.0 - d)
-    return np.sqrt((d * d).sum(axis=-1))
-

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NotKahlerError, RepairTooLargeError
-from .geometry import VolumeForm, comps_eig_min, comps_mixed
+from .geometry import VolumeForm, comps_det, comps_mixed, cone_margin, kahler_form
 from .grid import HermitianField, ScalarField, TorusGrid, gaussian_smooth, hessian_components
 
 TAGS = ("smooth", "lipschitz", "bounded", "unbounded-zero-lelong", "unbounded-positive-lelong")
@@ -30,12 +30,8 @@ def psh_margin(phi: ScalarField, backend: str = "spectral") -> float:
     Kinked data should be gated with the "fd" backend: centred differences see
     a convex kink as positive curvature, while truncated spectra ring.
     """
-    comps = hessian_components(phi.values, phi.grid, backend)
-    n = phi.grid.n
-    if n == 1:
-        return float(np.min(1.0 + comps[0]))
-    total = (1.0 + comps[0], 1.0 + comps[1], comps[2])
-    return float(np.min(comps_eig_min(total)))
+    total, _ = kahler_form(HermitianField.identity(phi.grid), phi.values, phi.grid, backend)
+    return cone_margin(total)
 
 
 # ---------------------------------------------------------------------------
@@ -413,26 +409,20 @@ def capacity_lower_bound(
     best = float(mask.mean())  # psi = const: MA density is 1
     rng = np.random.default_rng(seed)
     h = grid.spacing
-    n = grid.n
+    ident = HermitianField.identity(grid)
     for _ in range(dictionary_size):
         center = rng.uniform(0.0, 1.0, size=grid.real_dim)
         width = rng.uniform(4.0 * h, 0.15)
         ssq = _periodic_sq_dist(grid.coordinates(), center)
         bump = -np.exp(-np.broadcast_to(ssq, grid.shape) / width**2)
         comps = hessian_components(bump, grid, "spectral")
-        if n == 1:
-            lam = float(np.min(comps[0]))
-        else:
-            lam = float(np.min(comps_eig_min(comps)))
+        lam = cone_margin(comps)
         scale = 0.9 / max(-lam, 1e-30) if lam < 0 else 1.0
         u = scale * bump
         osc = float(u.max() - u.min())
         norm = max(osc, 1.0)
-        scaled = tuple((scale / norm) * c for c in comps)
-        if n == 1:
-            dens = 1.0 + scaled[0]
-        else:
-            dens = comps_det((1.0 + scaled[0], 1.0 + scaled[1], scaled[2]))
+        scaled = tuple((scale / norm) * c for c in comps)  # H(u / norm)
+        dens = comps_det(kahler_form(ident, None, grid, "spectral", hessian=scaled)[0])
         if float(np.min(dens)) < -PSH_TOL:
             continue  # numerically outside the cone; skip rather than clip
         best = max(best, float(np.where(mask, dens, 0.0).mean()))
@@ -462,9 +452,8 @@ def energy(
     and is accepted only for interface symmetry with the flow.
     """
     grid = phi.grid
-    comps = hessian_components(phi.values, grid, backend)
-    alpha = tuple(t + h for t, h in zip(theta.components(), comps))
-    worst = float(np.min(comps_eig_min(alpha)))
+    alpha, _ = kahler_form(theta, phi.values, grid, backend)
+    worst = cone_margin(alpha)
     if worst < -tol:
         raise NotKahlerError(f"theta + H(phi) leaves the cone (min eig {worst:.3e})")
     n = grid.n

@@ -32,13 +32,14 @@ from .flow import (
     snapshot_rhs,
     uniqueness_rescale,
 )
-from .geometry import MetricPath, VolumeForm, certify_metric_path
-from .grid import ScalarField, gradient_sq, hessian_components, oscillation
+from .geometry import MetricPath, VolumeForm, certify_metric_path, comps_trace, kahler_form
+from .grid import HermitianField, ScalarField, gradient_sq, hessian_components, oscillation
 from .psh import RoughPotential, capacity_lower_bound, energy
 
 __all__ = [
     "MarginReport",
     "comparison_tolerance",
+    "default_eps",
     "check_comparison",
     "check_apriori_bounds",
     "check_time_derivative",
@@ -149,6 +150,12 @@ def comparison_tolerance(grid, backend: str, osc: float) -> float:
     if grid.n == 1 and backend == "fd":
         return 1e-9 * osc
     return 10.0 * grid.spacing**2 * osc
+
+
+def default_eps(traj: FlowTrajectory, t_min: float) -> float:
+    """The first stored time >= 10 t_min, else the last: the default t = eps probe."""
+    later = [float(t) for t in traj.times if t >= 10.0 * t_min]
+    return later[0] if later else float(traj.times[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +457,10 @@ def check_time_derivative(
 # gradient and Laplacian growth
 
 
-def _sup_trace(values, grid, backend, theta=None) -> float:
-    comps = hessian_components(values, grid, backend)
-    if theta is None:
-        diag = (1.0,) * grid.n
-    else:
-        th = theta.components()
-        diag = (th[0],) if grid.n == 1 else (th[0], th[1])
-    if grid.n == 1:
-        tr = diag[0] + comps[0]
-    else:
-        tr = diag[0] + diag[1] + comps[0] + comps[1]
-    return float(np.max(np.real(tr)))
+def _sup_trace(values, grid, backend, theta: HermitianField) -> float:
+    """sup over the grid of tr(theta + H(values))."""
+    total, _ = kahler_form(theta, values, grid, backend)
+    return float(np.max(comps_trace(total)))
 
 
 def check_gradient_laplacian(
@@ -517,7 +516,7 @@ def check_gradient_laplacian(
         except KeyError:
             missing.append((t / 2.0, t))
             continue
-        theta = path.theta(t) if path is not None else None
+        theta = path.theta(t) if path is not None else HermitianField.identity(grid)
         tr = _sup_trace(traj.fields[k].values, grid, backend, theta)
         if tr <= 0.0:
             raise NumericError(f"non-positive metric trace at t = {t}")
@@ -664,15 +663,11 @@ def check_stability(
             prev = d
 
     if eps is None:
-        later = [float(t) for t in phi_run.times if t >= 10.0 * cfg.t_min]
-        eps = later[0] if later else float(phi_run.times[-1])
+        eps = default_eps(phi_run, cfg.t_min)
     ke = phi_run.index_of(eps)
-    backend = cfg.backend
 
     def lap(vals):
-        comps = hessian_components(vals, grid, backend)
-        d = comps[0] if grid.n == 1 else comps[0] + comps[1]
-        return 4.0 * np.real(d)
+        return 4.0 * comps_trace(hessian_components(vals, grid, cfg.backend))
 
     dl = float(
         np.abs(lap(phi_run.fields[ke].values) - lap(psi_run.fields[ke].values)).max()
@@ -702,7 +697,7 @@ def check_uniqueness(
     F: DrivingTerm,
     omega_form: VolumeForm,
     cfg: FlowConfig,
-    schedules: tuple,
+    schedules: tuple = None,
     rate: float = None,
 ) -> MarginReport:
     """Limits of two regularization cascades must agree within their gaps.
@@ -712,7 +707,8 @@ def check_uniqueness(
     and the exponential rescale certificate must exist for some admissible
     rate.  A term failing any of these gets a refusal report (passed False,
     details.certified False) rather than a margin; refusing is the correct
-    answer for terms admitting several solutions.
+    answer for terms admitting several solutions.  Only a term that passes
+    these preconditions needs the two regularization schedules.
     """
     reasons = []
     if F.defect is None:
@@ -736,6 +732,8 @@ def check_uniqueness(
                 "notice": "NO-UNIQUENESS-CERTIFICATE",
             },
         )
+    if schedules is None:
+        raise ConfigError("uniqueness check needs 'schedule' and 'schedule_b'")
 
     grid = path.grid
     T = cfg.horizon
@@ -1059,13 +1057,7 @@ def trajectory_series(
                 continue
             v = float(pd.values.min() if quantity == "min-phidot" else pd.values.max())
         elif quantity == "sup-trace":
-            comps = hessian_components(f.values, grid, backend)
-            th = path.theta(t).components()
-            if grid.n == 1:
-                tr = th[0] + comps[0]
-            else:
-                tr = th[0] + th[1] + comps[0] + comps[1]
-            v = float(np.max(np.real(tr)))
+            v = _sup_trace(f.values, grid, backend, path.theta(t))
         elif quantity == "energy":
             v = energy(path.theta(t), f, omega_form, backend)
         elif quantity == "l1-dist-initial":

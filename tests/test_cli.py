@@ -109,6 +109,18 @@ def test_exit_one_on_failing_check(tmp_path):
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
 
 
+def test_certified_uniqueness_needs_both_schedules(tmp_path, capsys):
+    # slope 0.5: defect 0, time bound 0, smooth, so the certified path runs
+    cfg_path, _ = write_doc(
+        tmp_path,
+        mode="audit",
+        schedule={"delta0": 0.25, "ratio": 0.5, "levels": 3},
+        checks=["uniqueness"],
+    )
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert "'schedule_b'" in capsys.readouterr().err
+
+
 def test_exit_two_on_configuration_problems(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     bad = tmp_path / "bad.json"

@@ -11,6 +11,13 @@ from maflow.geometry import (
     VolumeForm,
     certify_metric_path,
     check_trace_inequality,
+    comps_det,
+    comps_eig_min,
+    comps_harmonic_mean,
+    comps_trace,
+    comps_trace_inv,
+    cone_margin,
+    kahler_form,
     ma_density,
     trace_inequality_slacks,
 )
@@ -66,6 +73,55 @@ class TestMaDensity:
             ma_density(HermitianField.identity(g), phi, VolumeForm.constant(g, 1.0))
 
 
+def random_hermitian(rng, grid, shift=0.0):
+    """Seeded Hermitian field (complex h12 for n = 2) and its dense matrices."""
+    shape = grid.shape
+    if grid.n == 1:
+        comps = (rng.standard_normal(shape) + shift,)
+    else:
+        h12 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        comps = (rng.standard_normal(shape) + shift, rng.standard_normal(shape) + shift, h12)
+    mats = np.zeros(shape + (grid.n, grid.n), dtype=complex)
+    mats[..., 0, 0] = comps[0]
+    if grid.n == 2:
+        mats[..., 1, 1] = comps[1]
+        mats[..., 0, 1] = comps[2]
+        mats[..., 1, 0] = np.conj(comps[2])
+    return comps, mats
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_component_algebra_matches_dense_oracle(n):
+    rng = np.random.default_rng(11 + n)
+    grid = TorusGrid(n, 8)
+    alpha, a = random_hermitian(rng, grid)
+    base, b = random_hermitian(rng, grid, shift=10.0)
+    assert float(np.linalg.eigvalsh(b).min()) > 0.0  # base is positive definite
+    assert np.allclose(comps_det(alpha), np.linalg.det(a).real, atol=1e-12)
+    assert np.allclose(comps_eig_min(alpha), np.linalg.eigvalsh(a)[..., 0], atol=1e-12)
+    assert cone_margin(alpha) == pytest.approx(float(np.linalg.eigvalsh(a).min()), abs=1e-12)
+    assert np.allclose(comps_trace(alpha), np.trace(a, axis1=-2, axis2=-1).real, atol=1e-12)
+    b_inv = np.linalg.inv(b)
+    tr_inv = np.trace(b_inv @ a, axis1=-2, axis2=-1)
+    assert np.allclose(comps_trace_inv(base, alpha), tr_inv.real, atol=1e-12)
+    assert np.max(np.abs(tr_inv.imag)) < 1e-12
+    harmonic = n / np.trace(b_inv, axis1=-2, axis2=-1).real
+    assert np.allclose(comps_harmonic_mean(base), harmonic, atol=1e-12)
+
+
+def test_kahler_form_adds_theta_to_the_hessian():
+    g = TorusGrid(2, 8)
+    x1, y1, x2, y2 = g.coordinates()
+    phi = np.broadcast_to(0.01 * np.cos(2.0 * np.pi * (x1 + y2)), g.shape)
+    theta = HermitianField.from_matrix(g, [[2.0, 0.5j], [-0.5j, 1.0]])
+    total, hess = kahler_form(theta, phi, g, "spectral")
+    for t, th, h in zip(total, theta.components(), hess):
+        assert np.array_equal(t, th + h)
+    again, reused = kahler_form(theta, None, g, "spectral", hessian=hess)
+    assert reused is hess
+    assert all(np.array_equal(a, b) for a, b in zip(again, total))
+
+
 class TestMetricPath:
     def test_constant_path_certificate_is_tight(self):
         g = TorusGrid(1, 16)
@@ -88,9 +144,10 @@ class TestMetricPath:
     def test_nef_path_degenerate_reference_allowed(self):
         g = TorusGrid(2, 8)
         path = MetricPath.nef(g, 0.1, [[1.0, 0.0], [0.0, 0.0]], eps=0.05)
-        theta = path.theta(0.0)
-        assert float(np.min(theta.eig_min())) == pytest.approx(0.05)
-        assert float(np.max(theta.eig_max())) == pytest.approx(1.05)
+        theta = path.theta(0.0).components()
+        # eigenvalues 0.05 and 1.05
+        assert cone_margin(theta) == pytest.approx(0.05)
+        assert float(np.max(comps_trace(theta))) == pytest.approx(1.1)
 
 
 class TestTraceInequality:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maflow.errors import ConfigError
+from maflow.geometry import comps_det, comps_eig_min, comps_trace
 from maflow.grid import (
     HermitianField,
     ScalarField,
@@ -16,9 +17,7 @@ from maflow.grid import (
     hessian_components,
     oscillation,
     quarter_laplacian_rayleigh,
-    restrict,
     solve_shifted_laplacian,
-    torus_separation,
 )
 
 
@@ -162,17 +161,18 @@ class TestSpectralLayer:
 class TestHermitianField:
     def test_identity_spectrum(self):
         g = TorusGrid(2, 8)
-        ident = HermitianField.identity(g)
-        assert float(np.min(ident.eig_min())) == pytest.approx(1.0)
-        assert float(np.max(ident.det())) == pytest.approx(1.0)
-        assert float(np.max(ident.trace())) == pytest.approx(2.0)
+        ident = HermitianField.identity(g).components()
+        assert float(np.min(comps_eig_min(ident))) == pytest.approx(1.0)
+        assert float(np.max(comps_det(ident))) == pytest.approx(1.0)
+        assert float(np.max(comps_trace(ident))) == pytest.approx(2.0)
 
     def test_from_matrix_eigenvalues(self):
         g = TorusGrid(2, 8)
-        h = HermitianField.from_matrix(g, [[2.0, 1.0], [1.0, 2.0]])
-        assert float(np.min(h.eig_min())) == pytest.approx(1.0)
-        assert float(np.max(h.eig_max())) == pytest.approx(3.0)
-        assert float(np.max(h.det())) == pytest.approx(3.0)
+        h = HermitianField.from_matrix(g, [[2.0, 1.0], [1.0, 2.0]]).components()
+        # eigenvalues 1 and 3
+        assert float(np.min(comps_eig_min(h))) == pytest.approx(1.0)
+        assert float(np.max(comps_trace(h))) == pytest.approx(4.0)
+        assert float(np.max(comps_det(h))) == pytest.approx(3.0)
 
 
 class TestNorms:
@@ -188,24 +188,6 @@ class TestNorms:
         f = mode_field(g, amplitude=0.3)
         assert oscillation(f) == pytest.approx(0.6)
         assert oscillation(f.shifted(5.0)) == pytest.approx(0.6)
-
-    def test_restrict_nested(self):
-        fine = TorusGrid(1, 32)
-        coarse = TorusGrid(1, 16)
-        f = mode_field(fine)
-        r = restrict(f, coarse)
-        assert r.grid is coarse
-        assert r.values[0, 0] == pytest.approx(f.values[0, 0])
-        assert r.values[1, 0] == pytest.approx(f.values[2, 0])
-
-    def test_restrict_rejects_non_nested(self):
-        with pytest.raises(ConfigError):
-            restrict(mode_field(TorusGrid(1, 16)), TorusGrid(2, 8))
-
-    def test_torus_separation_wraps(self):
-        p = np.array([[0.05, 0.0]])
-        q = np.array([[0.95, 0.0]])
-        assert torus_separation(p, q)[0] == pytest.approx(0.1)
 
 
 @settings(max_examples=25, deadline=None)

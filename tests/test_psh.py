@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maflow.errors import ConfigError, NotKahlerError
-from maflow.grid import HermitianField, ScalarField, TorusGrid, oscillation
+from maflow.grid import HermitianField, ScalarField, TorusGrid, hessian_components, oscillation
 from maflow.psh import (
     FLOW_ADMISSIBLE_TAGS,
     PSH_TOL,
@@ -48,6 +48,23 @@ class TestCatalog:
         g = TorusGrid(1, 256)
         f = RoughPotential.max_kink().sample(g)
         assert psh_margin(f, backend="fd") == pytest.approx(0.5, abs=0.02)
+
+    def test_margin_of_mixed_n2_mode_matches_dense_eigenvalues(self):
+        # cos(2 pi (x1 + y2)) has d_x1 d_y2 phi != 0, so Im h12 != 0
+        g = TorusGrid(2, 8)
+        x1, y1, x2, y2 = g.coordinates()
+        phi = ScalarField(g, np.broadcast_to(0.03 * np.cos(2.0 * np.pi * (x1 + y2)), g.shape).copy())
+        h11, h22, h12 = hessian_components(phi.values, g, "spectral")
+        assert float(np.max(np.abs(h12.imag))) > 0.01
+        mats = np.zeros(g.shape + (2, 2), dtype=complex)
+        mats[..., 0, 0] = 1.0 + h11
+        mats[..., 1, 1] = 1.0 + h22
+        mats[..., 0, 1] = h12
+        mats[..., 1, 0] = np.conj(h12)
+        expected = float(np.linalg.eigvalsh(mats).min())
+        assert psh_margin(phi) == pytest.approx(expected, abs=1e-12)
+        # I + H has eigenvalues 1 and 1 - 2 pi^2 a cos: h12 doubles the drop of h11
+        assert expected == pytest.approx(1.0 - 2.0 * np.pi**2 * 0.03, abs=1e-10)
 
     def test_paraboloid_is_periodic_square_distance(self):
         g = TorusGrid(1, 64)
