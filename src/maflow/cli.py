@@ -26,7 +26,7 @@ import numpy as np
 from . import io as archive_io
 from . import verify
 from .errors import ConfigError, MissingSnapshotsError, NumericError
-from .flow import DrivingTerm, FlowConfig, run, run_cascade, run_nef
+from .flow import DrivingTerm, FlowConfig, TrajectoryAudit, run, run_cascade, run_nef
 from .geometry import MetricPath, VolumeForm, trace_inequality_slacks
 from .grid import TorusGrid, oscillation
 from .psh import RegularizationSchedule, RoughPotential, mollify_decreasing
@@ -237,6 +237,7 @@ class RunContext:
     family: object = None
     seed: int = 0
     params: dict = field(default_factory=dict)
+    audit: TrajectoryAudit = None  # traj's audit, shared by one execute_checks call
 
     def check_params(self, name: str) -> dict:
         p = self.params.get(name, {})
@@ -275,10 +276,8 @@ def _chk_comparison(ctx: RunContext):
 
 def _chk_apriori(ctx: RunContext):
     p = ctx.check_params("apriori-bounds")
-    traj = _need(ctx, "traj", "apriori-bounds")
-    return verify.check_apriori_bounds(
-        traj, ctx.F, ctx.path, ctx.omega, kcap=p.get("kcap")
-    )
+    _need(ctx, "traj", "apriori-bounds")
+    return verify.check_apriori_bounds(ctx.audit, kcap=p.get("kcap"))
 
 
 def _chk_time_derivative(ctx: RunContext):
@@ -297,25 +296,21 @@ def _chk_time_derivative(ctx: RunContext):
 
 def _chk_gradient_laplacian(ctx: RunContext):
     p = ctx.check_params("gradient-laplacian")
-    traj = _need(ctx, "traj", "gradient-laplacian")
+    _need(ctx, "traj", "gradient-laplacian")
     return verify.check_gradient_laplacian(
-        traj, path=ctx.path, pair_tol=float(p.get("pair_tol", 1e-9))
+        ctx.audit, pair_tol=float(p.get("pair_tol", 1e-9))
     )
 
 
 def _chk_energy(ctx: RunContext):
     p = ctx.check_params("energy")
-    traj = _need(ctx, "traj", "energy")
-    return [
-        verify.check_energy_monotonicity(
-            traj, ctx.path, ctx.omega, slack=float(p.get("slack", 1e-8))
-        )
-    ]
+    _need(ctx, "traj", "energy")
+    return [verify.check_energy_monotonicity(ctx.audit, slack=float(p.get("slack", 1e-8)))]
 
 
 def _chk_residual(ctx: RunContext):
-    traj = _need(ctx, "traj", "residual-certificate")
-    return [verify.check_residual_certificate(traj, ctx.path, ctx.F, ctx.omega)]
+    _need(ctx, "traj", "residual-certificate")
+    return [verify.check_residual_certificate(ctx.audit)]
 
 
 def _chk_stability(ctx: RunContext):
@@ -373,6 +368,7 @@ def _chk_convergence(ctx: RunContext):
         eps_cap=p.get("eps_cap"),
         l1_tol=p.get("l1_tol"),
         seed=int(p.get("seed", ctx.seed if ctx.seed else 7)),
+        audit=ctx.audit,
     )
 
 
@@ -443,6 +439,14 @@ CHECK_TABLE = {
     "trace-inequality": _chk_trace_inequality,
 }
 
+# the TrajectoryAudit column each check reads (convergence: on traj, the finest level)
+AUDIT_COLUMNS = {
+    "gradient-laplacian": "sup-trace",
+    "energy": "energy",
+    "residual-certificate": "step_residual",
+    "convergence": "energy",
+}
+
 ARCHIVE_CHECKS = (
     "comparison",
     "apriori-bounds",
@@ -455,6 +459,9 @@ ARCHIVE_CHECKS = (
 
 
 def execute_checks(names, ctx: RunContext):
+    if ctx.traj is not None:
+        columns = [AUDIT_COLUMNS[name] for name in names if name in AUDIT_COLUMNS]
+        ctx.audit = TrajectoryAudit(ctx.traj, ctx.path, ctx.F, ctx.omega, columns)
     reports = []
     for name in names:
         fn = CHECK_TABLE.get(name)

@@ -14,17 +14,18 @@ the harmonic mean of w's eigenvalues (w = theta + dd^c phi), matched to the
 Jacobian at the stiffness of the current Newton residual, so it keeps up
 where w nears the edge of the positive cone.
 
-The right-hand side is written once (`_rhs`).  The Newton residual, the
-stored phidot and the snapshot audits (`snapshot_rhs`, behind
-`residual_certificate`, `instantaneous_residuals` and verify's role checks)
-all evaluate it, and the audits report a snapshot outside the positive cone
-instead of taking the logarithm there.
+The right-hand side is written once (`_rhs`), for the Newton residual and
+the stored phidot.  Checks read stored snapshots through `TrajectoryAudit`,
+which builds each snapshot's form theta_t + dd^c phi_k at most once, keeps
+only scalars, and reports a snapshot outside the positive cone instead of
+taking the logarithm there.
 
 Rough initial data never enter `run` directly: they are regularized by the
 decreasing mollification ladder and integrated level by level (`run_cascade`),
 with the pointwise ordering of levels checked at every snapshot.  That check,
 the eps-shift family's (`run_nef`, members and the unshifted witness) and
-verify's comparison principle share one test, `ordering_gap`.  The
+verify's comparison principle share one test, `ordering_gap`, a case of
+`snapshot_sup` (the sup over snapshots with its time and grid point).  The
 exponential change of variables that restores d F / d s >= 0, and its
 companion used by the uniqueness argument, are provided as invertible
 problem transforms.
@@ -44,18 +45,20 @@ from .errors import (
     HorizonTooLongError,
     MonotonicityError,
     NewtonDivergedError,
+    NotKahlerError,
     NumericError,
 )
+from . import geometry, psh
 from .geometry import (
     MetricPath,
     VolumeForm,
-    _worst_location,
     comps_det,
-    comps_eig_min,
     comps_harmonic_mean,
+    comps_trace,
     comps_trace_inv,
     cone_margin,
     kahler_form,
+    lowest_eigenvalue,
 )
 from .grid import (
     ScalarField,
@@ -436,9 +439,7 @@ def _rhs(total, u, t, F, log_om, coords):
 
 def _cone_exit(message, total, grid):
     """ConeExitError at the grid point where the form total has its lowest eigenvalue."""
-    eig = comps_eig_min(total)
-    worst = float(np.min(eig))
-    loc = _worst_location(eig, grid.shape)
+    worst, loc = lowest_eigenvalue(total, grid.shape)
     return ConeExitError(
         f"{message}: min eigenvalue {worst:.3e} at {loc}", location=loc, eigenvalue=worst
     )
@@ -586,12 +587,6 @@ def step(
 # full runs
 
 
-def _initial_margin(phi0, path, backend):
-    """(positivity margin, theta(0) + H(phi0), H(phi0)) of the initial data."""
-    total, comps = kahler_form(path.theta(0.0), phi0.values, phi0.grid, backend)
-    return cone_margin(total), total, comps
-
-
 def run(
     phi0: ScalarField,
     path: MetricPath,
@@ -611,9 +606,9 @@ def run(
     if cfg.horizon > path.horizon * (1 + 1e-12):
         raise ConfigError("flow horizon exceeds the metric path horizon")
     notices = []
-    margin0, total0, comps0 = _initial_margin(phi0, path, cfg.backend)
-    warm = [comps0]
-    del comps0
+    # warm = [H(phi0)], the first step's warm start
+    total0, *warm = kahler_form(path.theta(0.0), phi0.values, grid, cfg.backend)
+    margin0 = cone_margin(total0)
     if margin0 < -PSH_TOL:
         raise _cone_exit("initial data inadmissible for theta(0)", total0, grid)
     coords = grid.coordinates()
@@ -673,62 +668,115 @@ def run(
     )
 
 
-def snapshot_rhs(traj: FlowTrajectory, k: int, path, F, omega_form, backend: str):
-    """The right-hand side at stored snapshot k, or None outside the cone.
+class TrajectoryAudit:
+    """Scalars of each stored snapshot's form theta_t + H(phi_k), for the checks.
 
-    None means theta_t + H(phi_k) has a non-positive eigenvalue somewhere,
-    where the logarithm is undefined.  One Hessian per call.
+    The first read of snapshot k builds its form (one Hessian) and keeps only
+    the cone margin and the requested columns: "sup-trace" (sup of the
+    trace), "energy" (None past psh.energy's cone tolerance; reading it then
+    raises NotKahlerError), "phidot_range" ((min, max) of phidot - RHS, None
+    without a phidot) and "step_residual" (sup of the backward-Euler residual
+    from snapshot k - 1, None unless the two are consecutive schedule points).
+    Outside the positive cone both residual columns are infinite.  At most
+    one form is alive at a time; certificate() certifies the path once.
     """
-    t = float(traj.times[k])
-    u = traj.fields[k].values
-    total, _ = kahler_form(path.theta(t), u, traj.grid, backend)
-    if cone_margin(total) <= 0.0:
-        return None
-    rhs = _rhs(total, u, t, F, omega_form.log(), traj.grid.coordinates())
-    return np.broadcast_to(rhs, traj.grid.shape)
+
+    COLUMNS = ("sup-trace", "energy", "phidot_range", "step_residual")
+
+    def __init__(self, traj: FlowTrajectory, path, F=None, omega_form=None, columns=COLUMNS):
+        self.columns = frozenset(columns)
+        if {"phidot_range", "step_residual"} & self.columns and (F is None or omega_form is None):
+            raise ConfigError("residual columns need the driving term and the volume form")
+        self.traj, self.path, self.F, self.omega_form = traj, path, F, omega_form
+        self.backend = traj.config.backend if traj.config is not None else "spectral"
+        self._rows = {}
+        self._certificate = None
+
+    def row(self, k: int) -> dict:
+        """{"margin": cone margin, column: value, ...} of stored snapshot k."""
+        if k not in self._rows:
+            self._rows[k] = self._build(k)
+        return self._rows[k]
+
+    def _build(self, k: int) -> dict:
+        traj, grid, cols = self.traj, self.traj.grid, self.columns
+        t, fld, pd = float(traj.times[k]), traj.fields[k], traj.phidots[k]
+        theta = self.path.theta(t)
+        total = kahler_form(theta, fld.values, grid, self.backend)[0]
+        row = {"margin": cone_margin(total)}
+        if "sup-trace" in cols:
+            row["sup-trace"] = float(np.max(comps_trace(total)))
+        if "energy" in cols:
+            try:
+                row["energy"] = psh.energy(theta, fld, self.backend, form=total)
+            except NotKahlerError:
+                row["energy"] = None
+        rhs = None
+        if row["margin"] > 0.0 and {"phidot_range", "step_residual"} & cols:
+            rhs = _rhs(total, fld.values, t, self.F, self.omega_form.log(), grid.coordinates())
+        del total
+        if "phidot_range" in cols:
+            row["phidot_range"] = None
+            if pd is not None and rhs is None:
+                row["phidot_range"] = (-math.inf, math.inf)
+            elif pd is not None:
+                r = pd.values - rhs
+                row["phidot_range"] = (float(r.min()), float(r.max()))
+        if "step_residual" in cols:
+            row["step_residual"] = None
+            consecutive = k > 0 and traj.stored_indices[k] - traj.stored_indices[k - 1] == 1
+            if consecutive and rhs is None:
+                row["step_residual"] = math.inf
+            elif consecutive:
+                dt = traj.times[k] - traj.times[k - 1]
+                R = (fld.values - traj.fields[k - 1].values) / dt - rhs
+                row["step_residual"] = float(np.max(np.abs(R)))
+        return row
+
+    def value(self, k: int, column: str):
+        """Column value at snapshot k; an energy past the cone raises NotKahlerError."""
+        if column not in self.columns:
+            raise ConfigError(f"audit was built without the {column!r} column")
+        v = self.row(k)[column]
+        if v is None and column == "energy":
+            margin = self.row(k)["margin"]
+            raise NotKahlerError(f"theta + H(phi) leaves the cone (min eig {margin:.3e})")
+        return v
+
+    def certificate(self):
+        """The metric path's PathCertificate, computed on first use."""
+        if self._certificate is None:
+            self._certificate = geometry.certify_metric_path(self.path, self.omega_form)
+        return self._certificate
 
 
-def residual_certificate(traj: FlowTrajectory, path, F, omega_form) -> dict:
+def residual_certificate(audit: TrajectoryAudit) -> dict:
     """Recompute backward-Euler residuals from stored snapshots alone.
 
     Covers every stored pair of consecutive schedule points; the recomputed
     residual must agree with the Newton acceptance (<= 2x its tolerance).  A
     snapshot outside the cone has residual inf.
     """
-    cfg = traj.config
-    backend = cfg.backend if cfg is not None else "spectral"
-    worst = 0.0
-    pairs = 0
-    for i in range(1, len(traj.times)):
-        if traj.stored_indices[i] - traj.stored_indices[i - 1] != 1:
-            continue
-        rhs = snapshot_rhs(traj, i, path, F, omega_form, backend)
-        if rhs is None:
-            worst = math.inf
-        else:
-            dt = traj.times[i] - traj.times[i - 1]
-            R = (traj.fields[i].values - traj.fields[i - 1].values) / dt - rhs
-            worst = max(worst, float(np.max(np.abs(R))))
-        pairs += 1
+    steps = [audit.value(k, "step_residual") for k in range(1, len(audit.traj.times))]
+    steps = [r for r in steps if r is not None]
+    worst = max([0.0, *steps])
+    cfg = audit.traj.config
     tol = cfg.newton_tol if cfg is not None else 1e-10
-    return {"max_residual": worst, "pairs": pairs, "passes": worst <= 2.0 * tol}
+    return {"max_residual": worst, "pairs": len(steps), "passes": worst <= 2.0 * tol}
 
 
-def instantaneous_residuals(traj: FlowTrajectory, path, F, omega_form, backend=None) -> dict:
+def instantaneous_residuals(traj: FlowTrajectory, path, F, omega_form) -> dict:
     """sup |phidot - RHS| per snapshot, recomputed from the fields alone.
 
     Meaningful for analytic families and transformed/pulled-back
     trajectories, where phidot is supplied rather than defined as the RHS.
     A snapshot outside the cone has residual inf.
     """
-    backend = backend or (traj.config.backend if traj.config is not None else "spectral")
-    out = []
-    for k, pd in enumerate(traj.phidots):
-        if pd is None:
-            out.append(math.nan)
-            continue
-        rhs = snapshot_rhs(traj, k, path, F, omega_form, backend)
-        out.append(math.inf if rhs is None else float(np.max(np.abs(pd.values - rhs))))
+    audit = TrajectoryAudit(traj, path, F, omega_form, columns=("phidot_range",))
+    out = [
+        math.nan if pd is None else max(map(abs, audit.value(k, "phidot_range")))
+        for k, pd in enumerate(traj.phidots)
+    ]
     finite = [v for v in out if not math.isnan(v)]
     return {
         "per_snapshot": out,
@@ -736,8 +784,17 @@ def instantaneous_residuals(traj: FlowTrajectory, path, F, omega_form, backend=N
     }
 
 
-# ---------------------------------------------------------------------------
-# pointwise ordering of solution families
+def snapshot_sup(pairs):
+    """(sup, t, flat index) over (t, array) pairs; ties go to the first maximiser.
+
+    No pairs gives (-inf, None, None).
+    """
+    best, where, index = -math.inf, None, None
+    for t, arr in pairs:
+        j = int(np.argmax(arr))
+        if arr.flat[j] > best:
+            best, where, index = float(arr.flat[j]), float(t), j
+    return best, where, index
 
 
 def ordering_gap(upper: FlowTrajectory, lower: FlowTrajectory):
@@ -751,13 +808,9 @@ def ordering_gap(upper: FlowTrajectory, lower: FlowTrajectory):
         lower.times, upper.times, rtol=1e-9, atol=1e-12
     ):
         raise ConfigError("mismatched schedules: comparison needs shared snapshot times")
-    gap, where, index = -math.inf, None, None
-    for t, low, up in zip(lower.times, lower.fields, upper.fields):
-        diff = low.values - up.values
-        j = int(np.argmax(diff))
-        if diff.flat[j] > gap:
-            gap, where, index = float(diff.flat[j]), float(t), j
-    return gap, where, index
+    return snapshot_sup(
+        (t, low.values - up.values) for t, low, up in zip(lower.times, lower.fields, upper.fields)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ and mixed-determinant ratios, which have closed forms for n <= 2.
 This is the one module that knows the n <= 2 component layout (h11,) or
 (h11, h22, h12) beyond storing it: the flow, the potentials and the checks
 build theta_t + dd^c phi with `kahler_form`, test the positive cone with
-`cone_margin` and take traces with `comps_trace`.
+`cone_margin` (`lowest_eigenvalue` also names the worst grid point) and take
+traces with `comps_trace`.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificateError, ConfigError, NotKahlerError
+from .errors import ConfigError, NotKahlerError
 from .grid import HermitianField, ScalarField, TorusGrid, hessian_components
 
 PSD_TOL = 1e-10
+PATH_SAMPLES = 64  # equispaced times at which certify_metric_path samples a path
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +99,11 @@ def comps_mixed(alpha, beta, j, n):
     return 0.5 * (a11 * b22 + a22 * b11 - 2.0 * np.real(a12 * np.conj(b12)))
 
 
-def _worst_location(values, grid_shape):
-    arr = np.broadcast_to(values, grid_shape)
-    flat = int(np.argmin(arr))
-    return tuple(int(i) for i in np.unravel_index(flat, grid_shape))
+def lowest_eigenvalue(comps, grid_shape):
+    """(lowest eigenvalue over the grid, its grid index); ties go to the first point."""
+    eig = np.broadcast_to(comps_eig_min(comps), grid_shape)
+    flat = int(np.argmin(eig))
+    return float(eig.flat[flat]), tuple(int(i) for i in np.unravel_index(flat, grid_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +157,8 @@ def ma_density(
     fails to be positive definite somewhere.
     """
     total, _ = kahler_form(theta, phi.values, phi.grid, backend)
-    worst = cone_margin(total)
+    worst, loc = lowest_eigenvalue(total, phi.grid.shape)
     if worst <= 0.0:
-        loc = _worst_location(comps_eig_min(total), phi.grid.shape)
         raise NotKahlerError(
             f"metric form not positive definite: min eigenvalue {worst:.3e} at {loc}",
             location=loc,
@@ -305,28 +307,11 @@ class PathCertificate:
     nef_floor: float | None
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "samples": self.samples,
-            "sandwich_margin": self.sandwich_margin,
-            "monotone_margin": self.monotone_margin,
-            "delta": self.delta,
-            "lipschitz_allowance": self.lipschitz_allowance,
-            "nef_floor": self.nef_floor,
-            "passed": self.passed,
-        }
 
-
-def certify_metric_path(
-    path: MetricPath,
-    omega_form: VolumeForm,
-    samples: int = 64,
-    enforce: bool = False,
-) -> PathCertificate:
+def certify_metric_path(path: MetricPath, omega_form: VolumeForm) -> PathCertificate:
     """Sample the standing assumptions along the path and report margins.
 
-    Checks, at `samples` equispaced times covering [0, horizon]:
+    Checks, at PATH_SAMPLES equispaced times covering [0, horizon]:
       * the metric sandwich omega/2 <= theta_t <= 2*omega,
       * monotone-compatibility theta_t - t * theta_dot_t >= 0,
       * the volume sandwich, recording the smallest admissible delta.
@@ -337,7 +322,7 @@ def certify_metric_path(
     reports the eigenvalue floor of theta(0) instead.
     """
     grid = path.grid
-    ts = np.linspace(0.0, path.horizon, samples)
+    ts = np.linspace(0.0, path.horizon, PATH_SAMPLES)
     sandwich = math.inf
     monotone = math.inf
     delta = 1.0
@@ -361,7 +346,7 @@ def certify_metric_path(
             delta = math.inf
         lip = max(lip, float(np.max(np.abs(comps_eig_min(thd.components())))),
                   float(np.max(np.abs(comps_trace(thd.components())))))
-    allowance = lip * (ts[1] - ts[0]) / 2.0 if samples > 1 else 0.0
+    allowance = lip * (ts[1] - ts[0]) / 2.0
     nef_floor = None
     if path.kind == "nef":
         nef_floor = cone_margin(path.theta(0.0).components())
@@ -370,9 +355,9 @@ def certify_metric_path(
         and monotone >= -PSD_TOL
         and math.isfinite(delta)
     )
-    cert = PathCertificate(
+    return PathCertificate(
         kind=path.kind,
-        samples=samples,
+        samples=PATH_SAMPLES,
         sandwich_margin=sandwich - allowance,
         monotone_margin=monotone,
         delta=delta,
@@ -380,7 +365,4 @@ def certify_metric_path(
         nef_floor=nef_floor,
         passed=passed,
     )
-    if enforce and not passed:
-        raise CertificateError("metric path fails its standing-assumption audit", report=cert.as_dict())
-    return cert
 

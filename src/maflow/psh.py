@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NotKahlerError, RepairTooLargeError
-from .geometry import VolumeForm, comps_det, comps_mixed, cone_margin, kahler_form
+from .geometry import comps_det, comps_mixed, cone_margin, kahler_form
 from .grid import HermitianField, ScalarField, TorusGrid, gaussian_smooth, hessian_components
 
 TAGS = ("smooth", "lipschitz", "bounded", "unbounded-zero-lelong", "unbounded-positive-lelong")
@@ -436,9 +436,8 @@ def capacity_lower_bound(
 def energy(
     theta: HermitianField,
     phi: ScalarField,
-    omega_form: VolumeForm = None,
     backend: str = "spectral",
-    tol: float = 1e-6,
+    form=None,
 ) -> float:
     """Aubin-Yau style energy of phi against the form theta.
 
@@ -448,17 +447,18 @@ def energy(
     normalisation).  Satisfies E(phi + c) = E(phi) + c and is monotone:
     phi <= psi pointwise implies E(phi) <= E(psi).  For unbounded potentials
     this is the energy of the clamped grid representative; callers should
-    label it accordingly.  The volume form plays no role in the functional
-    and is accepted only for interface symmetry with the flow.
+    label it accordingly.  form, when given, is theta + H(phi) already built.
+    Raises NotKahlerError once the form's lowest eigenvalue is below -1e-6.
     """
     grid = phi.grid
-    alpha, _ = kahler_form(theta, phi.values, grid, backend)
-    worst = cone_margin(alpha)
-    if worst < -tol:
+    if form is None:
+        form = kahler_form(theta, phi.values, grid, backend)[0]
+    worst = cone_margin(form)
+    if worst < -1e-6:
         raise NotKahlerError(f"theta + H(phi) leaves the cone (min eig {worst:.3e})")
     n = grid.n
     acc = 0.0
     for j in range(n + 1):
-        dens = comps_mixed(alpha, theta.components(), j, n)
+        dens = comps_mixed(form, theta.components(), j, n)
         acc += float(np.mean(phi.values * np.real(np.broadcast_to(dens, grid.shape))))
     return acc / (n + 1)

@@ -26,14 +26,18 @@ from .flow import (
     DrivingTerm,
     FlowConfig,
     FlowTrajectory,
+    TrajectoryAudit,
+    instantaneous_residuals,
+    monotone_reduction,
     ordering_gap,
+    residual_certificate,
     run,
     run_cascade,
-    snapshot_rhs,
+    snapshot_sup,
     uniqueness_rescale,
 )
-from .geometry import MetricPath, VolumeForm, certify_metric_path, comps_trace, kahler_form
-from .grid import HermitianField, ScalarField, gradient_sq, hessian_components, oscillation
+from .geometry import MetricPath, VolumeForm, comps_trace
+from .grid import ScalarField, gradient_sq, hessian_components, oscillation
 from .psh import RoughPotential, capacity_lower_bound, energy
 
 __all__ = [
@@ -141,10 +145,6 @@ def _point(grid, flat_index: int) -> tuple:
     )
 
 
-def _backend_of(traj: FlowTrajectory) -> str:
-    return traj.config.backend if traj.config is not None else "spectral"
-
-
 def comparison_tolerance(grid, backend: str, osc: float) -> float:
     """Discretization allowance for sup-norm comparisons of two runs."""
     if grid.n == 1 and backend == "fd":
@@ -162,22 +162,18 @@ def default_eps(traj: FlowTrajectory, t_min: float) -> float:
 # signed residuals (for sub/supersolution role verification)
 
 
-def _signed_residual_extrema(traj, path, F, omega_form) -> dict:
+def _signed_residual_extrema(audit: TrajectoryAudit) -> dict:
     """Range of phidot - RHS over stored snapshots with a recorded phidot.
 
     A snapshot outside the positive cone gives (-inf, inf) and its time.
     """
-    backend = _backend_of(traj)
     lo, hi = math.inf, -math.inf
-    for k, pd in enumerate(traj.phidots):
-        if pd is None:
-            continue
-        rhs = snapshot_rhs(traj, k, path, F, omega_form, backend)
-        if rhs is None:
-            return {"min": -math.inf, "max": math.inf, "cone_violation_at": float(traj.times[k])}
-        r = pd.values - rhs
-        lo = min(lo, float(r.min()))
-        hi = max(hi, float(r.max()))
+    for k, (t, pd) in enumerate(zip(audit.traj.times, audit.traj.phidots)):
+        if pd is not None:
+            r_lo, r_hi = audit.value(k, "phidot_range")
+            if audit.row(k)["margin"] <= 0.0:
+                return {"min": r_lo, "max": r_hi, "cone_violation_at": float(t)}
+            lo, hi = min(lo, r_lo), max(hi, r_hi)
     return {"min": lo, "max": hi}
 
 
@@ -210,7 +206,7 @@ def check_comparison(
             f"lambda = {lam} is below the certified monotonicity defect {F.defect}"
         )
     grid = phi.grid
-    backend = _backend_of(phi)
+    backend = phi.config.backend if phi.config is not None else "spectral"
     osc = max(oscillation(phi.fields[0]), oscillation(psi.fields[0]))
     if tol is None:
         tol = comparison_tolerance(grid, backend, osc)
@@ -218,7 +214,8 @@ def check_comparison(
     details = {"roles": list(roles)}
     if path is not None and F is not None and omega_form is not None:
         for traj, role, side in ((phi, roles[0], "phi"), (psi, roles[1], "psi")):
-            ext = _signed_residual_extrema(traj, path, F, omega_form)
+            audit = TrajectoryAudit(traj, path, F, omega_form, columns=("phidot_range",))
+            ext = _signed_residual_extrema(audit)
             details[f"residual_range_{side}"] = ext
             if role in ("sub", "subsolution") and ext["max"] > role_slack:
                 raise ConfigError(
@@ -248,13 +245,7 @@ def check_comparison(
 # a priori sup bounds
 
 
-def check_apriori_bounds(
-    traj: FlowTrajectory,
-    F: DrivingTerm,
-    path: MetricPath,
-    omega_form: VolumeForm,
-    kcap: float = None,
-) -> list:
+def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
     """Two reports: explicit linear upper bound, fitted lower modulus.
 
     Upper: phi_t <= C t + max(sup phi_0, 0) with the explicit constant
@@ -266,8 +257,10 @@ def check_apriori_bounds(
     Lower: c_raw(t) = max(0, sup_z(phi_0 - phi_t)) is majorized by its
     running maximum c(t) (the smallest majorant that decreases to 0 as t
     does), and the check fits the smallest K with c(t) <= K (t log(1/t) + t).
-    Passes iff K <= kcap, default 2n.
+    Passes iff K <= kcap, default 2n.  The audit supplies the trajectory,
+    the driving term and the path certificate.
     """
+    traj, F = audit.traj, audit.F
     grid = traj.grid
     n = grid.n
     reports = []
@@ -288,7 +281,7 @@ def check_apriori_bounds(
             )
         )
     else:
-        cert = certify_metric_path(path, omega_form)
+        cert = audit.certificate()
         coords = grid.coordinates()
         zeros = np.zeros(grid.shape)
         ts = np.unique(np.concatenate([traj.times, np.linspace(0.0, traj.times[-1], 33)]))
@@ -297,15 +290,11 @@ def check_apriori_bounds(
             inf_f = min(inf_f, float(np.min(F(float(t), coords, zeros))))
         C = -inf_f + n * math.log(cert.delta)
         M0 = max(float(traj.fields[0].values.max()), 0.0)
-        worst = math.inf
-        where = None
-        for k, t in enumerate(traj.times):
-            excess = traj.fields[k].values - C * float(t) - M0
-            j = int(np.argmax(excess))
-            m = -float(excess.flat[j])
-            if m < worst:
-                worst = m
-                where = (float(t),) + _point(grid, j)
+        excess, t_worst, j_worst = snapshot_sup(
+            (t, f.values - C * float(t) - M0) for t, f in zip(traj.times, traj.fields)
+        )
+        worst = -excess
+        where = (t_worst,) + _point(grid, j_worst)
         reports.append(
             MarginReport(
                 name="apriori-upper",
@@ -398,17 +387,12 @@ def check_time_derivative(
     grid = traj.grid
     phi_eps = traj.fields[k_eps].values
 
-    c_up = -math.inf
-    where = None
-    for k, t in enumerate(traj.times):
-        if float(t) < eps * (1.0 - 1e-12) or traj.phidots[k] is None:
-            continue
-        val = float(t) * traj.phidots[k].values + phi_eps
-        j = int(np.argmax(val))
-        v = float(val.flat[j])
-        if v > c_up:
-            c_up = v
-            where = (float(t),) + _point(grid, j)
+    c_up, t_up, j_up = snapshot_sup(
+        (t, float(t) * pd.values + phi_eps)
+        for t, pd in zip(traj.times, traj.phidots)
+        if float(t) >= eps * (1.0 - 1e-12) and pd is not None
+    )
+    where = None if t_up is None else (t_up,) + _point(grid, j_up)
     upper = MarginReport(
         name="derivative-upper",
         anchor="derivative-envelope-upper",
@@ -457,15 +441,7 @@ def check_time_derivative(
 # gradient and Laplacian growth
 
 
-def _sup_trace(values, grid, backend, theta: HermitianField) -> float:
-    """sup over the grid of tr(theta + H(values))."""
-    total, _ = kahler_form(theta, values, grid, backend)
-    return float(np.max(comps_trace(total)))
-
-
-def check_gradient_laplacian(
-    traj: FlowTrajectory, path: MetricPath = None, pair_tol: float = 1e-9
-) -> list:
+def check_gradient_laplacian(audit: TrajectoryAudit, pair_tol: float = 1e-9) -> list:
     """Two reports: exponential gradient constant, trace-oscillation fit.
 
     Gradient: the smallest C_g >= 0 with sup_z |grad phi_t|^2 <= e^{C_g/t}
@@ -475,10 +451,10 @@ def check_gradient_laplacian(
     t log tr(omega_t) <= 2 A Osc(phi_{t/2}) + C by least squares on the
     slope and a zero-slack intercept.  Needs at least two such pairs;
     raises MissingSnapshotsError listing the missing (t/2, t) pairs
-    otherwise.
+    otherwise.  omega_t is read from the audit's sup-trace column.
     """
-    grid = traj.grid
-    backend = _backend_of(traj)
+    traj = audit.traj
+    backend = audit.backend
 
     c_g = 0.0
     g_where = None
@@ -516,8 +492,7 @@ def check_gradient_laplacian(
         except KeyError:
             missing.append((t / 2.0, t))
             continue
-        theta = path.theta(t) if path is not None else HermitianField.identity(grid)
-        tr = _sup_trace(traj.fields[k].values, grid, backend, theta)
+        tr = audit.value(k, "sup-trace")
         if tr <= 0.0:
             raise NumericError(f"non-positive metric trace at t = {t}")
         xs.append(oscillation(traj.fields[kh]))
@@ -552,12 +527,7 @@ def check_gradient_laplacian(
 # energy monotonicity
 
 
-def check_energy_monotonicity(
-    traj: FlowTrajectory,
-    theta_path: MetricPath,
-    omega_form: VolumeForm,
-    slack: float = 1e-8,
-) -> MarginReport:
+def check_energy_monotonicity(audit: TrajectoryAudit, slack: float = 1e-8) -> MarginReport:
     """Fits the smallest C_E >= 0 making E(phi_t) + C_E t non-decreasing.
 
     Needs at least 16 snapshots for the drift fit to mean anything.  For a
@@ -566,21 +536,18 @@ def check_energy_monotonicity(
     measured against it; otherwise any finite C_E passes with margin 0 and
     the fitted value is in the constants.
     """
+    traj = audit.traj
     if len(traj.times) < 16:
         raise ConfigError("energy monotonicity needs at least 16 snapshots")
-    backend = _backend_of(traj)
-    energies = []
-    for k, t in enumerate(traj.times):
-        energies.append(energy(theta_path.theta(float(t)), traj.fields[k], omega_form, backend))
-    e = np.asarray(energies)
+    e = np.asarray([audit.value(k, "energy") for k in range(len(traj.times))])
     dts = np.diff(traj.times)
     drops = e[:-1] - e[1:] - slack
     rates = drops / dts
     c_e = max(0.0, float(rates.max()))
     kworst = int(np.argmax(rates))
     where = (float(traj.times[kworst + 1]),)
-    if theta_path.kind == "constant":
-        cap = 1.0 + math.log(certify_metric_path(theta_path, omega_form).delta)
+    if audit.path.kind == "constant":
+        cap = 1.0 + math.log(audit.certificate().delta)
         margin = cap - c_e
     else:
         cap = None
@@ -635,19 +602,13 @@ def check_stability(
         runs.append(run(start, path, F, omega_form, cfg))
     phi_run, psi_run = runs[0], runs[-1]
 
-    margin_c = math.inf
-    where = None
-    ratio = 0.0
-    for k, t in enumerate(phi_run.times):
-        diff = np.abs(phi_run.fields[k].values - psi_run.fields[k].values)
-        j = int(np.argmax(diff))
-        dk = float(diff.flat[j])
-        mgn = d0 + tol - dk
-        if mgn < margin_c:
-            margin_c = mgn
-            where = (float(t),) + _point(grid, j)
-        if d0 > 0.0:
-            ratio = max(ratio, dk / d0)
+    d_max, t_c, j_c = snapshot_sup(
+        (t, np.abs(f.values - g.values))
+        for t, f, g in zip(phi_run.times, phi_run.fields, psi_run.fields)
+    )
+    margin_c = d0 + tol - d_max
+    where = (t_c,) + _point(grid, j_c)
+    ratio = d_max / d0 if d0 > 0.0 else 0.0
 
     dlam = 1.0 / (m - 1)
     tol_h = tol / dlam
@@ -797,6 +758,7 @@ def check_convergence_modes(
     eps_cap: float = None,
     l1_tol: float = None,
     seed: int = 7,
+    audit: TrajectoryAudit = None,
 ) -> list:
     """Distance-to-initial-data ladders, one report per applicable mode.
 
@@ -806,7 +768,8 @@ def check_convergence_modes(
     route) for the bounded tag; energy distance whenever the representative
     admits it.  Each ladder must be decreasing over its tail (the later,
     smaller times), and the L1 mode must also land below l1_tol, default
-    1e-2 times the oscillation.
+    1e-2 times the oscillation.  The energy ladder reads audit, an audit of
+    the finest level (built here when not given).
     """
     traj = cascade.trajectories[-1]
     grid = traj.grid
@@ -905,13 +868,11 @@ def check_convergence_modes(
         )
 
     if tag in ("smooth", "lipschitz", "bounded") and path is not None:
-        backend = _backend_of(traj)
+        if audit is None:
+            audit = TrajectoryAudit(traj, path, omega_form=omega_form, columns=("energy",))
         try:
-            e0 = energy(path.theta(0.0), base, omega_form, backend)
-            d_e = [
-                abs(energy(path.theta(t), f, omega_form, backend) - e0)
-                for t, f in zip(time_ladder, fields)
-            ]
+            e0 = energy(path.theta(0.0), base, audit.backend)
+            d_e = [abs(audit.value(traj.index_of(t), "energy") - e0) for t in time_ladder]
         except NotKahlerError as exc:
             notes["energy_skipped"] = str(exc)
         else:
@@ -933,14 +894,11 @@ def check_convergence_modes(
 # flow-level certificates wrapped as margin reports
 
 
-def check_residual_certificate(
-    traj: FlowTrajectory, path: MetricPath, F: DrivingTerm, omega_form: VolumeForm
-) -> MarginReport:
+def check_residual_certificate(audit: TrajectoryAudit) -> MarginReport:
     """Recomputed backward-Euler residuals stay within twice the Newton gate."""
-    from .flow import residual_certificate
-
-    cert = residual_certificate(traj, path, F, omega_form)
-    tol = traj.config.newton_tol if traj.config is not None else 1e-10
+    cert = residual_certificate(audit)
+    cfg = audit.traj.config
+    tol = cfg.newton_tol if cfg is not None else 1e-10
     margin = 2.0 * tol - cert["max_residual"]
     return MarginReport(
         name="residual-certificate",
@@ -968,8 +926,6 @@ def check_transform_roundtrip(
     applicable transform: the monotone reduction when the term has a
     positive defect, the uniqueness rescale when a time bound is declared.
     """
-    from .flow import instantaneous_residuals, monotone_reduction, uniqueness_rescale
-
     vals = phi0.values
     s_range = (float(vals.min()) - 1.0, float(vals.max()) + 1.0)
     budget = 10.0 * cfg.newton_tol
@@ -1036,10 +992,11 @@ def trajectory_series(
         raise ConfigError(
             f"unknown series quantity {quantity!r}; choose from {', '.join(SERIES_QUANTITIES)}"
         )
-    grid = traj.grid
-    backend = _backend_of(traj)
-    if quantity in ("energy", "sup-trace") and path is None:
-        raise ConfigError(f"quantity {quantity!r} needs the metric path")
+    audit = None
+    if quantity in ("energy", "sup-trace"):
+        if path is None:
+            raise ConfigError(f"quantity {quantity!r} needs the metric path")
+        audit = TrajectoryAudit(traj, path, omega_form=omega_form, columns=(quantity,))
     base = traj.fields[0].values
     out = []
     for k, t in enumerate(traj.times):
@@ -1056,10 +1013,8 @@ def trajectory_series(
             if pd is None:
                 continue
             v = float(pd.values.min() if quantity == "min-phidot" else pd.values.max())
-        elif quantity == "sup-trace":
-            v = _sup_trace(f.values, grid, backend, path.theta(t))
-        elif quantity == "energy":
-            v = energy(path.theta(t), f, omega_form, backend)
+        elif audit is not None:
+            v = audit.value(k, quantity)
         elif quantity == "l1-dist-initial":
             v = float(np.abs(f.values - base).mean())
         else:

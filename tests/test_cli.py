@@ -274,3 +274,93 @@ def test_nef_family_archive_layout(tmp_path):
         assert (out / member / "manifest.json").is_file()
     assert (out / "witness" / "manifest.json").is_file()
     assert family["monotone_violation"] <= family["monotone_tol"]
+
+
+# a schedule with two (t/2, t) pairs and more than 16 snapshots, so every
+# archive check that reads the trajectory audit has something to read
+AUDITED = {
+    "flow": {"horizon": 0.1, "t_min": 1e-3, "ratio": 1.3, "probes": [0.025, 0.05, 0.1]},
+    "checks": ["apriori-bounds", "energy", "residual-certificate", "gradient-laplacian"],
+}
+
+
+def test_verify_replays_the_run_margins_bitwise(tmp_path):
+    cfg_path, _ = write_doc(tmp_path, **AUDITED)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    live = json.loads((out / "margins.json").read_text())
+    checks = [a for name in AUDITED["checks"] for a in ("--check", name)]
+    assert cli.main(["verify", str(out), *checks, "--out", str(tmp_path / "replay")]) == 0
+    replay = json.loads((tmp_path / "replay" / "margins.json").read_text())
+    assert [r["check"] for r in replay] == [r["check"] for r in live] == [
+        "apriori-upper",
+        "apriori-lower",
+        "energy-monotone",
+        "residual-certificate",
+        "gradient-bound",
+        "laplacian-bound",
+    ]
+    for a, b in zip(live, replay):
+        assert (a["margin"], a["location"], a["constants"]) == (
+            b["margin"],
+            b["location"],
+            b["constants"],
+        )
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name from every maflow module that holds it."""
+    from maflow import flow, geometry, grid, psh, verify
+
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for mod in (cli, flow, geometry, grid, psh, verify):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def run_counting_checks(monkeypatch, cfg_path, module, name):
+    """(calls of module.name inside the check phase, stored snapshots) of a run."""
+    calls = count_calls(monkeypatch, module, name)
+    real_execute = cli.execute_checks
+    seen = {}
+
+    def execute(names, ctx):
+        before = len(calls)
+        reports = real_execute(names, ctx)
+        seen["calls"] = len(calls) - before
+        seen["snapshots"] = len(ctx.traj.times)
+        return reports
+
+    monkeypatch.setattr(cli, "execute_checks", execute)
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    return seen["calls"], seen["snapshots"]
+
+
+def test_checks_build_each_snapshot_form_once(tmp_path, monkeypatch):
+    from maflow import grid
+
+    cfg_path, _ = write_doc(
+        tmp_path, flow=AUDITED["flow"], checks=["energy", "residual-certificate"]
+    )
+    hessians, snapshots = run_counting_checks(
+        monkeypatch, cfg_path, grid, "hessian_components"
+    )
+    assert snapshots >= 16
+    assert hessians == snapshots
+
+
+def test_checks_certify_the_metric_path_once(tmp_path, monkeypatch):
+    from maflow import geometry
+
+    cfg_path, _ = write_doc(tmp_path, flow=AUDITED["flow"], checks=["apriori-bounds", "energy"])
+    certificates, _ = run_counting_checks(
+        monkeypatch, cfg_path, geometry, "certify_metric_path"
+    )
+    assert certificates == 1

@@ -24,8 +24,9 @@ from maflow import (
     run_cascade,
     run_nef,
 )
-from maflow import flow
+from maflow import flow, psh
 from maflow.flow import (
+    TrajectoryAudit,
     instantaneous_residuals,
     monotone_reduction,
     ordering_gap,
@@ -146,10 +147,56 @@ def test_recomputed_step_residuals_meet_newton_tolerance():
     phi0 = ScalarField(grid, 0.02 * np.sin(2 * np.pi * x) * np.ones_like(y))
     F = DrivingTerm.zero()
     traj = run(phi0, path, F, omega, cfg)
-    cert = residual_certificate(traj, path, F, omega)
+    cert = residual_certificate(TrajectoryAudit(traj, path, F, omega, columns=("step_residual",)))
     assert cert["passes"]
     assert cert["pairs"] == len(traj.times) - 1
     assert cert["max_residual"] <= 2.0 * cfg.newton_tol
+
+
+def audited_run():
+    grid, path, omega, cfg = make_problem(horizon=0.05, t_min=1e-3, ratio=1.3)
+    x, y = grid.coordinates()
+    phi0 = ScalarField(grid, 0.02 * np.sin(2 * np.pi * x) * np.ones_like(y))
+    F = DrivingTerm.affine(0.0, 0.5)
+    return run(phi0, path, F, omega, cfg), path, F, omega
+
+
+def is_scalar(v):
+    return type(v) is float
+
+
+def test_audit_rows_hold_only_floats_none_or_float_pairs():
+    traj, path, F, omega = audited_run()
+    audit = TrajectoryAudit(traj, path, F, omega)
+    for k in range(len(traj.times)):
+        row = audit.row(k)
+        assert set(row) == {"margin", *TrajectoryAudit.COLUMNS}
+        for v in row.values():
+            pair = type(v) is tuple and len(v) == 2 and all(map(is_scalar, v))
+            assert v is None or is_scalar(v) or pair, (k, v)
+    assert audit.row(0)["step_residual"] is None  # no snapshot before t = 0
+    assert audit.row(1)["margin"] > 0.0
+
+
+def test_step_residual_audit_never_evaluates_the_energy(monkeypatch):
+    traj, path, F, omega = audited_run()
+
+    def no_energy(*args, **kwargs):
+        raise AssertionError("the energy was evaluated")
+
+    monkeypatch.setattr(psh, "energy", no_energy)
+    audit = TrajectoryAudit(traj, path, F, omega, columns=("step_residual",))
+    cert = residual_certificate(audit)
+    assert cert["passes"]
+    assert cert["pairs"] == len(traj.times) - 1
+    with pytest.raises(ConfigError, match="without the 'energy' column"):
+        audit.value(1, "energy")
+
+
+def test_audit_refuses_residual_columns_without_the_driving_term():
+    traj, path, _, omega = audited_run()
+    with pytest.raises(ConfigError, match="driving term"):
+        TrajectoryAudit(traj, path, omega_form=omega, columns=("step_residual",))
 
 
 def test_inadmissible_initial_data_is_refused():

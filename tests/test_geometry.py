@@ -18,6 +18,7 @@ from maflow.geometry import (
     comps_trace_inv,
     cone_margin,
     kahler_form,
+    lowest_eigenvalue,
     ma_density,
     trace_inequality_slacks,
 )
@@ -69,8 +70,11 @@ class TestMaDensity:
         phi = ScalarField(
             g, np.broadcast_to(0.2 * np.cos(2.0 * np.pi * x), g.shape).copy()
         )
-        with pytest.raises(NotKahlerError):
+        with pytest.raises(NotKahlerError) as exc:
             ma_density(HermitianField.identity(g), phi, VolumeForm.constant(g, 1.0))
+        # the form is 1 - 0.2 pi^2 cos(2 pi x): lowest on the line x = 0, first at y = 0
+        assert exc.value.location == (0, 0)
+        assert exc.value.eigenvalue == pytest.approx(1.0 - 0.2 * np.pi**2, rel=1e-12)
 
 
 def random_hermitian(rng, grid, shift=0.0):
@@ -194,3 +198,16 @@ def test_trace_inequality_random_pd_pairs(seed):
     lower, upper = trace_inequality_slacks(wp, w)
     assert float(lower.min()) >= -1e-10
     assert float(upper.min()) >= -1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lowest_eigenvalue_names_the_first_worst_point(n):
+    grid = TorusGrid(n, 8)
+    comps, mats = random_hermitian(np.random.default_rng(5), grid)
+    eig = np.linalg.eigvalsh(mats)[..., 0]
+    value, index = lowest_eigenvalue(comps, grid.shape)
+    assert value == pytest.approx(float(eig.min()), rel=1e-12)
+    assert index == np.unravel_index(int(np.argmin(eig)), grid.shape)
+    # a constant form ties everywhere: the first grid point wins
+    flat = HermitianField.identity(grid, 0.5).components()
+    assert lowest_eigenvalue(flat, grid.shape) == (0.5, (0,) * (2 * n))

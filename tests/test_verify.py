@@ -33,7 +33,12 @@ from maflow import (
     write_reports,
 )
 from maflow import verify
-from maflow.flow import instantaneous_residuals, residual_certificate, trajectory_from_family
+from maflow.flow import (
+    TrajectoryAudit,
+    instantaneous_residuals,
+    residual_certificate,
+    trajectory_from_family,
+)
 from maflow.verify import (
     CSV_HEADER,
     _signed_residual_extrema,
@@ -137,13 +142,14 @@ def test_residual_audits_agree_on_a_cone_exit():
     path = MetricPath.from_callables(grid, 1.0, lambda t: neg, lambda t: zero)
     omega, F = VolumeForm.constant(grid), DrivingTerm.zero()
     traj = const_family(grid, [0.0, 0.5], lambda t: 0.0, phidot_fn=lambda t: 0.0)
-    assert _signed_residual_extrema(traj, path, F, omega) == {
+    audit = TrajectoryAudit(traj, path, F, omega)
+    assert _signed_residual_extrema(audit) == {
         "min": -math.inf,
         "max": math.inf,
         "cone_violation_at": 0.0,
     }
     assert instantaneous_residuals(traj, path, F, omega)["per_snapshot"] == [math.inf] * 2
-    assert residual_certificate(traj, path, F, omega)["max_residual"] == math.inf
+    assert residual_certificate(audit)["max_residual"] == math.inf
 
 
 # -- a priori bounds ---------------------------------------------------------------
@@ -155,7 +161,7 @@ def test_apriori_upper_explicit_constant(grid8):
     F = DrivingTerm.affine(0.7, 0.0)  # monotone, F(t, z, 0) = 0.7
     times = np.array([0.0, 0.1, 0.25, 0.5])
     traj = const_family(grid8, times, lambda t: -0.7 * t)
-    upper, lower = check_apriori_bounds(traj, F, path, omega)
+    upper, lower = check_apriori_bounds(TrajectoryAudit(traj, path, F, omega))
     assert upper.details["applicable"]
     # flat metric path: C = -inf F + n log 1 = -0.7, trajectory saturates it
     assert upper.constants["C"] == pytest.approx(-0.7, rel=1e-12)
@@ -169,7 +175,8 @@ def test_apriori_upper_is_vacuous_without_monotonicity(grid8):
     omega = VolumeForm.constant(grid8)
     times = np.array([0.0, 0.1, 0.5])
     traj = const_family(grid8, times, lambda t: 5.0 * t)  # would break the bound
-    upper = check_apriori_bounds(traj, DrivingTerm.affine(0.0, -0.3), path, omega)[0]
+    audit = TrajectoryAudit(traj, path, DrivingTerm.affine(0.0, -0.3), omega)
+    upper = check_apriori_bounds(audit)[0]
     assert upper.passed
     assert not upper.details["applicable"]
 
@@ -181,7 +188,7 @@ def test_apriori_lower_modulus_fit(grid8, k0, expect_pass):
     times = np.array([0.0, 0.05, 0.1, 0.2, 0.4])
     form = lambda t: t * math.log(1.0 / t) + t if t > 0 else 0.0
     traj = const_family(grid8, times, lambda t: -k0 * form(t))
-    lower = check_apriori_bounds(traj, DrivingTerm.zero(), path, omega)[1]
+    lower = check_apriori_bounds(TrajectoryAudit(traj, path, DrivingTerm.zero(), omega))[1]
     assert lower.constants["K"] == pytest.approx(k0, rel=1e-12)
     assert lower.margin == pytest.approx(2.0 - k0, rel=1e-12)  # cap 2n, n = 1
     assert lower.passed is expect_pass
@@ -231,8 +238,9 @@ def test_derivative_eps_gating(grid8):
 def test_gradient_laplacian_needs_dyadic_pairs(grid8):
     times = np.array([0.0, 0.3, 0.5])
     traj = const_family(grid8, times, lambda t: 0.0)
+    audit = TrajectoryAudit(traj, MetricPath.constant(grid8, 0.5), columns=("sup-trace",))
     with pytest.raises(MissingSnapshotsError) as exc:
-        check_gradient_laplacian(traj)
+        check_gradient_laplacian(audit)
     assert exc.value.pairs == [(0.15, 0.3), (0.25, 0.5)]
 
 
@@ -243,7 +251,8 @@ def test_gradient_laplacian_fits_on_dyadic_ladder(grid8):
     traj = trajectory_from_family(
         grid8, times, lambda t: ScalarField(grid8, math.exp(-t) * mode)
     )
-    gradient, laplacian = check_gradient_laplacian(traj)
+    audit = TrajectoryAudit(traj, MetricPath.constant(grid8, 0.5), columns=("sup-trace",))
+    gradient, laplacian = check_gradient_laplacian(audit)
     assert gradient.passed
     assert gradient.constants["C_g"] >= 0.0
     assert laplacian.passed
@@ -258,14 +267,14 @@ def test_energy_needs_sixteen_snapshots(grid8):
     omega = VolumeForm.constant(grid8)
     traj = const_family(grid8, np.linspace(0.0, 1.0, 8), lambda t: t)
     with pytest.raises(ConfigError, match="16"):
-        check_energy_monotonicity(traj, path, omega)
+        check_energy_monotonicity(TrajectoryAudit(traj, path, omega_form=omega, columns=("energy",)))
 
 
 def test_energy_drift_zero_for_increasing_energy(grid8):
     path = MetricPath.constant(grid8, 1.0)
     omega = VolumeForm.constant(grid8)
     traj = const_family(grid8, np.linspace(0.0, 1.0, 17), lambda t: t - 0.3)
-    rep = check_energy_monotonicity(traj, path, omega)
+    rep = check_energy_monotonicity(TrajectoryAudit(traj, path, omega_form=omega, columns=("energy",)))
     assert rep.constants["C_E"] == 0.0
     assert rep.constants["cap"] == pytest.approx(1.0)  # 1 + log delta, delta = 1
     assert rep.margin == pytest.approx(1.0)
@@ -276,7 +285,7 @@ def test_energy_drift_detects_decreasing_energy(grid8):
     path = MetricPath.constant(grid8, 1.0)
     omega = VolumeForm.constant(grid8)
     traj = const_family(grid8, np.linspace(0.0, 1.0, 17), lambda t: -2.0 * t)
-    rep = check_energy_monotonicity(traj, path, omega)
+    rep = check_energy_monotonicity(TrajectoryAudit(traj, path, omega_form=omega, columns=("energy",)))
     assert rep.constants["C_E"] == pytest.approx(2.0, rel=1e-4)
     assert not rep.passed
 
@@ -385,7 +394,7 @@ def test_residual_certificate_wrapper(grid8):
     x, y = grid8.coordinates()
     phi0 = ScalarField(grid8, 0.02 * np.cos(2 * np.pi * x) * np.ones_like(y))
     traj = run(phi0, path, DrivingTerm.zero(), omega, cfg)
-    rep = check_residual_certificate(traj, path, DrivingTerm.zero(), omega)
+    rep = check_residual_certificate(TrajectoryAudit(traj, path, DrivingTerm.zero(), omega))
     assert rep.anchor == "recomputed-step-residuals"
     assert rep.passed
     assert rep.margin >= 0.0
