@@ -8,8 +8,9 @@ on the flat torus, with theta_t a MetricPath, Omega a VolumeForm and F a
 DrivingTerm.  Time stepping is backward Euler on a geometric schedule
 (anchored at t = 0, with requested probe times inserted exactly), and each
 implicit step is solved by a damped inexact Newton iteration whose linear
-systems go through right-preconditioned BiCGSTAB.  The preconditioner is an
-FFT solve of a shifted -(1/4) Laplacian with a pointwise scaling built from
+systems go through right-preconditioned BiCGSTAB.  The preconditioner is a
+solve of a shifted -(1/4) Laplacian (grid.solve_shifted_laplacian: real
+FFTs at n = 1, per-axis matrices at n = 2) with a pointwise scaling built from
 the harmonic mean of w's eigenvalues (w = theta + dd^c phi), matched to the
 Jacobian at the stiffness of the current Newton residual, so it keeps up
 where w nears the edge of the positive cone.
@@ -378,8 +379,10 @@ def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int):
     updating x with the preconditioned directions so no solve is left at the
     end.  The recurrence residual is that of the unpreconditioned system, so
     the stopping test bounds |b - apply_op(x)| / |b|.  Returns
-    (x, iterations, relative residual, converged).  Vectors are rebound,
-    never updated in place, so b is neither copied nor modified.
+    (x, iterations, relative residual, converged).  A solve cut short
+    returns the computed iterate with the smallest recurrence residual, not
+    the last one.  Vectors are rebound, never updated in place, so b is
+    neither copied nor modified and the best iterate is kept by reference.
     """
     bnorm = _l2(b)
     x = np.zeros_like(b)
@@ -390,7 +393,7 @@ def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int):
     v = np.zeros_like(b)
     p = np.zeros_like(b)
     target = rel_tol * bnorm
-    res = bnorm
+    best, best_res = x, math.inf
     it = 0
     for it in range(1, max_iter + 1):
         rho_new = float(np.vdot(rhat, r).real)
@@ -412,6 +415,8 @@ def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int):
         res = _l2(r)
         if res <= target:
             return x, it, res / bnorm, True
+        if res < best_res:
+            best, best_res = x, res
         z = precond(r)
         t = apply_op(z)
         tt = float(np.vdot(t, t).real)
@@ -423,10 +428,12 @@ def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int):
         res = _l2(r)
         if res <= target:
             return x, it, res / bnorm, True
+        if res < best_res:
+            best, best_res = x, res
         rho = rho_new
-    if _l2(x) == 0.0:
+    if _l2(best) == 0.0:
         raise NumericError("linear solver stalled with a null direction")
-    return x, it, res / bnorm, False
+    return best, it, best_res / bnorm, False
 
 
 def _rhs(total, u, t, F, log_om, coords):

@@ -15,16 +15,20 @@ Classical normalisation factors 1/(2 i pi) are absorbed into this frame; the
 flat metric has zero curvature, so no curvature terms appear anywhere
 downstream.
 
-Two derivative backends are provided.  "spectral" differentiates through the
-FFT and is the default for smooth fields; "fd" uses second-order centred
-differences and keeps the discrete maximum principle, which is what the
-comparison-sensitive n=1 runs rely on.
+Two derivative backends are provided.  "spectral" differentiates exactly on
+the grid's Fourier modes and is the default for smooth fields; "fd" uses
+second-order centred differences and keeps the discrete maximum principle,
+which is what the comparison-sensitive n=1 runs rely on.
 
-Every Fourier symbol of the package lives here, built once per grid on real
-FFTs: the spectral Hessian, the -(1/4) Laplacian of either backend (the
-shifted solve at the core of the flow's preconditioner, and the Rayleigh
-quotient that sets the stiffness it is matched at) and Gaussian smoothing
-(mollification).
+Every derivative operator of the package lives here, built once per grid:
+the Hessian, the -(1/4) Laplacian of either backend (the shifted solve at
+the core of the flow's preconditioner, and the Rayleigh quotient that sets
+the stiffness it is matched at) and Gaussian smoothing (mollification).
+At n=1 they are Fourier symbols applied with real FFTs and np.roll
+stencils.  At n=2 derivatives and the preconditioner's operator are per-axis
+N x N matrices applied axis by axis (Trefethen, Spectral Methods in MATLAB,
+ch. 3): 4-D FFTs cost more there than N x N products, while at n=1 the
+dense products lose to the FFT.  Gaussian smoothing stays on real FFTs.
 """
 
 from __future__ import annotations
@@ -228,30 +232,6 @@ def _wavenumbers(n, N, odd):
 
 
 @lru_cache(maxsize=32)
-def _hessian_symbols(n, N):
-    """Symbols of the real Hessian components, the factor 1/4 included.
-
-    (h11,) for n=1 and (h11, h22, Re h12, Im h12) for n=2, with
-    Re h12 = (x1x2 + y1y2)/4 and Im h12 = (x1y2 - y1x2)/4.  All are even
-    in k, so each one maps a real field's spectrum back to a real field.
-    """
-    c = -np.pi**2
-    k = _wavenumbers(n, N, False)
-    if n == 1:
-        return (_freeze(c * (k[0] ** 2 + k[1] ** 2)),)
-    kd = _wavenumbers(n, N, True)
-    return tuple(
-        _freeze(c * s)
-        for s in (
-            k[0] ** 2 + k[1] ** 2,
-            k[2] ** 2 + k[3] ** 2,
-            kd[0] * kd[2] + kd[1] * kd[3],
-            kd[0] * kd[3] - kd[1] * kd[2],
-        )
-    )
-
-
-@lru_cache(maxsize=32)
 def _quarter_laplacian_symbol(n, N, backend):
     """Symbol of -(1/4) Laplacian: pi^2 |k|^2, or the fd stencil's eigenvalues."""
     ks = _wavenumbers(n, N, False)
@@ -263,6 +243,11 @@ def _quarter_laplacian_symbol(n, N, backend):
 
 def solve_shifted_laplacian(values: np.ndarray, grid: TorusGrid, backend: str, shift: float):
     """Solve (shift - (1/4) Laplacian) u = values, Laplacian as the backend discretises it."""
+    if grid.n == 2:
+        q, symbol = _quarter_laplacian_basis(grid.resolution, backend)
+        coef = _along_every_axis(q.T, values)
+        coef /= shift + symbol
+        return _along_every_axis(q, coef)
     symbol = shift + _quarter_laplacian_symbol(grid.n, grid.resolution, backend)
     return _irfft(_rfft(values, grid) / symbol, grid)
 
@@ -272,6 +257,10 @@ def quarter_laplacian_rayleigh(values: np.ndarray, grid: TorusGrid, backend: str
 
     values must not vanish identically.
     """
+    if grid.n == 2:
+        q, symbol = _quarter_laplacian_basis(grid.resolution, backend)
+        power = _along_every_axis(q.T, values).ravel() ** 2
+        return float(power @ symbol.ravel() / np.sum(power))
     power = np.abs(_rfft(values, grid)) ** 2
     # interior last-axis modes stand for themselves and their conjugates
     N = grid.resolution
@@ -287,6 +276,68 @@ def gaussian_smooth(values: np.ndarray, grid: TorusGrid, delta: float) -> np.nda
     """
     symbol = _quarter_laplacian_symbol(grid.n, grid.resolution, "spectral")
     return _irfft(_rfft(values, grid) * np.exp(-(delta**2) * symbol), grid)
+
+
+# ---------------------------------------------------------------------------
+# per-axis matrices (n=2)
+#
+# Each operator is a product of N x N matrices, one per real axis.  Both
+# backends' d2 is a symmetric circulant, so -(1/4) d2 is diagonal in one
+# orthonormal per-axis basis Q: a product of Q^T on every axis, a divide by
+# the summed symbol and a product of Q on every axis solves the shifted
+# problem.
+
+
+@lru_cache(maxsize=8)
+def _axis_matrices(N, backend):
+    """(d1, d2): first- and second-derivative matrices along one axis of N points.
+
+    spectral: the exact DFT differentiation matrices.  The real part drops
+    the unpaired Nyquist mode from d1 (its derivative is imaginary), as
+    odd-order derivatives need.  fd: the centred stencils written as
+    circulants.
+    """
+    eye = np.eye(N)
+    if backend == "fd":
+        h = 1.0 / N
+        return _freeze(_fd_first(eye, h, 0)), _freeze(_fd_second(eye, h, 0))
+    k = np.fft.fftfreq(N, 1.0 / N)
+    modes = np.fft.fft(eye, axis=0)
+    d1 = np.fft.ifft((2j * np.pi * k)[:, None] * modes, axis=0).real
+    d2 = np.fft.ifft((-4.0 * np.pi**2 * k * k)[:, None] * modes, axis=0).real
+    return _freeze(d1), _freeze(d2)
+
+
+@lru_cache(maxsize=8)
+def _quarter_laplacian_basis(N, backend):
+    """(Q, symbol): -(1/4) Laplacian at n=2 is Q diag(symbol) Q^T on every axis.
+
+    Q holds orthonormal eigenvectors of the per-axis -(1/4) d2 and symbol is
+    the sum of their eigenvalues over the four axes, shaped like the grid.
+    """
+    lam, q = np.linalg.eigh(-0.25 * _axis_matrices(N, backend)[1])
+    pair = lam[:, None] + lam[None, :]
+    symbol = pair[:, :, None, None] + pair[None, None, :, :]
+    return _freeze(q), _freeze(symbol)
+
+
+def _along(m, values, axis):
+    """m applied along one axis: out[.., i, ..] = sum_j m[i, j] values[.., j, ..].
+
+    Reshapes only, so no moveaxis copy is made.
+    """
+    shape = values.shape
+    N = shape[axis]
+    if axis == values.ndim - 1:
+        return (values.reshape(-1, N) @ m.T).reshape(shape)
+    before = int(np.prod(shape[:axis]))
+    return (m @ values.reshape(before, N, -1)).reshape(shape)
+
+
+def _along_every_axis(m, values):
+    for axis in range(values.ndim):
+        values = _along(m, values, axis)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -309,33 +360,40 @@ def hessian_components(values: np.ndarray, grid: TorusGrid, backend: str = "spec
     """
     if backend not in BACKENDS:
         raise ConfigError(f"unknown derivative backend {backend!r}")
+    if grid.n == 2:
+        return _hessian_axes(values, grid, backend)
     if backend == "spectral":
-        return _hessian_spectral(values, grid)
-    return _hessian_fd(values, grid)
-
-
-def _hessian_spectral(values, grid):
-    hat = _rfft(values, grid)
-    syms = _hessian_symbols(grid.n, grid.resolution)
-    if grid.n == 1:
-        return (_irfft(hat * syms[0], grid),)
-    s11, s22, s_re, s_im = syms
-    h12 = _irfft(hat * s_re, grid) + 1j * _irfft(hat * s_im, grid)
-    return _irfft(hat * s11, grid), _irfft(hat * s22, grid), h12
-
-
-def _hessian_fd(values, grid):
+        symbol = _quarter_laplacian_symbol(1, grid.resolution, "spectral")
+        return (-_irfft(_rfft(values, grid) * symbol, grid),)
     h = grid.spacing
-    if grid.n == 1:
-        lap = _fd_second(values, h, 0) + _fd_second(values, h, 1)
-        return (0.25 * lap,)
-    h11 = 0.25 * (_fd_second(values, h, 0) + _fd_second(values, h, 1))
-    h22 = 0.25 * (_fd_second(values, h, 2) + _fd_second(values, h, 3))
-    dx1 = _fd_first(values, h, 0)
-    dy1 = _fd_first(values, h, 1)
-    re = _fd_first(dx1, h, 2) + _fd_first(dy1, h, 3)
-    im = _fd_first(dx1, h, 3) - _fd_first(dy1, h, 2)
-    return h11, h22, 0.25 * (re + 1j * im)
+    return (0.25 * (_fd_second(values, h, 0) + _fd_second(values, h, 1)),)
+
+
+def _hessian_axes(values, grid, backend):
+    """The n=2 Hessian (h11, h22, h12) from per-axis derivative matrices.
+
+    Axes are (x1, y1, x2, y2); Re h12 = (x1x2 + y1y2)/4 and
+    Im h12 = (x1y2 - y1x2)/4.
+    """
+    d1, d2 = _axis_matrices(grid.resolution, backend)
+    dx1 = _along(d1, values, 0)
+    dy1 = _along(d1, values, 1)
+    h12 = np.empty(values.shape, dtype=np.complex128)
+    part = _along(d1, dx1, 2)
+    part += _along(d1, dy1, 3)
+    h12.real = part
+    part = _along(d1, dx1, 3)
+    part -= _along(d1, dy1, 2)
+    h12.imag = part
+    del dx1, dy1, part
+    h12 *= 0.25
+    h11 = _along(d2, values, 0)
+    h11 += _along(d2, values, 1)
+    h11 *= 0.25
+    h22 = _along(d2, values, 2)
+    h22 += _along(d2, values, 3)
+    h22 *= 0.25
+    return h11, h22, h12
 
 
 def gradient_sq(phi: ScalarField, backend: str = "spectral") -> ScalarField:
@@ -348,7 +406,12 @@ def gradient_sq(phi: ScalarField, backend: str = "spectral") -> ScalarField:
     """
     grid = phi.grid
     acc = np.zeros(grid.shape)
-    if backend == "spectral":
+    if grid.n == 2:
+        d1 = _axis_matrices(grid.resolution, backend)[0]
+        for axis in range(grid.real_dim):
+            d = _along(d1, phi.values, axis)
+            acc += d * d
+    elif backend == "spectral":
         hat = _rfft(phi.values, grid)
         kd = _wavenumbers(grid.n, grid.resolution, True)
         for axis in range(grid.real_dim):

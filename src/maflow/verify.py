@@ -252,7 +252,10 @@ def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
     C = -inf F(t, z, 0) + n log(delta), delta from the metric-path
     certificate.  No fitting freedom.  The explicit constant is only valid
     for monotone driving terms (declared defect 0); otherwise the report is
-    marked inapplicable and passes vacuously.
+    marked inapplicable and passes vacuously.  The margin includes t = 0,
+    where the bound is attained (margin -0.0) whenever sup phi_0 >= 0, so
+    the constant room_positive_t gives the same bound's room over the stored
+    t > 0 snapshots only (inf when there are none).
 
     Lower: c_raw(t) = max(0, sup_z(phi_0 - phi_t)) is majorized by its
     running maximum c(t) (the smallest majorant that decreases to 0 as t
@@ -290,10 +293,11 @@ def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
             inf_f = min(inf_f, float(np.min(F(float(t), coords, zeros))))
         C = -inf_f + n * math.log(cert.delta)
         M0 = max(float(traj.fields[0].values.max()), 0.0)
-        excess, t_worst, j_worst = snapshot_sup(
-            (t, f.values - C * float(t) - M0) for t, f in zip(traj.times, traj.fields)
-        )
+        snapshots = list(zip(traj.times, traj.fields))
+        gap = lambda t, f: f.values - C * float(t) - M0
+        excess, t_worst, j_worst = snapshot_sup((t, gap(t, f)) for t, f in snapshots)
         worst = -excess
+        later = snapshot_sup((t, gap(t, f)) for t, f in snapshots if t > 0.0)[0]
         where = (t_worst,) + _point(grid, j_worst)
         reports.append(
             MarginReport(
@@ -302,7 +306,7 @@ def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
                 margin=worst,
                 passed=worst >= 0.0,
                 location=where,
-                constants={"C": C, "delta": cert.delta, "M0": M0},
+                constants={"C": C, "delta": cert.delta, "M0": M0, "room_positive_t": -later},
                 details={"applicable": True},
             )
         )

@@ -330,6 +330,14 @@ def test_newton_survives_unconverged_linear_solves():
     assert all(d["residual"] <= cfg.newton_tol for d in traj.diagnostics)
 
 
+def test_unconverged_solves_return_their_best_iterate():
+    # the last iterate of a 4-iteration solve reached relative residual 2.57
+    phi0, path, omega, cfg = degenerate_problem(max_linear=4)
+    traj = run(phi0, path, DrivingTerm.zero(), omega, cfg)
+    assert any(not d["linear_converged"] for d in traj.diagnostics)
+    assert max(d["linear_rel_residual"] for d in traj.diagnostics) <= 1.0
+
+
 def test_horizon_beyond_metric_path_is_a_config_error():
     grid = TorusGrid(n=1, resolution=8)
     path = MetricPath.constant(grid, 0.05)

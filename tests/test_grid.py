@@ -11,7 +11,9 @@ from maflow.grid import (
     HermitianField,
     ScalarField,
     TorusGrid,
+    _fd_first,
     _fd_second,
+    _quarter_laplacian_symbol,
     gaussian_smooth,
     gradient_sq,
     hessian_components,
@@ -98,6 +100,15 @@ class TestHessian:
         assert np.max(np.abs(comps[1])) < 1e-12
         assert np.max(np.abs(comps[2])) < 1e-12
 
+    @pytest.mark.parametrize("backend", ["spectral", "fd"])
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_n2_components_match_fft_and_stencil_formulas(self, N, backend):
+        g = TorusGrid(2, N)
+        v = np.random.default_rng(N).standard_normal(g.shape)
+        h11, h22, h12 = hessian_components(v, g, backend)
+        for got, want in zip((h11, h22, h12.real, h12.imag), hessian_oracle(v, g, backend)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     # axes (x1, y1, x2, y2) = (0, 1, 2, 3); for cos 2 pi (x_a + x_b) the exact
     # h12 is -pi^2 cos times (re, im): Re h12 = (x1x2 + y1y2)/4 and
     # Im h12 = (x1y2 - y1x2)/4.
@@ -118,6 +129,37 @@ class TestHessian:
         scale = np.pi**2 if backend == "spectral" else (np.sin(2.0 * np.pi * h) / (2.0 * h)) ** 2
         assert np.max(np.abs(h12.real + re * scale * v)) < 1e-10
         assert np.max(np.abs(h12.imag + im * scale * v)) < 1e-10
+
+
+def hessian_oracle(v, g, backend):
+    """The n=2 Hessian through rfftn symbols (spectral) or np.roll stencils (fd).
+
+    Returns (h11, h22, Re h12, Im h12).
+    """
+    if backend == "fd":
+        h = g.spacing
+        dx1 = _fd_first(v, h, 0)
+        dy1 = _fd_first(v, h, 1)
+        return (
+            0.25 * (_fd_second(v, h, 0) + _fd_second(v, h, 1)),
+            0.25 * (_fd_second(v, h, 2) + _fd_second(v, h, 3)),
+            0.25 * (_fd_first(dx1, h, 2) + _fd_first(dy1, h, 3)),
+            0.25 * (_fd_first(dx1, h, 3) - _fd_first(dy1, h, 2)),
+        )
+    N = g.resolution
+    k = np.meshgrid(
+        *[np.fft.fftfreq(N, 1.0 / N)] * 3, np.fft.rfftfreq(N, 1.0 / N), indexing="ij", sparse=True
+    )
+    kd = [np.where(np.abs(kj) == N // 2, 0.0, kj) for kj in k]  # no Nyquist in odd orders
+    symbols = (
+        k[0] ** 2 + k[1] ** 2,
+        k[2] ** 2 + k[3] ** 2,
+        kd[0] * kd[2] + kd[1] * kd[3],
+        kd[0] * kd[3] - kd[1] * kd[2],
+    )
+    hat = np.fft.rfftn(v)
+    axes = tuple(range(4))
+    return tuple(np.fft.irfftn(-(np.pi**2) * s * hat, s=v.shape, axes=axes) for s in symbols)
 
 
 def laplacian_oracle(v, g, backend):
@@ -148,6 +190,44 @@ class TestSpectralLayer:
         v = np.random.default_rng(11).standard_normal(g.shape)
         want = np.sum(v * (-0.25 * laplacian_oracle(v, g, backend))) / np.sum(v * v)
         assert quarter_laplacian_rayleigh(v, g, backend) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("backend", ["spectral", "fd"])
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_n2_solve_and_rayleigh_match_fft_symbol(self, N, backend):
+        g = TorusGrid(2, N)
+        v = np.random.default_rng(N + 1).standard_normal(g.shape)
+        symbol = _quarter_laplacian_symbol(2, N, backend)
+        hat = np.fft.rfftn(v)
+        shift = 3.0
+        want = np.fft.irfftn(hat / (shift + symbol), s=v.shape, axes=tuple(range(4)))
+        got = solve_shifted_laplacian(v, g, backend, shift)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        power = np.abs(hat) ** 2
+        power[..., 1 : N // 2] *= 2.0  # interior last-axis modes pair with their conjugates
+        want = np.sum(power * symbol) / np.sum(power)
+        assert quarter_laplacian_rayleigh(v, g, backend) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("backend", ["spectral", "fd"])
+    def test_n2_operators_reach_no_fft_once_built(self, backend, monkeypatch):
+        g = TorusGrid(2, 8)
+        v = np.random.default_rng(5).standard_normal(g.shape)
+
+        def calls():
+            return (
+                hessian_components(v, g, backend),
+                solve_shifted_laplacian(v, g, backend, 2.0),
+                quarter_laplacian_rayleigh(v, g, backend),
+                gradient_sq(ScalarField(g, v), backend),
+            )
+
+        calls()  # builds the cached matrices
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("FFT reached on the n=2 path")
+
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        calls()
 
     @pytest.mark.parametrize("n, N, k", [(1, 32, (2, -3)), (2, 8, (1, 0, -2, 3))])
     def test_gaussian_smooth_scales_single_mode(self, n, N, k):

@@ -29,6 +29,7 @@ from maflow import (
     check_time_derivative,
     check_uniqueness,
     comparison_tolerance,
+    run,
     run_cascade,
     write_reports,
 )
@@ -167,7 +168,24 @@ def test_apriori_upper_explicit_constant(grid8):
     assert upper.constants["C"] == pytest.approx(-0.7, rel=1e-12)
     assert upper.constants["delta"] == pytest.approx(1.0)
     assert upper.margin == pytest.approx(0.0, abs=1e-12)
+    assert upper.constants["room_positive_t"] == pytest.approx(0.0, abs=1e-12)
     assert upper.passed and lower.passed
+
+
+def test_apriori_upper_room_after_t0_on_a_flow_run():
+    # sup phi_0 > 0 attains the bound at t = 0, so the margin reads -0.0; the
+    # maximum principle lowers sup phi_t below it at every t > 0
+    grid = TorusGrid(n=1, resolution=16)
+    phi0 = ScalarField.from_function(grid, lambda x, y: 0.02 * np.cos(2.0 * np.pi * x))
+    cfg = FlowConfig(horizon=0.05, t_min=1e-3, ratio=1.5)
+    path = MetricPath.constant(grid, cfg.horizon)
+    omega = VolumeForm.constant(grid)
+    F = DrivingTerm.zero()
+    traj = run(phi0, path, F, omega, cfg)
+    upper = check_apriori_bounds(TrajectoryAudit(traj, path, F, omega))[0]
+    assert upper.details["applicable"]
+    assert upper.margin == 0.0 and math.copysign(1.0, upper.margin) < 0.0
+    assert upper.constants["room_positive_t"] > 0.0
 
 
 def test_apriori_upper_is_vacuous_without_monotonicity(grid8):
@@ -386,8 +404,6 @@ def test_uniqueness_certifies_two_schedule_agreement():
 
 
 def test_residual_certificate_wrapper(grid8):
-    from maflow import run
-
     omega = VolumeForm.constant(grid8)
     path = MetricPath.constant(grid8, 0.05)
     cfg = FlowConfig(horizon=0.05, t_min=1e-3, ratio=1.3)
