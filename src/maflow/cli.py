@@ -92,13 +92,20 @@ def build_metric(doc: dict, grid: TorusGrid, horizon: float) -> MetricPath:
     if kind == "nef":
         if "theta0" not in sec:
             raise ConfigError("nef metric needs a 'theta0' matrix")
-        eps = sec.get("eps", [0.2, 0.1, 0.05])
-        if isinstance(eps, (int, float)):
-            eps = [float(eps)]
         return MetricPath.nef(
-            grid, horizon, np.asarray(sec["theta0"], dtype=float), eps=float(eps[-1])
+            grid, horizon, np.asarray(sec["theta0"], dtype=float), eps=_nef_eps(sec)[-1]
         )
     raise ConfigError(f"unknown metric kind {kind!r}")
+
+
+def _nef_eps(sec: dict) -> list:
+    """The nef metric's eps schedule as floats; a single number is a one-member schedule."""
+    eps = sec.get("eps", [0.2, 0.1, 0.05])
+    if isinstance(eps, (int, float)):
+        eps = [eps]
+    if not isinstance(eps, list) or not eps:
+        raise ConfigError("nef metric 'eps' must be a number or a nonempty list")
+    return [float(e) for e in eps]
 
 
 def build_volume(doc: dict, grid: TorusGrid) -> VolumeForm:
@@ -517,6 +524,22 @@ def _ordering_report(name, anchor, family, **constants):
     )
 
 
+def _context(doc: dict, grid: TorusGrid, cfg: FlowConfig, seed: int = None, **objects):
+    """The scenario's problem on grid as a RunContext; seed defaults to the document's."""
+    return RunContext(
+        doc=doc,
+        grid=grid,
+        cfg=cfg,
+        omega=build_volume(doc, grid),
+        F=build_driving(doc),
+        initial=build_initial(_section(doc, "initial"), grid.n),
+        path=build_metric(doc, grid, cfg.horizon),
+        seed=int(doc.get("seed", 0)) if seed is None else seed,
+        params=doc.get("check_params", {}),
+        **objects,
+    )
+
+
 def integrate_scenario(doc: dict, forced_mode: str = None, seed: int = None):
     """Build the problem, integrate by mode, and return (mode, ctx, reports).
 
@@ -526,27 +549,11 @@ def integrate_scenario(doc: dict, forced_mode: str = None, seed: int = None):
     """
     grid = build_grid(doc)
     cfg = build_flow_config(doc)
-    omega = build_volume(doc, grid)
-    F = build_driving(doc)
-    initial = build_initial(_section(doc, "initial"), grid.n)
-    initial_b = (
-        build_initial(doc["initial_b"], grid.n) if doc.get("initial_b") else None
-    )
-    path = build_metric(doc, grid, cfg.horizon)
+    ctx = _context(doc, grid, cfg, seed)
+    if doc.get("initial_b"):
+        ctx.initial_b = build_initial(doc["initial_b"], grid.n)
+    path, F, omega, initial = ctx.path, ctx.F, ctx.omega, ctx.initial
     mode = forced_mode or resolve_mode(doc, initial)
-
-    ctx = RunContext(
-        doc=doc,
-        grid=grid,
-        cfg=cfg,
-        path=path,
-        omega=omega,
-        F=F,
-        initial=initial,
-        initial_b=initial_b,
-        seed=int(doc.get("seed", 0)) if seed is None else seed,
-        params=doc.get("check_params", {}),
-    )
 
     reports = []
     if mode == "single":
@@ -565,7 +572,7 @@ def integrate_scenario(doc: dict, forced_mode: str = None, seed: int = None):
         sec = _section(doc, "metric")
         if sec.get("kind") != "nef":
             raise ConfigError("nef mode needs a metric of kind 'nef'")
-        eps = [float(e) for e in sec.get("eps", [0.2, 0.1, 0.05])]
+        eps = _nef_eps(sec)
         theta0 = np.asarray(sec["theta0"], dtype=float)
         family = run_nef(theta0, eps, initial.sample(grid), F, omega, cfg)
         ctx.family = family
@@ -596,10 +603,9 @@ def run_comparison_pair(ctx: RunContext):
 
 def cmd_run(args, forced_mode: str = None) -> int:
     doc = load_document(args.config)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     out = Path(args.out) if args.out else Path(doc.get("out", "runs/latest"))
 
-    mode, ctx, reports = integrate_scenario(doc, forced_mode, seed=seed)
+    mode, ctx, reports = integrate_scenario(doc, forced_mode, seed=args.seed)
     if mode == "single":
         archive_io.save_trajectory(out, ctx.traj, run_config=doc)
     elif mode == "cascade":
@@ -676,33 +682,14 @@ def _context_from_manifest(manifest, loaded, kind, seed) -> RunContext:
     else:
         traj = loaded
         cascade = None
-    grid = traj.grid
-    cfg = traj.config
-    omega = build_volume(doc, grid)
-    F = build_driving(doc)
-    initial = build_initial(_section(doc, "initial"), grid.n)
-    path = build_metric(doc, grid, cfg.horizon)
-    return RunContext(
-        doc=doc,
-        grid=grid,
-        cfg=cfg,
-        path=path,
-        omega=omega,
-        F=F,
-        initial=initial,
-        traj=traj,
-        cascade=cascade,
-        seed=seed,
-        params=doc.get("check_params", {}),
-    )
+    return _context(doc, traj.grid, traj.config, seed, traj=traj, cascade=cascade)
 
 
 def cmd_verify(args) -> int:
     if len(args.archives) > 2:
         raise ConfigError("verify takes one archive, or two for comparison")
     kind, loaded, manifest = _load_any(args.archives[0])
-    seed = args.seed if args.seed is not None else 0
-    ctx = _context_from_manifest(manifest, loaded, kind, seed)
+    ctx = _context_from_manifest(manifest, loaded, kind, args.seed)
     if len(args.archives) == 2:
         kind_b, loaded_b, _ = _load_any(args.archives[1])
         ctx.traj_b = (

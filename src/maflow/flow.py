@@ -27,9 +27,11 @@ with the pointwise ordering of levels checked at every snapshot.  That check,
 the eps-shift family's (`run_nef`, members and the unshifted witness) and
 verify's comparison principle share one test, `ordering_gap`, a case of
 `snapshot_sup` (the sup over snapshots with its time and grid point).  The
-exponential change of variables that restores d F / d s >= 0, and its
-companion used by the uniqueness argument, are provided as invertible
-problem transforms.
+exponential time changes phi~(t) = e^{rt} phi(tau(t)) are invertible problem
+transforms built by `_time_change`; `monotone_reduction` (r < 0, restores
+d F / d s >= 0) and `uniqueness_rescale` (r > 0, for the uniqueness
+argument) add their preconditions and sampled certificates, each sample
+grid's floor taken by `_sampled_min`.
 """
 
 from __future__ import annotations
@@ -86,6 +88,15 @@ CASCADE_TOL_STEPS = 50.0
 
 # ---------------------------------------------------------------------------
 # driving terms
+
+
+def _sampled_min(fn, ts, ss) -> float:
+    """The smallest value of fn(t, s) (an array or a scalar) over the grid ts x ss."""
+    lo = math.inf
+    for t in ts:
+        for s in ss:
+            lo = min(lo, float(np.min(fn(float(t), float(s)))))
+    return lo
 
 
 @dataclass(frozen=True)
@@ -184,35 +195,21 @@ class DrivingTerm:
             smooth=False,
         )
 
-    @classmethod
-    def from_callable(cls, name, fn, **kwargs) -> "DrivingTerm":
-        return cls(name, fn, **kwargs)
-
     # -- declared-bound audit --------------------------------------------------
 
-    def verify_declared_bounds(
-        self,
-        grid: TorusGrid,
-        t_range,
-        s_range,
-        t_samples: int = 9,
-        s_samples: int = 17,
-        tol: float = 1e-7,
-    ) -> dict:
+    def verify_declared_bounds(self, grid: TorusGrid, t_range, s_range) -> dict:
         """Sample dF/ds and dF/dt over the run's range and audit the bounds.
 
-        A declared defect or time bound that the samples violate aborts the
+        The samples form a 9 x 17 grid over t_range x s_range.  A declared
+        defect or time bound that they violate by more than 1e-7 aborts the
         configuration; undeclared bounds (None) are reported but not checked.
         """
+        tol = 1e-7
         coords = grid.coordinates()
-        ts = np.linspace(t_range[0], t_range[1], t_samples)
-        ss = np.linspace(s_range[0], s_range[1], s_samples)
-        ds_min = math.inf
-        dt_max = 0.0
-        for t in ts:
-            for s in ss:
-                ds_min = min(ds_min, float(np.min(self.ds_at(float(t), coords, float(s)))))
-                dt_max = max(dt_max, float(np.max(np.abs(self.dt_at(float(t), coords, float(s))))))
+        ts = np.linspace(t_range[0], t_range[1], 9)
+        ss = np.linspace(s_range[0], s_range[1], 17)
+        ds_min = _sampled_min(lambda t, s: self.ds_at(t, coords, s), ts, ss)
+        dt_max = -_sampled_min(lambda t, s: -np.abs(self.dt_at(t, coords, s)), ts, ss)
         report = {
             "ds_min": ds_min,
             "dt_max": dt_max,
@@ -848,6 +845,23 @@ def cascade_tolerance(osc: float, newton_tol: float) -> float:
     return CASCADE_TOL_FACTOR * osc + CASCADE_TOL_STEPS * newton_tol
 
 
+def _family_ordering(trajectories, tol: float, members: str) -> float:
+    """The worst ordering_gap between adjacent members (-inf for one member).
+
+    Each member must stay below the one before it; a gap above tol raises
+    MonotonicityError naming the members.
+    """
+    worst = max(
+        (ordering_gap(up, low)[0] for up, low in zip(trajectories, trajectories[1:])),
+        default=-math.inf,
+    )
+    if worst > tol:
+        raise MonotonicityError(
+            f"{members} lost their ordering by {worst:.3e} (tol {tol:.3e})", violation=worst
+        )
+    return worst
+
+
 def run_cascade(
     phi0: RoughPotential,
     schedule: RegularizationSchedule,
@@ -879,15 +893,7 @@ def run_cascade(
         trajectories.append(run(level, path, F, omega_form, cfg, check_bounds=False))
 
     tol = cascade_tolerance(oscillation(ladder.base), cfg.newton_tol)
-    worst = max(
-        (ordering_gap(up, low)[0] for up, low in zip(trajectories, trajectories[1:])),
-        default=-math.inf,
-    )
-    if worst > tol:
-        raise MonotonicityError(
-            f"cascade levels lost their ordering by {worst:.3e} (tol {tol:.3e})",
-            violation=worst,
-        )
+    worst = _family_ordering(trajectories, tol, "cascade levels")
 
     limit_gaps = {}
     probe_times = set(float(p) for p in cfg.probes) | {float(cfg.horizon)}
@@ -930,15 +936,10 @@ class TransformedProblem:
     certificate: dict
 
     def original_time(self, t: float) -> float:
-        B = self.rate
-        return (1.0 - math.exp(-B * t)) / B
+        return _original_time(self.rate, t)
 
     def transformed_time(self, tau: float) -> float:
-        B = self.rate
-        arg = 1.0 - B * tau
-        if arg <= 0:
-            raise ConfigError(f"original time {tau} beyond the transform's reach")
-        return -math.log(arg) / B
+        return _transformed_time(self.rate, tau)
 
     def pull_back(self, traj: FlowTrajectory) -> FlowTrajectory:
         """Map a solved transformed trajectory back to the original problem."""
@@ -967,43 +968,55 @@ class TransformedProblem:
         )
 
 
-def _transformed_parts(F: DrivingTerm, path: MetricPath, rate: float, horizon_t: float):
-    B = rate
-    n = path.grid.n
+def _original_time(rate: float, t: float) -> float:
+    """tau(t) = (1 - e^{-rate t}) / rate, the original time of transformed time t."""
+    return (1.0 - math.exp(-rate * t)) / rate
 
-    def tau_of(t):
-        return (1.0 - math.exp(-B * t)) / B
+
+def _transformed_time(rate: float, tau: float) -> float:
+    """The inverse chart -log(1 - rate tau) / rate."""
+    arg = 1.0 - rate * tau
+    if arg <= 0:
+        raise ConfigError(f"original time {tau} beyond the transform's reach")
+    return -math.log(arg) / rate
+
+
+def _time_change(kind: str, F: DrivingTerm, path: MetricPath, rate: float, defect):
+    """The problem solved by phi~(t) = e^{rate t} phi(tau(t)), with an empty certificate.
+
+    With e = e^{-rate t}, the driving term becomes -rate s + rate n t +
+    F(tau, z, e s) and the path e^{rate t} theta(tau).
+    """
+    n = path.grid.n
+    horizon = _transformed_time(rate, path.horizon)
+
+    def tau(t):
+        return _original_time(rate, t)
 
     def fn(t, coords, s):
-        return -B * s + B * n * t + F.fn(tau_of(t), coords, math.exp(-B * t) * s)
+        return -rate * s + rate * n * t + F.fn(tau(t), coords, math.exp(-rate * t) * s)
 
     def ds(t, coords, s):
-        e = math.exp(-B * t)
-        return -B + e * F.ds_at(tau_of(t), coords, e * s)
-
-    new_theta = lambda t: path.theta(tau_of(t)).scaled(math.exp(B * t))
-
-    def new_theta_dot(t):
-        e = math.exp(B * t)
-        return path.theta(tau_of(t)).scaled(B * e) + path.theta_dot(tau_of(t))
+        e = math.exp(-rate * t)
+        return -rate + e * F.ds_at(tau(t), coords, e * s)
 
     new_path = MetricPath.from_callables(
         path.grid,
-        horizon_t,
-        new_theta,
-        new_theta_dot,
-        meta={"transform_rate": B, "base_kind": path.kind},
+        horizon,
+        lambda t: path.theta(tau(t)).scaled(math.exp(rate * t)),
+        lambda t: path.theta(tau(t)).scaled(rate * math.exp(rate * t)) + path.theta_dot(tau(t)),
+        meta={"transform_rate": rate, "base_kind": path.kind},
     )
-    return fn, ds, new_path
-
-
-def _sample_ds_floor(term: DrivingTerm, grid, horizon, s_range, t_samples=21, s_samples=21):
-    coords = grid.coordinates()
-    lo = math.inf
-    for t in np.linspace(0.0, horizon, t_samples):
-        for s in np.linspace(s_range[0], s_range[1], s_samples):
-            lo = min(lo, float(np.min(term.ds_at(float(t), coords, float(s)))))
-    return lo
+    driving = DrivingTerm(
+        name=f"{F.name}+{kind}",
+        fn=fn,
+        ds=ds,
+        defect=defect,
+        time_bound=None,
+        smooth=F.smooth,
+        params={"rate": rate, "base": F.name},
+    )
+    return TransformedProblem(kind, rate, driving, new_path, horizon, path, F, certificate={})
 
 
 def monotone_reduction(
@@ -1036,38 +1049,25 @@ def monotone_reduction(
         raise ConfigError(
             f"rate B = {B} violates -B e^(BT) >= C: {boundary:.6g} < {C:.6g}"
         )
-    horizon_t = -math.log(1.0 - B * T) / B
-    fn, ds, new_path = _transformed_parts(F, path, B, horizon_t)
-    new_term = DrivingTerm(
-        name=f"{F.name}+monotone-reduction",
-        fn=fn,
-        ds=ds,
-        defect=0.0,
-        time_bound=None,
-        smooth=F.smooth,
-        params={"rate": B, "base": F.name},
+    tp = _time_change("monotone-reduction", F, path, B, defect=0.0)
+    coords = path.grid.coordinates()
+    ds_floor = _sampled_min(
+        lambda t, s: tp.driving.ds_at(t, coords, s),
+        np.linspace(0.0, tp.horizon, 21),
+        np.linspace(s_range[0], s_range[1], 21),
     )
-    ds_floor = _sample_ds_floor(new_term, path.grid, horizon_t, s_range)
     if ds_floor < -1e-9:
         raise CertificateError(
             "transformed term failed its monotonicity sample",
             report={"ds_min": ds_floor},
         )
-    return TransformedProblem(
-        kind="monotone-reduction",
-        rate=B,
-        driving=new_term,
-        path=new_path,
-        horizon=horizon_t,
-        base_path=path,
-        base_driving=F,
-        certificate={
-            "ds_min": ds_floor,
-            "boundary_slack": boundary - C,
-            "defect": C,
-            "ceiling": ceiling,
-        },
-    )
+    tp.certificate = {
+        "ds_min": ds_floor,
+        "boundary_slack": boundary - C,
+        "defect": C,
+        "ceiling": ceiling,
+    }
+    return tp
 
 
 def uniqueness_rescale(
@@ -1075,7 +1075,6 @@ def uniqueness_rescale(
     path: MetricPath,
     A: float,
     s_range=(-2.0, 2.0),
-    samples: int = 33,
 ) -> TransformedProblem:
     """Exponential rescaling with positive rate, as the uniqueness proof uses.
 
@@ -1095,12 +1094,11 @@ def uniqueness_rescale(
         raise HorizonTooLongError(
             f"A*T = {A * T:.6g} >= 1: the rescaled horizon is infinite; shorten T"
         )
-    horizon_t = -math.log(1.0 - A * T) / A
-    fn, ds, new_path = _transformed_parts(F, path, A, horizon_t)
-    grid = path.grid
+    tp = _time_change("uniqueness-rescale", F, path, A, defect=A + max(0.0, F.defect or 0.0))
+    # e^{-At} times the transformed theta-dot, at 33 path times
     mono = math.inf
-    for t in np.linspace(0.0, horizon_t, samples):
-        tau = (1.0 - math.exp(-A * t)) / A
+    for t in np.linspace(0.0, tp.horizon, 33):
+        tau = _original_time(A, t)
         cand = path.theta(tau).scaled(A) + path.theta_dot(tau).scaled(math.exp(-A * t))
         mono = min(mono, cone_margin(cand.components()))
     if mono < -1e-10:
@@ -1108,40 +1106,22 @@ def uniqueness_rescale(
             "transformed metric path is not non-decreasing",
             report={"theta_monotone_margin": mono, "rate": A},
         )
-    # the monotone part of the transformed term (linear -As removed)
-    part_floor = math.inf
-    coords = grid.coordinates()
-    for t in np.linspace(0.0, horizon_t, 11):
+    coords = path.grid.coordinates()
+
+    def monotone_part_ds(t, s):
+        # the transformed term's s-partial without the linear -A s
         e = math.exp(-A * t)
-        tau = (1.0 - e) / A
-        for s in np.linspace(s_range[0], s_range[1], 11):
-            part_floor = min(
-                part_floor, float(np.min(e * F.ds_at(tau, coords, e * float(s))))
-            )
-    defect = A + max(0.0, F.defect if F.defect is not None else 0.0)
-    new_term = DrivingTerm(
-        name=f"{F.name}+uniqueness-rescale",
-        fn=fn,
-        ds=ds,
-        defect=defect,
-        time_bound=None,
-        smooth=F.smooth,
-        params={"rate": A, "base": F.name},
+        return e * F.ds_at(_original_time(A, t), coords, e * s)
+
+    part_floor = _sampled_min(
+        monotone_part_ds, np.linspace(0.0, tp.horizon, 11), np.linspace(s_range[0], s_range[1], 11)
     )
-    return TransformedProblem(
-        kind="uniqueness-rescale",
-        rate=A,
-        driving=new_term,
-        path=new_path,
-        horizon=horizon_t,
-        base_path=path,
-        base_driving=F,
-        certificate={
-            "theta_monotone_margin": mono,
-            "monotone_part_ds_min": part_floor,
-            "rate": A,
-        },
-    )
+    tp.certificate = {
+        "theta_monotone_margin": mono,
+        "monotone_part_ds_min": part_floor,
+        "rate": A,
+    }
+    return tp
 
 
 # ---------------------------------------------------------------------------
@@ -1187,12 +1167,7 @@ def run_nef(
         path = MetricPath.nef(grid, cfg.horizon, theta0, eps=e)
         trajectories.append(run(phi0, path, F, omega_form, cfg))
     tol = cascade_tolerance(oscillation(phi0), cfg.newton_tol)
-    worst = max(ordering_gap(up, low)[0] for up, low in zip(trajectories, trajectories[1:]))
-    if worst > tol:
-        raise MonotonicityError(
-            f"eps-trajectories lost their ordering by {worst:.3e} (tol {tol:.3e})",
-            violation=worst,
-        )
+    worst = _family_ordering(trajectories, tol, "eps-trajectories")
     limit_gap = float(
         np.max(np.abs(trajectories[-1].final().values - trajectories[-2].final().values))
     )
@@ -1210,8 +1185,6 @@ def run_nef(
                 violation=-witness_margin,
             )
     except (ConeExitError, NewtonDivergedError) as exc:
-        witness = None
-        witness_margin = None
         notices.append(f"unshifted witness flow unavailable: {exc}")
     return NefResult(
         eps=eps,

@@ -123,6 +123,7 @@ def save_trajectory(directory, traj: FlowTrajectory, run_config: dict = None, ex
 
 
 def _json_clean(obj):
+    """obj with numpy scalars and arrays as JSON types; non-finite floats become None."""
     if isinstance(obj, dict):
         return {str(k): _json_clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -132,8 +133,10 @@ def _json_clean(obj):
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     return obj
 
 

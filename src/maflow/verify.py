@@ -38,6 +38,7 @@ from .flow import (
 )
 from .geometry import MetricPath, VolumeForm, comps_trace
 from .grid import ScalarField, gradient_sq, hessian_components, oscillation
+from .io import _json_clean
 from .psh import RoughPotential, capacity_lower_bound, energy
 
 __all__ = [
@@ -62,21 +63,6 @@ __all__ = [
 # report plumbing
 
 
-def _jsonable(x):
-    if isinstance(x, (np.floating, float)):
-        v = float(x)
-        return v if math.isfinite(v) else None
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    return x
-
-
 @dataclass
 class MarginReport:
     """One verified inequality: signed worst margin plus fitted constants.
@@ -98,11 +84,11 @@ class MarginReport:
         return {
             "check": self.name,
             "anchor": self.anchor,
-            "margin": _jsonable(self.margin),
+            "margin": _json_clean(self.margin),
             "passed": bool(self.passed),
-            "location": _jsonable(self.location),
-            "constants": _jsonable(self.constants),
-            "details": _jsonable(self.details),
+            "location": _json_clean(self.location),
+            "constants": _json_clean(self.constants),
+            "details": _json_clean(self.details),
         }
 
     def csv_row(self) -> list:

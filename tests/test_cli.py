@@ -107,6 +107,10 @@ def test_exit_one_on_failing_check(tmp_path):
         checks=["uniqueness"],
     )
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    text = (tmp_path / "out" / "margins.json").read_text()
+    assert '"certified": false' in text  # a refusal, written as a JSON boolean
+    (report,) = json.loads(text)
+    assert report["details"]["certified"] is False
 
 
 def test_certified_uniqueness_needs_both_schedules(tmp_path, capsys):
@@ -134,6 +138,19 @@ def test_exit_two_on_configuration_problems(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # argparse usage error
         cli.main(["run"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("eps, message", [(0.1, "eps schedule"), ([], "nonempty list")])
+def test_nef_mode_refuses_fewer_than_two_eps(tmp_path, capsys, eps, message):
+    cfg_path, _ = write_doc(
+        tmp_path,
+        metric={"kind": "nef", "theta0": [[1.0]], "eps": eps},
+        initial={"kind": "constant", "value": 0.0},
+        flow={"horizon": 0.005, "t_min": 1e-4, "ratio": 1.3},
+        checks=[],
+    )
+    assert cli.main(["nef", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_exit_three_on_numeric_failure(tmp_path, capsys):
@@ -364,3 +381,30 @@ def test_checks_certify_the_metric_path_once(tmp_path, monkeypatch):
         monkeypatch, cfg_path, geometry, "certify_metric_path"
     )
     assert certificates == 1
+
+
+def test_verify_replays_a_cascade_with_the_run_seed(tmp_path):
+    # the capacity check draws its dictionary from the scenario's seed
+    cfg_path, _ = write_doc(
+        tmp_path,
+        grid={"n": 1, "resolution": 32},
+        driving={"kind": "zero"},
+        initial={"kind": "log-pole", "gamma": 0.05, "cap": -0.2},
+        mode="cascade",
+        flow={"horizon": 0.01, "t_min": 1e-3, "ratio": 1.4, "backend": "fd",
+              "probes": [0.01, 0.005, 0.0025]},
+        schedule={"delta0": 0.25, "ratio": 0.5, "levels": 3},
+        checks=["convergence"],
+        seed=3,
+    )
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg_path)])
+    live = json.loads((out / "margins.json").read_text())
+    live = [r for r in live if r["check"] != "cascade-ordering"]  # not a replayed check
+    replay_dir = tmp_path / "replay"
+    assert cli.main(["verify", str(out), "--check", "convergence", "--out", str(replay_dir)]) == code
+    replay = json.loads((replay_dir / "margins.json").read_text())
+    assert "convergence-capacity" in [r["check"] for r in live]
+    assert [(r["check"], r["margin"], r["constants"]) for r in replay] == [
+        (r["check"], r["margin"], r["constants"]) for r in live
+    ]

@@ -572,9 +572,7 @@ def test_uniqueness_rescale_certificate_and_guards():
     assert tp.certificate["theta_monotone_margin"] >= -1e-10
     assert tp.horizon == pytest.approx(-math.log(1.0 - 0.5))
 
-    undeclared = DrivingTerm.from_callable(
-        "no-time-bound", lambda t, c, s: 0.0 * s, time_bound=None
-    )
+    undeclared = DrivingTerm("no-time-bound", lambda t, c, s: 0.0 * s, time_bound=None)
     with pytest.raises(CertificateError):
         uniqueness_rescale(undeclared, path, A=1.0)
     with pytest.raises(ConfigError):
@@ -602,6 +600,70 @@ def test_pull_back_rescales_fields_and_times():
         np.testing.assert_allclose(fld.values, math.exp(-t), rtol=1e-14)
     # phidot picks up the -A*phi drift term
     np.testing.assert_allclose(pulled.phidots[1].values, -1.0, rtol=1e-14)
+
+
+# an affine path theta(tau) = I + tau chi at n = 2 and a driving term affine in
+# (t, s), so the time change has closed forms
+CHI = np.diag([-0.3, 0.2])
+AFFINE_TS = (0.4, 0.25, -0.5)  # F(t, z, s) = a + b t + c s
+
+
+def affine_time_change(kind, rate):
+    grid = TorusGrid(n=2, resolution=8)
+    path = MetricPath.affine(grid, 1.0, CHI)
+    a, b, c = AFFINE_TS
+    F = DrivingTerm(
+        "affine-ts",
+        lambda t, z, s: a + b * t + c * s,
+        ds=lambda t, z, s: np.float64(c),
+        time_bound=abs(b),
+    )
+    return grid, flow._time_change(kind, F, path, rate, defect=0.0)
+
+
+TIME_CHANGES = [("monotone-reduction", -0.5), ("uniqueness-rescale", 0.8)]
+
+
+@pytest.mark.parametrize("kind, r", TIME_CHANGES)
+def test_time_change_driving_term_has_its_closed_form(kind, r):
+    grid, tp = affine_time_change(kind, r)
+    a, b, c = AFFINE_TS
+    coords = grid.coordinates()
+    assert tp.horizon == pytest.approx(-math.log(1.0 - r) / r, rel=1e-14)
+    assert tp.driving.name == f"affine-ts+{kind}"
+    for t in np.linspace(0.0, tp.horizon, 5):
+        tau, e = (1.0 - math.exp(-r * t)) / r, math.exp(-r * t)
+        assert tp.original_time(t) == pytest.approx(tau, rel=1e-14, abs=1e-15)
+        for s in (-1.5, 0.0, 0.7):
+            expected = -r * s + r * grid.n * t + (a + b * tau + c * e * s)
+            assert tp.driving(t, coords, s) == pytest.approx(expected, rel=1e-13, abs=1e-14)
+            assert tp.driving.ds_at(t, coords, s) == pytest.approx(-r + e * c, rel=1e-13)
+
+
+@pytest.mark.parametrize("kind, r", TIME_CHANGES)
+def test_time_change_path_derivative_matches_a_centred_difference(kind, r):
+    _, tp = affine_time_change(kind, r)
+
+    def entries(form):  # (h11, h22, h12) of a spatially constant form
+        return np.ravel(np.asarray(form.components()))
+
+    h = 1e-5
+    for t in np.linspace(0.1, tp.horizon - 0.1, 4):
+        tau = (1.0 - math.exp(-r * t)) / r
+        closed = math.exp(r * t) * (np.eye(2) + tau * CHI)
+        np.testing.assert_allclose(entries(tp.path.theta(t)), [*np.diag(closed), 0.0], rtol=1e-13)
+        centred = (entries(tp.path.theta(t + h)) - entries(tp.path.theta(t - h))) / (2.0 * h)
+        np.testing.assert_allclose(entries(tp.path.theta_dot(t)), centred, rtol=1e-8, atol=1e-9)
+
+
+def test_rescale_monotone_margin_has_its_closed_form():
+    # e^{-At} d/dt[e^{At} theta(tau)] = A theta(tau) + e^{-At} chi = A I + chi for
+    # every t, since A tau + e^{-At} = 1: the margin is A + min eig(chi)
+    grid = TorusGrid(n=2, resolution=8)
+    A = 0.8
+    tp = uniqueness_rescale(DrivingTerm.affine(0.0, 1.0), MetricPath.affine(grid, 1.0, CHI), A)
+    assert tp.certificate["theta_monotone_margin"] == pytest.approx(A - 0.3, abs=1e-13)
+    assert tp.certificate["monotone_part_ds_min"] == pytest.approx(math.exp(-A * tp.horizon))
 
 
 # -- the nef family -------------------------------------------------------------

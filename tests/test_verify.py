@@ -370,9 +370,7 @@ def test_uniqueness_refusal_reasons_cover_each_gap(grid8):
     )
     assert rep.details["refusal"] == ["monotonicity defect 0.2 > 0; reduce first"]
 
-    undeclared = DrivingTerm.from_callable(
-        "no-time-bound", lambda t, c, s: 0.0 * s, time_bound=None
-    )
+    undeclared = DrivingTerm("no-time-bound", lambda t, c, s: 0.0 * s, time_bound=None)
     rep = check_uniqueness(datum, path, undeclared, omega, cfg, schedules=None)
     assert rep.details["refusal"] == ["time-derivative bound undeclared"]
 
