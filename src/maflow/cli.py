@@ -15,6 +15,7 @@ Exit codes: 0 every executed check passed, 1 at least one check failed,
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -246,101 +247,67 @@ class RunContext:
     params: dict = field(default_factory=dict)
     audit: TrajectoryAudit = None  # traj's audit, shared by one execute_checks call
 
-    def check_params(self, name: str) -> dict:
-        p = self.params.get(name, {})
-        if not isinstance(p, dict):
-            raise ConfigError(f"check_params[{name!r}] must be an object")
-        return p
 
-
-def _need(ctx: RunContext, attr: str, check: str):
-    value = getattr(ctx, attr)
-    if value is None:
-        raise ConfigError(f"check {check!r} needs {attr.replace('_', ' ')}")
-    return value
-
-
-def _chk_comparison(ctx: RunContext):
-    p = ctx.check_params("comparison")
-    phi = _need(ctx, "traj", "comparison")
-    psi = _need(ctx, "traj_b", "comparison")
-    lam = p.get("lam")
+def _chk_comparison(ctx: RunContext, lam=None, tol=None, roles=("solution", "solution")):
     if lam is None:
         lam = float(ctx.F.defect) if ctx.F.defect is not None else 0.0
     return [
         verify.check_comparison(
-            phi,
-            psi,
+            ctx.traj,
+            ctx.traj_b,
             lam=float(lam),
-            tol=p.get("tol"),
+            tol=tol,
             path=ctx.path,
             F=ctx.F,
             omega_form=ctx.omega,
-            roles=tuple(p.get("roles", ("solution", "solution"))),
+            roles=tuple(roles),
         )
     ]
 
 
-def _chk_apriori(ctx: RunContext):
-    p = ctx.check_params("apriori-bounds")
-    _need(ctx, "traj", "apriori-bounds")
-    return verify.check_apriori_bounds(ctx.audit, kcap=p.get("kcap"))
+def _chk_apriori(ctx: RunContext, kcap=None):
+    return verify.check_apriori_bounds(ctx.audit, kcap=kcap)
 
 
-def _chk_time_derivative(ctx: RunContext):
-    p = ctx.check_params("time-derivative")
-    traj = _need(ctx, "traj", "time-derivative")
-    eps = p.get("eps")
+def _chk_time_derivative(ctx: RunContext, eps=None, slope_floor=0.9, bounded_variation=2.0):
     if eps is None:
-        eps = verify.default_eps(traj, ctx.cfg.t_min)
+        eps = verify.default_eps(ctx.traj, ctx.cfg.t_min)
     return verify.check_time_derivative(
-        traj,
+        ctx.traj,
         float(eps),
-        slope_floor=float(p.get("slope_floor", 0.9)),
-        bounded_variation=float(p.get("bounded_variation", 2.0)),
+        slope_floor=float(slope_floor),
+        bounded_variation=float(bounded_variation),
     )
 
 
-def _chk_gradient_laplacian(ctx: RunContext):
-    p = ctx.check_params("gradient-laplacian")
-    _need(ctx, "traj", "gradient-laplacian")
-    return verify.check_gradient_laplacian(
-        ctx.audit, pair_tol=float(p.get("pair_tol", 1e-9))
-    )
+def _chk_gradient_laplacian(ctx: RunContext, pair_tol=1e-9):
+    return verify.check_gradient_laplacian(ctx.audit, pair_tol=float(pair_tol))
 
 
-def _chk_energy(ctx: RunContext):
-    p = ctx.check_params("energy")
-    _need(ctx, "traj", "energy")
-    return [verify.check_energy_monotonicity(ctx.audit, slack=float(p.get("slack", 1e-8)))]
+def _chk_energy(ctx: RunContext, slack=1e-8):
+    return [verify.check_energy_monotonicity(ctx.audit, slack=float(slack))]
 
 
 def _chk_residual(ctx: RunContext):
-    _need(ctx, "traj", "residual-certificate")
     return [verify.check_residual_certificate(ctx.audit)]
 
 
-def _chk_stability(ctx: RunContext):
-    p = ctx.check_params("stability")
-    second = _need(ctx, "initial_b", "stability")
-    phi0 = ctx.initial.sample(ctx.grid)
-    psi0 = second.sample(ctx.grid)
+def _chk_stability(ctx: RunContext, homotopy_samples=5, eps=None):
     return [
         verify.check_stability(
-            phi0,
-            psi0,
+            ctx.initial.sample(ctx.grid),
+            ctx.initial_b.sample(ctx.grid),
             ctx.path,
             ctx.F,
             ctx.omega,
             ctx.cfg,
-            homotopy_samples=int(p.get("homotopy_samples", 5)),
-            eps=p.get("eps"),
+            homotopy_samples=int(homotopy_samples),
+            eps=eps,
         )
     ]
 
 
-def _chk_uniqueness(ctx: RunContext):
-    p = ctx.check_params("uniqueness")
+def _chk_uniqueness(ctx: RunContext, rate=None):
     sched_a = ctx.doc.get("schedule")
     sched_b = ctx.doc.get("schedule_b")
     schedules = (
@@ -348,7 +315,6 @@ def _chk_uniqueness(ctx: RunContext):
         if sched_a is not None and sched_b is not None
         else None
     )
-    rate = p.get("rate")
     return [
         verify.check_uniqueness(
             ctx.initial,
@@ -362,34 +328,29 @@ def _chk_uniqueness(ctx: RunContext):
     ]
 
 
-def _chk_convergence(ctx: RunContext):
-    p = ctx.check_params("convergence")
-    cascade = _need(ctx, "cascade", "convergence")
-    ladder = p.get("time_ladder")
+def _chk_convergence(ctx: RunContext, time_ladder=None, eps_cap=None, l1_tol=None, seed=None):
     return verify.check_convergence_modes(
-        cascade,
+        ctx.cascade,
         ctx.initial,
         path=ctx.path,
         omega_form=ctx.omega,
-        time_ladder=None if ladder is None else [float(t) for t in ladder],
-        eps_cap=p.get("eps_cap"),
-        l1_tol=p.get("l1_tol"),
-        seed=int(p.get("seed", ctx.seed if ctx.seed else 7)),
+        time_ladder=None if time_ladder is None else [float(t) for t in time_ladder],
+        eps_cap=eps_cap,
+        l1_tol=l1_tol,
+        seed=int(seed if seed is not None else ctx.seed or 7),
         audit=ctx.audit,
     )
 
 
-def _chk_transform(ctx: RunContext):
-    p = ctx.check_params("transform-roundtrip")
-    phi0 = ctx.initial.sample(ctx.grid)
+def _chk_transform(ctx: RunContext, reduction_rate=None, rescale_rate=None):
     return verify.check_transform_roundtrip(
-        phi0,
+        ctx.initial.sample(ctx.grid),
         ctx.path,
         ctx.F,
         ctx.omega,
         ctx.cfg,
-        reduction_rate=p.get("reduction_rate"),
-        rescale_rate=p.get("rescale_rate"),
+        reduction_rate=reduction_rate,
+        rescale_rate=rescale_rate,
     )
 
 
@@ -407,11 +368,9 @@ def random_pd_pairs(n: int, samples: int, seed: int):
     return stack(), stack()
 
 
-def _chk_trace_inequality(ctx: RunContext):
-    p = ctx.check_params("trace-inequality")
-    samples = int(p.get("samples", 1000))
-    slack = float(p.get("slack", 1e-10))
-    n = int(p.get("n", ctx.grid.n))
+def _chk_trace_inequality(ctx: RunContext, samples=1000, slack=1e-10, n=None):
+    samples, slack = int(samples), float(slack)
+    n = int(ctx.grid.n if n is None else n)
     wp, w = random_pd_pairs(n, samples, ctx.seed)
     lower, upper = trace_inequality_slacks(wp, w)
     worst = float(min(lower.min(), upper.min()))
@@ -420,7 +379,6 @@ def _chk_trace_inequality(ctx: RunContext):
             name="trace-inequality",
             anchor="determinant-trace-chain",
             margin=worst + slack,
-            passed=worst >= -slack,
             constants={
                 "samples": samples,
                 "n": n,
@@ -432,51 +390,78 @@ def _chk_trace_inequality(ctx: RunContext):
     ]
 
 
+@dataclass(frozen=True)
+class Check:
+    """One check: executor(ctx, **check_params) runs it.
+
+    needs names the RunContext objects it cannot run without, column the
+    TrajectoryAudit column it reads from traj (convergence: the finest level)
+    and archive whether `maflow verify` can replay it from saved archives.
+    The executor's keyword parameters are the check_params keys it accepts.
+    """
+
+    executor: object
+    needs: tuple = ()
+    column: str = None
+    archive: bool = False
+
+
 CHECK_TABLE = {
-    "comparison": _chk_comparison,
-    "apriori-bounds": _chk_apriori,
-    "time-derivative": _chk_time_derivative,
-    "gradient-laplacian": _chk_gradient_laplacian,
-    "energy": _chk_energy,
-    "residual-certificate": _chk_residual,
-    "stability": _chk_stability,
-    "uniqueness": _chk_uniqueness,
-    "convergence": _chk_convergence,
-    "transform-roundtrip": _chk_transform,
-    "trace-inequality": _chk_trace_inequality,
+    "comparison": Check(_chk_comparison, ("traj", "traj_b"), archive=True),
+    "apriori-bounds": Check(_chk_apriori, ("traj",), archive=True),
+    "time-derivative": Check(_chk_time_derivative, ("traj",), archive=True),
+    "gradient-laplacian": Check(
+        _chk_gradient_laplacian, ("traj",), column="sup-trace", archive=True
+    ),
+    "energy": Check(_chk_energy, ("traj",), column="energy", archive=True),
+    "residual-certificate": Check(_chk_residual, ("traj",), column="step_residual", archive=True),
+    "stability": Check(_chk_stability, ("initial_b",)),
+    "uniqueness": Check(_chk_uniqueness),
+    "convergence": Check(_chk_convergence, ("cascade",), column="energy", archive=True),
+    "transform-roundtrip": Check(_chk_transform),
+    "trace-inequality": Check(_chk_trace_inequality),
 }
 
-# the TrajectoryAudit column each check reads (convergence: on traj, the finest level)
-AUDIT_COLUMNS = {
-    "gradient-laplacian": "sup-trace",
-    "energy": "energy",
-    "residual-certificate": "step_residual",
-    "convergence": "energy",
-}
+ARCHIVE_CHECKS = tuple(name for name, check in CHECK_TABLE.items() if check.archive)
 
-ARCHIVE_CHECKS = (
-    "comparison",
-    "apriori-bounds",
-    "time-derivative",
-    "gradient-laplacian",
-    "energy",
-    "residual-certificate",
-    "convergence",
-)
+
+def _check_params(doc: dict) -> dict:
+    """The document's check_params; each entry must name a check and only its parameters."""
+    params = doc.get("check_params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("'check_params' must be an object")
+    for name, p in params.items():
+        if name not in CHECK_TABLE:
+            raise ConfigError(f"check_params names unknown check {name!r}")
+        if not isinstance(p, dict):
+            raise ConfigError(f"check_params[{name!r}] must be an object")
+        accepted = list(inspect.signature(CHECK_TABLE[name].executor).parameters)[1:]
+        unknown = sorted(set(p) - set(accepted))
+        if unknown:
+            raise ConfigError(
+                f"check_params[{name!r}] has unknown keys {unknown}; accepted: {accepted}"
+            )
+    return params
+
+
+def _missing(ctx: RunContext, name: str) -> list:
+    """The objects check name needs that ctx does not hold."""
+    return [attr for attr in CHECK_TABLE[name].needs if getattr(ctx, attr) is None]
 
 
 def execute_checks(names, ctx: RunContext):
+    unknown = [name for name in names if name not in CHECK_TABLE]
+    if unknown:
+        raise ConfigError(f"unknown check {unknown[0]!r}; available: {sorted(CHECK_TABLE)}")
     if ctx.traj is not None:
-        columns = [AUDIT_COLUMNS[name] for name in names if name in AUDIT_COLUMNS]
+        columns = [CHECK_TABLE[name].column for name in names if CHECK_TABLE[name].column]
         ctx.audit = TrajectoryAudit(ctx.traj, ctx.path, ctx.F, ctx.omega, columns)
     reports = []
     for name in names:
-        fn = CHECK_TABLE.get(name)
-        if fn is None:
-            raise ConfigError(
-                f"unknown check {name!r}; available: {sorted(CHECK_TABLE)}"
-            )
-        reports.extend(fn(ctx))
+        missing = _missing(ctx, name)
+        if missing:
+            raise ConfigError(f"check {name!r} needs {missing[0].replace('_', ' ')}")
+        reports.extend(CHECK_TABLE[name].executor(ctx, **ctx.params.get(name, {})))
     return reports
 
 
@@ -515,7 +500,6 @@ def _ordering_report(name, anchor, family, **constants):
         name=name,
         anchor=anchor,
         margin=family.monotone_tol - family.monotone_violation,
-        passed=family.monotone_violation <= family.monotone_tol,
         constants={
             "violation": family.monotone_violation,
             "tol": family.monotone_tol,
@@ -535,12 +519,12 @@ def _context(doc: dict, grid: TorusGrid, cfg: FlowConfig, seed: int = None, **ob
         initial=build_initial(_section(doc, "initial"), grid.n),
         path=build_metric(doc, grid, cfg.horizon),
         seed=int(doc.get("seed", 0)) if seed is None else seed,
-        params=doc.get("check_params", {}),
+        params=_check_params(doc),
         **objects,
     )
 
 
-def integrate_scenario(doc: dict, forced_mode: str = None, seed: int = None):
+def integrate_scenario(doc: dict, forced_mode: str = None):
     """Build the problem, integrate by mode, and return (mode, ctx, reports).
 
     reports carries the ordering audits that come for free with cascade and
@@ -549,7 +533,7 @@ def integrate_scenario(doc: dict, forced_mode: str = None, seed: int = None):
     """
     grid = build_grid(doc)
     cfg = build_flow_config(doc)
-    ctx = _context(doc, grid, cfg, seed)
+    ctx = _context(doc, grid, cfg)
     if doc.get("initial_b"):
         ctx.initial_b = build_initial(doc["initial_b"], grid.n)
     path, F, omega, initial = ctx.path, ctx.F, ctx.omega, ctx.initial
@@ -603,9 +587,11 @@ def run_comparison_pair(ctx: RunContext):
 
 def cmd_run(args, forced_mode: str = None) -> int:
     doc = load_document(args.config)
+    if args.seed is not None:
+        doc["seed"] = args.seed  # archived with the run, so verify replays the same draws
     out = Path(args.out) if args.out else Path(doc.get("out", "runs/latest"))
 
-    mode, ctx, reports = integrate_scenario(doc, forced_mode, seed=args.seed)
+    mode, ctx, reports = integrate_scenario(doc, forced_mode)
     if mode == "single":
         archive_io.save_trajectory(out, ctx.traj, run_config=doc)
     elif mode == "cascade":
@@ -701,15 +687,7 @@ def cmd_verify(args) -> int:
     elif len(args.archives) == 2:
         names = ["comparison"]
     else:
-        names = [
-            "apriori-bounds",
-            "time-derivative",
-            "gradient-laplacian",
-            "energy",
-            "residual-certificate",
-        ]
-        if kind == "cascade":
-            names.append("convergence")
+        names = [name for name in ARCHIVE_CHECKS if not _missing(ctx, name)]
     bad = [n for n in names if n not in ARCHIVE_CHECKS]
     if bad:
         raise ConfigError(

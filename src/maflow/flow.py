@@ -682,7 +682,8 @@ class TrajectoryAudit:
     without a phidot) and "step_residual" (sup of the backward-Euler residual
     from snapshot k - 1, None unless the two are consecutive schedule points).
     Outside the positive cone both residual columns are infinite.  At most
-    one form is alive at a time; certificate() certifies the path once.
+    one form is alive at a time; certificate() is the metric path's
+    volume-sandwich delta (geometry.certify_metric_path), computed once.
     """
 
     COLUMNS = ("sup-trace", "energy", "phidot_range", "step_residual")
@@ -747,8 +748,8 @@ class TrajectoryAudit:
             raise NotKahlerError(f"theta + H(phi) leaves the cone (min eig {margin:.3e})")
         return v
 
-    def certificate(self):
-        """The metric path's PathCertificate, computed on first use."""
+    def certificate(self) -> float:
+        """The metric path's volume-sandwich delta, computed on first use."""
         if self._certificate is None:
             self._certificate = geometry.certify_metric_path(self.path, self.omega_form)
         return self._certificate
@@ -766,7 +767,7 @@ def residual_certificate(audit: TrajectoryAudit) -> dict:
     worst = max([0.0, *steps])
     cfg = audit.traj.config
     tol = cfg.newton_tol if cfg is not None else 1e-10
-    return {"max_residual": worst, "pairs": len(steps), "passes": worst <= 2.0 * tol}
+    return {"max_residual": worst, "pairs": len(steps), "tol": tol, "passes": worst <= 2.0 * tol}
 
 
 def instantaneous_residuals(traj: FlowTrajectory, path, F, omega_form) -> dict:
@@ -935,16 +936,10 @@ class TransformedProblem:
     base_driving: DrivingTerm
     certificate: dict
 
-    def original_time(self, t: float) -> float:
-        return _original_time(self.rate, t)
-
-    def transformed_time(self, tau: float) -> float:
-        return _transformed_time(self.rate, tau)
-
     def pull_back(self, traj: FlowTrajectory) -> FlowTrajectory:
         """Map a solved transformed trajectory back to the original problem."""
         B = self.rate
-        times = np.array([self.original_time(t) for t in traj.times])
+        times = np.array([_original_time(B, t) for t in traj.times])
         fields = []
         phidots = []
         for t, fld, pd in zip(traj.times, traj.fields, traj.phidots):
@@ -959,7 +954,7 @@ class TransformedProblem:
             times=times,
             fields=fields,
             phidots=phidots,
-            schedule=np.array([self.original_time(t) for t in traj.schedule]),
+            schedule=np.array([_original_time(B, t) for t in traj.schedule]),
             stored_indices=traj.stored_indices.copy(),
             diagnostics=list(traj.diagnostics),
             config=traj.config,

@@ -8,7 +8,8 @@ This is the one module that knows the n <= 2 component layout (h11,) or
 (h11, h22, h12) beyond storing it: the flow, the potentials and the checks
 build theta_t + dd^c phi with `kahler_form`, test the positive cone with
 `cone_margin` (`lowest_eigenvalue` also names the worst grid point) and take
-traces with `comps_trace`.
+traces with `comps_trace`.  `certify_metric_path` samples a metric path's
+volume sandwich and returns its delta, the one path fact the checks read.
 """
 
 from __future__ import annotations
@@ -289,80 +290,21 @@ class MetricPath:
         return cls(grid, horizon, "custom", theta_fn, theta_dot_fn, meta)
 
 
-@dataclass
-class PathCertificate:
-    """Sampled evidence for the standing assumptions on a metric path.
+def certify_metric_path(path: MetricPath, omega_form: VolumeForm) -> float:
+    """The path's volume-sandwich delta: the smallest delta >= 1 with
 
-    All margins are computed on a finite time sample and adjusted by a
-    first-order Lipschitz allowance derived from |theta_dot|; this is a
-    certificate in the audit sense, not a proof.
-    """
+        delta^-1 Omega <= theta_t^n <= delta Omega
 
-    kind: str
-    samples: int
-    sandwich_margin: float        # min eig of theta - omega/2 and 2*omega - theta
-    monotone_margin: float        # min eig of theta - t * theta_dot
-    delta: float                  # volume sandwich delta^-1 Omega <= theta^n <= delta Omega
-    lipschitz_allowance: float
-    nef_floor: float | None
-    passed: bool
-
-
-def certify_metric_path(path: MetricPath, omega_form: VolumeForm) -> PathCertificate:
-    """Sample the standing assumptions along the path and report margins.
-
-    Checks, at PATH_SAMPLES equispaced times covering [0, horizon]:
-      * the metric sandwich omega/2 <= theta_t <= 2*omega,
-      * monotone-compatibility theta_t - t * theta_dot_t >= 0,
-      * the volume sandwich, recording the smallest admissible delta.
-
-    The sandwich margins are reduced by L * dt / 2 where L bounds the sampled
-    operator norm of theta_dot (first-order in-between-samples allowance).
-    The nef kind is exempt from the lower sandwich bound at small times and
-    reports the eigenvalue floor of theta(0) instead.
+    at PATH_SAMPLES equispaced times covering [0, horizon]; inf when theta_t^n
+    is not positive somewhere.  A sampled certificate in the audit sense,
+    not a proof; the checks read log(delta).
     """
     grid = path.grid
-    ts = np.linspace(0.0, path.horizon, PATH_SAMPLES)
-    sandwich = math.inf
-    monotone = math.inf
-    delta = 1.0
-    lip = 0.0
     dens = np.broadcast_to(omega_form.density, grid.shape)
-    for t in ts:
-        th = path.theta(t)
-        thd = path.theta_dot(t)
-        lo = cone_margin((th - HermitianField.identity(grid, 0.5)).components())
-        hi = cone_margin((HermitianField.identity(grid, 2.0) - th).components())
-        if path.kind == "nef":
-            sandwich = min(sandwich, hi)
-        else:
-            sandwich = min(sandwich, lo, hi)
-        mono = cone_margin((th - thd.scaled(t)).components())
-        monotone = min(monotone, mono)
-        det = np.broadcast_to(comps_det(th.components()), grid.shape)
-        if det.min() > 0:
-            delta = max(delta, float((det / dens).max()), float((dens / det).max()))
-        else:
-            delta = math.inf
-        lip = max(lip, float(np.max(np.abs(comps_eig_min(thd.components())))),
-                  float(np.max(np.abs(comps_trace(thd.components())))))
-    allowance = lip * (ts[1] - ts[0]) / 2.0
-    nef_floor = None
-    if path.kind == "nef":
-        nef_floor = cone_margin(path.theta(0.0).components())
-    passed = (
-        sandwich - allowance >= -PSD_TOL
-        and monotone >= -PSD_TOL
-        and math.isfinite(delta)
-    )
-    return PathCertificate(
-        kind=path.kind,
-        samples=PATH_SAMPLES,
-        sandwich_margin=sandwich - allowance,
-        monotone_margin=monotone,
-        delta=delta,
-        lipschitz_allowance=allowance,
-        nef_floor=nef_floor,
-        passed=passed,
-    )
-
+    delta = 1.0
+    for t in np.linspace(0.0, path.horizon, PATH_SAMPLES):
+        det = np.broadcast_to(comps_det(path.theta(t).components()), grid.shape)
+        if not det.min() > 0:
+            return math.inf
+        delta = max(delta, float((det / dens).max()), float((dens / det).max()))
+    return delta

@@ -2,14 +2,16 @@
 
 Conventions shared by every check in this module:
 
-* margins are signed and the check passes iff margin >= 0;
+* margins are signed and the check passes iff margin >= 0: the report
+  type enforces it, since MarginReport.passed is read from the margin and
+  cannot be set on its own;
 * fitted constants come from ordinary least squares (np.polyfit), never from
   stochastic search, so reports are bit-reproducible given the same inputs;
-* existence-of-a-constant checks (the fitted A, C families) report margin 0.0
-  once the constant is finite, because the underlying estimate supplies no
-  computable value to compare against.  The constant itself is in
-  report.constants and its stability under schedule refinement is a separate
-  test;
+* existence-of-a-constant checks (the fitted A, C families) report margin
+  0.0 once the constant is finite and -inf otherwise (`_exists`), because
+  the underlying estimate supplies no computable value to compare against.
+  The constant itself is in report.constants and its stability under
+  schedule refinement is a separate test;
 * a check that needs snapshots the trajectory did not store raises
   MissingSnapshotsError with the missing (s, t) time pairs attached.
 """
@@ -27,6 +29,7 @@ from .flow import (
     FlowConfig,
     FlowTrajectory,
     TrajectoryAudit,
+    _sampled_min,
     instantaneous_residuals,
     monotone_reduction,
     ordering_gap,
@@ -67,25 +70,29 @@ __all__ = [
 class MarginReport:
     """One verified inequality: signed worst margin plus fitted constants.
 
-    margin >= 0 passes.  location is the (t, z...) point achieving the worst
-    margin when the check has a pointwise reading, else None.  constants
-    holds named fitted or explicit values; details holds series and notes.
+    passed is margin >= 0, read from the margin.  location is the (t, z...)
+    point achieving the worst margin when the check has a pointwise reading,
+    else None.  constants holds named fitted or explicit values; details
+    holds series and notes.
     """
 
     name: str
     anchor: str
     margin: float
-    passed: bool
     location: tuple = None
     constants: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= 0.0)
 
     def as_dict(self) -> dict:
         return {
             "check": self.name,
             "anchor": self.anchor,
             "margin": _json_clean(self.margin),
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "location": _json_clean(self.location),
             "constants": _json_clean(self.constants),
             "details": _json_clean(self.details),
@@ -122,6 +129,11 @@ def write_reports(reports, directory, stem: str = "margins"):
         for r in reports:
             w.writerow(r.csv_row())
     return jpath, cpath
+
+
+def _exists(*constants) -> float:
+    """The margin of an existence check: 0.0 when every constant is finite, else -inf."""
+    return 0.0 if all(map(math.isfinite, constants)) else -math.inf
 
 
 def _point(grid, flat_index: int) -> tuple:
@@ -220,7 +232,6 @@ def check_comparison(
         name="comparison",
         anchor="sup-difference-exponential",
         margin=margin,
-        passed=margin >= 0.0,
         location=(t_worst,) + _point(grid, j_worst),
         constants={"lambda": lam, "tol": tol, "initial_gap": gap0, "sup_gap": worst},
         details=details,
@@ -261,7 +272,6 @@ def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
                 name="apriori-upper",
                 anchor="explicit-linear-upper",
                 margin=0.0,
-                passed=True,
                 constants={},
                 details={
                     "applicable": False,
@@ -270,14 +280,12 @@ def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
             )
         )
     else:
-        cert = audit.certificate()
+        delta = audit.certificate()
         coords = grid.coordinates()
         zeros = np.zeros(grid.shape)
         ts = np.unique(np.concatenate([traj.times, np.linspace(0.0, traj.times[-1], 33)]))
-        inf_f = math.inf
-        for t in ts:
-            inf_f = min(inf_f, float(np.min(F(float(t), coords, zeros))))
-        C = -inf_f + n * math.log(cert.delta)
+        inf_f = _sampled_min(lambda t, _: F(t, coords, zeros), ts, (0.0,))
+        C = -inf_f + n * math.log(delta)
         M0 = max(float(traj.fields[0].values.max()), 0.0)
         snapshots = list(zip(traj.times, traj.fields))
         gap = lambda t, f: f.values - C * float(t) - M0
@@ -290,9 +298,8 @@ def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
                 name="apriori-upper",
                 anchor="explicit-linear-upper",
                 margin=worst,
-                passed=worst >= 0.0,
                 location=where,
-                constants={"C": C, "delta": cert.delta, "M0": M0, "room_positive_t": -later},
+                constants={"C": C, "delta": delta, "M0": M0, "room_positive_t": -later},
                 details={"applicable": True},
             )
         )
@@ -315,7 +322,6 @@ def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
                 name="apriori-lower",
                 anchor="modulus-lower",
                 margin=0.0,
-                passed=True,
                 constants={"K": 0.0, "kcap": kcap},
                 details={"note": "no positive times stored"},
             )
@@ -333,7 +339,6 @@ def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
             name="apriori-lower",
             anchor="modulus-lower",
             margin=kcap - K,
-            passed=K <= kcap,
             location=locs[order[kidx]],
             constants={"K": K, "kcap": kcap},
             details={"times": ts, "c": c},
@@ -386,8 +391,7 @@ def check_time_derivative(
     upper = MarginReport(
         name="derivative-upper",
         anchor="derivative-envelope-upper",
-        margin=0.0,
-        passed=math.isfinite(c_up),
+        margin=_exists(c_up),
         location=where,
         constants={"C_up": c_up, "eps": float(eps)},
     )
@@ -415,7 +419,6 @@ def check_time_derivative(
         name="derivative-lower",
         anchor="derivative-log-slope",
         margin=margin,
-        passed=margin >= 0.0,
         constants={
             "slope": float(slope),
             "intercept": float(intercept),
@@ -465,8 +468,7 @@ def check_gradient_laplacian(audit: TrajectoryAudit, pair_tol: float = 1e-9) -> 
     gradient = MarginReport(
         name="gradient-bound",
         anchor="gradient-exp-constant",
-        margin=0.0,
-        passed=math.isfinite(c_g),
+        margin=_exists(c_g),
         location=g_where,
         constants={"C_g": c_g},
         details={"times": g_times, "t_log_sup_grad": g_vals},
@@ -505,8 +507,7 @@ def check_gradient_laplacian(audit: TrajectoryAudit, pair_tol: float = 1e-9) -> 
     laplacian = MarginReport(
         name="laplacian-bound",
         anchor="trace-oscillation-affine",
-        margin=0.0,
-        passed=math.isfinite(A) and math.isfinite(C),
+        margin=_exists(A, C),
         constants={"A": A, "C": C, "pairs": len(pair_ts)},
         details={"times": pair_ts, "t_log_sup_trace": ys, "osc_half": xs},
     )
@@ -537,16 +538,15 @@ def check_energy_monotonicity(audit: TrajectoryAudit, slack: float = 1e-8) -> Ma
     kworst = int(np.argmax(rates))
     where = (float(traj.times[kworst + 1]),)
     if audit.path.kind == "constant":
-        cap = 1.0 + math.log(audit.certificate().delta)
+        cap = 1.0 + math.log(audit.certificate())
         margin = cap - c_e
     else:
         cap = None
-        margin = 0.0 if math.isfinite(c_e) else -math.inf
+        margin = _exists(c_e)
     return MarginReport(
         name="energy-monotone",
         anchor="energy-drift",
         margin=margin,
-        passed=margin >= 0.0,
         location=where,
         constants={"C_E": c_e, "cap": cap},
         details={"times": traj.times, "energies": e},
@@ -630,7 +630,6 @@ def check_stability(
         name="stability",
         anchor="contraction-homotopy",
         margin=margin,
-        passed=margin >= 0.0,
         location=where,
         constants={"C0": ratio, "C2_eps": c2, "eps": float(eps), "tol": tol},
         details={"d0": d0, "homotopy_samples": m, "contraction_margin": margin_c,
@@ -656,7 +655,7 @@ def check_uniqueness(
     Preconditions are a genuine certificate: the driving term must declare
     monotonicity defect 0, a finite time-derivative bound, and smoothness,
     and the exponential rescale certificate must exist for some admissible
-    rate.  A term failing any of these gets a refusal report (passed False,
+    rate.  A term failing any of these gets a refusal report (margin -inf,
     details.certified False) rather than a margin; refusing is the correct
     answer for terms admitting several solutions.  Only a term that passes
     these preconditions needs the two regularization schedules.
@@ -675,7 +674,6 @@ def check_uniqueness(
             name="uniqueness",
             anchor="two-schedule-agreement",
             margin=-math.inf,
-            passed=False,
             constants={},
             details={
                 "certified": False,
@@ -719,7 +717,6 @@ def check_uniqueness(
         name="uniqueness",
         anchor="two-schedule-agreement",
         margin=margin,
-        passed=margin >= 0.0,
         location=where,
         constants={"rate": float(rate), **transformed.certificate},
         details={"certified": True, "probes": diffs, "tol": tol},
@@ -799,7 +796,6 @@ def check_convergence_modes(
             name="convergence-l1",
             anchor="initial-data-l1",
             margin=margin,
-            passed=margin >= 0.0,
             location=(time_ladder[-1],),
             constants={"final": d_l1[-1], "tol": l1_tol},
             details={"times": time_ladder, "values": d_l1, "notes": notes},
@@ -814,7 +810,6 @@ def check_convergence_modes(
                 name="convergence-sup",
                 anchor="initial-data-sup",
                 margin=margin,
-                passed=margin >= 0.0,
                 constants={"final": d_sup[-1]},
                 details={"times": time_ladder, "values": d_sup},
             )
@@ -834,7 +829,6 @@ def check_convergence_modes(
                 name="convergence-capacity",
                 anchor="initial-data-capacity",
                 margin=margin,
-                passed=margin >= 0.0,
                 constants={"eps": eps_cap, "final": caps[-1]},
                 details={"times": time_ladder, "values": caps},
             )
@@ -851,7 +845,6 @@ def check_convergence_modes(
                 name="convergence-capacity-ladder",
                 anchor="ladder-capacity",
                 margin=margin,
-                passed=margin >= 0.0,
                 constants={"eps": eps_cap, "final": lad_caps[-1]},
                 details={"deltas": list(cascade.ladder.deltas), "values": lad_caps},
             )
@@ -872,7 +865,6 @@ def check_convergence_modes(
                     name="convergence-energy",
                     anchor="initial-data-energy",
                     margin=margin,
-                    passed=margin >= 0.0,
                     constants={"final": d_e[-1], "E0": e0},
                     details={"times": time_ladder, "values": d_e},
                 )
@@ -887,14 +879,11 @@ def check_convergence_modes(
 def check_residual_certificate(audit: TrajectoryAudit) -> MarginReport:
     """Recomputed backward-Euler residuals stay within twice the Newton gate."""
     cert = residual_certificate(audit)
-    cfg = audit.traj.config
-    tol = cfg.newton_tol if cfg is not None else 1e-10
-    margin = 2.0 * tol - cert["max_residual"]
+    margin = 2.0 * cert["tol"] - cert["max_residual"]
     return MarginReport(
         name="residual-certificate",
         anchor="recomputed-step-residuals",
         margin=margin,
-        passed=margin >= 0.0,
         constants={"max_residual": cert["max_residual"], "pairs": cert["pairs"]},
     )
 
@@ -942,7 +931,6 @@ def check_transform_roundtrip(
                 name=f"transform-{label}",
                 anchor="pulled-back-residual",
                 margin=margin,
-                passed=margin >= 0.0,
                 constants={
                     "rate": tp.rate,
                     "max_residual": res["max_residual"],

@@ -1,11 +1,16 @@
-"""The benchmark's traced names resolve on the maflow modules.
+"""The names the benchmark reads from maflow resolve and keep their meaning.
 
-bench/spans.py wraps each name in PHASE_TARGETS and FULL_TARGETS at run time;
-a renamed or deleted function would crash the benchmark, so it fails here.
+bench/spans.py wraps each name in PHASE_TARGETS and FULL_TARGETS at run time,
+and bench/harness.py replays the scenario checks listed in cli.ARCHIVE_CHECKS
+and reads each report's name, passed flag and margin.  A renamed or deleted
+name would crash the benchmark, so it fails here.
 """
 
+import math
 import runpy
 from pathlib import Path
+
+import pytest
 
 from maflow import cli, flow, geometry, grid, io, psh, verify
 
@@ -29,3 +34,18 @@ def test_every_span_target_resolves():
     spans = runpy.run_path(str(SPANS))
     targets = dict.fromkeys(spans["PHASE_TARGETS"] + spans["FULL_TARGETS"])
     assert [name for name in targets if not resolves(name)] == []
+
+
+def test_archive_checks_name_checks_of_the_table():
+    assert type(cli.ARCHIVE_CHECKS) is tuple
+    assert cli.ARCHIVE_CHECKS
+    assert set(cli.ARCHIVE_CHECKS) <= set(cli.CHECK_TABLE)
+
+
+@pytest.mark.parametrize("margin", [0.0, -0.0, 1e-300, -1e-300, 2.5, -2.5, math.inf, -math.inf])
+def test_report_passed_is_margin_nonnegative(margin):
+    report = verify.MarginReport(name="demo", anchor="demo-anchor", margin=margin)
+    assert report.passed is (margin >= 0.0)
+    assert report.as_dict()["passed"] is (margin >= 0.0)
+    with pytest.raises(TypeError):
+        verify.MarginReport(name="demo", anchor="demo-anchor", margin=margin, passed=True)

@@ -383,9 +383,9 @@ def test_checks_certify_the_metric_path_once(tmp_path, monkeypatch):
     assert certificates == 1
 
 
-def test_verify_replays_a_cascade_with_the_run_seed(tmp_path):
+def seeded_cascade_doc(tmp_path):
     # the capacity check draws its dictionary from the scenario's seed
-    cfg_path, _ = write_doc(
+    return write_doc(
         tmp_path,
         grid={"n": 1, "resolution": 32},
         driving={"kind": "zero"},
@@ -396,9 +396,13 @@ def test_verify_replays_a_cascade_with_the_run_seed(tmp_path):
         schedule={"delta0": 0.25, "ratio": 0.5, "levels": 3},
         checks=["convergence"],
         seed=3,
-    )
+    )[0]
+
+
+def assert_verify_replays(tmp_path, run_argv):
+    """A plain convergence replay reproduces every live margin and constant."""
     out = tmp_path / "out"
-    code = cli.main(["run", "--config", str(cfg_path)])
+    code = cli.main(run_argv)
     live = json.loads((out / "margins.json").read_text())
     live = [r for r in live if r["check"] != "cascade-ordering"]  # not a replayed check
     replay_dir = tmp_path / "replay"
@@ -408,3 +412,39 @@ def test_verify_replays_a_cascade_with_the_run_seed(tmp_path):
     assert [(r["check"], r["margin"], r["constants"]) for r in replay] == [
         (r["check"], r["margin"], r["constants"]) for r in live
     ]
+
+
+def test_verify_replays_a_cascade_with_the_run_seed(tmp_path):
+    cfg_path = seeded_cascade_doc(tmp_path)
+    assert_verify_replays(tmp_path, ["run", "--config", str(cfg_path)])
+
+
+def test_verify_replays_a_run_seed_override(tmp_path):
+    cfg_path = seeded_cascade_doc(tmp_path)
+    assert_verify_replays(tmp_path, ["run", "--config", str(cfg_path), "--seed", "5"])
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["run_config"]["seed"] == 5
+
+
+def scenario_09_with(tmp_path, check_params):
+    doc = json.loads(scenario_path("09-energy-monotone").read_text())
+    doc.update(check_params=check_params, out=str(tmp_path / "out"))
+    path = tmp_path / "09.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "check_params, named",
+    [({"energy": {"slak": 1.0}}, "slak"), ({"energi": {"slack": 1.0}}, "energi")],
+)
+def test_misspelled_check_params_exit_two(tmp_path, capsys, check_params, named):
+    cfg_path = scenario_09_with(tmp_path, check_params)
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # refused before integrating
+
+
+def test_check_params_of_a_skipped_check_are_accepted(tmp_path):
+    cfg_path, _ = write_doc(tmp_path, check_params={"energy": {"slack": 1.0}})
+    assert cli.main(["run", "--config", str(cfg_path), "--check", "residual-certificate"]) == 0

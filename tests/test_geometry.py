@@ -130,15 +130,14 @@ class TestMetricPath:
     def test_constant_path_certificate_is_tight(self):
         g = TorusGrid(1, 16)
         path = MetricPath.constant(g, 0.5)
-        cert = certify_metric_path(path, VolumeForm.constant(g, 1.0))
-        assert cert.delta == pytest.approx(1.0)
+        assert certify_metric_path(path, VolumeForm.constant(g, 1.0)) == pytest.approx(1.0)
 
     def test_affine_path_certificate(self):
         # theta_t = (1 + 0.2 t) I so the volume ratio peaks at 1 + 0.2 T
         g = TorusGrid(1, 16)
         path = MetricPath.affine(g, 0.5, [[0.2]])
-        cert = certify_metric_path(path, VolumeForm.constant(g, 1.0))
-        assert cert.delta == pytest.approx(1.1, rel=1e-12)
+        delta = certify_metric_path(path, VolumeForm.constant(g, 1.0))
+        assert delta == pytest.approx(1.1, rel=1e-12)
 
     def test_nef_path_needs_semipositive_reference(self):
         g = TorusGrid(2, 8)

@@ -495,7 +495,6 @@ def test_write_reports_round_trip(tmp_path):
             name="demo",
             anchor="demo-anchor",
             margin=0.25,
-            passed=True,
             location=(0.1, 0.5),
             constants={"C": 2.0},
         ),
@@ -503,7 +502,6 @@ def test_write_reports_round_trip(tmp_path):
             name="refused",
             anchor="two-schedule-agreement",
             margin=-math.inf,
-            passed=False,
             details={"refusal": ["no monotonicity certificate declared"]},
         ),
     ]
