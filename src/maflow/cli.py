@@ -444,11 +444,6 @@ def _check_params(doc: dict) -> dict:
     return params
 
 
-def _missing(ctx: RunContext, name: str) -> list:
-    """The objects check name needs that ctx does not hold."""
-    return [attr for attr in CHECK_TABLE[name].needs if getattr(ctx, attr) is None]
-
-
 def execute_checks(names, ctx: RunContext):
     unknown = [name for name in names if name not in CHECK_TABLE]
     if unknown:
@@ -458,7 +453,7 @@ def execute_checks(names, ctx: RunContext):
         ctx.audit = TrajectoryAudit(ctx.traj, ctx.path, ctx.F, ctx.omega, columns)
     reports = []
     for name in names:
-        missing = _missing(ctx, name)
+        missing = [attr for attr in CHECK_TABLE[name].needs if getattr(ctx, attr) is None]
         if missing:
             raise ConfigError(f"check {name!r} needs {missing[0].replace('_', ' ')}")
         reports.extend(CHECK_TABLE[name].executor(ctx, **ctx.params.get(name, {})))
@@ -645,49 +640,44 @@ def _save_nef(out, family, doc):
 
 
 def _load_any(directory):
-    """Load an archive directory as (kind, object, manifest)."""
+    """Load an archive directory as (traj, cascade, manifest).
+
+    traj is the trajectory the archive gives (a cascade's finest level);
+    cascade is None for a single-trajectory archive.
+    """
     d = Path(directory)
     mpath = d / "manifest.json"
     if not mpath.is_file():
         raise ConfigError(f"no manifest.json under {d}")
     manifest = json.loads(mpath.read_text())
     if "cascade" in manifest:
-        return "cascade", archive_io.load_cascade(d), manifest
-    return "trajectory", archive_io.load_trajectory(d), manifest
-
-
-def _context_from_manifest(manifest, loaded, kind, seed) -> RunContext:
-    doc = manifest.get("run_config")
-    if not isinstance(doc, dict):
-        raise ConfigError(
-            "archive has no stored scenario; re-run with a run_config to verify"
-        )
-    if kind == "cascade":
-        traj = loaded.trajectories[-1]
-        cascade = loaded
-    else:
-        traj = loaded
-        cascade = None
-    return _context(doc, traj.grid, traj.config, seed, traj=traj, cascade=cascade)
+        cascade = archive_io.load_cascade(d)
+        return cascade.trajectories[-1], cascade, manifest
+    return archive_io.load_trajectory(d), None, manifest
 
 
 def cmd_verify(args) -> int:
     if len(args.archives) > 2:
         raise ConfigError("verify takes one archive, or two for comparison")
-    kind, loaded, manifest = _load_any(args.archives[0])
-    ctx = _context_from_manifest(manifest, loaded, kind, args.seed)
-    if len(args.archives) == 2:
-        kind_b, loaded_b, _ = _load_any(args.archives[1])
-        ctx.traj_b = (
-            loaded_b.trajectories[-1] if kind_b == "cascade" else loaded_b
+    traj, cascade, manifest = _load_any(args.archives[0])
+    doc = manifest.get("run_config")
+    if not isinstance(doc, dict):
+        raise ConfigError(
+            "archive has no stored scenario; re-run with a run_config to verify"
         )
+    ctx = _context(doc, traj.grid, traj.config, args.seed, traj=traj, cascade=cascade)
+    pair = Path(args.archives[0]) / "pair"
+    if len(args.archives) == 2:
+        ctx.traj_b = _load_any(args.archives[1])[0]
+    elif (pair / "manifest.json").is_file():
+        ctx.traj_b = _load_any(pair)[0]  # the second flow `run` archived for comparison
 
     if args.check:
         names = list(args.check)
     elif len(args.archives) == 2:
         names = ["comparison"]
     else:
-        names = [name for name in ARCHIVE_CHECKS if not _missing(ctx, name)]
+        names = [name for name in _select_checks(doc, args) if name in ARCHIVE_CHECKS]
     bad = [n for n in names if n not in ARCHIVE_CHECKS]
     if bad:
         raise ConfigError(
@@ -710,8 +700,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
-    kind, loaded, manifest = _load_any(args.archive)
-    traj = loaded.trajectories[-1] if kind == "cascade" else loaded
+    traj, _, manifest = _load_any(args.archive)
     path = None
     omega = None
     doc = manifest.get("run_config")

@@ -1,15 +1,20 @@
-"""Kahler-side algebra: volume forms, metric paths, determinants and traces.
+"""Kahler-side algebra: forms, volume forms, metric paths, determinants, traces.
 
 Everything is phrased against the flat reference form omega = identity, so a
 "form" is a Hermitian matrix field and wedge-power ratios become determinant
 and mixed-determinant ratios, which have closed forms for n <= 2.
 
-This is the one module that knows the n <= 2 component layout (h11,) or
-(h11, h22, h12) beyond storing it: the flow, the potentials and the checks
-build theta_t + dd^c phi with `kahler_form`, test the positive cone with
-`cone_margin` (`lowest_eigenvalue` also names the worst grid point) and take
-traces with `comps_trace`.  `certify_metric_path` samples a metric path's
-volume sandwich and returns its delta, the one path fact the checks read.
+A form is its component tuple: (h11,) at n = 1, (h11, h22, h12) at n = 2,
+with h11 and h22 the real diagonal entries and h12 the complex entry above
+the diagonal (the lower triangle is implied).  A component is a grid-shaped
+array or a scalar (a spatially constant entry) and broadcasts against the
+grid.  This module builds forms (`identity_form`, `form_from_matrix`, the
+`MetricPath` families) and holds all of their algebra: the flow, the
+potentials and the checks build theta_t + dd^c phi with `kahler_form`, test
+the positive cone with `cone_margin` (`lowest_eigenvalue` also names the
+worst grid point) and take traces with `comps_trace`.  `certify_metric_path`
+samples a metric path's volume sandwich and returns its delta, the one path
+fact the checks read.
 """
 
 from __future__ import annotations
@@ -19,15 +24,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NotKahlerError
-from .grid import HermitianField, ScalarField, TorusGrid, hessian_components
+from .errors import ConfigError
+from .grid import TorusGrid, hessian_components
 
 PSD_TOL = 1e-10
 PATH_SAMPLES = 64  # equispaced times at which certify_metric_path samples a path
 
 
 # ---------------------------------------------------------------------------
-# component-level helpers (shared by field ops and the flow hot path)
+# forms as component tuples
+
+
+def identity_form(n: int, scale: float = 1.0) -> tuple:
+    """scale * I as a spatially constant form."""
+    if n == 1:
+        return (np.float64(scale),)
+    return (np.float64(scale), np.float64(scale), np.complex128(0.0))
+
+
+def form_from_matrix(mat, n: int) -> tuple:
+    """Spatially constant form from an n x n matrix (Hermitian part taken)."""
+    m = np.asarray(mat, dtype=np.complex128)
+    if m.shape != (n, n):
+        raise ConfigError(f"expected a {n}x{n} matrix, got shape {m.shape}")
+    m = 0.5 * (m + m.conj().T)
+    if n == 1:
+        return (m[0, 0].real,)
+    return (m[0, 0].real, m[1, 1].real, m[0, 1])
 
 
 def comps_det(comps):
@@ -64,15 +87,15 @@ def cone_margin(comps) -> float:
     return float(np.min(comps_eig_min(comps)))
 
 
-def kahler_form(theta: HermitianField, values, grid: TorusGrid, backend: str, hessian=None):
-    """(theta + H(values), H(values)) as component tuples.
+def kahler_form(theta, values, grid: TorusGrid, backend: str, hessian=None):
+    """(theta + H(values), H(values)) as component tuples; theta is a form.
 
     hessian, when given, is H(values) already computed (a warm start); values
     is then not read and may be None.
     """
     if hessian is None:
         hessian = hessian_components(values, grid, backend)
-    return tuple(th + hc for th, hc in zip(theta.components(), hessian)), hessian
+    return tuple(th + hc for th, hc in zip(theta, hessian)), hessian
 
 
 def comps_trace_inv(base, alpha):
@@ -143,39 +166,7 @@ class VolumeForm:
 
 
 # ---------------------------------------------------------------------------
-# pointwise operations
-
-
-def ma_density(
-    theta: HermitianField,
-    phi: ScalarField,
-    omega_form: VolumeForm,
-    backend: str = "spectral",
-) -> ScalarField:
-    """Monge-Ampere density (theta + H(phi))^n / Omega as a scalar field.
-
-    Raises NotKahlerError (with the worst grid point) when theta + H(phi)
-    fails to be positive definite somewhere.
-    """
-    total, _ = kahler_form(theta, phi.values, phi.grid, backend)
-    worst, loc = lowest_eigenvalue(total, phi.grid.shape)
-    if worst <= 0.0:
-        raise NotKahlerError(
-            f"metric form not positive definite: min eigenvalue {worst:.3e} at {loc}",
-            location=loc,
-            eigenvalue=worst,
-        )
-    dens = comps_det(total) / np.broadcast_to(omega_form.density, phi.grid.shape)
-    return ScalarField(phi.grid, np.broadcast_to(dens, phi.grid.shape))
-
-
-def _trace_slacks(wp, w, n):
-    """Left and right slacks of the trace/determinant chain on component tuples."""
-    ratio = comps_det(wp) / comps_det(w)
-    tr_w_wp = np.real(comps_trace_inv(w, wp))
-    lower = tr_w_wp / n - ratio ** (1.0 / n)
-    upper = ratio * np.real(comps_trace_inv(wp, w)) ** (n - 1) - tr_w_wp / n
-    return lower, upper
+# the trace/determinant inequality
 
 
 def trace_inequality_slacks(omega_prime_mats: np.ndarray, omega_mats: np.ndarray):
@@ -185,8 +176,10 @@ def trace_inequality_slacks(omega_prime_mats: np.ndarray, omega_mats: np.ndarray
 
         (det w' / det w)^(1/n)  <=  tr_w(w') / n  <=  (det w'/det w) * tr_{w'}(w)^(n-1)
 
-    holds pointwise.  Input arrays have shape (..., n, n); the two returned
-    arrays are the left and right slacks (nonnegative in exact arithmetic).
+    holds pointwise.  Input arrays have shape (..., n, n), read by their
+    diagonal and upper triangle (no Hermitian part is taken); the two
+    returned arrays are the left and right slacks (nonnegative in exact
+    arithmetic).
     """
     def comps(m):
         m = np.asarray(m)
@@ -194,26 +187,12 @@ def trace_inequality_slacks(omega_prime_mats: np.ndarray, omega_mats: np.ndarray
             return (m[..., 0, 0].real,)
         return (m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1])
 
-    return _trace_slacks(comps(omega_prime_mats), comps(omega_mats), omega_mats.shape[-1])
-
-
-def check_trace_inequality(omega_prime: HermitianField, omega: HermitianField) -> dict:
-    """Grid-wide audit of the trace/determinant inequality chain.
-
-    Returns the minimal left and right slacks and a pass flag at tolerance
-    -1e-10 (slacks may round slightly negative for near-degenerate pairs).
-    """
-    for name, f in (("omega_prime", omega_prime), ("omega", omega)):
-        worst = cone_margin(f.components())
-        if worst <= 0.0:
-            raise NotKahlerError(f"{name} is not positive definite (min eig {worst:.3e})")
-    lower, upper = _trace_slacks(omega_prime.components(), omega.components(), omega.grid.n)
-    lo, up = float(np.min(lower)), float(np.min(upper))
-    return {
-        "slack_lower": lo,
-        "slack_upper": up,
-        "passes": lo >= -PSD_TOL and up >= -PSD_TOL,
-    }
+    wp, w, n = comps(omega_prime_mats), comps(omega_mats), omega_mats.shape[-1]
+    ratio = comps_det(wp) / comps_det(w)
+    tr_w_wp = np.real(comps_trace_inv(w, wp))
+    lower = tr_w_wp / n - ratio ** (1.0 / n)
+    upper = ratio * np.real(comps_trace_inv(wp, w)) ** (n - 1) - tr_w_wp / n
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +200,9 @@ def check_trace_inequality(omega_prime: HermitianField, omega: HermitianField) -
 
 
 class MetricPath:
-    """Time-dependent family of Hermitian reference forms theta_t on [0, T].
+    """Time-dependent family of reference forms theta_t on [0, T].
+
+    theta(t) and theta_dot(t) return forms (component tuples).
 
     Kinds:
       constant : theta_t = theta (default: the reference identity form)
@@ -241,46 +222,42 @@ class MetricPath:
         self._theta_dot_fn = theta_dot_fn
         self.meta = dict(meta or {})
 
-    def theta(self, t: float) -> HermitianField:
+    def theta(self, t: float) -> tuple:
         return self._theta_fn(float(t))
 
-    def theta_dot(self, t: float) -> HermitianField:
+    def theta_dot(self, t: float) -> tuple:
         return self._theta_dot_fn(float(t))
 
     @classmethod
     def constant(cls, grid: TorusGrid, horizon: float, matrix=None) -> "MetricPath":
-        theta = (
-            HermitianField.identity(grid)
-            if matrix is None
-            else HermitianField.from_matrix(grid, matrix)
-        )
-        zero = HermitianField.identity(grid, 0.0)
+        theta = identity_form(grid.n) if matrix is None else form_from_matrix(matrix, grid.n)
+        zero = identity_form(grid.n, 0.0)
         return cls(grid, horizon, "constant", lambda t: theta, lambda t: zero)
 
     @classmethod
     def affine(cls, grid: TorusGrid, horizon: float, chi) -> "MetricPath":
-        chi_f = HermitianField.from_matrix(grid, chi)
-        ident = HermitianField.identity(grid)
+        chi_f = form_from_matrix(chi, grid.n)
+        ident = identity_form(grid.n)
         return cls(
             grid,
             horizon,
             "affine",
-            lambda t: ident + chi_f.scaled(t),
+            lambda t: tuple(i + t * c for i, c in zip(ident, chi_f)),
             lambda t: chi_f,
             meta={"chi": np.asarray(chi, dtype=complex).tolist()},
         )
 
     @classmethod
     def nef(cls, grid: TorusGrid, horizon: float, theta0, eps: float = 0.0) -> "MetricPath":
-        base = HermitianField.from_matrix(grid, theta0)
-        if cone_margin(base.components()) < -PSD_TOL:
+        base = form_from_matrix(theta0, grid.n)
+        if cone_margin(base) < -PSD_TOL:
             raise ConfigError("nef path requires a positive semidefinite theta0")
-        ident = HermitianField.identity(grid)
+        ident = identity_form(grid.n)
         return cls(
             grid,
             horizon,
             "nef",
-            lambda t: base + ident.scaled(t + eps),
+            lambda t: tuple(b + (t + eps) * i for b, i in zip(base, ident)),
             lambda t: ident,
             meta={"theta0": np.asarray(theta0, dtype=complex).tolist(), "eps": eps},
         )
@@ -303,7 +280,7 @@ def certify_metric_path(path: MetricPath, omega_form: VolumeForm) -> float:
     dens = np.broadcast_to(omega_form.density, grid.shape)
     delta = 1.0
     for t in np.linspace(0.0, path.horizon, PATH_SAMPLES):
-        det = np.broadcast_to(comps_det(path.theta(t).components()), grid.shape)
+        det = np.broadcast_to(comps_det(path.theta(t)), grid.shape)
         if not det.min() > 0:
             return math.inf
         delta = max(delta, float((det / dens).max()), float((dens / det).max()))

@@ -1,4 +1,4 @@
-"""Flat-torus grids, scalar and Hermitian fields, and derivative backends.
+"""Flat-torus grids, scalar fields, and derivative backends.
 
 The domain is the real torus R^{2n}/Z^{2n} seen as a complex n-torus with
 coordinates z_j = x_j + i y_j, n in {1, 2}.  Real axes are stored in the
@@ -13,7 +13,9 @@ pointwise, where H is the complex Hessian
 
 Classical normalisation factors 1/(2 i pi) are absorbed into this frame; the
 flat metric has zero curvature, so no curvature terms appear anywhere
-downstream.
+downstream.  The Hessian comes back as the component tuple (h11,) or
+(h11, h22, h12), the one layout every Hermitian form in the package takes;
+geometry builds forms and holds their algebra.
 
 Two derivative backends are provided.  "spectral" differentiates exactly on
 the grid's Fourier modes and is the default for smooth fields; "fd" uses
@@ -92,7 +94,7 @@ def _grid_coordinates(n, N):
 
 
 # ---------------------------------------------------------------------------
-# fields
+# scalar fields
 
 
 @dataclass(frozen=True)
@@ -123,77 +125,6 @@ class ScalarField:
 
     def shifted(self, c: float) -> "ScalarField":
         return ScalarField(self.grid, self.values + c)
-
-
-@dataclass(frozen=True)
-class HermitianField:
-    """Pointwise Hermitian n x n matrix field, stored by components.
-
-    h11 (and h22 for n=2) are the real diagonal entries, h12 the complex
-    off-diagonal entry of the upper triangle; the lower triangle is implied.
-    Components may be full grid-shaped arrays or scalars (spatially constant
-    matrix), and broadcasting is used throughout.  The pointwise algebra of
-    the components (determinants, eigenvalues, traces) lives in geometry.
-    """
-
-    grid: TorusGrid
-    h11: np.ndarray = field(repr=False)
-    h22: np.ndarray = field(default=None, repr=False)
-    h12: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        h11 = _freeze(np.asarray(self.h11, dtype=np.float64))
-        object.__setattr__(self, "h11", h11)
-        if self.grid.n == 2:
-            if self.h22 is None or self.h12 is None:
-                raise ConfigError("n=2 Hermitian field needs h22 and h12 components")
-            object.__setattr__(self, "h22", _freeze(np.asarray(self.h22, dtype=np.float64)))
-            object.__setattr__(self, "h12", _freeze(np.asarray(self.h12, dtype=np.complex128)))
-        else:
-            if self.h22 is not None or self.h12 is not None:
-                raise ConfigError("n=1 Hermitian field has a single component")
-        for comp in self.components():
-            try:
-                np.broadcast_shapes(comp.shape, self.grid.shape)
-            except ValueError:
-                raise ConfigError(
-                    f"component shape {comp.shape} not broadcastable to {self.grid.shape}"
-                ) from None
-
-    @classmethod
-    def identity(cls, grid: TorusGrid, scale: float = 1.0) -> "HermitianField":
-        if grid.n == 1:
-            return cls(grid, np.float64(scale))
-        return cls(grid, np.float64(scale), np.float64(scale), np.complex128(0.0))
-
-    @classmethod
-    def from_matrix(cls, grid: TorusGrid, mat) -> "HermitianField":
-        """Spatially constant field from an n x n matrix (Hermitian part taken)."""
-        m = np.asarray(mat, dtype=np.complex128)
-        if m.shape != (grid.n, grid.n):
-            raise ConfigError(f"expected a {grid.n}x{grid.n} matrix, got shape {m.shape}")
-        m = 0.5 * (m + m.conj().T)
-        if grid.n == 1:
-            return cls(grid, m[0, 0].real)
-        return cls(grid, m[0, 0].real, m[1, 1].real, m[0, 1])
-
-    def components(self) -> tuple:
-        if self.grid.n == 1:
-            return (self.h11,)
-        return (self.h11, self.h22, self.h12)
-
-    def __add__(self, other: "HermitianField") -> "HermitianField":
-        if self.grid != other.grid:
-            raise ConfigError("cannot add Hermitian fields on different grids")
-        return HermitianField(
-            self.grid, *(a + b for a, b in zip(self.components(), other.components()))
-        )
-
-    def __sub__(self, other: "HermitianField") -> "HermitianField":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, c: float) -> "HermitianField":
-        return HermitianField(self.grid, *(c * a for a in self.components()))
 
 
 # ---------------------------------------------------------------------------

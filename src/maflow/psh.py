@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NotKahlerError, RepairTooLargeError
-from .geometry import comps_det, comps_mixed, cone_margin, kahler_form
-from .grid import HermitianField, ScalarField, TorusGrid, gaussian_smooth, hessian_components
+from .geometry import comps_det, comps_mixed, cone_margin, identity_form, kahler_form
+from .grid import ScalarField, TorusGrid, gaussian_smooth, hessian_components
 
 TAGS = ("smooth", "lipschitz", "bounded", "unbounded-zero-lelong", "unbounded-positive-lelong")
 FLOW_ADMISSIBLE_TAGS = ("smooth", "lipschitz", "bounded", "unbounded-zero-lelong")
@@ -30,7 +30,7 @@ def psh_margin(phi: ScalarField, backend: str = "spectral") -> float:
     Kinked data should be gated with the "fd" backend: centred differences see
     a convex kink as positive curvature, while truncated spectra ring.
     """
-    total, _ = kahler_form(HermitianField.identity(phi.grid), phi.values, phi.grid, backend)
+    total, _ = kahler_form(identity_form(phi.grid.n), phi.values, phi.grid, backend)
     return cone_margin(total)
 
 
@@ -63,7 +63,6 @@ class RoughPotential:
     tag : one of smooth | lipschitz | bounded | unbounded-zero-lelong,
         plus the internal unbounded-positive-lelong for pole models that are
         deliberately inadmissible as flow data.
-    singular_points : coordinates where the evaluator is allowed to blow down.
     floor : clamp applied when sampling onto a grid.
     """
 
@@ -71,7 +70,6 @@ class RoughPotential:
     tag: str
     evaluator: object = field(repr=False)
     params: dict = field(default_factory=dict)
-    singular_points: tuple = ()
     floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
@@ -192,11 +190,7 @@ class RoughPotential:
             return v if cap is None else np.maximum(v, cap)
 
         tag = "bounded" if cap is not None else "unbounded-positive-lelong"
-        return cls(
-            "log-pole", tag, ev,
-            {"gamma": g, "center": c, "cap": cap, "n": n},
-            singular_points=(c,) if cap is None else (),
-        )
+        return cls("log-pole", tag, ev, {"gamma": g, "center": c, "cap": cap, "n": n})
 
     @classmethod
     def sqrt_log_pole(cls, amplitude: float = 0.1, center=None, n: int = 1):
@@ -216,11 +210,8 @@ class RoughPotential:
                 v = -k * np.sqrt(np.maximum(-0.5 * np.log(ssq), 0.0))
             return np.where(ssq > 0, v, -np.inf)
 
-        return cls(
-            "sqrt-log-pole", "unbounded-zero-lelong", ev,
-            {"amplitude": k, "center": c, "n": n},
-            singular_points=(c,),
-        )
+        params = {"amplitude": k, "center": c, "n": n}
+        return cls("sqrt-log-pole", "unbounded-zero-lelong", ev, params)
 
     @classmethod
     def from_field(cls, fld: ScalarField, tag: str) -> "RoughPotential":
@@ -409,7 +400,7 @@ def capacity_lower_bound(
     best = float(mask.mean())  # psi = const: MA density is 1
     rng = np.random.default_rng(seed)
     h = grid.spacing
-    ident = HermitianField.identity(grid)
+    ident = identity_form(grid.n)
     for _ in range(dictionary_size):
         center = rng.uniform(0.0, 1.0, size=grid.real_dim)
         width = rng.uniform(4.0 * h, 0.15)
@@ -433,12 +424,7 @@ def capacity_lower_bound(
 # energy
 
 
-def energy(
-    theta: HermitianField,
-    phi: ScalarField,
-    backend: str = "spectral",
-    form=None,
-) -> float:
+def energy(theta, phi: ScalarField, backend: str = "spectral", form=None) -> float:
     """Aubin-Yau style energy of phi against the form theta.
 
     E(phi) = 1/(n+1) * sum_{j=0..n} integral phi * (theta + H(phi))^j ^ theta^(n-j)
@@ -459,6 +445,6 @@ def energy(
     n = grid.n
     acc = 0.0
     for j in range(n + 1):
-        dens = comps_mixed(form, theta.components(), j, n)
+        dens = comps_mixed(form, theta, j, n)
         acc += float(np.mean(phi.values * np.real(np.broadcast_to(dens, grid.shape))))
     return acc / (n + 1)

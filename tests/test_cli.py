@@ -448,3 +448,27 @@ def test_misspelled_check_params_exit_two(tmp_path, capsys, check_params, named)
 def test_check_params_of_a_skipped_check_are_accepted(tmp_path):
     cfg_path, _ = write_doc(tmp_path, check_params={"energy": {"slack": 1.0}})
     assert cli.main(["run", "--config", str(cfg_path), "--check", "residual-certificate"]) == 0
+
+
+def run_scenario(stem, out):
+    assert cli.main(["run", "--config", str(scenario_path(stem)), "--out", str(out)]) == 0
+    return json.loads((out / "margins.json").read_text())
+
+
+@pytest.mark.parametrize("stem", ["03-mode-decay", "04-comparison-pair", "09-energy-monotone"])
+def test_plain_verify_replays_the_documents_archive_checks(tmp_path, stem):
+    live = run_scenario(stem, tmp_path / "out")
+    assert cli.main(["verify", str(tmp_path / "out"), "--out", str(tmp_path / "replay")]) == 0
+    replay = json.loads((tmp_path / "replay" / "margins.json").read_text())
+    assert [r["check"] for r in replay] == [r["check"] for r in live]
+
+
+def test_verify_replays_the_archived_comparison_pair(tmp_path):
+    live = run_scenario("04-comparison-pair", tmp_path / "out")
+    replay_dir = tmp_path / "replay"
+    argv = ["verify", str(tmp_path / "out"), "--check", "comparison", "--out", str(replay_dir)]
+    assert cli.main(argv) == 0
+    replay = json.loads((replay_dir / "margins.json").read_text())
+    live = [r for r in live if r["check"] == "comparison"]
+    assert [r["check"] for r in replay] == ["comparison"]
+    assert [r["margin"] for r in replay] == [r["margin"] for r in live]

@@ -148,7 +148,6 @@ def test_recomputed_step_residuals_meet_newton_tolerance():
     F = DrivingTerm.zero()
     traj = run(phi0, path, F, omega, cfg)
     cert = residual_certificate(TrajectoryAudit(traj, path, F, omega, columns=("step_residual",)))
-    assert cert["passes"]
     assert cert["pairs"] == len(traj.times) - 1
     assert cert["max_residual"] <= 2.0 * cfg.newton_tol
 
@@ -187,7 +186,7 @@ def test_step_residual_audit_never_evaluates_the_energy(monkeypatch):
     monkeypatch.setattr(psh, "energy", no_energy)
     audit = TrajectoryAudit(traj, path, F, omega, columns=("step_residual",))
     cert = residual_certificate(audit)
-    assert cert["passes"]
+    assert cert["max_residual"] <= 2.0 * cert["tol"]
     assert cert["pairs"] == len(traj.times) - 1
     with pytest.raises(ConfigError, match="without the 'energy' column"):
         audit.value(1, "energy")
@@ -299,7 +298,7 @@ def test_bicgstab_reports_a_solve_it_cut_short():
     grid = phi0.grid
     dt = cfg.t_min
     comps = flow.hessian_components(phi0.values, grid, "fd")
-    total = tuple(th + hc for th, hc in zip(path.theta(dt).components(), comps))
+    total = tuple(th + hc for th, hc in zip(path.theta(dt), comps))
     R = -np.log(total[0])  # the first Newton residual: u = phi0, F = 0, Omega = 1
     fs = np.asarray(0.0)
     args = (
@@ -646,7 +645,7 @@ def test_time_change_path_derivative_matches_a_centred_difference(kind, r):
     _, tp = affine_time_change(kind, r)
 
     def entries(form):  # (h11, h22, h12) of a spatially constant form
-        return np.ravel(np.asarray(form.components()))
+        return np.asarray(form)
 
     h = 1e-5
     for t in np.linspace(0.1, tp.horizon - 0.1, 4):

@@ -1,28 +1,28 @@
-"""Metric paths, volume sandwiches, and the pointwise matrix inequalities."""
+"""Forms, metric paths, volume sandwiches, and the pointwise matrix inequalities."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maflow.errors import ConfigError, NotKahlerError
+from maflow.errors import ConfigError
 from maflow.geometry import (
     MetricPath,
     VolumeForm,
     certify_metric_path,
-    check_trace_inequality,
     comps_det,
     comps_eig_min,
     comps_harmonic_mean,
     comps_trace,
     comps_trace_inv,
     cone_margin,
+    form_from_matrix,
+    identity_form,
     kahler_form,
     lowest_eigenvalue,
-    ma_density,
     trace_inequality_slacks,
 )
-from maflow.grid import HermitianField, ScalarField, TorusGrid
+from maflow.grid import TorusGrid
 
 
 class TestVolumeForm:
@@ -41,40 +41,47 @@ class TestVolumeForm:
         assert float(om.density.max()) == pytest.approx(1.5)
 
 
+class TestForms:
+    def test_identity_spectrum(self):
+        ident = identity_form(2)
+        assert cone_margin(ident) == pytest.approx(1.0)
+        assert float(comps_det(ident)) == pytest.approx(1.0)
+        assert float(comps_trace(ident)) == pytest.approx(2.0)
+
+    def test_from_matrix_eigenvalues(self):
+        h = form_from_matrix([[2.0, 1.0], [1.0, 2.0]], 2)
+        # eigenvalues 1 and 3
+        assert cone_margin(h) == pytest.approx(1.0)
+        assert float(comps_trace(h)) == pytest.approx(4.0)
+        assert float(comps_det(h)) == pytest.approx(3.0)
+
+    def test_from_matrix_takes_the_hermitian_part(self):
+        h11, h22, h12 = form_from_matrix([[2.0, 1.0 + 2.0j], [3.0, 1.0]], 2)
+        assert (h11, h22) == (2.0, 1.0)
+        assert h12 == pytest.approx(2.0 + 1.0j)  # (1 + 2i + conj(3)) / 2
+
+    @pytest.mark.parametrize("n, mat", [(1, np.eye(2)), (2, [[1.0]]), (2, [1.0, 1.0])])
+    def test_from_matrix_refuses_a_wrong_shape(self, n, mat):
+        with pytest.raises(ConfigError, match=f"expected a {n}x{n} matrix"):
+            form_from_matrix(mat, n)
+
+
 class TestMaDensity:
+    """det(theta + H(phi)), the Monge-Ampere density against Omega = 1."""
+
     def test_flat_density_is_one(self):
         g = TorusGrid(1, 16)
-        dens = ma_density(
-            HermitianField.identity(g),
-            ScalarField.constant(g, 0.0),
-            VolumeForm.constant(g, 1.0),
-        )
-        assert np.max(np.abs(dens.values - 1.0)) < 1e-12
+        total, _ = kahler_form(identity_form(1), np.zeros(g.shape), g, "spectral")
+        assert np.max(np.abs(comps_det(total) - 1.0)) < 1e-12
 
     def test_single_mode_density(self):
         g = TorusGrid(1, 32)
         a = 0.01
         x = g.coordinates()[0]
-        phi = ScalarField(
-            g, np.broadcast_to(a * np.cos(2.0 * np.pi * x), g.shape).copy()
-        )
-        dens = ma_density(
-            HermitianField.identity(g), phi, VolumeForm.constant(g, 1.0)
-        )
+        phi = np.broadcast_to(a * np.cos(2.0 * np.pi * x), g.shape)
+        total, _ = kahler_form(identity_form(1), phi, g, "spectral")
         expected = 1.0 - a * np.pi**2 * np.cos(2.0 * np.pi * x)
-        assert np.max(np.abs(dens.values - np.broadcast_to(expected, g.shape))) < 1e-10
-
-    def test_raises_outside_cone(self):
-        g = TorusGrid(1, 32)
-        x = g.coordinates()[0]
-        phi = ScalarField(
-            g, np.broadcast_to(0.2 * np.cos(2.0 * np.pi * x), g.shape).copy()
-        )
-        with pytest.raises(NotKahlerError) as exc:
-            ma_density(HermitianField.identity(g), phi, VolumeForm.constant(g, 1.0))
-        # the form is 1 - 0.2 pi^2 cos(2 pi x): lowest on the line x = 0, first at y = 0
-        assert exc.value.location == (0, 0)
-        assert exc.value.eigenvalue == pytest.approx(1.0 - 0.2 * np.pi**2, rel=1e-12)
+        assert np.max(np.abs(comps_det(total) - np.broadcast_to(expected, g.shape))) < 1e-10
 
 
 def random_hermitian(rng, grid, shift=0.0):
@@ -117,9 +124,9 @@ def test_kahler_form_adds_theta_to_the_hessian():
     g = TorusGrid(2, 8)
     x1, y1, x2, y2 = g.coordinates()
     phi = np.broadcast_to(0.01 * np.cos(2.0 * np.pi * (x1 + y2)), g.shape)
-    theta = HermitianField.from_matrix(g, [[2.0, 0.5j], [-0.5j, 1.0]])
+    theta = form_from_matrix([[2.0, 0.5j], [-0.5j, 1.0]], 2)
     total, hess = kahler_form(theta, phi, g, "spectral")
-    for t, th, h in zip(total, theta.components(), hess):
+    for t, th, h in zip(total, theta, hess):
         assert np.array_equal(t, th + h)
     again, reused = kahler_form(theta, None, g, "spectral", hessian=hess)
     assert reused is hess
@@ -147,7 +154,7 @@ class TestMetricPath:
     def test_nef_path_degenerate_reference_allowed(self):
         g = TorusGrid(2, 8)
         path = MetricPath.nef(g, 0.1, [[1.0, 0.0], [0.0, 0.0]], eps=0.05)
-        theta = path.theta(0.0).components()
+        theta = path.theta(0.0)
         # eigenvalues 0.05 and 1.05
         assert cone_margin(theta) == pytest.approx(0.05)
         assert float(np.max(comps_trace(theta))) == pytest.approx(1.1)
@@ -169,21 +176,13 @@ class TestTraceInequality:
         assert lower[0] == pytest.approx(1.5 - np.sqrt(2.0))
         assert upper[0] == pytest.approx(3.0 - 1.5)
 
-    def test_grid_audit_passes_for_shifted_mode(self):
-        g = TorusGrid(1, 16)
-        x = g.coordinates()[0]
-        h = HermitianField(
-            g, np.broadcast_to(1.0 + 0.3 * np.cos(2 * np.pi * x), g.shape).copy()
-        )
-        result = check_trace_inequality(h, HermitianField.identity(g))
-        assert result["passes"]
-
-    def test_grid_audit_rejects_degenerate(self):
-        g = TorusGrid(1, 16)
-        with pytest.raises(NotKahlerError):
-            check_trace_inequality(
-                HermitianField.identity(g, 0.0), HermitianField.identity(g)
-            )
+    def test_stacks_are_read_by_their_upper_triangle(self):
+        # no Hermitian part is taken: the lower off-diagonal entry is never read
+        wp = np.array([[[2.0, 0.5 + 0.5j], [7.0, 1.0]]])
+        hermitian = np.array([[[2.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]]])
+        w = np.eye(2)[None, :, :].astype(complex)
+        for got, want in zip(trace_inequality_slacks(wp, w), trace_inequality_slacks(hermitian, w)):
+            assert np.array_equal(got, want)
 
 
 @settings(max_examples=50, deadline=None)
@@ -208,5 +207,5 @@ def test_lowest_eigenvalue_names_the_first_worst_point(n):
     assert value == pytest.approx(float(eig.min()), rel=1e-12)
     assert index == np.unravel_index(int(np.argmin(eig)), grid.shape)
     # a constant form ties everywhere: the first grid point wins
-    flat = HermitianField.identity(grid, 0.5).components()
+    flat = identity_form(n, 0.5)
     assert lowest_eigenvalue(flat, grid.shape) == (0.5, (0,) * (2 * n))

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maflow.errors import ConfigError
-from maflow.geometry import comps_det, comps_eig_min, comps_trace
 from maflow.grid import (
-    HermitianField,
     ScalarField,
     TorusGrid,
     _fd_first,
@@ -236,23 +234,6 @@ class TestSpectralLayer:
         delta = 0.07
         factor = np.exp(-np.pi**2 * delta**2 * sum(kj * kj for kj in k))
         assert np.max(np.abs(gaussian_smooth(v, g, delta) - factor * v)) < 1e-12
-
-
-class TestHermitianField:
-    def test_identity_spectrum(self):
-        g = TorusGrid(2, 8)
-        ident = HermitianField.identity(g).components()
-        assert float(np.min(comps_eig_min(ident))) == pytest.approx(1.0)
-        assert float(np.max(comps_det(ident))) == pytest.approx(1.0)
-        assert float(np.max(comps_trace(ident))) == pytest.approx(2.0)
-
-    def test_from_matrix_eigenvalues(self):
-        g = TorusGrid(2, 8)
-        h = HermitianField.from_matrix(g, [[2.0, 1.0], [1.0, 2.0]]).components()
-        # eigenvalues 1 and 3
-        assert float(np.min(comps_eig_min(h))) == pytest.approx(1.0)
-        assert float(np.max(comps_trace(h))) == pytest.approx(4.0)
-        assert float(np.max(comps_det(h))) == pytest.approx(3.0)
 
 
 class TestNorms:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maflow.errors import ConfigError, NotKahlerError
-from maflow.grid import HermitianField, ScalarField, TorusGrid, hessian_components, oscillation
+from maflow.geometry import identity_form
+from maflow.grid import ScalarField, TorusGrid, hessian_components, oscillation
 from maflow.psh import (
     FLOW_ADMISSIBLE_TAGS,
     PSH_TOL,
@@ -178,7 +179,7 @@ class TestCapacity:
 class TestEnergy:
     def test_constant_potential(self):
         g = TorusGrid(1, 16)
-        ident = HermitianField.identity(g)
+        ident = identity_form(g.n)
         assert energy(ident, ScalarField.constant(g, 0.7)) == pytest.approx(0.7)
         assert energy(ident, ScalarField.constant(g, -2.0)) == pytest.approx(-2.0)
 
@@ -190,7 +191,7 @@ class TestEnergy:
         phi = ScalarField(
             g, np.broadcast_to(a * np.cos(2 * np.pi * x), g.shape).copy()
         )
-        e = energy(HermitianField.identity(g), phi)
+        e = energy(identity_form(g.n), phi)
         assert e == pytest.approx(-(a**2) * np.pi**2 / 4.0, rel=1e-2)
 
     def test_translation_covariance(self):
@@ -199,7 +200,7 @@ class TestEnergy:
         phi = ScalarField(
             g, np.broadcast_to(0.01 * np.cos(2 * np.pi * x), g.shape).copy()
         )
-        ident = HermitianField.identity(g)
+        ident = identity_form(g.n)
         assert energy(ident, phi.shifted(1.3)) == pytest.approx(
             energy(ident, phi) + 1.3
         )
@@ -211,7 +212,7 @@ class TestEnergy:
             g, np.broadcast_to(0.01 * np.cos(2 * np.pi * x), g.shape).copy()
         )
         hi = lo.shifted(0.05)
-        ident = HermitianField.identity(g)
+        ident = identity_form(g.n)
         assert energy(ident, hi) >= energy(ident, lo)
 
     def test_rejects_inadmissible(self):
@@ -221,7 +222,7 @@ class TestEnergy:
             g, np.broadcast_to(0.3 * np.cos(2 * np.pi * x), g.shape).copy()
         )
         with pytest.raises(NotKahlerError):
-            energy(HermitianField.identity(g), phi)
+            energy(identity_form(g.n), phi)
 
 
 @settings(max_examples=20, deadline=None)

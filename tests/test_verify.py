@@ -12,7 +12,6 @@ from maflow import (
     ConfigError,
     DrivingTerm,
     FlowConfig,
-    HermitianField,
     MarginReport,
     MetricPath,
     MissingSnapshotsError,
@@ -29,6 +28,7 @@ from maflow import (
     check_time_derivative,
     check_uniqueness,
     comparison_tolerance,
+    identity_form,
     run,
     run_cascade,
     write_reports,
@@ -139,7 +139,7 @@ def test_residual_audits_agree_on_a_cone_exit():
     # theta = -I is negative definite, yet det(theta + H(0)) = 1 > 0 at n = 2:
     # the right-hand side is undefined, and a determinant test would miss it
     grid = TorusGrid(n=2, resolution=8)
-    neg, zero = HermitianField.identity(grid, -1.0), HermitianField.identity(grid, 0.0)
+    neg, zero = identity_form(2, -1.0), identity_form(2, 0.0)
     path = MetricPath.from_callables(grid, 1.0, lambda t: neg, lambda t: zero)
     omega, F = VolumeForm.constant(grid), DrivingTerm.zero()
     traj = const_family(grid, [0.0, 0.5], lambda t: 0.0, phidot_fn=lambda t: 0.0)
