@@ -689,7 +689,8 @@ def cmd_verify(args) -> int:
     if stamp:
         for r in reports:
             r.details.setdefault("config_hash", stamp)
-    out = Path(args.out) if args.out else Path(args.archives[0])
+    # without --out the replay goes beside, never over, the reports run wrote
+    out = Path(args.out) if args.out else Path(args.archives[0]) / "replay"
     verify.write_reports(reports, out)
     print_reports(reports)
     return 0 if all(r.passed for r in reports) else 1
@@ -784,7 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p = sub.add_parser("verify", help="re-audit one or two saved archives")
     ver_p.add_argument("archives", nargs="+", help="archive directory (two: compare)")
     ver_p.add_argument("--check", action="append", default=None, metavar="NAME")
-    ver_p.add_argument("--out", default=None, help="where to write margin reports")
+    ver_p.add_argument(
+        "--out", default=None, help="where to write margin reports (default: <archive>/replay)"
+    )
     ver_p.add_argument("--seed", type=int, default=None)
     ver_p.set_defaults(func=cmd_verify)
 

@@ -13,7 +13,11 @@ solve of a shifted -(1/4) Laplacian (grid.solve_shifted_laplacian: real
 FFTs at n = 1, per-axis matrices at n = 2) with a pointwise scaling built from
 the harmonic mean of w's eigenvalues (w = theta + dd^c phi), matched to the
 Jacobian at the stiffness of the current Newton residual, so it keeps up
-where w nears the edge of the positive cone.
+where w nears the edge of the positive cone.  Each `run` holds one
+`_Workspace` of grid-shaped arrays for its whole length: the Newton loop
+writes iterates, forms, residuals, Krylov vectors and operator products into
+it.  At n = 2 only each step's stored snapshot and the driving term's values
+are then new arrays; at n = 1 the FFT and stencil derivatives still are.
 
 The right-hand side is written once (`_rhs`), for the Newton residual and
 the stored phidot.  Checks read stored snapshots through `TrajectoryAudit`,
@@ -56,7 +60,6 @@ from .geometry import (
     MetricPath,
     VolumeForm,
     comps_det,
-    comps_harmonic_mean,
     comps_trace,
     comps_trace_inv,
     cone_margin,
@@ -66,6 +69,7 @@ from .geometry import (
 from .grid import (
     ScalarField,
     TorusGrid,
+    _hessian_axes,
     hessian_components,
     oscillation,
     quarter_laplacian_rayleigh,
@@ -369,7 +373,83 @@ def _l2(a: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(a, a).real))
 
 
-def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int):
+class _Workspace:
+    """The grid-shaped arrays of one `run`, reused so its Newton loop allocates none.
+
+    `run` makes one when it starts, hands it to every `_advance` and drops
+    it when it returns; each step overwrites every array.
+
+      u       two iterates, the accepted one and the line search's trial;
+              they swap roles when a trial is accepted
+      h, w    H of the iterate last passed to `hessian` and the form
+              theta + h that `form` builds.  The line search overwrites
+              both: once the Newton direction is solved the accepted iterate
+              needs neither.  Between steps h is H of the step's values, the
+              next step's warm start.
+      det     det(w), laid out once per Newton iteration by `lay_out` for the
+              residual, the Newton operator and its preconditioner
+      rhs, R  the right-hand side and the Newton residual
+      scale   the preconditioner's pointwise scaling
+      tmp     scratch: three real arrays and a complex one, H(v) inside one
+              n = 2 operator apply
+      krylov  BiCGSTAB's eight vectors
+
+    At n = 1 the Hessian comes from real FFTs or np.roll stencils, so h is a
+    new array each time and det is w itself.
+    """
+
+    def __init__(self, grid: TorusGrid, backend: str):
+        def real():
+            return np.empty(grid.shape)
+
+        cplx = np.empty(grid.shape, dtype=np.complex128)
+        self.grid, self.backend = grid, backend
+        self.u = (real(), real())
+        self.w = (real(),) if grid.n == 1 else (real(), real(), cplx)
+        self.h = None if grid.n == 1 else (real(), real(), np.empty_like(cplx))
+        self.det, self.rhs, self.R, self.scale = real(), real(), real(), real()
+        self.tmp = (real(), real(), real(), np.empty_like(cplx))
+        self.krylov = tuple(real() for _ in range(8))
+
+    def hessian(self, values):
+        """h = H(values)."""
+        if self.grid.n == 1:
+            self.h = hessian_components(values, self.grid, self.backend)
+        else:
+            _hessian_axes(values, self.grid, self.backend, out=(*self.h, self.tmp[2]))
+
+    def form(self, theta) -> tuple:
+        """w = theta + h."""
+        for th, hc, w in zip(theta, self.h, self.w):
+            np.add(th, hc, out=w)
+        return self.w
+
+    def lay_out(self, w):
+        """det = det(w), in geometry.comps_det's order."""
+        if len(w) == 1:
+            self.det = w[0]
+            return
+        h11, h22, h12 = w
+        sq = np.square(np.abs(h12, out=self.tmp[0]), out=self.tmp[0])
+        np.multiply(h11, h22, out=self.det)
+        self.det -= sq
+
+    def cone_margin(self) -> float:
+        """geometry.cone_margin(w), in geometry.comps_eig_min's order."""
+        if len(self.w) == 1:
+            return float(np.min(self.w[0]))
+        h11, h22, h12 = self.w
+        a, b = self.tmp[:2]
+        rad = np.square(np.subtract(h11, h22, out=a), out=a)
+        rad *= 0.25
+        rad += np.square(np.abs(h12, out=b), out=b)
+        np.sqrt(rad, out=rad)
+        mid = np.add(h11, h22, out=b)
+        mid *= 0.5
+        return float(np.min(np.subtract(mid, rad, out=a)))
+
+
+def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int, work=None):
     """Right-preconditioned BiCGSTAB on a matrix-free operator.
 
     Solves apply_op(x) = b through apply_op(precond(y)) = b, x = precond(y),
@@ -378,67 +458,83 @@ def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int):
     the stopping test bounds |b - apply_op(x)| / |b|.  Returns
     (x, iterations, relative residual, converged).  A solve cut short
     returns the computed iterate with the smallest recurrence residual, not
-    the last one.  Vectors are rebound, never updated in place, so b is
-    neither copied nor modified and the best iterate is kept by reference.
+    the last one, copied aside when it was reached.
+
+    apply_op(v, out) and precond(r, out) return their result, which they may
+    write into out, an array of the solver's that aliases neither argument.
+    work, eight arrays shaped like b (new ones when omitted), holds the
+    solver's vectors, updated in place; the returned iterate is one of them
+    and lasts until work is next used.  b is only read.
     """
+    x, r, p, v, z, t, best, tmp = work if work is not None else [np.empty_like(b) for _ in range(8)]
+    x.fill(0.0)
     bnorm = _l2(b)
-    x = np.zeros_like(b)
     if bnorm == 0.0:
         return x, 0, 0.0, True
-    r = rhat = b
+    np.copyto(r, b)
+    rhat = b
     rho = alpha = omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
+    for a in (v, p, best):
+        a.fill(0.0)
     target = rel_tol * bnorm
-    best, best_res = x, math.inf
+    best_res = math.inf
     it = 0
     for it in range(1, max_iter + 1):
         rho_new = float(np.vdot(rhat, r).real)
         if abs(rho_new) < 1e-300:
-            rhat = r
+            rhat = r.copy()
             rho_new = float(np.vdot(rhat, r).real)
             if abs(rho_new) < 1e-300:
                 break
         beta = (rho_new / rho) * (alpha / omega)
-        p = r + beta * (p - omega * v)
-        z = precond(p)
-        v = apply_op(z)
+        # p = r + beta (p - omega v)
+        p -= np.multiply(v, omega, out=tmp)
+        p *= beta
+        p += r
+        z = precond(p, z)
+        v = apply_op(z, v)
         denom = float(np.vdot(rhat, v).real)
         if abs(denom) < 1e-300:
             break
         alpha = rho_new / denom
-        x = x + alpha * z
-        r = r - alpha * v
+        x += np.multiply(z, alpha, out=tmp)
+        r -= np.multiply(v, alpha, out=tmp)
         res = _l2(r)
         if res <= target:
             return x, it, res / bnorm, True
         if res < best_res:
-            best, best_res = x, res
-        z = precond(r)
-        t = apply_op(z)
+            best_res = res
+            np.copyto(best, x)
+        z = precond(r, z)
+        t = apply_op(z, t)
         tt = float(np.vdot(t, t).real)
         if tt == 0.0:
             break
         omega = float(np.vdot(t, r).real) / tt
-        x = x + omega * z
-        r = r - omega * t
+        x += np.multiply(z, omega, out=tmp)
+        r -= np.multiply(t, omega, out=tmp)
         res = _l2(r)
         if res <= target:
             return x, it, res / bnorm, True
         if res < best_res:
-            best, best_res = x, res
+            best_res = res
+            np.copyto(best, x)
         rho = rho_new
     if _l2(best) == 0.0:
         raise NumericError("linear solver stalled with a null direction")
     return best, it, best_res / bnorm, False
 
 
-def _rhs(total, u, t, F, log_om, coords):
-    """The flow's right-hand side log det(total) - log Omega - F(t, z, u).
+def _rhs(det, u, t, F, log_om, coords, out=None):
+    """The flow's right-hand side log det(w) - log Omega - F(t, z, u), into out when given.
 
-    total is theta_t + H(u) as components; it must lie inside the cone.
+    det is the determinant of the form w = theta_t + H(u), which must lie
+    inside the cone.
     """
-    return np.log(comps_det(total)) - log_om - F(t, coords, u)
+    rhs = np.log(det, out=out)
+    rhs -= log_om
+    rhs -= F(t, coords, u)
+    return rhs
 
 
 def _cone_exit(message, total, grid):
@@ -449,18 +545,52 @@ def _cone_exit(message, total, grid):
     )
 
 
-def _jacobian(total, fs, dt, grid, backend):
-    """The Newton operator v -> v/dt + F_s v - tr(w^-1 H(v)), w = total."""
-    inv_dt = 1.0 / dt
+def _laid_out(ws, total, grid, backend):
+    """ws, or a new workspace with total laid out."""
+    if ws is None:
+        ws = _Workspace(grid, backend)
+        ws.lay_out(total)
+    return ws
 
-    def apply(v):
-        hv = hessian_components(v, grid, backend)
-        return inv_dt * v - comps_trace_inv(total, hv) + fs * v
+
+def _jacobian(total, fs, dt, grid, backend, ws=None):
+    """The Newton operator v -> v/dt + F_s v - tr(w^-1 H(v)), w = total.
+
+    It is called as apply(v, out=None).  At n = 2 it writes H(v) into
+    ws.tmp and its result into out (a new array when omitted), in
+    comps_trace_inv's expression order; ws is the run's workspace with total
+    laid out, or a new one.
+    """
+    inv_dt = 1.0 / dt
+    if grid.n == 1:
+
+        def apply(v, out=None):
+            hv = hessian_components(v, grid, backend)
+            return inv_dt * v - comps_trace_inv(total, hv) + fs * v
+
+        return apply
+    ws = _laid_out(ws, total, grid, backend)
+    b11, b22, b12 = total
+    a11, a22, spare, a12 = ws.tmp
+
+    def apply(v, out=None):
+        _hessian_axes(v, grid, backend, out=(a11, a22, a12, spare))
+        # tr(w^-1 a) = (b22 a11 + b11 a22 - 2 Re(conj(b12) a12)) / det(w);
+        # Re(b conj(a)) has the same rounded products as Re(conj(b) a)
+        tr = np.multiply(b22, a11, out=spare)
+        tr += np.multiply(b11, a22, out=a11)
+        np.multiply(b12, np.conjugate(a12, out=a12), out=a12)
+        tr -= np.multiply(a12.real, 2.0, out=a22)
+        tr /= ws.det
+        out = np.multiply(v, inv_dt, out=out)
+        out -= tr
+        out += np.multiply(fs, v, out=a11)
+        return out
 
     return apply
 
 
-def _preconditioner(total, R, fs, dt, grid, backend):
+def _preconditioner(total, R, fs, dt, grid, backend, ws=None):
     """Right preconditioner matched to the Jacobian at the stiffness of R.
 
     With s = n / tr(w^-1) (the harmonic mean of w's eigenvalues), c the grid
@@ -474,34 +604,50 @@ def _preconditioner(total, R, fs, dt, grid, backend):
     Where kappa << s, D -> c and M is the constant-coefficient operator
     1/dt - Laplacian/(4c) (1/dt - Laplacian/4 when w = I); where kappa >> s,
     D -> s and M follows the pointwise degeneracy of w at the cone's edge.
+
+    It is called as apply(r, out=None) and writes D r into out (a new array
+    when omitted), where the n = 2 solve also lands.  ws is the run's
+    workspace with total laid out, or a new one; D is kept in ws.scale.
     """
-    s = comps_harmonic_mean(total)
-    c = 1.0 / float(np.mean(1.0 / s))
-    kappa = dt * quarter_laplacian_rayleigh(R, grid, backend)
-    scale = s * ((c + kappa) / (s + kappa))
+    ws = _laid_out(ws, total, grid, backend)
+    a, b, spare = ws.tmp[:3]
+    if grid.n == 1:
+        s = total[0]
+    else:  # comps_harmonic_mean's order: 2 det / tr
+        s = np.multiply(ws.det, 2.0, out=a)
+        s /= np.add(total[0], total[1], out=b)
+    c = 1.0 / float(np.mean(np.divide(1.0, s, out=b)))
+    kappa = dt * quarter_laplacian_rayleigh(R, grid, backend, b, spare)
+    scale = np.add(s, kappa, out=ws.scale)
+    np.divide(c + kappa, scale, out=scale)
+    scale *= s
     shift = c * (1.0 / dt + max(0.0, float(np.mean(fs))))
-    return lambda r: solve_shifted_laplacian(scale * r, grid, backend, shift)
+
+    def apply(r, out=None):
+        z = np.multiply(scale, r, out=out)
+        return solve_shifted_laplacian(z, grid, backend, shift, z, spare)
+
+    return apply
 
 
-def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords, warm=None):
+def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws):
     """One backward-Euler step; returns (values, phidot_values, diagnostics).
 
-    warm, when given, is a one-element list holding
-    hessian_components(prev_vals).  The step takes it out and puts back the
-    Hessian of the returned values for the next step's warm start, so the
-    caller holds no stale Hessian while Newton runs.
+    ws is the run's workspace (`_Workspace`) with h = H(prev_vals) on entry;
+    on return h = H(values), the next step's warm start.  The Newton loop
+    works in ws's arrays; the returned values and phidot_values are new
+    arrays.  log_om is log Omega.
     """
     grid = path.grid
     dt = t_to - t_from
     if dt <= 0:
         raise ConfigError("time step must move forward")
     theta = path.theta(t_to)
-    log_om = omega_form.log()
     u = prev_vals
-    total, comps = kahler_form(theta, u, grid, cfg.backend, hessian=warm.pop() if warm else None)
-    margin = cone_margin(total)
+    w = ws.form(theta)
+    margin = ws.cone_margin()
     if margin <= 0.0:
-        raise _cone_exit(f"warm start leaves the positivity cone at t = {t_to:.6g}", total, grid)
+        raise _cone_exit(f"warm start leaves the positivity cone at t = {t_to:.6g}", w, grid)
     residual = math.inf
     damping_min = 1.0
     linear_total = 0
@@ -509,9 +655,12 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords, warm=Non
     linear_converged = True
     iters = 0
     while True:
-        rhs = _rhs(total, u, t_to, F, log_om, coords)
-        R = np.broadcast_to((u - prev_vals) / dt - rhs, grid.shape)
-        residual = float(np.max(np.abs(R)))
+        ws.lay_out(w)
+        rhs = _rhs(ws.det, u, t_to, F, log_om, coords, out=ws.rhs)
+        R = np.subtract(u, prev_vals, out=ws.R)
+        R /= dt
+        R -= rhs
+        residual = float(np.max(np.abs(R, out=ws.tmp[0])))
         if residual <= cfg.newton_tol:
             break
         if iters >= cfg.max_newton:
@@ -528,20 +677,23 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords, warm=Non
         fs = np.asarray(F.ds_at(t_to, coords, u), dtype=np.float64)
         # J correction = R; the Newton direction is -correction
         correction, lin_iters, lin_res, lin_ok = _bicgstab(
-            _jacobian(total, fs, dt, grid, cfg.backend),
-            _preconditioner(total, R, fs, dt, grid, cfg.backend),
+            _jacobian(w, fs, dt, grid, cfg.backend, ws),
+            _preconditioner(w, R, fs, dt, grid, cfg.backend, ws),
             R,
             cfg.linear_rel_tol,
             cfg.max_linear,
+            ws.krylov,
         )
         linear_total += lin_iters
         linear_worst = max(linear_worst, lin_res)
         linear_converged = linear_converged and lin_ok
+        trial = ws.u[1] if u is ws.u[0] else ws.u[0]
         lam = 1.0
         while True:
-            trial = u - lam * correction
-            t_total, t_comps = kahler_form(theta, trial, grid, cfg.backend)
-            t_margin = cone_margin(t_total)
+            np.subtract(u, np.multiply(correction, lam, out=trial), out=trial)
+            ws.hessian(trial)
+            ws.form(theta)
+            t_margin = ws.cone_margin()
             if t_margin > 0.0:
                 break
             lam *= 0.5
@@ -549,13 +701,12 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords, warm=Non
                 raise _cone_exit(
                     f"no damping factor >= {cfg.min_damping:.3g} keeps the step inside "
                     f"the cone at t = {t_to:.6g}",
-                    t_total,
+                    w,
                     grid,
                 )
         damping_min = min(damping_min, lam)
-        u, comps, total, margin = trial, t_comps, t_total, t_margin
+        u, margin = trial, t_margin
         iters += 1
-    phidot = np.ascontiguousarray(np.broadcast_to(rhs, grid.shape))
     diag = {
         "t": float(t_to),
         "dt": float(dt),
@@ -567,24 +718,7 @@ def _advance(prev_vals, t_from, t_to, path, F, omega_form, cfg, coords, warm=Non
         "linear_rel_residual": linear_worst,
         "linear_converged": linear_converged,
     }
-    if warm is not None:
-        warm.append(comps)
-    return np.ascontiguousarray(u), phidot, diag
-
-
-def step(
-    phi: ScalarField,
-    t_from: float,
-    t_to: float,
-    path: MetricPath,
-    F: DrivingTerm,
-    omega_form: VolumeForm,
-    cfg: FlowConfig,
-) -> ScalarField:
-    """Single backward-Euler step of the flow (warm start inside the cone)."""
-    coords = phi.grid.coordinates()
-    vals, _, _ = _advance(phi.values, t_from, t_to, path, F, omega_form, cfg, coords)
-    return ScalarField(phi.grid, vals)
+    return u.copy(), rhs.copy(), diag
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +736,9 @@ def run(
     """Integrate the flow from smooth (or at worst Lipschitz) initial data.
 
     Initial data must be admissible for theta(0) up to the psh tolerance at
-    the configured backend; rough singular data go through run_cascade.
+    the configured backend; rough singular data go through run_cascade.  The
+    run makes one `_Workspace`, warm-started with H(phi0), passes it to every
+    step and drops it on return; no array of it reaches the trajectory.
     """
     grid = phi0.grid
     if path.grid is not grid and path.grid != grid:
@@ -610,12 +746,14 @@ def run(
     if cfg.horizon > path.horizon * (1 + 1e-12):
         raise ConfigError("flow horizon exceeds the metric path horizon")
     notices = []
-    # warm = [H(phi0)], the first step's warm start
-    total0, *warm = kahler_form(path.theta(0.0), phi0.values, grid, cfg.backend)
-    margin0 = cone_margin(total0)
+    ws = _Workspace(grid, cfg.backend)
+    ws.hessian(phi0.values)  # the first step's warm start
+    total0 = ws.form(path.theta(0.0))
+    margin0 = ws.cone_margin()
     if margin0 < -PSH_TOL:
         raise _cone_exit("initial data inadmissible for theta(0)", total0, grid)
     coords = grid.coordinates()
+    log_om = omega_form.log()
     if check_bounds:
         lo = float(phi0.values.min())
         hi = float(phi0.values.max())
@@ -624,12 +762,11 @@ def run(
 
     times = schedule_times(cfg)
     if margin0 > 0.0:
-        rhs0 = _rhs(total0, phi0.values, 0.0, F, omega_form.log(), coords)
+        rhs0 = _rhs(comps_det(total0), phi0.values, 0.0, F, log_om, coords)
         phidot0 = ScalarField(grid, np.broadcast_to(rhs0, grid.shape))
     else:
         phidot0 = None
         notices.append("right-hand side undefined at t = 0 (cone boundary); phidot omitted there")
-    del total0
 
     keep = np.zeros(len(times), dtype=bool)
     keep[0] = keep[-1] = True
@@ -645,7 +782,7 @@ def run(
     vals = phi0.values
     for k in range(1, len(times)):
         vals, phidot_vals, diag = _advance(
-            vals, times[k - 1], times[k], path, F, omega_form, cfg, coords, warm
+            vals, times[k - 1], times[k], path, F, log_om, cfg, coords, ws
         )
         diagnostics.append(diag)
         if keep[k]:
@@ -718,7 +855,9 @@ class TrajectoryAudit:
                 row["energy"] = None
         rhs = None
         if row["margin"] > 0.0 and {"phidot_range", "step_residual"} & cols:
-            rhs = _rhs(total, fld.values, t, self.F, self.omega_form.log(), grid.coordinates())
+            rhs = _rhs(
+                comps_det(total), fld.values, t, self.F, self.omega_form.log(), grid.coordinates()
+            )
         del total
         if "phidot_range" in cols:
             row["phidot_range"] = None

@@ -172,25 +172,37 @@ def _quarter_laplacian_symbol(n, N, backend):
     return _freeze((0.25 / h**2) * sum(2.0 - 2.0 * np.cos(2.0 * np.pi * k * h) for k in ks))
 
 
-def solve_shifted_laplacian(values: np.ndarray, grid: TorusGrid, backend: str, shift: float):
-    """Solve (shift - (1/4) Laplacian) u = values, Laplacian as the backend discretises it."""
+def solve_shifted_laplacian(
+    values: np.ndarray, grid: TorusGrid, backend: str, shift: float, out=None, scratch=None
+):
+    """Solve (shift - (1/4) Laplacian) u = values, Laplacian as the backend discretises it.
+
+    At n = 2, out and scratch (grid-shaped float arrays; out may be values,
+    scratch may not) receive the per-axis products and u is written into
+    out.  The n = 1 path (real FFTs) ignores them and returns a new array.
+    """
     if grid.n == 2:
         q, symbol = _quarter_laplacian_basis(grid.resolution, backend)
-        coef = _along_every_axis(q.T, values)
-        coef /= shift + symbol
-        return _along_every_axis(q, coef)
+        coef = _along_every_axis(q.T, values, out, scratch)
+        coef /= np.add(shift, symbol, out=scratch)
+        return _along_every_axis(q, coef, out, scratch)
     symbol = shift + _quarter_laplacian_symbol(grid.n, grid.resolution, backend)
     return _irfft(_rfft(values, grid) / symbol, grid)
 
 
-def quarter_laplacian_rayleigh(values: np.ndarray, grid: TorusGrid, backend: str) -> float:
+def quarter_laplacian_rayleigh(
+    values: np.ndarray, grid: TorusGrid, backend: str, out=None, scratch=None
+) -> float:
     """Rayleigh quotient <v, -(1/4) Laplacian v> / <v, v>, Laplacian as the backend discretises it.
 
-    values must not vanish identically.
+    values must not vanish identically.  At n = 2, out and scratch
+    (grid-shaped float arrays, neither aliasing values) hold the per-axis
+    products; n = 1 ignores them.
     """
     if grid.n == 2:
         q, symbol = _quarter_laplacian_basis(grid.resolution, backend)
-        power = _along_every_axis(q.T, values).ravel() ** 2
+        power = _along_every_axis(q.T, values, out, scratch).ravel()
+        np.square(power, out=power)
         return float(power @ symbol.ravel() / np.sum(power))
     power = np.abs(_rfft(values, grid)) ** 2
     # interior last-axis modes stand for themselves and their conjugates
@@ -252,22 +264,34 @@ def _quarter_laplacian_basis(N, backend):
     return _freeze(q), _freeze(symbol)
 
 
-def _along(m, values, axis):
+def _along(m, values, axis, out=None):
     """m applied along one axis: out[.., i, ..] = sum_j m[i, j] values[.., j, ..].
 
-    Reshapes only, so no moveaxis copy is made.
+    Reshapes only, so no moveaxis copy is made.  out, when given, is a
+    contiguous array shaped like values (not aliasing it) that receives the
+    product.
     """
     shape = values.shape
     N = shape[axis]
     if axis == values.ndim - 1:
-        return (values.reshape(-1, N) @ m.T).reshape(shape)
-    before = int(np.prod(shape[:axis]))
-    return (m @ values.reshape(before, N, -1)).reshape(shape)
+        a, b, view = values.reshape(-1, N), m.T, (-1, N)
+    else:
+        before = int(np.prod(shape[:axis]))
+        a, b, view = m, values.reshape(before, N, -1), (before, N, -1)
+    if out is None:
+        return np.matmul(a, b).reshape(shape)
+    np.matmul(a, b, out=out.reshape(view))
+    return out
 
 
-def _along_every_axis(m, values):
+def _along_every_axis(m, values, out=None, scratch=None):
+    """m applied along every axis in turn.
+
+    With out, the products alternate between scratch and out and end in out
+    (values has an even number of axes); out may be values, scratch may not.
+    """
     for axis in range(values.ndim):
-        values = _along(m, values, axis)
+        values = _along(m, values, axis, None if out is None else (scratch, out)[axis % 2])
     return values
 
 
@@ -300,29 +324,33 @@ def hessian_components(values: np.ndarray, grid: TorusGrid, backend: str = "spec
     return (0.25 * (_fd_second(values, h, 0) + _fd_second(values, h, 1)),)
 
 
-def _hessian_axes(values, grid, backend):
+def _hessian_axes(values, grid, backend, out=None):
     """The n=2 Hessian (h11, h22, h12) from per-axis derivative matrices.
 
     Axes are (x1, y1, x2, y2); Re h12 = (x1x2 + y1y2)/4 and
-    Im h12 = (x1y2 - y1x2)/4.
+    Im h12 = (x1y2 - y1x2)/4.  out, when given, is (h11, h22, h12, spare):
+    grid-shaped arrays (h12 complex, none aliasing values) that receive the
+    components, spare holding partial products, so nothing is allocated.
     """
     d1, d2 = _axis_matrices(grid.resolution, backend)
-    dx1 = _along(d1, values, 0)
-    dy1 = _along(d1, values, 1)
-    h12 = np.empty(values.shape, dtype=np.complex128)
-    part = _along(d1, dx1, 2)
-    part += _along(d1, dy1, 3)
-    h12.real = part
-    part = _along(d1, dx1, 3)
-    part -= _along(d1, dy1, 2)
-    h12.imag = part
-    del dx1, dy1, part
+    if out is None:
+        out = (None, None, np.empty(values.shape, dtype=np.complex128), None)
+    h11, h22, h12, spare = out
+    # the first derivatives sit in h11's and h22's arrays until h12 is done
+    dx1 = _along(d1, values, 0, h11)
+    dy1 = _along(d1, values, 1, h22)
+    re, im = h12.real, h12.imag
+    re[...] = _along(d1, dx1, 2, spare)
+    re += _along(d1, dy1, 3, spare)
+    im[...] = _along(d1, dx1, 3, spare)
+    im -= _along(d1, dy1, 2, spare)
     h12 *= 0.25
-    h11 = _along(d2, values, 0)
-    h11 += _along(d2, values, 1)
+    del dx1, dy1
+    h11 = _along(d2, values, 0, h11)
+    h11 += _along(d2, values, 1, spare)
     h11 *= 0.25
-    h22 = _along(d2, values, 2)
-    h22 += _along(d2, values, 3)
+    h22 = _along(d2, values, 2, h22)
+    h22 += _along(d2, values, 3, spare)
     h22 *= 0.25
     return h11, h22, h12
 

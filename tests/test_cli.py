@@ -168,7 +168,7 @@ def test_verify_replays_archive_checks(tmp_path):
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
     rc = cli.main(["verify", str(out), "--check", "residual-certificate"])
     assert rc == 0
-    margins = json.loads((out / "margins.json").read_text())
+    margins = json.loads((out / "replay" / "margins.json").read_text())
     assert margins[0]["check"] == "residual-certificate"
     assert margins[0]["details"]["config_hash"] == config_hash(doc)
 
@@ -203,7 +203,7 @@ def test_verify_compares_two_archives(tmp_path):
     assert cli.main(["run", "--config", str(cfg_b), "--out", str(tmp_path / "outB")]) == 0
     rc = cli.main(["verify", str(tmp_path / "outA"), str(tmp_path / "outB")])
     assert rc == 0
-    margins = json.loads((tmp_path / "outA" / "margins.json").read_text())
+    margins = json.loads((tmp_path / "outA" / "replay" / "margins.json").read_text())
     assert [m["check"] for m in margins] == ["comparison"]
     assert margins[0]["passed"]
 
@@ -461,6 +461,20 @@ def test_plain_verify_replays_the_documents_archive_checks(tmp_path, stem):
     assert cli.main(["verify", str(tmp_path / "out"), "--out", str(tmp_path / "replay")]) == 0
     replay = json.loads((tmp_path / "replay" / "margins.json").read_text())
     assert [r["check"] for r in replay] == [r["check"] for r in live]
+
+
+def test_plain_verify_keeps_the_reports_run_wrote(tmp_path):
+    initial_b = {"kind": "fourier-sum", "modes": [[0.02, [0, 1], 0.0]]}
+    cfg_path, _ = write_doc(
+        tmp_path, initial_b=initial_b, checks=["stability", "residual-certificate"]
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    written = {name: (out / name).read_bytes() for name in ("margins.json", "margins.csv")}
+    assert cli.main(["verify", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in written} == written
+    replay = json.loads((out / "replay" / "margins.json").read_text())
+    assert [r["check"] for r in replay] == ["residual-certificate"]  # stability is live-only
 
 
 def test_verify_replays_the_archived_comparison_pair(tmp_path):

@@ -24,7 +24,7 @@ from maflow import (
     run_cascade,
     run_nef,
 )
-from maflow import flow, psh
+from maflow import flow, geometry, psh
 from maflow.flow import (
     TrajectoryAudit,
     instantaneous_residuals,
@@ -32,7 +32,6 @@ from maflow.flow import (
     ordering_gap,
     residual_certificate,
     schedule_times,
-    step,
     trajectory_from_family,
     uniqueness_rescale,
 )
@@ -210,12 +209,21 @@ def test_inadmissible_initial_data_is_refused():
     assert info.value.eigenvalue == pytest.approx(1.0 - 0.2 * np.pi**2, rel=1e-12)
 
 
+def advance(phi, t_from, t_to, path, F, omega, cfg):
+    """One backward-Euler step from phi, with a workspace warm-started by H(phi)."""
+    ws = flow._Workspace(phi.grid, cfg.backend)
+    ws.hessian(phi.values)
+    coords = phi.grid.coordinates()
+    vals, _, _ = flow._advance(phi.values, t_from, t_to, path, F, omega.log(), cfg, coords, ws)
+    return ScalarField(phi.grid, vals)
+
+
 def test_warm_start_outside_the_cone_names_the_worst_point():
     grid, path, omega, cfg = make_problem(resolution=16)
     x, y = grid.coordinates()
     phi = ScalarField(grid, 0.2 * np.cos(2 * np.pi * x) * np.ones_like(y))
     with pytest.raises(ConeExitError) as info:
-        step(phi, 0.0, 0.01, path, DrivingTerm.zero(), omega, cfg)
+        advance(phi, 0.0, 0.01, path, DrivingTerm.zero(), omega, cfg)
     assert info.value.location[0] == 0
     assert info.value.eigenvalue == pytest.approx(1.0 - 0.2 * np.pi**2, rel=1e-12)
 
@@ -226,6 +234,7 @@ def test_exhausted_damping_names_the_worst_point(monkeypatch):
     # a Newton direction 1e9 cos(2 pi x) (the negated correction) so large
     # that every damped trial leaves the cone, worst at x = 0
     correction = -1e9 * np.cos(2 * np.pi * x) * np.ones_like(y)
+    correction.flags.writeable = False  # the line search only reads the direction
     monkeypatch.setattr(flow, "_bicgstab", lambda *a, **k: (correction, 1, 0.0, True))
     phi0 = ScalarField(grid, 0.02 * np.sin(2 * np.pi * y) * np.ones_like(x))
     with pytest.raises(ConeExitError) as info:
@@ -240,9 +249,10 @@ def test_run_reuses_each_accepted_hessian_bitwise():
     phi0 = ScalarField(grid, 0.05 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y))
     F = DrivingTerm.affine(slope=0.5)
     traj = run(phi0, path, F, omega, cfg)
+    # each step here computes the Hessian of its start values afresh
     phi = phi0
     for t_from, t_to in zip(traj.schedule[:-1], traj.schedule[1:]):
-        phi = step(phi, t_from, t_to, path, F, omega, cfg)
+        phi = advance(phi, t_from, t_to, path, F, omega, cfg)
     assert np.array_equal(phi.values, traj.final().values)
 
 
@@ -271,6 +281,57 @@ def test_preconditioner_inverts_the_jacobian_for_a_constant_metric(n, backend):
     assert (iters, converged) == (1, True)
     assert rel_res <= 1e-12
     assert flow._l2(b - jac(x)) <= 1e-12 * flow._l2(b)
+
+
+def varying_n2_form():
+    """theta + H(phi) at n = 2 with a spatially varying, complex h12."""
+    grid = TorusGrid(n=2, resolution=8)
+    x1, y1, x2, y2 = grid.coordinates()
+    phi = 0.01 * np.cos(2 * np.pi * (x1 + y2)) + 0.008 * np.sin(2 * np.pi * (y1 - x2 + x1))
+    theta = geometry.form_from_matrix([[1.2, 0.1 + 0.2j], [0.1 - 0.2j, 0.9]], 2)
+    return grid, theta, np.broadcast_to(phi, grid.shape).copy()
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_workspace_form_algebra_matches_geometry(backend):
+    grid, theta, phi = varying_n2_form()
+    ws = flow._Workspace(grid, backend)
+    ws.hessian(phi)
+    w = ws.form(theta)
+    ref = geometry.kahler_form(theta, phi, grid, backend)[0]
+    assert np.ptp(ref[2].imag) > 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(w, ref))
+    ws.lay_out(w)
+    assert np.array_equal(ws.det, geometry.comps_det(ref))
+    assert ws.cone_margin() == geometry.cone_margin(ref)
+
+
+@pytest.mark.parametrize("fs_kind", ["scalar", "array"])
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_n2_newton_kernels_match_their_reference(backend, fs_kind):
+    grid, theta, phi = varying_n2_form()
+    total = geometry.kahler_form(theta, phi, grid, backend)[0]
+    x1 = grid.coordinates()[0]
+    fs = np.asarray(0.5) if fs_kind == "scalar" else 0.5 + 0.2 * np.cos(2 * np.pi * x1)
+    dt = 2.0**-7  # v / dt and (1 / dt) v round alike
+    rng = np.random.default_rng(7)
+    v, R = rng.standard_normal((2, *grid.shape))
+    hv = flow.hessian_components(v, grid, backend)
+    want = v / dt - geometry.comps_trace_inv(total, hv) + fs * v
+    jac = flow._jacobian(total, fs, dt, grid, backend)
+    assert np.array_equal(jac(v), want)
+    out = np.empty(grid.shape)
+    assert jac(v, out) is out and np.array_equal(out, want)
+    # the preconditioner from geometry's harmonic mean and grid's fresh-array solve
+    s = geometry.comps_harmonic_mean(total)
+    c = 1.0 / float(np.mean(1.0 / s))
+    kappa = dt * flow.quarter_laplacian_rayleigh(R, grid, backend)
+    scale = s * ((c + kappa) / (s + kappa))
+    shift = c * (1.0 / dt + max(0.0, float(np.mean(fs))))
+    want = flow.solve_shifted_laplacian(scale * v, grid, backend, shift)
+    precond = flow._preconditioner(total, R, fs, dt, grid, backend)
+    assert np.array_equal(precond(v), want)
+    assert precond(v, out) is out and np.array_equal(out, want)
 
 
 def degenerate_problem(**cfg_kw):
@@ -307,11 +368,20 @@ def test_bicgstab_reports_a_solve_it_cut_short():
         R,
         cfg.linear_rel_tol,
     )
-    _, iters, rel_res, converged = flow._bicgstab(*args, 1)
+    b = R.copy()
+
+    def solve(max_iter):
+        x, iters, rel_res, converged = flow._bicgstab(*args, max_iter)
+        # the recurrence residual it reports is the returned iterate's
+        assert flow._l2(R - args[0](x)) / flow._l2(R) == pytest.approx(rel_res, abs=1e-10)
+        return iters, rel_res, converged
+
+    iters, rel_res, converged = solve(1)
     assert (iters, converged) == (1, False)
     assert rel_res > cfg.linear_rel_tol
-    _, _, rel_res, converged = flow._bicgstab(*args, cfg.max_linear)
+    _, rel_res, converged = solve(cfg.max_linear)
     assert converged and rel_res <= cfg.linear_rel_tol
+    assert np.array_equal(R, b)  # the right-hand side is only read
 
 
 def test_newton_stall_names_the_unconverged_linear_solve():
