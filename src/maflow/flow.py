@@ -376,26 +376,18 @@ def _l2(a: np.ndarray) -> float:
 class _Workspace:
     """The grid-shaped arrays of one `run`, reused so its Newton loop allocates none.
 
-    `run` makes one when it starts, hands it to every `_advance` and drops
-    it when it returns; each step overwrites every array.
-
-      u       two iterates, the accepted one and the line search's trial;
-              they swap roles when a trial is accepted
-      h, w    H of the iterate last passed to `hessian` and the form
-              theta + h that `form` builds.  The line search overwrites
-              both: once the Newton direction is solved the accepted iterate
-              needs neither.  Between steps h is H of the step's values, the
-              next step's warm start.
-      det     det(w), laid out once per Newton iteration by `lay_out` for the
-              residual, the Newton operator and its preconditioner
-      rhs, R  the right-hand side and the Newton residual
-      scale   the preconditioner's pointwise scaling
-      tmp     scratch: three real arrays and a complex one, H(v) inside one
-              n = 2 operator apply
-      krylov  BiCGSTAB's eight vectors
-
-    At n = 1 the Hessian comes from real FFTs or np.roll stencils, so h is a
-    new array each time and det is w itself.
+    `run` makes one, hands it to every `_advance` and drops it on return;
+    each step overwrites every array.  u holds the accepted iterate and the
+    line search's trial, which swap roles when a trial is accepted.  h is H
+    of the iterate last given to `hessian` and w the form theta + h from
+    `form`.  The line search overwrites both, as the accepted iterate needs
+    neither once its Newton direction is solved; between steps h is H of
+    the step's values, the next step's warm start.  `lay_out` puts det(w)
+    in det once per Newton iteration for the residual (rhs, R), the Newton
+    operator and its preconditioner (scale).  tmp is scratch (three real
+    arrays and a complex one, H(v) inside an n = 2 operator apply) and
+    krylov BiCGSTAB's eight vectors.  At n = 1 the Hessian comes from FFTs
+    or np.roll stencils, so h is a new array each time and det is w itself.
     """
 
     def __init__(self, grid: TorusGrid, backend: str):
