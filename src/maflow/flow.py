@@ -15,9 +15,10 @@ the harmonic mean of w's eigenvalues (w = theta + dd^c phi), matched to the
 Jacobian at the stiffness of the current Newton residual, so it keeps up
 where w nears the edge of the positive cone.  Each `run` holds one
 `_Workspace` of grid-shaped arrays for its whole length: the Newton loop
-writes iterates, forms, residuals, Krylov vectors and operator products into
-it.  At n = 2 only each step's stored snapshot and the driving term's values
-are then new arrays; at n = 1 the FFT and stencil derivatives still are.
+writes iterates, residuals and Krylov vectors into it, and passes its arrays
+as outputs to grid's Hessian and geometry's form algebra.  At n = 2 only each
+step's stored snapshot and the driving term's values are then new arrays; at
+n = 1 the FFT and stencil temporaries inside the derivatives are too.
 
 The right-hand side is written once (`_rhs`), for the Newton residual and
 the stored phidot.  Checks read stored snapshots through `TrajectoryAudit`,
@@ -60,6 +61,7 @@ from .geometry import (
     MetricPath,
     VolumeForm,
     comps_det,
+    comps_harmonic_mean,
     comps_trace,
     comps_trace_inv,
     cone_margin,
@@ -69,7 +71,6 @@ from .geometry import (
 from .grid import (
     ScalarField,
     TorusGrid,
-    _hessian_axes,
     hessian_components,
     oscillation,
     quarter_laplacian_rayleigh,
@@ -382,63 +383,37 @@ class _Workspace:
     of the iterate last given to `hessian` and w the form theta + h from
     `form`.  The line search overwrites both, as the accepted iterate needs
     neither once its Newton direction is solved; between steps h is H of
-    the step's values, the next step's warm start.  `lay_out` puts det(w)
-    in det once per Newton iteration for the residual (rhs, R), the Newton
-    operator and its preconditioner (scale).  tmp is scratch (three real
-    arrays and a complex one, H(v) inside an n = 2 operator apply) and
-    krylov BiCGSTAB's eight vectors.  At n = 1 the Hessian comes from FFTs
-    or np.roll stencils, so h is a new array each time and det is w itself.
+    the step's values, the next step's warm start.  det receives det(w) once
+    per Newton iteration for the residual (rhs, R) and the Newton operator;
+    scale is the preconditioner's scaling.  tmp is three real scratch arrays,
+    hv H(v) inside an operator apply (it shares tmp's first two), and krylov
+    BiCGSTAB's eight vectors.
     """
 
     def __init__(self, grid: TorusGrid, backend: str):
         def real():
             return np.empty(grid.shape)
 
-        cplx = np.empty(grid.shape, dtype=np.complex128)
+        def form(*reals):
+            """A form's arrays: the real ones given (new when none), and a new h12 at n = 2."""
+            reals = (reals or tuple(real() for _ in range(grid.n)))[: grid.n]
+            return reals if grid.n == 1 else (*reals, np.empty(grid.shape, complex))
+
         self.grid, self.backend = grid, backend
         self.u = (real(), real())
-        self.w = (real(),) if grid.n == 1 else (real(), real(), cplx)
-        self.h = None if grid.n == 1 else (real(), real(), np.empty_like(cplx))
+        self.h, self.w = form(), form()
         self.det, self.rhs, self.R, self.scale = real(), real(), real(), real()
-        self.tmp = (real(), real(), real(), np.empty_like(cplx))
+        self.tmp = (real(), real(), real())
+        self.hv = form(*self.tmp[:2])
         self.krylov = tuple(real() for _ in range(8))
 
     def hessian(self, values):
         """h = H(values)."""
-        if self.grid.n == 1:
-            self.h = hessian_components(values, self.grid, self.backend)
-        else:
-            _hessian_axes(values, self.grid, self.backend, out=(*self.h, self.tmp[2]))
+        hessian_components(values, self.grid, self.backend, self.h, self.tmp[2])
 
     def form(self, theta) -> tuple:
         """w = theta + h."""
-        for th, hc, w in zip(theta, self.h, self.w):
-            np.add(th, hc, out=w)
-        return self.w
-
-    def lay_out(self, w):
-        """det = det(w), in geometry.comps_det's order."""
-        if len(w) == 1:
-            self.det = w[0]
-            return
-        h11, h22, h12 = w
-        sq = np.square(np.abs(h12, out=self.tmp[0]), out=self.tmp[0])
-        np.multiply(h11, h22, out=self.det)
-        self.det -= sq
-
-    def cone_margin(self) -> float:
-        """geometry.cone_margin(w), in geometry.comps_eig_min's order."""
-        if len(self.w) == 1:
-            return float(np.min(self.w[0]))
-        h11, h22, h12 = self.w
-        a, b = self.tmp[:2]
-        rad = np.square(np.subtract(h11, h22, out=a), out=a)
-        rad *= 0.25
-        rad += np.square(np.abs(h12, out=b), out=b)
-        np.sqrt(rad, out=rad)
-        mid = np.add(h11, h22, out=b)
-        mid *= 0.5
-        return float(np.min(np.subtract(mid, rad, out=a)))
+        return kahler_form(theta, None, self.grid, self.backend, self.h, self.w)[0]
 
 
 def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int, work=None):
@@ -537,52 +512,27 @@ def _cone_exit(message, total, grid):
     )
 
 
-def _laid_out(ws, total, grid, backend):
-    """ws, or a new workspace with total laid out."""
-    if ws is None:
-        ws = _Workspace(grid, backend)
-        ws.lay_out(total)
-    return ws
+def _jacobian(total, det, fs, dt, ws):
+    """The Newton operator v -> v/dt + F_s v - tr(w^-1 H(v)), w = total, det = det(w).
 
-
-def _jacobian(total, fs, dt, grid, backend, ws=None):
-    """The Newton operator v -> v/dt + F_s v - tr(w^-1 H(v)), w = total.
-
-    It is called as apply(v, out=None).  At n = 2 it writes H(v) into
-    ws.tmp and its result into out (a new array when omitted), in
-    comps_trace_inv's expression order; ws is the run's workspace with total
-    laid out, or a new one.
+    It is called as apply(v, out=None), writes H(v) into ws.hv and returns
+    its result, written into out when given; ws is the run's workspace.
     """
     inv_dt = 1.0 / dt
-    if grid.n == 1:
-
-        def apply(v, out=None):
-            hv = hessian_components(v, grid, backend)
-            return inv_dt * v - comps_trace_inv(total, hv) + fs * v
-
-        return apply
-    ws = _laid_out(ws, total, grid, backend)
-    b11, b22, b12 = total
-    a11, a22, spare, a12 = ws.tmp
+    spare = ws.tmp[2]
 
     def apply(v, out=None):
-        _hessian_axes(v, grid, backend, out=(a11, a22, a12, spare))
-        # tr(w^-1 a) = (b22 a11 + b11 a22 - 2 Re(conj(b12) a12)) / det(w);
-        # Re(b conj(a)) has the same rounded products as Re(conj(b) a)
-        tr = np.multiply(b22, a11, out=spare)
-        tr += np.multiply(b11, a22, out=a11)
-        np.multiply(b12, np.conjugate(a12, out=a12), out=a12)
-        tr -= np.multiply(a12.real, 2.0, out=a22)
-        tr /= ws.det
+        hv = hessian_components(v, ws.grid, ws.backend, ws.hv, spare)
+        tr = comps_trace_inv(total, hv, spare, hv, det)
         out = np.multiply(v, inv_dt, out=out)
         out -= tr
-        out += np.multiply(fs, v, out=a11)
+        out += np.multiply(fs, v, out=hv[0])
         return out
 
     return apply
 
 
-def _preconditioner(total, R, fs, dt, grid, backend, ws=None):
+def _preconditioner(total, R, fs, dt, ws):
     """Right preconditioner matched to the Jacobian at the stiffness of R.
 
     With s = n / tr(w^-1) (the harmonic mean of w's eigenvalues), c the grid
@@ -599,15 +549,11 @@ def _preconditioner(total, R, fs, dt, grid, backend, ws=None):
 
     It is called as apply(r, out=None) and writes D r into out (a new array
     when omitted), where the n = 2 solve also lands.  ws is the run's
-    workspace with total laid out, or a new one; D is kept in ws.scale.
+    workspace; D is kept in ws.scale.
     """
-    ws = _laid_out(ws, total, grid, backend)
-    a, b, spare = ws.tmp[:3]
-    if grid.n == 1:
-        s = total[0]
-    else:  # comps_harmonic_mean's order: 2 det / tr
-        s = np.multiply(ws.det, 2.0, out=a)
-        s /= np.add(total[0], total[1], out=b)
+    grid, backend = ws.grid, ws.backend
+    a, b, spare = ws.tmp
+    s = comps_harmonic_mean(total, a, b)
     c = 1.0 / float(np.mean(np.divide(1.0, s, out=b)))
     kappa = dt * quarter_laplacian_rayleigh(R, grid, backend, b, spare)
     scale = np.add(s, kappa, out=ws.scale)
@@ -637,7 +583,7 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws):
     theta = path.theta(t_to)
     u = prev_vals
     w = ws.form(theta)
-    margin = ws.cone_margin()
+    margin = cone_margin(w, *ws.tmp[:2])
     if margin <= 0.0:
         raise _cone_exit(f"warm start leaves the positivity cone at t = {t_to:.6g}", w, grid)
     residual = math.inf
@@ -647,8 +593,8 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws):
     linear_converged = True
     iters = 0
     while True:
-        ws.lay_out(w)
-        rhs = _rhs(ws.det, u, t_to, F, log_om, coords, out=ws.rhs)
+        det = comps_det(w, ws.det, ws.tmp[0])
+        rhs = _rhs(det, u, t_to, F, log_om, coords, out=ws.rhs)
         R = np.subtract(u, prev_vals, out=ws.R)
         R /= dt
         R -= rhs
@@ -669,8 +615,8 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws):
         fs = np.asarray(F.ds_at(t_to, coords, u), dtype=np.float64)
         # J correction = R; the Newton direction is -correction
         correction, lin_iters, lin_res, lin_ok = _bicgstab(
-            _jacobian(w, fs, dt, grid, cfg.backend, ws),
-            _preconditioner(w, R, fs, dt, grid, cfg.backend, ws),
+            _jacobian(w, det, fs, dt, ws),
+            _preconditioner(w, R, fs, dt, ws),
             R,
             cfg.linear_rel_tol,
             cfg.max_linear,
@@ -685,7 +631,7 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws):
             np.subtract(u, np.multiply(correction, lam, out=trial), out=trial)
             ws.hessian(trial)
             ws.form(theta)
-            t_margin = ws.cone_margin()
+            t_margin = cone_margin(w, *ws.tmp[:2])
             if t_margin > 0.0:
                 break
             lam *= 0.5
@@ -741,7 +687,7 @@ def run(
     ws = _Workspace(grid, cfg.backend)
     ws.hessian(phi0.values)  # the first step's warm start
     total0 = ws.form(path.theta(0.0))
-    margin0 = ws.cone_margin()
+    margin0 = cone_margin(total0, *ws.tmp[:2])
     if margin0 < -PSH_TOL:
         raise _cone_exit("initial data inadmissible for theta(0)", total0, grid)
     coords = grid.coordinates()
@@ -902,21 +848,33 @@ def residual_certificate(audit: TrajectoryAudit) -> dict:
 
 
 def instantaneous_residuals(traj: FlowTrajectory, path, F, omega_form) -> dict:
-    """sup |phidot - RHS| per snapshot, recomputed from the fields alone.
+    """phidot - RHS per snapshot, recomputed from the fields alone.
 
     Meaningful for analytic families and transformed/pulled-back
     trajectories, where phidot is supplied rather than defined as the RHS.
-    A snapshot outside the cone has residual inf.
+    per_snapshot is sup |phidot - RHS| (nan without a phidot) and
+    max_residual the largest of them; range is the signed (min, max) over
+    the snapshots with a phidot, and cone_violation_at the time of the first
+    of them outside the positive cone (None if there is none), where the
+    residual is inf and the range (-inf, inf).
     """
     audit = TrajectoryAudit(traj, path, F, omega_form, columns=("phidot_range",))
-    out = [
-        math.nan if pd is None else max(map(abs, audit.value(k, "phidot_range")))
-        for k, pd in enumerate(traj.phidots)
-    ]
+    out, lo, hi, exit_t = [], math.inf, -math.inf, None
+    for k, (t, pd) in enumerate(zip(traj.times, traj.phidots)):
+        if pd is None:
+            out.append(math.nan)
+            continue
+        r_lo, r_hi = audit.value(k, "phidot_range")
+        out.append(max(abs(r_lo), abs(r_hi)))
+        lo, hi = min(lo, r_lo), max(hi, r_hi)
+        if exit_t is None and audit.row(k)["margin"] <= 0.0:
+            exit_t = float(t)
     finite = [v for v in out if not math.isnan(v)]
     return {
         "per_snapshot": out,
         "max_residual": max(finite) if finite else math.nan,
+        "range": (lo, hi),
+        "cone_violation_at": exit_t,
     }
 
 

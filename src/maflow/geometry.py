@@ -15,6 +15,17 @@ the positive cone with `cone_margin` (`lowest_eigenvalue` also names the
 worst grid point) and take traces with `comps_trace`.  `certify_metric_path`
 samples a metric path's volume sandwich and returns its delta, the one path
 fact the checks read.
+
+The grid-shaped algebra (`comps_det`, `comps_eig_min`, `cone_margin`,
+`comps_trace`, `comps_trace_inv`, `comps_harmonic_mean`, `kahler_form`)
+takes optional output arrays: out for the result, scratch for partial
+products, none aliasing an input unless the docstring allows it.  Called
+without them a function returns new arrays; called with them it returns its
+result and may write it there, with the same bits either way.  Callers use
+the returned value: a result that is an input component (n = 1's
+determinant, eigenvalue and harmonic mean) comes back unwritten, and so do
+the determinant and eigenvalue of a constant form (scalar components),
+which stay scalars.
 """
 
 from __future__ import annotations
@@ -53,59 +64,93 @@ def form_from_matrix(mat, n: int) -> tuple:
     return (m[0, 0].real, m[1, 1].real, m[0, 1])
 
 
-def comps_det(comps):
+def _square(x, out):
+    # x ** 2 rounds as np.square on arrays, but through C pow on numpy scalars
+    return x ** 2 if out is None else np.square(x, out=out)
+
+
+def _constant(comps) -> bool:
+    return all(np.ndim(c) == 0 for c in comps)
+
+
+def comps_det(comps, out=None, scratch=None):
+    """det w: h11 h22 - |h12|^2 at n = 2, h11 itself at n = 1.  scratch holds |h12|^2."""
     if len(comps) == 1:
         return comps[0]
+    if _constant(comps):
+        out = scratch = None
     h11, h22, h12 = comps
-    return h11 * h22 - np.abs(h12) ** 2
+    sq = _square(np.abs(h12, out=scratch), scratch)
+    return np.subtract(np.multiply(h11, h22, out=out), sq, out=out)
 
 
-def comps_eig_min(comps):
+def comps_eig_min(comps, out=None, scratch=None):
+    """The lowest eigenvalue (h11 + h22)/2 - sqrt((h11 - h22)^2/4 + |h12|^2)."""
     if len(comps) == 1:
         return comps[0]
+    if _constant(comps):
+        out = scratch = None
     h11, h22, h12 = comps
-    mid = 0.5 * (h11 + h22)
-    rad = np.sqrt(0.25 * (h11 - h22) ** 2 + np.abs(h12) ** 2)
-    return mid - rad
+    rad = np.multiply(0.25, _square(np.subtract(h11, h22, out=out), out), out=out)
+    rad = np.add(rad, _square(np.abs(h12, out=scratch), scratch), out=out)
+    rad = np.sqrt(rad, out=out)
+    mid = np.multiply(0.5, np.add(h11, h22, out=scratch), out=scratch)
+    return np.subtract(mid, rad, out=out)
 
 
-def comps_trace(comps):
+def comps_trace(comps, out=None):
     if len(comps) == 1:
         return comps[0]
-    return comps[0] + comps[1]
+    return np.add(comps[0], comps[1], out=out)
 
 
-def comps_harmonic_mean(comps):
+def comps_harmonic_mean(comps, out=None, scratch=None):
     """n / tr(w^-1), the harmonic mean of the eigenvalues of a positive definite w."""
     if len(comps) == 1:
         return comps[0]
-    return 2.0 * comps_det(comps) / comps_trace(comps)
+    s = np.multiply(2.0, comps_det(comps, out, scratch), out=out)
+    return np.divide(s, comps_trace(comps, scratch), out=out)
 
 
-def cone_margin(comps) -> float:
+def cone_margin(comps, out=None, scratch=None) -> float:
     """Smallest eigenvalue over the grid; positive means inside the positive cone."""
-    return float(np.min(comps_eig_min(comps)))
+    return float(np.min(comps_eig_min(comps, out, scratch)))
 
 
-def kahler_form(theta, values, grid: TorusGrid, backend: str, hessian=None):
+def kahler_form(theta, values, grid: TorusGrid, backend: str, hessian=None, out=None):
     """(theta + H(values), H(values)) as component tuples; theta is a form.
 
     hessian, when given, is H(values) already computed (a warm start); values
-    is then not read and may be None.
+    is then not read and may be None.  out receives theta + H(values).
     """
     if hessian is None:
         hessian = hessian_components(values, grid, backend)
-    return tuple(th + hc for th, hc in zip(theta, hessian)), hessian
+    out = out or (None,) * len(theta)
+    return tuple(np.add(th, hc, out=o) for th, hc, o in zip(theta, hessian, out)), hessian
 
 
-def comps_trace_inv(base, alpha):
-    """trace(base^{-1} alpha) for Hermitian component tuples; base must be PD."""
+def comps_trace_inv(base, alpha, out=None, scratch=None, det=None):
+    """trace(base^{-1} alpha) for Hermitian component tuples; base must be PD.
+
+    At n = 2 it is (b22 a11 + b11 a22 - 2 Re(b12 conj(a12))) / det(base); the
+    real part has the same rounded products as Re(conj(b12) a12).  det, when
+    given, is comps_det(base), computed once for many alphas.  scratch is a
+    form's (real, real, complex) arrays for the partial products and may be
+    alpha itself, whose arrays are then overwritten.
+    """
     if len(base) == 1:
-        return alpha[0] / base[0]
+        return np.divide(alpha[0], base[0], out=out)
     b11, b22, b12 = base
     a11, a22, a12 = alpha
-    det = b11 * b22 - np.abs(b12) ** 2
-    return (b22 * a11 + b11 * a22 - 2.0 * np.real(np.conj(b12) * a12)) / det
+    # each scratch array is written only once its alpha counterpart is read
+    s11, s22, s12 = scratch or (None,) * 3
+    if det is None:
+        det = comps_det(base)
+    tr = np.multiply(b22, a11, out=out)
+    tr = np.add(tr, np.multiply(b11, a22, out=s11), out=out)
+    prod = np.multiply(b12, np.conjugate(a12, out=s12), out=s12)
+    tr = np.subtract(tr, np.multiply(2.0, prod.real, out=s22), out=out)
+    return np.divide(tr, det, out=out)
 
 
 def comps_mixed(alpha, beta, j, n):

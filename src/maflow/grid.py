@@ -307,50 +307,52 @@ def _fd_first(values, h, axis):
     return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
 
 
-def hessian_components(values: np.ndarray, grid: TorusGrid, backend: str = "spectral"):
+def hessian_components(
+    values: np.ndarray, grid: TorusGrid, backend: str = "spectral", out=None, scratch=None
+):
     """Raw complex-Hessian components of a real sample array.
 
     Returns (h11,) for n=1 and (h11, h22, h12) for n=2; for n=1 h11 is the
-    quarter Laplacian (phi_xx + phi_yy)/4.
+    quarter Laplacian (phi_xx + phi_yy)/4.  out, when given, is a form's
+    arrays (none aliasing values) that receive the components and are
+    returned; at n=2 scratch, a grid-shaped float array, holds partial
+    products, and at n=1 the FFT or stencil temporaries are still new.
     """
     if backend not in BACKENDS:
         raise ConfigError(f"unknown derivative backend {backend!r}")
     if grid.n == 2:
-        return _hessian_axes(values, grid, backend)
+        return _hessian_axes(values, grid, backend, out, scratch)
+    h11 = None if out is None else out[0]
     if backend == "spectral":
         symbol = _quarter_laplacian_symbol(1, grid.resolution, "spectral")
-        return (-_irfft(_rfft(values, grid) * symbol, grid),)
+        return (np.negative(_irfft(_rfft(values, grid) * symbol, grid), out=h11),)
     h = grid.spacing
-    return (0.25 * (_fd_second(values, h, 0) + _fd_second(values, h, 1)),)
+    return (np.multiply(0.25, _fd_second(values, h, 0) + _fd_second(values, h, 1), out=h11),)
 
 
-def _hessian_axes(values, grid, backend, out=None):
+def _hessian_axes(values, grid, backend, out=None, scratch=None):
     """The n=2 Hessian (h11, h22, h12) from per-axis derivative matrices.
 
     Axes are (x1, y1, x2, y2); Re h12 = (x1x2 + y1y2)/4 and
-    Im h12 = (x1y2 - y1x2)/4.  out, when given, is (h11, h22, h12, spare):
-    grid-shaped arrays (h12 complex, none aliasing values) that receive the
-    components, spare holding partial products, so nothing is allocated.
+    Im h12 = (x1y2 - y1x2)/4.  out and scratch as in hessian_components.
     """
     d1, d2 = _axis_matrices(grid.resolution, backend)
-    if out is None:
-        out = (None, None, np.empty(values.shape, dtype=np.complex128), None)
-    h11, h22, h12, spare = out
+    h11, h22, h12 = out or (None, None, np.empty(values.shape, dtype=np.complex128))
     # the first derivatives sit in h11's and h22's arrays until h12 is done
     dx1 = _along(d1, values, 0, h11)
     dy1 = _along(d1, values, 1, h22)
     re, im = h12.real, h12.imag
-    re[...] = _along(d1, dx1, 2, spare)
-    re += _along(d1, dy1, 3, spare)
-    im[...] = _along(d1, dx1, 3, spare)
-    im -= _along(d1, dy1, 2, spare)
+    re[...] = _along(d1, dx1, 2, scratch)
+    re += _along(d1, dy1, 3, scratch)
+    im[...] = _along(d1, dx1, 3, scratch)
+    im -= _along(d1, dy1, 2, scratch)
     h12 *= 0.25
     del dx1, dy1
     h11 = _along(d2, values, 0, h11)
-    h11 += _along(d2, values, 1, spare)
+    h11 += _along(d2, values, 1, scratch)
     h11 *= 0.25
     h22 = _along(d2, values, 2, h22)
-    h22 += _along(d2, values, 3, spare)
+    h22 += _along(d2, values, 3, scratch)
     h22 *= 0.25
     return h11, h22, h12
 

@@ -157,25 +157,6 @@ def default_eps(traj: FlowTrajectory, t_min: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# signed residuals (for sub/supersolution role verification)
-
-
-def _signed_residual_extrema(audit: TrajectoryAudit) -> dict:
-    """Range of phidot - RHS over stored snapshots with a recorded phidot.
-
-    A snapshot outside the positive cone gives (-inf, inf) and its time.
-    """
-    lo, hi = math.inf, -math.inf
-    for k, (t, pd) in enumerate(zip(audit.traj.times, audit.traj.phidots)):
-        if pd is not None:
-            r_lo, r_hi = audit.value(k, "phidot_range")
-            if audit.row(k)["margin"] <= 0.0:
-                return {"min": r_lo, "max": r_hi, "cone_violation_at": float(t)}
-            lo, hi = min(lo, r_lo), max(hi, r_hi)
-    return {"min": lo, "max": hi}
-
-
-# ---------------------------------------------------------------------------
 # comparison principle
 
 
@@ -212,8 +193,10 @@ def check_comparison(
     details = {"roles": list(roles)}
     if path is not None and F is not None and omega_form is not None:
         for traj, role, side in ((phi, roles[0], "phi"), (psi, roles[1], "psi")):
-            audit = TrajectoryAudit(traj, path, F, omega_form, columns=("phidot_range",))
-            ext = _signed_residual_extrema(audit)
+            res = instantaneous_residuals(traj, path, F, omega_form)
+            ext = dict(zip(("min", "max"), res["range"]))
+            if res["cone_violation_at"] is not None:
+                ext["cone_violation_at"] = res["cone_violation_at"]
             details[f"residual_range_{side}"] = ext
             if role in ("sub", "subsolution") and ext["max"] > role_slack:
                 raise ConfigError(

@@ -22,7 +22,7 @@ from maflow.geometry import (
     lowest_eigenvalue,
     trace_inequality_slacks,
 )
-from maflow.grid import TorusGrid
+from maflow.grid import TorusGrid, hessian_components
 
 
 class TestVolumeForm:
@@ -131,6 +131,81 @@ def test_kahler_form_adds_theta_to_the_hessian():
     again, reused = kahler_form(theta, None, g, "spectral", hessian=hess)
     assert reused is hess
     assert all(np.array_equal(a, b) for a, b in zip(again, total))
+
+
+def same_bits(got, want) -> bool:
+    """got has want's dtype and bits, a scalar want broadcast to got's shape."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.tobytes() == np.broadcast_to(want, got.shape).tobytes()
+
+
+def leaves(x) -> list:
+    return [a for item in x for a in leaves(item)] if isinstance(x, tuple) else [x]
+
+
+def assert_output_arrays_change_nothing(fn, args, bufs, written=None):
+    """fn(*args, *bufs) has the bits of fn(*args) and leaves every input as it was.
+
+    written, when given, lists the arrays that the result must be.  Returns
+    fn(*args, *bufs).
+    """
+    inputs = [a for a in leaves(args) if isinstance(a, np.ndarray)]
+    before = [a.copy() for a in inputs]
+    want = fn(*args)
+    got = fn(*args, *bufs)
+    assert all(same_bits(g, w) for g, w in zip(leaves(got), leaves(want), strict=True))
+    assert all(same_bits(a, b) for a, b in zip(inputs, before, strict=True))
+    if written is not None:
+        assert all(g is w for g, w in zip(leaves(got), written, strict=True))
+    return got
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_form_algebra_and_hessian_write_into_output_arrays_bit_for_bit(n, backend, varying_form):
+    grid, theta, phi = varying_form(n)
+    v = np.random.default_rng(5).standard_normal(grid.shape)
+
+    def real():
+        return np.full(grid.shape, np.nan)
+
+    def form():
+        return (real(),) if n == 1 else (real(), real(), np.full(grid.shape, np.nan, complex))
+
+    w, h = kahler_form(theta, phi, grid, backend)
+    alpha = hessian_components(v, grid, backend)
+    if n == 2:
+        assert np.ptp(w[2].imag) > 0.0 and all(np.ndim(c) == 0 for c in theta)
+    out = form()
+    assert_output_arrays_change_nothing(hessian_components, (v, grid, backend), (out, real()), out)
+    out = form()
+    got = assert_output_arrays_change_nothing(kahler_form, (theta, phi, grid, backend), (None, out))
+    assert all(a is b for a, b in zip(got[0], out, strict=True))
+    out = form()
+    warm = (theta, None, grid, backend, h)
+    assert_output_arrays_change_nothing(kahler_form, warm, (out,), [*out, *h])
+    of_one_form = ((comps_det, 2), (comps_eig_min, 2), (comps_harmonic_mean, 2), (comps_trace, 1))
+    for fn, buffers in of_one_form:
+        out = real()
+        # a result that is an input component (n = 1) comes back unwritten
+        written = [w[0]] if n == 1 else [out]
+        assert_output_arrays_change_nothing(fn, (w,), (out, real())[:buffers], written)
+    assert_output_arrays_change_nothing(cone_margin, (w,), (real(), real()))
+    out = real()
+    assert_output_arrays_change_nothing(comps_trace_inv, (w, alpha), (out, form()), [out])
+    det, want = comps_det(w), comps_trace_inv(w, alpha)
+    assert same_bits(comps_trace_inv(w, alpha, real(), form(), det), want)
+    # scratch may be alpha itself, which is then overwritten
+    scratch = tuple(a.copy() for a in alpha)
+    assert same_bits(comps_trace_inv(w, scratch, real(), scratch, det), want)
+    # constant forms: scalar components, broadcast against the grid; the
+    # second one's |h12|^2 rounds differently through C pow and np.square
+    odd = 0.2432588650874949
+    for const in [theta] + [form_from_matrix([[1.2, odd], [odd, 0.9]], 2)] * (n == 2):
+        for fn in (comps_det, comps_eig_min, comps_harmonic_mean, cone_margin):
+            assert_output_arrays_change_nothing(fn, (const,), (real(), real()))
+        assert_output_arrays_change_nothing(comps_trace, (const,), (real(),))
+        assert_output_arrays_change_nothing(comps_trace_inv, (const, alpha), (real(), form()))
 
 
 class TestMetricPath:
