@@ -14,11 +14,11 @@ FFTs at n = 1, per-axis matrices at n = 2) with a pointwise scaling built from
 the harmonic mean of w's eigenvalues (w = theta + dd^c phi), matched to the
 Jacobian at the stiffness of the current Newton residual, so it keeps up
 where w nears the edge of the positive cone.  Each `run` holds one
-`_Workspace` of grid-shaped arrays for its whole length: the Newton loop
-writes iterates, residuals and Krylov vectors into it, and passes its arrays
-as outputs to grid's Hessian and geometry's form algebra.  At n = 2 only each
-step's stored snapshot and the driving term's values are then new arrays; at
-n = 1 the FFT and stencil temporaries inside the derivatives are too.
+`_Workspace` of grid-shaped arrays (and at n = 1 two spectrum-shaped ones)
+for its whole length: the Newton loop writes iterates, residuals and Krylov
+vectors into it, and passes its arrays as outputs to grid's derivatives and
+geometry's form algebra.  Only each step's stored snapshot and the driving
+term's values are then new arrays, at n = 1 and n = 2 alike.
 
 The right-hand side is written once (`_rhs`), for the Newton residual and
 the stored phidot.  Checks read stored snapshots through `TrajectoryAudit`,
@@ -74,6 +74,7 @@ from .grid import (
     hessian_components,
     oscillation,
     quarter_laplacian_rayleigh,
+    shifted_symbol,
     solve_shifted_laplacian,
 )
 from .psh import (
@@ -374,6 +375,19 @@ def _l2(a: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(a, a).real))
 
 
+def _form_arrays(grid: TorusGrid, *reals) -> tuple:
+    """A form's arrays: the real ones given (new when none), and a new h12 at n = 2."""
+    reals = (reals or tuple(np.empty(grid.shape) for _ in range(grid.n)))[: grid.n]
+    return reals if grid.n == 1 else (*reals, np.empty(grid.shape, complex))
+
+
+def _spectrum_arrays(grid: TorusGrid):
+    """A complex and a real array of the grid's spectrum_shape at n = 1; None at n = 2."""
+    if grid.n == 2:
+        return None
+    return np.empty(grid.spectrum_shape, complex), np.empty(grid.spectrum_shape)
+
+
 class _Workspace:
     """The grid-shaped arrays of one `run`, reused so its Newton loop allocates none.
 
@@ -387,29 +401,28 @@ class _Workspace:
     per Newton iteration for the residual (rhs, R) and the Newton operator;
     scale is the preconditioner's scaling.  tmp is three real scratch arrays,
     hv H(v) inside an operator apply (it shares tmp's first two), and krylov
-    BiCGSTAB's eight vectors.
+    BiCGSTAB's eight vectors.  spectrum (None at n = 2) is a complex and a
+    real array of the grid's spectrum_shape: every n = 1 transform is
+    written into the first, and the second holds the Rayleigh quotient's
+    power spectrum, then the preconditioner's shift + symbol.
     """
 
     def __init__(self, grid: TorusGrid, backend: str):
         def real():
             return np.empty(grid.shape)
 
-        def form(*reals):
-            """A form's arrays: the real ones given (new when none), and a new h12 at n = 2."""
-            reals = (reals or tuple(real() for _ in range(grid.n)))[: grid.n]
-            return reals if grid.n == 1 else (*reals, np.empty(grid.shape, complex))
-
         self.grid, self.backend = grid, backend
         self.u = (real(), real())
-        self.h, self.w = form(), form()
+        self.h, self.w = _form_arrays(grid), _form_arrays(grid)
         self.det, self.rhs, self.R, self.scale = real(), real(), real(), real()
         self.tmp = (real(), real(), real())
-        self.hv = form(*self.tmp[:2])
+        self.hv = _form_arrays(grid, *self.tmp[:2])
         self.krylov = tuple(real() for _ in range(8))
+        self.spectrum = _spectrum_arrays(grid)
 
     def hessian(self, values):
         """h = H(values)."""
-        hessian_components(values, self.grid, self.backend, self.h, self.tmp[2])
+        hessian_components(values, self.grid, self.backend, self.h, self.tmp[2], self.spectrum)
 
     def form(self, theta) -> tuple:
         """w = theta + h."""
@@ -522,7 +535,7 @@ def _jacobian(total, det, fs, dt, ws):
     spare = ws.tmp[2]
 
     def apply(v, out=None):
-        hv = hessian_components(v, ws.grid, ws.backend, ws.hv, spare)
+        hv = hessian_components(v, ws.grid, ws.backend, ws.hv, spare, ws.spectrum)
         tr = comps_trace_inv(total, hv, spare, hv, det)
         out = np.multiply(v, inv_dt, out=out)
         out -= tr
@@ -548,22 +561,26 @@ def _preconditioner(total, R, fs, dt, ws):
     D -> s and M follows the pointwise degeneracy of w at the cone's edge.
 
     It is called as apply(r, out=None) and writes D r into out (a new array
-    when omitted), where the n = 2 solve also lands.  ws is the run's
-    workspace; D is kept in ws.scale.
+    when omitted), where the solve also lands.  ws is the run's workspace;
+    D is kept in ws.scale.  At n = 1 the shifted symbol the solve divides by
+    is laid out once here, in ws.spectrum[1].
     """
-    grid, backend = ws.grid, ws.backend
+    grid, backend, spectrum = ws.grid, ws.backend, ws.spectrum
     a, b, spare = ws.tmp
     s = comps_harmonic_mean(total, a, b)
     c = 1.0 / float(np.mean(np.divide(1.0, s, out=b)))
-    kappa = dt * quarter_laplacian_rayleigh(R, grid, backend, b, spare)
+    kappa = dt * quarter_laplacian_rayleigh(R, grid, backend, b, spare, spectrum)
     scale = np.add(s, kappa, out=ws.scale)
     np.divide(c + kappa, scale, out=scale)
     scale *= s
     shift = c * (1.0 / dt + max(0.0, float(np.mean(fs))))
+    if grid.n == 1:
+        # n = 2 has no spare grid-shaped array and adds the symbol per apply
+        shift = shifted_symbol(grid, backend, shift, spectrum[1])
 
     def apply(r, out=None):
         z = np.multiply(scale, r, out=out)
-        return solve_shifted_laplacian(z, grid, backend, shift, z, spare)
+        return solve_shifted_laplacian(z, grid, backend, shift, z, spare, spectrum)
 
     return apply
 
@@ -756,8 +773,11 @@ class TrajectoryAudit:
     raises NotKahlerError), "phidot_range" ((min, max) of phidot - RHS, None
     without a phidot) and "step_residual" (sup of the backward-Euler residual
     from snapshot k - 1, None unless the two are consecutive schedule points).
-    Outside the positive cone both residual columns are infinite.  At most
-    one form is alive at a time; certificate() is the metric path's
+    Outside the positive cone both residual columns are infinite.  Every
+    build writes into one set of arrays, made on the first: the form (its
+    Hessian lands there and theta is added in place), two grid-shaped
+    scratch arrays (cone margin, trace, det, right-hand side, residuals) and
+    at n = 1 the spectrum arrays.  certificate() is the metric path's
     volume-sandwich delta (geometry.certify_metric_path), computed once.
     """
 
@@ -771,6 +791,8 @@ class TrajectoryAudit:
         self.backend = traj.config.backend if traj.config is not None else "spectral"
         self._rows = {}
         self._certificate = None
+        self._arrays = None
+        self._log_om = omega_form.log() if {"phidot_range", "step_residual"} & self.columns else None
 
     def row(self, k: int) -> dict:
         """{"margin": cone margin, column: value, ...} of stored snapshot k."""
@@ -781,11 +803,17 @@ class TrajectoryAudit:
     def _build(self, k: int) -> dict:
         traj, grid, cols = self.traj, self.traj.grid, self.columns
         t, fld, pd = float(traj.times[k]), traj.fields[k], traj.phidots[k]
+        if self._arrays is None:
+            self._arrays = (
+                _form_arrays(grid), np.empty(grid.shape), np.empty(grid.shape), _spectrum_arrays(grid)
+            )
+        form, a, b, spectrum = self._arrays
         theta = self.path.theta(t)
-        total = kahler_form(theta, fld.values, grid, self.backend)[0]
-        row = {"margin": cone_margin(total)}
+        hessian = hessian_components(fld.values, grid, self.backend, form, a, spectrum)
+        total = kahler_form(theta, None, grid, self.backend, hessian, form)[0]
+        row = {"margin": cone_margin(total, a, b)}
         if "sup-trace" in cols:
-            row["sup-trace"] = float(np.max(comps_trace(total)))
+            row["sup-trace"] = float(np.max(comps_trace(total, a)))
         if "energy" in cols:
             try:
                 row["energy"] = psh.energy(theta, fld, self.backend, form=total)
@@ -793,16 +821,14 @@ class TrajectoryAudit:
                 row["energy"] = None
         rhs = None
         if row["margin"] > 0.0 and {"phidot_range", "step_residual"} & cols:
-            rhs = _rhs(
-                comps_det(total), fld.values, t, self.F, self.omega_form.log(), grid.coordinates()
-            )
-        del total
+            det = comps_det(total, a, b)
+            rhs = _rhs(det, fld.values, t, self.F, self._log_om, grid.coordinates(), out=b)
         if "phidot_range" in cols:
             row["phidot_range"] = None
             if pd is not None and rhs is None:
                 row["phidot_range"] = (-math.inf, math.inf)
             elif pd is not None:
-                r = pd.values - rhs
+                r = np.subtract(pd.values, rhs, out=a)
                 row["phidot_range"] = (float(r.min()), float(r.max()))
         if "step_residual" in cols:
             row["step_residual"] = None
@@ -811,8 +837,10 @@ class TrajectoryAudit:
                 row["step_residual"] = math.inf
             elif consecutive:
                 dt = traj.times[k] - traj.times[k - 1]
-                R = (fld.values - traj.fields[k - 1].values) / dt - rhs
-                row["step_residual"] = float(np.max(np.abs(R)))
+                R = np.subtract(fld.values, traj.fields[k - 1].values, out=a)
+                R /= dt
+                R -= rhs
+                row["step_residual"] = float(np.max(np.abs(R, out=R)))
         return row
 
     def value(self, k: int, column: str):

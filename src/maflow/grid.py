@@ -26,15 +26,24 @@ Every derivative operator of the package lives here, built once per grid:
 the Hessian, the -(1/4) Laplacian of either backend (the shifted solve at
 the core of the flow's preconditioner, and the Rayleigh quotient that sets
 the stiffness it is matched at) and Gaussian smoothing (mollification).
-At n=1 they are Fourier symbols applied with real FFTs and np.roll
-stencils.  At n=2 derivatives and the preconditioner's operator are per-axis
-N x N matrices applied axis by axis (Trefethen, Spectral Methods in MATLAB,
-ch. 3): 4-D FFTs cost more there than N x N products, while at n=1 the
-dense products lose to the FFT.  Gaussian smoothing stays on real FFTs.
+At n=1 they are Fourier symbols applied with real FFTs, and fd stencils
+built from slices.  At n=2 derivatives and the preconditioner's operator
+are per-axis N x N matrices applied axis by axis (Trefethen, Spectral
+Methods in MATLAB, ch. 3): 4-D FFTs cost more there than N x N products,
+while at n=1 the dense products lose to the FFT.  Gaussian smoothing stays
+on real FFTs.  This module is the only one that calls np.fft.
+
+The operators the flow's Newton loop applies take optional output arrays,
+as geometry's form algebra does: called without them they return new
+arrays, called with them they write there, with the same bits either way.
+At n=2 these are grid-shaped; at n=1 the FFT paths also take `spectrum`,
+a complex and a real array of the grid's `spectrum_shape`, so that no
+transform allocates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -76,6 +85,11 @@ class TorusGrid:
     @property
     def shape(self) -> tuple:
         return (self.resolution,) * self.real_dim
+
+    @property
+    def spectrum_shape(self) -> tuple:
+        """Shape of a real-FFT spectrum: the grid's, with N/2+1 modes on the last axis."""
+        return self.shape[:-1] + (self.resolution // 2 + 1,)
 
     @property
     def spacing(self) -> float:
@@ -136,12 +150,27 @@ class ScalarField:
 # against the spectrum.
 
 
-def _rfft(values, grid):
-    return np.fft.rfftn(values, axes=tuple(range(grid.real_dim)))
+def _rfft(values, grid, out=None):
+    """The spectrum of values, into out when given.
+
+    These are rfftn's calls, with the transform along every axis but the
+    last done in place.
+    """
+    hat = np.fft.rfft(values, axis=-1, out=out)
+    for axis in range(grid.real_dim - 2, -1, -1):
+        np.fft.fft(hat, axis=axis, out=hat)
+    return hat
 
 
-def _irfft(hat, grid):
-    return np.fft.irfftn(hat, s=grid.shape, axes=tuple(range(grid.real_dim)))
+def _irfft(hat, grid, out=None):
+    """The real field of spectrum hat, into out when given; hat is overwritten.
+
+    These are irfftn's calls, with the inverse along every axis but the last
+    done in place in hat, so no temporary spectrum is made.
+    """
+    for axis in range(grid.real_dim - 1):
+        np.fft.ifft(hat, axis=axis, out=hat)
+    return np.fft.irfft(hat, n=grid.resolution, axis=-1, out=out)
 
 
 @lru_cache(maxsize=32)
@@ -172,44 +201,71 @@ def _quarter_laplacian_symbol(n, N, backend):
     return _freeze((0.25 / h**2) * sum(2.0 - 2.0 * np.cos(2.0 * np.pi * k * h) for k in ks))
 
 
+@lru_cache(maxsize=32)
+def _conjugate_weights(n, N):
+    """Spectrum-shaped weights of real-FFT modes in a sum over all modes.
+
+    Interior last-axis modes stand for themselves and their conjugates and
+    weigh 2; last-axis modes 0 and N/2 weigh 1.  Full-shaped, not a
+    broadcast row, so an in-place product with it needs no buffer.
+    """
+    w = np.ones(TorusGrid(n, N).spectrum_shape)
+    w[..., 1 : (N + 1) // 2] = 2.0
+    return _freeze(w)
+
+
+def shifted_symbol(grid: TorusGrid, backend: str, shift: float, out=None) -> np.ndarray:
+    """shift + the symbol of -(1/4) Laplacian in the real-FFT layout (grid.spectrum_shape).
+
+    The n = 1 solve divides by it; out receives it when given.
+    """
+    return np.add(shift, _quarter_laplacian_symbol(grid.n, grid.resolution, backend), out=out)
+
+
 def solve_shifted_laplacian(
-    values: np.ndarray, grid: TorusGrid, backend: str, shift: float, out=None, scratch=None
+    values: np.ndarray, grid: TorusGrid, backend: str, shift, out=None, scratch=None, spectrum=None
 ):
     """Solve (shift - (1/4) Laplacian) u = values, Laplacian as the backend discretises it.
 
-    At n = 2, out and scratch (grid-shaped float arrays; out may be values,
-    scratch may not) receive the per-axis products and u is written into
-    out.  The n = 1 path (real FFTs) ignores them and returns a new array.
+    shift is a float or, at n = 1, shifted_symbol(grid, backend, shift) laid
+    out once for many solves.  u is written into out when given (a
+    grid-shaped float array that may be values).  At n = 2 scratch, a
+    grid-shaped float array not aliasing values, holds the per-axis
+    products; at n = 1 spectrum[0] holds the transform.
     """
     if grid.n == 2:
         q, symbol = _quarter_laplacian_basis(grid.resolution, backend)
         coef = _along_every_axis(q.T, values, out, scratch)
         coef /= np.add(shift, symbol, out=scratch)
         return _along_every_axis(q, coef, out, scratch)
-    symbol = shift + _quarter_laplacian_symbol(grid.n, grid.resolution, backend)
-    return _irfft(_rfft(values, grid) / symbol, grid)
+    if not np.ndim(shift):
+        shift = shifted_symbol(grid, backend, shift)
+    hat = _rfft(values, grid, None if spectrum is None else spectrum[0])
+    hat /= shift
+    return _irfft(hat, grid, out)
 
 
 def quarter_laplacian_rayleigh(
-    values: np.ndarray, grid: TorusGrid, backend: str, out=None, scratch=None
+    values: np.ndarray, grid: TorusGrid, backend: str, out=None, scratch=None, spectrum=None
 ) -> float:
     """Rayleigh quotient <v, -(1/4) Laplacian v> / <v, v>, Laplacian as the backend discretises it.
 
     values must not vanish identically.  At n = 2, out and scratch
     (grid-shaped float arrays, neither aliasing values) hold the per-axis
-    products; n = 1 ignores them.
+    products; at n = 1 spectrum holds the transform and the power spectrum.
     """
     if grid.n == 2:
         q, symbol = _quarter_laplacian_basis(grid.resolution, backend)
         power = _along_every_axis(q.T, values, out, scratch).ravel()
         np.square(power, out=power)
         return float(power @ symbol.ravel() / np.sum(power))
-    power = np.abs(_rfft(values, grid)) ** 2
-    # interior last-axis modes stand for themselves and their conjugates
-    N = grid.resolution
-    power[..., 1 : (N + 1) // 2] *= 2.0
-    symbol = _quarter_laplacian_symbol(grid.n, N, backend)
-    return float(np.sum(power * symbol) / np.sum(power))
+    hat, power = spectrum or (None, None)
+    power = np.abs(_rfft(values, grid, hat), out=power)
+    np.square(power, out=power)
+    power *= _conjugate_weights(grid.n, grid.resolution)
+    mass = np.sum(power)
+    power *= _quarter_laplacian_symbol(grid.n, grid.resolution, backend)
+    return float(np.sum(power) / mass)
 
 
 def gaussian_smooth(values: np.ndarray, grid: TorusGrid, delta: float) -> np.ndarray:
@@ -299,24 +355,60 @@ def _along_every_axis(m, values, out=None, scratch=None):
 # derivatives
 
 
-def _fd_second(values, h, axis):
-    return (np.roll(values, -1, axis) - 2.0 * values + np.roll(values, 1, axis)) / h**2
+def _fd_second(values, h, axis, out=None):
+    """((v[i+1] - 2 v[i]) + v[i-1]) / h^2 along axis, periodic, into out when given.
+
+    out must not alias values.  The interior is updated in place on flat
+    C-order views, where a neighbour is one axis stride away: numpy copies
+    an operand of an in-place update that is a non-contiguous slice, but
+    not a contiguous one.  The two end slabs, which the flat views get
+    wrong, are then written afresh; for a 2-D array they are 1-D, so no
+    copy is made anywhere.
+    """
+    if out is None:
+        out = np.empty(values.shape)
+    np.multiply(values, 2.0, out=out)
+    d = math.prod(values.shape[axis + 1 :])
+    v, o = values.reshape(-1), np.reshape(out, -1, copy=False)
+    np.subtract(v[d:], o[:-d], out=o[:-d])
+    o[d:] += v[:-d]
+    v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
+    for i in (0, -1):
+        np.multiply(v[i], 2.0, out=o[i])
+        np.subtract(v[i + 1], o[i], out=o[i])
+        o[i] += v[i - 1]
+    out /= h**2
+    return out
 
 
-def _fd_first(values, h, axis):
-    return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
+def _fd_first(values, h, axis, out=None):
+    """(v[i+1] - v[i-1]) / (2 h) along axis, periodic, into out (not aliasing values) when given."""
+    if out is None:
+        out = np.empty(values.shape)
+    v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    np.subtract(v[1], v[-1], out=o[0])
+    np.subtract(v[0], v[-2], out=o[-1])
+    out /= 2.0 * h
+    return out
 
 
 def hessian_components(
-    values: np.ndarray, grid: TorusGrid, backend: str = "spectral", out=None, scratch=None
+    values: np.ndarray,
+    grid: TorusGrid,
+    backend: str = "spectral",
+    out=None,
+    scratch=None,
+    spectrum=None,
 ):
     """Raw complex-Hessian components of a real sample array.
 
     Returns (h11,) for n=1 and (h11, h22, h12) for n=2; for n=1 h11 is the
     quarter Laplacian (phi_xx + phi_yy)/4.  out, when given, is a form's
     arrays (none aliasing values) that receive the components and are
-    returned; at n=2 scratch, a grid-shaped float array, holds partial
-    products, and at n=1 the FFT or stencil temporaries are still new.
+    returned.  scratch, a grid-shaped float array, holds the n=2 partial
+    products and the n=1 fd stencil along the second axis; spectrum[0]
+    holds the n=1 spectral transform.
     """
     if backend not in BACKENDS:
         raise ConfigError(f"unknown derivative backend {backend!r}")
@@ -324,10 +416,14 @@ def hessian_components(
         return _hessian_axes(values, grid, backend, out, scratch)
     h11 = None if out is None else out[0]
     if backend == "spectral":
-        symbol = _quarter_laplacian_symbol(1, grid.resolution, "spectral")
-        return (np.negative(_irfft(_rfft(values, grid) * symbol, grid), out=h11),)
+        hat = _rfft(values, grid, None if spectrum is None else spectrum[0])
+        hat *= _quarter_laplacian_symbol(1, grid.resolution, "spectral")
+        h11 = _irfft(hat, grid, h11)
+        return (np.negative(h11, out=h11),)
     h = grid.spacing
-    return (np.multiply(0.25, _fd_second(values, h, 0) + _fd_second(values, h, 1), out=h11),)
+    h11 = _fd_second(values, h, 0, h11)
+    h11 += _fd_second(values, h, 1, scratch)
+    return (np.multiply(0.25, h11, out=h11),)
 
 
 def _hessian_axes(values, grid, backend, out=None, scratch=None):
@@ -379,9 +475,9 @@ def gradient_sq(phi: ScalarField, backend: str = "spectral") -> ScalarField:
             d = _irfft(hat * (2j * np.pi) * kd[axis], grid)
             acc += d * d
     else:
-        h = grid.spacing
+        d = np.empty(grid.shape)
         for axis in range(grid.real_dim):
-            d = _fd_first(phi.values, h, axis)
+            _fd_first(phi.values, grid.spacing, axis, d)
             acc += d * d
     return ScalarField(grid, 0.25 * acc)
 

@@ -22,7 +22,13 @@ from maflow.geometry import (
     lowest_eigenvalue,
     trace_inequality_slacks,
 )
-from maflow.grid import TorusGrid, hessian_components
+from maflow.grid import (
+    TorusGrid,
+    hessian_components,
+    quarter_laplacian_rayleigh,
+    shifted_symbol,
+    solve_shifted_laplacian,
+)
 
 
 class TestVolumeForm:
@@ -206,6 +212,37 @@ def test_form_algebra_and_hessian_write_into_output_arrays_bit_for_bit(n, backen
             assert_output_arrays_change_nothing(fn, (const,), (real(), real()))
         assert_output_arrays_change_nothing(comps_trace, (const,), (real(),))
         assert_output_arrays_change_nothing(comps_trace_inv, (const, alpha), (real(), form()))
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_n1_derivatives_write_into_workspace_arrays_bit_for_bit(backend):
+    grid = TorusGrid(n=1, resolution=16)
+    v = np.random.default_rng(9).standard_normal(grid.shape)
+
+    def nans(shape=grid.shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
+
+    def spectrum():
+        return nans(grid.spectrum_shape, complex), nans(grid.spectrum_shape)
+
+    out = (nans(),)
+    args = (v, grid, backend)
+    assert_output_arrays_change_nothing(hessian_components, args, (out, nans(), spectrum()), out)
+    assert_output_arrays_change_nothing(quarter_laplacian_rayleigh, args, (None, None, spectrum()))
+    # one shift + symbol laid out for many solves gives the float shift's bits
+    denom = assert_output_arrays_change_nothing(
+        shifted_symbol, (grid, backend, 3.0), (nans(grid.spectrum_shape),)
+    )
+    want = solve_shifted_laplacian(v, grid, backend, 3.0)
+    out = nans()
+    got = assert_output_arrays_change_nothing(
+        solve_shifted_laplacian, (*args, denom), (out, None, spectrum()), [out]
+    )
+    assert same_bits(got, want)
+    # out may be values itself
+    values = v.copy()
+    got = solve_shifted_laplacian(values, grid, backend, denom, values, None, spectrum())
+    assert got is values and same_bits(got, want)
 
 
 class TestMetricPath:

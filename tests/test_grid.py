@@ -9,6 +9,7 @@ from maflow.errors import ConfigError
 from maflow.grid import (
     ScalarField,
     TorusGrid,
+    _axis_matrices,
     _fd_first,
     _fd_second,
     _quarter_laplacian_symbol,
@@ -19,6 +20,16 @@ from maflow.grid import (
     quarter_laplacian_rayleigh,
     solve_shifted_laplacian,
 )
+
+
+def roll_second(v, h, axis):
+    """The periodic centred second difference written with np.roll."""
+    return (np.roll(v, -1, axis) - 2.0 * v + np.roll(v, 1, axis)) / h**2
+
+
+def roll_first(v, h, axis):
+    """The periodic centred first difference written with np.roll."""
+    return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
 
 
 def mode_field(grid, amplitude=1.0, axis=0):
@@ -136,13 +147,13 @@ def hessian_oracle(v, g, backend):
     """
     if backend == "fd":
         h = g.spacing
-        dx1 = _fd_first(v, h, 0)
-        dy1 = _fd_first(v, h, 1)
+        dx1 = roll_first(v, h, 0)
+        dy1 = roll_first(v, h, 1)
         return (
-            0.25 * (_fd_second(v, h, 0) + _fd_second(v, h, 1)),
-            0.25 * (_fd_second(v, h, 2) + _fd_second(v, h, 3)),
-            0.25 * (_fd_first(dx1, h, 2) + _fd_first(dy1, h, 3)),
-            0.25 * (_fd_first(dx1, h, 3) - _fd_first(dy1, h, 2)),
+            0.25 * (roll_second(v, h, 0) + roll_second(v, h, 1)),
+            0.25 * (roll_second(v, h, 2) + roll_second(v, h, 3)),
+            0.25 * (roll_first(dx1, h, 2) + roll_first(dy1, h, 3)),
+            0.25 * (roll_first(dx1, h, 3) - roll_first(dy1, h, 2)),
         )
     N = g.resolution
     k = np.meshgrid(
@@ -161,13 +172,37 @@ def hessian_oracle(v, g, backend):
 
 
 def laplacian_oracle(v, g, backend):
-    """The backend's Laplacian built independently: fd stencils or a complex FFT."""
+    """The backend's Laplacian built independently: np.roll stencils or a complex FFT."""
     if backend == "fd":
-        return sum(_fd_second(v, g.spacing, axis) for axis in range(g.real_dim))
+        return sum(roll_second(v, g.spacing, axis) for axis in range(g.real_dim))
     N = g.resolution
     k = np.meshgrid(*[np.fft.fftfreq(N, 1.0 / N)] * g.real_dim, indexing="ij")
     k2 = sum(kj * kj for kj in k)
     return np.fft.ifftn(-4.0 * np.pi**2 * k2 * np.fft.fftn(v)).real
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(8, 8), (16, 32), (8, 8, 8, 8)])
+def test_slice_stencils_match_the_roll_formula_bit_for_bit(shape, order):
+    v = np.asarray(np.random.default_rng(len(shape)).standard_normal(shape), order=order)
+    before = v.copy()
+    h = 1.0 / shape[0]
+    for axis in range(len(shape)):
+        for stencil, formula in ((_fd_second, roll_second), (_fd_first, roll_first)):
+            want = formula(v, h, axis).tobytes()
+            assert stencil(v, h, axis).tobytes() == want
+            out = np.full(shape, np.nan)
+            assert stencil(v, h, axis, out) is out
+            assert out.tobytes() == want
+    assert v.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_fd_circulants_are_the_roll_stencils_of_the_identity(N):
+    d1, d2 = _axis_matrices(N, "fd")
+    eye, h = np.eye(N), 1.0 / N
+    assert d1.tobytes() == roll_first(eye, h, 0).tobytes()
+    assert d2.tobytes() == roll_second(eye, h, 0).tobytes()
 
 
 class TestSpectralLayer:

@@ -35,6 +35,64 @@ def private_uses(path: Path) -> list:
     return sorted(hits)
 
 
+def numpy_uses(path: Path, name: str) -> list:
+    """(line, enclosing function) of each use of numpy's `name` (np.name or an import of it)."""
+    tree = ast.parse(path.read_text())
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+        if a.name == "numpy"
+    }
+    hits = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name
+        used = (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr == name
+        )
+        used |= isinstance(node, ast.ImportFrom) and (
+            node.module == f"numpy.{name}"
+            or node.module == "numpy" and any(a.name == name for a in node.names)
+        )
+        used |= isinstance(node, ast.Import) and any(a.name == f"numpy.{name}" for a in node.names)
+        if used:
+            hits.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return hits
+
+
+def test_only_grid_transforms_and_only_psh_despiking_rolls():
+    package = Path(maflow.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert {p.name for p in modules if numpy_uses(p, "fft")} == {"grid.py"}
+    rolls = {(p.name, where) for p in modules for _, where in numpy_uses(p, "roll")}
+    # the neighbour stacks of the clamped-sample repair
+    assert rolls == {("psh.py", "_despike_floor")}
+
+
+def test_the_numpy_use_check_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as xp\n"
+        "from numpy import roll\n"
+        "from numpy.fft import rfftn\n"
+        "import numpy.fft\n"
+        "def f(v):\n"
+        "    return xp.roll(v, 1), xp.fft.rfftn(v)\n"
+    )
+    assert numpy_uses(probe, "roll") == [(2, None), (6, "f")]
+    assert numpy_uses(probe, "fft") == [(3, None), (4, None), (6, "f")]
+
+
 def test_no_module_uses_a_private_name_of_grid_or_geometry():
     package = Path(maflow.__file__).parent
     found = {p.name: private_uses(p) for p in sorted(package.glob("*.py"))}
