@@ -8,7 +8,12 @@ on the flat torus, with theta_t a MetricPath, Omega a VolumeForm and F a
 DrivingTerm.  Time stepping is backward Euler on a geometric schedule
 (anchored at t = 0, with requested probe times inserted exactly), and each
 implicit step is solved by a damped inexact Newton iteration whose linear
-systems go through right-preconditioned BiCGSTAB.  The preconditioner is a
+systems go through right-preconditioned BiCGSTAB.  The flow is smooth in t
+for t > 0, so Newton starts from the quadratic through the last three
+accepted states, evaluated at the new time (a line through two at the
+second step; the first starts from phi0).  It starts from the last state
+instead when that guess leaves the positive cone, and after a step that one
+Newton iteration solved from its last state.  The preconditioner is a
 solve of a shifted -(1/4) Laplacian (grid.solve_shifted_laplacian: real
 FFTs at n = 1, per-axis matrices at n = 2) with a pointwise scaling built from
 the harmonic mean of w's eigenvalues (w = theta + dd^c phi), matched to the
@@ -393,18 +398,20 @@ class _Workspace:
 
     `run` makes one, hands it to every `_advance` and drops it on return;
     each step overwrites every array.  u holds the accepted iterate and the
-    line search's trial, which swap roles when a trial is accepted.  h is H
-    of the iterate last given to `hessian` and w the form theta + h from
-    `form`.  The line search overwrites both, as the accepted iterate needs
-    neither once its Newton direction is solved; between steps h is H of
-    the step's values, the next step's warm start.  det receives det(w) once
-    per Newton iteration for the residual (rhs, R) and the Newton operator;
-    scale is the preconditioner's scaling.  tmp is three real scratch arrays,
-    hv H(v) inside an operator apply (it shares tmp's first two), and krylov
-    BiCGSTAB's eight vectors.  spectrum (None at n = 2) is a complex and a
-    real array of the grid's spectrum_shape: every n = 1 transform is
-    written into the first, and the second holds the Rayleigh quotient's
-    power spectrum, then the preconditioner's shift + symbol.
+    line search's trial, which swap roles when a trial is accepted; the
+    extrapolated start of a step is written into u[0].  h is H of the
+    iterate last given to `hessian` and w the form theta + h from `form`.
+    The line search overwrites both, as the accepted iterate needs neither
+    once its Newton direction is solved; between steps h is H of the step's
+    values, the warm start of a step that starts from them.  det receives
+    det(w) once per Newton iteration for the residual (rhs, R), the Newton
+    operator and the preconditioner; scale is the preconditioner's scaling.
+    tmp is three real scratch arrays, hv H(v) inside an operator apply (it
+    shares tmp's first two), and krylov BiCGSTAB's eight vectors.  spectrum
+    (None at n = 2) is a complex and a real array of the grid's
+    spectrum_shape: every n = 1 transform is written into the first, and the
+    second holds the Rayleigh quotient's power spectrum, then the
+    preconditioner's shift + symbol.
     """
 
     def __init__(self, grid: TorusGrid, backend: str):
@@ -545,7 +552,7 @@ def _jacobian(total, det, fs, dt, ws):
     return apply
 
 
-def _preconditioner(total, R, fs, dt, ws):
+def _preconditioner(total, det, R, fs, dt, ws):
     """Right preconditioner matched to the Jacobian at the stiffness of R.
 
     With s = n / tr(w^-1) (the harmonic mean of w's eigenvalues), c the grid
@@ -560,14 +567,14 @@ def _preconditioner(total, R, fs, dt, ws):
     1/dt - Laplacian/(4c) (1/dt - Laplacian/4 when w = I); where kappa >> s,
     D -> s and M follows the pointwise degeneracy of w at the cone's edge.
 
-    It is called as apply(r, out=None) and writes D r into out (a new array
-    when omitted), where the solve also lands.  ws is the run's workspace;
-    D is kept in ws.scale.  At n = 1 the shifted symbol the solve divides by
-    is laid out once here, in ws.spectrum[1].
+    det is det(w).  It is called as apply(r, out=None) and writes D r into
+    out (a new array when omitted), where the solve also lands.  ws is the
+    run's workspace; D is kept in ws.scale.  At n = 1 the shifted symbol the
+    solve divides by is laid out once here, in ws.spectrum[1].
     """
     grid, backend, spectrum = ws.grid, ws.backend, ws.spectrum
     a, b, spare = ws.tmp
-    s = comps_harmonic_mean(total, a, b)
+    s = comps_harmonic_mean(total, a, b, det)
     c = 1.0 / float(np.mean(np.divide(1.0, s, out=b)))
     kappa = dt * quarter_laplacian_rayleigh(R, grid, backend, b, spare, spectrum)
     scale = np.add(s, kappa, out=ws.scale)
@@ -585,22 +592,65 @@ def _preconditioner(total, R, fs, dt, ws):
     return apply
 
 
-def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws):
+def _lagrange_weights(nodes, t) -> list:
+    """The l_j with p(t) = sum_j l_j p(nodes[j]) for every p of degree < len(nodes)."""
+    return [
+        math.prod((t - nodes[m]) / (nodes[j] - nodes[m]) for m in range(len(nodes)) if m != j)
+        for j in range(len(nodes))
+    ]
+
+
+def _extrapolate(states, t, out, scratch):
+    """The polynomial through the accepted states (t_j, u_j), newest last, at t, into out.
+
+    The weights sum to one, so it is written as the newest values plus
+    weighted differences from them; scratch holds each difference.
+    """
+    weights = _lagrange_weights([s for s, _ in states], t)
+    newest = states[-1][1]
+    np.copyto(out, newest)
+    for weight, (_, vals) in zip(weights, states[:-1]):
+        diff = np.subtract(vals, newest, out=scratch)
+        diff *= weight
+        out += diff
+    return out
+
+
+def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=()):
     """One backward-Euler step; returns (values, phidot_values, diagnostics).
 
-    ws is the run's workspace (`_Workspace`) with h = H(prev_vals) on entry;
-    on return h = H(values), the next step's warm start.  The Newton loop
-    works in ws's arrays; the returned values and phidot_values are new
-    arrays.  log_om is log Omega.
+    history holds the accepted states (t, values) before (t_from,
+    prev_vals), oldest first.  With history, Newton starts from the
+    polynomial through them and (t_from, prev_vals), evaluated at t_to
+    (`_extrapolate`: linear after one state, quadratic after two), with its
+    Hessian taken directly; a guess outside the positive cone falls back to
+    prev_vals, whose Hessian is then taken directly too.  Without history
+    Newton starts from prev_vals.  The diagnostics' start names which
+    ("extrapolated", "fallback" or "previous").
+
+    ws is the run's workspace (`_Workspace`).  On entry its h must be
+    H(prev_vals) when history is empty and is free otherwise; the guess is
+    written into ws.u[0] through ws.tmp[0].  On return h = H(values), the
+    next step's warm start.  The Newton loop works in ws's arrays; the
+    returned values and phidot_values are new arrays.  log_om is log Omega.
     """
     grid = path.grid
     dt = t_to - t_from
     if dt <= 0:
         raise ConfigError("time step must move forward")
     theta = path.theta(t_to)
-    u = prev_vals
+    u, start = prev_vals, "previous"
+    if history:
+        u = _extrapolate((*history, (t_from, prev_vals)), t_to, ws.u[0], ws.tmp[0])
+        ws.hessian(u)
+        start = "extrapolated"
     w = ws.form(theta)
     margin = cone_margin(w, *ws.tmp[:2])
+    if margin <= 0.0 and start == "extrapolated":
+        u, start = prev_vals, "fallback"
+        ws.hessian(u)
+        w = ws.form(theta)
+        margin = cone_margin(w, *ws.tmp[:2])
     if margin <= 0.0:
         raise _cone_exit(f"warm start leaves the positivity cone at t = {t_to:.6g}", w, grid)
     residual = math.inf
@@ -616,6 +666,8 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws):
         R /= dt
         R -= rhs
         residual = float(np.max(np.abs(R, out=ws.tmp[0])))
+        if iters == 0:
+            initial_residual = residual
         if residual <= cfg.newton_tol:
             break
         if iters >= cfg.max_newton:
@@ -633,7 +685,7 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws):
         # J correction = R; the Newton direction is -correction
         correction, lin_iters, lin_res, lin_ok = _bicgstab(
             _jacobian(w, det, fs, dt, ws),
-            _preconditioner(w, R, fs, dt, ws),
+            _preconditioner(w, det, R, fs, dt, ws),
             R,
             cfg.linear_rel_tol,
             cfg.max_linear,
@@ -665,7 +717,9 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws):
     diag = {
         "t": float(t_to),
         "dt": float(dt),
+        "start": start,
         "newton_iters": iters,
+        "initial_residual": initial_residual,
         "residual": residual,
         "positivity_margin": margin,
         "damping": damping_min,
@@ -693,7 +747,12 @@ def run(
     Initial data must be admissible for theta(0) up to the psh tolerance at
     the configured backend; rough singular data go through run_cascade.  The
     run makes one `_Workspace`, warm-started with H(phi0), passes it to every
-    step and drops it on return; no array of it reaches the trajectory.
+    step and drops it on return; no array of it reaches the trajectory.  Each
+    step gets the two accepted states before its start as history, so
+    Newton starts from the extrapolation through them and its start
+    (`_advance`).  After a step that started from its last state and took
+    at most one Newton iteration, the next step starts from its last state
+    too, and extrapolation resumes once a step needs more.
     """
     grid = phi0.grid
     if path.grid is not grid and path.grid != grid:
@@ -735,10 +794,18 @@ def run(
     stored_indices = [0]
     diagnostics = []
     vals = phi0.values
+    history = []  # the accepted states before vals, oldest first
+    extrapolate = False
     for k in range(1, len(times)):
-        vals, phidot_vals, diag = _advance(
-            vals, times[k - 1], times[k], path, F, log_om, cfg, coords, ws
+        new_vals, phidot_vals, diag = _advance(
+            vals, times[k - 1], times[k], path, F, log_om, cfg, coords, ws,
+            history if extrapolate else (),
         )
+        history = [*history[-1:], (times[k - 1], vals)]
+        # a step that one Newton iteration solved from its last state leaves
+        # no room for a better start, so the next one starts there as well
+        extrapolate = diag["start"] == "extrapolated" or diag["newton_iters"] > 1
+        vals = new_vals
         diagnostics.append(diag)
         if keep[k]:
             stored_times.append(float(times[k]))
@@ -776,9 +843,11 @@ class TrajectoryAudit:
     Outside the positive cone both residual columns are infinite.  Every
     build writes into one set of arrays, made on the first: the form (its
     Hessian lands there and theta is added in place), two grid-shaped
-    scratch arrays (cone margin, trace, det, right-hand side, residuals) and
-    at n = 1 the spectrum arrays.  certificate() is the metric path's
-    volume-sandwich delta (geometry.certify_metric_path), computed once.
+    scratch arrays (cone margin, trace, det, right-hand side, residuals, the
+    energy's densities), at n = 2 a complex one for the energy's mixed
+    density and at n = 1 the spectrum arrays.  certificate() is the metric
+    path's volume-sandwich delta (geometry.certify_metric_path), computed
+    once.
     """
 
     COLUMNS = ("sup-trace", "energy", "phidot_range", "step_residual")
@@ -804,10 +873,10 @@ class TrajectoryAudit:
         traj, grid, cols = self.traj, self.traj.grid, self.columns
         t, fld, pd = float(traj.times[k]), traj.fields[k], traj.phidots[k]
         if self._arrays is None:
-            self._arrays = (
-                _form_arrays(grid), np.empty(grid.shape), np.empty(grid.shape), _spectrum_arrays(grid)
-            )
-        form, a, b, spectrum = self._arrays
+            a, b = np.empty(grid.shape), np.empty(grid.shape)
+            work = _form_arrays(grid, a, b)
+            self._arrays = (_form_arrays(grid), a, b, work, _spectrum_arrays(grid))
+        form, a, b, work, spectrum = self._arrays
         theta = self.path.theta(t)
         hessian = hessian_components(fld.values, grid, self.backend, form, a, spectrum)
         total = kahler_form(theta, None, grid, self.backend, hessian, form)[0]
@@ -816,7 +885,7 @@ class TrajectoryAudit:
             row["sup-trace"] = float(np.max(comps_trace(total, a)))
         if "energy" in cols:
             try:
-                row["energy"] = psh.energy(theta, fld, self.backend, form=total)
+                row["energy"] = psh.energy(theta, fld, self.backend, total, row["margin"], work)
             except NotKahlerError:
                 row["energy"] = None
         rhs = None

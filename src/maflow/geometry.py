@@ -104,11 +104,16 @@ def comps_trace(comps, out=None):
     return np.add(comps[0], comps[1], out=out)
 
 
-def comps_harmonic_mean(comps, out=None, scratch=None):
-    """n / tr(w^-1), the harmonic mean of the eigenvalues of a positive definite w."""
+def comps_harmonic_mean(comps, out=None, scratch=None, det=None):
+    """n / tr(w^-1), the harmonic mean of the eigenvalues of a positive definite w.
+
+    det, when given, is comps_det(comps), already computed.
+    """
     if len(comps) == 1:
         return comps[0]
-    s = np.multiply(2.0, comps_det(comps, out, scratch), out=out)
+    if det is None:
+        det = comps_det(comps, out, scratch)
+    s = np.multiply(2.0, det, out=out)
     return np.divide(s, comps_trace(comps, scratch), out=out)
 
 
@@ -153,19 +158,31 @@ def comps_trace_inv(base, alpha, out=None, scratch=None, det=None):
     return np.divide(tr, det, out=out)
 
 
-def comps_mixed(alpha, beta, j, n):
-    """Mixed determinant density of alpha^j wedge beta^(n-j), closed form for n <= 2."""
+def comps_mixed(alpha, beta, j, n, out=None, scratch=None):
+    """Mixed determinant density of alpha^j wedge beta^(n-j), closed form for n <= 2.
+
+    At n = 2 and j = 1 it is (a11 b22 + a22 b11 - 2 Re(a12 conj(b12))) / 2.
+    scratch is a real and a complex array for the partial products; the
+    determinants (j = 0, 2) use only the real one.
+    """
     if not 0 <= j <= n:
         raise ConfigError(f"mixed index j={j} outside 0..{n}")
     if n == 1:
         return alpha[0] if j == 1 else beta[0]
-    if j == 2:
-        return comps_det(alpha)
-    if j == 0:
-        return comps_det(beta)
+    real, cplx = scratch or (None, None)
+    if j != 1:
+        return comps_det(alpha if j == 2 else beta, out, real)
+    if _constant((*alpha, *beta)):
+        out = real = cplx = None
     a11, a22, a12 = alpha
     b11, b22, b12 = beta
-    return 0.5 * (a11 * b22 + a22 * b11 - 2.0 * np.real(a12 * np.conj(b12)))
+    mixed = np.multiply(a11, b22, out=out)
+    mixed = np.add(mixed, np.multiply(a22, b11, out=real), out=out)
+    # a constant b12 stays a scalar, as without output arrays
+    conj = np.conjugate(b12, out=cplx if np.ndim(b12) else None)
+    prod = np.multiply(a12, conj, out=cplx)
+    mixed = np.subtract(mixed, np.multiply(2.0, prod.real, out=real), out=out)
+    return np.multiply(mixed, 0.5, out=out)
 
 
 def lowest_eigenvalue(comps, grid_shape):

@@ -332,7 +332,7 @@ def _along(m, values, axis, out=None):
     if axis == values.ndim - 1:
         a, b, view = values.reshape(-1, N), m.T, (-1, N)
     else:
-        before = int(np.prod(shape[:axis]))
+        before = math.prod(shape[:axis])
         a, b, view = m, values.reshape(before, N, -1), (before, N, -1)
     if out is None:
         return np.matmul(a, b).reshape(shape)

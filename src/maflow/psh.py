@@ -424,7 +424,9 @@ def capacity_lower_bound(
 # energy
 
 
-def energy(theta, phi: ScalarField, backend: str = "spectral", form=None) -> float:
+def energy(
+    theta, phi: ScalarField, backend: str = "spectral", form=None, margin=None, work=None
+) -> float:
     """Aubin-Yau style energy of phi against the form theta.
 
     E(phi) = 1/(n+1) * sum_{j=0..n} integral phi * (theta + H(phi))^j ^ theta^(n-j)
@@ -433,18 +435,25 @@ def energy(theta, phi: ScalarField, backend: str = "spectral", form=None) -> flo
     normalisation).  Satisfies E(phi + c) = E(phi) + c and is monotone:
     phi <= psi pointwise implies E(phi) <= E(psi).  For unbounded potentials
     this is the energy of the clamped grid representative; callers should
-    label it accordingly.  form, when given, is theta + H(phi) already built.
-    Raises NotKahlerError once the form's lowest eigenvalue is below -1e-6.
+    label it accordingly.  form, when given, is theta + H(phi) already built,
+    and margin its cone_margin.  work, when given, is a form's arrays (real,
+    and at n = 2 real, complex): the densities and their products with phi
+    are written into the first, the rest is scratch; the energy has the same
+    bits either way.  Raises NotKahlerError once the form's lowest eigenvalue
+    is below -1e-6.
     """
     grid = phi.grid
     if form is None:
         form = kahler_form(theta, phi.values, grid, backend)[0]
-    worst = cone_margin(form)
-    if worst < -1e-6:
-        raise NotKahlerError(f"theta + H(phi) leaves the cone (min eig {worst:.3e})")
+    if margin is None:
+        margin = cone_margin(form)
+    if margin < -1e-6:
+        raise NotKahlerError(f"theta + H(phi) leaves the cone (min eig {margin:.3e})")
     n = grid.n
+    out, *scratch = work or (None,)
     acc = 0.0
     for j in range(n + 1):
-        dens = comps_mixed(form, theta, j, n)
-        acc += float(np.mean(phi.values * np.real(np.broadcast_to(dens, grid.shape))))
+        dens = comps_mixed(form, theta, j, n, out, scratch)
+        prod = np.multiply(phi.values, np.real(np.broadcast_to(dens, grid.shape)), out=out)
+        acc += float(np.mean(prod))
     return acc / (n + 1)

@@ -116,6 +116,9 @@ def test_constant_data_matches_backward_euler_recurrence():
         ref = values[float(t)]
         assert abs(float(fld.values.max()) - ref) < 1e-7
         assert float(np.ptp(fld.values)) < 1e-12  # stays spatially flat
+    # one Newton iteration solves each step from its last state, so every
+    # step starts there: an extrapolated start would only add work
+    assert {(d["start"], d["newton_iters"]) for d in traj.diagnostics} == {("previous", 1)}
 
 
 def test_probe_snapshots_survive_thinning():
@@ -245,13 +248,19 @@ def test_inadmissible_initial_data_is_refused():
     assert info.value.eigenvalue == pytest.approx(1.0 - 0.2 * np.pi**2, rel=1e-12)
 
 
-def advance(phi, t_from, t_to, path, F, omega, cfg):
-    """One backward-Euler step from phi, with a workspace warm-started by H(phi)."""
+def advance(phi, t_from, t_to, path, F, omega, cfg, history=()):
+    """One backward-Euler step from phi after the accepted states history.
+
+    It runs on a new workspace warm-started by H(phi) and returns the new
+    values and the step's diagnostics.
+    """
     ws = flow._Workspace(phi.grid, cfg.backend)
     ws.hessian(phi.values)
     coords = phi.grid.coordinates()
-    vals, _, _ = flow._advance(phi.values, t_from, t_to, path, F, omega.log(), cfg, coords, ws)
-    return ScalarField(phi.grid, vals)
+    vals, _, diag = flow._advance(
+        phi.values, t_from, t_to, path, F, omega.log(), cfg, coords, ws, history
+    )
+    return vals, diag
 
 
 def test_warm_start_outside_the_cone_names_the_worst_point():
@@ -279,17 +288,100 @@ def test_exhausted_damping_names_the_worst_point(monkeypatch):
     assert info.value.eigenvalue < 0.0
 
 
-def test_run_reuses_each_accepted_hessian_bitwise():
+def smooth_run():
+    """A 16^2 spectral run from a smooth datum under F = s/2, 143 steps."""
     grid, path, omega, cfg = make_problem(resolution=16)
     x, y = grid.coordinates()
     phi0 = ScalarField(grid, 0.05 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y))
     F = DrivingTerm.affine(slope=0.5)
-    traj = run(phi0, path, F, omega, cfg)
-    # each step here computes the Hessian of its start values afresh
-    phi = phi0
-    for t_from, t_to in zip(traj.schedule[:-1], traj.schedule[1:]):
-        phi = advance(phi, t_from, t_to, path, F, omega, cfg)
-    assert np.array_equal(phi.values, traj.final().values)
+    return run(phi0, path, F, omega, cfg), phi0, path, F, omega, cfg
+
+
+def test_run_reuses_each_accepted_hessian_bitwise():
+    traj, phi0, path, F, omega, cfg = smooth_run()
+    grid = phi0.grid
+    # each step here gets the run's history on a new workspace, so every
+    # Hessian it reads is computed afresh
+    states = [(0.0, phi0.values)]
+    for t_to in traj.schedule[1:]:
+        t_from, vals = states[-1]
+        vals, diag = advance(
+            ScalarField(grid, vals), t_from, t_to, path, F, omega, cfg, tuple(states[-3:-1])
+        )
+        assert diag == traj.diagnostics[len(states) - 1]
+        states.append((float(t_to), vals))
+    assert np.array_equal(states[-1][1], traj.final().values)
+    starts = [d["start"] for d in traj.diagnostics]
+    assert starts[0] == "previous" and set(starts[1:]) == {"extrapolated"}
+
+
+def test_newton_starts_from_the_extrapolated_state():
+    # 594 Newton iterations when every step starts from the last accepted
+    # state, 471 from the quadratic through the last three
+    traj = smooth_run()[0]
+    assert sum(d["newton_iters"] for d in traj.diagnostics) <= 480
+    first, second = traj.diagnostics[:2]
+    # the first step starts from phi0, whose residual is |phidot(0)|
+    assert first["initial_residual"] == pytest.approx(float(np.max(np.abs(traj.phidots[0].values))))
+    assert second["initial_residual"] < first["initial_residual"]
+
+
+def cos_potential(grid, amplitude):
+    """amplitude cos(2 pi x): theta + H of it is 1 - amplitude pi^2 cos(2 pi x) at n = 1."""
+    x, y = grid.coordinates()
+    return amplitude * np.cos(2 * np.pi * x) * np.ones_like(y)
+
+
+def test_a_guess_outside_the_cone_falls_back_to_the_last_state():
+    grid, path, omega, cfg = make_problem(resolution=16)
+    phi = ScalarField(grid, cos_potential(grid, 0.05))
+    # the linear guess 0.05 + (0.05 + 0.1) = 0.2 > 1/pi^2 leaves the cone
+    history = ((0.0, cos_potential(grid, -0.1)),)
+    vals, diag = advance(phi, 0.01, 0.02, path, DrivingTerm.zero(), omega, cfg, history)
+    assert diag["start"] == "fallback"
+    assert diag["residual"] <= cfg.newton_tol and diag["newton_iters"] > 0
+    # the fallback takes H(phi) afresh: the step is that without a history
+    want, plain = advance(phi, 0.01, 0.02, path, DrivingTerm.zero(), omega, cfg)
+    assert plain["start"] == "previous"
+    assert np.array_equal(vals, want)
+    assert {**diag, "start": "previous"} == plain
+
+
+@pytest.mark.parametrize("probe", [None, 0.0371])
+def test_extrapolation_reproduces_quadratics_on_the_schedule(probe):
+    cfg = FlowConfig(horizon=0.1, t_min=1e-3, ratio=1.5, probes=() if probe is None else (probe,))
+    times = schedule_times(cfg)
+    grid = TorusGrid(n=1, resolution=8)
+    x, y = grid.coordinates()
+    a, b, c = np.cos(2 * np.pi * x) * np.ones_like(y), np.sin(2 * np.pi * y), x * y
+
+    def quadratic(t):
+        return a + t * (b + t * c)
+
+    # every step with two accepted states before it; with the probe, steps
+    # into and out of the shortened step that ends on it
+    ks = range(3, len(times))
+    if probe is not None:
+        k = int(np.flatnonzero(times == probe)[0])
+        assert times[k] - times[k - 1] < (cfg.ratio - 1.0) * times[k - 1]
+        ks = (k, k + 1, k + 2)
+    out, scratch = np.empty(grid.shape), np.empty(grid.shape)
+    for k in ks:
+        nodes = times[k - 3 : k]
+        weights = flow._lagrange_weights(nodes, times[k])
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-13)
+        for m in range(3):
+            assert math.fsum(w * s**m for w, s in zip(weights, nodes)) == pytest.approx(
+                times[k] ** m, rel=1e-12
+            )
+        states = [(s, quadratic(s)) for s in nodes]
+        got = flow._extrapolate(states, times[k], out, scratch)
+        assert got is out
+        np.testing.assert_allclose(got, quadratic(times[k]), rtol=0, atol=1e-14)
+        # two states give the line through them
+        lines = [(s, a + s * b) for s in nodes[1:]]
+        got = flow._extrapolate(lines, times[k], out, scratch)
+        np.testing.assert_allclose(got, a + times[k] * b, rtol=0, atol=1e-14)
 
 
 def warm_step_peak(n, resolution, backend):
@@ -305,15 +397,17 @@ def warm_step_peak(n, resolution, backend):
     vals = np.broadcast_to(phi, grid.shape).copy()
     ws.hessian(vals)
     times = schedule_times(cfg)
+    history = []
     for k in range(1, 10):
-        vals = flow._advance(vals, times[k - 1], times[k], path, F, log_om, cfg, c, ws)[0]
+        new = flow._advance(vals, times[k - 1], times[k], path, F, log_om, cfg, c, ws, history)[0]
+        history, vals = [*history[-1:], (times[k - 1], vals)], new
     tracemalloc.start()
     try:
-        step = flow._advance(vals, times[9], times[10], path, F, log_om, cfg, c, ws)
+        step = flow._advance(vals, times[9], times[10], path, F, log_om, cfg, c, ws, history)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert step[2]["newton_iters"] > 1
+    assert step[2]["start"] == "extrapolated" and step[2]["newton_iters"] > 1
     return peak / vals.nbytes
 
 
@@ -336,7 +430,7 @@ def newton_operators(total, R, fs, dt, grid, backend):
     """The Newton operator and its preconditioner at the form total, on a new workspace."""
     ws = flow._Workspace(grid, backend)
     det = geometry.comps_det(total)
-    return flow._jacobian(total, det, fs, dt, ws), flow._preconditioner(total, R, fs, dt, ws)
+    return flow._jacobian(total, det, fs, dt, ws), flow._preconditioner(total, det, R, fs, dt, ws)
 
 
 def constant_metric_system(n, backend, level=0.3):

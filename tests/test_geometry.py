@@ -13,6 +13,7 @@ from maflow.geometry import (
     comps_det,
     comps_eig_min,
     comps_harmonic_mean,
+    comps_mixed,
     comps_trace,
     comps_trace_inv,
     cone_margin,
@@ -204,6 +205,12 @@ def test_form_algebra_and_hessian_write_into_output_arrays_bit_for_bit(n, backen
     # scratch may be alpha itself, which is then overwritten
     scratch = tuple(a.copy() for a in alpha)
     assert same_bits(comps_trace_inv(w, scratch, real(), scratch, det), want)
+    assert same_bits(comps_harmonic_mean(w, real(), real(), det), comps_harmonic_mean(w))
+    # mixed densities against a constant and a space-varying second form
+    for beta in (theta, alpha):
+        for j in range(n + 1):
+            scratch = (real(), np.full(grid.shape, np.nan, complex))
+            assert_output_arrays_change_nothing(comps_mixed, (w, beta, j, n), (real(), scratch))
     # constant forms: scalar components, broadcast against the grid; the
     # second one's |h12|^2 rounds differently through C pow and np.square
     odd = 0.2432588650874949

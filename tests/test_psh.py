@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maflow.errors import ConfigError, NotKahlerError
-from maflow.geometry import identity_form
+from maflow.geometry import cone_margin, identity_form, kahler_form
 from maflow.grid import ScalarField, TorusGrid, hessian_components, oscillation
 from maflow.psh import (
     FLOW_ADMISSIBLE_TAGS,
@@ -214,6 +214,20 @@ class TestEnergy:
         hi = lo.shifted(0.05)
         ident = identity_form(g.n)
         assert energy(ident, hi) >= energy(ident, lo)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_given_form_margin_and_arrays_keep_the_bits(self, n, varying_form):
+        grid, theta, phi = varying_form(n)
+        fld = ScalarField(grid, phi)
+        form = kahler_form(theta, phi, grid, "spectral")[0]
+        real = np.full(grid.shape, np.nan)
+        work = (real,) if n == 1 else (real, real.copy(), np.full(grid.shape, np.nan, complex))
+        want = energy(theta, fld)
+        got = energy(theta, fld, "spectral", form, cone_margin(form), work)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # the margin given is the one tested, not recomputed
+        with pytest.raises(NotKahlerError, match="-1.000e-05"):
+            energy(theta, fld, "spectral", form, -1e-5, work)
 
     def test_rejects_inadmissible(self):
         g = TorusGrid(1, 32)
