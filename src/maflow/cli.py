@@ -307,14 +307,13 @@ def _chk_stability(ctx: RunContext, homotopy_samples=5, eps=None):
     ]
 
 
+def _uniqueness_schedules(doc: dict):
+    """The document's schedule and schedule_b, each built when given; None unless both are."""
+    built = [build_schedule(doc[k]) for k in ("schedule", "schedule_b") if doc.get(k) is not None]
+    return tuple(built) if len(built) == 2 else None
+
+
 def _chk_uniqueness(ctx: RunContext, rate=None):
-    sched_a = ctx.doc.get("schedule")
-    sched_b = ctx.doc.get("schedule_b")
-    schedules = (
-        (build_schedule(sched_a), build_schedule(sched_b))
-        if sched_a is not None and sched_b is not None
-        else None
-    )
     return [
         verify.check_uniqueness(
             ctx.initial,
@@ -322,7 +321,7 @@ def _chk_uniqueness(ctx: RunContext, rate=None):
             ctx.F,
             ctx.omega,
             ctx.cfg,
-            schedules,
+            _uniqueness_schedules(ctx.doc),
             rate=None if rate is None else float(rate),
         )
     ]
@@ -445,9 +444,6 @@ def _check_params(doc: dict) -> dict:
 
 
 def execute_checks(names, ctx: RunContext):
-    unknown = [name for name in names if name not in CHECK_TABLE]
-    if unknown:
-        raise ConfigError(f"unknown check {unknown[0]!r}; available: {sorted(CHECK_TABLE)}")
     if ctx.traj is not None:
         columns = [CHECK_TABLE[name].column for name in names if CHECK_TABLE[name].column]
         ctx.audit = TrajectoryAudit(ctx.traj, ctx.path, ctx.F, ctx.omega, columns)
@@ -483,6 +479,19 @@ def _select_checks(doc: dict, args) -> list:
     if not isinstance(requested, list):
         raise ConfigError("'checks' must be a list of check names")
     return list(requested)
+
+
+def _resolve_checks(doc: dict, names: list) -> list:
+    """names, refused before any flow runs if one is unknown or lacks what doc must give it."""
+    unknown = [name for name in names if name not in CHECK_TABLE]
+    if unknown:
+        raise ConfigError(f"unknown check {unknown[0]!r}; available: {sorted(CHECK_TABLE)}")
+    for name in ("comparison", "stability"):
+        if name in names and not doc.get("initial_b"):
+            raise ConfigError(f"check {name!r} needs an 'initial_b' datum")
+    if "uniqueness" in names:
+        _uniqueness_schedules(doc)
+    return names
 
 
 def _uncertified(F: DrivingTerm) -> bool:
@@ -585,6 +594,7 @@ def cmd_run(args, forced_mode: str = None) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed  # archived with the run, so verify replays the same draws
     out = Path(args.out) if args.out else Path(doc.get("out", "runs/latest"))
+    names = _resolve_checks(doc, _select_checks(doc, args))
 
     mode, ctx, reports = integrate_scenario(doc, forced_mode)
     if mode == "single":
@@ -594,7 +604,6 @@ def cmd_run(args, forced_mode: str = None) -> int:
     elif mode == "nef":
         _save_nef(out, ctx.family, doc)
 
-    names = _select_checks(doc, args)
     if "comparison" in names and ctx.traj_b is None:
         run_comparison_pair(ctx)
         archive_io.save_trajectory(out / "pair", ctx.traj_b, run_config=doc)

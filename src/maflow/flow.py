@@ -18,18 +18,18 @@ solve of a shifted -(1/4) Laplacian (grid.solve_shifted_laplacian: real
 FFTs at n = 1, per-axis matrices at n = 2) with a pointwise scaling built from
 the harmonic mean of w's eigenvalues (w = theta + dd^c phi), matched to the
 Jacobian at the stiffness of the current Newton residual, so it keeps up
-where w nears the edge of the positive cone.  Each `run` holds one
-`_Workspace` of grid-shaped arrays (and at n = 1 two spectrum-shaped ones)
-for its whole length: the Newton loop writes iterates, residuals and Krylov
-vectors into it, and passes its arrays as outputs to grid's derivatives and
-geometry's form algebra.  Only each step's stored snapshot and the driving
-term's values are then new arrays, at n = 1 and n = 2 alike.
+where w nears the edge of the positive cone.
 
-The right-hand side is written once (`_rhs`), for the Newton residual and
-the stored phidot.  Checks read stored snapshots through `TrajectoryAudit`,
-which builds each snapshot's form theta_t + dd^c phi_k at most once, keeps
-only scalars, and reports a snapshot outside the positive cone instead of
-taking the logarithm there.
+A flow state is evaluated in one place, `_Workspace`: its Hessian, the form
+theta_t + dd^c phi with its cone margin, det and the right-hand side, and
+the backward-Euler residual, each written into grid-shaped arrays (and at
+n = 1 two spectrum-shaped ones) that it passes as outputs to grid's
+derivatives and geometry's form algebra.  Each `run` holds one for its
+whole length, so only each step's stored snapshot and the driving term's
+values are new arrays, at n = 1 and n = 2 alike.  Checks read stored
+snapshots through `TrajectoryAudit`, which evaluates each snapshot in its
+own workspace at most once, keeps only scalars, and reports a snapshot
+outside the positive cone instead of taking the logarithm there.
 
 Rough initial data never enter `run` directly: they are regularized by the
 decreasing mollification ladder and integrated level by level (`run_cascade`),
@@ -46,6 +46,7 @@ grid's floor taken by `_sampled_min`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -386,32 +387,29 @@ def _form_arrays(grid: TorusGrid, *reals) -> tuple:
     return reals if grid.n == 1 else (*reals, np.empty(grid.shape, complex))
 
 
-def _spectrum_arrays(grid: TorusGrid):
-    """A complex and a real array of the grid's spectrum_shape at n = 1; None at n = 2."""
-    if grid.n == 2:
-        return None
-    return np.empty(grid.spectrum_shape, complex), np.empty(grid.spectrum_shape)
-
-
 class _Workspace:
-    """The grid-shaped arrays of one `run`, reused so its Newton loop allocates none.
+    """The one evaluator of a flow state, in grid-shaped arrays it reuses.
 
-    `run` makes one, hands it to every `_advance` and drops it on return;
-    each step overwrites every array.  u holds the accepted iterate and the
-    line search's trial, which swap roles when a trial is accepted; the
-    extrapolated start of a step is written into u[0].  h is H of the
-    iterate last given to `hessian` and w the form theta + h from `form`.
-    The line search overwrites both, as the accepted iterate needs neither
-    once its Newton direction is solved; between steps h is H of the step's
-    values, the warm start of a step that starts from them.  det receives
-    det(w) once per Newton iteration for the residual (rhs, R), the Newton
-    operator and the preconditioner; scale is the preconditioner's scaling.
-    tmp is three real scratch arrays, hv H(v) inside an operator apply (it
-    shares tmp's first two), and krylov BiCGSTAB's eight vectors.  spectrum
-    (None at n = 2) is a complex and a real array of the grid's
-    spectrum_shape: every n = 1 transform is written into the first, and the
-    second holds the Rayleigh quotient's power spectrum, then the
-    preconditioner's shift + symbol.
+    `run` makes one and hands it to every `_advance`, so the Newton loop
+    allocates no array; `TrajectoryAudit` makes one and builds every stored
+    snapshot in it.  A state u at time t is evaluated in three calls, each
+    overwriting the arrays it names: `hessian` (h = H(u)), `margin` (w =
+    theta_t + h and its cone margin) and `rhs_at` (det w, into det at n =
+    2, and the right-hand side into rhs); `step_residual` then gives the sup
+    of the backward-Euler residual R from a previous state.
+
+    u holds the Newton iterate and the line search's trial, which swap roles
+    when a trial is accepted; the extrapolated start of a step is written
+    into u[0].  The line search overwrites h and w, as the accepted iterate
+    needs neither once its Newton direction is solved; between steps h is H
+    of the step's values, the warm start of a step that starts from them.
+    scale is the preconditioner's scaling.  tmp is three real scratch
+    arrays, and hv H(v) inside an operator apply, or the energy's densities
+    (it shares tmp's first two).  krylov, BiCGSTAB's eight vectors, is made
+    on first use, so an audit never makes it.  spectrum (None at n = 2) is a
+    complex and a real array of the grid's spectrum_shape: every n = 1
+    transform is written into the first, and the second holds the Rayleigh
+    quotient's power spectrum, then the preconditioner's shift + symbol.
     """
 
     def __init__(self, grid: TorusGrid, backend: str):
@@ -424,19 +422,43 @@ class _Workspace:
         self.det, self.rhs, self.R, self.scale = real(), real(), real(), real()
         self.tmp = (real(), real(), real())
         self.hv = _form_arrays(grid, *self.tmp[:2])
-        self.krylov = tuple(real() for _ in range(8))
-        self.spectrum = _spectrum_arrays(grid)
+        self.spectrum = None
+        if grid.n == 1:
+            self.spectrum = np.empty(grid.spectrum_shape, complex), np.empty(grid.spectrum_shape)
 
-    def hessian(self, values):
-        """h = H(values)."""
-        hessian_components(values, self.grid, self.backend, self.h, self.tmp[2], self.spectrum)
+    @functools.cached_property
+    def krylov(self) -> tuple:
+        return tuple(np.empty(self.grid.shape) for _ in range(8))
 
-    def form(self, theta) -> tuple:
-        """w = theta + h."""
-        return kahler_form(theta, None, self.grid, self.backend, self.h, self.w)[0]
+    def hessian(self, u):
+        """h = H(u)."""
+        hessian_components(u, self.grid, self.backend, self.h, self.tmp[2], self.spectrum)
+
+    def margin(self, theta) -> float:
+        """w = theta + h; returns the cone margin of w."""
+        return cone_margin(kahler_form(theta, self.h, self.w), *self.tmp[:2])
+
+    def rhs_at(self, u, t, F, log_om, coords) -> tuple:
+        """(det w, log det w - log Omega - F(t, z, u)), the latter written into rhs.
+
+        w must be theta_t + H(u) and lie inside the positive cone; log_om is
+        log Omega.
+        """
+        det = comps_det(self.w, self.det, self.tmp[0])
+        rhs = np.log(det, out=self.rhs)
+        rhs -= log_om
+        rhs -= F(t, coords, u)
+        return det, rhs
+
+    def step_residual(self, u, prev, dt) -> float:
+        """sup |R|, R = (u - prev)/dt - rhs written into R; rhs is from the last `rhs_at`."""
+        R = np.subtract(u, prev, out=self.R)
+        R /= dt
+        R -= self.rhs
+        return float(np.max(np.abs(R, out=self.tmp[0])))
 
 
-def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int, work=None):
+def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int, work):
     """Right-preconditioned BiCGSTAB on a matrix-free operator.
 
     Solves apply_op(x) = b through apply_op(precond(y)) = b, x = precond(y),
@@ -449,11 +471,11 @@ def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int, w
 
     apply_op(v, out) and precond(r, out) return their result, which they may
     write into out, an array of the solver's that aliases neither argument.
-    work, eight arrays shaped like b (new ones when omitted), holds the
-    solver's vectors, updated in place; the returned iterate is one of them
-    and lasts until work is next used.  b is only read.
+    work, eight arrays shaped like b, holds the solver's vectors, updated in
+    place; the returned iterate is one of them and lasts until work is next
+    used.  b is only read.
     """
-    x, r, p, v, z, t, best, tmp = work if work is not None else [np.empty_like(b) for _ in range(8)]
+    x, r, p, v, z, t, best, tmp = work
     x.fill(0.0)
     bnorm = _l2(b)
     if bnorm == 0.0:
@@ -510,18 +532,6 @@ def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int, w
     if _l2(best) == 0.0:
         raise NumericError("linear solver stalled with a null direction")
     return best, it, best_res / bnorm, False
-
-
-def _rhs(det, u, t, F, log_om, coords, out=None):
-    """The flow's right-hand side log det(w) - log Omega - F(t, z, u), into out when given.
-
-    det is the determinant of the form w = theta_t + H(u), which must lie
-    inside the cone.
-    """
-    rhs = np.log(det, out=out)
-    rhs -= log_om
-    rhs -= F(t, coords, u)
-    return rhs
 
 
 def _cone_exit(message, total, grid):
@@ -644,15 +654,13 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
         u = _extrapolate((*history, (t_from, prev_vals)), t_to, ws.u[0], ws.tmp[0])
         ws.hessian(u)
         start = "extrapolated"
-    w = ws.form(theta)
-    margin = cone_margin(w, *ws.tmp[:2])
+    margin = ws.margin(theta)
     if margin <= 0.0 and start == "extrapolated":
         u, start = prev_vals, "fallback"
         ws.hessian(u)
-        w = ws.form(theta)
-        margin = cone_margin(w, *ws.tmp[:2])
+        margin = ws.margin(theta)
     if margin <= 0.0:
-        raise _cone_exit(f"warm start leaves the positivity cone at t = {t_to:.6g}", w, grid)
+        raise _cone_exit(f"warm start leaves the positivity cone at t = {t_to:.6g}", ws.w, grid)
     residual = math.inf
     damping_min = 1.0
     linear_total = 0
@@ -660,12 +668,8 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
     linear_converged = True
     iters = 0
     while True:
-        det = comps_det(w, ws.det, ws.tmp[0])
-        rhs = _rhs(det, u, t_to, F, log_om, coords, out=ws.rhs)
-        R = np.subtract(u, prev_vals, out=ws.R)
-        R /= dt
-        R -= rhs
-        residual = float(np.max(np.abs(R, out=ws.tmp[0])))
+        det, rhs = ws.rhs_at(u, t_to, F, log_om, coords)
+        residual = ws.step_residual(u, prev_vals, dt)
         if iters == 0:
             initial_residual = residual
         if residual <= cfg.newton_tol:
@@ -684,9 +688,9 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
         fs = np.asarray(F.ds_at(t_to, coords, u), dtype=np.float64)
         # J correction = R; the Newton direction is -correction
         correction, lin_iters, lin_res, lin_ok = _bicgstab(
-            _jacobian(w, det, fs, dt, ws),
-            _preconditioner(w, det, R, fs, dt, ws),
-            R,
+            _jacobian(ws.w, det, fs, dt, ws),
+            _preconditioner(ws.w, det, ws.R, fs, dt, ws),
+            ws.R,
             cfg.linear_rel_tol,
             cfg.max_linear,
             ws.krylov,
@@ -699,8 +703,7 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
         while True:
             np.subtract(u, np.multiply(correction, lam, out=trial), out=trial)
             ws.hessian(trial)
-            ws.form(theta)
-            t_margin = cone_margin(w, *ws.tmp[:2])
+            t_margin = ws.margin(theta)
             if t_margin > 0.0:
                 break
             lam *= 0.5
@@ -708,7 +711,7 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
                 raise _cone_exit(
                     f"no damping factor >= {cfg.min_damping:.3g} keeps the step inside "
                     f"the cone at t = {t_to:.6g}",
-                    w,
+                    ws.w,
                     grid,
                 )
         damping_min = min(damping_min, lam)
@@ -762,10 +765,9 @@ def run(
     notices = []
     ws = _Workspace(grid, cfg.backend)
     ws.hessian(phi0.values)  # the first step's warm start
-    total0 = ws.form(path.theta(0.0))
-    margin0 = cone_margin(total0, *ws.tmp[:2])
+    margin0 = ws.margin(path.theta(0.0))
     if margin0 < -PSH_TOL:
-        raise _cone_exit("initial data inadmissible for theta(0)", total0, grid)
+        raise _cone_exit("initial data inadmissible for theta(0)", ws.w, grid)
     coords = grid.coordinates()
     log_om = omega_form.log()
     if check_bounds:
@@ -776,8 +778,7 @@ def run(
 
     times = schedule_times(cfg)
     if margin0 > 0.0:
-        rhs0 = _rhs(comps_det(total0), phi0.values, 0.0, F, log_om, coords)
-        phidot0 = ScalarField(grid, np.broadcast_to(rhs0, grid.shape))
+        phidot0 = ScalarField(grid, ws.rhs_at(phi0.values, 0.0, F, log_om, coords)[1].copy())
     else:
         phidot0 = None
         notices.append("right-hand side undefined at t = 0 (cone boundary); phidot omitted there")
@@ -841,13 +842,10 @@ class TrajectoryAudit:
     without a phidot) and "step_residual" (sup of the backward-Euler residual
     from snapshot k - 1, None unless the two are consecutive schedule points).
     Outside the positive cone both residual columns are infinite.  Every
-    build writes into one set of arrays, made on the first: the form (its
-    Hessian lands there and theta is added in place), two grid-shaped
-    scratch arrays (cone margin, trace, det, right-hand side, residuals, the
-    energy's densities), at n = 2 a complex one for the energy's mixed
-    density and at n = 1 the spectrum arrays.  certificate() is the metric
-    path's volume-sandwich delta (geometry.certify_metric_path), computed
-    once.
+    build evaluates the snapshot in the audit's one `_Workspace`, as a
+    Newton iterate is evaluated, and keeps no array of its own.
+    certificate() is the metric path's volume-sandwich delta
+    (geometry.certify_metric_path), computed once.
     """
 
     COLUMNS = ("sup-trace", "energy", "phidot_range", "step_residual")
@@ -860,7 +858,7 @@ class TrajectoryAudit:
         self.backend = traj.config.backend if traj.config is not None else "spectral"
         self._rows = {}
         self._certificate = None
-        self._arrays = None
+        self._ws = _Workspace(traj.grid, self.backend)
         self._log_om = omega_form.log() if {"phidot_range", "step_residual"} & self.columns else None
 
     def row(self, k: int) -> dict:
@@ -870,34 +868,27 @@ class TrajectoryAudit:
         return self._rows[k]
 
     def _build(self, k: int) -> dict:
-        traj, grid, cols = self.traj, self.traj.grid, self.columns
+        traj, ws, cols = self.traj, self._ws, self.columns
         t, fld, pd = float(traj.times[k]), traj.fields[k], traj.phidots[k]
-        if self._arrays is None:
-            a, b = np.empty(grid.shape), np.empty(grid.shape)
-            work = _form_arrays(grid, a, b)
-            self._arrays = (_form_arrays(grid), a, b, work, _spectrum_arrays(grid))
-        form, a, b, work, spectrum = self._arrays
         theta = self.path.theta(t)
-        hessian = hessian_components(fld.values, grid, self.backend, form, a, spectrum)
-        total = kahler_form(theta, None, grid, self.backend, hessian, form)[0]
-        row = {"margin": cone_margin(total, a, b)}
+        ws.hessian(fld.values)
+        row = {"margin": ws.margin(theta)}
         if "sup-trace" in cols:
-            row["sup-trace"] = float(np.max(comps_trace(total, a)))
+            row["sup-trace"] = float(np.max(comps_trace(ws.w, ws.tmp[0])))
         if "energy" in cols:
             try:
-                row["energy"] = psh.energy(theta, fld, self.backend, total, row["margin"], work)
+                row["energy"] = psh.energy(theta, fld, self.backend, ws.w, row["margin"], ws.hv)
             except NotKahlerError:
                 row["energy"] = None
         rhs = None
         if row["margin"] > 0.0 and {"phidot_range", "step_residual"} & cols:
-            det = comps_det(total, a, b)
-            rhs = _rhs(det, fld.values, t, self.F, self._log_om, grid.coordinates(), out=b)
+            rhs = ws.rhs_at(fld.values, t, self.F, self._log_om, traj.grid.coordinates())[1]
         if "phidot_range" in cols:
             row["phidot_range"] = None
             if pd is not None and rhs is None:
                 row["phidot_range"] = (-math.inf, math.inf)
             elif pd is not None:
-                r = np.subtract(pd.values, rhs, out=a)
+                r = np.subtract(pd.values, rhs, out=ws.tmp[0])
                 row["phidot_range"] = (float(r.min()), float(r.max()))
         if "step_residual" in cols:
             row["step_residual"] = None
@@ -906,10 +897,7 @@ class TrajectoryAudit:
                 row["step_residual"] = math.inf
             elif consecutive:
                 dt = traj.times[k] - traj.times[k - 1]
-                R = np.subtract(fld.values, traj.fields[k - 1].values, out=a)
-                R /= dt
-                R -= rhs
-                row["step_residual"] = float(np.max(np.abs(R, out=R)))
+                row["step_residual"] = ws.step_residual(fld.values, traj.fields[k - 1].values, dt)
         return row
 
     def value(self, k: int, column: str):

@@ -10,11 +10,12 @@ the diagonal (the lower triangle is implied).  A component is a grid-shaped
 array or a scalar (a spatially constant entry) and broadcasts against the
 grid.  This module builds forms (`identity_form`, `form_from_matrix`, the
 `MetricPath` families) and holds all of their algebra: the flow, the
-potentials and the checks build theta_t + dd^c phi with `kahler_form`, test
-the positive cone with `cone_margin` (`lowest_eigenvalue` also names the
-worst grid point) and take traces with `comps_trace`.  `certify_metric_path`
-samples a metric path's volume sandwich and returns its delta, the one path
-fact the checks read.
+potentials and the checks add theta_t to a Hessian taken by
+grid.hessian_components with `kahler_form` (no grid derivative is taken
+here), test the positive cone with `cone_margin` (`lowest_eigenvalue` also
+names the worst grid point) and take traces with `comps_trace`.
+`certify_metric_path` samples a metric path's volume sandwich and returns
+its delta, the one path fact the checks read.
 
 The grid-shaped algebra (`comps_det`, `comps_eig_min`, `cone_margin`,
 `comps_trace`, `comps_trace_inv`, `comps_harmonic_mean`, `kahler_form`)
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import TorusGrid, hessian_components
+from .grid import TorusGrid
 
 PSD_TOL = 1e-10
 PATH_SAMPLES = 64  # equispaced times at which certify_metric_path samples a path
@@ -122,16 +123,10 @@ def cone_margin(comps, out=None, scratch=None) -> float:
     return float(np.min(comps_eig_min(comps, out, scratch)))
 
 
-def kahler_form(theta, values, grid: TorusGrid, backend: str, hessian=None, out=None):
-    """(theta + H(values), H(values)) as component tuples; theta is a form.
-
-    hessian, when given, is H(values) already computed (a warm start); values
-    is then not read and may be None.  out receives theta + H(values).
-    """
-    if hessian is None:
-        hessian = hessian_components(values, grid, backend)
+def kahler_form(theta, hessian, out=None):
+    """theta + H(phi) as a component tuple; theta is a form and hessian is H(phi)."""
     out = out or (None,) * len(theta)
-    return tuple(np.add(th, hc, out=o) for th, hc, o in zip(theta, hessian, out)), hessian
+    return tuple(np.add(th, hc, out=o) for th, hc, o in zip(theta, hessian, out))
 
 
 def comps_trace_inv(base, alpha, out=None, scratch=None, det=None):

@@ -75,8 +75,7 @@ def load_field(path) -> tuple:
         raise ConfigError(
             f"snapshot {side_path.stem} has {len(raw)} bytes, expected {expect}"
         )
-    values = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).astype(np.float64)
-    return ScalarField(grid, values), sidecar
+    return ScalarField(grid, np.frombuffer(raw, dtype="<f8").reshape(grid.shape)), sidecar
 
 
 def _manifest_path(directory) -> Path:
@@ -157,13 +156,13 @@ def load_trajectory(directory) -> FlowTrajectory:
     fields, phidots, times = [], [], []
     for snap in manifest["snapshots"]:
         f, side = load_field(directory / f"{snap['name']}.json")
-        if f.grid is not grid and (f.grid.n != grid.n or f.grid.resolution != grid.resolution):
+        if f.grid != grid:
             raise ConfigError("snapshot grid disagrees with the manifest grid")
-        fields.append(ScalarField(grid, f.values))
+        fields.append(f)
         times.append(float(snap["time"]))
         if snap.get("phidot"):
-            pd, _ = load_field(directory / f"{snap['name'].replace('phi_', 'phidot_')}.json")
-            phidots.append(ScalarField(grid, pd.values))
+            name = snap["name"].replace("phi_", "phidot_")
+            phidots.append(load_field(directory / f"{name}.json")[0])
         else:
             phidots.append(None)
     return FlowTrajectory(

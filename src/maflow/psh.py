@@ -30,8 +30,8 @@ def psh_margin(phi: ScalarField, backend: str = "spectral") -> float:
     Kinked data should be gated with the "fd" backend: centred differences see
     a convex kink as positive curvature, while truncated spectra ring.
     """
-    total, _ = kahler_form(identity_form(phi.grid.n), phi.values, phi.grid, backend)
-    return cone_margin(total)
+    hessian = hessian_components(phi.values, phi.grid, backend)
+    return cone_margin(kahler_form(identity_form(phi.grid.n), hessian))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +413,7 @@ def capacity_lower_bound(
         osc = float(u.max() - u.min())
         norm = max(osc, 1.0)
         scaled = tuple((scale / norm) * c for c in comps)  # H(u / norm)
-        dens = comps_det(kahler_form(ident, None, grid, "spectral", hessian=scaled)[0])
+        dens = comps_det(kahler_form(ident, scaled))
         if float(np.min(dens)) < -PSH_TOL:
             continue  # numerically outside the cone; skip rather than clip
         best = max(best, float(np.where(mask, dens, 0.0).mean()))
@@ -444,7 +444,7 @@ def energy(
     """
     grid = phi.grid
     if form is None:
-        form = kahler_form(theta, phi.values, grid, backend)[0]
+        form = kahler_form(theta, hessian_components(phi.values, grid, backend))
     if margin is None:
         margin = cone_margin(form)
     if margin < -1e-6:

@@ -270,11 +270,12 @@ def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
         inf_f = _sampled_min(lambda t, _: F(t, coords, zeros), ts, (0.0,))
         C = -inf_f + n * math.log(delta)
         M0 = max(float(traj.fields[0].values.max()), 0.0)
-        snapshots = list(zip(traj.times, traj.fields))
-        gap = lambda t, f: f.values - C * float(t) - M0
-        excess, t_worst, j_worst = snapshot_sup((t, gap(t, f)) for t, f in snapshots)
+        # each snapshot's sup, taken once; max keeps the first of equal sups, as snapshot_sup
+        snapshots = zip(traj.times, traj.fields)
+        sups = [snapshot_sup([(t, f.values - C * float(t) - M0)]) for t, f in snapshots]
+        excess, t_worst, j_worst = max(sups, key=lambda s: s[0])
         worst = -excess
-        later = snapshot_sup((t, gap(t, f)) for t, f in snapshots if t > 0.0)[0]
+        later = max([-math.inf] + [s[0] for s in sups if s[1] > 0.0])
         where = (t_worst,) + _point(grid, j_worst)
         reports.append(
             MarginReport(

@@ -9,6 +9,7 @@ import pytest
 from maflow import cli, geometry
 from maflow.grid import TorusGrid
 from maflow.scenarios import scenario_path
+from work_ledger import KEYS, counting
 
 
 @dataclass
@@ -17,6 +18,7 @@ class ScenarioOutcome:
     mode: str
     ctx: cli.RunContext
     reports: list = field(default_factory=list)
+    work: dict = field(default_factory=dict)  # its flow runs' counts (work_ledger.KEYS)
 
     def report(self, name: str):
         hits = [r for r in self.reports if r.name == name]
@@ -32,16 +34,17 @@ _CACHE: dict = {}
 
 
 def run_scenario(stem: str) -> ScenarioOutcome:
-    """Integrate a bundled scenario and execute its declared checks, once."""
+    """Integrate a bundled scenario and execute its declared checks, once, counting the work."""
     if stem in _CACHE:
         return _CACHE[stem]
     doc = json.loads(scenario_path(stem).read_text())
-    mode, ctx, reports = cli.integrate_scenario(doc)
-    names = list(doc.get("checks", []))
-    if "comparison" in names and ctx.traj_b is None and ctx.initial_b is not None:
-        cli.run_comparison_pair(ctx)
-    reports = list(reports) + cli.execute_checks(names, ctx)
-    outcome = ScenarioOutcome(stem=stem, mode=mode, ctx=ctx, reports=reports)
+    with counting(dict.fromkeys(KEYS, 0)) as work:
+        mode, ctx, reports = cli.integrate_scenario(doc)
+        names = list(doc.get("checks", []))
+        if "comparison" in names and ctx.traj_b is None and ctx.initial_b is not None:
+            cli.run_comparison_pair(ctx)
+        reports = list(reports) + cli.execute_checks(names, ctx)
+    outcome = ScenarioOutcome(stem=stem, mode=mode, ctx=ctx, reports=reports, work=work)
     _CACHE[stem] = outcome
     return outcome
 

@@ -445,6 +445,25 @@ def test_misspelled_check_params_exit_two(tmp_path, capsys, check_params, named)
     assert not (tmp_path / "out").exists()  # refused before integrating
 
 
+@pytest.mark.parametrize(
+    "changes, argv, named",
+    [
+        ({"checks": ["spectra"]}, [], "unknown check 'spectra'"),
+        ({}, ["--check", "spectra"], "unknown check 'spectra'"),
+        ({}, ["--check", "stability"], "'stability' needs an 'initial_b'"),
+        ({}, ["--check", "comparison"], "'comparison' needs an 'initial_b'"),
+        ({"schedule_b": "x"}, ["--check", "uniqueness"], "schedule must be an object"),
+    ],
+)
+def test_bad_check_settings_exit_two_before_integrating(tmp_path, capsys, changes, argv, named):
+    cfg_path = scenario_09_with(tmp_path, {})
+    doc = json.loads(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**doc, **changes}))
+    assert cli.main(["run", "--config", str(cfg_path), *argv]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_params_of_a_skipped_check_are_accepted(tmp_path):
     cfg_path, _ = write_doc(tmp_path, check_params={"energy": {"slack": 1.0}})
     assert cli.main(["run", "--config", str(cfg_path), "--check", "residual-certificate"]) == 0

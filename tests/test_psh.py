@@ -219,7 +219,7 @@ class TestEnergy:
     def test_given_form_margin_and_arrays_keep_the_bits(self, n, varying_form):
         grid, theta, phi = varying_form(n)
         fld = ScalarField(grid, phi)
-        form = kahler_form(theta, phi, grid, "spectral")[0]
+        form = kahler_form(theta, hessian_components(phi, grid, "spectral"))
         real = np.full(grid.shape, np.nan)
         work = (real,) if n == 1 else (real, real.copy(), np.full(grid.shape, np.nan, complex))
         want = energy(theta, fld)

@@ -107,3 +107,15 @@ def test_the_structure_check_sees_both_import_forms(tmp_path):
         "geo._square(1.0, None)\n"
     )
     assert private_uses(probe) == [(1, "_along"), (3, "geo._square")]
+
+
+def test_geometry_takes_no_grid_derivative():
+    # geometry adds theta to a Hessian its caller took; grid takes every derivative
+    tree = ast.parse((Path(maflow.__file__).parent / "geometry.py").read_text())
+    from_grid = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "grid"
+        for a in node.names
+    }
+    assert from_grid == {"TorusGrid"}

@@ -1,0 +1,77 @@
+"""The work ledger: what integrating and checking each bundled scenario costs, in counts.
+
+work_ledger.json holds, for each bundled scenario, the flow runs it makes
+(those inside its checks included), their backward-Euler steps, Newton
+iterations, linear iterations, damped steps (a line search that cut the
+Newton step) and stored snapshots.  The counts repeat exactly for the same
+code and numpy, so a change meant to keep every value must keep them too;
+test_work_ledger.py compares them with the scenarios the session cache runs.
+
+A change that alters the work on purpose regenerates the ledger (from the
+repository root) and lists the old and new counts with the change:
+
+    python tests/work_ledger.py
+"""
+
+import contextlib
+import json
+import sys
+from pathlib import Path
+
+LEDGER = Path(__file__).with_name("work_ledger.json")
+KEYS = ("runs", "steps", "newton_iters", "linear_iters", "damped_steps", "snapshots")
+
+
+@contextlib.contextmanager
+def counting(work: dict):
+    """Add the work of every flow.run made inside the block to work (KEYS -> int).
+
+    Steps are counted as `_advance` accepts them, so a run that fails still
+    counts the steps it took; snapshots are those of the runs that return.
+    """
+    from maflow import cli, flow, io, psh, verify
+
+    run, advance = flow.run, flow._advance
+
+    def counted_run(*args, **kwargs):
+        work["runs"] += 1
+        traj = run(*args, **kwargs)
+        work["snapshots"] += len(traj.times)
+        return traj
+
+    def counted_advance(*args, **kwargs):
+        step = advance(*args, **kwargs)
+        diag = step[2]
+        work["steps"] += 1
+        work["newton_iters"] += diag["newton_iters"]
+        work["linear_iters"] += diag["linear_iters"]
+        work["damped_steps"] += int(diag["damping"] < 1.0)
+        return step
+
+    modules = (cli, flow, io, psh, verify)
+    sites = [(m, name) for m in modules for name, value in vars(m).items() if value is run]
+    flow._advance = counted_advance
+    for module, name in sites:
+        setattr(module, name, counted_run)
+    try:
+        yield work
+    finally:
+        flow._advance = advance
+        for module, name in sites:
+            setattr(module, name, run)
+
+
+def main() -> int:
+    root = Path(__file__).resolve().parents[1]
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    from conftest import run_scenario
+    from maflow.scenarios import available
+
+    ledger = {stem: run_scenario(stem).work for stem in available()}
+    LEDGER.write_text(json.dumps(ledger, indent=1) + "\n")
+    print(f"wrote {LEDGER}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
