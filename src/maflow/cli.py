@@ -18,8 +18,11 @@ import csv
 import inspect
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,176 +43,205 @@ NO_UNIQUENESS_NOTICE = (
 
 
 # ---------------------------------------------------------------------------
-# scenario document parsing
+# scenario document parsing: each value is typed by the annotation of the
+# parameter it feeds, whose default is the document's (see README)
+
+# the classes a scenario section builds; a section is an object
+_SECTIONS = (
+    TorusGrid,
+    FlowConfig,
+    MetricPath,
+    VolumeForm,
+    DrivingTerm,
+    RoughPotential,
+    RegularizationSchedule,
+)
+
+
+def _fits(value, annotation) -> bool:
+    """Whether value is JSON of the annotated type; TypeError for an annotation no JSON fits."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is types.UnionType:
+        return any(_fits(value, a) for a in args)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            return False
+        if origin is tuple and args[-1] is not Ellipsis:
+            return len(value) == len(args) and all(map(_fits, value, args))
+        return all(_fits(v, args[0]) for v in value)
+    if annotation in (float, int):  # float takes any number; neither takes a bool
+        return isinstance(value, (int, annotation)) and not isinstance(value, bool)
+    if annotation in (str, bool, dict, types.NoneType):
+        return isinstance(value, annotation)
+    if annotation in _SECTIONS:
+        return isinstance(value, dict)
+    raise TypeError(f"no JSON value has the type {annotation!r}")
+
+
+def _check(path: str, annotation, value):
+    if _fits(value, annotation):
+        return
+    if annotation in _SECTIONS:
+        noun = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", annotation.__name__).lower()
+        raise ConfigError(f"{path}: a {noun} must be an object, got {value!r}")
+    raise ConfigError(f"{path} must be {inspect.formatannotation(annotation)}, got {value!r}")
+
+
+def _typed(path: str, fn, settings, given=()):
+    """fn's parameters, once settings holds only fn's keyword parameters, each of its type.
+
+    given names the parameters the program supplies, which settings may not
+    set; path ("" at the top level) prefixes every key path.
+    """
+    _check(path or "scenario document", dict, settings)
+    params = inspect.signature(fn, eval_str=True).parameters
+    accepted = [k for k in params if k not in given]
+    prefix = f"{path}." if path else ""
+    unknown = [prefix + k for k in settings if k not in accepted]
+    if unknown:
+        raise ConfigError(f"unknown {path or 'scenario'} settings: {unknown}; accepted: {accepted}")
+    for key, value in settings.items():
+        _check(prefix + key, params[key].annotation, value)
+    missing = [k for k in accepted if k not in settings and params[k].default is params[k].empty]
+    if missing:
+        raise ConfigError(f"scenario is missing {prefix + missing[0]!r}")
+    return params
+
+
+def _call(path: str, fn, settings, **given):
+    """fn(**settings) plus the given values fn names, once settings is typed."""
+    params = _typed(path, fn, settings, given)
+    return fn(**settings, **{k: v for k, v in given.items() if k in params})
+
+
+def _build(path: str, table: dict, sec, **given):
+    """The object a section describes: its kind, by default the first, picks the constructor."""
+    _check(path, dict, sec)
+    settings = dict(sec)
+    kind = settings.pop("kind", next(iter(table)))
+    _check(f"{path}.kind", str, kind)
+    if kind not in table:
+        raise ConfigError(f"unknown {path}.kind {kind!r}; available: {list(table)}")
+    return _call(path, table[kind], settings, **given)
+
+
+def _scenario(
+    grid: TorusGrid,
+    initial: RoughPotential,
+    flow: FlowConfig = None,
+    metric: MetricPath = None,
+    volume: VolumeForm = None,
+    driving: DrivingTerm = None,
+    initial_b: RoughPotential = None,
+    schedule: RegularizationSchedule = None,
+    schedule_b: RegularizationSchedule = None,
+    mode: str = None,
+    checks: list[str] = None,
+    check_params: dict = None,
+    seed: int = None,
+    out: str = None,
+    name: str = None,
+    comment: str = None,
+):
+    """The top-level keys of a scenario document; the code reading a key defaults it."""
 
 
 def load_document(path) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"no scenario document at {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario {p} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario document must be a JSON object")
+    doc = archive_io.read_json(path)
+    _typed("", _scenario, doc)
     return doc
 
 
-def _section(doc: dict, key: str, default=None) -> dict:
-    sec = doc.get(key, default)
-    if sec is None:
+def _section(doc: dict, key: str) -> dict:
+    if doc.get(key) is None:
         raise ConfigError(f"scenario is missing the {key!r} section")
-    if not isinstance(sec, dict):
-        raise ConfigError(f"scenario section {key!r} must be an object")
-    return sec
+    return doc[key]
+
+
+def _nef_path(
+    grid, horizon: float, theta0: list[list[float]], eps: float | list[float] = (0.2, 0.1, 0.05)
+) -> MetricPath:
+    """theta0 + (t + eps) omega at the last eps of the schedule, a number being a
+    one-member schedule; nef mode flows every member (meta["eps_schedule"])."""
+    schedule = np.atleast_1d(eps).tolist()
+    if not schedule:
+        raise ConfigError("metric.eps must be a number or a nonempty list")
+    path = MetricPath.nef(grid, horizon, theta0, eps=schedule[-1])
+    path.meta["eps_schedule"] = schedule
+    return path
+
+
+def _cosine_volume(grid: TorusGrid, amplitude: float = 0.2, axis: int = 0) -> VolumeForm:
+    """The density 1 + amplitude cos(2 pi x_axis), for |amplitude| < 1."""
+    if not 0 <= axis < 2 * grid.n:
+        raise ConfigError(f"volume.axis {axis} out of range for n = {grid.n}")
+    if abs(amplitude) >= 1.0:
+        raise ConfigError("volume.amplitude of a cosine density must satisfy |a| < 1")
+    return VolumeForm.from_function(
+        grid, lambda *coords: 1.0 + amplitude * np.cos(2.0 * np.pi * coords[axis])
+    )
+
+
+def _cosine_driving(n: int, amplitude: float = 0.1, axis: int = 0) -> DrivingTerm:
+    """The s-independent term amplitude cos(2 pi x_axis)."""
+    if not 0 <= axis < 2 * n:
+        raise ConfigError(f"driving.axis {axis} out of range for n = {n}")
+    return DrivingTerm.spatial(lambda *coords: amplitude * np.cos(2.0 * np.pi * coords[axis]))
+
+
+def _snapshot(path: str, tag: str = "smooth") -> RoughPotential:
+    """The potential of a saved snapshot (its .bin or .json path) under a declared tag."""
+    return RoughPotential.from_field(archive_io.load_field(path)[0], tag)
+
+
+METRIC_KINDS = {"constant": MetricPath.constant, "affine": MetricPath.affine, "nef": _nef_path}
+VOLUME_KINDS = {"constant": VolumeForm.constant, "cosine": _cosine_volume}
+DRIVING_KINDS = {
+    "zero": DrivingTerm.zero,
+    "affine": DrivingTerm.affine,
+    "cosine": _cosine_driving,
+    "counterexample": DrivingTerm.counterexample,
+}
+INITIAL_KINDS = {
+    "constant": RoughPotential.constant,
+    "fourier-sum": RoughPotential.fourier_sum,
+    "max-kink": RoughPotential.max_kink,
+    "paraboloid": RoughPotential.paraboloid,
+    "log-pole": RoughPotential.log_pole,
+    "sqrt-log-pole": RoughPotential.sqrt_log_pole,
+    "snapshot": _snapshot,
+}
 
 
 def build_grid(doc: dict) -> TorusGrid:
-    sec = _section(doc, "grid")
-    return TorusGrid(int(sec.get("n", 1)), int(sec.get("resolution", 64)))
+    return _call("grid", TorusGrid, _section(doc, "grid"))
 
 
 def build_flow_config(doc: dict) -> FlowConfig:
-    sec = _section(doc, "flow")
-    extra = set(sec) - {f.name for f in fields(FlowConfig)}
-    if extra:
-        raise ConfigError(f"unknown flow settings: {sorted(extra)}")
-    kwargs = dict(sec)
-    if "probes" in kwargs:
-        kwargs["probes"] = tuple(float(p) for p in kwargs["probes"])
-    return FlowConfig(**kwargs)
+    return _call("flow", FlowConfig, _section(doc, "flow"))
 
 
 def build_metric(doc: dict, grid: TorusGrid, horizon: float) -> MetricPath:
-    sec = _section(doc, "metric", {"kind": "constant"})
-    kind = sec.get("kind", "constant")
-    if kind == "constant":
-        return MetricPath.constant(grid, horizon, sec.get("matrix"))
-    if kind == "affine":
-        if "chi" not in sec:
-            raise ConfigError("affine metric needs a 'chi' matrix")
-        return MetricPath.affine(grid, horizon, np.asarray(sec["chi"], dtype=float))
-    if kind == "nef":
-        if "theta0" not in sec:
-            raise ConfigError("nef metric needs a 'theta0' matrix")
-        return MetricPath.nef(
-            grid, horizon, np.asarray(sec["theta0"], dtype=float), eps=_nef_eps(sec)[-1]
-        )
-    raise ConfigError(f"unknown metric kind {kind!r}")
-
-
-def _nef_eps(sec: dict) -> list:
-    """The nef metric's eps schedule as floats; a single number is a one-member schedule."""
-    eps = sec.get("eps", [0.2, 0.1, 0.05])
-    if isinstance(eps, (int, float)):
-        eps = [eps]
-    if not isinstance(eps, list) or not eps:
-        raise ConfigError("nef metric 'eps' must be a number or a nonempty list")
-    return [float(e) for e in eps]
+    return _build("metric", METRIC_KINDS, doc.get("metric", {}), grid=grid, horizon=horizon)
 
 
 def build_volume(doc: dict, grid: TorusGrid) -> VolumeForm:
-    sec = _section(doc, "volume", {"kind": "constant"})
-    kind = sec.get("kind", "constant")
-    if kind == "constant":
-        return VolumeForm.constant(grid, float(sec.get("value", 1.0)))
-    if kind == "cosine":
-        a = float(sec.get("amplitude", 0.2))
-        axis = int(sec.get("axis", 0))
-        if not 0 <= axis < 2 * grid.n:
-            raise ConfigError(f"volume axis {axis} out of range for n = {grid.n}")
-        if abs(a) >= 1.0:
-            raise ConfigError("cosine volume amplitude must satisfy |a| < 1")
-
-        def fn(*coords):
-            return 1.0 + a * np.cos(2.0 * np.pi * coords[axis])
-
-        return VolumeForm.from_function(grid, fn)
-    raise ConfigError(f"unknown volume kind {kind!r}")
+    return _build("volume", VOLUME_KINDS, doc.get("volume", {}), grid=grid)
 
 
 def build_driving(doc: dict) -> DrivingTerm:
-    sec = _section(doc, "driving", {"kind": "zero"})
-    kind = sec.get("kind", "zero")
-    if kind == "zero":
-        return DrivingTerm.zero()
-    if kind == "affine":
-        return DrivingTerm.affine(
-            float(sec.get("constant", 0.0)), float(sec.get("slope", 0.0))
-        )
-    if kind == "cosine":
-        a = float(sec.get("amplitude", 0.1))
-        axis = int(sec.get("axis", 0))
-
-        def fn(*coords):
-            return a * np.cos(2.0 * np.pi * coords[axis])
-
-        return DrivingTerm.spatial(fn)
-    if kind == "counterexample":
-        return DrivingTerm.counterexample()
-    raise ConfigError(f"unknown driving kind {kind!r}")
+    # a cosine term's axis must be a real axis of the document's grid
+    return _build("driving", DRIVING_KINDS, doc.get("driving", {}), n=build_grid(doc).n)
 
 
-def build_initial(sec: dict, n: int) -> RoughPotential:
-    if not isinstance(sec, dict):
-        raise ConfigError("initial datum must be an object")
-    kind = sec.get("kind", "constant")
-    if kind == "constant":
-        return RoughPotential.constant(float(sec.get("value", 0.0)))
-    if kind == "fourier-sum":
-        modes = sec.get("modes")
-        if not modes:
-            raise ConfigError("fourier-sum needs a nonempty 'modes' list")
-        triples = []
-        for m in modes:
-            if len(m) != 3:
-                raise ConfigError("each mode is [amplitude, wavevector, phase]")
-            a, k, p = m
-            triples.append((float(a), tuple(int(v) for v in k), float(p)))
-        return RoughPotential.fourier_sum(triples, n=n)
-    if kind == "max-kink":
-        if "amplitude" in sec:
-            return RoughPotential.max_kink(float(sec["amplitude"]))
-        return RoughPotential.max_kink()
-    if kind == "paraboloid":
-        return RoughPotential.paraboloid(
-            curvature=float(sec.get("curvature", 0.999)),
-            center=sec.get("center"),
-            n=n,
-        )
-    if kind == "log-pole":
-        cap = sec.get("cap")
-        return RoughPotential.log_pole(
-            gamma=float(sec.get("gamma", 0.3)),
-            center=sec.get("center"),
-            cap=None if cap is None else float(cap),
-            n=n,
-        )
-    if kind == "sqrt-log-pole":
-        return RoughPotential.sqrt_log_pole(
-            amplitude=float(sec.get("amplitude", 0.1)),
-            center=sec.get("center"),
-            n=n,
-        )
-    if kind == "snapshot":
-        if "path" not in sec:
-            raise ConfigError("snapshot initial datum needs a 'path'")
-        fld, _ = archive_io.load_field(sec["path"])
-        return RoughPotential.from_field(fld, sec.get("tag", "smooth"))
-    raise ConfigError(f"unknown initial datum kind {kind!r}")
+def build_initial(sec: dict, n: int, key: str = "initial") -> RoughPotential:
+    return _build(key, INITIAL_KINDS, sec, n=n)
 
 
-def build_schedule(sec: dict) -> RegularizationSchedule:
-    if not isinstance(sec, dict):
-        raise ConfigError("regularization schedule must be an object")
-    if "deltas" in sec:
-        return RegularizationSchedule(tuple(float(d) for d in sec["deltas"]))
-    return RegularizationSchedule.geometric(
-        delta0=float(sec.get("delta0", 0.125)),
-        ratio=float(sec.get("ratio", 0.5)),
-        levels=int(sec.get("levels", 5)),
-    )
+def build_schedule(sec: dict, key: str = "schedule") -> RegularizationSchedule:
+    _check(key, RegularizationSchedule, sec)
+    ctor = RegularizationSchedule if "deltas" in sec else RegularizationSchedule.geometric
+    return _call(key, ctor, sec)
 
 
 def resolve_mode(doc: dict, initial: RoughPotential) -> str:
@@ -218,7 +250,7 @@ def resolve_mode(doc: dict, initial: RoughPotential) -> str:
         raise ConfigError(f"unknown mode {mode!r}")
     if mode != "auto":
         return mode
-    if _section(doc, "metric", {"kind": "constant"}).get("kind") == "nef":
+    if doc.get("metric", {}).get("kind") == "nef":
         return "nef"
     return "single" if initial.tag == "smooth" else "cascade"
 
@@ -248,51 +280,56 @@ class RunContext:
     audit: TrajectoryAudit = None  # traj's audit, shared by one execute_checks call
 
 
-def _chk_comparison(ctx: RunContext, lam=None, tol=None, roles=("solution", "solution")):
-    if lam is None:
-        lam = float(ctx.F.defect) if ctx.F.defect is not None else 0.0
+def _chk_comparison(
+    ctx: RunContext,
+    lam: float | None = None,
+    tol: float | None = None,
+    roles: tuple[str, str] = ("solution", "solution"),
+):
     return [
         verify.check_comparison(
             ctx.traj,
             ctx.traj_b,
-            lam=float(lam),
+            lam=(ctx.F.defect or 0.0) if lam is None else lam,
             tol=tol,
             path=ctx.path,
             F=ctx.F,
             omega_form=ctx.omega,
-            roles=tuple(roles),
+            roles=roles,
         )
     ]
 
 
-def _chk_apriori(ctx: RunContext, kcap=None):
+def _chk_apriori(ctx: RunContext, kcap: float | None = None):
     return verify.check_apriori_bounds(ctx.audit, kcap=kcap)
 
 
-def _chk_time_derivative(ctx: RunContext, eps=None, slope_floor=0.9, bounded_variation=2.0):
+def _chk_time_derivative(
+    ctx: RunContext,
+    eps: float | None = None,
+    slope_floor: float = 0.9,
+    bounded_variation: float = 2.0,
+):
     if eps is None:
         eps = verify.default_eps(ctx.traj, ctx.cfg.t_min)
     return verify.check_time_derivative(
-        ctx.traj,
-        float(eps),
-        slope_floor=float(slope_floor),
-        bounded_variation=float(bounded_variation),
+        ctx.traj, eps, slope_floor=slope_floor, bounded_variation=bounded_variation
     )
 
 
-def _chk_gradient_laplacian(ctx: RunContext, pair_tol=1e-9):
-    return verify.check_gradient_laplacian(ctx.audit, pair_tol=float(pair_tol))
+def _chk_gradient_laplacian(ctx: RunContext, pair_tol: float = 1e-9):
+    return verify.check_gradient_laplacian(ctx.audit, pair_tol=pair_tol)
 
 
-def _chk_energy(ctx: RunContext, slack=1e-8):
-    return [verify.check_energy_monotonicity(ctx.audit, slack=float(slack))]
+def _chk_energy(ctx: RunContext, slack: float = 1e-8):
+    return [verify.check_energy_monotonicity(ctx.audit, slack=slack)]
 
 
 def _chk_residual(ctx: RunContext):
     return [verify.check_residual_certificate(ctx.audit)]
 
 
-def _chk_stability(ctx: RunContext, homotopy_samples=5, eps=None):
+def _chk_stability(ctx: RunContext, homotopy_samples: int = 5, eps: float | None = None):
     return [
         verify.check_stability(
             ctx.initial.sample(ctx.grid),
@@ -301,7 +338,7 @@ def _chk_stability(ctx: RunContext, homotopy_samples=5, eps=None):
             ctx.F,
             ctx.omega,
             ctx.cfg,
-            homotopy_samples=int(homotopy_samples),
+            homotopy_samples=homotopy_samples,
             eps=eps,
         )
     ]
@@ -309,11 +346,11 @@ def _chk_stability(ctx: RunContext, homotopy_samples=5, eps=None):
 
 def _uniqueness_schedules(doc: dict):
     """The document's schedule and schedule_b, each built when given; None unless both are."""
-    built = [build_schedule(doc[k]) for k in ("schedule", "schedule_b") if doc.get(k) is not None]
+    built = [build_schedule(doc[k], k) for k in ("schedule", "schedule_b") if k in doc]
     return tuple(built) if len(built) == 2 else None
 
 
-def _chk_uniqueness(ctx: RunContext, rate=None):
+def _chk_uniqueness(ctx: RunContext, rate: float | None = None):
     return [
         verify.check_uniqueness(
             ctx.initial,
@@ -322,26 +359,34 @@ def _chk_uniqueness(ctx: RunContext, rate=None):
             ctx.omega,
             ctx.cfg,
             _uniqueness_schedules(ctx.doc),
-            rate=None if rate is None else float(rate),
+            rate=rate,
         )
     ]
 
 
-def _chk_convergence(ctx: RunContext, time_ladder=None, eps_cap=None, l1_tol=None, seed=None):
+def _chk_convergence(
+    ctx: RunContext,
+    time_ladder: list[float] | None = None,
+    eps_cap: float | None = None,
+    l1_tol: float | None = None,
+    seed: int | None = None,
+):
     return verify.check_convergence_modes(
         ctx.cascade,
         ctx.initial,
         path=ctx.path,
         omega_form=ctx.omega,
-        time_ladder=None if time_ladder is None else [float(t) for t in time_ladder],
+        time_ladder=time_ladder,
         eps_cap=eps_cap,
         l1_tol=l1_tol,
-        seed=int(seed if seed is not None else ctx.seed or 7),
+        seed=(ctx.seed or 7) if seed is None else seed,
         audit=ctx.audit,
     )
 
 
-def _chk_transform(ctx: RunContext, reduction_rate=None, rescale_rate=None):
+def _chk_transform(
+    ctx: RunContext, reduction_rate: float | None = None, rescale_rate: float | None = None
+):
     return verify.check_transform_roundtrip(
         ctx.initial.sample(ctx.grid),
         ctx.path,
@@ -367,9 +412,10 @@ def random_pd_pairs(n: int, samples: int, seed: int):
     return stack(), stack()
 
 
-def _chk_trace_inequality(ctx: RunContext, samples=1000, slack=1e-10, n=None):
-    samples, slack = int(samples), float(slack)
-    n = int(ctx.grid.n if n is None else n)
+def _chk_trace_inequality(
+    ctx: RunContext, samples: int = 1000, slack: float = 1e-10, n: int | None = None
+):
+    n = ctx.grid.n if n is None else n
     wp, w = random_pd_pairs(n, samples, ctx.seed)
     lower, upper = trace_inequality_slacks(wp, w)
     worst = float(min(lower.min(), upper.min()))
@@ -425,21 +471,12 @@ ARCHIVE_CHECKS = tuple(name for name, check in CHECK_TABLE.items() if check.arch
 
 
 def _check_params(doc: dict) -> dict:
-    """The document's check_params; each entry must name a check and only its parameters."""
+    """The document's check_params, each entry typed by its check's executor."""
     params = doc.get("check_params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("'check_params' must be an object")
-    for name, p in params.items():
+    for name, settings in params.items():
         if name not in CHECK_TABLE:
-            raise ConfigError(f"check_params names unknown check {name!r}")
-        if not isinstance(p, dict):
-            raise ConfigError(f"check_params[{name!r}] must be an object")
-        accepted = list(inspect.signature(CHECK_TABLE[name].executor).parameters)[1:]
-        unknown = sorted(set(p) - set(accepted))
-        if unknown:
-            raise ConfigError(
-                f"check_params[{name!r}] has unknown keys {unknown}; accepted: {accepted}"
-            )
+            raise ConfigError(f"check_params.{name} is no check; available: {sorted(CHECK_TABLE)}")
+        _typed(f"check_params.{name}", CHECK_TABLE[name].executor, settings, ("ctx",))
     return params
 
 
@@ -470,15 +507,6 @@ def print_reports(reports, stream=None):
 
 # ---------------------------------------------------------------------------
 # subcommand: run
-
-
-def _select_checks(doc: dict, args) -> list:
-    if getattr(args, "check", None):
-        return list(args.check)
-    requested = doc.get("checks", [])
-    if not isinstance(requested, list):
-        raise ConfigError("'checks' must be a list of check names")
-    return list(requested)
 
 
 def _resolve_checks(doc: dict, names: list) -> list:
@@ -522,7 +550,7 @@ def _context(doc: dict, grid: TorusGrid, cfg: FlowConfig, seed: int = None, **ob
         F=build_driving(doc),
         initial=build_initial(_section(doc, "initial"), grid.n),
         path=build_metric(doc, grid, cfg.horizon),
-        seed=int(doc.get("seed", 0)) if seed is None else seed,
+        seed=doc.get("seed", 0) if seed is None else seed,
         params=_check_params(doc),
         **objects,
     )
@@ -539,7 +567,7 @@ def integrate_scenario(doc: dict, forced_mode: str = None):
     cfg = build_flow_config(doc)
     ctx = _context(doc, grid, cfg)
     if doc.get("initial_b"):
-        ctx.initial_b = build_initial(doc["initial_b"], grid.n)
+        ctx.initial_b = build_initial(doc["initial_b"], grid.n, "initial_b")
     path, F, omega, initial = ctx.path, ctx.F, ctx.omega, ctx.initial
     mode = forced_mode or resolve_mode(doc, initial)
 
@@ -557,12 +585,10 @@ def integrate_scenario(doc: dict, forced_mode: str = None):
         ctx.traj = cascade.trajectories[-1]
         reports.append(_ordering_report("cascade-ordering", "decreasing-level-order", cascade))
     elif mode == "nef":
-        sec = _section(doc, "metric")
-        if sec.get("kind") != "nef":
+        if path.kind != "nef":
             raise ConfigError("nef mode needs a metric of kind 'nef'")
-        eps = _nef_eps(sec)
-        theta0 = np.asarray(sec["theta0"], dtype=float)
-        family = run_nef(theta0, eps, initial.sample(grid), F, omega, cfg)
+        eps = path.meta["eps_schedule"]
+        family = run_nef(path.meta["theta0"], eps, initial.sample(grid), F, omega, cfg)
         ctx.family = family
         ctx.traj = family.trajectories[-1]
         reports.append(
@@ -574,15 +600,11 @@ def integrate_scenario(doc: dict, forced_mode: str = None):
                 witness_margin=family.witness_margin,
             )
         )
-    elif mode != "audit":
-        raise ConfigError(f"unhandled mode {mode!r}")
     return mode, ctx, reports
 
 
 def run_comparison_pair(ctx: RunContext):
     """Integrate the second datum so pairwise checks can run."""
-    if ctx.initial_b is None:
-        raise ConfigError("comparison check needs an 'initial_b' datum")
     ctx.traj_b = run(
         ctx.initial_b.sample(ctx.grid), ctx.path, ctx.F, ctx.omega, ctx.cfg
     )
@@ -594,7 +616,7 @@ def cmd_run(args, forced_mode: str = None) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed  # archived with the run, so verify replays the same draws
     out = Path(args.out) if args.out else Path(doc.get("out", "runs/latest"))
-    names = _resolve_checks(doc, _select_checks(doc, args))
+    names = _resolve_checks(doc, list(args.check or doc.get("checks", [])))
 
     mode, ctx, reports = integrate_scenario(doc, forced_mode)
     if mode == "single":
@@ -654,15 +676,11 @@ def _load_any(directory):
     traj is the trajectory the archive gives (a cascade's finest level);
     cascade is None for a single-trajectory archive.
     """
-    d = Path(directory)
-    mpath = d / "manifest.json"
-    if not mpath.is_file():
-        raise ConfigError(f"no manifest.json under {d}")
-    manifest = json.loads(mpath.read_text())
+    manifest = archive_io.read_json(Path(directory) / "manifest.json")
     if "cascade" in manifest:
-        cascade = archive_io.load_cascade(d)
+        cascade = archive_io.load_cascade(directory, manifest)
         return cascade.trajectories[-1], cascade, manifest
-    return archive_io.load_trajectory(d), None, manifest
+    return archive_io.load_trajectory(directory, manifest), None, manifest
 
 
 def cmd_verify(args) -> int:
@@ -686,7 +704,7 @@ def cmd_verify(args) -> int:
     elif len(args.archives) == 2:
         names = ["comparison"]
     else:
-        names = [name for name in _select_checks(doc, args) if name in ARCHIVE_CHECKS]
+        names = [name for name in doc.get("checks", []) if name in ARCHIVE_CHECKS]
     bad = [n for n in names if n not in ARCHIVE_CHECKS]
     if bad:
         raise ConfigError(

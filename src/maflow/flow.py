@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -264,7 +264,7 @@ class FlowConfig:
     newton_tol: float = 1e-10
     max_newton: int = 30
     backend: str = "spectral"
-    probes: tuple = ()
+    probes: tuple[float, ...] = ()
     store_every: int = 1
     linear_rel_tol: float = 1e-2
     max_linear: int = 200
@@ -289,11 +289,6 @@ class FlowConfig:
         for p in self.probes:
             if not 0.0 < p <= self.horizon * (1 + 1e-12):
                 raise ConfigError(f"probe time {p} outside (0, horizon]")
-
-    def as_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["probes"] = list(self.probes)
-        return d
 
 
 def schedule_times(cfg: FlowConfig) -> np.ndarray:

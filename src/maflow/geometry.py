@@ -286,13 +286,15 @@ class MetricPath:
         return self._theta_dot_fn(float(t))
 
     @classmethod
-    def constant(cls, grid: TorusGrid, horizon: float, matrix=None) -> "MetricPath":
+    def constant(
+        cls, grid: TorusGrid, horizon: float, matrix: list[list[float]] | None = None
+    ) -> "MetricPath":
         theta = identity_form(grid.n) if matrix is None else form_from_matrix(matrix, grid.n)
         zero = identity_form(grid.n, 0.0)
         return cls(grid, horizon, "constant", lambda t: theta, lambda t: zero)
 
     @classmethod
-    def affine(cls, grid: TorusGrid, horizon: float, chi) -> "MetricPath":
+    def affine(cls, grid: TorusGrid, horizon: float, chi: list[list[float]]) -> "MetricPath":
         chi_f = form_from_matrix(chi, grid.n)
         ident = identity_form(grid.n)
         return cls(

@@ -68,8 +68,8 @@ class TorusGrid:
     resolution : points per real axis, a power of two >= 8.
     """
 
-    n: int
-    resolution: int
+    n: int = 1
+    resolution: int = 64
 
     def __post_init__(self):
         if self.n not in (1, 2):

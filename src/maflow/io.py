@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "load_trajectory",
     "save_cascade",
     "load_cascade",
+    "read_json",
 ]
 
 
@@ -64,7 +66,7 @@ def load_field(path) -> tuple:
         side_path = path
     if not side_path.exists():
         raise ConfigError(f"missing snapshot sidecar {side_path}")
-    sidecar = json.loads(side_path.read_text())
+    sidecar = read_json(side_path)
     for key in ("n", "resolution", "time", "name"):
         if key not in sidecar:
             raise ConfigError(f"snapshot sidecar {side_path} lacks {key!r}")
@@ -78,8 +80,12 @@ def load_field(path) -> tuple:
     return ScalarField(grid, np.frombuffer(raw, dtype="<f8").reshape(grid.shape)), sidecar
 
 
-def _manifest_path(directory) -> Path:
-    return Path(directory) / "manifest.json"
+def read_json(path):
+    """The JSON in path; a missing or unreadable file is a ConfigError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
 def save_trajectory(directory, traj: FlowTrajectory, run_config: dict = None, extra: dict = None) -> Path:
@@ -91,7 +97,7 @@ def save_trajectory(directory, traj: FlowTrajectory, run_config: dict = None, ex
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    cfg_dict = traj.config.as_dict() if traj.config is not None else None
+    cfg_dict = asdict(traj.config) if traj.config is not None else None
     hashed = run_config if run_config is not None else (cfg_dict or {})
     snapshots = []
     for k, t in enumerate(traj.times):
@@ -116,7 +122,7 @@ def save_trajectory(directory, traj: FlowTrajectory, run_config: dict = None, ex
     }
     if extra:
         manifest.update(_json_clean(extra))
-    path = _manifest_path(directory)
+    path = directory / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2))
     return path
 
@@ -139,20 +145,13 @@ def _json_clean(obj):
     return obj
 
 
-def load_trajectory(directory) -> FlowTrajectory:
+def load_trajectory(directory, manifest: dict = None) -> FlowTrajectory:
     directory = Path(directory)
-    path = _manifest_path(directory)
-    if not path.exists():
-        raise ConfigError(f"no trajectory manifest at {path}")
-    manifest = json.loads(path.read_text())
+    manifest = manifest or read_json(directory / "manifest.json")
     if manifest.get("format") != "trajectory-archive-v1":
-        raise ConfigError(f"unrecognized archive format in {path}")
+        raise ConfigError(f"unrecognized archive format in {directory}")
     grid = TorusGrid(int(manifest["grid"]["n"]), int(manifest["grid"]["resolution"]))
-    cfg = None
-    if manifest.get("flow_config"):
-        d = dict(manifest["flow_config"])
-        d["probes"] = tuple(d.get("probes") or ())
-        cfg = FlowConfig(**d)
+    cfg = FlowConfig(**manifest["flow_config"]) if manifest.get("flow_config") else None
     fields, phidots, times = [], [], []
     for snap in manifest["snapshots"]:
         f, side = load_field(directory / f"{snap['name']}.json")
@@ -206,17 +205,17 @@ def save_cascade(directory, cascade, run_config: dict = None) -> Path:
     return path
 
 
-def load_cascade(directory):
+def load_cascade(directory, manifest: dict = None):
     """Rebuild a CascadeResult holding the limit trajectory and the ladder."""
     from .flow import CascadeResult
     from .psh import MollificationLadder
 
     directory = Path(directory)
-    manifest = json.loads(_manifest_path(directory).read_text())
+    manifest = manifest or read_json(directory / "manifest.json")
     info = manifest.get("cascade")
     if not info:
         raise ConfigError(f"{directory} is not a cascade archive")
-    traj = load_trajectory(directory)
+    traj = load_trajectory(directory, manifest)
     ladder_dir = directory / "ladder"
     base, _ = load_field(ladder_dir / "base.json")
     levels = []

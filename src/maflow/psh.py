@@ -103,13 +103,17 @@ class RoughPotential:
         return cls("constant", "smooth", lambda *c: np.float64(value), {"value": value})
 
     @classmethod
-    def fourier_sum(cls, modes, n: int = 1) -> "RoughPotential":
+    def fourier_sum(
+        cls, modes: list[tuple[float, list[int], float]], n: int = 1
+    ) -> "RoughPotential":
         """Finite cosine sum: phi = sum_m  a_m cos(2 pi k_m . x + p_m).
 
         modes : iterable of (amplitude, wavevector, phase) with integer
         wavevectors of length 2n.
         """
         modes = tuple((float(a), tuple(int(v) for v in k), float(p)) for a, k, p in modes)
+        if not modes:
+            raise ConfigError("fourier-sum needs a nonempty 'modes' list")
         for _, k, _ in modes:
             if len(k) != 2 * n:
                 raise ConfigError(
@@ -129,7 +133,9 @@ class RoughPotential:
         return cls("fourier-sum", "smooth", ev, {"modes": modes, "n": n})
 
     @classmethod
-    def paraboloid(cls, curvature: float = 0.999, center=None, n: int = 1) -> "RoughPotential":
+    def paraboloid(
+        cls, curvature: float = 0.999, center: list[float] | None = None, n: int = 1
+    ) -> "RoughPotential":
         """Lipschitz model -b * dist(z, center)^2 with the periodic distance.
 
         A max of downward paraboloids over lattice translates: kinked on the
@@ -169,7 +175,13 @@ class RoughPotential:
         )
 
     @classmethod
-    def log_pole(cls, gamma: float = 0.3, center=None, cap: float | None = None, n: int = 1):
+    def log_pole(
+        cls,
+        gamma: float = 0.3,
+        center: list[float] | None = None,
+        cap: float | None = None,
+        n: int = 1,
+    ):
         """Pole model gamma * log(dist to center), periodised away from the pole.
 
         The radial proxy agrees with |z - center| to second order, so the pole
@@ -193,7 +205,7 @@ class RoughPotential:
         return cls("log-pole", tag, ev, {"gamma": g, "center": c, "cap": cap, "n": n})
 
     @classmethod
-    def sqrt_log_pole(cls, amplitude: float = 0.1, center=None, n: int = 1):
+    def sqrt_log_pole(cls, amplitude: float = 0.1, center: list[float] | None = None, n: int = 1):
         """Unbounded model -kappa sqrt(-log dist): zero pole strength.
 
         Unbounded below at the center yet with vanishing slope against log r,
@@ -231,7 +243,7 @@ class RoughPotential:
 class RegularizationSchedule:
     """Strictly decreasing mollification widths; the last must resolve the grid."""
 
-    deltas: tuple
+    deltas: tuple[float, ...]
 
     def __post_init__(self):
         d = tuple(float(x) for x in self.deltas)

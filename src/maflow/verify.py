@@ -216,7 +216,7 @@ def check_comparison(
         anchor="sup-difference-exponential",
         margin=margin,
         location=(t_worst,) + _point(grid, j_worst),
-        constants={"lambda": lam, "tol": tol, "initial_gap": gap0, "sup_gap": worst},
+        constants={"lambda": float(lam), "tol": tol, "initial_gap": gap0, "sup_gap": worst},
         details=details,
     )
 
@@ -750,6 +750,7 @@ def check_convergence_modes(
     if time_ladder is None:
         time_ladder = sorted((float(k) for k in cascade.limit_gaps), reverse=True)
         time_ladder = [t for t in time_ladder if t > 0.0]
+    time_ladder = [float(t) for t in time_ladder]
     if len(time_ladder) < 3:
         raise ConfigError("convergence modes need a ladder of at least 3 probe times")
     fields = []

@@ -1,13 +1,19 @@
 """Command-line driver: exit statuses, archives, reports, and series export."""
 
+import contextlib
+import copy
 import csv
+import functools
 import io as _io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maflow import cli
 from maflow.io import config_hash, load_trajectory, save_trajectory
@@ -445,6 +451,9 @@ def test_misspelled_check_params_exit_two(tmp_path, capsys, check_params, named)
     assert not (tmp_path / "out").exists()  # refused before integrating
 
 
+VALID_SCHEDULE_B = {"schedule_b": {"delta0": 0.25, "ratio": 0.5, "levels": 3}}
+
+
 @pytest.mark.parametrize(
     "changes, argv, named",
     [
@@ -453,15 +462,116 @@ def test_misspelled_check_params_exit_two(tmp_path, capsys, check_params, named)
         ({}, ["--check", "stability"], "'stability' needs an 'initial_b'"),
         ({}, ["--check", "comparison"], "'comparison' needs an 'initial_b'"),
         ({"schedule_b": "x"}, ["--check", "uniqueness"], "schedule must be an object"),
+        # malformed values and keys: each is refused with its key path
+        ({"flow.horizon": []}, [], "flow.horizon"),
+        ({"flow.horizon": True}, [], "flow.horizon"),
+        ({"grid.resolution": "x"}, [], "grid.resolution"),
+        ({"grid.resolution": 16.7}, [], "grid.resolution"),
+        ({"flow.probes": 0.1}, [], "flow.probes"),
+        ({"flow.store_every": 1.5}, [], "flow.store_every"),
+        ({"initial": {"kind": "fourier-sum", "modes": [[1, 2, 3]]}}, [], "initial.modes"),
+        ({"driving": {"kind": "cosine", "axis": 9}}, [], "driving.axis"),
+        ({"schedule.delta0": "x", **VALID_SCHEDULE_B}, ["--check", "uniqueness"], "schedule.delta0"),
+        ({"check_params.energy.slack": "x"}, [], "check_params.energy.slack"),
+        ({"seed": "x"}, [], "seed"),
+        ({"chekcs": ["energy"]}, [], "chekcs"),
+        ({"grid.resolutoin": 16}, [], "grid.resolutoin"),
+        ({"volume.valeu": 1.0}, [], "volume.valeu"),
+        ({"initial.valeu": -1.0}, [], "initial.valeu"),
     ],
 )
 def test_bad_check_settings_exit_two_before_integrating(tmp_path, capsys, changes, argv, named):
     cfg_path = scenario_09_with(tmp_path, {})
     doc = json.loads(cfg_path.read_text())
-    cfg_path.write_text(json.dumps({**doc, **changes}))
+    for key, value in changes.items():  # a dotted key sets a value inside a section
+        *sections, last = key.split(".")
+        node = doc
+        for sec in sections:
+            node = node.setdefault(sec, {})
+        node[last] = value
+    cfg_path.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(cfg_path), *argv]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# A valid 16^2 document with a short horizon and no checks.  Each mutation
+# below changes one value of it, so a refusal must name that value's key path.
+MUTATION_BASE = {
+    "grid": {"n": 1, "resolution": 16},
+    "metric": {"kind": "constant"},
+    "volume": {"kind": "cosine", "amplitude": 0.2, "axis": 0},
+    "driving": {"kind": "affine", "constant": 0.0, "slope": 0.5},
+    "initial": {"kind": "fourier-sum", "modes": [[0.01, [1, 0], 0.0]]},
+    "flow": {"horizon": 0.004, "t_min": 1e-3, "ratio": 1.5, "probes": [0.004]},
+    "check_params": {"energy": {"slack": 1e-8}},
+    "checks": [],
+    "seed": 0,
+}
+REQUIRED = ("grid", "initial", "flow", "flow.horizon", "initial.modes")
+REPLACEMENTS = ("x", True, None, 2.5, 3, [], {})
+
+
+def locations(node, at=()):
+    """The index path (dict keys and list positions) of every value below node."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield at + (key,)
+        yield from locations(child, at + (key,))
+
+
+def json_type(value) -> str:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return "number" if number else type(value).__name__
+
+
+def run_captured(doc):
+    """(exit code, stderr) of `maflow run` on doc, in a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "doc.json"
+        cfg_path.write_text(json.dumps(doc))
+        err = _io.StringIO()
+        with contextlib.redirect_stdout(_io.StringIO()), contextlib.redirect_stderr(err):
+            argv = ["run", "--config", str(cfg_path), "--out", str(Path(tmp) / "out")]
+            code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def test_the_mutation_base_document_runs():
+    assert run_captured(MUTATION_BASE) == (0, "")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_mutated_document_exits_two_naming_its_key(data):
+    doc = copy.deepcopy(MUTATION_BASE)
+    spots = list(locations(doc))
+    how = data.draw(st.sampled_from(["type", "spelling", "drop"]))
+    if how == "drop":
+        at = tuple(data.draw(st.sampled_from(REQUIRED)).split("."))
+    elif how == "spelling":
+        at = data.draw(st.sampled_from([a for a in spots if isinstance(a[-1], str)]))
+    else:
+        at = data.draw(st.sampled_from(spots))
+    parent = functools.reduce(lambda node, key: node[key], at[:-1], doc)
+    if how == "drop":
+        del parent[at[-1]]
+    elif how == "spelling":
+        at = at[:-1] + (at[-1] + at[-1][-1],)
+        parent[at[-1]] = parent.pop(at[-1][:-1])
+    else:
+        old = json_type(parent[at[-1]])
+        parent[at[-1]] = data.draw(
+            st.sampled_from([v for v in REPLACEMENTS if json_type(v) != old])
+        )
+    code, err = run_captured(doc)  # raises if an exception leaves cli.main
+    assert code == 2
+    assert ".".join(k for k in at if isinstance(k, str)) in err
 
 
 def test_check_params_of_a_skipped_check_are_accepted(tmp_path):
@@ -505,3 +615,28 @@ def test_verify_replays_the_archived_comparison_pair(tmp_path):
     live = [r for r in live if r["check"] == "comparison"]
     assert [r["check"] for r in replay] == ["comparison"]
     assert [r["margin"] for r in replay] == [r["margin"] for r in live]
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["series", "osc"]])
+def test_a_truncated_manifest_exits_two_naming_it(tmp_path, capsys, argv):
+    cfg_path, _ = write_doc(tmp_path, checks=[])
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    manifest = out / "manifest.json"
+    manifest.write_text(manifest.read_text()[:100])
+    assert cli.main([argv[0], str(out), *argv[1:]]) == 2
+    assert str(manifest) in capsys.readouterr().err
+
+
+def test_verify_parses_a_cascade_manifest_once(tmp_path, monkeypatch):
+    from maflow import io as archive_io
+
+    cli.main(["run", "--config", str(seeded_cascade_doc(tmp_path))])
+    real, names = archive_io.read_json, []
+    def read_json(path):
+        names.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(archive_io, "read_json", read_json)
+    cli.main(["verify", str(tmp_path / "out"), "--out", str(tmp_path / "replay")])
+    assert names.count("manifest.json") == 1

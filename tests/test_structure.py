@@ -1,9 +1,13 @@
 """Module boundaries inside the package."""
 
 import ast
+import inspect
+import typing
 from pathlib import Path
 
 import maflow
+from maflow import cli
+from maflow.psh import RegularizationSchedule
 
 # grid holds the one Hessian entry point and geometry the one form algebra;
 # other modules reach them through public names only
@@ -119,3 +123,40 @@ def test_geometry_takes_no_grid_derivative():
         for a in node.names
     }
     assert from_grid == {"TorusGrid"}
+
+
+def untyped(fn, given=()) -> list:
+    """The parameters of fn outside given whose annotation the scenario reader cannot type."""
+
+    def leaves(annotation):
+        args = [a for a in typing.get_args(annotation) if a is not Ellipsis]
+        return [leaf for a in args for leaf in leaves(a)] if args else [annotation]
+
+    bad = []
+    for name, param in inspect.signature(fn, eval_str=True).parameters.items():
+        if name in given:
+            continue
+        try:
+            for leaf in leaves(param.annotation):
+                cli._fits(object(), leaf)  # TypeError for a type no JSON value has
+        except TypeError:
+            bad.append(name)
+    return bad
+
+
+def test_every_document_setting_is_typed():
+    # the program supplies grid, horizon and n to section constructors, and ctx to checks
+    targets = [(cli._scenario, ()), (cli.TorusGrid, ()), (cli.FlowConfig, ())]
+    targets += [(RegularizationSchedule, ()), (RegularizationSchedule.geometric, ())]
+    tables = (cli.METRIC_KINDS, cli.VOLUME_KINDS, cli.DRIVING_KINDS, cli.INITIAL_KINDS)
+    targets += [(fn, ("grid", "horizon", "n")) for table in tables for fn in table.values()]
+    targets += [(check.executor, ("ctx",)) for check in cli.CHECK_TABLE.values()]
+    found = [f"{fn.__qualname__}.{name}" for fn, given in targets for name in untyped(fn, given)]
+    assert found == []
+
+
+def test_the_typing_check_sees_unannotated_and_foreign_types():
+    def probe(grid, a, b: float = 1.0, c: list[tuple[int, set]] = (), d: float | None = None):
+        pass
+
+    assert untyped(probe, ("grid",)) == ["a", "c"]
