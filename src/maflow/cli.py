@@ -3,7 +3,10 @@
 A scenario is a JSON document describing the torus, the metric path, the
 volume form, the driving term, the initial potential, the time stepping,
 and the list of checks to execute.  ``maflow run`` integrates it, writes a
-self-describing archive, and prints one PASS/FAIL line per check.
+self-describing archive, and prints one PASS/FAIL line per check.  A single
+flow and its comparison pair stream each stored snapshot into the archive
+as the run accepts it; everything is written to a staged directory beside
+the output directory, which takes it only once the run ends normally.
 ``maflow verify`` replays archive-based checks on saved runs, ``series``
 exports a scalar diagnostic as CSV, ``regularize`` builds the decreasing
 mollification ladder without flowing, and ``nef`` forces the semi-positive
@@ -556,12 +559,14 @@ def _context(doc: dict, grid: TorusGrid, cfg: FlowConfig, seed: int = None, **ob
     )
 
 
-def integrate_scenario(doc: dict, forced_mode: str = None):
+def integrate_scenario(doc: dict, forced_mode: str = None, out: Path = None):
     """Build the problem, integrate by mode, and return (mode, ctx, reports).
 
     reports carries the ordering audits that come for free with cascade and
     nef runs; the context holds the trajectory/cascade/family objects so the
-    caller can execute the scenario's checks or save archives.
+    caller can execute the scenario's checks or save archives.  Given out, a
+    single flow streams its snapshots into that archive directory as it runs
+    (`io.ArchiveStore`); every other mode keeps them in memory.
     """
     grid = build_grid(doc)
     cfg = build_flow_config(doc)
@@ -573,7 +578,8 @@ def integrate_scenario(doc: dict, forced_mode: str = None):
 
     reports = []
     if mode == "single":
-        ctx.traj = run(initial.sample(grid), path, F, omega, cfg)
+        store = None if out is None else archive_io.ArchiveStore(out, grid)
+        ctx.traj = run(initial.sample(grid), path, F, omega, cfg, store=store)
         if _uncertified(F):
             ctx.traj.notices.append(NO_UNIQUENESS_NOTICE)
     elif mode == "cascade":
@@ -603,10 +609,11 @@ def integrate_scenario(doc: dict, forced_mode: str = None):
     return mode, ctx, reports
 
 
-def run_comparison_pair(ctx: RunContext):
-    """Integrate the second datum so pairwise checks can run."""
+def run_comparison_pair(ctx: RunContext, out: Path = None):
+    """Integrate the second datum so pairwise checks can run, streamed into out when given."""
+    store = None if out is None else archive_io.ArchiveStore(out, ctx.grid)
     ctx.traj_b = run(
-        ctx.initial_b.sample(ctx.grid), ctx.path, ctx.F, ctx.omega, ctx.cfg
+        ctx.initial_b.sample(ctx.grid), ctx.path, ctx.F, ctx.omega, ctx.cfg, store=store
     )
     return ctx.traj_b
 
@@ -618,24 +625,26 @@ def cmd_run(args, forced_mode: str = None) -> int:
     out = Path(args.out) if args.out else Path(doc.get("out", "runs/latest"))
     names = _resolve_checks(doc, list(args.check or doc.get("checks", [])))
 
-    mode, ctx, reports = integrate_scenario(doc, forced_mode)
-    if mode == "single":
-        archive_io.save_trajectory(out, ctx.traj, run_config=doc)
-    elif mode == "cascade":
-        archive_io.save_cascade(out, ctx.cascade, run_config=doc)
-    elif mode == "nef":
-        _save_nef(out, ctx.family, doc)
+    # everything goes to a staged directory that reaches out only if the run ends normally
+    with archive_io.staged(out) as stage:
+        mode, ctx, reports = integrate_scenario(doc, forced_mode, stage)
+        if mode == "single":
+            archive_io.save_trajectory(stage, ctx.traj, run_config=doc)
+        elif mode == "cascade":
+            archive_io.save_cascade(stage, ctx.cascade, run_config=doc)
+        elif mode == "nef":
+            _save_nef(stage, ctx.family, doc)
 
-    if "comparison" in names and ctx.traj_b is None:
-        run_comparison_pair(ctx)
-        archive_io.save_trajectory(out / "pair", ctx.traj_b, run_config=doc)
+        if "comparison" in names and ctx.traj_b is None:
+            run_comparison_pair(ctx, stage / "pair")
+            archive_io.save_trajectory(stage / "pair", ctx.traj_b, run_config=doc)
 
-    reports.extend(execute_checks(names, ctx))
-    if reports:
-        stamp = archive_io.config_hash(doc)
-        for r in reports:
-            r.details.setdefault("config_hash", stamp)
-        verify.write_reports(reports, out)
+        reports.extend(execute_checks(names, ctx))
+        if reports:
+            stamp = archive_io.config_hash(doc)
+            for r in reports:
+                r.details.setdefault("config_hash", stamp)
+            verify.write_reports(reports, stage)
     print_reports(reports)
     print(f"archive: {out}")
     return 0 if all(r.passed for r in reports) else 1

@@ -26,7 +26,10 @@ the backward-Euler residual, each written into grid-shaped arrays (and at
 n = 1 two spectrum-shaped ones) that it passes as outputs to grid's
 derivatives and geometry's form algebra.  Each `run` holds one for its
 whole length, so only each step's stored snapshot and the driving term's
-values are new arrays, at n = 1 and n = 2 alike.  Checks read stored
+values are new arrays, at n = 1 and n = 2 alike.  A stored snapshot goes
+to the run's snapshot store when its step is accepted: a list in memory
+by default, or io.ArchiveStore, which writes it to disk at once and reads
+it back when the trajectory is indexed.  Checks read stored
 snapshots through `TrajectoryAudit`, which evaluates each snapshot in its
 own workspace at most once, keeps only scalars, and reports a snapshot
 outside the positive cone instead of taking the logarithm there.
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -323,13 +327,14 @@ class FlowTrajectory:
 
     phidot is the PDE right-hand side evaluated at the accepted state, never
     a finite difference in time.  diagnostics has one entry per schedule step
-    regardless of snapshot thinning.
+    regardless of snapshot thinning.  fields and phidots are sequences:
+    lists, or io.SnapshotSequence for a trajectory on disk.
     """
 
     grid: TorusGrid
     times: np.ndarray
-    fields: list
-    phidots: list
+    fields: Sequence
+    phidots: Sequence
     schedule: np.ndarray
     stored_indices: np.ndarray
     diagnostics: list
@@ -732,6 +737,24 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
 # full runs
 
 
+class _MemoryStore:
+    """`run`'s default snapshot store, which keeps every stored snapshot in memory.
+
+    A snapshot store takes each stored snapshot as it is accepted, through
+    add(index, t, phi, phidot) (index its schedule index, phidot None where
+    the right-hand side is undefined), and its fields and phidots are the
+    trajectory's sequences of what it took.  io.ArchiveStore writes each
+    snapshot to disk instead.
+    """
+
+    def __init__(self):
+        self.fields, self.phidots = [], []
+
+    def add(self, index: int, t: float, phi: ScalarField, phidot: ScalarField | None):
+        self.fields.append(phi)
+        self.phidots.append(phidot)
+
+
 def run(
     phi0: ScalarField,
     path: MetricPath,
@@ -739,6 +762,7 @@ def run(
     omega_form: VolumeForm,
     cfg: FlowConfig,
     check_bounds: bool = True,
+    store=None,
 ) -> FlowTrajectory:
     """Integrate the flow from smooth (or at worst Lipschitz) initial data.
 
@@ -750,7 +774,9 @@ def run(
     Newton starts from the extrapolation through them and its start
     (`_advance`).  After a step that started from its last state and took
     at most one Newton iteration, the next step starts from its last state
-    too, and extrapolation resumes once a step needs more.
+    too, and extrapolation resumes once a step needs more.  Each stored
+    snapshot goes to store (by default one in memory) when its step is
+    accepted.
     """
     grid = phi0.grid
     if path.grid is not grid and path.grid != grid:
@@ -784,9 +810,9 @@ def run(
     for p in cfg.probes:
         keep[int(np.argmin(np.abs(times - p)))] = True
 
+    store = _MemoryStore() if store is None else store
+    store.add(0, 0.0, phi0, phidot0)
     stored_times = [0.0]
-    fields = [phi0]
-    phidots = [phidot0]
     stored_indices = [0]
     diagnostics = []
     vals = phi0.values
@@ -805,14 +831,13 @@ def run(
         diagnostics.append(diag)
         if keep[k]:
             stored_times.append(float(times[k]))
-            fields.append(ScalarField(grid, vals))
-            phidots.append(ScalarField(grid, phidot_vals))
+            store.add(k, float(times[k]), ScalarField(grid, vals), ScalarField(grid, phidot_vals))
             stored_indices.append(k)
     return FlowTrajectory(
         grid=grid,
         times=np.asarray(stored_times),
-        fields=fields,
-        phidots=phidots,
+        fields=store.fields,
+        phidots=store.phidots,
         schedule=times,
         stored_indices=np.asarray(stored_indices),
         diagnostics=diagnostics,
@@ -838,7 +863,9 @@ class TrajectoryAudit:
     from snapshot k - 1, None unless the two are consecutive schedule points).
     Outside the positive cone both residual columns are infinite.  Every
     build evaluates the snapshot in the audit's one `_Workspace`, as a
-    Newton iterate is evaluated, and keeps no array of its own.
+    Newton iterate is evaluated, and keeps no array of its own but the last
+    snapshot it built, so builds in order read a trajectory on disk once;
+    it reads a snapshot's phidot only for "phidot_range".
     certificate() is the metric path's volume-sandwich delta
     (geometry.certify_metric_path), computed once.
     """
@@ -854,6 +881,7 @@ class TrajectoryAudit:
         self._rows = {}
         self._certificate = None
         self._ws = _Workspace(traj.grid, self.backend)
+        self._last = (None, None)  # (k, field) of the last build
         self._log_om = omega_form.log() if {"phidot_range", "step_residual"} & self.columns else None
 
     def row(self, k: int) -> dict:
@@ -864,7 +892,7 @@ class TrajectoryAudit:
 
     def _build(self, k: int) -> dict:
         traj, ws, cols = self.traj, self._ws, self.columns
-        t, fld, pd = float(traj.times[k]), traj.fields[k], traj.phidots[k]
+        t, fld = float(traj.times[k]), traj.fields[k]
         theta = self.path.theta(t)
         ws.hessian(fld.values)
         row = {"margin": ws.margin(theta)}
@@ -880,6 +908,7 @@ class TrajectoryAudit:
             rhs = ws.rhs_at(fld.values, t, self.F, self._log_om, traj.grid.coordinates())[1]
         if "phidot_range" in cols:
             row["phidot_range"] = None
+            pd = traj.phidots[k]
             if pd is not None and rhs is None:
                 row["phidot_range"] = (-math.inf, math.inf)
             elif pd is not None:
@@ -892,7 +921,9 @@ class TrajectoryAudit:
                 row["step_residual"] = math.inf
             elif consecutive:
                 dt = traj.times[k] - traj.times[k - 1]
-                row["step_residual"] = ws.step_residual(fld.values, traj.fields[k - 1].values, dt)
+                prev = self._last[1] if self._last[0] == k - 1 else traj.fields[k - 1]
+                row["step_residual"] = ws.step_residual(fld.values, prev.values, dt)
+        self._last = (k, fld)
         return row
 
     def value(self, k: int, column: str):

@@ -5,13 +5,25 @@ the grid axes, next to a JSON sidecar {n, resolution, time, name}.  A
 trajectory archive is a directory of snapshots plus manifest.json carrying
 the config hash, the full step schedule, per-step diagnostics, notices and
 metadata.  Round trips reproduce every field bit-exactly.
+
+`ArchiveStore` is a snapshot store of `flow.run` that writes each stored
+snapshot into its archive as the run accepts it; its trajectory, like one
+`load_trajectory` returns, holds `SnapshotSequence`s, which read a snapshot
+from disk when it is indexed.  `staged` gives a command a directory to
+write into that replaces its output directory only once the command ends
+normally.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import shutil
+import tempfile
+from collections.abc import Sequence
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,12 +37,17 @@ __all__ = [
     "config_hash",
     "save_field",
     "load_field",
+    "SnapshotSequence",
+    "ArchiveStore",
     "save_trajectory",
     "load_trajectory",
     "save_cascade",
     "load_cascade",
     "read_json",
+    "staged",
 ]
+
+MANIFEST_KEYS = ("grid", "schedule", "stored_indices", "snapshots")  # load_trajectory needs each
 
 
 def config_hash(obj) -> str:
@@ -43,9 +60,8 @@ def save_field(directory, name: str, field: ScalarField, time: float):
     """Write <name>.bin (binary64 LE row-major) and <name>.json sidecar."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    data = np.ascontiguousarray(field.values, dtype="<f8")
     bin_path = directory / f"{name}.bin"
-    bin_path.write_bytes(data.tobytes(order="C"))
+    np.ascontiguousarray(field.values, dtype="<f8").tofile(bin_path)
     sidecar = {
         "n": field.grid.n,
         "resolution": field.grid.resolution,
@@ -57,27 +73,46 @@ def save_field(directory, name: str, field: ScalarField, time: float):
     return bin_path, json_path
 
 
-def load_field(path) -> tuple:
-    """Read a snapshot from its .bin or .json path; returns (field, sidecar)."""
-    path = Path(path)
-    if path.suffix == ".bin":
-        side_path = path.with_suffix(".json")
-    else:
-        side_path = path
+def _read_sidecar(side_path: Path) -> dict:
+    """The sidecar at side_path; a missing file or key is a ConfigError naming it."""
     if not side_path.exists():
         raise ConfigError(f"missing snapshot sidecar {side_path}")
     sidecar = read_json(side_path)
     for key in ("n", "resolution", "time", "name"):
         if key not in sidecar:
             raise ConfigError(f"snapshot sidecar {side_path} lacks {key!r}")
+    return sidecar
+
+
+def _check_size(bin_path: Path, size: int, grid: TorusGrid):
+    expect = math.prod(grid.shape) * 8
+    if size != expect:
+        raise ConfigError(f"snapshot {bin_path} has {size} bytes, expected {expect}")
+
+
+def _read_snapshot(bin_path: Path, grid: TorusGrid) -> ScalarField:
+    """The snapshot in bin_path as a field on grid; a missing file or a wrong size is a
+    ConfigError naming it.
+
+    The field's values are a read-only view of the bytes read, so nothing
+    is copied; this reads a small snapshot in about half the time that
+    np.fromfile takes.
+    """
+    try:
+        raw = bin_path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read snapshot {bin_path}: {exc.strerror}") from None
+    _check_size(bin_path, len(raw), grid)
+    return ScalarField(grid, np.frombuffer(raw, dtype="<f8").reshape(grid.shape))
+
+
+def load_field(path) -> tuple:
+    """Read a snapshot from its .bin or .json path; returns (field, sidecar)."""
+    path = Path(path)
+    side_path = path.with_suffix(".json") if path.suffix == ".bin" else path
+    sidecar = _read_sidecar(side_path)
     grid = TorusGrid(int(sidecar["n"]), int(sidecar["resolution"]))
-    raw = side_path.with_suffix(".bin").read_bytes()
-    expect = int(np.prod(grid.shape)) * 8
-    if len(raw) != expect:
-        raise ConfigError(
-            f"snapshot {side_path.stem} has {len(raw)} bytes, expected {expect}"
-        )
-    return ScalarField(grid, np.frombuffer(raw, dtype="<f8").reshape(grid.shape)), sidecar
+    return _read_snapshot(side_path.with_suffix(".bin"), grid), sidecar
 
 
 def read_json(path):
@@ -88,24 +123,145 @@ def read_json(path):
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def save_trajectory(directory, traj: FlowTrajectory, run_config: dict = None, extra: dict = None) -> Path:
-    """Archive a trajectory: snapshots plus manifest.json.
+@contextlib.contextmanager
+def staged(out):
+    """A new directory beside out to write out's contents into; they reach out on a normal exit.
 
-    run_config, when given, is the full scenario document; its hash is the
-    config hash recorded in the manifest.  Otherwise the flow config alone
-    is hashed.
+    Then the staged directory becomes out when out does not exist, and
+    otherwise every staged file replaces its namesake in out, manifest.json
+    files last.  On an exception, or when nothing was staged for an out
+    that does not exist, the staged directory is removed with every parent
+    of out it made, so out and its parents stay as they were.
+    """
+    out = Path(out)
+    made = [p for p in (out.parent, *out.parent.parents) if not p.exists()]  # deepest first
+    out.parent.mkdir(parents=True, exist_ok=True)
+    holder = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    stage = holder / out.name  # made by mkdir, so it gets out's usual mode
+    stage.mkdir()
+    try:
+        yield stage
+    except BaseException:
+        _discard(holder, made)
+        raise
+    if not out.exists() and not any(stage.iterdir()):
+        _discard(holder, made)  # nothing was written, so nothing appears
+        return
+    try:
+        if out.exists():
+            _move_into(stage, out)
+        else:
+            stage.rename(out)
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
+
+
+def _discard(holder: Path, made: list):
+    shutil.rmtree(holder, ignore_errors=True)
+    for parent in made:
+        with contextlib.suppress(OSError):
+            parent.rmdir()
+
+
+def _move_into(src: Path, dst: Path):
+    """Move every file under src to the same place under dst, manifest.json files last."""
+    manifests = []
+    for root, _, names in os.walk(src):
+        target = dst / Path(root).relative_to(src)
+        target.mkdir(exist_ok=True)
+        for name in names:
+            move = (os.path.join(root, name), target / name)
+            if name == "manifest.json":
+                manifests.append(move)
+            else:
+                os.replace(*move)
+    for move in manifests:
+        os.replace(*move)
+
+
+def _snapshot_name(index: int) -> str:
+    return f"phi_{int(index):06d}"
+
+
+def _phidot_name(name: str) -> str:
+    return name.replace("phi_", "phidot_")
+
+
+class SnapshotSequence(Sequence):
+    """Snapshots on one grid, each read from directory/<name>.bin when it is indexed.
+
+    names holds one entry per snapshot, None for an absent one (a phidot
+    that was not stored), which reads as None.  Every read is a new
+    read-only field; nothing is cached.
+    """
+
+    def __init__(self, directory, grid: TorusGrid, names=()):
+        self.directory, self.grid, self.names = Path(directory), grid, list(names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, k: int) -> ScalarField | None:
+        name = self.names[k]
+        return None if name is None else _read_snapshot(self.directory / f"{name}.bin", self.grid)
+
+
+class ArchiveStore:
+    """A snapshot store of `flow.run` that writes every snapshot into directory as it arrives.
+
+    Each snapshot is written as `save_trajectory` would write it, so a
+    trajectory built on this store is archived by writing its manifest only.
+    fields and phidots are `SnapshotSequence`s of what has been written.
+    """
+
+    def __init__(self, directory, grid: TorusGrid):
+        self.fields = SnapshotSequence(directory, grid)
+        self.phidots = SnapshotSequence(directory, grid)
+
+    def add(self, index: int, t: float, phi: ScalarField, phidot: ScalarField | None):
+        name = _snapshot_name(index)
+        save_field(self.fields.directory, name, phi, t)
+        self.fields.names.append(name)
+        if phidot is not None:
+            save_field(self.fields.directory, _phidot_name(name), phidot, t)
+        self.phidots.names.append(None if phidot is None else _phidot_name(name))
+
+
+def _streamed_into(directory: Path, traj: FlowTrajectory) -> bool:
+    """Whether traj's snapshots are already the files save_trajectory would write in directory."""
+    fields = traj.fields
+    return (
+        isinstance(fields, SnapshotSequence)
+        and isinstance(traj.phidots, SnapshotSequence)
+        and directory.resolve() == fields.directory.resolve() == traj.phidots.directory.resolve()
+        and fields.names == [_snapshot_name(i) for i in traj.stored_indices]
+    )
+
+
+def save_trajectory(directory, traj: FlowTrajectory, run_config: dict = None, extra: dict = None) -> Path:
+    """Archive a trajectory: snapshots plus manifest.json, written last.
+
+    A trajectory an `ArchiveStore` streamed into directory already has its
+    snapshots there, so only the manifest is written.  run_config, when
+    given, is the full scenario document; its hash is the config hash
+    recorded in the manifest.  Otherwise the flow config alone is hashed.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    streamed = _streamed_into(directory, traj)
     cfg_dict = asdict(traj.config) if traj.config is not None else None
     hashed = run_config if run_config is not None else (cfg_dict or {})
     snapshots = []
     for k, t in enumerate(traj.times):
-        name = f"phi_{int(traj.stored_indices[k]):06d}"
-        save_field(directory, name, traj.fields[k], float(t))
-        has_pd = traj.phidots[k] is not None
-        if has_pd:
-            save_field(directory, name.replace("phi_", "phidot_"), traj.phidots[k], float(t))
+        name = _snapshot_name(traj.stored_indices[k])
+        if streamed:
+            has_pd = traj.phidots.names[k] is not None
+        else:
+            save_field(directory, name, traj.fields[k], float(t))
+            phidot = traj.phidots[k]
+            has_pd = phidot is not None
+            if has_pd:
+                save_field(directory, _phidot_name(name), phidot, float(t))
         snapshots.append({"name": name, "time": float(t), "phidot": has_pd})
     manifest = {
         "format": "trajectory-archive-v1",
@@ -145,28 +301,49 @@ def _json_clean(obj):
     return obj
 
 
+def _check_snapshot(directory: Path, name: str, grid: TorusGrid):
+    """Snapshot name in directory must be on grid, with a .bin of its size; else a
+    ConfigError naming the file."""
+    sidecar = _read_sidecar(directory / f"{name}.json")
+    if (sidecar["n"], sidecar["resolution"]) != (grid.n, grid.resolution):
+        raise ConfigError(f"snapshot {name} grid disagrees with the manifest grid")
+    bin_path = directory / f"{name}.bin"
+    try:
+        size = bin_path.stat().st_size
+    except OSError:
+        raise ConfigError(f"missing snapshot file {bin_path}") from None
+    _check_size(bin_path, size, grid)
+
+
 def load_trajectory(directory, manifest: dict = None) -> FlowTrajectory:
+    """The trajectory archived in directory, whose snapshots are read when indexed.
+
+    Every snapshot's sidecar and .bin size are checked first, so a missing,
+    truncated or foreign snapshot file, like a manifest without one of
+    MANIFEST_KEYS, is a ConfigError naming it.
+    """
     directory = Path(directory)
-    manifest = manifest or read_json(directory / "manifest.json")
+    where = directory / "manifest.json"
+    manifest = manifest or read_json(where)
     if manifest.get("format") != "trajectory-archive-v1":
         raise ConfigError(f"unrecognized archive format in {directory}")
-    grid = TorusGrid(int(manifest["grid"]["n"]), int(manifest["grid"]["resolution"]))
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise ConfigError(f"{where} lacks {missing[0]!r}")
+    try:
+        grid = TorusGrid(int(manifest["grid"]["n"]), int(manifest["grid"]["resolution"]))
+        snaps = [(s["name"], float(s["time"]), bool(s.get("phidot"))) for s in manifest["snapshots"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} has a malformed grid or snapshot entry ({exc!r})") from None
+    fields = SnapshotSequence(directory, grid, [name for name, _, _ in snaps])
+    phidots = SnapshotSequence(directory, grid, [_phidot_name(n) if pd else None for n, _, pd in snaps])
+    for name in fields.names + phidots.names:
+        if name is not None:
+            _check_snapshot(directory, name, grid)
     cfg = FlowConfig(**manifest["flow_config"]) if manifest.get("flow_config") else None
-    fields, phidots, times = [], [], []
-    for snap in manifest["snapshots"]:
-        f, side = load_field(directory / f"{snap['name']}.json")
-        if f.grid != grid:
-            raise ConfigError("snapshot grid disagrees with the manifest grid")
-        fields.append(f)
-        times.append(float(snap["time"]))
-        if snap.get("phidot"):
-            name = snap["name"].replace("phi_", "phidot_")
-            phidots.append(load_field(directory / f"{name}.json")[0])
-        else:
-            phidots.append(None)
     return FlowTrajectory(
         grid=grid,
-        times=np.asarray(times),
+        times=np.asarray([t for _, t, _ in snaps]),
         fields=fields,
         phidots=phidots,
         schedule=np.asarray(manifest["schedule"]),

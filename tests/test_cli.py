@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maflow import cli
+from maflow import ConfigError, cli
 from maflow.io import config_hash, load_trajectory, save_trajectory
 from maflow.scenarios import available, scenario_path
 
@@ -640,3 +640,95 @@ def test_verify_parses_a_cascade_manifest_once(tmp_path, monkeypatch):
     monkeypatch.setattr(archive_io, "read_json", read_json)
     cli.main(["verify", str(tmp_path / "out"), "--out", str(tmp_path / "replay")])
     assert names.count("manifest.json") == 1
+
+
+# ---------------------------------------------------------------------------
+# a run that fails leaves its output directory as it found it
+
+# theta(t) = (1 - 20 t) I leaves the cone at t = 0.05, after several stored snapshots
+CONE_EXIT = {
+    "metric": {"kind": "affine", "chi": [[-20.0]]},
+    "initial": {"kind": "constant", "value": 0.0},
+    "flow": {"horizon": 0.1, "t_min": 1e-3, "ratio": 1.3},
+}
+
+
+def tree(directory):
+    """{relative path: bytes or None for a directory} of everything under directory."""
+    return {
+        str(p.relative_to(directory)): p.read_bytes() if p.is_file() else None
+        for p in sorted(directory.rglob("*"))
+    }
+
+
+@pytest.mark.parametrize("state", ["absent", "empty", "older-archive"])
+def test_a_failed_run_leaves_out_unchanged(tmp_path, capsys, monkeypatch, state):
+    from maflow import io as archive_io
+
+    out = tmp_path / "runs" / "out"
+    if state == "empty":
+        out.mkdir(parents=True)
+    elif state == "older-archive":
+        older, _ = write_doc(tmp_path, name="older.json")
+        assert cli.main(["run", "--config", str(older), "--out", str(out)]) == 0
+    before = tree(tmp_path)
+    added = []
+    real_add = archive_io.ArchiveStore.add
+    monkeypatch.setattr(
+        archive_io.ArchiveStore, "add", lambda self, *a: added.append(a[0]) or real_add(self, *a)
+    )
+    cfg_path, _ = write_doc(tmp_path, name="failing.json", **CONE_EXIT)
+    before[cfg_path.name] = cfg_path.read_bytes()
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "leaves the positivity cone" in capsys.readouterr().err
+    assert len(added) >= 5  # the run streamed snapshots before it failed
+    assert tree(tmp_path) == before
+
+
+def test_a_run_over_an_older_archive_replaces_its_files(tmp_path):
+    out = tmp_path / "out"
+    longer = {"horizon": 0.2, "t_min": 1e-3, "ratio": 1.3}
+    first, _ = write_doc(tmp_path, name="first.json", flow=longer)
+    assert cli.main(["run", "--config", str(first), "--out", str(out)]) == 0
+    second, _ = write_doc(tmp_path, name="second.json")
+    assert cli.main(["run", "--config", str(second), "--out", str(out)]) == 0
+    fresh = tmp_path / "fresh"
+    assert cli.main(["run", "--config", str(second), "--out", str(fresh)]) == 0
+    names = {p.name for p in fresh.iterdir()}
+    assert {p.name for p in out.iterdir()} > names  # the longer run's later snapshots stay
+    assert all((out / n).read_bytes() == (fresh / n).read_bytes() for n in names)
+    assert not any(p.name.startswith(".") for p in tmp_path.iterdir())  # no staging left
+
+
+# ---------------------------------------------------------------------------
+# a damaged archive exits 2 and names what is wrong
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+def test_verify_names_a_damaged_snapshot_file(tmp_path, capsys, damage):
+    cfg_path, _ = write_doc(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    snap = out / "phi_000000.bin"
+    if damage == "missing":
+        snap.unlink()
+    else:
+        snap.write_bytes(snap.read_bytes()[:-8])
+    with pytest.raises(ConfigError, match="phi_000000.bin"):
+        load_trajectory(out)  # before any snapshot is read
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 2
+    assert "phi_000000.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["grid", "snapshots", "schedule"])
+def test_verify_names_a_key_the_manifest_lacks(tmp_path, capsys, key):
+    cfg_path, _ = write_doc(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest[key]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err

@@ -151,3 +151,124 @@ def test_cascade_round_trip(tmp_path):
     with pytest.raises(ConfigError, match="cascade"):
         save_trajectory(tmp_path / "plain", fine0)
         load_cascade(tmp_path / "plain")
+
+
+# ---------------------------------------------------------------------------
+# snapshots streamed into the archive while the run integrates
+
+N1_SMOOTH = {
+    "grid": {"n": 1, "resolution": 16},
+    "driving": {"kind": "affine", "constant": 0.0, "slope": 0.5},
+    "initial": {"kind": "fourier-sum", "modes": [[0.01, [1, 0], 0.0], [0.004, [1, 2], 1.0]]},
+    "flow": {"horizon": 0.05, "t_min": 1e-3, "ratio": 1.3, "store_every": 3, "probes": [0.02]},
+}
+# theta0 + t I with theta0 semi-positive: at t = 0 the form sits on the cone's boundary, so
+# the first snapshot stores no phidot; the n = 2 datum varies along the positive direction only
+N1_BOUNDARY = {
+    "grid": {"n": 1, "resolution": 8},
+    "metric": {"kind": "nef", "theta0": [[0.0]], "eps": 0.0},
+    "initial": {"kind": "constant", "value": 0.25},
+    "mode": "single",
+    "flow": {"horizon": 0.02, "t_min": 1e-3, "ratio": 1.3, "store_every": 2},
+}
+N2_BOUNDARY = {
+    "grid": {"n": 2, "resolution": 8},
+    "metric": {"kind": "nef", "theta0": [[1.0, 0.0], [0.0, 0.0]], "eps": 0.0},
+    "initial": {"kind": "fourier-sum", "modes": [[0.01, [1, 0, 0, 0], 0.5]]},
+    "mode": "single",
+    "flow": {"horizon": 0.02, "t_min": 1e-3, "ratio": 1.3, "store_every": 2},
+}
+
+
+def archive_files(directory):
+    """{relative path: bytes} of every file under directory, reports aside."""
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file() and not p.name.startswith("margins.")
+    }
+
+
+def run_cli(doc, tmp_path, out=None):
+    """(exit code, archive) of `maflow run` on doc, with no checks unless doc names some."""
+    from maflow import cli
+
+    cfg = tmp_path / "doc.json"
+    cfg.write_text(json.dumps({"checks": [], **doc}))
+    out = out or tmp_path / "streamed"
+    return cli.main(["run", "--config", str(cfg), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("doc", [N1_SMOOTH, N1_BOUNDARY, N2_BOUNDARY], ids=["n1", "n1-edge", "n2-edge"])
+def test_a_streamed_archive_is_the_in_memory_archive(tmp_path, monkeypatch, doc):
+    from maflow import cli
+    from maflow import io as archive_io
+
+    written = []
+    real_save = archive_io.save_field
+    monkeypatch.setattr(archive_io, "save_field", lambda *a: written.append(a[1]) or real_save(*a))
+    code, streamed = run_cli(doc, tmp_path)
+    assert code == 0
+    assert len(written) == len(set(written)) == len(list(streamed.glob("*.bin")))  # each once
+    monkeypatch.undo()
+    full = {"checks": [], **doc}
+    mode, ctx, _ = cli.integrate_scenario(full)
+    assert mode == "single" and isinstance(ctx.traj.fields, list)
+    save_trajectory(tmp_path / "memory", ctx.traj, run_config=full)
+    assert archive_files(streamed) == archive_files(tmp_path / "memory")
+    assert len(ctx.traj.times) < len(ctx.traj.schedule)  # store_every thinned the snapshots
+    if doc is not N1_SMOOTH:
+        assert ctx.traj.phidots[0] is None
+
+
+def test_lazy_sequences_read_bitwise_read_only_fields(tmp_path):
+    from maflow import cli
+
+    _, streamed = run_cli(N2_BOUNDARY, tmp_path)
+    memory = cli.integrate_scenario({"checks": [], **N2_BOUNDARY})[1].traj
+    back = load_trajectory(streamed)
+    for lazy, kept in ((back.fields, memory.fields), (back.phidots, memory.phidots)):
+        assert len(lazy) == len(kept) >= 4
+        for k in (0, 1, -1, -2, -len(kept)):
+            a, b = lazy[k], kept[k]
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.values.tobytes() == b.values.tobytes()
+                assert not a.values.flags.writeable
+        read = list(lazy)
+        assert [f is None for f in read] == [f is None for f in kept]
+        assert all(
+            f.values.tobytes() == g.values.tobytes() for f, g in zip(read, kept) if f is not None
+        )
+        with pytest.raises(IndexError):
+            lazy[len(kept)]
+    assert back.phidots[0] is None
+
+
+def test_a_run_keeps_no_stored_snapshot_in_memory(tmp_path):
+    import tracemalloc
+
+    doc = {
+        "grid": {"n": 2, "resolution": 8},
+        "initial": {
+            "kind": "fourier-sum",
+            "modes": [[0.004, [1, 0, 0, 1], 0.0], [0.003, [0, 1, 1, 0], 1.0]],
+        },
+        "initial_b": {"kind": "fourier-sum", "modes": [[0.003, [1, 1, 0, 0], 0.5]]},
+        "flow": {"horizon": 0.05, "t_min": 1e-3, "ratio": 1.1},
+        "checks": ["residual-certificate", "energy", "comparison"],
+    }
+    assert run_cli(doc, tmp_path, out=tmp_path / "warm")[0] == 0  # grid caches and imports
+    tracemalloc.start()
+    try:
+        code, out = run_cli(doc, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    snapshots = json.loads((out / "manifest.json").read_text())["snapshots"]
+    stored = len(snapshots) + sum(s["phidot"] for s in snapshots)
+    assert len(snapshots) >= 20
+    assert (out / "pair" / "manifest.json").is_file()
+    # one run's snapshots: the flow and its comparison pair each store as many
+    assert peak < stored * 8**4 * 8
