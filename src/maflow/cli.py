@@ -34,7 +34,7 @@ from . import io as archive_io
 from . import verify
 from .errors import ConfigError, MissingSnapshotsError, NumericError
 from .flow import DrivingTerm, FlowConfig, TrajectoryAudit, run, run_cascade, run_nef
-from .geometry import MetricPath, VolumeForm, trace_inequality_slacks
+from .geometry import MetricPath, VolumeForm
 from .grid import TorusGrid, oscillation
 from .psh import RegularizationSchedule, RoughPotential, mollify_decreasing
 
@@ -112,9 +112,17 @@ def _typed(path: str, fn, settings, given=()):
 
 
 def _call(path: str, fn, settings, **given):
-    """fn(**settings) plus the given values fn names, once settings is typed."""
+    """fn(**settings) plus the given values fn names, once settings is typed.
+
+    A ConfigError fn raises is prefixed with path, the section it builds.
+    """
     params = _typed(path, fn, settings, given)
-    return fn(**settings, **{k: v for k, v in given.items() if k in params})
+    try:
+        return fn(**settings, **{k: v for k, v in given.items() if k in params})
+    except ConfigError as exc:
+        if str(exc).startswith(f"{path}."):  # it names its key path already
+            raise
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _build(path: str, table: dict, sec, **given):
@@ -274,6 +282,8 @@ class RunContext:
     F: DrivingTerm
     initial: RoughPotential
     initial_b: object = None
+    schedule: RegularizationSchedule = None
+    schedule_b: RegularizationSchedule = None
     traj: object = None
     traj_b: object = None
     cascade: object = None
@@ -283,171 +293,75 @@ class RunContext:
     audit: TrajectoryAudit = None  # traj's audit, shared by one execute_checks call
 
 
-def _chk_comparison(
-    ctx: RunContext,
-    lam: float | None = None,
-    tol: float | None = None,
-    roles: tuple[str, str] = ("solution", "solution"),
-):
-    return [
-        verify.check_comparison(
-            ctx.traj,
-            ctx.traj_b,
-            lam=(ctx.F.defect or 0.0) if lam is None else lam,
-            tol=tol,
-            path=ctx.path,
-            F=ctx.F,
-            omega_form=ctx.omega,
-            roles=roles,
-        )
-    ]
+# Each executor hands the run's objects to its verify function and the
+# document's settings to that function's keyword-only parameters.  It calls
+# the function through the verify module, so a wrapper installed there sees it.
 
 
-def _chk_apriori(ctx: RunContext, kcap: float | None = None):
-    return verify.check_apriori_bounds(ctx.audit, kcap=kcap)
+def _chk_comparison(ctx: RunContext, **settings):
+    return [verify.check_comparison(ctx.traj, ctx.traj_b, ctx.path, ctx.F, ctx.omega, **settings)]
 
 
-def _chk_time_derivative(
-    ctx: RunContext,
-    eps: float | None = None,
-    slope_floor: float = 0.9,
-    bounded_variation: float = 2.0,
-):
-    if eps is None:
-        eps = verify.default_eps(ctx.traj, ctx.cfg.t_min)
-    return verify.check_time_derivative(
-        ctx.traj, eps, slope_floor=slope_floor, bounded_variation=bounded_variation
-    )
+def _chk_apriori(ctx: RunContext, **settings):
+    return verify.check_apriori_bounds(ctx.audit, **settings)
 
 
-def _chk_gradient_laplacian(ctx: RunContext, pair_tol: float = 1e-9):
-    return verify.check_gradient_laplacian(ctx.audit, pair_tol=pair_tol)
+def _chk_time_derivative(ctx: RunContext, **settings):
+    return verify.check_time_derivative(ctx.traj, **settings)
 
 
-def _chk_energy(ctx: RunContext, slack: float = 1e-8):
-    return [verify.check_energy_monotonicity(ctx.audit, slack=slack)]
+def _chk_gradient_laplacian(ctx: RunContext, **settings):
+    return verify.check_gradient_laplacian(ctx.audit, **settings)
 
 
-def _chk_residual(ctx: RunContext):
-    return [verify.check_residual_certificate(ctx.audit)]
+def _chk_energy(ctx: RunContext, **settings):
+    return [verify.check_energy_monotonicity(ctx.audit, **settings)]
 
 
-def _chk_stability(ctx: RunContext, homotopy_samples: int = 5, eps: float | None = None):
-    return [
-        verify.check_stability(
-            ctx.initial.sample(ctx.grid),
-            ctx.initial_b.sample(ctx.grid),
-            ctx.path,
-            ctx.F,
-            ctx.omega,
-            ctx.cfg,
-            homotopy_samples=homotopy_samples,
-            eps=eps,
-        )
-    ]
+def _chk_residual(ctx: RunContext, **settings):
+    return [verify.check_residual_certificate(ctx.audit, **settings)]
 
 
-def _uniqueness_schedules(doc: dict):
-    """The document's schedule and schedule_b, each built when given; None unless both are."""
-    built = [build_schedule(doc[k], k) for k in ("schedule", "schedule_b") if k in doc]
-    return tuple(built) if len(built) == 2 else None
+def _chk_stability(ctx: RunContext, **settings):
+    phi0, psi0 = ctx.initial.sample(ctx.grid), ctx.initial_b.sample(ctx.grid)
+    return [verify.check_stability(phi0, psi0, ctx.path, ctx.F, ctx.omega, ctx.cfg, **settings)]
 
 
-def _chk_uniqueness(ctx: RunContext, rate: float | None = None):
-    return [
-        verify.check_uniqueness(
-            ctx.initial,
-            ctx.path,
-            ctx.F,
-            ctx.omega,
-            ctx.cfg,
-            _uniqueness_schedules(ctx.doc),
-            rate=rate,
-        )
-    ]
+def _chk_uniqueness(ctx: RunContext, **settings):
+    both = ctx.schedule is not None and ctx.schedule_b is not None
+    problem = (ctx.initial, ctx.path, ctx.F, ctx.omega, ctx.cfg)
+    schedules = (ctx.schedule, ctx.schedule_b) if both else None
+    return [verify.check_uniqueness(*problem, schedules, **settings)]
 
 
-def _chk_convergence(
-    ctx: RunContext,
-    time_ladder: list[float] | None = None,
-    eps_cap: float | None = None,
-    l1_tol: float | None = None,
-    seed: int | None = None,
-):
-    return verify.check_convergence_modes(
-        ctx.cascade,
-        ctx.initial,
-        path=ctx.path,
-        omega_form=ctx.omega,
-        time_ladder=time_ladder,
-        eps_cap=eps_cap,
-        l1_tol=l1_tol,
-        seed=(ctx.seed or 7) if seed is None else seed,
-        audit=ctx.audit,
-    )
+def _chk_convergence(ctx: RunContext, **settings):
+    if settings.get("seed") is None:  # the run's seed; 0 leaves verify's default
+        settings = {**settings, "seed": ctx.seed or None}
+    problem = (ctx.cascade, ctx.initial, ctx.path, ctx.omega, ctx.audit)
+    return verify.check_convergence_modes(*problem, **settings)
 
 
-def _chk_transform(
-    ctx: RunContext, reduction_rate: float | None = None, rescale_rate: float | None = None
-):
-    return verify.check_transform_roundtrip(
-        ctx.initial.sample(ctx.grid),
-        ctx.path,
-        ctx.F,
-        ctx.omega,
-        ctx.cfg,
-        reduction_rate=reduction_rate,
-        rescale_rate=rescale_rate,
-    )
+def _chk_transform(ctx: RunContext, **settings):
+    problem = (ctx.initial.sample(ctx.grid), ctx.path, ctx.F, ctx.omega, ctx.cfg)
+    return verify.check_transform_roundtrip(*problem, **settings)
 
 
-def random_pd_pairs(n: int, samples: int, seed: int):
-    """Seeded stack of positive definite Hermitian pairs, shape (m, n, n)."""
-    rng = np.random.default_rng(seed)
-
-    def stack():
-        a = rng.standard_normal((samples, n, n)) + 1j * rng.standard_normal(
-            (samples, n, n)
-        )
-        h = a @ np.conjugate(np.swapaxes(a, -1, -2))
-        return h + 1e-6 * np.eye(n)[None, :, :]
-
-    return stack(), stack()
-
-
-def _chk_trace_inequality(
-    ctx: RunContext, samples: int = 1000, slack: float = 1e-10, n: int | None = None
-):
-    n = ctx.grid.n if n is None else n
-    wp, w = random_pd_pairs(n, samples, ctx.seed)
-    lower, upper = trace_inequality_slacks(wp, w)
-    worst = float(min(lower.min(), upper.min()))
-    return [
-        verify.MarginReport(
-            name="trace-inequality",
-            anchor="determinant-trace-chain",
-            margin=worst + slack,
-            constants={
-                "samples": samples,
-                "n": n,
-                "seed": ctx.seed,
-                "worst_lower": float(lower.min()),
-                "worst_upper": float(upper.min()),
-            },
-        )
-    ]
+def _chk_trace_inequality(ctx: RunContext, **settings):
+    return [verify.check_trace_inequality(ctx.grid, ctx.seed, **settings)]
 
 
 @dataclass(frozen=True)
 class Check:
-    """One check: executor(ctx, **check_params) runs it.
+    """One check: executor(ctx, **check_params) runs verify function fn.
 
-    needs names the RunContext objects it cannot run without, column the
+    fn is the function as imported; its keyword-only parameters are the
+    check_params keys the check accepts, typed by their annotations.  needs
+    names the RunContext objects it cannot run without, column the
     TrajectoryAudit column it reads from traj (convergence: the finest level)
     and archive whether `maflow verify` can replay it from saved archives.
-    The executor's keyword parameters are the check_params keys it accepts.
     """
 
+    fn: object
     executor: object
     needs: tuple = ()
     column: str = None
@@ -455,31 +369,40 @@ class Check:
 
 
 CHECK_TABLE = {
-    "comparison": Check(_chk_comparison, ("traj", "traj_b"), archive=True),
-    "apriori-bounds": Check(_chk_apriori, ("traj",), archive=True),
-    "time-derivative": Check(_chk_time_derivative, ("traj",), archive=True),
-    "gradient-laplacian": Check(
-        _chk_gradient_laplacian, ("traj",), column="sup-trace", archive=True
+    "comparison": Check(verify.check_comparison, _chk_comparison, ("traj", "traj_b"), archive=True),
+    "apriori-bounds": Check(verify.check_apriori_bounds, _chk_apriori, ("traj",), archive=True),
+    "time-derivative": Check(
+        verify.check_time_derivative, _chk_time_derivative, ("traj",), archive=True
     ),
-    "energy": Check(_chk_energy, ("traj",), column="energy", archive=True),
-    "residual-certificate": Check(_chk_residual, ("traj",), column="step_residual", archive=True),
-    "stability": Check(_chk_stability, ("initial_b",)),
-    "uniqueness": Check(_chk_uniqueness),
-    "convergence": Check(_chk_convergence, ("cascade",), column="energy", archive=True),
-    "transform-roundtrip": Check(_chk_transform),
-    "trace-inequality": Check(_chk_trace_inequality),
+    "gradient-laplacian": Check(
+        verify.check_gradient_laplacian, _chk_gradient_laplacian, ("traj",), "sup-trace", True
+    ),
+    "energy": Check(verify.check_energy_monotonicity, _chk_energy, ("traj",), "energy", True),
+    "residual-certificate": Check(
+        verify.check_residual_certificate, _chk_residual, ("traj",), "step_residual", True
+    ),
+    "stability": Check(verify.check_stability, _chk_stability, ("initial_b",)),
+    "uniqueness": Check(verify.check_uniqueness, _chk_uniqueness),
+    "convergence": Check(
+        verify.check_convergence_modes, _chk_convergence, ("cascade",), "energy", True
+    ),
+    "transform-roundtrip": Check(verify.check_transform_roundtrip, _chk_transform),
+    "trace-inequality": Check(verify.check_trace_inequality, _chk_trace_inequality),
 }
 
 ARCHIVE_CHECKS = tuple(name for name, check in CHECK_TABLE.items() if check.archive)
 
 
 def _check_params(doc: dict) -> dict:
-    """The document's check_params, each entry typed by its check's executor."""
+    """The document's check_params, each entry typed by the keyword-only parameters of its check."""
     params = doc.get("check_params", {})
     for name, settings in params.items():
         if name not in CHECK_TABLE:
             raise ConfigError(f"check_params.{name} is no check; available: {sorted(CHECK_TABLE)}")
-        _typed(f"check_params.{name}", CHECK_TABLE[name].executor, settings, ("ctx",))
+        fn = CHECK_TABLE[name].fn
+        signature = inspect.signature(fn).parameters.values()
+        given = [p.name for p in signature if p.kind != p.KEYWORD_ONLY]  # the run supplies these
+        _typed(f"check_params.{name}", fn, settings, given)
     return params
 
 
@@ -496,8 +419,7 @@ def execute_checks(names, ctx: RunContext):
     return reports
 
 
-def print_reports(reports, stream=None):
-    stream = stream or sys.stdout
+def print_reports(reports):
     for r in reports:
         flag = "PASS" if r.passed else "FAIL"
         margin = "-inf" if r.margin == -math.inf else f"{r.margin:+.6e}"
@@ -505,7 +427,7 @@ def print_reports(reports, stream=None):
         notice = r.details.get("notice") if isinstance(r.details, dict) else None
         if notice:
             line += f"  {notice}"
-        print(line, file=stream)
+        print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +442,6 @@ def _resolve_checks(doc: dict, names: list) -> list:
     for name in ("comparison", "stability"):
         if name in names and not doc.get("initial_b"):
             raise ConfigError(f"check {name!r} needs an 'initial_b' datum")
-    if "uniqueness" in names:
-        _uniqueness_schedules(doc)
     return names
 
 
@@ -544,7 +464,10 @@ def _ordering_report(name, anchor, family, **constants):
 
 
 def _context(doc: dict, grid: TorusGrid, cfg: FlowConfig, seed: int = None, **objects):
-    """The scenario's problem on grid as a RunContext; seed defaults to the document's."""
+    """The scenario's problem on grid as a RunContext; seed defaults to the document's.
+
+    Every section given is built, so typed, here, a schedule the run never reads too.
+    """
     return RunContext(
         doc=doc,
         grid=grid,
@@ -555,6 +478,7 @@ def _context(doc: dict, grid: TorusGrid, cfg: FlowConfig, seed: int = None, **ob
         path=build_metric(doc, grid, cfg.horizon),
         seed=doc.get("seed", 0) if seed is None else seed,
         params=_check_params(doc),
+        **{k: build_schedule(doc[k], k) for k in ("schedule", "schedule_b") if k in doc},
         **objects,
     )
 
@@ -583,8 +507,9 @@ def integrate_scenario(doc: dict, forced_mode: str = None, out: Path = None):
         if _uncertified(F):
             ctx.traj.notices.append(NO_UNIQUENESS_NOTICE)
     elif mode == "cascade":
-        schedule = build_schedule(_section(doc, "schedule"))
-        cascade = run_cascade(initial, schedule, path, F, omega, cfg)
+        if ctx.schedule is None:
+            raise ConfigError("scenario is missing the 'schedule' section")
+        cascade = run_cascade(initial, ctx.schedule, path, F, omega, cfg)
         if _uncertified(F):
             cascade.notices.append(NO_UNIQUENESS_NOTICE)
         ctx.cascade = cascade

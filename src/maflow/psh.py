@@ -311,7 +311,6 @@ def mollify_decreasing(
     phi0,
     schedule: RegularizationSchedule,
     grid: TorusGrid = None,
-    gate_tol: float = PSH_TOL,
 ) -> MollificationLadder:
     """Decreasing ladder phi_j = phi0 * rho_{delta_j} + n delta_j^2.
 
@@ -346,7 +345,7 @@ def mollify_decreasing(
     gate_width = 4.0 * grid.spacing
     gated = ScalarField(grid, gaussian_smooth(work, grid, gate_width))
     gate = psh_margin(gated, backend="spectral")
-    if gate < -gate_tol:
+    if gate < -PSH_TOL:
         raise NotKahlerError(
             f"input is not admissible where sampled (smoothed margin {gate:.3e})",
             eigenvalue=gate,
@@ -376,7 +375,7 @@ def mollify_decreasing(
     for vals in fields:
         fld = ScalarField(grid, vals)
         m = psh_margin(fld, backend="spectral")
-        if m < -gate_tol:
+        if m < -PSH_TOL:
             raise NotKahlerError(f"mollified level lost admissibility (margin {m:.3e})")
         levels.append(fld)
         margins.append(m)

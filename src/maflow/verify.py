@@ -13,7 +13,10 @@ Conventions shared by every check in this module:
   The constant itself is in report.constants and its stability under
   schedule refinement is a separate test;
 * a check that needs snapshots the trajectory did not store raises
-  MissingSnapshotsError with the missing (s, t) time pairs attached.
+  MissingSnapshotsError with the missing (s, t) time pairs attached;
+* the keyword-only parameters of a check_* function are its settings: a
+  scenario's check_params entry for the check sets them, each typed by its
+  annotation, and their defaults are the document's.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from .flow import (
     snapshot_sup,
     uniqueness_rescale,
 )
-from .geometry import MetricPath, VolumeForm, comps_trace
-from .grid import ScalarField, gradient_sq, hessian_components, oscillation
+from .geometry import MetricPath, VolumeForm, comps_trace, trace_inequality_slacks
+from .grid import ScalarField, TorusGrid, gradient_sq, hessian_components, oscillation
 from .io import _json_clean
 from .psh import RoughPotential, capacity_lower_bound, energy
 
@@ -56,6 +59,8 @@ __all__ = [
     "check_stability",
     "check_uniqueness",
     "check_convergence_modes",
+    "check_trace_inequality",
+    "random_pd_pairs",
     "trajectory_series",
     "write_reports",
     "SERIES_QUANTITIES",
@@ -112,16 +117,16 @@ def _fmt(v) -> str:
 CSV_HEADER = ["check", "anchor", "margin", "constants"]
 
 
-def write_reports(reports, directory, stem: str = "margins"):
-    """Serialize reports to <stem>.json (one object each) and <stem>.csv."""
+def write_reports(reports, directory):
+    """Serialize reports to margins.json (one object each) and margins.csv."""
     import csv as _csv
     import json
     from pathlib import Path
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    jpath = directory / f"{stem}.json"
-    cpath = directory / f"{stem}.csv"
+    jpath = directory / "margins.json"
+    cpath = directory / "margins.csv"
     jpath.write_text(json.dumps([r.as_dict() for r in reports], indent=2))
     with open(cpath, "w", newline="") as fh:
         w = _csv.writer(fh)
@@ -160,26 +165,33 @@ def default_eps(traj: FlowTrajectory, t_min: float) -> float:
 # comparison principle
 
 
+# how far a declared sub- (super-) solution's residual may rise above (fall below) 0
+ROLE_SLACK = 1e-8
+
+
 def check_comparison(
     phi: FlowTrajectory,
     psi: FlowTrajectory,
-    lam: float = 0.0,
-    tol: float = None,
     path: MetricPath = None,
     F: DrivingTerm = None,
     omega_form: VolumeForm = None,
-    roles: tuple = ("solution", "solution"),
-    role_slack: float = 1e-8,
+    *,
+    lam: float | None = None,
+    tol: float | None = None,
+    roles: tuple[str, str] = ("solution", "solution"),
 ) -> MarginReport:
     """sup(phi_t - psi_t) against e^{lam T} max(sup(phi_0 - psi_0), 0).
 
     phi plays the sub-solution role and psi the super-solution role.  When
     path, F and omega_form are supplied the declared roles are re-verified
-    from recomputed residual signs before any margin is claimed.
+    from recomputed residual signs before any margin is claimed.  lam
+    defaults to F's certified monotonicity defect, or 0 without one.
     """
     if phi.grid.n != psi.grid.n or phi.grid.resolution != psi.grid.resolution:
         raise ConfigError("mismatched discretizations: comparison needs one grid")
     worst, t_worst, j_worst = ordering_gap(psi, phi)
+    if lam is None:
+        lam = (F is not None and F.defect) or 0.0
     if F is not None and F.defect is not None and lam < F.defect - 1e-12:
         raise ConfigError(
             f"lambda = {lam} is below the certified monotonicity defect {F.defect}"
@@ -198,11 +210,11 @@ def check_comparison(
             if res["cone_violation_at"] is not None:
                 ext["cone_violation_at"] = res["cone_violation_at"]
             details[f"residual_range_{side}"] = ext
-            if role in ("sub", "subsolution") and ext["max"] > role_slack:
+            if role in ("sub", "subsolution") and ext["max"] > ROLE_SLACK:
                 raise ConfigError(
                     f"{side} declared a subsolution but its residual reaches {ext['max']:.3e}"
                 )
-            if role in ("super", "supersolution") and ext["min"] < -role_slack:
+            if role in ("super", "supersolution") and ext["min"] < -ROLE_SLACK:
                 raise ConfigError(
                     f"{side} declared a supersolution but its residual reaches {ext['min']:.3e}"
                 )
@@ -225,7 +237,7 @@ def check_comparison(
 # a priori sup bounds
 
 
-def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
+def check_apriori_bounds(audit: TrajectoryAudit, *, kcap: float | None = None) -> list:
     """Two reports: explicit linear upper bound, fitted lower modulus.
 
     Upper: phi_t <= C t + max(sup phi_0, 0) with the explicit constant
@@ -241,76 +253,73 @@ def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
     running maximum c(t) (the smallest majorant that decreases to 0 as t
     does), and the check fits the smallest K with c(t) <= K (t log(1/t) + t).
     Passes iff K <= kcap, default 2n.  The audit supplies the trajectory,
-    the driving term and the path certificate.
+    the driving term and the path certificate.  Both bounds share one walk
+    over the stored snapshots, which reads each of them at most once.
     """
     traj, F = audit.traj, audit.F
     grid = traj.grid
     n = grid.n
-    reports = []
-
     monotone = F.defect is not None and F.defect == 0.0
-    if not monotone:
-        reports.append(
-            MarginReport(
-                name="apriori-upper",
-                anchor="explicit-linear-upper",
-                margin=0.0,
-                constants={},
-                details={
-                    "applicable": False,
-                    "reason": "explicit constant requires a monotone driving term",
-                },
-            )
-        )
-    else:
+    if monotone:
         delta = audit.certificate()
         coords = grid.coordinates()
         zeros = np.zeros(grid.shape)
-        ts = np.unique(np.concatenate([traj.times, np.linspace(0.0, traj.times[-1], 33)]))
-        inf_f = _sampled_min(lambda t, _: F(t, coords, zeros), ts, (0.0,))
+        probes = np.unique(np.concatenate([traj.times, np.linspace(0.0, traj.times[-1], 33)]))
+        inf_f = _sampled_min(lambda t, _: F(t, coords, zeros), probes, (0.0,))
         C = -inf_f + n * math.log(delta)
-        M0 = max(float(traj.fields[0].values.max()), 0.0)
-        # each snapshot's sup, taken once; max keeps the first of equal sups, as snapshot_sup
-        snapshots = zip(traj.times, traj.fields)
-        sups = [snapshot_sup([(t, f.values - C * float(t) - M0)]) for t, f in snapshots]
+
+    base = traj.fields[0].values
+    M0 = max(float(base.max()), 0.0)
+    sups, ts, c_raw, locs = [], [], [], []
+    for k, t in enumerate(traj.times):
+        in_lower = 0.0 < t and float(t) < 2.0
+        if not (monotone or in_lower):
+            continue
+        values = base if k == 0 else traj.fields[k].values
+        if monotone:  # each snapshot's sup, as snapshot_sup takes it
+            sups.append(snapshot_sup([(t, values - C * float(t) - M0)]))
+        if in_lower:
+            drop = base - values
+            j = int(np.argmax(drop))
+            ts.append(float(t))
+            c_raw.append(max(0.0, float(drop.flat[j])))
+            locs.append((float(t),) + _point(grid, j))
+
+    if monotone:
+        # max keeps the first of equal sups, as snapshot_sup
         excess, t_worst, j_worst = max(sups, key=lambda s: s[0])
-        worst = -excess
         later = max([-math.inf] + [s[0] for s in sups if s[1] > 0.0])
-        where = (t_worst,) + _point(grid, j_worst)
-        reports.append(
-            MarginReport(
-                name="apriori-upper",
-                anchor="explicit-linear-upper",
-                margin=worst,
-                location=where,
-                constants={"C": C, "delta": delta, "M0": M0, "room_positive_t": -later},
-                details={"applicable": True},
-            )
+        upper = MarginReport(
+            name="apriori-upper",
+            anchor="explicit-linear-upper",
+            margin=-excess,
+            location=(t_worst,) + _point(grid, j_worst),
+            constants={"C": C, "delta": delta, "M0": M0, "room_positive_t": -later},
+            details={"applicable": True},
+        )
+    else:
+        upper = MarginReport(
+            name="apriori-upper",
+            anchor="explicit-linear-upper",
+            margin=0.0,
+            constants={},
+            details={
+                "applicable": False,
+                "reason": "explicit constant requires a monotone driving term",
+            },
         )
 
     if kcap is None:
         kcap = 2.0 * n
-    base = traj.fields[0].values
-    ts, c_raw, locs = [], [], []
-    for k, t in enumerate(traj.times):
-        if t <= 0.0 or float(t) >= 2.0:
-            continue
-        drop = base - traj.fields[k].values
-        j = int(np.argmax(drop))
-        ts.append(float(t))
-        c_raw.append(max(0.0, float(drop.flat[j])))
-        locs.append((float(t),) + _point(grid, j))
     if not ts:
-        reports.append(
-            MarginReport(
-                name="apriori-lower",
-                anchor="modulus-lower",
-                margin=0.0,
-                constants={"K": 0.0, "kcap": kcap},
-                details={"note": "no positive times stored"},
-            )
+        lower = MarginReport(
+            name="apriori-lower",
+            anchor="modulus-lower",
+            margin=0.0,
+            constants={"K": 0.0, "kcap": kcap},
+            details={"note": "no positive times stored"},
         )
-        return reports
+        return [upper, lower]
     order = np.argsort(ts)
     ts = np.asarray(ts)[order]
     c = np.maximum.accumulate(np.asarray(c_raw)[order])
@@ -318,17 +327,15 @@ def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
     ratios = c / form
     kidx = int(np.argmax(ratios))
     K = float(ratios[kidx])
-    reports.append(
-        MarginReport(
-            name="apriori-lower",
-            anchor="modulus-lower",
-            margin=kcap - K,
-            location=locs[order[kidx]],
-            constants={"K": K, "kcap": kcap},
-            details={"times": ts, "c": c},
-        )
+    lower = MarginReport(
+        name="apriori-lower",
+        anchor="modulus-lower",
+        margin=kcap - K,
+        location=locs[order[kidx]],
+        constants={"K": K, "kcap": kcap},
+        details={"times": ts, "c": c},
     )
-    return reports
+    return [upper, lower]
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +344,28 @@ def check_apriori_bounds(audit: TrajectoryAudit, kcap: float = None) -> list:
 
 def check_time_derivative(
     traj: FlowTrajectory,
-    eps: float,
+    *,
+    eps: float | None = None,
     slope_floor: float = 0.9,
     bounded_variation: float = 2.0,
 ) -> list:
     """Two reports on phidot: upper envelope constant, lower log-slope fit.
 
     Upper: the smallest C_up with t phidot_t(z) <= -phi_eps(z) + C_up over
-    t in [eps, T].  Existence check: margin 0, constant reported.
+    t in [eps, T].  Existence check: margin 0, constant reported.  eps
+    defaults to `default_eps` at the run's t_min.
 
     Lower: least-squares fit of min_z phidot_t against log t.  Passes iff
     the fitted slope >= slope_floor * n, or the series has total variation
     <= bounded_variation (a bounded derivative satisfies a log-divergent
     lower bound trivially; the slope fit is meaningless noise there).
+
+    Both read each stored phidot once, in one walk.
     """
     if len(traj.times) < 2:
         raise ConfigError("time-derivative checks need at least two snapshots")
+    if eps is None:
+        eps = default_eps(traj, traj.config.t_min)
     first_pos = float(traj.times[1]) if traj.times[0] == 0.0 else float(traj.times[0])
     if eps < first_pos * (1.0 - 1e-12):
         raise ConfigError(f"eps = {eps} is below the first schedule time {first_pos}")
@@ -366,11 +379,19 @@ def check_time_derivative(
     grid = traj.grid
     phi_eps = traj.fields[k_eps].values
 
-    c_up, t_up, j_up = snapshot_sup(
-        (t, float(t) * pd.values + phi_eps)
-        for t, pd in zip(traj.times, traj.phidots)
-        if float(t) >= eps * (1.0 - 1e-12) and pd is not None
-    )
+    envelope, ts, ys = [], [], []
+    for t, pd in zip(traj.times, traj.phidots):
+        t = float(t)
+        if pd is None:
+            continue
+        if t >= eps * (1.0 - 1e-12):  # each snapshot's sup, as snapshot_sup takes it
+            envelope.append(snapshot_sup([(t, t * pd.values + phi_eps)]))
+        if t > 0.0:
+            ts.append(t)
+            ys.append(float(pd.values.min()))
+
+    # max keeps the first of equal sups, as snapshot_sup
+    c_up, t_up, j_up = max(envelope, key=lambda s: s[0], default=(-math.inf, None, None))
     where = None if t_up is None else (t_up,) + _point(grid, j_up)
     upper = MarginReport(
         name="derivative-upper",
@@ -380,12 +401,6 @@ def check_time_derivative(
         constants={"C_up": c_up, "eps": float(eps)},
     )
 
-    ts, ys = [], []
-    for k, t in enumerate(traj.times):
-        if float(t) <= 0.0 or traj.phidots[k] is None:
-            continue
-        ts.append(float(t))
-        ys.append(float(traj.phidots[k].values.min()))
     if len(ts) < 2:
         raise ConfigError("lower derivative fit needs at least two positive-time snapshots")
     x = np.log(np.asarray(ts))
@@ -418,7 +433,7 @@ def check_time_derivative(
 # gradient and Laplacian growth
 
 
-def check_gradient_laplacian(audit: TrajectoryAudit, pair_tol: float = 1e-9) -> list:
+def check_gradient_laplacian(audit: TrajectoryAudit, *, pair_tol: float = 1e-9) -> list:
     """Two reports: exponential gradient constant, trace-oscillation fit.
 
     Gradient: the smallest C_g >= 0 with sup_z |grad phi_t|^2 <= e^{C_g/t}
@@ -502,7 +517,7 @@ def check_gradient_laplacian(audit: TrajectoryAudit, pair_tol: float = 1e-9) -> 
 # energy monotonicity
 
 
-def check_energy_monotonicity(audit: TrajectoryAudit, slack: float = 1e-8) -> MarginReport:
+def check_energy_monotonicity(audit: TrajectoryAudit, *, slack: float = 1e-8) -> MarginReport:
     """Fits the smallest C_E >= 0 making E(phi_t) + C_E t non-decreasing.
 
     Needs at least 16 snapshots for the drift fit to mean anything.  For a
@@ -548,8 +563,9 @@ def check_stability(
     F: DrivingTerm,
     omega_form: VolumeForm,
     cfg: FlowConfig,
+    *,
     homotopy_samples: int = 5,
-    eps: float = None,
+    eps: float | None = None,
 ) -> MarginReport:
     """Sup-norm contraction between two flows plus the homotopy-family audit.
 
@@ -632,7 +648,8 @@ def check_uniqueness(
     omega_form: VolumeForm,
     cfg: FlowConfig,
     schedules: tuple = None,
-    rate: float = None,
+    *,
+    rate: float | None = None,
 ) -> MarginReport:
     """Limits of two regularization cascades must agree within their gaps.
 
@@ -725,11 +742,12 @@ def check_convergence_modes(
     phi0: RoughPotential,
     path: MetricPath = None,
     omega_form: VolumeForm = None,
-    time_ladder=None,
-    eps_cap: float = None,
-    l1_tol: float = None,
-    seed: int = 7,
     audit: TrajectoryAudit = None,
+    *,
+    time_ladder: list[float] | None = None,
+    eps_cap: float | None = None,
+    l1_tol: float | None = None,
+    seed: int | None = None,
 ) -> list:
     """Distance-to-initial-data ladders, one report per applicable mode.
 
@@ -740,7 +758,8 @@ def check_convergence_modes(
     admits it.  Each ladder must be decreasing over its tail (the later,
     smaller times), and the L1 mode must also land below l1_tol, default
     1e-2 times the oscillation.  The energy ladder reads audit, an audit of
-    the finest level (built here when not given).
+    the finest level (built here when not given).  seed (default 7) seeds
+    the capacity dictionaries.
     """
     traj = cascade.trajectories[-1]
     grid = traj.grid
@@ -803,6 +822,8 @@ def check_convergence_modes(
     if tag == "bounded":
         if eps_cap is None:
             eps_cap = 0.05 * osc
+        if seed is None:
+            seed = 7
         caps = []
         for f in fields:
             mask = np.abs(f.values - base.values) > eps_cap
@@ -879,8 +900,9 @@ def check_transform_roundtrip(
     F: DrivingTerm,
     omega_form: VolumeForm,
     cfg: FlowConfig,
-    reduction_rate: float = None,
-    rescale_rate: float = None,
+    *,
+    reduction_rate: float | None = None,
+    rescale_rate: float | None = None,
 ) -> list:
     """Run each exponential transform, pull back, and measure the residual.
 
@@ -925,6 +947,46 @@ def check_transform_roundtrip(
             )
         )
     return reports
+
+
+def random_pd_pairs(n: int, samples: int, seed: int):
+    """Seeded stack of positive definite Hermitian pairs, shape (m, n, n)."""
+    rng = np.random.default_rng(seed)
+
+    def stack():
+        a = rng.standard_normal((samples, n, n)) + 1j * rng.standard_normal(
+            (samples, n, n)
+        )
+        h = a @ np.conjugate(np.swapaxes(a, -1, -2))
+        return h + 1e-6 * np.eye(n)[None, :, :]
+
+    return stack(), stack()
+
+
+def check_trace_inequality(
+    grid: TorusGrid, seed: int, *, samples: int = 1000, slack: float = 1e-10, n: int | None = None
+) -> MarginReport:
+    """Both trace/determinant inequalities on seeded positive definite pairs.
+
+    The margin is the worst slack of either inequality plus slack; n
+    defaults to the grid's complex dimension.
+    """
+    n = grid.n if n is None else n
+    wp, w = random_pd_pairs(n, samples, seed)
+    lower, upper = trace_inequality_slacks(wp, w)
+    worst = float(min(lower.min(), upper.min()))
+    return MarginReport(
+        name="trace-inequality",
+        anchor="determinant-trace-chain",
+        margin=worst + slack,
+        constants={
+            "samples": samples,
+            "n": n,
+            "seed": seed,
+            "worst_lower": float(lower.min()),
+            "worst_upper": float(upper.min()),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from maflow import (
 from maflow import cli
 from maflow.flow import instantaneous_residuals, schedule_times, trajectory_from_family
 from maflow.geometry import trace_inequality_slacks
+from maflow.verify import random_pd_pairs
 
 
 def flat_problem(resolution, horizon, **cfg_kw):
@@ -413,7 +414,7 @@ def test_criterion_12_nef_family_oracle(scenario):
 def test_criterion_13_trace_inequality_sweep(scenario):
     bundled = scenario("13-trace-inequality").report("trace-inequality")
     assert bundled.passed
-    wp, w = cli.random_pd_pairs(2, 1000, 1234)
+    wp, w = random_pd_pairs(2, 1000, 1234)
     lower, upper = trace_inequality_slacks(wp, w)
     worst = min(float(lower.min()), float(upper.min()))
     assert worst >= -1e-10

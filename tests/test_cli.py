@@ -1,5 +1,6 @@
 """Command-line driver: exit statuses, archives, reports, and series export."""
 
+import ast
 import contextlib
 import copy
 import csv
@@ -478,9 +479,17 @@ VALID_SCHEDULE_B = {"schedule_b": {"delta0": 0.25, "ratio": 0.5, "levels": 3}}
         ({"grid.resolutoin": 16}, [], "grid.resolutoin"),
         ({"volume.valeu": 1.0}, [], "volume.valeu"),
         ({"initial.valeu": -1.0}, [], "initial.valeu"),
+        ({"schedule.delta0": "x"}, [], "schedule.delta0"),  # a section the run never reads
     ],
 )
 def test_bad_check_settings_exit_two_before_integrating(tmp_path, capsys, changes, argv, named):
+    cfg_path = scenario_09_changed(tmp_path, changes)
+    assert cli.main(["run", "--config", str(cfg_path), *argv]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def scenario_09_changed(tmp_path, changes):
     cfg_path = scenario_09_with(tmp_path, {})
     doc = json.loads(cfg_path.read_text())
     for key, value in changes.items():  # a dotted key sets a value inside a section
@@ -490,9 +499,67 @@ def test_bad_check_settings_exit_two_before_integrating(tmp_path, capsys, change
             node = node.setdefault(sec, {})
         node[last] = value
     cfg_path.write_text(json.dumps(doc))
-    assert cli.main(["run", "--config", str(cfg_path), *argv]) == 2
+    return cfg_path
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"grid.resolution": 12}, "grid: resolution must be a power of two >= 8, got 12"),
+        ({"flow.ratio": 3.0}, "flow: schedule ratio must be in (1, 2], got 3.0"),
+        ({"initial": {"kind": "paraboloid", "curvature": 1.5}}, "initial: paraboloid curvature"),
+    ],
+)
+def test_a_range_error_names_its_section(tmp_path, capsys, changes, named):
+    cfg_path = scenario_09_changed(tmp_path, changes)
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# The check_params keys each check accepts: the keyword-only parameters of its verify function.
+CHECK_SETTINGS = {
+    "comparison": {"lam", "tol", "roles"},
+    "apriori-bounds": {"kcap"},
+    "time-derivative": {"eps", "slope_floor", "bounded_variation"},
+    "gradient-laplacian": {"pair_tol"},
+    "energy": {"slack"},
+    "residual-certificate": set(),
+    "stability": {"homotopy_samples", "eps"},
+    "uniqueness": {"rate"},
+    "convergence": {"time_ladder", "eps_cap", "l1_tol", "seed"},
+    "transform-roundtrip": {"reduction_rate", "rescale_rate"},
+    "trace-inequality": {"samples", "slack", "n"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SETTINGS))
+def test_each_check_accepts_its_settings_and_no_other(name):
+    assert set(CHECK_SETTINGS) == set(cli.CHECK_TABLE)
+    with pytest.raises(ConfigError) as exc:
+        cli._check_params({"check_params": {name: {"no_such_setting": 1.0}}})
+    accepted = ast.literal_eval(str(exc.value).split("accepted: ")[1])
+    assert set(accepted) == CHECK_SETTINGS[name]
+
+
+def test_a_check_wrapped_in_its_module_still_takes_its_settings(tmp_path, monkeypatch):
+    # a wrapper of *args, **kwargs over every module-level name bound to the
+    # check, as a tracer installs it, keeps the settings and sees the call
+    from maflow import flow, geometry, grid, io, psh, verify
+
+    orig, calls = verify.check_energy_monotonicity, []
+
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs)
+        return orig(*args, **kwargs)
+
+    for module in (cli, flow, geometry, grid, io, psh, verify):
+        for name, value in list(vars(module).items()):
+            if value is orig:
+                monkeypatch.setattr(module, name, wrapper)
+    cfg_path = scenario_09_with(tmp_path, {"energy": {"slack": 1e-8}})
+    assert cli.main(["run", "--config", str(cfg_path), "--check", "energy"]) == 0
+    assert calls == [{"slack": 1e-8}]
 
 
 # A valid 16^2 document with a short horizon and no checks.  Each mutation

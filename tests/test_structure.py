@@ -145,12 +145,15 @@ def untyped(fn, given=()) -> list:
 
 
 def test_every_document_setting_is_typed():
-    # the program supplies grid, horizon and n to section constructors, and ctx to checks
+    # the program supplies grid, horizon and n to section constructors; a check's
+    # settings are the keyword-only parameters of its verify function
     targets = [(cli._scenario, ()), (cli.TorusGrid, ()), (cli.FlowConfig, ())]
     targets += [(RegularizationSchedule, ()), (RegularizationSchedule.geometric, ())]
     tables = (cli.METRIC_KINDS, cli.VOLUME_KINDS, cli.DRIVING_KINDS, cli.INITIAL_KINDS)
     targets += [(fn, ("grid", "horizon", "n")) for table in tables for fn in table.values()]
-    targets += [(check.executor, ("ctx",)) for check in cli.CHECK_TABLE.values()]
+    for check in cli.CHECK_TABLE.values():
+        params = inspect.signature(check.fn).parameters.values()
+        targets.append((check.fn, [p.name for p in params if p.kind != p.KEYWORD_ONLY]))
     found = [f"{fn.__qualname__}.{name}" for fn, given in targets for name in untyped(fn, given)]
     assert found == []
 

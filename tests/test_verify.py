@@ -245,6 +245,57 @@ def test_derivative_eps_gating(grid8):
     assert exc.value.pairs == [(0.3, 0.3)]
 
 
+# -- snapshot reads ----------------------------------------------------------------------
+
+
+def streamed_run(directory, F):
+    """A flow whose stored snapshots live only in directory, as `maflow run` keeps them."""
+    from maflow.io import ArchiveStore
+
+    grid = TorusGrid(n=1, resolution=16)
+    phi0 = ScalarField.from_function(grid, lambda x, y: 0.02 * np.cos(2.0 * np.pi * x))
+    cfg = FlowConfig(horizon=0.05, t_min=1e-3, ratio=1.5)
+    path = MetricPath.constant(grid, cfg.horizon)
+    omega = VolumeForm.constant(grid)
+    traj = run(phi0, path, F, omega, cfg, store=ArchiveStore(directory, grid))
+    return TrajectoryAudit(traj, path, F, omega)
+
+
+def counted_reads(monkeypatch, traj):
+    """The indices read from traj.fields and traj.phidots, recorded as they are read."""
+    from maflow.io import SnapshotSequence
+
+    reads = {"fields": [], "phidots": []}
+    read = SnapshotSequence.__getitem__
+
+    def counting(seq, k):
+        name = "fields" if seq is traj.fields else "phidots"
+        reads[name].append(range(len(seq))[k])
+        return read(seq, k)
+
+    monkeypatch.setattr(SnapshotSequence, "__getitem__", counting)
+    return reads
+
+
+@pytest.mark.parametrize("F", [DrivingTerm.zero(), DrivingTerm.affine(0.0, -0.3)])
+def test_apriori_bounds_read_each_snapshot_once(tmp_path, monkeypatch, F):
+    # both bounds walk the snapshots (all at t < 2) together, whether or not the upper applies
+    audit = streamed_run(tmp_path, F)
+    reads = counted_reads(monkeypatch, audit.traj)
+    upper, lower = check_apriori_bounds(audit)
+    assert upper.details["applicable"] is (F.defect == 0.0)
+    assert reads == {"fields": list(range(len(audit.traj.times))), "phidots": []}
+
+
+def test_time_derivative_reads_each_phidot_once(tmp_path, monkeypatch):
+    traj = streamed_run(tmp_path, DrivingTerm.zero()).traj
+    eps = verify.default_eps(traj, traj.config.t_min)
+    assert check_time_derivative(traj) == check_time_derivative(traj, eps=eps)
+    reads = counted_reads(monkeypatch, traj)
+    check_time_derivative(traj, eps=eps)
+    assert reads == {"fields": [traj.index_of(eps)], "phidots": list(range(len(traj.times)))}
+
+
 # -- gradient and Laplacian ------------------------------------------------------------
 
 
