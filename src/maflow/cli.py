@@ -604,13 +604,37 @@ def _save_nef(out, family, doc):
 # subcommand: verify
 
 
+def _without_trajectory(directory: Path):
+    """Raise a ConfigError naming the mode of an archive that holds no trajectory of its own.
+
+    A nef family (family.json) holds one archive per member, which the
+    message names; an audit-mode run holds only its margin reports.  Other
+    directories pass through.
+    """
+    if (directory / "family.json").is_file():
+        members = sorted(p for p in directory.iterdir() if (p / "manifest.json").is_file())
+        raise ConfigError(
+            f"{directory} is a nef family archive with no trajectory of its own; "
+            f"replay one member archive at a time: {', '.join(map(str, members)) or 'none found'}"
+        )
+    if any((directory / name).is_file() for name in ("margins.json", "margins.csv")):
+        raise ConfigError(
+            f"{directory} is an audit-mode archive: it holds only margin reports and "
+            "no trajectory, so there is nothing to replay"
+        )
+
+
 def _load_any(directory):
     """Load an archive directory as (traj, cascade, manifest).
 
     traj is the trajectory the archive gives (a cascade's finest level);
-    cascade is None for a single-trajectory archive.
+    cascade is None for a single-trajectory archive.  A nef family or
+    audit-mode archive is refused by its mode (`_without_trajectory`).
     """
-    manifest = archive_io.read_json(Path(directory) / "manifest.json")
+    where = Path(directory) / "manifest.json"
+    if not where.is_file():
+        _without_trajectory(Path(directory))
+    manifest = archive_io.read_json(where)
     if "cascade" in manifest:
         cascade = archive_io.load_cascade(directory, manifest)
         return cascade.trajectories[-1], cascade, manifest

@@ -56,15 +56,20 @@ class CertificateError(NumericError):
 class NewtonDivergedError(NumericError):
     """The damped Newton iteration exhausted its iteration budget.
 
-    linear_converged is False when one of the step's linear solves stopped
-    short of its tolerance, which the message then names as the likely cause.
+    location is the grid index of the largest |residual|, which the message
+    names.  linear_converged is False when one of the step's linear solves
+    stopped short of its tolerance, which the message then names as the
+    likely cause.
     """
 
-    def __init__(self, message, residual=None, iterations=None, linear_converged=None):
+    def __init__(
+        self, message, residual=None, iterations=None, linear_converged=None, location=None
+    ):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
         self.linear_converged = linear_converged
+        self.location = location
 
 
 class ConeExitError(NumericError):

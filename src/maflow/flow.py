@@ -81,6 +81,7 @@ from .geometry import (
 from .grid import (
     ScalarField,
     TorusGrid,
+    correction_dtype,
     hessian_components,
     oscillation,
     quarter_laplacian_rayleigh,
@@ -387,6 +388,25 @@ def _form_arrays(grid: TorusGrid, *reals) -> tuple:
     return reals if grid.n == 1 else (*reals, np.empty(grid.shape, complex))
 
 
+class _Float32Set:
+    """The float32 arrays of a Newton correction solved in single precision (n = 2).
+
+    w and det are copies of the form and its determinant, and R of the
+    Newton residual, laid out once per Newton iteration.  tmp, hv and
+    scale are laid out as the workspace's float64 ones: three real scratch
+    arrays, H(v) sharing tmp's first two, and the preconditioner's scaling.
+    """
+
+    def __init__(self, grid: TorusGrid):
+        def real():
+            return np.empty(grid.shape, np.float32)
+
+        self.tmp = (real(), real(), real())
+        self.w = real(), real(), np.empty(grid.shape, np.complex64)
+        self.det, self.R, self.scale = real(), real(), real()
+        self.hv = *self.tmp[:2], np.empty(grid.shape, np.complex64)
+
+
 class _Workspace:
     """The one evaluator of a flow state, in grid-shaped arrays it reuses.
 
@@ -403,13 +423,21 @@ class _Workspace:
     into u[0].  The line search overwrites h and w, as the accepted iterate
     needs neither once its Newton direction is solved; between steps h is H
     of the step's values, the warm start of a step that starts from them.
-    scale is the preconditioner's scaling.  tmp is three real scratch
-    arrays, and hv H(v) inside an operator apply, or the energy's densities
-    (it shares tmp's first two).  krylov, BiCGSTAB's eight vectors, is made
-    on first use, so an audit never makes it.  spectrum (None at n = 2) is a
+    tmp is three real scratch arrays.  spectrum (None at n = 2) is a
     complex and a real array of the grid's spectrum_shape: every n = 1
     transform is written into the first, and the second holds the Rayleigh
     quotient's power spectrum, then the preconditioner's shift + symbol.
+
+    Everything above is float64.  The Newton correction is solved in dtype,
+    grid.correction_dtype: float32 at n = 2 from 16 points per axis up
+    (grid.SINGLE_PRECISION_RESOLUTION), float64 elsewhere.  Its arrays are
+    made on first use, so an audit never makes them: krylov, BiCGSTAB's
+    eight vectors in dtype, and the arrays the Newton operators work in
+    (`arrays`).  In float64 these are tmp, hv (H(v) inside an operator
+    apply, or the energy's densities; it shares tmp's first two) and scale
+    (the preconditioner's scaling); in float32 they are the `_Float32Set`'s,
+    where `correction_operands` also copies w, det w and R once per Newton
+    iteration.  A float32 run never makes hv or scale.
     """
 
     def __init__(self, grid: TorusGrid, backend: str):
@@ -417,18 +445,43 @@ class _Workspace:
             return np.empty(grid.shape)
 
         self.grid, self.backend = grid, backend
+        self.dtype = correction_dtype(grid)
         self.u = (real(), real())
         self.h, self.w = _form_arrays(grid), _form_arrays(grid)
-        self.det, self.rhs, self.R, self.scale = real(), real(), real(), real()
+        self.det, self.rhs, self.R = real(), real(), real()
         self.tmp = (real(), real(), real())
-        self.hv = _form_arrays(grid, *self.tmp[:2])
         self.spectrum = None
         if grid.n == 1:
             self.spectrum = np.empty(grid.spectrum_shape, complex), np.empty(grid.spectrum_shape)
 
     @functools.cached_property
     def krylov(self) -> tuple:
-        return tuple(np.empty(self.grid.shape) for _ in range(8))
+        return tuple(np.empty(self.grid.shape, self.dtype) for _ in range(8))
+
+    @functools.cached_property
+    def hv(self) -> tuple:
+        return _form_arrays(self.grid, *self.tmp[:2])
+
+    @functools.cached_property
+    def scale(self) -> np.ndarray:
+        return np.empty(self.grid.shape)
+
+    @functools.cached_property
+    def float32(self) -> _Float32Set:
+        return _Float32Set(self.grid)
+
+    def arrays(self, dtype):
+        """Whichever of the workspace and its float32 set holds tmp, hv and scale in dtype."""
+        return self if dtype == np.float64 else self.float32
+
+    def correction_operands(self, total, det, R) -> tuple:
+        """(total, det, R) in dtype: themselves in float64, copies in the float32 set otherwise."""
+        if self.dtype == np.float64:
+            return total, det, R
+        lo = self.float32
+        for dst, src in zip((*lo.w, lo.det, lo.R), (*total, det, R)):
+            np.copyto(dst, src)
+        return lo.w, lo.det, lo.R
 
     def hessian(self, u):
         """h = H(u)."""
@@ -471,9 +524,9 @@ def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int, w
 
     apply_op(v, out) and precond(r, out) return their result, which they may
     write into out, an array of the solver's that aliases neither argument.
-    work, eight arrays shaped like b, holds the solver's vectors, updated in
-    place; the returned iterate is one of them and lasts until work is next
-    used.  b is only read.
+    work, eight arrays shaped like b and of its dtype, holds the solver's
+    vectors, updated in place; the returned iterate is one of them and lasts
+    until work is next used.  b is only read.
     """
     x, r, p, v, z, t, best, tmp = work
     x.fill(0.0)
@@ -545,14 +598,17 @@ def _cone_exit(message, total, grid):
 def _jacobian(total, det, fs, dt, ws):
     """The Newton operator v -> v/dt + F_s v - tr(w^-1 H(v)), w = total, det = det(w).
 
-    It is called as apply(v, out=None), writes H(v) into ws.hv and returns
-    its result, written into out when given; ws is the run's workspace.
+    It is called as apply(v, out=None), writes H(v) into hv of
+    ws.arrays(det.dtype) and returns its result, written into out when
+    given; v and out are of det's dtype too.  ws is the run's workspace.
     """
     inv_dt = 1.0 / dt
-    spare = ws.tmp[2]
+    fs = np.asarray(fs, dtype=det.dtype)
+    arrays = ws.arrays(det.dtype)
+    hv_out, spare = arrays.hv, arrays.tmp[2]
 
     def apply(v, out=None):
-        hv = hessian_components(v, ws.grid, ws.backend, ws.hv, spare, ws.spectrum)
+        hv = hessian_components(v, ws.grid, ws.backend, hv_out, spare, ws.spectrum)
         tr = comps_trace_inv(total, hv, spare, hv, det)
         out = np.multiply(v, inv_dt, out=out)
         out -= tr
@@ -579,15 +635,18 @@ def _preconditioner(total, det, R, fs, dt, ws):
 
     det is det(w).  It is called as apply(r, out=None) and writes D r into
     out (a new array when omitted), where the solve also lands.  ws is the
-    run's workspace; D is kept in ws.scale.  At n = 1 the shifted symbol the
-    solve divides by is laid out once here, in ws.spectrum[1].
+    run's workspace; D and every product are kept in ws.arrays(R.dtype),
+    the precision that total, det and r share with R.
+    At n = 1 the shifted symbol the solve divides by is laid out once here,
+    in ws.spectrum[1].
     """
     grid, backend, spectrum = ws.grid, ws.backend, ws.spectrum
-    a, b, spare = ws.tmp
+    arrays = ws.arrays(R.dtype)
+    a, b, spare = arrays.tmp
     s = comps_harmonic_mean(total, a, b, det)
     c = 1.0 / float(np.mean(np.divide(1.0, s, out=b)))
     kappa = dt * quarter_laplacian_rayleigh(R, grid, backend, b, spare, spectrum)
-    scale = np.add(s, kappa, out=ws.scale)
+    scale = np.add(s, kappa, out=arrays.scale)
     np.divide(c + kappa, scale, out=scale)
     scale *= s
     shift = c * (1.0 / dt + max(0.0, float(np.mean(fs))))
@@ -643,6 +702,8 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
     written into ws.u[0] through ws.tmp[0].  On return h = H(values), the
     next step's warm start.  The Newton loop works in ws's arrays; the
     returned values and phidot_values are new arrays.  log_om is log Omega.
+    Each correction is solved in ws.dtype; the residual, the cone tests and
+    the iterates stay float64.
     """
     grid = path.grid
     dt = t_to - t_from
@@ -679,18 +740,22 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
                 f"; a linear solve did not converge (relative residual {linear_worst:.3e}"
                 f" > {cfg.linear_rel_tol:g})"
             )
+            loc = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(ws.R)), grid.shape))
             raise NewtonDivergedError(
-                f"Newton stalled at residual {residual:.3e} after {iters} iterations{cause}",
+                f"Newton stalled at residual {residual:.3e} at {loc} after {iters} "
+                f"iterations{cause}",
                 residual=residual,
                 iterations=iters,
                 linear_converged=linear_converged,
+                location=loc,
             )
         fs = np.asarray(F.ds_at(t_to, coords, u), dtype=np.float64)
         # J correction = R; the Newton direction is -correction
+        w, det_w, b = ws.correction_operands(ws.w, det, ws.R)
         correction, lin_iters, lin_res, lin_ok = _bicgstab(
-            _jacobian(ws.w, det, fs, dt, ws),
-            _preconditioner(ws.w, det, ws.R, fs, dt, ws),
-            ws.R,
+            _jacobian(w, det_w, fs, dt, ws),
+            _preconditioner(w, det_w, b, fs, dt, ws),
+            b,
             cfg.linear_rel_tol,
             cfg.max_linear,
             ws.krylov,

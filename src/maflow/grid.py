@@ -39,6 +39,14 @@ arrays, called with them they write there, with the same bits either way.
 At n=2 these are grid-shaped; at n=1 the FFT paths also take `spectrum`,
 a complex and a real array of the grid's `spectrum_shape`, so that no
 transform allocates.
+
+The n=2 kernels the Newton correction applies (`hessian_components`,
+`solve_shifted_laplacian`, `quarter_laplacian_rayleigh`) follow the dtype
+of values: float32 values are multiplied by cached float32 copies of the
+per-axis matrices and give float32 (and complex64) results.  The flow
+solves its Newton correction in float32 on the grids `correction_dtype`
+names, n=2 from SINGLE_PRECISION_RESOLUTION points per axis up, and in
+float64 everywhere else; every other operator here is float64 only.
 """
 
 from __future__ import annotations
@@ -52,6 +60,14 @@ import numpy as np
 from .errors import ConfigError
 
 BACKENDS = ("spectral", "fd")
+
+# The smallest n = 2 resolution whose Newton correction is solved in float32.
+# On a 2-vCPU x86_64 VM with one OpenBLAS thread, a per-axis product at 16^4
+# took 29 us in float32 against 60 us in float64, and a Newton operator
+# apply 1.15 against 2.11 ms.  At 8^4 float32 raised scenario 12's Newton
+# iterations from 8120 to 8281 (its one-iteration constant-data steps need
+# a solve exact to float64) and its integration from 5.8-6.9 s to 9.1 s.
+SINGLE_PRECISION_RESOLUTION = 16
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -98,6 +114,17 @@ class TorusGrid:
     def coordinates(self) -> tuple:
         """Broadcastable coordinate arrays, one per real axis (sparse meshgrid)."""
         return _grid_coordinates(self.n, self.resolution)
+
+
+def correction_dtype(grid: TorusGrid) -> type:
+    """The precision the flow solves its Newton correction in on this grid.
+
+    float32 at n = 2 from SINGLE_PRECISION_RESOLUTION up, where the per-axis
+    products measure faster in it; float64 elsewhere.
+    """
+    if grid.n == 2 and grid.resolution >= SINGLE_PRECISION_RESOLUTION:
+        return np.float32
+    return np.float64
 
 
 @lru_cache(maxsize=32)
@@ -234,7 +261,7 @@ def solve_shifted_laplacian(
     products; at n = 1 spectrum[0] holds the transform.
     """
     if grid.n == 2:
-        q, symbol = _quarter_laplacian_basis(grid.resolution, backend)
+        q, symbol = _per_axis(_quarter_laplacian_basis, values, grid.resolution, backend)
         coef = _along_every_axis(q.T, values, out, scratch)
         coef /= np.add(shift, symbol, out=scratch)
         return _along_every_axis(q, coef, out, scratch)
@@ -255,7 +282,7 @@ def quarter_laplacian_rayleigh(
     products; at n = 1 spectrum holds the transform and the power spectrum.
     """
     if grid.n == 2:
-        q, symbol = _quarter_laplacian_basis(grid.resolution, backend)
+        q, symbol = _per_axis(_quarter_laplacian_basis, values, grid.resolution, backend)
         power = _along_every_axis(q.T, values, out, scratch).ravel()
         np.square(power, out=power)
         return float(power @ symbol.ravel() / np.sum(power))
@@ -318,6 +345,22 @@ def _quarter_laplacian_basis(N, backend):
     pair = lam[:, None] + lam[None, :]
     symbol = pair[:, :, None, None] + pair[None, None, :, :]
     return _freeze(q), _freeze(symbol)
+
+
+@lru_cache(maxsize=8)
+def _single(source, N, backend):
+    """float32 copies of the arrays source(N, backend) returns."""
+    return tuple(_freeze(a.astype(np.float32)) for a in source(N, backend))
+
+
+def _per_axis(source, values, N, backend):
+    """source(N, backend)'s arrays in the precision of values.
+
+    source is _axis_matrices or _quarter_laplacian_basis.
+    """
+    if values.dtype == np.float32:
+        return _single(source, N, backend)
+    return source(N, backend)
 
 
 def _along(m, values, axis, out=None):
@@ -432,8 +475,9 @@ def _hessian_axes(values, grid, backend, out=None, scratch=None):
     Axes are (x1, y1, x2, y2); Re h12 = (x1x2 + y1y2)/4 and
     Im h12 = (x1y2 - y1x2)/4.  out and scratch as in hessian_components.
     """
-    d1, d2 = _axis_matrices(grid.resolution, backend)
-    h11, h22, h12 = out or (None, None, np.empty(values.shape, dtype=np.complex128))
+    d1, d2 = _per_axis(_axis_matrices, values, grid.resolution, backend)
+    h12_dtype = np.result_type(values, np.complex64)
+    h11, h22, h12 = out or (None, None, np.empty(values.shape, h12_dtype))
     # the first derivatives sit in h11's and h22's arrays until h12 is done
     dx1 = _along(d1, values, 0, h11)
     dy1 = _along(d1, values, 1, h22)

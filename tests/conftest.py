@@ -54,16 +54,17 @@ def scenario():
     return run_scenario
 
 
-def _varying_form(n: int):
+def _varying_form(n: int, resolution: int = 8):
     """(grid, theta, phi): a constant theta and a potential whose theta + H(phi)
-    varies in space; at n = 2 its h12 is complex and varies too."""
+    varies in space; at n = 2 its h12 is complex and varies too.  resolution
+    is the n = 2 grid's."""
     if n == 1:
         grid = TorusGrid(n=1, resolution=16)
         x, y = grid.coordinates()
         phi = 0.01 * np.cos(2 * np.pi * (x + y)) + 0.008 * np.sin(2 * np.pi * (2 * y - x))
         theta = geometry.form_from_matrix([[1.2]], 1)
     else:
-        grid = TorusGrid(n=2, resolution=8)
+        grid = TorusGrid(n=2, resolution=resolution)
         x1, y1, x2, y2 = grid.coordinates()
         phi = 0.01 * np.cos(2 * np.pi * (x1 + y2)) + 0.008 * np.sin(2 * np.pi * (y1 - x2 + x1))
         theta = geometry.form_from_matrix([[1.2, 0.1 + 0.2j], [0.1 - 0.2j, 0.9]], 2)

@@ -695,6 +695,32 @@ def test_a_truncated_manifest_exits_two_naming_it(tmp_path, capsys, argv):
     assert str(manifest) in capsys.readouterr().err
 
 
+def test_verify_names_a_nef_family_archive_and_its_members(tmp_path, capsys):
+    # the layout `maflow nef` writes: family.json beside one archive per member
+    family = tmp_path / "family"
+    for member in ("eps_0p2", "eps_0p1", "witness"):
+        (family / member).mkdir(parents=True)
+        (family / member / "manifest.json").write_text("{}")
+    (family / "family.json").write_text(json.dumps({"format": "nef-family-v1"}))
+    assert cli.main(["verify", str(family)]) == 2
+    err = capsys.readouterr().err
+    assert "nef family archive" in err and "manifest.json" not in err
+    for member in ("eps_0p2", "eps_0p1", "witness"):
+        assert str(family / member) in err
+
+
+def test_verify_names_an_audit_mode_archive(tmp_path, capsys):
+    # an audit-mode run writes only its margin reports
+    audit = tmp_path / "audit"
+    audit.mkdir()
+    (audit / "margins.json").write_text("[]")
+    (audit / "margins.csv").write_text("check,margin\n")
+    assert cli.main(["verify", str(audit)]) == 2
+    err = capsys.readouterr().err
+    assert "audit-mode archive" in err and "nothing to replay" in err
+    assert "manifest.json" not in err
+
+
 def test_verify_parses_a_cascade_manifest_once(tmp_path, monkeypatch):
     from maflow import io as archive_io
 

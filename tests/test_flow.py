@@ -26,6 +26,7 @@ from maflow import (
     run_nef,
 )
 from maflow import flow, geometry, psh
+from maflow import grid as grid_module
 from maflow.flow import (
     TrajectoryAudit,
     instantaneous_residuals,
@@ -417,6 +418,13 @@ def test_a_warm_n2_step_allocates_only_what_it_returns(backend):
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_a_warm_float32_n2_step_allocates_only_what_it_returns(backend):
+    # the correction's float32 arrays are made by the earlier steps
+    assert grid_module.correction_dtype(TorusGrid(2, 16)) == np.float32
+    assert warm_step_peak(2, 16, backend) < 2.1
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
 def test_a_warm_n1_step_allocates_only_what_it_returns(backend):
     # the step's values and phidot; transforms and stencils land in the workspace
     assert warm_step_peak(1, 64, backend) < 2.1
@@ -487,6 +495,65 @@ def test_newton_kernels_match_their_reference(n, backend, fs_kind, varying_form)
     assert got is out
 
 
+@pytest.mark.parametrize("fs_kind", ["scalar", "array"])
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_float32_newton_kernels_match_their_float64_reference(backend, fs_kind, varying_form):
+    grid, theta, phi = varying_form(2, resolution=16)
+    total = geometry.kahler_form(theta, flow.hessian_components(phi, grid, backend))
+    det = geometry.comps_det(total)
+    x1 = grid.coordinates()[0]
+    fs = np.asarray(0.5) if fs_kind == "scalar" else 0.5 + 0.2 * np.cos(2 * np.pi * x1)
+    dt = 2.0**-7
+    v, R = np.random.default_rng(7).standard_normal((2, *grid.shape))
+    hv = flow.hessian_components(v, grid, backend)
+    want_jac = v / dt - geometry.comps_trace_inv(total, hv) + fs * v
+    reference = flow._Workspace(grid, backend)
+    want_pre = flow._preconditioner(total, det, R, fs, dt, reference)(v)
+    ws = flow._Workspace(grid, backend)
+    assert ws.dtype == np.float32
+    w, det32, R32 = ws.correction_operands(total, det, R)
+    assert R32.dtype == np.float32 and np.array_equal(R32, R.astype(np.float32))
+    jac = flow._jacobian(w, det32, fs, dt, ws)
+    precond = flow._preconditioner(w, det32, R32, fs, dt, ws)
+    v32, out = v.astype(np.float32), np.empty(grid.shape, np.float32)
+    # a length-N dot product rounds by at most about N u; an apply chains at
+    # most eight per-axis products (the preconditioner's round trip)
+    bound = 8 * grid.resolution * np.finfo(np.float32).eps / 2
+    for op, want in ((jac, want_jac), (precond, want_pre)):
+        got = op(v32, out)
+        assert got is out
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+    # BiCGSTAB in float32 vectors: the residual it reports is the float64 operator's
+    x, _, rel_res, converged = flow._bicgstab(jac, precond, R32, 1e-4, 200, ws.krylov)
+    assert converged and x.dtype == np.float32
+    jac64 = flow._jacobian(total, det, fs, dt, reference)
+    true_res = flow._l2(R - jac64(x.astype(np.float64))) / flow._l2(R)
+    assert true_res == pytest.approx(rel_res, abs=1e-6)
+
+
+def test_a_float32_correction_keeps_the_float64_newton_counts(monkeypatch):
+    grid = TorusGrid(n=2, resolution=16)
+    x1, y1, x2, _ = grid.coordinates()
+    phi0 = np.cos(2 * np.pi * (x1 + x2)) * 0.02 + np.sin(2 * np.pi * y1) * 0.01
+    phi0 = ScalarField(grid, np.broadcast_to(phi0, grid.shape))
+    cfg = FlowConfig(horizon=0.02, t_min=1e-3, ratio=1.2)
+    path = MetricPath.constant(grid, cfg.horizon)
+    omega = VolumeForm(grid, 1.0 + 0.2 * np.cos(2 * np.pi * x2))
+    F = DrivingTerm.affine(slope=0.5)
+    assert flow._Workspace(grid, "spectral").dtype == np.float32
+    single = run(phi0, path, F, omega, cfg)
+    monkeypatch.setattr(grid_module, "SINGLE_PRECISION_RESOLUTION", 32)
+    assert flow._Workspace(grid, "spectral").dtype == np.float64
+    double = run(phi0, path, F, omega, cfg)
+
+    def counts(traj):
+        return [(d["newton_iters"], d["linear_iters"]) for d in traj.diagnostics]
+
+    assert counts(single) == counts(double)
+    assert max(d["newton_iters"] for d in single.diagnostics) > 1
+    assert np.max(np.abs(single.final().values - double.final().values)) <= cfg.newton_tol
+
+
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
 def test_w_times_the_n1_newton_operator_is_symmetric(backend, varying_form):
     # w J = w (1/dt + F_s) - Laplacian/4 at n = 1, a symmetric matrix for both backends
@@ -551,6 +618,22 @@ def test_newton_stall_names_the_unconverged_linear_solve():
         run(phi0, path, DrivingTerm.zero(), omega, cfg)
     assert info.value.linear_converged is False
     assert "linear solve did not converge" in str(info.value)
+
+
+def test_newton_stall_names_the_worst_residual_point(monkeypatch):
+    grid, path, omega, cfg = make_problem(resolution=16, max_newton=1)
+    x, y = grid.coordinates()
+    phi0 = ScalarField(grid, 0.05 * np.cos(2 * np.pi * x) * np.ones_like(y))
+    # a zero correction leaves R = -log(1 - 0.05 pi^2 cos(2 pi x)) - 3 < 0,
+    # largest in size at x = 1/2 and largest signed at x = 0
+    zero = np.zeros(grid.shape)
+    monkeypatch.setattr(flow, "_bicgstab", lambda *a, **k: (zero, 1, 0.0, True))
+    with pytest.raises(NewtonDivergedError) as info:
+        run(phi0, path, DrivingTerm.affine(constant=-3.0), omega, cfg)
+    assert info.value.location[0] == grid.resolution // 2
+    assert info.value.residual == pytest.approx(3.0 + math.log(1.0 + 0.05 * np.pi**2), rel=1e-12)
+    assert info.value.iterations == 1
+    assert f"at {info.value.location}" in str(info.value)
 
 
 def test_newton_survives_unconverged_linear_solves():

@@ -241,6 +241,26 @@ class TestSpectralLayer:
         assert quarter_laplacian_rayleigh(v, g, backend) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("backend", ["spectral", "fd"])
+    def test_n2_kernels_follow_float32_values(self, backend):
+        g = TorusGrid(2, 16)
+        v = np.random.default_rng(13).standard_normal(g.shape)
+        v32 = v.astype(np.float32)
+        # a length-N dot product rounds by about N u at most; the solve chains eight
+        bound = 8 * g.resolution * np.finfo(np.float32).eps / 2
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+        got = hessian_components(v32, g, backend)
+        assert [c.dtype for c in got] == [np.float32, np.float32, np.complex64]
+        assert all(map(close, got, hessian_components(v, g, backend)))
+        got = solve_shifted_laplacian(v32, g, backend, 3.0)
+        assert got.dtype == np.float32
+        assert close(got, solve_shifted_laplacian(v, g, backend, 3.0))
+        want = quarter_laplacian_rayleigh(v, g, backend)
+        assert quarter_laplacian_rayleigh(v32, g, backend) == pytest.approx(want, rel=bound)
+
+    @pytest.mark.parametrize("backend", ["spectral", "fd"])
     def test_n2_operators_reach_no_fft_once_built(self, backend, monkeypatch):
         g = TorusGrid(2, 8)
         v = np.random.default_rng(5).standard_normal(g.shape)

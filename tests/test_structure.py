@@ -2,11 +2,14 @@
 
 import ast
 import inspect
+import re
 import typing
 from pathlib import Path
 
+import numpy as np
+
 import maflow
-from maflow import cli
+from maflow import DrivingTerm, FlowConfig, MetricPath, ScalarField, TorusGrid, VolumeForm, cli, run
 from maflow.psh import RegularizationSchedule
 
 # grid holds the one Hessian entry point and geometry the one form algebra;
@@ -95,6 +98,30 @@ def test_the_numpy_use_check_sees_every_form(tmp_path):
     )
     assert numpy_uses(probe, "roll") == [(2, None), (6, "f")]
     assert numpy_uses(probe, "fft") == [(3, None), (4, None), (6, "f")]
+
+
+def test_single_precision_stays_inside_grid_and_flow():
+    # grid's n = 2 kernels follow their values' dtype and flow's Newton
+    # correction is the one caller that hands them float32
+    package = Path(maflow.__file__).parent
+    found = {
+        p.relative_to(package).as_posix()
+        for p in package.rglob("*.py")
+        if re.search(r"float32|complex64", p.read_text())
+    }
+    assert found == {"grid.py", "flow.py"}
+
+
+def test_a_float32_correction_stores_only_float64():
+    grid = TorusGrid(n=2, resolution=16)
+    phi0 = ScalarField.from_function(grid, lambda x1, y1, x2, y2: 0.02 * np.cos(2 * np.pi * x2))
+    cfg = FlowConfig(horizon=0.004, t_min=1e-3, ratio=1.2, probes=(0.002,))
+    path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
+    traj = run(phi0, path, DrivingTerm.affine(slope=0.5), omega, cfg)
+    assert all(f.values.dtype == np.float64 for f in traj.fields)
+    assert all(p.values.dtype == np.float64 for p in traj.phidots)
+    for key in ("initial_residual", "residual", "positivity_margin", "linear_rel_residual"):
+        assert all(type(d[key]) is float for d in traj.diagnostics)
 
 
 def test_no_module_uses_a_private_name_of_grid_or_geometry():
