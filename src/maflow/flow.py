@@ -18,7 +18,9 @@ solve of a shifted -(1/4) Laplacian (grid.solve_shifted_laplacian: real
 FFTs at n = 1, per-axis matrices at n = 2) with a pointwise scaling built from
 the harmonic mean of w's eigenvalues (w = theta + dd^c phi), matched to the
 Jacobian at the stiffness of the current Newton residual, so it keeps up
-where w nears the edge of the positive cone.
+where w nears the edge of the positive cone.  At n = 1 that solve inverts
+the Laplacian the Hessian takes, so each Krylov step reads the Jacobian of
+the preconditioned vector off the solve instead of taking a Hessian.
 
 A flow state is evaluated in one place, `_Workspace`: its Hessian, the form
 theta_t + dd^c phi with its cone margin, det and the right-hand side, and
@@ -83,6 +85,7 @@ from .grid import (
     TorusGrid,
     correction_dtype,
     hessian_components,
+    inner,
     oscillation,
     quarter_laplacian_rayleigh,
     shifted_symbol,
@@ -379,7 +382,7 @@ def trajectory_from_family(grid, times, value_fn, phidot_fn=None, meta=None) -> 
 
 
 def _l2(a: np.ndarray) -> float:
-    return float(np.sqrt(np.vdot(a, a).real))
+    return math.sqrt(inner(a, a))
 
 
 def _form_arrays(grid: TorusGrid, *reals) -> tuple:
@@ -433,11 +436,13 @@ class _Workspace:
     (grid.SINGLE_PRECISION_RESOLUTION), float64 elsewhere.  Its arrays are
     made on first use, so an audit never makes them: krylov, BiCGSTAB's
     eight vectors in dtype, and the arrays the Newton operators work in
-    (`arrays`).  In float64 these are tmp, hv (H(v) inside an operator
+    (`arrays`).  In float64 these are tmp, hv (H(v) inside a `_jacobian`
     apply, or the energy's densities; it shares tmp's first two) and scale
     (the preconditioner's scaling); in float32 they are the `_Float32Set`'s,
     where `correction_operands` also copies w, det w and R once per Newton
-    iteration.  A float32 run never makes hv or scale.
+    iteration.  A float32 run never makes hv or scale.  At n = 1 the Krylov
+    loop takes no Hessian (`_krylov_step`) and no run makes hv: tmp holds
+    the step's two coefficient arrays and its scratch.
     """
 
     def __init__(self, grid: TorusGrid, backend: str):
@@ -511,19 +516,20 @@ class _Workspace:
         return float(np.max(np.abs(R, out=self.tmp[0])))
 
 
-def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int, work):
-    """Right-preconditioned BiCGSTAB on a matrix-free operator.
+def _bicgstab(step, b: np.ndarray, rel_tol: float, max_iter: int, work):
+    """Right-preconditioned BiCGSTAB on a matrix-free operator J with preconditioner M.
 
-    Solves apply_op(x) = b through apply_op(precond(y)) = b, x = precond(y),
-    updating x with the preconditioned directions so no solve is left at the
-    end.  The recurrence residual is that of the unpreconditioned system, so
-    the stopping test bounds |b - apply_op(x)| / |b|.  Returns
-    (x, iterations, relative residual, converged).  A solve cut short
-    returns the computed iterate with the smallest recurrence residual, not
-    the last one, copied aside when it was reached.
+    Solves J x = b through J M^-1 y = b, x = M^-1 y, updating x with the
+    preconditioned directions so no solve is left at the end.  The
+    recurrence residual is that of the unpreconditioned system, so the
+    stopping test bounds |b - J x| / |b|.  Returns (x, iterations, relative
+    residual, converged).  A solve cut short returns the computed iterate
+    with the smallest recurrence residual, not the last one, copied aside
+    when it was reached.
 
-    apply_op(v, out) and precond(r, out) return their result, which they may
-    write into out, an array of the solver's that aliases neither argument.
+    step(p, z, v) returns (M^-1 p, J M^-1 p), the two written into z and v
+    when it can (`_krylov_step`); z and v are arrays of the solver's that
+    alias neither p nor each other.  Every inner product is grid.inner.
     work, eight arrays shaped like b and of its dtype, holds the solver's
     vectors, updated in place; the returned iterate is one of them and lasts
     until work is next used.  b is only read.
@@ -542,10 +548,10 @@ def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int, w
     best_res = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        rho_new = float(np.vdot(rhat, r).real)
+        rho_new = inner(rhat, r)
         if abs(rho_new) < 1e-300:
             rhat = r.copy()
-            rho_new = float(np.vdot(rhat, r).real)
+            rho_new = inner(rhat, r)
             if abs(rho_new) < 1e-300:
                 break
         beta = (rho_new / rho) * (alpha / omega)
@@ -553,9 +559,8 @@ def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int, w
         p -= np.multiply(v, omega, out=tmp)
         p *= beta
         p += r
-        z = precond(p, z)
-        v = apply_op(z, v)
-        denom = float(np.vdot(rhat, v).real)
+        z, v = step(p, z, v)
+        denom = inner(rhat, v)
         if abs(denom) < 1e-300:
             break
         alpha = rho_new / denom
@@ -567,12 +572,11 @@ def _bicgstab(apply_op, precond, b: np.ndarray, rel_tol: float, max_iter: int, w
         if res < best_res:
             best_res = res
             np.copyto(best, x)
-        z = precond(r, z)
-        t = apply_op(z, t)
-        tt = float(np.vdot(t, t).real)
+        z, t = step(r, z, t)
+        tt = inner(t, t)
         if tt == 0.0:
             break
-        omega = float(np.vdot(t, r).real) / tt
+        omega = inner(t, r) / tt
         x += np.multiply(z, omega, out=tmp)
         r -= np.multiply(t, omega, out=tmp)
         res = _l2(r)
@@ -618,27 +622,13 @@ def _jacobian(total, det, fs, dt, ws):
     return apply
 
 
-def _preconditioner(total, det, R, fs, dt, ws):
-    """Right preconditioner matched to the Jacobian at the stiffness of R.
+def _preconditioner_terms(total, det, R, fs, dt, ws) -> tuple:
+    """(D, sigma, shift) of `_preconditioner`, laid out in ws.arrays(R.dtype).
 
-    With s = n / tr(w^-1) (the harmonic mean of w's eigenvalues), c the grid
-    harmonic mean of s, l_R the Rayleigh quotient of R against -(1/4)
-    Laplacian and kappa = dt l_R, the preconditioner is
-
-        M^-1 r = (c (1/dt + max(0, mean F_s)) - (1/4) Laplacian)^-1 (D r),
-        D = s (c + kappa) / (s + kappa).
-
-    Frozen coefficients give J M^-1 = 1 at l = l_R at every point (F_s = 0).
-    Where kappa << s, D -> c and M is the constant-coefficient operator
-    1/dt - Laplacian/(4c) (1/dt - Laplacian/4 when w = I); where kappa >> s,
-    D -> s and M follows the pointwise degeneracy of w at the cone's edge.
-
-    det is det(w).  It is called as apply(r, out=None) and writes D r into
-    out (a new array when omitted), where the solve also lands.  ws is the
-    run's workspace; D and every product are kept in ws.arrays(R.dtype),
-    the precision that total, det and r share with R.
-    At n = 1 the shifted symbol the solve divides by is laid out once here,
-    in ws.spectrum[1].
+    D is the pointwise scaling (in that set's scale), sigma the shift
+    c (1/dt + max(0, mean F_s)), and shift what the solve divides by: sigma
+    at n = 2, and at n = 1 sigma + the symbol of -(1/4) Laplacian, laid out
+    in ws.spectrum[1].  tmp is scratch here and free again on return.
     """
     grid, backend, spectrum = ws.grid, ws.backend, ws.spectrum
     arrays = ws.arrays(R.dtype)
@@ -649,16 +639,88 @@ def _preconditioner(total, det, R, fs, dt, ws):
     scale = np.add(s, kappa, out=arrays.scale)
     np.divide(c + kappa, scale, out=scale)
     scale *= s
-    shift = c * (1.0 / dt + max(0.0, float(np.mean(fs))))
-    if grid.n == 1:
-        # n = 2 has no spare grid-shaped array and adds the symbol per apply
-        shift = shifted_symbol(grid, backend, shift, spectrum[1])
+    sigma = c * (1.0 / dt + max(0.0, float(np.mean(fs))))
+    # n = 2 has no spare grid-shaped array and adds the symbol per apply
+    shift = sigma if grid.n == 2 else shifted_symbol(grid, backend, sigma, spectrum[1])
+    return scale, sigma, shift
+
+
+def _preconditioner(total, det, R, fs, dt, ws):
+    """Right preconditioner matched to the Jacobian at the stiffness of R.
+
+    With s = n / tr(w^-1) (the harmonic mean of w's eigenvalues), c the grid
+    harmonic mean of s, l_R the Rayleigh quotient of R against -(1/4)
+    Laplacian and kappa = dt l_R, the preconditioner is
+
+        M^-1 r = (sigma - (1/4) Laplacian)^-1 (D r),
+        sigma = c (1/dt + max(0, mean F_s)),  D = s (c + kappa) / (s + kappa).
+
+    Frozen coefficients give J M^-1 = 1 at l = l_R at every point (F_s = 0).
+    Where kappa << s, D -> c and M is the constant-coefficient operator
+    1/dt - Laplacian/(4c) (1/dt - Laplacian/4 when w = I); where kappa >> s,
+    D -> s and M follows the pointwise degeneracy of w at the cone's edge.
+    The Laplacian is the one the backend's Hessian takes, which is what
+    lets `_krylov_step` skip the Hessian at n = 1.
+
+    det is det(w).  It is called as apply(r, out=None) and writes D r into
+    out (a new array when omitted), where the solve also lands.  ws is the
+    run's workspace; D and every product are kept in ws.arrays(R.dtype),
+    the precision that total, det and r share with R
+    (`_preconditioner_terms`).
+    """
+    grid, backend, spectrum = ws.grid, ws.backend, ws.spectrum
+    spare = ws.arrays(R.dtype).tmp[2]
+    scale, _, shift = _preconditioner_terms(total, det, R, fs, dt, ws)
 
     def apply(r, out=None):
         z = np.multiply(scale, r, out=out)
         return solve_shifted_laplacian(z, grid, backend, shift, z, spare, spectrum)
 
     return apply
+
+
+def _krylov_step(total, det, R, fs, dt, ws):
+    """BiCGSTAB's step(p, z, v) -> (M^-1 p, J M^-1 p) for one Newton iteration.
+
+    J is `_jacobian` and M^-1 `_preconditioner`, at the same arguments; z
+    and v receive the two.  At n = 2 the step applies M^-1 and then J.  At
+    n = 1 the preconditioner solves (sigma - (1/4) Laplacian) z = D p with
+    the Laplacian of the Hessian H, so H(z) = sigma z - D p and
+
+        J z = z/dt + F_s z - H(z)/w = a z + b p,
+        a = 1/dt + F_s - sigma/w,  b = D/w,
+
+    with a and b laid out here, in ws.tmp[0] and ws.tmp[1]: the step takes
+    no Hessian, and it agrees with the composition to rounding.  Until the
+    solve ends, ws.tmp (which ws.hv shares) belongs to the step, so no
+    `_jacobian` may run on ws meanwhile.
+    """
+    if ws.grid.n == 2:
+        precond = _preconditioner(total, det, R, fs, dt, ws)
+        jacobian = _jacobian(total, det, fs, dt, ws)
+
+        def step(p, z, v):
+            z = precond(p, z)
+            return z, jacobian(z, v)
+
+        return step
+    grid, backend, spectrum = ws.grid, ws.backend, ws.spectrum
+    scale, sigma, shift = _preconditioner_terms(total, det, R, fs, dt, ws)
+    a, b, spare = ws.tmp
+    w = total[0]
+    np.divide(sigma, w, out=a)
+    np.subtract(fs, a, out=a)
+    a += 1.0 / dt
+    np.divide(scale, w, out=b)
+
+    def step(p, z, v):
+        z = np.multiply(scale, p, out=z)
+        z = solve_shifted_laplacian(z, grid, backend, shift, z, None, spectrum)
+        v = np.multiply(a, z, out=v)
+        v += np.multiply(b, p, out=spare)
+        return z, v
+
+    return step
 
 
 def _lagrange_weights(nodes, t) -> list:
@@ -753,12 +815,7 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
         # J correction = R; the Newton direction is -correction
         w, det_w, b = ws.correction_operands(ws.w, det, ws.R)
         correction, lin_iters, lin_res, lin_ok = _bicgstab(
-            _jacobian(w, det_w, fs, dt, ws),
-            _preconditioner(w, det_w, b, fs, dt, ws),
-            b,
-            cfg.linear_rel_tol,
-            cfg.max_linear,
-            ws.krylov,
+            _krylov_step(w, det_w, b, fs, dt, ws), b, cfg.linear_rel_tol, cfg.max_linear, ws.krylov
         )
         linear_total += lin_iters
         linear_worst = max(linear_worst, lin_res)

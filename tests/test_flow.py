@@ -1,7 +1,12 @@
 """Time stepper, schedules, transforms, cascades, and the nef family."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,10 +439,19 @@ def test_a_warm_n1_step_allocates_only_what_it_returns(backend):
 
 
 def newton_operators(total, R, fs, dt, grid, backend):
-    """The Newton operator and its preconditioner at the form total, on a new workspace."""
-    ws = flow._Workspace(grid, backend)
+    """The Newton operator, its preconditioner and BiCGSTAB's step at the form total.
+
+    The operator and preconditioner share a new workspace; the step gets one
+    of its own, as at n = 1 it keeps its coefficients in arrays that the
+    operator's Hessian overwrites.
+    """
+    ws, step_ws = flow._Workspace(grid, backend), flow._Workspace(grid, backend)
     det = geometry.comps_det(total)
-    return flow._jacobian(total, det, fs, dt, ws), flow._preconditioner(total, det, R, fs, dt, ws)
+    return (
+        flow._jacobian(total, det, fs, dt, ws),
+        flow._preconditioner(total, det, R, fs, dt, ws),
+        flow._krylov_step(total, det, R, fs, dt, step_ws),
+    )
 
 
 def krylov(b):
@@ -446,7 +460,7 @@ def krylov(b):
 
 
 def constant_metric_system(n, backend, level=0.3):
-    """Newton operator, preconditioner and right-hand side for w = level * I."""
+    """Newton operator, preconditioner, BiCGSTAB step and right-hand side for w = level * I."""
     grid = TorusGrid(n=n, resolution=16 if n == 1 else 8)
     w = np.full(grid.shape, level)
     total = (w,) if n == 1 else (w, w, np.zeros(grid.shape, dtype=complex))
@@ -457,8 +471,8 @@ def constant_metric_system(n, backend, level=0.3):
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_preconditioner_inverts_the_jacobian_for_a_constant_metric(n, backend):
-    jac, precond, b = constant_metric_system(n, backend)
-    x, iters, rel_res, converged = flow._bicgstab(jac, precond, b, 1e-12, 1, krylov(b))
+    jac, precond, step, b = constant_metric_system(n, backend)
+    x, iters, rel_res, converged = flow._bicgstab(step, b, 1e-12, 1, krylov(b))
     assert (iters, converged) == (1, True)
     assert rel_res <= 1e-12
     assert flow._l2(b - jac(x)) <= 1e-12 * flow._l2(b)
@@ -477,7 +491,7 @@ def test_newton_kernels_match_their_reference(n, backend, fs_kind, varying_form)
     v, R = rng.standard_normal((2, *grid.shape))
     hv = flow.hessian_components(v, grid, backend)
     want = v / dt - geometry.comps_trace_inv(total, hv) + fs * v
-    jac, precond = newton_operators(total, R, fs, dt, grid, backend)
+    jac, precond, _ = newton_operators(total, R, fs, dt, grid, backend)
     assert np.array_equal(jac(v), want)
     out = np.empty(grid.shape)
     assert jac(v, out) is out and np.array_equal(out, want)
@@ -493,6 +507,99 @@ def test_newton_kernels_match_their_reference(n, backend, fs_kind, varying_form)
     assert np.array_equal(got, want)
     # the solve lands in out at n = 1 (real FFTs) and n = 2 (per-axis products)
     assert got is out
+
+
+@pytest.mark.parametrize("dt", [1e-5, 1e-3, 1e-1])
+@pytest.mark.parametrize("fs_kind", ["scalar", "array"])
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_the_n1_krylov_step_is_the_preconditioner_then_the_jacobian(backend, fs_kind, dt, varying_form):
+    grid, theta, phi = varying_form(1)
+    total = geometry.kahler_form(theta, flow.hessian_components(phi, grid, backend))
+    assert np.ptp(total[0]) > 0.0
+    x1 = grid.coordinates()[0]
+    fs = np.asarray(0.5) if fs_kind == "scalar" else 0.5 + 0.2 * np.cos(2 * np.pi * x1)
+    p, R = np.random.default_rng(5).standard_normal((2, *grid.shape))
+    jac, precond, step = newton_operators(total, R, fs, dt, grid, backend)
+    want_z = precond(p)
+    want_v = jac(want_z)
+    z, v = np.empty(grid.shape), np.empty(grid.shape)
+    got_z, got_v = step(p, z, v)
+    assert got_z is z and got_v is v
+    assert np.array_equal(z, want_z)
+    # The step writes v = a z + b p, a = 1/dt + F_s - sigma/w and b = D/w,
+    # where the composition subtracts the Hessian H(z)/w.  The two agree
+    # exactly up to the solve's backward error e (H(z) = sigma z - D p - e)
+    # and the rounding of each side.  A transform pair or stencil over M
+    # points carries e within about log2(M) u of its largest term, (sigma +
+    # lambda_max) |z|, lambda_max the largest eigenvalue of -(1/4) Laplacian,
+    # and every other term rounds a few times at most; 2 log2(M) u times the
+    # largest term bounds both.  Measured: 0.7-1.6 u times it.
+    scale, sigma, _ = flow._preconditioner_terms(
+        total, geometry.comps_det(total), R, fs, dt, flow._Workspace(grid, backend)
+    )
+    lam = float(np.max(grid_module._quarter_laplacian_symbol(1, grid.resolution, backend)))
+    w = total[0]
+    terms = (1.0 / dt + np.abs(fs) + (sigma + lam) / w) * np.abs(z) + np.abs(scale * p) / w
+    u = np.finfo(np.float64).eps / 2
+    assert np.max(np.abs(v - want_v)) <= 2 * math.log2(z.size) * u * np.max(terms)
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_the_n2_krylov_step_is_the_preconditioner_then_the_jacobian(backend, varying_form):
+    grid, theta, phi = varying_form(2)
+    total = geometry.kahler_form(theta, flow.hessian_components(phi, grid, backend))
+    fs = 0.5 + 0.2 * np.cos(2 * np.pi * grid.coordinates()[0])
+    p, R = np.random.default_rng(5).standard_normal((2, *grid.shape))
+    jac, precond, step = newton_operators(total, R, fs, 2.0**-7, grid, backend)
+    want_z = precond(p)
+    want_v = jac(want_z)
+    z, v = np.empty(grid.shape), np.empty(grid.shape)
+    got_z, got_v = step(p, z, v)
+    assert got_z is z and got_v is v
+    assert np.array_equal(z, want_z) and np.array_equal(v, want_v)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_only_the_n2_krylov_step_takes_hessians(n, monkeypatch):
+    grid = TorusGrid(n=n, resolution=16 if n == 1 else 8)
+    c = grid.coordinates()
+    phi0 = 0.02 * np.cos(2 * np.pi * c[0]) * np.sin(2 * np.pi * c[1])
+    phi0 = ScalarField(grid, np.broadcast_to(phi0, grid.shape))
+    cfg = FlowConfig(horizon=0.003, t_min=1e-3, ratio=1.2)
+    path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
+    calls = {"inside": 0, "outside": 0, "steps": 0}
+    inside = []
+    hessian, bicgstab, krylov_step = flow.hessian_components, flow._bicgstab, flow._krylov_step
+
+    def counted_hessian(*args, **kwargs):
+        calls["inside" if inside else "outside"] += 1
+        return hessian(*args, **kwargs)
+
+    def counted_bicgstab(*args, **kwargs):
+        inside.append(True)
+        try:
+            return bicgstab(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_krylov_step(*args, **kwargs):
+        step = krylov_step(*args, **kwargs)
+
+        def counted(*a):
+            calls["steps"] += 1
+            return step(*a)
+
+        return counted
+
+    monkeypatch.setattr(flow, "hessian_components", counted_hessian)
+    monkeypatch.setattr(flow, "_bicgstab", counted_bicgstab)
+    monkeypatch.setattr(flow, "_krylov_step", counted_krylov_step)
+    traj = run(phi0, path, DrivingTerm.affine(slope=0.5), omega, cfg)
+    assert sum(d["newton_iters"] for d in traj.diagnostics) > 0
+    assert calls["steps"] >= sum(d["linear_iters"] for d in traj.diagnostics) > 0
+    assert calls["outside"] > 0  # the line search still takes its Hessians here
+    # each step is one half of a BiCGSTAB iteration
+    assert calls["inside"] == (0 if n == 1 else calls["steps"])
 
 
 @pytest.mark.parametrize("fs_kind", ["scalar", "array"])
@@ -524,7 +631,8 @@ def test_float32_newton_kernels_match_their_float64_reference(backend, fs_kind, 
         assert got is out
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
     # BiCGSTAB in float32 vectors: the residual it reports is the float64 operator's
-    x, _, rel_res, converged = flow._bicgstab(jac, precond, R32, 1e-4, 200, ws.krylov)
+    step = flow._krylov_step(w, det32, R32, fs, dt, ws)
+    x, _, rel_res, converged = flow._bicgstab(step, R32, 1e-4, 200, ws.krylov)
     assert converged and x.dtype == np.float32
     jac64 = flow._jacobian(total, det, fs, dt, reference)
     true_res = flow._l2(R - jac64(x.astype(np.float64))) / flow._l2(R)
@@ -595,13 +703,13 @@ def test_bicgstab_reports_a_solve_it_cut_short():
     comps = flow.hessian_components(phi0.values, grid, "fd")
     total = tuple(th + hc for th, hc in zip(path.theta(dt), comps))
     R = -np.log(total[0])  # the first Newton residual: u = phi0, F = 0, Omega = 1
-    args = (*newton_operators(total, R, np.asarray(0.0), dt, grid, "fd"), R, cfg.linear_rel_tol)
+    jac, _, step = newton_operators(total, R, np.asarray(0.0), dt, grid, "fd")
     b = R.copy()
 
     def solve(max_iter):
-        x, iters, rel_res, converged = flow._bicgstab(*args, max_iter, krylov(R))
+        x, iters, rel_res, converged = flow._bicgstab(step, R, cfg.linear_rel_tol, max_iter, krylov(R))
         # the recurrence residual it reports is the returned iterate's
-        assert flow._l2(R - args[0](x)) / flow._l2(R) == pytest.approx(rel_res, abs=1e-10)
+        assert flow._l2(R - jac(x)) / flow._l2(R) == pytest.approx(rel_res, abs=1e-10)
         return iters, rel_res, converged
 
     iters, rel_res, converged = solve(1)
@@ -610,6 +718,39 @@ def test_bicgstab_reports_a_solve_it_cut_short():
     _, rel_res, converged = solve(cfg.max_linear)
     assert converged and rel_res <= cfg.linear_rel_tol
     assert np.array_equal(R, b)  # the right-hand side is only read
+
+
+# Scenario 07's corner at its 128^2 fd size, two steps; prints the per-step
+# Newton and linear counts and a digest of every stored field's bits.
+DEGENERATE_RUN = """
+import hashlib, json
+from maflow import DrivingTerm, FlowConfig, MetricPath, RoughPotential, TorusGrid, VolumeForm, run
+grid = TorusGrid(n=1, resolution=128)
+phi0 = RoughPotential.paraboloid(curvature=0.999).sample(grid)
+cfg = FlowConfig(horizon=0.0012, t_min=1e-3, ratio=1.2, backend="fd")
+path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
+traj = run(phi0, path, DrivingTerm.zero(), omega, cfg)
+bits = hashlib.sha256(b"".join(f.values.tobytes() for f in traj.fields)).hexdigest()
+counts = [[d["newton_iters"], d["linear_iters"]] for d in traj.diagnostics]
+print(json.dumps({"points": grid.resolution**2, "counts": counts, "bits": bits}))
+"""
+
+
+def test_an_n1_run_has_the_same_bits_under_one_and_two_blas_threads():
+    # a threaded BLAS dot product sums in an order set by its thread count
+    src = str(Path(flow.__file__).resolve().parents[1])
+    outcomes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", DEGENERATE_RUN], env=env, capture_output=True, text=True,
+            timeout=600, check=True,
+        )
+        outcomes.append(json.loads(proc.stdout.splitlines()[-1]))
+    one, two = outcomes
+    assert one["points"] >= 16384 and sum(c[1] for c in one["counts"]) > 20
+    assert one == two
 
 
 def test_newton_stall_names_the_unconverged_linear_solve():

@@ -9,6 +9,7 @@ from maflow.errors import ConfigError
 from maflow.grid import (
     ScalarField,
     TorusGrid,
+    _along,
     _axis_matrices,
     _fd_first,
     _fd_second,
@@ -203,6 +204,37 @@ def test_fd_circulants_are_the_roll_stencils_of_the_identity(N):
     eye, h = np.eye(N), 1.0 / N
     assert d1.tobytes() == roll_first(eye, h, 0).tobytes()
     assert d2.tobytes() == roll_second(eye, h, 0).tobytes()
+
+
+def hessian_with_quarter_passes(values, backend):
+    """The n=2 Hessian from the unscaled per-axis d1 and d2, then a pass of *= 0.25 on each sum."""
+    d1, d2 = (m.astype(values.dtype) for m in _axis_matrices(values.shape[0], backend))
+    dx1, dy1 = _along(d1, values, 0), _along(d1, values, 1)
+    h12 = np.empty(values.shape, np.result_type(values, np.complex64))
+    h12.real[...] = _along(d1, dx1, 2)
+    h12.real += _along(d1, dy1, 3)
+    h12.imag[...] = _along(d1, dx1, 3)
+    h12.imag -= _along(d1, dy1, 2)
+    h12 *= 0.25
+    h11 = _along(d2, values, 0) + _along(d2, values, 1)
+    h11 *= 0.25
+    h22 = _along(d2, values, 2) + _along(d2, values, 3)
+    h22 *= 0.25
+    return h11, h22, h12
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+@pytest.mark.parametrize("N, dtype", [(8, np.float64), (16, np.float32)])
+def test_n2_hessian_with_the_quarter_in_its_matrices_keeps_every_bit(N, dtype, backend):
+    # scaling by a power of two is exact, so d1/2 and d2/4 round as the old passes did
+    g = TorusGrid(2, N)
+    v = np.random.default_rng(N).standard_normal(g.shape).astype(dtype)
+    want = hessian_with_quarter_passes(v, backend)
+    out = (np.empty(g.shape, dtype), np.empty(g.shape, dtype), np.empty(g.shape, want[2].dtype))
+    got = hessian_components(v, g, backend, out, np.empty(g.shape, dtype))
+    assert all(a is b for a, b in zip(got, out))
+    for components in (got, hessian_components(v, g, backend)):
+        assert [c.tobytes() for c in components] == [c.tobytes() for c in want]
 
 
 class TestSpectralLayer:

@@ -77,6 +77,23 @@ def numpy_uses(path: Path, name: str) -> list:
     return hits
 
 
+def matmul_uses(path: Path) -> list:
+    """(line, enclosing function) of each @ operator (a @ b or a @= b) in the module."""
+    tree = ast.parse(path.read_text())
+    hits = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            hits.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return hits
+
+
 def test_only_grid_transforms_and_only_psh_despiking_rolls():
     package = Path(maflow.__file__).parent
     modules = sorted(package.glob("*.py"))
@@ -98,6 +115,28 @@ def test_the_numpy_use_check_sees_every_form(tmp_path):
     )
     assert numpy_uses(probe, "roll") == [(2, None), (6, "f")]
     assert numpy_uses(probe, "fft") == [(3, None), (4, None), (6, "f")]
+
+
+def test_grid_inner_is_the_one_inner_product_of_grid_arrays():
+    # BLAS's threaded dot products sum in an order set by the thread count
+    package = Path(maflow.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    names = ("vdot", "dot", "inner", "tensordot", "matmul", "einsum")
+    found = {(p.name, where, name) for p in modules for name in names for _, where in numpy_uses(p, name)}
+    found |= {(p.name, where, "@") for p in modules for _, where in matmul_uses(p)}
+    assert found == {
+        ("grid.py", "inner", "einsum"),
+        # the per-axis products: a threaded GEMM splits its output, not its sums
+        ("grid.py", "_along", "matmul"),
+        # verify.random_pd_pairs multiplies seeded (samples, n, n) stacks, not grid arrays
+        ("verify.py", "stack", "@"),
+    }
+
+
+def test_the_matmul_check_sees_both_forms(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(a, b):\n    c = a @ b\n    c @= b\n    return c\nd = 1\n")
+    assert matmul_uses(probe) == [(2, "f"), (3, "f")]
 
 
 def test_single_precision_stays_inside_grid_and_flow():

@@ -8,7 +8,8 @@ code and numpy, so a change meant to keep every value must keep them too;
 test_work_ledger.py compares them with the scenarios the session cache runs.
 
 A change that alters the work on purpose regenerates the ledger (from the
-repository root) and lists the old and new counts with the change:
+repository root) and lists the old and new counts with the change; the
+command prints them, old -> new, for each scenario whose entry changed:
 
     python tests/work_ledger.py
 """
@@ -67,8 +68,14 @@ def main() -> int:
     from conftest import run_scenario
     from maflow.scenarios import available
 
+    old = json.loads(LEDGER.read_text()) if LEDGER.exists() else {}
     ledger = {stem: run_scenario(stem).work for stem in available()}
     LEDGER.write_text(json.dumps(ledger, indent=1) + "\n")
+    for stem in sorted(old.keys() | ledger.keys()):
+        before, after = old.get(stem, {}), ledger.get(stem, {})
+        moved = [f"{k} {before.get(k)} -> {after.get(k)}" for k in KEYS if before.get(k) != after.get(k)]
+        if moved:
+            print(f"{stem}: {', '.join(moved)}")
     print(f"wrote {LEDGER}")
     return 0
 
