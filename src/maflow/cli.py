@@ -722,9 +722,7 @@ def cmd_regularize(args) -> int:
     ladder = mollify_decreasing(initial, schedule, grid)
     out = Path(args.out) if args.out else Path(doc.get("out", "runs/ladder"))
     out.mkdir(parents=True, exist_ok=True)
-    archive_io.save_field(out, "base", ladder.base, 0.0)
-    for j, fld in enumerate(ladder.levels):
-        archive_io.save_field(out, f"level_{j:03d}", fld, 0.0)
+    archive_io.save_ladder(out, ladder)
     report = {
         "config_hash": archive_io.config_hash(doc),
         "deltas": list(ladder.deltas),

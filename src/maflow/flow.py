@@ -25,16 +25,18 @@ the preconditioned vector off the solve instead of taking a Hessian.
 A flow state is evaluated in one place, `_Workspace`: its Hessian, the form
 theta_t + dd^c phi with its cone margin, det and the right-hand side, and
 the backward-Euler residual, each written into grid-shaped arrays (and at
-n = 1 two spectrum-shaped ones) that it passes as outputs to grid's
-derivatives and geometry's form algebra.  Each `run` holds one for its
-whole length, so only each step's stored snapshot and the driving term's
-values are new arrays, at n = 1 and n = 2 alike.  A stored snapshot goes
-to the run's snapshot store when its step is accepted: a list in memory
-by default, or io.ArchiveStore, which writes it to disk at once and reads
-it back when the trajectory is indexed.  Checks read stored
-snapshots through `TrajectoryAudit`, which evaluates each snapshot in its
-own workspace at most once, keeps only scalars, and reports a snapshot
-outside the positive cone instead of taking the logarithm there.
+n = 1 a spectrum-shaped one) that it passes as outputs to grid's
+derivatives and geometry's form algebra.  The Newton correction is solved
+in arrays of its own, a `_Correction` in the correction's precision.  Each
+`run` holds one workspace for its whole length, so only each step's stored
+snapshot and the driving term's values are new arrays, at n = 1 and n = 2
+alike.  A stored snapshot goes to the run's snapshot store when its step
+is accepted: a list in memory by default, or io.ArchiveStore, which writes
+it to disk at once and reads it back when the trajectory is indexed.
+Checks read stored snapshots through `TrajectoryAudit`, which evaluates
+each snapshot in its own workspace at most once, keeps only scalars, and
+reports a snapshot outside the positive cone instead of taking the
+logarithm there.
 
 Rough initial data never enter `run` directly: they are regularized by the
 decreasing mollification ladder and integrated level by level (`run_cascade`),
@@ -141,7 +143,6 @@ class DrivingTerm:
     defect: float | None = 0.0
     time_bound: float | None = 0.0
     smooth: bool = True
-    params: dict = field(default_factory=dict)
 
     def __call__(self, t, coords, s):
         return self.fn(t, coords, s)
@@ -179,7 +180,6 @@ class DrivingTerm:
             ds=lambda t, c, s: np.float64(c1),
             dt_partial=lambda t, c, s: np.float64(0.0),
             defect=max(0.0, -c1),
-            params={"constant": c0, "slope": c1},
         )
 
     @classmethod
@@ -386,32 +386,57 @@ def _l2(a: np.ndarray) -> float:
 
 
 def _form_arrays(grid: TorusGrid, *reals) -> tuple:
-    """A form's arrays: the real ones given (new when none), and a new h12 at n = 2."""
+    """A form's arrays: the real ones given (new float64 ones when none), and a new h12 at n = 2.
+
+    h12 is complex of the real arrays' precision.
+    """
     reals = (reals or tuple(np.empty(grid.shape) for _ in range(grid.n)))[: grid.n]
-    return reals if grid.n == 1 else (*reals, np.empty(grid.shape, complex))
+    if grid.n == 1:
+        return reals
+    return (*reals, np.empty(grid.shape, np.result_type(reals[0], np.complex64)))
 
 
-class _Float32Set:
-    """The float32 arrays of a Newton correction solved in single precision (n = 2).
+class _Correction:
+    """The arrays a Newton correction is solved in, all in one precision, dtype.
 
-    w and det are copies of the form and its determinant, and R of the
-    Newton residual, laid out once per Newton iteration.  tmp, hv and
-    scale are laid out as the workspace's float64 ones: three real scratch
-    arrays, H(v) sharing tmp's first two, and the preconditioner's scaling.
+    tmp is three real scratch arrays, hv (H(v) inside a `_jacobian` apply)
+    shares tmp's first two, scale is the preconditioner's scaling and
+    krylov BiCGSTAB's eight vectors.  spectrum (None at n = 2) is a complex
+    and a real array of the grid's spectrum_shape: the preconditioner's
+    Rayleigh quotient writes the transform and the power spectrum into
+    them, then the shift + symbol into the second, and every later solve
+    or Hessian transforms into the first.  In float32, copies holds the
+    form, det w and R that `operands` lays out once per Newton iteration.
     """
 
-    def __init__(self, grid: TorusGrid):
+    def __init__(self, grid: TorusGrid, dtype):
         def real():
-            return np.empty(grid.shape, np.float32)
+            return np.empty(grid.shape, dtype)
 
+        self.dtype = dtype
         self.tmp = (real(), real(), real())
-        self.w = real(), real(), np.empty(grid.shape, np.complex64)
-        self.det, self.R, self.scale = real(), real(), real()
-        self.hv = *self.tmp[:2], np.empty(grid.shape, np.complex64)
+        self.hv = _form_arrays(grid, *self.tmp[:2])
+        self.scale = real()
+        self.krylov = tuple(real() for _ in range(8))
+        self.spectrum = None
+        if grid.n == 1:
+            hat = np.empty(grid.spectrum_shape, np.result_type(dtype, np.complex64))
+            self.spectrum = hat, np.empty(grid.spectrum_shape, dtype)
+        self.copies = None
+        if dtype != np.float64:
+            self.copies = (*_form_arrays(grid, real(), real()), real(), real())
+
+    def operands(self, total, det, R) -> tuple:
+        """(total, det, R) in dtype: themselves in float64, copies in copies otherwise."""
+        if self.copies is None:
+            return total, det, R
+        for dst, src in zip(self.copies, (*total, det, R)):
+            np.copyto(dst, src)
+        return self.copies[:-2], self.copies[-2], self.copies[-1]
 
 
 class _Workspace:
-    """The one evaluator of a flow state, in grid-shaped arrays it reuses.
+    """The one evaluator of a flow state, in float64 grid-shaped arrays it reuses.
 
     `run` makes one and hands it to every `_advance`, so the Newton loop
     allocates no array; `TrajectoryAudit` makes one and builds every stored
@@ -426,23 +451,13 @@ class _Workspace:
     into u[0].  The line search overwrites h and w, as the accepted iterate
     needs neither once its Newton direction is solved; between steps h is H
     of the step's values, the warm start of a step that starts from them.
-    tmp is three real scratch arrays.  spectrum (None at n = 2) is a
-    complex and a real array of the grid's spectrum_shape: every n = 1
-    transform is written into the first, and the second holds the Rayleigh
-    quotient's power spectrum, then the preconditioner's shift + symbol.
+    tmp is three real scratch arrays, and spectrum (None at n = 2) holds the
+    complex array that an n = 1 Hessian transforms into.
 
-    Everything above is float64.  The Newton correction is solved in dtype,
-    grid.correction_dtype: float32 at n = 2 from 16 points per axis up
-    (grid.SINGLE_PRECISION_RESOLUTION), float64 elsewhere.  Its arrays are
-    made on first use, so an audit never makes them: krylov, BiCGSTAB's
-    eight vectors in dtype, and the arrays the Newton operators work in
-    (`arrays`).  In float64 these are tmp, hv (H(v) inside a `_jacobian`
-    apply, or the energy's densities; it shares tmp's first two) and scale
-    (the preconditioner's scaling); in float32 they are the `_Float32Set`'s,
-    where `correction_operands` also copies w, det w and R once per Newton
-    iteration.  A float32 run never makes hv or scale.  At n = 1 the Krylov
-    loop takes no Hessian (`_krylov_step`) and no run makes hv: tmp holds
-    the step's two coefficient arrays and its scratch.
+    The Newton correction is solved in correction, a `_Correction` in
+    grid.correction_dtype (float32 at n = 2 from
+    grid.SINGLE_PRECISION_RESOLUTION points per axis up, float64 elsewhere),
+    made on a run's first Newton iteration, so an audit never makes one.
     """
 
     def __init__(self, grid: TorusGrid, backend: str):
@@ -450,43 +465,17 @@ class _Workspace:
             return np.empty(grid.shape)
 
         self.grid, self.backend = grid, backend
-        self.dtype = correction_dtype(grid)
         self.u = (real(), real())
         self.h, self.w = _form_arrays(grid), _form_arrays(grid)
         self.det, self.rhs, self.R = real(), real(), real()
         self.tmp = (real(), real(), real())
         self.spectrum = None
         if grid.n == 1:
-            self.spectrum = np.empty(grid.spectrum_shape, complex), np.empty(grid.spectrum_shape)
+            self.spectrum = (np.empty(grid.spectrum_shape, complex),)
 
     @functools.cached_property
-    def krylov(self) -> tuple:
-        return tuple(np.empty(self.grid.shape, self.dtype) for _ in range(8))
-
-    @functools.cached_property
-    def hv(self) -> tuple:
-        return _form_arrays(self.grid, *self.tmp[:2])
-
-    @functools.cached_property
-    def scale(self) -> np.ndarray:
-        return np.empty(self.grid.shape)
-
-    @functools.cached_property
-    def float32(self) -> _Float32Set:
-        return _Float32Set(self.grid)
-
-    def arrays(self, dtype):
-        """Whichever of the workspace and its float32 set holds tmp, hv and scale in dtype."""
-        return self if dtype == np.float64 else self.float32
-
-    def correction_operands(self, total, det, R) -> tuple:
-        """(total, det, R) in dtype: themselves in float64, copies in the float32 set otherwise."""
-        if self.dtype == np.float64:
-            return total, det, R
-        lo = self.float32
-        for dst, src in zip((*lo.w, lo.det, lo.R), (*total, det, R)):
-            np.copyto(dst, src)
-        return lo.w, lo.det, lo.R
+    def correction(self) -> _Correction:
+        return _Correction(self.grid, correction_dtype(self.grid))
 
     def hessian(self, u):
         """h = H(u)."""
@@ -602,17 +591,17 @@ def _cone_exit(message, total, grid):
 def _jacobian(total, det, fs, dt, ws):
     """The Newton operator v -> v/dt + F_s v - tr(w^-1 H(v)), w = total, det = det(w).
 
-    It is called as apply(v, out=None), writes H(v) into hv of
-    ws.arrays(det.dtype) and returns its result, written into out when
-    given; v and out are of det's dtype too.  ws is the run's workspace.
+    It is called as apply(v, out=None), writes H(v) into ws.correction's hv
+    and returns its result, written into out when given; total, det, v and
+    out are in the correction's dtype.  ws is the run's workspace.
     """
     inv_dt = 1.0 / dt
-    fs = np.asarray(fs, dtype=det.dtype)
-    arrays = ws.arrays(det.dtype)
-    hv_out, spare = arrays.hv, arrays.tmp[2]
+    cor = ws.correction
+    fs = np.asarray(fs, dtype=cor.dtype)
+    spare = cor.tmp[2]
 
     def apply(v, out=None):
-        hv = hessian_components(v, ws.grid, ws.backend, hv_out, spare, ws.spectrum)
+        hv = hessian_components(v, ws.grid, ws.backend, cor.hv, spare, cor.spectrum)
         tr = comps_trace_inv(total, hv, spare, hv, det)
         out = np.multiply(v, inv_dt, out=out)
         out -= tr
@@ -623,25 +612,24 @@ def _jacobian(total, det, fs, dt, ws):
 
 
 def _preconditioner_terms(total, det, R, fs, dt, ws) -> tuple:
-    """(D, sigma, shift) of `_preconditioner`, laid out in ws.arrays(R.dtype).
+    """(D, sigma, shift) of `_preconditioner`, laid out in ws.correction.
 
-    D is the pointwise scaling (in that set's scale), sigma the shift
-    c (1/dt + max(0, mean F_s)), and shift what the solve divides by: sigma
-    at n = 2, and at n = 1 sigma + the symbol of -(1/4) Laplacian, laid out
-    in ws.spectrum[1].  tmp is scratch here and free again on return.
+    D is the pointwise scaling (in its scale), sigma the shift c (1/dt +
+    max(0, mean F_s)), and shift what the solve divides by: sigma at n = 2,
+    and at n = 1 sigma + the symbol of -(1/4) Laplacian, laid out in
+    spectrum[1].  tmp is scratch here and free again on return.
     """
-    grid, backend, spectrum = ws.grid, ws.backend, ws.spectrum
-    arrays = ws.arrays(R.dtype)
-    a, b, spare = arrays.tmp
+    grid, backend, cor = ws.grid, ws.backend, ws.correction
+    a, b, spare = cor.tmp
     s = comps_harmonic_mean(total, a, b, det)
     c = 1.0 / float(np.mean(np.divide(1.0, s, out=b)))
-    kappa = dt * quarter_laplacian_rayleigh(R, grid, backend, b, spare, spectrum)
-    scale = np.add(s, kappa, out=arrays.scale)
+    kappa = dt * quarter_laplacian_rayleigh(R, grid, backend, b, spare, cor.spectrum)
+    scale = np.add(s, kappa, out=cor.scale)
     np.divide(c + kappa, scale, out=scale)
     scale *= s
     sigma = c * (1.0 / dt + max(0.0, float(np.mean(fs))))
     # n = 2 has no spare grid-shaped array and adds the symbol per apply
-    shift = sigma if grid.n == 2 else shifted_symbol(grid, backend, sigma, spectrum[1])
+    shift = sigma if grid.n == 2 else shifted_symbol(grid, backend, sigma, cor.spectrum[1])
     return scale, sigma, shift
 
 
@@ -664,12 +652,11 @@ def _preconditioner(total, det, R, fs, dt, ws):
 
     det is det(w).  It is called as apply(r, out=None) and writes D r into
     out (a new array when omitted), where the solve also lands.  ws is the
-    run's workspace; D and every product are kept in ws.arrays(R.dtype),
-    the precision that total, det and r share with R
-    (`_preconditioner_terms`).
+    run's workspace; total, det, R and r are in its correction's dtype, and
+    D and every product are kept in the correction (`_preconditioner_terms`).
     """
-    grid, backend, spectrum = ws.grid, ws.backend, ws.spectrum
-    spare = ws.arrays(R.dtype).tmp[2]
+    grid, backend, cor = ws.grid, ws.backend, ws.correction
+    spare, spectrum = cor.tmp[2], cor.spectrum
     scale, _, shift = _preconditioner_terms(total, det, R, fs, dt, ws)
 
     def apply(r, out=None):
@@ -690,10 +677,10 @@ def _krylov_step(total, det, R, fs, dt, ws):
         J z = z/dt + F_s z - H(z)/w = a z + b p,
         a = 1/dt + F_s - sigma/w,  b = D/w,
 
-    with a and b laid out here, in ws.tmp[0] and ws.tmp[1]: the step takes
-    no Hessian, and it agrees with the composition to rounding.  Until the
-    solve ends, ws.tmp (which ws.hv shares) belongs to the step, so no
-    `_jacobian` may run on ws meanwhile.
+    with a and b laid out here, in ws.correction's tmp[0] and tmp[1]: the
+    step takes no Hessian, and it agrees with the composition to rounding.
+    Until the solve ends, the correction's tmp (which its hv shares) belongs
+    to the step, so no `_jacobian` may run on ws meanwhile.
     """
     if ws.grid.n == 2:
         precond = _preconditioner(total, det, R, fs, dt, ws)
@@ -704,9 +691,9 @@ def _krylov_step(total, det, R, fs, dt, ws):
             return z, jacobian(z, v)
 
         return step
-    grid, backend, spectrum = ws.grid, ws.backend, ws.spectrum
+    grid, backend, spectrum = ws.grid, ws.backend, ws.correction.spectrum
     scale, sigma, shift = _preconditioner_terms(total, det, R, fs, dt, ws)
-    a, b, spare = ws.tmp
+    a, b, spare = ws.correction.tmp
     w = total[0]
     np.divide(sigma, w, out=a)
     np.subtract(fs, a, out=a)
@@ -764,8 +751,8 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
     written into ws.u[0] through ws.tmp[0].  On return h = H(values), the
     next step's warm start.  The Newton loop works in ws's arrays; the
     returned values and phidot_values are new arrays.  log_om is log Omega.
-    Each correction is solved in ws.dtype; the residual, the cone tests and
-    the iterates stay float64.
+    Each correction is solved in ws.correction (`_Correction`), in its
+    dtype; the residual, the cone tests and the iterates stay float64.
     """
     grid = path.grid
     dt = t_to - t_from
@@ -813,9 +800,10 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
             )
         fs = np.asarray(F.ds_at(t_to, coords, u), dtype=np.float64)
         # J correction = R; the Newton direction is -correction
-        w, det_w, b = ws.correction_operands(ws.w, det, ws.R)
+        cor = ws.correction
+        w, det_w, b = cor.operands(ws.w, det, ws.R)
         correction, lin_iters, lin_res, lin_ok = _bicgstab(
-            _krylov_step(w, det_w, b, fs, dt, ws), b, cfg.linear_rel_tol, cfg.max_linear, ws.krylov
+            _krylov_step(w, det_w, b, fs, dt, ws), b, cfg.linear_rel_tol, cfg.max_linear, cor.krylov
         )
         linear_total += lin_iters
         linear_worst = max(linear_worst, lin_res)
@@ -883,13 +871,14 @@ def run(
     F: DrivingTerm,
     omega_form: VolumeForm,
     cfg: FlowConfig,
-    check_bounds: bool = True,
     store=None,
 ) -> FlowTrajectory:
     """Integrate the flow from smooth (or at worst Lipschitz) initial data.
 
     Initial data must be admissible for theta(0) up to the psh tolerance at
     the configured backend; rough singular data go through run_cascade.  The
+    driving term's declared bounds are audited over [0, horizon] and phi0's
+    range, padded by 1 + half its oscillation (`verify_declared_bounds`).  The
     run makes one `_Workspace`, warm-started with H(phi0), passes it to every
     step and drops it on return; no array of it reaches the trajectory.  Each
     step gets the two accepted states before its start as history, so
@@ -913,11 +902,10 @@ def run(
         raise _cone_exit("initial data inadmissible for theta(0)", ws.w, grid)
     coords = grid.coordinates()
     log_om = omega_form.log()
-    if check_bounds:
-        lo = float(phi0.values.min())
-        hi = float(phi0.values.max())
-        pad = 1.0 + 0.5 * (hi - lo)
-        F.verify_declared_bounds(grid, (0.0, cfg.horizon), (lo - pad, hi + pad))
+    lo = float(phi0.values.min())
+    hi = float(phi0.values.max())
+    pad = 1.0 + 0.5 * (hi - lo)
+    F.verify_declared_bounds(grid, (0.0, cfg.horizon), (lo - pad, hi + pad))
 
     times = schedule_times(cfg)
     if margin0 > 0.0:
@@ -986,7 +974,8 @@ class TrajectoryAudit:
     Outside the positive cone both residual columns are infinite.  Every
     build evaluates the snapshot in the audit's one `_Workspace`, as a
     Newton iterate is evaluated, and keeps no array of its own but the last
-    snapshot it built, so builds in order read a trajectory on disk once;
+    snapshot it built (and at n = 2 the energy's complex scratch), so
+    builds in order read a trajectory on disk once;
     it reads a snapshot's phidot only for "phidot_range".
     certificate() is the metric path's volume-sandwich delta
     (geometry.certify_metric_path), computed once.
@@ -1003,6 +992,9 @@ class TrajectoryAudit:
         self._rows = {}
         self._certificate = None
         self._ws = _Workspace(traj.grid, self.backend)
+        self._energy_work = None  # the energy's densities and scratch, over the workspace's tmp
+        if "energy" in self.columns:
+            self._energy_work = _form_arrays(traj.grid, *self._ws.tmp[:2])
         self._last = (None, None)  # (k, field) of the last build
         self._log_om = omega_form.log() if {"phidot_range", "step_residual"} & self.columns else None
 
@@ -1022,7 +1014,8 @@ class TrajectoryAudit:
             row["sup-trace"] = float(np.max(comps_trace(ws.w, ws.tmp[0])))
         if "energy" in cols:
             try:
-                row["energy"] = psh.energy(theta, fld, self.backend, ws.w, row["margin"], ws.hv)
+                work = self._energy_work
+                row["energy"] = psh.energy(theta, fld, self.backend, ws.w, row["margin"], work)
             except NotKahlerError:
                 row["energy"] = None
         rhs = None
@@ -1150,7 +1143,6 @@ class CascadeResult:
 
     ladder: MollificationLadder
     trajectories: list
-    times: np.ndarray
     monotone_violation: float
     monotone_tol: float
     limit_gaps: dict
@@ -1199,7 +1191,7 @@ def run_cascade(
     term the level trajectories stay ordered at every snapshot; the worst
     violation is compared against the cascade tolerance.  The two finest
     levels give the reported limit-gap estimate at each probe time and at the
-    horizon.
+    horizon.  Each level's `run` audits the driving term's declared bounds.
     """
     grid = path.grid
     if not phi0.flow_admissible():
@@ -1207,13 +1199,7 @@ def run_cascade(
             f"potential tag {phi0.tag!r} is not admissible as flow data"
         )
     ladder = mollify_decreasing(phi0, schedule, grid)
-    lo = float(ladder.base.values.min())
-    hi = float(ladder.base.values.max())
-    pad = 1.0 + 0.5 * (hi - lo) + max(ladder.deltas) ** 2 * grid.n
-    F.verify_declared_bounds(grid, (0.0, cfg.horizon), (lo - pad, hi + pad))
-    trajectories = []
-    for level in ladder.levels:
-        trajectories.append(run(level, path, F, omega_form, cfg, check_bounds=False))
+    trajectories = [run(level, path, F, omega_form, cfg) for level in ladder.levels]
 
     tol = cascade_tolerance(oscillation(ladder.base), cfg.newton_tol)
     worst = _family_ordering(trajectories, tol, "cascade levels")
@@ -1227,7 +1213,6 @@ def run_cascade(
     return CascadeResult(
         ladder=ladder,
         trajectories=trajectories,
-        times=trajectories[0].times,
         monotone_violation=worst,
         monotone_tol=tol,
         limit_gaps=limit_gaps,
@@ -1334,7 +1319,6 @@ def _time_change(kind: str, F: DrivingTerm, path: MetricPath, rate: float, defec
         defect=defect,
         time_bound=None,
         smooth=F.smooth,
-        params={"rate": rate, "base": F.name},
     )
     return TransformedProblem(kind, rate, driving, new_path, horizon, path, F, certificate={})
 
@@ -1496,7 +1480,7 @@ def run_nef(
     witness_margin = None
     try:
         path0 = MetricPath.nef(grid, cfg.horizon, theta0, eps=0.0)
-        witness = run(phi0, path0, F, omega_form, cfg, check_bounds=False)
+        witness = run(phi0, path0, F, omega_form, cfg)
         # every member must dominate the witness: min(member - witness)
         witness_margin = -max(ordering_gap(traj, witness)[0] for traj in trajectories)
         if witness_margin < -tol:

@@ -42,6 +42,7 @@ __all__ = [
     "save_trajectory",
     "load_trajectory",
     "save_cascade",
+    "save_ladder",
     "load_cascade",
     "read_json",
     "staged",
@@ -363,7 +364,6 @@ def save_cascade(directory, cascade, run_config: dict = None) -> Path:
     convergence checks can be replayed from disk.
     """
     directory = Path(directory)
-    ladder_dir = directory / "ladder"
     extra = {
         "cascade": {
             "deltas": [float(d) for d in cascade.ladder.deltas],
@@ -376,10 +376,18 @@ def save_cascade(directory, cascade, run_config: dict = None) -> Path:
         }
     }
     path = save_trajectory(directory, cascade.trajectories[-1], run_config, extra)
-    save_field(ladder_dir, "base", cascade.ladder.base, 0.0)
-    for j, level in enumerate(cascade.ladder.levels):
-        save_field(ladder_dir, f"level_{j:03d}", level, 0.0)
+    save_ladder(directory / "ladder", cascade.ladder)
     return path
+
+
+def save_ladder(directory, ladder):
+    """Write a mollification ladder's base and levels as base and level_NNN at t = 0.
+
+    `load_cascade` reads them back from a cascade archive's ladder/.
+    """
+    save_field(directory, "base", ladder.base, 0.0)
+    for j, level in enumerate(ladder.levels):
+        save_field(directory, f"level_{j:03d}", level, 0.0)
 
 
 def load_cascade(directory, manifest: dict = None):
@@ -410,7 +418,6 @@ def load_cascade(directory, manifest: dict = None):
     return CascadeResult(
         ladder=ladder,
         trajectories=[traj],
-        times=traj.times,
         monotone_violation=info["monotone_violation"],
         monotone_tol=info["monotone_tol"],
         limit_gaps=dict(info["limit_gaps"]),

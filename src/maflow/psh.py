@@ -69,7 +69,6 @@ class RoughPotential:
     kind: str
     tag: str
     evaluator: object = field(repr=False)
-    params: dict = field(default_factory=dict)
     floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
@@ -100,7 +99,7 @@ class RoughPotential:
 
     @classmethod
     def constant(cls, value: float = 0.0) -> "RoughPotential":
-        return cls("constant", "smooth", lambda *c: np.float64(value), {"value": value})
+        return cls("constant", "smooth", lambda *c: np.float64(value))
 
     @classmethod
     def fourier_sum(
@@ -130,7 +129,7 @@ class RoughPotential:
                 acc = acc + a * np.cos(ph)
             return acc
 
-        return cls("fourier-sum", "smooth", ev, {"modes": modes, "n": n})
+        return cls("fourier-sum", "smooth", ev)
 
     @classmethod
     def paraboloid(
@@ -161,7 +160,7 @@ class RoughPotential:
                 total = total + d * d
             return -b * total
 
-        return cls("paraboloid", "lipschitz", ev, {"curvature": b, "center": c, "n": n})
+        return cls("paraboloid", "lipschitz", ev)
 
     @classmethod
     def max_kink(cls, amplitude: float = 1.0 / (2.0 * np.pi**2)) -> "RoughPotential":
@@ -171,7 +170,6 @@ class RoughPotential:
             "max-kink",
             "lipschitz",
             lambda *c: np.maximum(a * np.cos(2.0 * np.pi * c[0]), 0.0),
-            {"amplitude": a},
         )
 
     @classmethod
@@ -202,7 +200,7 @@ class RoughPotential:
             return v if cap is None else np.maximum(v, cap)
 
         tag = "bounded" if cap is not None else "unbounded-positive-lelong"
-        return cls("log-pole", tag, ev, {"gamma": g, "center": c, "cap": cap, "n": n})
+        return cls("log-pole", tag, ev)
 
     @classmethod
     def sqrt_log_pole(cls, amplitude: float = 0.1, center: list[float] | None = None, n: int = 1):
@@ -222,8 +220,7 @@ class RoughPotential:
                 v = -k * np.sqrt(np.maximum(-0.5 * np.log(ssq), 0.0))
             return np.where(ssq > 0, v, -np.inf)
 
-        params = {"amplitude": k, "center": c, "n": n}
-        return cls("sqrt-log-pole", "unbounded-zero-lelong", ev, params)
+        return cls("sqrt-log-pole", "unbounded-zero-lelong", ev)
 
     @classmethod
     def from_field(cls, fld: ScalarField, tag: str) -> "RoughPotential":
@@ -232,7 +229,7 @@ class RoughPotential:
         def ev(*coords):
             return vals
 
-        return cls("sampled", tag, ev, {"resolution": fld.grid.resolution, "n": fld.grid.n})
+        return cls("sampled", tag, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +305,9 @@ class MollificationLadder:
 
 
 def mollify_decreasing(
-    phi0,
+    phi0: RoughPotential,
     schedule: RegularizationSchedule,
-    grid: TorusGrid = None,
+    grid: TorusGrid,
 ) -> MollificationLadder:
     """Decreasing ladder phi_j = phi0 * rho_{delta_j} + n delta_j^2.
 
@@ -322,26 +319,17 @@ def mollify_decreasing(
     shift restoring order is added and reported, and a shift larger than
     10 * n delta_j^2 aborts (the input was not admissible).
 
-    phi0 : RoughPotential (requires `grid`) or ScalarField.
-
-    Floor-clamped entries (unbounded inputs) are lifted to the deepest
-    unclamped neighbour before smoothing, and the admissibility gate is the
-    margin of the sample pre-smoothed at four grid spacings: pointwise
-    second differences straddling an unresolved singularity blow up like
-    1/h^2 even for genuinely admissible potentials, while a bulk violation
-    survives any amount of smoothing.
+    The ladder's base is phi0 sampled on grid.  Its floor-clamped entries
+    (unbounded inputs) are lifted to the deepest unclamped neighbour before
+    smoothing, and the admissibility gate is the margin of the sample
+    pre-smoothed at four grid spacings: pointwise second differences
+    straddling an unresolved singularity blow up like 1/h^2 even for
+    genuinely admissible potentials, while a bulk violation survives any
+    amount of smoothing.
     """
-    if isinstance(phi0, RoughPotential):
-        if grid is None:
-            raise ConfigError("sampling a closed-form potential needs a grid")
-        base = phi0.sample(grid)
-        floor = phi0.floor
-    else:
-        base = phi0
-        grid = base.grid
-        floor = DEFAULT_FLOOR
+    base = phi0.sample(grid)
     schedule.validate_for_grid(grid)
-    work = _despike_floor(base.values, floor)
+    work = _despike_floor(base.values, phi0.floor)
     gate_width = 4.0 * grid.spacing
     gated = ScalarField(grid, gaussian_smooth(work, grid, gate_width))
     gate = psh_margin(gated, backend="spectral")

@@ -260,23 +260,30 @@ def test_series_min_phidot_tracks_log_time(tmp_path, scenario):
 
 
 def test_regularize_builds_ladder_archive(tmp_path, capsys):
-    doc = {
-        "grid": {"n": 1, "resolution": 64},
-        "initial": {"kind": "max-kink"},
-        "schedule": {"delta0": 0.25, "ratio": 0.5, "levels": 3},
-    }
-    cfg_path = tmp_path / "ladder.json"
-    cfg_path.write_text(json.dumps(doc))
+    cfg_path, doc = write_doc(
+        tmp_path,
+        grid={"n": 1, "resolution": 64},
+        initial={"kind": "max-kink"},
+        mode="cascade",
+        flow={"horizon": 0.01, "t_min": 1e-3, "ratio": 1.4, "backend": "fd"},
+        schedule={"delta0": 0.25, "ratio": 0.5, "levels": 3},
+        checks=[],
+    )
     out = tmp_path / "lad"
     assert cli.main(["regularize", "--config", str(cfg_path), "--out", str(out)]) == 0
     report = json.loads((out / "ladder.json").read_text())
     assert set(report) == {"config_hash", "deltas", "shifts", "margins", "oscillation"}
     assert report["config_hash"] == config_hash(doc)
     assert len(report["deltas"]) == 3
-    for j in range(3):
-        assert (out / f"level_{j:03d}.bin").is_file()
-    assert (out / "base.bin").is_file()
     assert "level 0: delta=0.25" in capsys.readouterr().out
+    # the same files, byte for byte, as the ladder/ of the document's cascade archive
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    files = [name + suffix for name in ("base", "level_000", "level_001", "level_002")
+             for suffix in (".bin", ".json")]
+    ladder = tmp_path / "out" / "ladder"
+    assert sorted(p.name for p in ladder.iterdir()) == sorted(files)
+    for name in files:
+        assert (out / name).read_bytes() == (ladder / name).read_bytes()
 
 
 def test_nef_family_archive_layout(tmp_path):

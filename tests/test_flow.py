@@ -218,6 +218,8 @@ def test_audit_rows_built_in_its_arrays_match_fresh_arrays(n, backend, varying_f
     # built last to first, so each build overwrites another snapshot's arrays
     for k in reversed(range(len(traj.times))):
         assert audit.row(k) == fresh_row(audit, k)
+    # the audit evaluates states only: it never makes a Newton correction's arrays
+    assert "correction" not in vars(audit._ws)
 
 
 def test_step_residual_audit_never_evaluates_the_energy(monkeypatch):
@@ -435,6 +437,45 @@ def test_a_warm_n1_step_allocates_only_what_it_returns(backend):
     assert warm_step_peak(1, 64, backend) < 2.1
 
 
+def arrays_in(values) -> list:
+    """The arrays among values and inside their tuples."""
+    found = []
+    for v in values:
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, tuple):
+            found += arrays_in(v)
+    return found
+
+
+@pytest.mark.parametrize(
+    "n, resolution, backend, dtype",
+    [(1, 16, "spectral", np.float64), (1, 16, "fd", np.float64),
+     (2, 8, "spectral", np.float64), (2, 16, "spectral", np.float32)],
+)
+def test_the_correction_has_its_own_arrays_in_its_own_precision(n, resolution, backend, dtype):
+    grid = TorusGrid(n=n, resolution=resolution)
+    assert grid_module.correction_dtype(grid) == dtype
+    c = grid.coordinates()
+    phi = 0.02 * np.cos(2 * np.pi * c[0]) * np.sin(2 * np.pi * c[1])
+    phi = np.broadcast_to(phi, grid.shape).copy()
+    cfg = FlowConfig(horizon=0.1, t_min=1e-3, ratio=1.2, backend=backend)
+    path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
+    ws = flow._Workspace(grid, backend)
+    ws.hessian(phi)
+    assert "correction" not in vars(ws)
+    diag = flow._advance(phi, 0.0, 1e-3, path, DrivingTerm.affine(slope=0.5), omega.log(),
+                         cfg, c, ws)[2]
+    assert diag["newton_iters"] > 0
+    state = arrays_in(v for k, v in vars(ws).items() if k != "correction")
+    correction = arrays_in(vars(ws.correction).values())
+    complex_dtype = np.result_type(dtype, np.complex64)
+    # h12 (and at n = 1 the transform) complex of the correction's precision
+    assert any(np.iscomplexobj(a) for a in correction)
+    assert all(a.dtype == (complex_dtype if np.iscomplexobj(a) else dtype) for a in correction)
+    assert not any(np.shares_memory(a, b) for a in correction for b in state)
+
+
 # -- the Newton solve: preconditioned BiCGSTAB -----------------------------------
 
 
@@ -615,10 +656,11 @@ def test_float32_newton_kernels_match_their_float64_reference(backend, fs_kind, 
     hv = flow.hessian_components(v, grid, backend)
     want_jac = v / dt - geometry.comps_trace_inv(total, hv) + fs * v
     reference = flow._Workspace(grid, backend)
+    reference.correction = flow._Correction(grid, np.float64)
     want_pre = flow._preconditioner(total, det, R, fs, dt, reference)(v)
     ws = flow._Workspace(grid, backend)
-    assert ws.dtype == np.float32
-    w, det32, R32 = ws.correction_operands(total, det, R)
+    assert ws.correction.dtype == np.float32
+    w, det32, R32 = ws.correction.operands(total, det, R)
     assert R32.dtype == np.float32 and np.array_equal(R32, R.astype(np.float32))
     jac = flow._jacobian(w, det32, fs, dt, ws)
     precond = flow._preconditioner(w, det32, R32, fs, dt, ws)
@@ -632,7 +674,7 @@ def test_float32_newton_kernels_match_their_float64_reference(backend, fs_kind, 
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
     # BiCGSTAB in float32 vectors: the residual it reports is the float64 operator's
     step = flow._krylov_step(w, det32, R32, fs, dt, ws)
-    x, _, rel_res, converged = flow._bicgstab(step, R32, 1e-4, 200, ws.krylov)
+    x, _, rel_res, converged = flow._bicgstab(step, R32, 1e-4, 200, ws.correction.krylov)
     assert converged and x.dtype == np.float32
     jac64 = flow._jacobian(total, det, fs, dt, reference)
     true_res = flow._l2(R - jac64(x.astype(np.float64))) / flow._l2(R)
@@ -648,10 +690,10 @@ def test_a_float32_correction_keeps_the_float64_newton_counts(monkeypatch):
     path = MetricPath.constant(grid, cfg.horizon)
     omega = VolumeForm(grid, 1.0 + 0.2 * np.cos(2 * np.pi * x2))
     F = DrivingTerm.affine(slope=0.5)
-    assert flow._Workspace(grid, "spectral").dtype == np.float32
+    assert grid_module.correction_dtype(grid) == np.float32
     single = run(phi0, path, F, omega, cfg)
     monkeypatch.setattr(grid_module, "SINGLE_PRECISION_RESOLUTION", 32)
-    assert flow._Workspace(grid, "spectral").dtype == np.float64
+    assert grid_module.correction_dtype(grid) == np.float64
     double = run(phi0, path, F, omega, cfg)
 
     def counts(traj):
@@ -802,8 +844,9 @@ def test_horizon_beyond_metric_path_is_a_config_error():
         run(phi0, path, DrivingTerm.zero(), omega, cfg)
 
 
-def test_lying_declared_bounds_abort_the_run():
-    grid, path, omega, cfg = make_problem()
+@pytest.mark.parametrize("family", ["single", "cascade", "nef"])
+def test_lying_declared_bounds_abort_the_run(family):
+    grid, path, omega, cfg = make_problem(resolution=64, horizon=0.01, t_min=1e-3, ratio=1.4)
     phi0 = ScalarField(grid, np.zeros(grid.shape))
     liar = DrivingTerm(
         name="liar",
@@ -813,8 +856,14 @@ def test_lying_declared_bounds_abort_the_run():
         time_bound=0.0,
         smooth=True,
     )
-    with pytest.raises(ConfigError, match="defect"):
-        run(phi0, path, liar, omega, cfg)
+    with pytest.raises(ConfigError, match="'liar' violates its declared defect"):
+        if family == "single":
+            run(phi0, path, liar, omega, cfg)
+        elif family == "cascade":
+            schedule = RegularizationSchedule.geometric(delta0=0.25, ratio=0.5, levels=3)
+            run_cascade(RoughPotential.max_kink(), schedule, path, liar, omega, cfg)
+        else:
+            run_nef(np.array([[1.0]]), (0.2, 0.1), phi0, liar, omega, cfg)
 
 
 def test_declared_bound_audit_reports_sampled_extremes():
@@ -891,7 +940,7 @@ def fake_runs(monkeypatch, levels):
     """flow.run returns flat trajectories at the given levels, in call order."""
     queue = list(levels)
 
-    def fake(phi0, path, F, omega_form, cfg, check_bounds=True):
+    def fake(phi0, path, F, omega_form, cfg):
         return flat_family(phi0.grid, schedule_times(cfg), queue.pop(0))
 
     monkeypatch.setattr(flow, "run", fake)

@@ -139,6 +139,48 @@ def test_the_matmul_check_sees_both_forms(tmp_path):
     assert matmul_uses(probe) == [(2, "f"), (3, "f")]
 
 
+# the Newton operators' builders, which work in the workspace's correction only
+OPERATOR_BUILDERS = ("_jacobian", "_preconditioner_terms", "_preconditioner", "_krylov_step")
+
+
+def workspace_reads(path: Path, functions) -> list:
+    """(line, function, attribute) of each ws.<attribute> read inside the named functions."""
+    tree = ast.parse(path.read_text())
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            hits += [
+                (sub.lineno, node.name, sub.attr)
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "ws"
+            ]
+    return sorted(hits)
+
+
+def test_the_newton_operators_read_only_the_correction_of_the_workspace():
+    found = workspace_reads(Path(maflow.__file__).parent / "flow.py", OPERATOR_BUILDERS)
+    assert {where for _, where, _ in found} == set(OPERATOR_BUILDERS)
+    assert [hit for hit in found if hit[2] not in ("grid", "backend", "correction")] == []
+
+
+def test_the_workspace_read_check_sees_a_planted_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _krylov_step(ws):\n"
+        "    def step():\n"
+        "        return ws.tmp\n"
+        "    return ws.correction, step\n"
+        "def other(ws):\n"
+        "    return ws.tmp\n"
+    )
+    assert workspace_reads(probe, OPERATOR_BUILDERS) == [
+        (3, "_krylov_step", "tmp"),
+        (4, "_krylov_step", "correction"),
+    ]
+
+
 def test_single_precision_stays_inside_grid_and_flow():
     # grid's n = 2 kernels follow their values' dtype and flow's Newton
     # correction is the one caller that hands them float32
