@@ -33,7 +33,17 @@ import numpy as np
 from . import io as archive_io
 from . import verify
 from .errors import ConfigError, MissingSnapshotsError, NumericError
-from .flow import DrivingTerm, FlowConfig, TrajectoryAudit, run, run_cascade, run_nef
+from .flow import (
+    ARRAY_BUDGET,
+    DrivingTerm,
+    FlowConfig,
+    TrajectoryAudit,
+    peak_array_bytes,
+    run,
+    run_cascade,
+    run_nef,
+    stored_steps,
+)
 from .geometry import MetricPath, VolumeForm
 from .grid import TorusGrid, oscillation
 from .psh import RegularizationSchedule, RoughPotential, mollify_decreasing
@@ -543,12 +553,38 @@ def run_comparison_pair(ctx: RunContext, out: Path = None):
     return ctx.traj_b
 
 
+def array_estimate(doc: dict, forced_mode: str = None) -> int:
+    """flow.peak_array_bytes of the document's run, with the snapshots its mode keeps in memory.
+
+    A single flow streams its snapshots; every cascade level, and every nef
+    member and the witness, keeps its stored fields and phidots, and a
+    cascade its ladder too.  Nothing grid-sized is made here.
+    """
+    grid, cfg = build_grid(doc), build_flow_config(doc)
+    mode = forced_mode or resolve_mode(doc, build_initial(_section(doc, "initial"), grid.n))
+    runs = 0  # the runs whose snapshots stay in memory
+    if mode == "cascade" and doc.get("schedule") is not None:
+        runs = len(build_schedule(doc["schedule"]).deltas)
+    elif mode == "nef":
+        runs = len(build_metric(doc, grid, cfg.horizon).meta.get("eps_schedule", ())) + 1
+    kept = 2 * runs * int(np.count_nonzero(stored_steps(cfg)))
+    if mode == "cascade":
+        kept += runs + 1  # the ladder's levels and base
+    return peak_array_bytes(grid, kept)
+
+
 def cmd_run(args, forced_mode: str = None) -> int:
     doc = load_document(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed  # archived with the run, so verify replays the same draws
     out = Path(args.out) if args.out else Path(doc.get("out", "runs/latest"))
     names = _resolve_checks(doc, list(args.check or doc.get("checks", [])))
+    estimate = array_estimate(doc, forced_mode)
+    if estimate > ARRAY_BUDGET:
+        raise ConfigError(
+            f"the run on grid {doc['grid']} would hold about {estimate / 2**20:,.0f} MiB of "
+            f"arrays, over the {ARRAY_BUDGET / 2**20:,.0f} MiB a run may hold (flow.ARRAY_BUDGET)"
+        )
 
     # everything goes to a staged directory that reaches out only if the run ends normally
     with archive_io.staged(out) as stage:

@@ -28,11 +28,13 @@ the backward-Euler residual, each written into grid-shaped arrays (and at
 n = 1 a spectrum-shaped one) that it passes as outputs to grid's
 derivatives and geometry's form algebra.  The Newton correction is solved
 in arrays of its own, a `_Correction` in the correction's precision.  Each
-`run` holds one workspace for its whole length, so only each step's stored
-snapshot and the driving term's values are new arrays, at n = 1 and n = 2
-alike.  A stored snapshot goes to the run's snapshot store when its step
-is accepted: a list in memory by default, or io.ArchiveStore, which writes
-it to disk at once and reads it back when the trajectory is indexed.
+`run` holds one workspace for its whole length and cycles its accepted
+states through the workspace's iterate slots, so after its first steps only
+the driving term's values are new arrays, at n = 1 and n = 2 alike.  A
+stored snapshot goes to the run's snapshot store when its step is
+accepted: a list in memory by default, which copies it, or
+io.ArchiveStore, which writes it to disk at once and reads it back when the
+trajectory is indexed.
 Checks read stored snapshots through `TrajectoryAudit`, which evaluates
 each snapshot in its own workspace at most once, keeps only scalars, and
 reports a snapshot outside the positive cone instead of taking the
@@ -90,7 +92,7 @@ from .grid import (
     inner,
     oscillation,
     quarter_laplacian_rayleigh,
-    shifted_symbol,
+    inverse_shifted_symbol,
     solve_shifted_laplacian,
 )
 from .psh import (
@@ -401,12 +403,15 @@ class _Correction:
 
     tmp is three real scratch arrays, hv (H(v) inside a `_jacobian` apply)
     shares tmp's first two, scale is the preconditioner's scaling and
-    krylov BiCGSTAB's eight vectors.  spectrum (None at n = 2) is a complex
+    krylov BiCGSTAB's seven vectors.  spectrum (None at n = 2) is a complex
     and a real array of the grid's spectrum_shape: the preconditioner's
     Rayleigh quotient writes the transform and the power spectrum into
     them, then the shift + symbol into the second, and every later solve
-    or Hessian transforms into the first.  In float32, copies holds the
-    form, det w and R that `operands` lays out once per Newton iteration.
+    or Hessian transforms into the first.  inverse (None at n = 2) is a
+    complex array of that shape, into which the preconditioner lays out
+    the reciprocal of the shift + symbol that every solve multiplies by.
+    In float32, copies holds the form, det w and R that `operands` lays out
+    once per Newton iteration.  `nbytes` counts what the constructor makes.
     """
 
     def __init__(self, grid: TorusGrid, dtype):
@@ -417,14 +422,28 @@ class _Correction:
         self.tmp = (real(), real(), real())
         self.hv = _form_arrays(grid, *self.tmp[:2])
         self.scale = real()
-        self.krylov = tuple(real() for _ in range(8))
-        self.spectrum = None
+        self.krylov = tuple(real() for _ in range(7))
+        self.spectrum = self.inverse = None
         if grid.n == 1:
-            hat = np.empty(grid.spectrum_shape, np.result_type(dtype, np.complex64))
-            self.spectrum = hat, np.empty(grid.spectrum_shape, dtype)
+            cplx = np.result_type(dtype, np.complex64)
+            self.spectrum = np.empty(grid.spectrum_shape, cplx), np.empty(grid.spectrum_shape, dtype)
+            self.inverse = np.empty(grid.spectrum_shape, cplx)
         self.copies = None
         if dtype != np.float64:
             self.copies = (*_form_arrays(grid, real(), real()), real(), real())
+
+    @staticmethod
+    def nbytes(grid: TorusGrid, dtype) -> int:
+        """The bytes of the arrays a `_Correction(grid, dtype)` makes."""
+        field = math.prod(grid.shape) * np.dtype(dtype).itemsize
+        # tmp, scale, krylov; at n = 2 hv's complex h12 (two fields)
+        fields = 3 + 1 + 7 + (2 if grid.n == 2 else 0)
+        if dtype != np.float64:
+            fields += 6 if grid.n == 2 else 3  # copies: the form, det w and R
+        spectrum = 0
+        if grid.n == 1:  # two complex arrays and a real one
+            spectrum = 5 * math.prod(grid.spectrum_shape) * np.dtype(dtype).itemsize
+        return fields * field + spectrum
 
     def operands(self, total, det, R) -> tuple:
         """(total, det, R) in dtype: themselves in float64, copies in copies otherwise."""
@@ -446,18 +465,23 @@ class _Workspace:
     2, and the right-hand side into rhs); `step_residual` then gives the sup
     of the backward-Euler residual R from a previous state.
 
-    u holds the Newton iterate and the line search's trial, which swap roles
-    when a trial is accepted; the extrapolated start of a step is written
-    into u[0].  The line search overwrites h and w, as the accepted iterate
-    needs neither once its Newton direction is solved; between steps h is H
-    of the step's values, the warm start of a step that starts from them.
-    tmp is three real scratch arrays, and spectrum (None at n = 2) holds the
+    u holds the two iterate slots: the Newton iterate and the line search's
+    trial, which swap roles when a trial is accepted; the extrapolated start
+    of a step is written into u[0].  A step hands its accepted iterate over
+    (`hand_over`) instead of copying it, and its slot is refilled when a
+    slot is next needed, with the state `run` gave back through `recycle`
+    if there is one and a new array otherwise; u[1] is None until then.
+    The line search overwrites h and w, as the accepted iterate needs
+    neither once its Newton direction is solved; between steps h is H of
+    the step's values, the warm start of a step that starts from them.  tmp
+    is three real scratch arrays, and spectrum (None at n = 2) holds the
     complex array that an n = 1 Hessian transforms into.
 
     The Newton correction is solved in correction, a `_Correction` in
     grid.correction_dtype (float32 at n = 2 from
     grid.SINGLE_PRECISION_RESOLUTION points per axis up, float64 elsewhere),
     made on a run's first Newton iteration, so an audit never makes one.
+    `nbytes` counts what the constructor makes.
     """
 
     def __init__(self, grid: TorusGrid, backend: str):
@@ -465,7 +489,8 @@ class _Workspace:
             return np.empty(grid.shape)
 
         self.grid, self.backend = grid, backend
-        self.u = (real(), real())
+        self.u = [real(), real()]
+        self._spare = None  # a state `run` gave back, the next slot to refill
         self.h, self.w = _form_arrays(grid), _form_arrays(grid)
         self.det, self.rhs, self.R = real(), real(), real()
         self.tmp = (real(), real(), real())
@@ -473,9 +498,42 @@ class _Workspace:
         if grid.n == 1:
             self.spectrum = (np.empty(grid.spectrum_shape, complex),)
 
+    @staticmethod
+    def nbytes(grid: TorusGrid) -> int:
+        """The bytes of the arrays a `_Workspace` on grid makes (its correction aside)."""
+        # u, det, rhs, R and tmp; h and w are a field each at n = 1, four at n = 2
+        fields = 2 + 3 + 3 + (2 if grid.n == 1 else 8)
+        spectrum = 16 * math.prod(grid.spectrum_shape) if grid.n == 1 else 0
+        return fields * 8 * math.prod(grid.shape) + spectrum
+
     @functools.cached_property
     def correction(self) -> _Correction:
         return _Correction(self.grid, correction_dtype(self.grid))
+
+    def recycle(self, state):
+        """Take back a state that nothing reads any more, to refill the next slot.
+
+        state must be writeable and must not be read again by its giver
+        after the next `_advance` has read its history.
+        """
+        self._spare = state
+
+    def _refill(self):
+        spare, self._spare = self._spare, None
+        return np.empty(self.grid.shape) if spare is None else spare
+
+    def trial(self, u):
+        """The iterate slot that u is not, refilled first if it was handed over."""
+        if self.u[1] is None:
+            self.u[1] = self._refill()
+        return self.u[1] if u is self.u[0] else self.u[0]
+
+    def hand_over(self, u):
+        """Give up u, if it is an iterate slot, to the caller; the other slot becomes u[0]."""
+        if u is self.u[1]:
+            self.u[1] = None
+        elif u is self.u[0]:
+            self.u = [self.u[1] if self.u[1] is not None else self._refill(), None]
 
     def hessian(self, u):
         """h = H(u)."""
@@ -519,11 +577,14 @@ def _bicgstab(step, b: np.ndarray, rel_tol: float, max_iter: int, work):
     step(p, z, v) returns (M^-1 p, J M^-1 p), the two written into z and v
     when it can (`_krylov_step`); z and v are arrays of the solver's that
     alias neither p nor each other.  Every inner product is grid.inner.
-    work, eight arrays shaped like b and of its dtype, holds the solver's
+    work, seven arrays shaped like b and of its dtype, holds the solver's
     vectors, updated in place; the returned iterate is one of them and lasts
-    until work is next used.  b is only read.
+    until work is next used.  b is only read.  Each scaled vector is formed
+    in an array that is free at that point (v before the step overwrites
+    it, z and t once read, and t before the step overwrites it), so no
+    array is kept for scratch.
     """
-    x, r, p, v, z, t, best, tmp = work
+    x, r, p, v, z, t, best = work
     x.fill(0.0)
     bnorm = _l2(b)
     if bnorm == 0.0:
@@ -544,8 +605,8 @@ def _bicgstab(step, b: np.ndarray, rel_tol: float, max_iter: int, work):
             if abs(rho_new) < 1e-300:
                 break
         beta = (rho_new / rho) * (alpha / omega)
-        # p = r + beta (p - omega v)
-        p -= np.multiply(v, omega, out=tmp)
+        # p = r + beta (p - omega v); the step overwrites v next
+        p -= np.multiply(v, omega, out=v)
         p *= beta
         p += r
         z, v = step(p, z, v)
@@ -553,8 +614,9 @@ def _bicgstab(step, b: np.ndarray, rel_tol: float, max_iter: int, work):
         if abs(denom) < 1e-300:
             break
         alpha = rho_new / denom
-        x += np.multiply(z, alpha, out=tmp)
-        r -= np.multiply(v, alpha, out=tmp)
+        x += np.multiply(z, alpha, out=z)
+        # v is read again by the next p; the step overwrites t next
+        r -= np.multiply(v, alpha, out=t)
         res = _l2(r)
         if res <= target:
             return x, it, res / bnorm, True
@@ -566,8 +628,8 @@ def _bicgstab(step, b: np.ndarray, rel_tol: float, max_iter: int, work):
         if tt == 0.0:
             break
         omega = inner(t, r) / tt
-        x += np.multiply(z, omega, out=tmp)
-        r -= np.multiply(t, omega, out=tmp)
+        x += np.multiply(z, omega, out=z)
+        r -= np.multiply(t, omega, out=t)
         res = _l2(r)
         if res <= target:
             return x, it, res / bnorm, True
@@ -615,9 +677,10 @@ def _preconditioner_terms(total, det, R, fs, dt, ws) -> tuple:
     """(D, sigma, shift) of `_preconditioner`, laid out in ws.correction.
 
     D is the pointwise scaling (in its scale), sigma the shift c (1/dt +
-    max(0, mean F_s)), and shift what the solve divides by: sigma at n = 2,
-    and at n = 1 sigma + the symbol of -(1/4) Laplacian, laid out in
-    spectrum[1].  tmp is scratch here and free again on return.
+    max(0, mean F_s)), and shift what the solve takes: sigma at n = 2, and
+    at n = 1 the reciprocal of sigma + the symbol of -(1/4) Laplacian, laid
+    out in inverse (through spectrum[1]).  tmp is scratch here and free
+    again on return.
     """
     grid, backend, cor = ws.grid, ws.backend, ws.correction
     a, b, spare = cor.tmp
@@ -629,8 +692,9 @@ def _preconditioner_terms(total, det, R, fs, dt, ws) -> tuple:
     scale *= s
     sigma = c * (1.0 / dt + max(0.0, float(np.mean(fs))))
     # n = 2 has no spare grid-shaped array and adds the symbol per apply
-    shift = sigma if grid.n == 2 else shifted_symbol(grid, backend, sigma, cor.spectrum[1])
-    return scale, sigma, shift
+    if grid.n == 2:
+        return scale, sigma, sigma
+    return scale, sigma, inverse_shifted_symbol(grid, backend, sigma, cor.inverse, cor.spectrum[1])
 
 
 def _preconditioner(total, det, R, fs, dt, ws):
@@ -749,10 +813,14 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
     ws is the run's workspace (`_Workspace`).  On entry its h must be
     H(prev_vals) when history is empty and is free otherwise; the guess is
     written into ws.u[0] through ws.tmp[0].  On return h = H(values), the
-    next step's warm start.  The Newton loop works in ws's arrays; the
-    returned values and phidot_values are new arrays.  log_om is log Omega.
-    Each correction is solved in ws.correction (`_Correction`), in its
-    dtype; the residual, the cone tests and the iterates stay float64.
+    next step's warm start.  The Newton loop works in ws's arrays and
+    copies nothing out: values is the accepted iterate, which ws hands
+    over (`_Workspace.hand_over`; prev_vals itself after 0 iterations), and
+    phidot_values is ws.rhs, valid until ws next evaluates a state.  So a
+    call allocates at most the iterate slot it hands over, and none when
+    the caller has recycled a state into ws.  log_om is log Omega.  Each
+    correction is solved in ws.correction (`_Correction`), in its dtype;
+    the residual, the cone tests and the iterates stay float64.
     """
     grid = path.grid
     dt = t_to - t_from
@@ -808,7 +876,7 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
         linear_total += lin_iters
         linear_worst = max(linear_worst, lin_res)
         linear_converged = linear_converged and lin_ok
-        trial = ws.u[1] if u is ws.u[0] else ws.u[0]
+        trial = ws.trial(u)
         lam = 1.0
         while True:
             np.subtract(u, np.multiply(correction, lam, out=trial), out=trial)
@@ -840,7 +908,8 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
         "linear_rel_residual": linear_worst,
         "linear_converged": linear_converged,
     }
-    return u.copy(), rhs.copy(), diag
+    ws.hand_over(u)
+    return u, rhs, diag
 
 
 # ---------------------------------------------------------------------------
@@ -851,18 +920,73 @@ class _MemoryStore:
     """`run`'s default snapshot store, which keeps every stored snapshot in memory.
 
     A snapshot store takes each stored snapshot as it is accepted, through
-    add(index, t, phi, phidot) (index its schedule index, phidot None where
-    the right-hand side is undefined), and its fields and phidots are the
+    add(index, t, phi, phidot): index is its schedule index, and phi and
+    phidot are grid-shaped float64 arrays (phidot None where the
+    right-hand side is undefined).  They are the run's own arrays, which
+    the run overwrites once add returns, so a store reads them during the
+    call only and makes any field it keeps a copy; a read-only array (phi0's
+    values) does not change and may be kept as it is.  A kept field must
+    be finite, as a ScalarField is.  The store's fields and phidots are the
     trajectory's sequences of what it took.  io.ArchiveStore writes each
     snapshot to disk instead.
     """
 
-    def __init__(self):
+    def __init__(self, grid: TorusGrid):
+        self.grid = grid
         self.fields, self.phidots = [], []
 
-    def add(self, index: int, t: float, phi: ScalarField, phidot: ScalarField | None):
-        self.fields.append(phi)
-        self.phidots.append(phidot)
+    def add(self, index: int, t: float, phi: np.ndarray, phidot: np.ndarray | None):
+        self.fields.append(self._kept(phi))
+        self.phidots.append(None if phidot is None else self._kept(phidot))
+
+    def _kept(self, values) -> ScalarField:
+        return ScalarField(self.grid, values.copy() if values.flags.writeable else values)
+
+
+def stored_steps(cfg: FlowConfig, times=None) -> np.ndarray:
+    """Which points of the schedule (schedule_times(cfg) unless given) a run stores.
+
+    t = 0, the horizon, every store_every-th point and the points nearest
+    the probes.
+    """
+    times = schedule_times(cfg) if times is None else times
+    keep = np.zeros(len(times), dtype=bool)
+    keep[0] = keep[-1] = True
+    keep[:: cfg.store_every] = True
+    for p in cfg.probes:
+        keep[int(np.argmin(np.abs(times - p)))] = True
+    return keep
+
+
+# The most bytes of arrays `maflow run` lets one document hold at once, as
+# `peak_array_bytes` estimates them.  A 32^4 n = 2 run holds about 260 MB; a
+# 64^4 one would hold about 4 GB, and a 128^4 one about 66 GB.
+ARRAY_BUDGET = 2 * 2**30
+# Grid fields a run holds beside its workspace and correction: phi0, the two
+# states its ring holds beyond the workspace's slots, and two for the driving
+# term's values (affine F makes s_slope * u, then adds the constant).
+RUN_FIELDS = 5
+# Grid fields an audit holds beside its workspace: the snapshot it builds,
+# the one before it, its phidot and two for the driving term's values.
+AUDIT_FIELDS = 5
+
+
+def peak_array_bytes(grid: TorusGrid, kept_fields: int = 0) -> int:
+    """About the most bytes of grid-sized arrays that a run on grid and its audit hold at once.
+
+    The run holds its `_Workspace`, the workspace's `_Correction` and
+    RUN_FIELDS fields more; the audit (`TrajectoryAudit`), which comes after
+    it, holds a workspace of its own, at n = 2 the energy's complex scratch,
+    and AUDIT_FIELDS fields more.  kept_fields fields, the snapshots a mode
+    keeps in memory, are held through both, so the estimate is the larger
+    phase plus them.  A check that runs flows of its own (stability,
+    uniqueness, transform-roundtrip) holds more than this.
+    """
+    field = 8 * math.prod(grid.shape)
+    workspace = _Workspace.nbytes(grid)
+    run_phase = workspace + _Correction.nbytes(grid, correction_dtype(grid)) + RUN_FIELDS * field
+    audit_phase = workspace + (2 * field if grid.n == 2 else 0) + AUDIT_FIELDS * field
+    return max(run_phase, audit_phase) + kept_fields * field
 
 
 def run(
@@ -880,14 +1004,22 @@ def run(
     driving term's declared bounds are audited over [0, horizon] and phi0's
     range, padded by 1 + half its oscillation (`verify_declared_bounds`).  The
     run makes one `_Workspace`, warm-started with H(phi0), passes it to every
-    step and drops it on return; no array of it reaches the trajectory.  Each
-    step gets the two accepted states before its start as history, so
-    Newton starts from the extrapolation through them and its start
-    (`_advance`).  After a step that started from its last state and took
-    at most one Newton iteration, the next step starts from its last state
-    too, and extrapolation resumes once a step needs more.  Each stored
-    snapshot goes to store (by default one in memory) when its step is
-    accepted.
+    step and drops it on return.  Each step gets the two accepted states
+    before its start as history, so Newton starts from the extrapolation
+    through them and its start (`_advance`).  After a step that started from
+    its last state and took at most one Newton iteration, the next step
+    starts from its last state too, and extrapolation resumes once a step
+    needs more.
+
+    The states are one fixed set of arrays: each step hands its accepted
+    iterate over, and the state that leaves the history with that step is
+    recycled into the workspace as the slot to refill, unless it is phi0's
+    (read-only) values or the history or the last state still holds it
+    (a step of 0 Newton iterations returns its start).  After its third
+    step a run allocates no state-sized array.  Each stored snapshot goes
+    to store (by default one in memory) when its step is accepted, as the
+    run's own arrays, so no workspace array reaches the trajectory;
+    unstored steps copy nothing.
     """
     grid = phi0.grid
     if path.grid is not grid and path.grid != grid:
@@ -908,20 +1040,14 @@ def run(
     F.verify_declared_bounds(grid, (0.0, cfg.horizon), (lo - pad, hi + pad))
 
     times = schedule_times(cfg)
+    keep = stored_steps(cfg, times)
+    store = _MemoryStore(grid) if store is None else store
+    phidot0 = None  # else ws.rhs, which the first step overwrites
     if margin0 > 0.0:
-        phidot0 = ScalarField(grid, ws.rhs_at(phi0.values, 0.0, F, log_om, coords)[1].copy())
+        phidot0 = ws.rhs_at(phi0.values, 0.0, F, log_om, coords)[1]
     else:
-        phidot0 = None
         notices.append("right-hand side undefined at t = 0 (cone boundary); phidot omitted there")
-
-    keep = np.zeros(len(times), dtype=bool)
-    keep[0] = keep[-1] = True
-    keep[:: cfg.store_every] = True
-    for p in cfg.probes:
-        keep[int(np.argmin(np.abs(times - p)))] = True
-
-    store = _MemoryStore() if store is None else store
-    store.add(0, 0.0, phi0, phidot0)
+    store.add(0, 0.0, phi0.values, phidot0)
     stored_times = [0.0]
     stored_indices = [0]
     diagnostics = []
@@ -929,6 +1055,11 @@ def run(
     history = []  # the accepted states before vals, oldest first
     extrapolate = False
     for k in range(1, len(times)):
+        if len(history) == 2:
+            # the oldest state leaves the history with this step, once read
+            leaving = history[0][1]
+            if leaving.flags.writeable and leaving is not history[1][1] and leaving is not vals:
+                ws.recycle(leaving)
         new_vals, phidot_vals, diag = _advance(
             vals, times[k - 1], times[k], path, F, log_om, cfg, coords, ws,
             history if extrapolate else (),
@@ -941,7 +1072,7 @@ def run(
         diagnostics.append(diag)
         if keep[k]:
             stored_times.append(float(times[k]))
-            store.add(k, float(times[k]), ScalarField(grid, vals), ScalarField(grid, phidot_vals))
+            store.add(k, float(times[k]), vals, phidot_vals)
             stored_indices.append(k)
     return FlowTrajectory(
         grid=grid,

@@ -193,7 +193,12 @@ def lowest_eigenvalue(comps, grid_shape):
 
 @dataclass(frozen=True)
 class VolumeForm:
-    """Strictly positive density against the Lebesgue volume of the torus."""
+    """Strictly positive density against the Lebesgue volume of the torus.
+
+    density is kept at the shape it is given, which must broadcast to the
+    grid's: a density that varies along one axis holds N values, not the
+    grid's N^(2n), and so does log().
+    """
 
     grid: TorusGrid
     density: np.ndarray = field(repr=False)
@@ -201,9 +206,11 @@ class VolumeForm:
     def __post_init__(self):
         d = np.asarray(self.density, dtype=np.float64)
         try:
-            np.broadcast_shapes(d.shape, self.grid.shape)
+            fits = np.broadcast_shapes(d.shape, self.grid.shape) == self.grid.shape
         except ValueError:
-            raise ConfigError("volume density not broadcastable to the grid") from None
+            fits = False
+        if not fits:
+            raise ConfigError("volume density not broadcastable to the grid")
         if not np.all(np.isfinite(d)) or d.min() <= 0.0:
             raise ConfigError("volume density must be finite and strictly positive")
         d = np.ascontiguousarray(d)
@@ -216,7 +223,8 @@ class VolumeForm:
 
     @classmethod
     def from_function(cls, grid: TorusGrid, fn) -> "VolumeForm":
-        return cls(grid, np.broadcast_to(fn(*grid.coordinates()), grid.shape).copy())
+        """fn of the grid's coordinates, at the broadcast shape it returns."""
+        return cls(grid, np.array(fn(*grid.coordinates()), dtype=np.float64))
 
     def log(self) -> np.ndarray:
         return np.log(self.density)
@@ -332,15 +340,16 @@ def certify_metric_path(path: MetricPath, omega_form: VolumeForm) -> float:
         delta^-1 Omega <= theta_t^n <= delta Omega
 
     at PATH_SAMPLES equispaced times covering [0, horizon]; inf when theta_t^n
-    is not positive somewhere.  A sampled certificate in the audit sense,
-    not a proof; the checks read log(delta).
+    is not positive somewhere.  det theta_t^n and Omega are compared at
+    their common broadcast shape, which holds every value the grid does.
+    A sampled certificate in the audit sense, not a proof; the checks read
+    log(delta).
     """
-    grid = path.grid
-    dens = np.broadcast_to(omega_form.density, grid.shape)
+    dens = omega_form.density
     delta = 1.0
     for t in np.linspace(0.0, path.horizon, PATH_SAMPLES):
-        det = np.broadcast_to(comps_det(path.theta(t)), grid.shape)
-        if not det.min() > 0:
+        det = comps_det(path.theta(t))
+        if not np.min(det) > 0:
             return math.inf
-        delta = max(delta, float((det / dens).max()), float((dens / det).max()))
+        delta = max(delta, float(np.max(det / dens)), float(np.max(dens / det)))
     return delta

@@ -138,6 +138,20 @@ def _grid_coordinates(n, N):
 # scalar fields
 
 
+def field_values(grid: TorusGrid, values) -> np.ndarray:
+    """values as a float64 array, once it has the grid's shape and is finite (else ConfigError).
+
+    A ScalarField's values pass this; values that already do are returned
+    as they are, so nothing is copied or frozen.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape != grid.shape:
+        raise ConfigError(f"field shape {v.shape} does not match grid shape {grid.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ConfigError("field contains non-finite values")
+    return v
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Real scalar sample on a grid.  Values are immutable after construction."""
@@ -146,14 +160,7 @@ class ScalarField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.grid.shape:
-            raise ConfigError(
-                f"field shape {v.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ConfigError("field contains non-finite values")
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", _freeze(field_values(self.grid, self.values)))
 
     @classmethod
     def from_function(cls, grid: TorusGrid, fn) -> "ScalarField":
@@ -229,6 +236,13 @@ def _quarter_laplacian_symbol(n, N, backend):
 
 
 @lru_cache(maxsize=32)
+def _complex_quarter_laplacian_symbol(n, N):
+    """The spectral symbol as complex c + 0i: the cast numpy makes for a product with a
+    complex spectrum, made once instead of into a buffer per product."""
+    return _freeze(_quarter_laplacian_symbol(n, N, "spectral").astype(complex))
+
+
+@lru_cache(maxsize=32)
 def _conjugate_weights(n, N):
     """Spectrum-shaped weights of real-FFT modes in a sum over all modes.
 
@@ -241,12 +255,25 @@ def _conjugate_weights(n, N):
     return _freeze(w)
 
 
-def shifted_symbol(grid: TorusGrid, backend: str, shift: float, out=None) -> np.ndarray:
-    """shift + the symbol of -(1/4) Laplacian in the real-FFT layout (grid.spectrum_shape).
+def inverse_shifted_symbol(
+    grid: TorusGrid, backend: str, shift: float, out=None, scratch=None
+) -> np.ndarray:
+    """1 / (shift + the symbol of -(1/4) Laplacian), complex, in the real-FFT layout.
 
-    The n = 1 solve divides by it; out receives it when given.
+    The n = 1 solve multiplies a spectrum by it.  numpy divides a complex
+    a + ib by a real c, cast to c + 0i, as a (1/c) + i b (1/c), so the
+    product rounds as the divide (up to the sign of a zero) and, laid out
+    once, spares each solve the cast and the divide.  out (complex) and
+    scratch (real, holding shift + symbol), both grid.spectrum_shape,
+    receive them when given.
     """
-    return np.add(shift, _quarter_laplacian_symbol(grid.n, grid.resolution, backend), out=out)
+    symbol = _quarter_laplacian_symbol(grid.n, grid.resolution, backend)
+    inverse = np.divide(1.0, np.add(shift, symbol, out=scratch), out=scratch)
+    if out is None:
+        return inverse.astype(complex)
+    # written by parts: a real result cast into out would take a buffer
+    out.real, out.imag = inverse, 0.0
+    return out
 
 
 def solve_shifted_laplacian(
@@ -254,8 +281,8 @@ def solve_shifted_laplacian(
 ):
     """Solve (shift - (1/4) Laplacian) u = values, Laplacian as the backend discretises it.
 
-    shift is a float or, at n = 1, shifted_symbol(grid, backend, shift) laid
-    out once for many solves.  u is written into out when given (a
+    shift is a float or, at n = 1, inverse_shifted_symbol(grid, backend,
+    shift) laid out once for many solves.  u is written into out when given (a
     grid-shaped float array that may be values).  At n = 2 scratch, a
     grid-shaped float array not aliasing values, holds the per-axis
     products; at n = 1 spectrum[0] holds the transform.
@@ -266,9 +293,9 @@ def solve_shifted_laplacian(
         coef /= np.add(shift, symbol, out=scratch)
         return _along_every_axis(q, coef, out, scratch)
     if not np.ndim(shift):
-        shift = shifted_symbol(grid, backend, shift)
+        shift = inverse_shifted_symbol(grid, backend, shift)
     hat = _rfft(values, grid, None if spectrum is None else spectrum[0])
-    hat /= shift
+    hat *= shift
     return _irfft(hat, grid, out)
 
 
@@ -471,7 +498,7 @@ def hessian_components(
     h11 = None if out is None else out[0]
     if backend == "spectral":
         hat = _rfft(values, grid, None if spectrum is None else spectrum[0])
-        hat *= _quarter_laplacian_symbol(1, grid.resolution, "spectral")
+        hat *= _complex_quarter_laplacian_symbol(1, grid.resolution)
         h11 = _irfft(hat, grid, h11)
         return (np.negative(h11, out=h11),)
     h = grid.spacing

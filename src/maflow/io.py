@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .flow import FlowConfig, FlowTrajectory
-from .grid import ScalarField, TorusGrid
+from .grid import ScalarField, TorusGrid, field_values
 
 __all__ = [
     "config_hash",
@@ -59,13 +59,18 @@ def config_hash(obj) -> str:
 
 def save_field(directory, name: str, field: ScalarField, time: float):
     """Write <name>.bin (binary64 LE row-major) and <name>.json sidecar."""
+    return _save_values(directory, name, field.grid, field.values, time)
+
+
+def _save_values(directory, name: str, grid: TorusGrid, values: np.ndarray, time: float):
+    """`save_field` of the field on grid with these values, which are only read."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     bin_path = directory / f"{name}.bin"
-    np.ascontiguousarray(field.values, dtype="<f8").tofile(bin_path)
+    np.ascontiguousarray(values, dtype="<f8").tofile(bin_path)
     sidecar = {
-        "n": field.grid.n,
-        "resolution": field.grid.resolution,
+        "n": grid.n,
+        "resolution": grid.resolution,
         "time": float(time),
         "name": name,
     }
@@ -212,19 +217,23 @@ class ArchiveStore:
 
     Each snapshot is written as `save_trajectory` would write it, so a
     trajectory built on this store is archived by writing its manifest only.
-    fields and phidots are `SnapshotSequence`s of what has been written.
+    add takes the run's arrays, as every snapshot store does (see
+    `flow._MemoryStore`), checks them as a ScalarField would and writes
+    them at once, so it keeps and copies nothing.  fields and phidots are
+    `SnapshotSequence`s of what has been written.
     """
 
     def __init__(self, directory, grid: TorusGrid):
         self.fields = SnapshotSequence(directory, grid)
         self.phidots = SnapshotSequence(directory, grid)
 
-    def add(self, index: int, t: float, phi: ScalarField, phidot: ScalarField | None):
-        name = _snapshot_name(index)
-        save_field(self.fields.directory, name, phi, t)
+    def add(self, index: int, t: float, phi: np.ndarray, phidot: np.ndarray | None):
+        name, grid = _snapshot_name(index), self.fields.grid
+        _save_values(self.fields.directory, name, grid, field_values(grid, phi), t)
         self.fields.names.append(name)
         if phidot is not None:
-            save_field(self.fields.directory, _phidot_name(name), phidot, t)
+            phidot = field_values(grid, phidot)
+            _save_values(self.fields.directory, _phidot_name(name), grid, phidot, t)
         self.phidots.names.append(None if phidot is None else _phidot_name(name))
 
 

@@ -832,3 +832,105 @@ def test_verify_names_a_key_the_manifest_lacks(tmp_path, capsys, key):
     capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+# -- the array estimate and the refusal of a run that cannot fit -----------------
+
+
+def n2_doc(resolution, out=None):
+    """A smooth n = 2 flow with a cosine volume and the audit's checks, on resolution^4."""
+    modes = [[0.012, [1, 0, 1, 0], 0.3], [0.011, [0, 1, 0, 1], 1.1], [0.014, [1, 1, 0, 0], 2.0]]
+    doc = base_doc(
+        out,
+        grid={"n": 2, "resolution": resolution},
+        volume={"kind": "cosine", "amplitude": 0.2, "axis": 2},
+        initial={"kind": "fourier-sum", "modes": modes},
+        mode="single",
+        flow={"horizon": 0.1, "t_min": 1e-3, "ratio": 1.2, "probes": [0.05, 0.1]},
+        checks=["apriori-bounds", "energy", "residual-certificate"],
+    )
+    return doc
+
+
+@pytest.mark.parametrize("resolution", [8, 16])
+def test_the_array_estimate_is_within_a_tenth_of_the_traced_peak(tmp_path, resolution):
+    import tracemalloc
+
+    doc = n2_doc(resolution)
+    for attempt in range(2):  # the first pass fills the operators' caches
+        tracemalloc.start()
+        try:
+            _, ctx, _ = cli.integrate_scenario(doc, out=tmp_path / f"run{attempt}")
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            cli.execute_checks(doc["checks"], ctx)
+            checks_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the run, not the audit after it, holds the most
+    assert run_peak > checks_peak
+    assert cli.array_estimate(doc) == pytest.approx(run_peak, rel=0.1)
+
+
+def test_a_run_too_large_to_fit_exits_two_before_it_allocates(tmp_path, capsys, monkeypatch):
+    import tracemalloc
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("a refused run was integrated")
+
+    monkeypatch.setattr(cli, "integrate_scenario", integrate)
+    doc = n2_doc(128, tmp_path / "out")
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", "--config", str(cfg_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    # one 128^4 field is 2 GiB; the refusal made nothing near one
+    assert peak < 2**20
+    estimate = cli.array_estimate(doc)
+    assert estimate > cli.ARRAY_BUDGET
+    err = capsys.readouterr().err
+    assert f"{estimate / 2**20:,.0f} MiB" in err and "flow.ARRAY_BUDGET" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_mode_adds_the_snapshots_it_keeps_in_memory(tmp_path):
+    from maflow import flow
+
+    doc = n2_doc(8)
+    grid = cli.build_grid(doc)
+    field = 8 * 8**4
+    stored = int(np.count_nonzero(flow.stored_steps(cli.build_flow_config(doc))))
+    assert cli.array_estimate(doc) == flow.peak_array_bytes(grid)
+    # a cascade keeps every level's fields and phidots, and its ladder
+    cascade = {**doc, "mode": "cascade", "schedule": {"deltas": [0.25, 0.125]}}
+    assert cli.array_estimate(cascade) == flow.peak_array_bytes(grid) + (4 * stored + 3) * field
+    # a nef family keeps every member's and the witness's
+    metric = {"kind": "nef", "theta0": [[1.0, 0.0], [0.0, 0.0]], "eps": [0.2, 0.1]}
+    nef = {**doc, "mode": "nef", "metric": metric}
+    assert cli.array_estimate(nef) == flow.peak_array_bytes(grid) + 6 * stored * field
+
+
+def test_a_broadcast_volume_gives_the_bits_of_its_full_grid_copy():
+    from maflow import geometry
+    from maflow.flow import TrajectoryAudit, run
+
+    doc = json.loads(scenario_path("08-twisted-upper-bound").read_text())
+    grid, cfg = cli.build_grid(doc), cli.build_flow_config(doc)
+    ctx = cli._context(doc, grid, cfg)
+    omega = ctx.omega
+    assert omega.density.shape == (grid.resolution, 1)  # varies along x only
+    full = geometry.VolumeForm(grid, np.broadcast_to(omega.density, grid.shape).copy())
+    phi0 = ctx.initial.sample(grid)
+    trajs = [run(phi0, ctx.path, ctx.F, volume, cfg) for volume in (omega, full)]
+    for a, b in zip(trajs[0].fields + trajs[0].phidots, trajs[1].fields + trajs[1].phidots):
+        assert a.values.tobytes() == b.values.tobytes()
+    assert trajs[0].diagnostics == trajs[1].diagnostics
+    audits = [TrajectoryAudit(trajs[0], ctx.path, ctx.F, volume) for volume in (omega, full)]
+    for k in range(len(trajs[0].times)):
+        assert audits[0].row(k) == audits[1].row(k)
+    assert audits[0].certificate() == audits[1].certificate() > 1.0

@@ -391,59 +391,140 @@ def test_extrapolation_reproduces_quadratics_on_the_schedule(probe):
         np.testing.assert_allclose(got, a + times[k] * b, rtol=0, atol=1e-14)
 
 
-def warm_step_peak(n, resolution, backend):
-    """tracemalloc peak of the 10th backward-Euler step of a run, in grid fields."""
+def warm_problem(n, resolution, backend):
+    """A smooth datum's values, a run's config, path and volume, and F = 0 on a grid.
+
+    F = 0 makes no array of its own, so what a step allocates is the flow's.
+    """
     grid = TorusGrid(n=n, resolution=resolution)
     c = grid.coordinates()
     phi = 0.02 * np.cos(2 * np.pi * c[0]) * np.sin(2 * np.pi * c[1])
     phi = phi + 0.01 * np.cos(2 * np.pi * (c[0] + c[-1]))
     cfg = FlowConfig(horizon=0.1, t_min=1e-3, ratio=1.2, backend=backend)
     path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
-    F, log_om = DrivingTerm.affine(slope=0.5), omega.log()
+    return np.broadcast_to(phi, grid.shape).copy(), cfg, path, omega, DrivingTerm.zero()
+
+
+def warm_step_peak(n, resolution, backend):
+    """(peak, kept) of the 10th backward-Euler step called directly, in grid fields.
+
+    The steps run on one workspace with the run's history, as `run` would,
+    but no state is recycled into it.  Below half a field, a peak is
+    numpy's casting buffers (at most 8192 elements each), not an array.
+    """
+    vals, cfg, path, omega, F = warm_problem(n, resolution, backend)
+    grid, log_om = path.grid, omega.log()
+    c = grid.coordinates()
     ws = flow._Workspace(grid, backend)
-    vals = np.broadcast_to(phi, grid.shape).copy()
     ws.hessian(vals)
     times = schedule_times(cfg)
     history = []
     for k in range(1, 10):
         new = flow._advance(vals, times[k - 1], times[k], path, F, log_om, cfg, c, ws, history)[0]
         history, vals = [*history[-1:], (times[k - 1], vals)], new
+    before = [a.copy() for _, a in history] + [vals.copy()]
     tracemalloc.start()
     try:
         step = flow._advance(vals, times[9], times[10], path, F, log_om, cfg, c, ws, history)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert step[2]["start"] == "extrapolated" and step[2]["newton_iters"] > 1
-    return peak / vals.nbytes
+    # the caller's states are intact: the step hands over a slot it no longer uses
+    assert all(np.array_equal(a, b) for a, b in zip([a for _, a in history] + [vals], before))
+    assert step[0] is not ws.u[0] and step[0] is not ws.u[1]
+    return peak / vals.nbytes, kept / vals.nbytes
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
 def test_a_warm_n2_step_allocates_only_what_it_returns(backend):
-    # the step's values and phidot; the Newton loop works in the workspace
-    assert warm_step_peak(2, 8, backend) < 2.1
+    # the slot of its values, refilled; its phidot is the workspace's rhs
+    peak, kept = warm_step_peak(2, 8, backend)
+    assert peak < 1.5 and 0.9 < kept < 1.1
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
 def test_a_warm_float32_n2_step_allocates_only_what_it_returns(backend):
     # the correction's float32 arrays are made by the earlier steps
     assert grid_module.correction_dtype(TorusGrid(2, 16)) == np.float32
-    assert warm_step_peak(2, 16, backend) < 2.1
+    peak, kept = warm_step_peak(2, 16, backend)
+    assert peak < 1.5 and 0.9 < kept < 1.1
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
 def test_a_warm_n1_step_allocates_only_what_it_returns(backend):
-    # the step's values and phidot; transforms and stencils land in the workspace
-    assert warm_step_peak(1, 64, backend) < 2.1
+    # transforms and stencils land in the workspace
+    peak, kept = warm_step_peak(1, 64, backend)
+    assert peak < 1.5 and 0.9 < kept < 1.1
+
+
+class _NullStore:
+    """A snapshot store that keeps nothing, so a run's memory is the integration's."""
+
+    def __init__(self):
+        self.fields, self.phidots = [], []
+
+    def add(self, index, t, phi, phidot):
+        pass
+
+
+def traced_run_steps(monkeypatch, n, resolution, backend, first):
+    """[(peak, kept)] in grid fields of each step of a run from step first on.
+
+    Both are counted from the memory held as the step starts: what the step
+    allocated at its peak, and what it left allocated (its diagnostics
+    aside, a few hundred bytes), so a run that holds a fixed set of arrays
+    keeps none.
+    """
+    vals, cfg, path, omega, F = warm_problem(n, resolution, backend)
+    advance_step, steps = flow._advance, []
+
+    def step(*args, **kwargs):
+        if len(steps) + 1 < first:
+            steps.append(None)
+            return advance_step(*args, **kwargs)
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = advance_step(*args, **kwargs)
+        current, peak = tracemalloc.get_traced_memory()
+        steps.append((peak - held, current - held))
+        return out
+
+    monkeypatch.setattr(flow, "_advance", step)
+    try:
+        traj = run(ScalarField(path.grid, vals), path, F, omega, cfg, _NullStore())
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == len(traj.schedule) - 1 > first
+    starts = {d["start"] for d in traj.diagnostics[first - 1 :]}
+    assert starts == {"extrapolated"} and min(d["newton_iters"] for d in traj.diagnostics) > 0
+    return [(peak / vals.nbytes, kept / vals.nbytes) for peak, kept in steps[first - 1 :]]
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+@pytest.mark.parametrize("n, resolution", [(1, 64), (2, 8)])
+def test_a_warm_step_in_a_run_allocates_no_state(monkeypatch, n, resolution, backend):
+    # the run recycles the state leaving its history into the slot a step hands over
+    for peak, kept in traced_run_steps(monkeypatch, n, resolution, backend, 10):
+        assert peak < 0.5 and kept < 0.1
+
+
+def test_a_16_4_run_allocates_no_state_after_its_third_step(monkeypatch):
+    # steps 2 and 3 each make a slot; from step 4 on the states cycle
+    steps = traced_run_steps(monkeypatch, 2, 16, "spectral", 4)
+    assert max(peak for peak, _ in steps) < 0.5
+    assert max(kept for _, kept in steps) < 0.1
 
 
 def arrays_in(values) -> list:
-    """The arrays among values and inside their tuples."""
+    """The arrays among values and inside their tuples and lists."""
     found = []
     for v in values:
         if isinstance(v, np.ndarray):
             found.append(v)
-        elif isinstance(v, tuple):
+        elif isinstance(v, (tuple, list)):
             found += arrays_in(v)
     return found
 
@@ -476,6 +557,27 @@ def test_the_correction_has_its_own_arrays_in_its_own_precision(n, resolution, b
     assert not any(np.shares_memory(a, b) for a in correction for b in state)
 
 
+def distinct_bytes(arrays) -> int:
+    """The bytes of the memory blocks the arrays view, each counted once."""
+    bases = {}
+    for a in arrays:
+        base = a if a.base is None else a.base
+        bases[id(base)] = base.nbytes
+    return sum(bases.values())
+
+
+@pytest.mark.parametrize(
+    "n, resolution, dtype",
+    [(1, 16, np.float64), (2, 8, np.float64), (2, 16, np.float32), (2, 8, np.float32)],
+)
+def test_the_workspace_and_correction_count_the_bytes_they_make(n, resolution, dtype):
+    grid = TorusGrid(n=n, resolution=resolution)
+    ws = flow._Workspace(grid, "spectral")
+    assert distinct_bytes(arrays_in(vars(ws).values())) == flow._Workspace.nbytes(grid)
+    cor = flow._Correction(grid, dtype)
+    assert distinct_bytes(arrays_in(vars(cor).values())) == flow._Correction.nbytes(grid, dtype)
+
+
 # -- the Newton solve: preconditioned BiCGSTAB -----------------------------------
 
 
@@ -496,8 +598,8 @@ def newton_operators(total, R, fs, dt, grid, backend):
 
 
 def krylov(b):
-    """BiCGSTAB's eight vectors for a right-hand side shaped like b."""
-    return [np.empty_like(b) for _ in range(8)]
+    """BiCGSTAB's seven vectors for a right-hand side shaped like b."""
+    return [np.empty_like(b) for _ in range(7)]
 
 
 def constant_metric_system(n, backend, level=0.3):

@@ -26,8 +26,8 @@ from maflow.geometry import (
 from maflow.grid import (
     TorusGrid,
     hessian_components,
+    inverse_shifted_symbol,
     quarter_laplacian_rayleigh,
-    shifted_symbol,
     solve_shifted_laplacian,
 )
 
@@ -44,8 +44,19 @@ class TestVolumeForm:
         om = VolumeForm.from_function(
             g, lambda x, y: 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
         )
-        assert om.density.shape == g.shape
+        # kept at the broadcast shape the function returns: one value per x
+        x = g.coordinates()[0]
+        assert om.density.shape == (16, 1)
+        assert np.array_equal(om.density, 1.0 + 0.5 * np.cos(2.0 * np.pi * x))
         assert float(om.density.max()) == pytest.approx(1.5)
+        assert om.log().shape == (16, 1)
+
+    def test_a_density_must_broadcast_to_the_grid_itself(self):
+        g = TorusGrid(1, 16)
+        with pytest.raises(ConfigError, match="not broadcastable"):
+            VolumeForm(g, np.ones((2, 16, 16)))
+        with pytest.raises(ConfigError, match="not broadcastable"):
+            VolumeForm.from_function(g, lambda x, y: np.ones((8, 1)))
 
 
 class TestForms:
@@ -231,9 +242,11 @@ def test_n1_derivatives_write_into_workspace_arrays_bit_for_bit(backend):
     args = (v, grid, backend)
     assert_output_arrays_change_nothing(hessian_components, args, (out, nans(), spectrum()), out)
     assert_output_arrays_change_nothing(quarter_laplacian_rayleigh, args, (None, None, spectrum()))
-    # one shift + symbol laid out for many solves gives the float shift's bits
+    # one inverse shift + symbol laid out for many solves gives the float shift's bits
     denom = assert_output_arrays_change_nothing(
-        shifted_symbol, (grid, backend, 3.0), (nans(grid.spectrum_shape),)
+        inverse_shifted_symbol,
+        (grid, backend, 3.0),
+        (nans(grid.spectrum_shape, complex), nans(grid.spectrum_shape)),
     )
     want = solve_shifted_laplacian(v, grid, backend, 3.0)
     out = nans()

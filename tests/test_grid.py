@@ -17,6 +17,7 @@ from maflow.grid import (
     gaussian_smooth,
     gradient_sq,
     hessian_components,
+    inverse_shifted_symbol,
     oscillation,
     quarter_laplacian_rayleigh,
     solve_shifted_laplacian,
@@ -349,3 +350,18 @@ def test_hessian_ignores_constants(amp, shift):
     h0 = hessian_components(base.values, g, "spectral")[0]
     h1 = hessian_components(base.shifted(shift).values, g, "spectral")[0]
     assert np.max(np.abs(h0 - h1)) < 1e-9
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_the_n1_solve_multiplies_by_the_bits_of_the_divide(backend):
+    g = TorusGrid(1, 32)
+    rng = np.random.default_rng(11)
+    hat = rng.standard_normal(g.spectrum_shape) + 1j * rng.standard_normal(g.spectrum_shape)
+    hat[0, 0] = 3.0  # a real mode, as the mean of a real field gives
+    inverse = inverse_shifted_symbol(g, backend, 2.5)
+    assert inverse.dtype == complex and not np.any(inverse.imag)
+    divided = hat / np.add(2.5, _quarter_laplacian_symbol(1, 32, backend))
+    assert np.array_equal(hat * inverse, divided)
+    out, scratch = np.empty(g.spectrum_shape, complex), np.empty(g.spectrum_shape)
+    assert inverse_shifted_symbol(g, backend, 2.5, out, scratch) is out
+    assert out.tobytes() == inverse.tobytes()

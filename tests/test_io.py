@@ -205,8 +205,9 @@ def test_a_streamed_archive_is_the_in_memory_archive(tmp_path, monkeypatch, doc)
     from maflow import io as archive_io
 
     written = []
-    real_save = archive_io.save_field
-    monkeypatch.setattr(archive_io, "save_field", lambda *a: written.append(a[1]) or real_save(*a))
+    # every snapshot file, the streamed ones and save_field's, is written here
+    real_save = archive_io._save_values
+    monkeypatch.setattr(archive_io, "_save_values", lambda *a: written.append(a[1]) or real_save(*a))
     code, streamed = run_cli(doc, tmp_path)
     assert code == 0
     assert len(written) == len(set(written)) == len(list(streamed.glob("*.bin")))  # each once
@@ -272,3 +273,109 @@ def test_a_run_keeps_no_stored_snapshot_in_memory(tmp_path):
     assert (out / "pair" / "manifest.json").is_file()
     # one run's snapshots: the flow and its comparison pair each store as many
     assert peak < stored * 8**4 * 8
+
+
+# -- a run's states reach its store as its own arrays --------------------------
+
+
+def same_snapshots(a, b) -> bool:
+    """Whether two sequences of fields (None allowed) have the same bits."""
+    pairs = list(zip(a, b, strict=True))
+    return all(
+        (x is None and y is None) or (x is not None and y is not None and x.values.tobytes() == y.values.tobytes())
+        for x, y in pairs
+    )
+
+
+def recorded_workspaces(monkeypatch):
+    """The list every flow._Workspace made from now on is appended to."""
+    from maflow import flow
+
+    made = []
+
+    class Recorded(flow._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(flow, "_Workspace", Recorded)
+    return made
+
+
+def workspace_arrays(ws) -> list:
+    found = [ws._spare] if ws._spare is not None else []
+    for value in (*vars(ws).values(), *vars(ws.correction).values()):
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        found += [a for a in items if isinstance(a, np.ndarray)]
+    return found
+
+
+def assert_no_workspace_array_in(traj, made):
+    kept = [f.values for f in (*traj.fields, *traj.phidots) if f is not None]
+    arrays = [a for ws in made for a in workspace_arrays(ws)]
+    assert not any(np.shares_memory(k, a) for k in kept for a in arrays)
+
+
+def store_problem(case):
+    """(phi0, path, F, omega, cfg) of a run whose steps take 0 Newton iterations, or of a smooth one."""
+    grid = TorusGrid(n=1, resolution=16)
+    cfg = FlowConfig(horizon=0.05, t_min=1e-3, ratio=1.3, store_every=2, probes=(0.02,))
+    path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
+    if case == "constant":
+        return ScalarField.constant(grid, 0.25), path, DrivingTerm.zero(), omega, cfg
+    x, y = grid.coordinates()
+    phi0 = ScalarField(grid, 0.02 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    return phi0, path, DrivingTerm.affine(0.0, 0.5), omega, cfg
+
+
+@pytest.mark.parametrize("case", ["constant", "smooth", "fallback"])
+def test_memory_and_archive_stores_take_the_same_bits(tmp_path, monkeypatch, case):
+    from maflow import flow
+    from maflow.io import ArchiveStore
+
+    if case == "fallback":
+        # the 6th extrapolated guess leaves the cone, so that step falls back
+        extrapolate, calls = flow._extrapolate, []
+
+        def far_guess(states, t, out, scratch):
+            calls.append(t)
+            out = extrapolate(states, t, out, scratch)
+            if len(calls) == 6:
+                out += 10.0 * np.cos(2 * np.pi * np.arange(out.shape[0]) / out.shape[0])[:, None]
+            return out
+
+        monkeypatch.setattr(flow, "_extrapolate", far_guess)
+    problem = store_problem(case)
+    made = recorded_workspaces(monkeypatch)
+    kept = run(*problem)
+    assert_no_workspace_array_in(kept, made)
+    if case == "fallback":
+        calls.clear()
+    grid = problem[0].grid
+    streamed = run(*problem, store=ArchiveStore(tmp_path, grid))
+    starts = [d["start"] for d in kept.diagnostics]
+    assert starts == [d["start"] for d in streamed.diagnostics]
+    if case == "constant":
+        assert sum(d["newton_iters"] for d in kept.diagnostics) == 0
+    assert ("fallback" in starts) == (case == "fallback")
+    assert same_snapshots(kept.fields, streamed.fields)
+    assert same_snapshots(kept.phidots, streamed.phidots)
+    assert len(kept.fields) == len(kept.stored_indices) < len(kept.schedule)
+
+
+def test_cascade_levels_take_the_bits_of_streamed_runs(tmp_path, monkeypatch):
+    from maflow.io import ArchiveStore
+
+    grid = TorusGrid(n=1, resolution=16)
+    cfg = FlowConfig(horizon=0.02, t_min=1e-3, ratio=1.3, backend="fd")
+    path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
+    F = DrivingTerm.affine(0.0, 0.5)
+    rough = RoughPotential.max_kink()
+    schedule = RegularizationSchedule(deltas=(0.25, 0.125))
+    made = recorded_workspaces(monkeypatch)
+    cascade = run_cascade(rough, schedule, path, F, omega, cfg)
+    for j, (level, traj) in enumerate(zip(cascade.ladder.levels, cascade.trajectories)):
+        assert_no_workspace_array_in(traj, made)
+        streamed = run(level, path, F, omega, cfg, store=ArchiveStore(tmp_path / f"{j}", grid))
+        assert same_snapshots(traj.fields, streamed.fields)
+        assert same_snapshots(traj.phidots, streamed.phidots)
