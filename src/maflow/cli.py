@@ -38,6 +38,7 @@ from .flow import (
     DrivingTerm,
     FlowConfig,
     TrajectoryAudit,
+    audit_array_bytes,
     peak_array_bytes,
     run,
     run_cascade,
@@ -573,18 +574,36 @@ def array_estimate(doc: dict, forced_mode: str = None) -> int:
     return peak_array_bytes(grid, kept)
 
 
+def replay_estimate(doc: dict, manifest: dict) -> int:
+    """flow.audit_array_bytes of a replay of the document's archive, with what it reads whole.
+
+    A replay audits the archived snapshots as it reads them; a cascade
+    archive's ladder, every level and its base, is read into memory.
+    Nothing grid-sized is made here.
+    """
+    grid = build_grid(doc)
+    kept = 0
+    if "cascade" in manifest and doc.get("schedule") is not None:
+        kept = len(build_schedule(doc["schedule"]).deltas) + 1
+    return audit_array_bytes(grid) + kept * 8 * math.prod(grid.shape)
+
+
+def _within_budget(what: str, doc: dict, estimate: int):
+    """Refuse, before anything is allocated, a command whose arrays exceed flow.ARRAY_BUDGET."""
+    if estimate > ARRAY_BUDGET:
+        raise ConfigError(
+            f"{what} on grid {doc['grid']} would hold about {estimate / 2**20:,.0f} MiB of "
+            f"arrays, over the {ARRAY_BUDGET / 2**20:,.0f} MiB a run may hold (flow.ARRAY_BUDGET)"
+        )
+
+
 def cmd_run(args, forced_mode: str = None) -> int:
     doc = load_document(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed  # archived with the run, so verify replays the same draws
     out = Path(args.out) if args.out else Path(doc.get("out", "runs/latest"))
     names = _resolve_checks(doc, list(args.check or doc.get("checks", [])))
-    estimate = array_estimate(doc, forced_mode)
-    if estimate > ARRAY_BUDGET:
-        raise ConfigError(
-            f"the run on grid {doc['grid']} would hold about {estimate / 2**20:,.0f} MiB of "
-            f"arrays, over the {ARRAY_BUDGET / 2**20:,.0f} MiB a run may hold (flow.ARRAY_BUDGET)"
-        )
+    _within_budget("the run", doc, array_estimate(doc, forced_mode))
 
     # everything goes to a staged directory that reaches out only if the run ends normally
     with archive_io.staged(out) as stage:
@@ -660,32 +679,42 @@ def _without_trajectory(directory: Path):
         )
 
 
-def _load_any(directory):
-    """Load an archive directory as (traj, cascade, manifest).
+def _manifest(directory) -> dict:
+    """The manifest of an archive directory.
 
-    traj is the trajectory the archive gives (a cascade's finest level);
-    cascade is None for a single-trajectory archive.  A nef family or
-    audit-mode archive is refused by its mode (`_without_trajectory`).
+    A nef family or audit-mode archive, which has none, is refused by its
+    mode (`_without_trajectory`).
     """
     where = Path(directory) / "manifest.json"
     if not where.is_file():
         _without_trajectory(Path(directory))
-    manifest = archive_io.read_json(where)
+    return archive_io.read_json(where)
+
+
+def _load_any(directory, manifest: dict = None):
+    """Load an archive directory, whose manifest is read unless given, as (traj, cascade).
+
+    traj is the trajectory the archive gives (a cascade's finest level);
+    cascade is None for a single-trajectory archive.
+    """
+    manifest = manifest or _manifest(directory)
     if "cascade" in manifest:
         cascade = archive_io.load_cascade(directory, manifest)
-        return cascade.trajectories[-1], cascade, manifest
-    return archive_io.load_trajectory(directory, manifest), None, manifest
+        return cascade.trajectories[-1], cascade
+    return archive_io.load_trajectory(directory, manifest), None
 
 
 def cmd_verify(args) -> int:
     if len(args.archives) > 2:
         raise ConfigError("verify takes one archive, or two for comparison")
-    traj, cascade, manifest = _load_any(args.archives[0])
+    manifest = _manifest(args.archives[0])
     doc = manifest.get("run_config")
     if not isinstance(doc, dict):
         raise ConfigError(
             "archive has no stored scenario; re-run with a run_config to verify"
         )
+    _within_budget(f"the replay of {args.archives[0]}", doc, replay_estimate(doc, manifest))
+    traj, cascade = _load_any(args.archives[0], manifest)
     ctx = _context(doc, traj.grid, traj.config, args.seed, traj=traj, cascade=cascade)
     pair = Path(args.archives[0]) / "pair"
     if len(args.archives) == 2:
@@ -722,7 +751,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
-    traj, _, manifest = _load_any(args.archive)
+    manifest = _manifest(args.archive)
+    traj, _ = _load_any(args.archive, manifest)
     path = None
     omega = None
     doc = manifest.get("run_config")

@@ -27,14 +27,16 @@ theta_t + dd^c phi with its cone margin, det and the right-hand side, and
 the backward-Euler residual, each written into grid-shaped arrays (and at
 n = 1 a spectrum-shaped one) that it passes as outputs to grid's
 derivatives and geometry's form algebra.  The Newton correction is solved
-in arrays of its own, a `_Correction` in the correction's precision.  Each
-`run` holds one workspace for its whole length and cycles its accepted
-states through the workspace's iterate slots, so after its first steps only
-the driving term's values are new arrays, at n = 1 and n = 2 alike.  A
-stored snapshot goes to the run's snapshot store when its step is
-accepted: a list in memory by default, which copies it, or
-io.ArchiveStore, which writes it to disk at once and reads it back when the
-trajectory is indexed.
+in a `_Correction` in the correction's precision: in float64 in arrays of
+its own, and in float32 in views of the workspace's float64 arrays that its
+solve leaves idle.  Each `run` holds one workspace for its whole length and
+cycles its accepted states through the workspace's iterate slots, so after
+its first steps no array is new but the values of a driving term that makes
+its own (an affine term writes into the workspace), at n = 1 and n = 2
+alike.  A stored snapshot goes to the run's snapshot store when its step is
+accepted: a list in memory by default, which copies it, or io.ArchiveStore,
+which writes it to disk at once and reads it back when the trajectory is
+indexed.
 Checks read stored snapshots through `TrajectoryAudit`, which evaluates
 each snapshot in its own workspace at most once, keeps only scalars, and
 reports a snapshot outside the positive cone instead of taking the
@@ -136,6 +138,10 @@ class DrivingTerm:
     exists, as for the branch-point term below).  time_bound is C' with
     |dF/dt| <= C' (None: undeclared).  smooth is False for terms that are
     not Lipschitz in s.
+
+    Called with out, a grid-shaped float64 array, a term built by `affine`
+    writes its values there; every other term ignores out and returns values
+    of its own.
     """
 
     name: str
@@ -145,9 +151,13 @@ class DrivingTerm:
     defect: float | None = 0.0
     time_bound: float | None = 0.0
     smooth: bool = True
+    # fn(t, coords, s, out) written into out, set by `affine` only
+    _into: object = field(default=None, init=False, repr=False, compare=False)
 
-    def __call__(self, t, coords, s):
-        return self.fn(t, coords, s)
+    def __call__(self, t, coords, s, out=None):
+        if out is None or self._into is None:
+            return self.fn(t, coords, s)
+        return self._into(t, coords, s, out)
 
     def ds_at(self, t, coords, s):
         if self.ds is not None:
@@ -176,13 +186,22 @@ class DrivingTerm:
     def affine(cls, constant: float = 0.0, slope: float = 0.0) -> "DrivingTerm":
         """F(t, z, s) = constant + slope * s."""
         c0, c1 = float(constant), float(slope)
-        return cls(
+
+        def into(t, c, s, out):
+            # the products and sums of c0 + c1 * s, so the same bits
+            out = np.multiply(s, c1, out=out)
+            out += c0
+            return out
+
+        term = cls(
             "affine",
             lambda t, c, s: c0 + c1 * s,
             ds=lambda t, c, s: np.float64(c1),
             dt_partial=lambda t, c, s: np.float64(0.0),
             defect=max(0.0, -c1),
         )
+        object.__setattr__(term, "_into", into)
+        return term
 
     @classmethod
     def spatial(cls, fn) -> "DrivingTerm":
@@ -387,15 +406,59 @@ def _l2(a: np.ndarray) -> float:
     return math.sqrt(inner(a, a))
 
 
-def _form_arrays(grid: TorusGrid, *reals) -> tuple:
-    """A form's arrays: the real ones given (new float64 ones when none), and a new h12 at n = 2.
-
-    h12 is complex of the real arrays' precision.
-    """
-    reals = (reals or tuple(np.empty(grid.shape) for _ in range(grid.n)))[: grid.n]
+def _form_arrays(grid: TorusGrid) -> tuple:
+    """A new float64 form's arrays: one real array at n = 1, two and a complex h12 at n = 2."""
     if grid.n == 1:
-        return reals
-    return (*reals, np.empty(grid.shape, np.result_type(reals[0], np.complex64)))
+        return (np.empty(grid.shape),)
+    return np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape, complex)
+
+
+# Where a float32 Newton correction's arrays lie in its run's `_Workspace`:
+# each array's name, the workspace array it is a view of and the first part
+# of that array it takes.  A part holds one float32 grid array, counted
+# through the workspace array's components in order (two in a float64
+# field, four in a complex h12); a complex64 array (w12, h12) takes two.
+# `_Correction` says why each workspace array is idle while it is lent.
+_LENT = {
+    # the form, det w and R that `operands` copies
+    "w11": ("h", 0), "w22": ("h", 1), "w12": ("h", 2), "det": ("h", 4), "R": ("h", 5),
+    # scratch, the preconditioner's scaling and H(v)'s h12
+    "tmp0": ("tmp", 0), "tmp1": ("tmp", 1), "tmp2": ("tmp", 2), "scale": ("tmp", 3),
+    "h12": ("tmp", 4),
+    # BiCGSTAB's vectors, in its order: the iterate and the best one in det
+    "x": ("det", 0),
+    "r": ("w", 0), "p": ("w", 1), "v": ("w", 2), "z": ("w", 3), "t": ("w", 4),
+    "best": ("det", 1),
+}
+_COPIES = ("w11", "w22", "w12", "det", "R")
+_KRYLOV = ("x", "r", "p", "v", "z", "t", "best")
+_COMPLEX = ("w12", "h12")
+
+
+def _correction_arrays(n: int, lent: bool) -> list:
+    """The names of the grid-shaped arrays of a correction on an n-dimensional grid.
+
+    copies exist only in a lent (float32) correction, and the complex
+    arrays only at n = 2.
+    """
+    return [
+        name for name in _LENT
+        if (lent or name not in _COPIES) and (n == 2 or name not in _COMPLEX)
+    ]
+
+
+def _lent_view(ws, name: str, dtype) -> np.ndarray:
+    """The dtype array `name` of a correction, a view of the workspace array `_LENT` gives it."""
+    attr, part = _LENT[name]
+    size = math.prod(ws.grid.shape)
+    width = np.dtype(dtype).itemsize // 4
+    arrays = getattr(ws, attr)
+    for array in (arrays,) if isinstance(arrays, np.ndarray) else arrays:
+        parts = array.reshape(-1).view(np.float32)
+        if part * size < parts.size:
+            return parts[part * size : (part + width) * size].view(dtype).reshape(ws.grid.shape)
+        part -= parts.size // size
+    raise ValueError(f"the workspace's {attr} has no part for {name}")
 
 
 class _Correction:
@@ -403,47 +466,69 @@ class _Correction:
 
     tmp is three real scratch arrays, hv (H(v) inside a `_jacobian` apply)
     shares tmp's first two, scale is the preconditioner's scaling and
-    krylov BiCGSTAB's seven vectors.  spectrum (None at n = 2) is a complex
-    and a real array of the grid's spectrum_shape: the preconditioner's
-    Rayleigh quotient writes the transform and the power spectrum into
-    them, then the shift + symbol into the second, and every later solve
-    or Hessian transforms into the first.  inverse (None at n = 2) is a
-    complex array of that shape, into which the preconditioner lays out
-    the reciprocal of the shift + symbol that every solve multiplies by.
-    In float32, copies holds the form, det w and R that `operands` lays out
-    once per Newton iteration.  `nbytes` counts what the constructor makes.
+    krylov BiCGSTAB's seven vectors (x, r, p, v, z, t, best).  spectrum
+    (None at n = 2) is a complex and a real array of the grid's
+    spectrum_shape: the preconditioner's Rayleigh quotient writes the
+    transform and the power spectrum into them, then the shift + symbol
+    into the second, and every later solve or Hessian transforms into the
+    first.  inverse (None at n = 2) is a complex array of that shape, into
+    which the preconditioner lays out the reciprocal of the shift + symbol
+    that every solve multiplies by.
+
+    A float64 correction makes its arrays, as its operands are the
+    workspace's own w, det and R, which stay live through the solve.  A
+    float32 one (n = 2 only) makes none: each array, and copies, the form,
+    det w and R that `operands` lays out once per Newton iteration, is a
+    view of a float64 array of ws, the run's `_Workspace`, as `_LENT` lays
+    out.  `_advance` leaves each of those arrays idle while the correction
+    is alive:
+
+    - the copies lie in ws.h, which the margin that built w read last; the
+      line search's Hessian overwrites them;
+    - tmp, scale and hv's h12 lie in ws.tmp, the scratch of the workspace's
+      evaluations, none of which runs during the solve;
+    - r, p, v, z and t lie in ws.w, which `operands` has copied; the line
+      search's margin rebuilds w;
+    - x and best lie in ws.det, which `operands` copies first and only the
+      next `rhs_at` rewrites, so the correction BiCGSTAB returns lasts
+      through the line search.
+
+    u, rhs and R are never lent.  Without ws, a float32 correction's arrays
+    are None.  `nbytes` counts what the constructor makes.
     """
 
-    def __init__(self, grid: TorusGrid, dtype):
-        def real():
-            return np.empty(grid.shape, dtype)
+    def __init__(self, grid: TorusGrid, dtype, ws=None):
+        lent = dtype != np.float64
+        cplx = np.result_type(dtype, np.complex64)
 
+        def array(name):
+            kind = cplx if name in _COMPLEX else dtype
+            if not lent:
+                return np.empty(grid.shape, kind)
+            return None if ws is None else _lent_view(ws, name, kind)
+
+        arrays = {name: array(name) for name in _correction_arrays(grid.n, lent)}
         self.dtype = dtype
-        self.tmp = (real(), real(), real())
-        self.hv = _form_arrays(grid, *self.tmp[:2])
-        self.scale = real()
-        self.krylov = tuple(real() for _ in range(7))
+        self.tmp = (arrays["tmp0"], arrays["tmp1"], arrays["tmp2"])
+        self.hv = self.tmp[:1] if grid.n == 1 else (*self.tmp[:2], arrays["h12"])
+        self.scale = arrays["scale"]
+        self.krylov = tuple(arrays[name] for name in _KRYLOV)
+        self.copies = tuple(arrays[name] for name in _COPIES) if lent else None
         self.spectrum = self.inverse = None
         if grid.n == 1:
-            cplx = np.result_type(dtype, np.complex64)
             self.spectrum = np.empty(grid.spectrum_shape, cplx), np.empty(grid.spectrum_shape, dtype)
             self.inverse = np.empty(grid.spectrum_shape, cplx)
-        self.copies = None
-        if dtype != np.float64:
-            self.copies = (*_form_arrays(grid, real(), real()), real(), real())
 
     @staticmethod
     def nbytes(grid: TorusGrid, dtype) -> int:
-        """The bytes of the arrays a `_Correction(grid, dtype)` makes."""
-        field = math.prod(grid.shape) * np.dtype(dtype).itemsize
-        # tmp, scale, krylov; at n = 2 hv's complex h12 (two fields)
-        fields = 3 + 1 + 7 + (2 if grid.n == 2 else 0)
+        """The bytes of the arrays a `_Correction(grid, dtype)` makes: none in float32."""
         if dtype != np.float64:
-            fields += 6 if grid.n == 2 else 3  # copies: the form, det w and R
+            return 0
+        fields = sum(2 if name in _COMPLEX else 1 for name in _correction_arrays(grid.n, False))
         spectrum = 0
         if grid.n == 1:  # two complex arrays and a real one
-            spectrum = 5 * math.prod(grid.spectrum_shape) * np.dtype(dtype).itemsize
-        return fields * field + spectrum
+            spectrum = 5 * math.prod(grid.spectrum_shape)
+        return 8 * (fields * math.prod(grid.shape) + spectrum)
 
     def operands(self, total, det, R) -> tuple:
         """(total, det, R) in dtype: themselves in float64, copies in copies otherwise."""
@@ -458,38 +543,42 @@ class _Workspace:
     """The one evaluator of a flow state, in float64 grid-shaped arrays it reuses.
 
     `run` makes one and hands it to every `_advance`, so the Newton loop
-    allocates no array; `TrajectoryAudit` makes one and builds every stored
-    snapshot in it.  A state u at time t is evaluated in three calls, each
-    overwriting the arrays it names: `hessian` (h = H(u)), `margin` (w =
-    theta_t + h and its cone margin) and `rhs_at` (det w, into det at n =
-    2, and the right-hand side into rhs); `step_residual` then gives the sup
-    of the backward-Euler residual R from a previous state.
+    allocates no array; `TrajectoryAudit` makes one without iterates and
+    builds every stored snapshot in it.  A state u at time t is evaluated in
+    three calls, each overwriting the arrays it names: `hessian` (h =
+    H(u)), `margin` (w = theta_t + h and its cone margin) and `rhs_at` (det
+    w, into det at n = 2, and the right-hand side into rhs); `step_residual`
+    then gives the sup of the backward-Euler residual R from a previous
+    state.
 
-    u holds the two iterate slots: the Newton iterate and the line search's
-    trial, which swap roles when a trial is accepted; the extrapolated start
-    of a step is written into u[0].  A step hands its accepted iterate over
-    (`hand_over`) instead of copying it, and its slot is refilled when a
-    slot is next needed, with the state `run` gave back through `recycle`
-    if there is one and a new array otherwise; u[1] is None until then.
-    The line search overwrites h and w, as the accepted iterate needs
-    neither once its Newton direction is solved; between steps h is H of
-    the step's values, the warm start of a step that starts from them.  tmp
-    is three real scratch arrays, and spectrum (None at n = 2) holds the
-    complex array that an n = 1 Hessian transforms into.
+    u holds the two iterate slots (none when made with iterates=False): the
+    Newton iterate and the line search's trial, which swap roles when a
+    trial is accepted; the extrapolated start of a step is written into
+    u[0].  A step hands its accepted iterate over (`hand_over`) instead of
+    copying it, and its slot is refilled when a slot is next needed, with
+    the state `run` gave back through `recycle` if there is one and a new
+    array otherwise; u[1] is None until then.  The line search overwrites h
+    and w, as the accepted iterate needs neither once its Newton direction
+    is solved; between steps h is H of the step's values, the warm start of
+    a step that starts from them.  tmp is three real scratch arrays, and
+    spectrum (None at n = 2) holds the complex array that an n = 1 Hessian
+    transforms into.
 
     The Newton correction is solved in correction, a `_Correction` in
     grid.correction_dtype (float32 at n = 2 from
     grid.SINGLE_PRECISION_RESOLUTION points per axis up, float64 elsewhere),
-    made on a run's first Newton iteration, so an audit never makes one.
-    `nbytes` counts what the constructor makes.
+    made on a run's first Newton iteration, so an audit never makes one.  A
+    float32 correction is views of h, tmp, w and det, which the solve
+    leaves idle (`_Correction` says how); a float64 one makes its own
+    arrays.  `nbytes` counts what the constructor makes.
     """
 
-    def __init__(self, grid: TorusGrid, backend: str):
+    def __init__(self, grid: TorusGrid, backend: str, iterates: bool = True):
         def real():
             return np.empty(grid.shape)
 
         self.grid, self.backend = grid, backend
-        self.u = [real(), real()]
+        self.u = [real(), real()] if iterates else []
         self._spare = None  # a state `run` gave back, the next slot to refill
         self.h, self.w = _form_arrays(grid), _form_arrays(grid)
         self.det, self.rhs, self.R = real(), real(), real()
@@ -499,16 +588,17 @@ class _Workspace:
             self.spectrum = (np.empty(grid.spectrum_shape, complex),)
 
     @staticmethod
-    def nbytes(grid: TorusGrid) -> int:
+    def nbytes(grid: TorusGrid, iterates: bool = True) -> int:
         """The bytes of the arrays a `_Workspace` on grid makes (its correction aside)."""
-        # u, det, rhs, R and tmp; h and w are a field each at n = 1, four at n = 2
-        fields = 2 + 3 + 3 + (2 if grid.n == 1 else 8)
+        # u (with iterates), det, rhs, R and tmp; h and w are a field each at
+        # n = 1, four at n = 2
+        fields = (2 if iterates else 0) + 3 + 3 + (2 if grid.n == 1 else 8)
         spectrum = 16 * math.prod(grid.spectrum_shape) if grid.n == 1 else 0
         return fields * 8 * math.prod(grid.shape) + spectrum
 
     @functools.cached_property
     def correction(self) -> _Correction:
-        return _Correction(self.grid, correction_dtype(self.grid))
+        return _Correction(self.grid, correction_dtype(self.grid), self)
 
     def recycle(self, state):
         """Take back a state that nothing reads any more, to refill the next slot.
@@ -547,12 +637,12 @@ class _Workspace:
         """(det w, log det w - log Omega - F(t, z, u)), the latter written into rhs.
 
         w must be theta_t + H(u) and lie inside the positive cone; log_om is
-        log Omega.
+        log Omega.  F may write its values into tmp[0] (`DrivingTerm`).
         """
         det = comps_det(self.w, self.det, self.tmp[0])
         rhs = np.log(det, out=self.rhs)
         rhs -= log_om
-        rhs -= F(t, coords, u)
+        rhs -= F(t, coords, u, out=self.tmp[0])
         return det, rhs
 
     def step_residual(self, u, prev, dt) -> float:
@@ -958,35 +1048,54 @@ def stored_steps(cfg: FlowConfig, times=None) -> np.ndarray:
     return keep
 
 
-# The most bytes of arrays `maflow run` lets one document hold at once, as
-# `peak_array_bytes` estimates them.  A 32^4 n = 2 run holds about 260 MB; a
-# 64^4 one would hold about 4 GB, and a 128^4 one about 66 GB.
+# The most bytes of arrays `maflow run` or `maflow verify` lets one document
+# hold at once, as `peak_array_bytes` estimates them.  A 32^4 n = 2 run holds
+# about 160 MB; a 64^4 one would hold about 2.6 GB, and a 128^4 one about
+# 41 GB.
 ARRAY_BUDGET = 2 * 2**30
-# Grid fields a run holds beside its workspace and correction: phi0, the two
-# states its ring holds beyond the workspace's slots, and two for the driving
-# term's values (affine F makes s_slope * u, then adds the constant).
-RUN_FIELDS = 5
+# Grid fields a run holds beside its workspace and correction: phi0 and the
+# two states its ring holds beyond the workspace's slots.
+RUN_FIELDS = 3
 # Grid fields an audit holds beside its workspace: the snapshot it builds,
-# the one before it, its phidot and two for the driving term's values.
-AUDIT_FIELDS = 5
+# the one before it and its phidot.
+AUDIT_FIELDS = 3
+
+
+def _buffer_bytes(grid: TorusGrid) -> int:
+    """The bytes of the buffer numpy iterates a float64 operation on a broadcast operand in.
+
+    Subtracting log Omega of a volume that varies along one axis takes one
+    of np.getbufsize() elements, or of the grid's size when that is smaller.
+    """
+    return 8 * min(math.prod(grid.shape), np.getbufsize())
+
+
+def audit_array_bytes(grid: TorusGrid) -> int:
+    """About the most bytes of grid-sized arrays that a `TrajectoryAudit` on grid holds.
+
+    It holds a workspace without iterates and AUDIT_FIELDS fields more, and
+    evaluates in numpy's buffer (`_buffer_bytes`); the energy takes its
+    scratch from the workspace.
+    """
+    field = 8 * math.prod(grid.shape)
+    return _Workspace.nbytes(grid, iterates=False) + AUDIT_FIELDS * field + _buffer_bytes(grid)
 
 
 def peak_array_bytes(grid: TorusGrid, kept_fields: int = 0) -> int:
     """About the most bytes of grid-sized arrays that a run on grid and its audit hold at once.
 
-    The run holds its `_Workspace`, the workspace's `_Correction` and
-    RUN_FIELDS fields more; the audit (`TrajectoryAudit`), which comes after
-    it, holds a workspace of its own, at n = 2 the energy's complex scratch,
-    and AUDIT_FIELDS fields more.  kept_fields fields, the snapshots a mode
+    The run holds its `_Workspace`, the arrays its `_Correction` makes
+    (none in float32, where the correction lies in the workspace),
+    RUN_FIELDS fields more and numpy's buffer; the audit, which comes after
+    it, holds `audit_array_bytes`.  kept_fields fields, the snapshots a mode
     keeps in memory, are held through both, so the estimate is the larger
     phase plus them.  A check that runs flows of its own (stability,
     uniqueness, transform-roundtrip) holds more than this.
     """
     field = 8 * math.prod(grid.shape)
-    workspace = _Workspace.nbytes(grid)
-    run_phase = workspace + _Correction.nbytes(grid, correction_dtype(grid)) + RUN_FIELDS * field
-    audit_phase = workspace + (2 * field if grid.n == 2 else 0) + AUDIT_FIELDS * field
-    return max(run_phase, audit_phase) + kept_fields * field
+    correction = _Correction.nbytes(grid, correction_dtype(grid))
+    run_phase = _Workspace.nbytes(grid) + correction + RUN_FIELDS * field + _buffer_bytes(grid)
+    return max(run_phase, audit_array_bytes(grid)) + kept_fields * field
 
 
 def run(
@@ -1104,9 +1213,9 @@ class TrajectoryAudit:
     from snapshot k - 1, None unless the two are consecutive schedule points).
     Outside the positive cone both residual columns are infinite.  Every
     build evaluates the snapshot in the audit's one `_Workspace`, as a
-    Newton iterate is evaluated, and keeps no array of its own but the last
-    snapshot it built (and at n = 2 the energy's complex scratch), so
-    builds in order read a trajectory on disk once;
+    Newton iterate is evaluated (a workspace without iterates), and keeps
+    no array of its own but the last snapshot it built, so builds in order
+    read a trajectory on disk once;
     it reads a snapshot's phidot only for "phidot_range".
     certificate() is the metric path's volume-sandwich delta
     (geometry.certify_metric_path), computed once.
@@ -1122,10 +1231,11 @@ class TrajectoryAudit:
         self.backend = traj.config.backend if traj.config is not None else "spectral"
         self._rows = {}
         self._certificate = None
-        self._ws = _Workspace(traj.grid, self.backend)
-        self._energy_work = None  # the energy's densities and scratch, over the workspace's tmp
-        if "energy" in self.columns:
-            self._energy_work = _form_arrays(traj.grid, *self._ws.tmp[:2])
+        self._ws = _Workspace(traj.grid, self.backend, iterates=False)
+        # the energy's densities and scratch: tmp's reals and, at n = 2, h's
+        # h12, as h is free once `margin` has built w
+        ws = self._ws
+        self._energy_work = ws.tmp[:1] if traj.grid.n == 1 else (*ws.tmp[:2], ws.h[2])
         self._last = (None, None)  # (k, field) of the last build
         self._log_om = omega_form.log() if {"phidot_range", "step_residual"} & self.columns else None
 

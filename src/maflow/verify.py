@@ -260,13 +260,15 @@ def check_apriori_bounds(audit: TrajectoryAudit, *, kcap: float | None = None) -
     grid = traj.grid
     n = grid.n
     monotone = F.defect is not None and F.defect == 0.0
+    scratch = np.empty(grid.shape)  # F's values, then each snapshot's excess and drop
     if monotone:
         delta = audit.certificate()
         coords = grid.coordinates()
         zeros = np.zeros(grid.shape)
         probes = np.unique(np.concatenate([traj.times, np.linspace(0.0, traj.times[-1], 33)]))
-        inf_f = _sampled_min(lambda t, _: F(t, coords, zeros), probes, (0.0,))
+        inf_f = _sampled_min(lambda t, _: F(t, coords, zeros, out=scratch), probes, (0.0,))
         C = -inf_f + n * math.log(delta)
+        del zeros
 
     base = traj.fields[0].values
     M0 = max(float(base.max()), 0.0)
@@ -277,13 +279,16 @@ def check_apriori_bounds(audit: TrajectoryAudit, *, kcap: float | None = None) -
             continue
         values = base if k == 0 else traj.fields[k].values
         if monotone:  # each snapshot's sup, as snapshot_sup takes it
-            sups.append(snapshot_sup([(t, values - C * float(t) - M0)]))
+            excess = np.subtract(values, C * float(t), out=scratch)
+            excess -= M0
+            sups.append(snapshot_sup([(t, excess)]))
         if in_lower:
-            drop = base - values
+            drop = np.subtract(base, values, out=scratch)
             j = int(np.argmax(drop))
             ts.append(float(t))
             c_raw.append(max(0.0, float(drop.flat[j])))
             locs.append((float(t),) + _point(grid, j))
+        del values  # before the next snapshot is read
 
     if monotone:
         # max keeps the first of equal sups, as snapshot_sup

@@ -898,6 +898,38 @@ def test_a_run_too_large_to_fit_exits_two_before_it_allocates(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+def test_a_replay_too_large_to_fit_exits_two_before_it_loads(tmp_path, capsys, monkeypatch):
+    import tracemalloc
+
+    cfg_path, _ = write_doc(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    # the archive's scenario, as the replay estimates it, is on a 128^4 grid
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["run_config"]["grid"] = {"n": 2, "resolution": 128}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+    def load(*args, **kwargs):
+        raise AssertionError("a refused replay was loaded")
+
+    monkeypatch.setattr(cli.archive_io, "load_trajectory", load)
+    monkeypatch.setattr(cli.archive_io, "load_cascade", load)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20
+    estimate = cli.replay_estimate(manifest["run_config"], manifest)
+    assert estimate > cli.ARRAY_BUDGET
+    err = capsys.readouterr().err
+    assert f"{estimate / 2**20:,.0f} MiB" in err and "flow.ARRAY_BUDGET" in err
+    assert not (out / "replay").exists()
+
+
 def test_a_mode_adds_the_snapshots_it_keeps_in_memory(tmp_path):
     from maflow import flow
 
@@ -913,6 +945,19 @@ def test_a_mode_adds_the_snapshots_it_keeps_in_memory(tmp_path):
     metric = {"kind": "nef", "theta0": [[1.0, 0.0], [0.0, 0.0]], "eps": [0.2, 0.1]}
     nef = {**doc, "mode": "nef", "metric": metric}
     assert cli.array_estimate(nef) == flow.peak_array_bytes(grid) + 6 * stored * field
+
+
+def test_a_replay_estimate_adds_the_ladder_a_cascade_archive_reads():
+    from maflow import flow
+
+    doc = n2_doc(8)
+    grid = cli.build_grid(doc)
+    assert cli.replay_estimate(doc, {}) == flow.audit_array_bytes(grid)
+    # the audit phase, without a run's iterates and correction, is the smaller
+    assert flow.audit_array_bytes(grid) < flow.peak_array_bytes(grid)
+    cascade = {**doc, "mode": "cascade", "schedule": {"deltas": [0.25, 0.125]}}
+    ladder = 3 * 8 * 8**4  # two levels and their base
+    assert cli.replay_estimate(cascade, {"cascade": {}}) == flow.audit_array_bytes(grid) + ladder
 
 
 def test_a_broadcast_volume_gives_the_bits_of_its_full_grid_copy():

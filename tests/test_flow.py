@@ -218,8 +218,12 @@ def test_audit_rows_built_in_its_arrays_match_fresh_arrays(n, backend, varying_f
     # built last to first, so each build overwrites another snapshot's arrays
     for k in reversed(range(len(traj.times))):
         assert audit.row(k) == fresh_row(audit, k)
-    # the audit evaluates states only: it never makes a Newton correction's arrays
+    # the audit evaluates states only: it never makes a Newton correction's
+    # arrays, nor iterate slots
     assert "correction" not in vars(audit._ws)
+    assert audit._ws.u == []
+    made = distinct_bytes(arrays_in(vars(audit._ws).values()))
+    assert made == flow._Workspace.nbytes(grid, iterates=False)
 
 
 def test_step_residual_audit_never_evaluates_the_energy(monkeypatch):
@@ -529,12 +533,8 @@ def arrays_in(values) -> list:
     return found
 
 
-@pytest.mark.parametrize(
-    "n, resolution, backend, dtype",
-    [(1, 16, "spectral", np.float64), (1, 16, "fd", np.float64),
-     (2, 8, "spectral", np.float64), (2, 16, "spectral", np.float32)],
-)
-def test_the_correction_has_its_own_arrays_in_its_own_precision(n, resolution, backend, dtype):
+def stepped_workspace(n, resolution, backend, dtype):
+    """A workspace after one backward-Euler step of Newton iterations on it, and its correction's arrays."""
     grid = TorusGrid(n=n, resolution=resolution)
     assert grid_module.correction_dtype(grid) == dtype
     c = grid.coordinates()
@@ -548,13 +548,47 @@ def test_the_correction_has_its_own_arrays_in_its_own_precision(n, resolution, b
     diag = flow._advance(phi, 0.0, 1e-3, path, DrivingTerm.affine(slope=0.5), omega.log(),
                          cfg, c, ws)[2]
     assert diag["newton_iters"] > 0
-    state = arrays_in(v for k, v in vars(ws).items() if k != "correction")
     correction = arrays_in(vars(ws.correction).values())
     complex_dtype = np.result_type(dtype, np.complex64)
     # h12 (and at n = 1 the transform) complex of the correction's precision
     assert any(np.iscomplexobj(a) for a in correction)
     assert all(a.dtype == (complex_dtype if np.iscomplexobj(a) else dtype) for a in correction)
+    return ws, correction
+
+
+@pytest.mark.parametrize(
+    "n, resolution, backend, dtype",
+    [(1, 16, "spectral", np.float64), (1, 16, "fd", np.float64),
+     (2, 8, "spectral", np.float64)],
+)
+def test_the_correction_has_its_own_arrays_in_its_own_precision(n, resolution, backend, dtype):
+    ws, correction = stepped_workspace(n, resolution, backend, dtype)
+    state = arrays_in(v for k, v in vars(ws).items() if k != "correction")
     assert not any(np.shares_memory(a, b) for a in correction for b in state)
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_a_float32_correction_lies_in_the_workspace_arrays_its_solve_leaves_idle(backend):
+    ws, correction = stepped_workspace(2, 16, backend, np.float32)
+    cor = ws.correction
+    assert flow._Correction.nbytes(ws.grid, np.float32) == 0
+
+    def within(names):
+        return arrays_in(getattr(ws, name) for name in names)
+
+    lenders, never = within(("h", "w", "tmp", "det")), within(("u", "rhs", "R"))
+    # every array is a view of h, w, tmp or det, never of u, rhs or R
+    assert all(any(np.shares_memory(a, b) for b in lenders) for a in correction)
+    assert not any(np.shares_memory(a, b) for a in correction for b in never)
+    # no two arrays overlap, hv's reals being tmp's own
+    distinct = {id(a): a for a in correction}.values()
+    assert len(distinct) == 17
+    assert not any(np.shares_memory(a, b) for a in distinct for b in distinct if a is not b)
+    # the copies do not overlap what they copy
+    assert not any(np.shares_memory(a, b) for a in cor.copies for b in within(("w", "det", "R")))
+    # x and best, which outlive the solve, overlap no array the line search writes
+    x, best = cor.krylov[0], cor.krylov[-1]
+    assert not any(np.shares_memory(a, b) for a in (x, best) for b in within(("h", "w", "tmp")))
 
 
 def distinct_bytes(arrays) -> int:
@@ -804,6 +838,31 @@ def test_a_float32_correction_keeps_the_float64_newton_counts(monkeypatch):
     assert counts(single) == counts(double)
     assert max(d["newton_iters"] for d in single.diagnostics) > 1
     assert np.max(np.abs(single.final().values - double.final().values)) <= cfg.newton_tol
+
+
+def test_a_lent_float32_correction_gives_the_bits_of_one_in_memory_of_its_own(monkeypatch):
+    # a view overwritten while the correction still reads it would change the bits
+    grid = TorusGrid(n=2, resolution=16)
+    x1, y1, x2, _ = grid.coordinates()
+    phi0 = np.cos(2 * np.pi * (x1 + x2)) * 0.02 + np.sin(2 * np.pi * y1) * 0.01
+    phi0 = ScalarField(grid, np.broadcast_to(phi0, grid.shape))
+    cfg = FlowConfig(horizon=0.02, t_min=1e-3, ratio=1.2)
+    path = MetricPath.constant(grid, cfg.horizon)
+    omega = VolumeForm(grid, 1.0 + 0.2 * np.cos(2 * np.pi * x2))
+    F = DrivingTerm.affine(slope=0.5)
+    lent = run(phi0, path, F, omega, cfg)
+
+    def apart(ws):  # lent by a workspace of its own
+        if "_apart" not in vars(ws):
+            ws._apart = flow._Correction(grid, np.float32, flow._Workspace(grid, ws.backend))
+        return ws._apart
+
+    monkeypatch.setattr(flow._Workspace, "correction", property(apart))
+    own = run(phi0, path, F, omega, cfg)
+    assert max(d["newton_iters"] for d in lent.diagnostics) > 1
+    assert lent.diagnostics == own.diagnostics
+    for a, b in zip(lent.fields + lent.phidots, own.fields + own.phidots, strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
