@@ -336,10 +336,15 @@ def schedule_times(cfg: FlowConfig) -> np.ndarray:
     for p in sorted(set(cfg.probes)):
         times = [s for s in times if abs(s - p) > coll]
         times.append(min(p, T))
-    out = np.array(sorted(times))
-    if np.any(np.diff(out) <= 0):
-        out = np.unique(out)
-    return out
+    return _distinct_sorted(np.array(times))
+
+
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted: np.unique's result, without the numpy.ma import it makes."""
+    out = np.sort(values)
+    keep = np.ones(out.shape, dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +427,8 @@ def _form_arrays(grid: TorusGrid) -> tuple:
 _LENT = {
     # the form, det w and R that `operands` copies
     "w11": ("h", 0), "w22": ("h", 1), "w12": ("h", 2), "det": ("h", 4), "R": ("h", 5),
+    # the shifted symbol the n = 2 preconditioner lays out
+    "symbol": ("h", 6),
     # scratch, the preconditioner's scaling and H(v)'s h12
     "tmp0": ("tmp", 0), "tmp1": ("tmp", 1), "tmp2": ("tmp", 2), "scale": ("tmp", 3),
     "h12": ("tmp", 4),
@@ -433,17 +440,18 @@ _LENT = {
 _COPIES = ("w11", "w22", "w12", "det", "R")
 _KRYLOV = ("x", "r", "p", "v", "z", "t", "best")
 _COMPLEX = ("w12", "h12")
+_N2_ONLY = (*_COMPLEX, "symbol")
 
 
 def _correction_arrays(n: int, lent: bool) -> list:
     """The names of the grid-shaped arrays of a correction on an n-dimensional grid.
 
     copies exist only in a lent (float32) correction, and the complex
-    arrays only at n = 2.
+    arrays and the symbol only at n = 2.
     """
     return [
         name for name in _LENT
-        if (lent or name not in _COPIES) and (n == 2 or name not in _COMPLEX)
+        if (lent or name not in _COPIES) and (n == 2 or name not in _N2_ONLY)
     ]
 
 
@@ -466,9 +474,12 @@ class _Correction:
 
     tmp is three real scratch arrays, hv (H(v) inside a `_jacobian` apply)
     shares tmp's first two, scale is the preconditioner's scaling and
-    krylov BiCGSTAB's seven vectors (x, r, p, v, z, t, best).  spectrum
-    (None at n = 2) is a complex and a real array of the grid's
-    spectrum_shape: the preconditioner's Rayleigh quotient writes the
+    krylov BiCGSTAB's seven vectors (x, r, p, v, z, t, best).  symbol (None
+    at n = 1) is the grid-shaped array the n = 2 preconditioner lays out
+    shift + symbol of -(1/4) Laplacian in, once per Newton iteration, for
+    every solve to divide by; its Rayleigh quotient leaves the symbol there
+    first.  spectrum (None at n = 2) is a complex and a real array of the
+    grid's spectrum_shape: the preconditioner's Rayleigh quotient writes the
     transform and the power spectrum into them, then the shift + symbol
     into the second, and every later solve or Hessian transforms into the
     first.  inverse (None at n = 2) is a complex array of that shape, into
@@ -483,18 +494,21 @@ class _Correction:
     out.  `_advance` leaves each of those arrays idle while the correction
     is alive:
 
-    - the copies lie in ws.h, which the margin that built w read last; the
-      line search's Hessian overwrites them;
+    - the copies and the symbol lie in ws.h, which the margin that built w
+      read last; the line search's Hessian overwrites them;
     - tmp, scale and hv's h12 lie in ws.tmp, the scratch of the workspace's
-      evaluations, none of which runs during the solve;
+      evaluations, none of which runs during the solve; its second and third
+      arrays are rhs and R, which the next `rhs_at` and `step_residual`
+      rewrite, and `operands` has copied R;
     - r, p, v, z and t lie in ws.w, which `operands` has copied; the line
       search's margin rebuilds w;
     - x and best lie in ws.det, which `operands` copies first and only the
       next `rhs_at` rewrites, so the correction BiCGSTAB returns lasts
       through the line search.
 
-    u, rhs and R are never lent.  Without ws, a float32 correction's arrays
-    are None.  `nbytes` counts what the constructor makes.
+    u is never lent, and rhs and R only as tmp.  Without ws, a float32
+    correction's arrays are None.  `nbytes` counts what the constructor
+    makes.
     """
 
     def __init__(self, grid: TorusGrid, dtype, ws=None):
@@ -512,6 +526,7 @@ class _Correction:
         self.tmp = (arrays["tmp0"], arrays["tmp1"], arrays["tmp2"])
         self.hv = self.tmp[:1] if grid.n == 1 else (*self.tmp[:2], arrays["h12"])
         self.scale = arrays["scale"]
+        self.symbol = arrays.get("symbol")
         self.krylov = tuple(arrays[name] for name in _KRYLOV)
         self.copies = tuple(arrays[name] for name in _COPIES) if lent else None
         self.spectrum = self.inverse = None
@@ -539,6 +554,45 @@ class _Correction:
         return self.copies[:-2], self.copies[-2], self.copies[-1]
 
 
+# The arrays of a `_Workspace`, in the order it makes them: each one's name,
+# the grid fields it takes and the array whose memory it shares, if any.  A
+# field is one float64 grid array; a form takes one at n = 1 and four at
+# n = 2 (two reals and a complex h12), and n = 1's spectrum (none at n = 2),
+# a complex array of the grid's spectrum_shape, is counted in bytes.  The
+# scratch tmp1 and tmp2 serve only `hessian` and `margin`, which run while
+# rhs and R are idle: each later `rhs_at` and `step_residual` rewrites them.
+_WORKSPACE = (
+    ("u0", 1, None), ("u1", 1, None),  # the iterate slots, none with iterates=False
+    ("h", "form", None), ("w", "form", None),
+    ("det", 1, None), ("rhs", 1, None), ("R", 1, None),
+    ("tmp0", 1, None), ("tmp1", 1, "rhs"), ("tmp2", 1, "R"),
+    ("spectrum", "spectrum", None),
+)
+
+
+def _workspace_entries(iterates: bool) -> list:
+    """The entries of `_WORKSPACE` a `_Workspace` makes: the iterate slots only with iterates."""
+    return [entry for entry in _WORKSPACE if iterates or entry[0] not in ("u0", "u1")]
+
+
+def _workspace_array(grid: TorusGrid, fields):
+    """A new array of `_WORKSPACE`'s kind fields: a real field, a form's arrays or n = 1's spectrum."""
+    if fields == "form":
+        return _form_arrays(grid)
+    if fields == "spectrum":
+        return (np.empty(grid.spectrum_shape, complex),) if grid.n == 1 else None
+    return np.empty(grid.shape)
+
+
+def _workspace_bytes(grid: TorusGrid, fields) -> int:
+    """The bytes of the array `_workspace_array(grid, fields)` makes."""
+    if fields == "spectrum":
+        return 16 * math.prod(grid.spectrum_shape) if grid.n == 1 else 0
+    if fields == "form":
+        fields = 1 if grid.n == 1 else 4
+    return fields * 8 * math.prod(grid.shape)
+
+
 class _Workspace:
     """The one evaluator of a flow state, in float64 grid-shaped arrays it reuses.
 
@@ -560,9 +614,11 @@ class _Workspace:
     array otherwise; u[1] is None until then.  The line search overwrites h
     and w, as the accepted iterate needs neither once its Newton direction
     is solved; between steps h is H of the step's values, the warm start of
-    a step that starts from them.  tmp is three real scratch arrays, and
-    spectrum (None at n = 2) holds the complex array that an n = 1 Hessian
-    transforms into.
+    a step that starts from them.  tmp is three real scratch arrays: the
+    first its own, and the other two, which only `hessian` and `margin`
+    use, rhs and R themselves, so a `hessian` or `margin` overwrites the
+    last rhs and R.  spectrum (None at n = 2) holds the complex array that
+    an n = 1 Hessian transforms into.
 
     The Newton correction is solved in correction, a `_Correction` in
     grid.correction_dtype (float32 at n = 2 from
@@ -570,31 +626,29 @@ class _Workspace:
     made on a run's first Newton iteration, so an audit never makes one.  A
     float32 correction is views of h, tmp, w and det, which the solve
     leaves idle (`_Correction` says how); a float64 one makes its own
-    arrays.  `nbytes` counts what the constructor makes.
+    arrays.  The arrays are declared in `_WORKSPACE`, which `nbytes` sums.
     """
 
     def __init__(self, grid: TorusGrid, backend: str, iterates: bool = True):
-        def real():
-            return np.empty(grid.shape)
-
+        arrays = {}
+        for name, fields, shared in _workspace_entries(iterates):
+            arrays[name] = arrays[shared] if shared else _workspace_array(grid, fields)
         self.grid, self.backend = grid, backend
-        self.u = [real(), real()] if iterates else []
+        self.u = [arrays["u0"], arrays["u1"]] if iterates else []
         self._spare = None  # a state `run` gave back, the next slot to refill
-        self.h, self.w = _form_arrays(grid), _form_arrays(grid)
-        self.det, self.rhs, self.R = real(), real(), real()
-        self.tmp = (real(), real(), real())
-        self.spectrum = None
-        if grid.n == 1:
-            self.spectrum = (np.empty(grid.spectrum_shape, complex),)
+        self.h, self.w = arrays["h"], arrays["w"]
+        self.det, self.rhs, self.R = arrays["det"], arrays["rhs"], arrays["R"]
+        self.tmp = (arrays["tmp0"], arrays["tmp1"], arrays["tmp2"])
+        self.spectrum = arrays["spectrum"]
 
     @staticmethod
     def nbytes(grid: TorusGrid, iterates: bool = True) -> int:
         """The bytes of the arrays a `_Workspace` on grid makes (its correction aside)."""
-        # u (with iterates), det, rhs, R and tmp; h and w are a field each at
-        # n = 1, four at n = 2
-        fields = (2 if iterates else 0) + 3 + 3 + (2 if grid.n == 1 else 8)
-        spectrum = 16 * math.prod(grid.spectrum_shape) if grid.n == 1 else 0
-        return fields * 8 * math.prod(grid.shape) + spectrum
+        return sum(
+            _workspace_bytes(grid, fields)
+            for _, fields, shared in _workspace_entries(iterates)
+            if shared is None
+        )
 
     @functools.cached_property
     def correction(self) -> _Correction:
@@ -767,23 +821,23 @@ def _preconditioner_terms(total, det, R, fs, dt, ws) -> tuple:
     """(D, sigma, shift) of `_preconditioner`, laid out in ws.correction.
 
     D is the pointwise scaling (in its scale), sigma the shift c (1/dt +
-    max(0, mean F_s)), and shift what the solve takes: sigma at n = 2, and
-    at n = 1 the reciprocal of sigma + the symbol of -(1/4) Laplacian, laid
-    out in inverse (through spectrum[1]).  tmp is scratch here and free
-    again on return.
+    max(0, mean F_s)), and shift what the solve takes, laid out once: at
+    n = 2 sigma + the symbol of -(1/4) Laplacian in symbol, where the
+    Rayleigh quotient leaves the symbol, and at n = 1 the reciprocal of
+    that sum, in inverse (through spectrum[1]).  tmp is scratch here and
+    free again on return.
     """
     grid, backend, cor = ws.grid, ws.backend, ws.correction
-    a, b, spare = cor.tmp
+    a, b, _ = cor.tmp
     s = comps_harmonic_mean(total, a, b, det)
     c = 1.0 / float(np.mean(np.divide(1.0, s, out=b)))
-    kappa = dt * quarter_laplacian_rayleigh(R, grid, backend, b, spare, cor.spectrum)
+    kappa = dt * quarter_laplacian_rayleigh(R, grid, backend, b, cor.symbol, cor.spectrum)
     scale = np.add(s, kappa, out=cor.scale)
     np.divide(c + kappa, scale, out=scale)
     scale *= s
     sigma = c * (1.0 / dt + max(0.0, float(np.mean(fs))))
-    # n = 2 has no spare grid-shaped array and adds the symbol per apply
     if grid.n == 2:
-        return scale, sigma, sigma
+        return scale, sigma, np.add(sigma, cor.symbol, out=cor.symbol)
     return scale, sigma, inverse_shifted_symbol(grid, backend, sigma, cor.inverse, cor.spectrum[1])
 
 
@@ -1050,8 +1104,8 @@ def stored_steps(cfg: FlowConfig, times=None) -> np.ndarray:
 
 # The most bytes of arrays `maflow run` or `maflow verify` lets one document
 # hold at once, as `peak_array_bytes` estimates them.  A 32^4 n = 2 run holds
-# about 160 MB; a 64^4 one would hold about 2.6 GB, and a 128^4 one about
-# 41 GB.
+# about 143 MB; a 64^4 one would hold about 2.3 GB, and a 128^4 one about
+# 37 GB.
 ARRAY_BUDGET = 2 * 2**30
 # Grid fields a run holds beside its workspace and correction: phi0 and the
 # two states its ring holds beyond the workspace's slots.
@@ -1232,8 +1286,9 @@ class TrajectoryAudit:
         self._rows = {}
         self._certificate = None
         self._ws = _Workspace(traj.grid, self.backend, iterates=False)
-        # the energy's densities and scratch: tmp's reals and, at n = 2, h's
-        # h12, as h is free once `margin` has built w
+        # the energy's densities and scratch: tmp's reals (the second is rhs,
+        # which `rhs_at` writes after) and, at n = 2, h's h12, as h is free
+        # once `margin` has built w
         ws = self._ws
         self._energy_work = ws.tmp[:1] if traj.grid.n == 1 else (*ws.tmp[:2], ws.h[2])
         self._last = (None, None)  # (k, field) of the last build

@@ -46,7 +46,9 @@ of values: float32 values are multiplied by cached float32 copies of the
 per-axis matrices and give float32 (and complex64) results.  The flow
 solves its Newton correction in float32 on the grids `correction_dtype`
 names, n=2 from SINGLE_PRECISION_RESOLUTION points per axis up, and in
-float64 everywhere else; every other operator here is float64 only.
+float64 everywhere else; every other operator here is float64 only.  The
+n=2 caches hold N x N arrays only: the grid-shaped symbol the solve and
+the Rayleigh quotient need is laid out into their scratch when they run.
 """
 
 from __future__ import annotations
@@ -281,16 +283,22 @@ def solve_shifted_laplacian(
 ):
     """Solve (shift - (1/4) Laplacian) u = values, Laplacian as the backend discretises it.
 
-    shift is a float or, at n = 1, inverse_shifted_symbol(grid, backend,
-    shift) laid out once for many solves.  u is written into out when given (a
+    shift is a float or the shifted symbol laid out once for many solves:
+    at n = 1 inverse_shifted_symbol(grid, backend, shift), and at n = 2
+    shift + the grid-shaped symbol that quarter_laplacian_rayleigh leaves
+    in its scratch, in values' dtype.  u is written into out when given (a
     grid-shaped float array that may be values).  At n = 2 scratch, a
-    grid-shaped float array not aliasing values, holds the per-axis
-    products; at n = 1 spectrum[0] holds the transform.
+    grid-shaped float array not aliasing values or a laid-out shift, holds
+    the per-axis products (and shift + symbol for a float shift); at n = 1
+    spectrum[0] holds the transform.
     """
     if grid.n == 2:
-        q, symbol = _per_axis(_quarter_laplacian_basis, values, grid.resolution, backend)
+        q = _per_axis(_quarter_laplacian_basis, values, grid.resolution, backend)[0]
         coef = _along_every_axis(q.T, values, out, scratch)
-        coef /= np.add(shift, symbol, out=scratch)
+        if not np.ndim(shift):
+            symbol = _laid_out_symbol(grid, backend, values.dtype, scratch)
+            shift = np.add(shift, symbol, out=symbol)
+        coef /= shift
         return _along_every_axis(q, coef, out, scratch)
     if not np.ndim(shift):
         shift = inverse_shifted_symbol(grid, backend, shift)
@@ -306,12 +314,16 @@ def quarter_laplacian_rayleigh(
 
     values must not vanish identically.  At n = 2, out and scratch
     (grid-shaped float arrays, neither aliasing values) hold the per-axis
-    products; at n = 1 spectrum holds the transform and the power spectrum.
+    products, and scratch is left holding the grid-shaped symbol in values'
+    dtype, which a shift added in place makes solve_shifted_laplacian's
+    laid-out shift; at n = 1 spectrum holds the transform and the power
+    spectrum.
     """
     if grid.n == 2:
-        q, symbol = _per_axis(_quarter_laplacian_basis, values, grid.resolution, backend)
+        q = _per_axis(_quarter_laplacian_basis, values, grid.resolution, backend)[0]
         power = _along_every_axis(q.T, values, out, scratch)
         np.square(power, out=power)
+        symbol = _laid_out_symbol(grid, backend, values.dtype, scratch)
         return inner(power, symbol) / float(np.sum(power))
     hat, power = spectrum or (None, None)
     power = np.abs(_rfft(values, grid, hat), out=power)
@@ -337,8 +349,11 @@ def gaussian_smooth(values: np.ndarray, grid: TorusGrid, delta: float) -> np.nda
 # Each operator is a product of N x N matrices, one per real axis.  Both
 # backends' d2 is a symmetric circulant, so -(1/4) d2 is diagonal in one
 # orthonormal per-axis basis Q: a product of Q^T on every axis, a divide by
-# the summed symbol and a product of Q on every axis solves the shifted
-# problem.
+# the shifted symbol (the eigenvalues summed over the four axes, plus the
+# shift) and a product of Q on every axis solves the shifted problem.  Q and
+# the eigenvalues summed over two axes are cached; the grid-shaped symbol
+# is laid out from them where it is used, once per solve for a numeric
+# shift, or once for many solves by the flow's preconditioner.
 
 
 @lru_cache(maxsize=8)
@@ -374,15 +389,43 @@ def _hessian_matrices(N, backend):
 
 @lru_cache(maxsize=8)
 def _quarter_laplacian_basis(N, backend):
-    """(Q, symbol): -(1/4) Laplacian at n=2 is Q diag(symbol) Q^T on every axis.
+    """(Q, pair): -(1/4) Laplacian at n=2 is Q diag(symbol) Q^T on every axis.
 
-    Q holds orthonormal eigenvectors of the per-axis -(1/4) d2 and symbol is
-    the sum of their eigenvalues over the four axes, shaped like the grid.
+    Q holds orthonormal eigenvectors of the per-axis -(1/4) d2 and pair
+    (N x N) the sums of their eigenvalues over two axes, so the symbol, the
+    sum over all four, is pair[i, j] + pair[k, l] at grid index (i, j, k,
+    l).  Only these N x N arrays are cached: the grid-shaped symbol is laid
+    out where it is used (`_laid_out_symbol`).
     """
     lam, q = np.linalg.eigh(-_hessian_matrices(N, backend)[1])
-    pair = lam[:, None] + lam[None, :]
-    symbol = pair[:, :, None, None] + pair[None, None, :, :]
-    return _freeze(q), _freeze(symbol)
+    return _freeze(q), _freeze(lam[:, None] + lam[None, :])
+
+
+def _laid_out_symbol(grid, backend, dtype, out=None):
+    """The n = 2 grid-shaped symbol of `_quarter_laplacian_basis` in dtype, into out when given.
+
+    Each value is pair[i, j] + pair[k, l] summed in float64 and rounded
+    once into dtype, the bits of a float64 symbol cast to float32.  It is
+    laid out N^3 values at a time, each block the add of two same-shaped
+    copies of the pair sums: an add with a broadcast operand takes numpy's
+    iteration buffer, up to 8192 values (two fields at 8^4), where a copy
+    takes none.  A float32 block is summed in float64 and then cast.
+    """
+    N = grid.resolution
+    pair = _quarter_laplacian_basis(N, backend)[1].reshape(-1)
+    if out is None:
+        out = np.empty(grid.shape, dtype)
+    rows = out.reshape(pair.size, pair.size)
+    lower = np.empty((N, pair.size))  # pair[k, l] in every row of a block
+    np.copyto(lower, pair)
+    block = None if out.dtype == np.float64 else np.empty_like(lower)
+    for i in range(0, pair.size, N):
+        upper = rows[i : i + N] if block is None else block
+        np.copyto(upper, pair[i : i + N, None])
+        np.add(upper, lower, out=upper)
+        if block is not None:
+            np.copyto(rows[i : i + N], block)
+    return out
 
 
 @lru_cache(maxsize=8)

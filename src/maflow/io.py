@@ -75,8 +75,19 @@ def _save_values(directory, name: str, grid: TorusGrid, values: np.ndarray, time
         "name": name,
     }
     json_path = directory / f"{name}.json"
-    json_path.write_text(json.dumps(sidecar, indent=2))
+    json_path.write_text(_indented_flat_json(sidecar))
     return bin_path, json_path
+
+
+def _indented_flat_json(record: dict) -> str:
+    """json.dumps(record, indent=2) of a dict of scalars, from json's C encoder.
+
+    indent selects the pure-Python encoder, whose nested functions are
+    reference cycles left to the garbage collector on every call; each key
+    and value encoded alone takes the C encoder and leaves none.
+    """
+    lines = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in record.items())
+    return "{\n" + lines + "\n}"
 
 
 def _read_sidecar(side_path: Path) -> dict:

@@ -32,6 +32,7 @@ from .flow import (
     FlowConfig,
     FlowTrajectory,
     TrajectoryAudit,
+    _distinct_sorted,
     _sampled_min,
     instantaneous_residuals,
     monotone_reduction,
@@ -265,7 +266,7 @@ def check_apriori_bounds(audit: TrajectoryAudit, *, kcap: float | None = None) -
         delta = audit.certificate()
         coords = grid.coordinates()
         zeros = np.zeros(grid.shape)
-        probes = np.unique(np.concatenate([traj.times, np.linspace(0.0, traj.times[-1], 33)]))
+        probes = _distinct_sorted(np.concatenate([traj.times, np.linspace(0.0, traj.times[-1], 33)]))
         inf_f = _sampled_min(lambda t, _: F(t, coords, zeros, out=scratch), probes, (0.0,))
         C = -inf_f + n * math.log(delta)
         del zeros

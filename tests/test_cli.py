@@ -8,6 +8,10 @@ import functools
 import io as _io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -870,6 +874,38 @@ def test_the_array_estimate_is_within_a_tenth_of_the_traced_peak(tmp_path, resol
     # the run, not the audit after it, holds the most
     assert run_peak > checks_peak
     assert cli.array_estimate(doc) == pytest.approx(run_peak, rel=0.1)
+
+
+def test_the_readme_quotes_the_array_estimate_of_an_n2_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = " ".join(readme.split())
+    match = re.search(r"16\^4 comes to about ([\d.]+) MB and at 32\^4 to about (\d+) MB", text)
+    assert match is not None
+    # quoted to one decimal and to the megabyte
+    assert f"{cli.array_estimate(n2_doc(16)) / 1e6:.1f}" == match[1]
+    assert f"{cli.array_estimate(n2_doc(32)) / 1e6:.0f}" == match[2]
+
+
+# Runs and then verifies a scenario document; prints whether numpy.ma was imported.
+RUN_AND_VERIFY = """
+import sys
+from maflow import cli
+codes = [cli.main(["run", "--config", sys.argv[1]]), cli.main(["verify", sys.argv[2]])]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_run_and_verify_leave_numpy_ma_unimported(tmp_path):
+    # importing numpy.ma costs about 1.3 MB of resident memory; np.unique makes it
+    cfg_path, _ = write_doc(tmp_path, checks=["apriori-bounds", "residual-certificate"])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_AND_VERIFY, str(cfg_path), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=600, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_a_run_too_large_to_fit_exits_two_before_it_allocates(tmp_path, capsys, monkeypatch):

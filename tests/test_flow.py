@@ -522,6 +522,26 @@ def test_a_16_4_run_allocates_no_state_after_its_third_step(monkeypatch):
     assert max(kept for _, kept in steps) < 0.1
 
 
+def test_a_16_4_run_leaves_no_grid_sized_array_in_grids_caches():
+    # the symbol is laid out where it is used; the caches keep N x N arrays
+    vals, cfg, path, omega, F = warm_problem(2, 16, "spectral")
+    caches = [fn for fn in vars(grid_module).values() if hasattr(fn, "cache_clear")]
+    for fn in caches:
+        fn.cache_clear()
+    tracemalloc.start()
+    try:
+        traj = run(ScalarField(path.grid, vals), path, F, omega, cfg, _NullStore())
+        held = tracemalloc.get_traced_memory()[0]
+        for fn in caches:
+            fn.cache_clear()
+        cached = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(d["newton_iters"] for d in traj.diagnostics) > 0
+    # less than one float32 grid array, the smallest a grid-sized one can be
+    assert 0 < cached < 4 * vals.size
+
+
 def arrays_in(values) -> list:
     """The arrays among values and inside their tuples and lists."""
     found = []
@@ -576,14 +596,20 @@ def test_a_float32_correction_lies_in_the_workspace_arrays_its_solve_leaves_idle
     def within(names):
         return arrays_in(getattr(ws, name) for name in names)
 
-    lenders, never = within(("h", "w", "tmp", "det")), within(("u", "rhs", "R"))
-    # every array is a view of h, w, tmp or det, never of u, rhs or R
+    lenders = within(("h", "w", "tmp", "det"))
+    # every array is a view of h, w, tmp or det, never of u
     assert all(any(np.shares_memory(a, b) for b in lenders) for a in correction)
-    assert not any(np.shares_memory(a, b) for a in correction for b in never)
+    assert not any(np.shares_memory(a, b) for a in correction for b in within(("u",)))
     # no two arrays overlap, hv's reals being tmp's own
     distinct = {id(a): a for a in correction}.values()
-    assert len(distinct) == 17
+    assert len(distinct) == 18
     assert not any(np.shares_memory(a, b) for a in distinct for b in distinct if a is not b)
+    # rhs and R are lent only as the workspace's tmp[1] and tmp[2], which they are:
+    # to the correction's tmp[2] and scale, and H(v)'s h12
+    assert ws.tmp[1] is ws.rhs and ws.tmp[2] is ws.R
+    in_rhs_or_r = [a for a in distinct if any(np.shares_memory(a, b) for b in (ws.rhs, ws.R))]
+    assert {id(a) for a in in_rhs_or_r} == {id(cor.tmp[2]), id(cor.scale), id(cor.hv[2])}
+    assert all(flow._LENT[name][0] == "tmp" for name in ("tmp2", "scale", "h12"))
     # the copies do not overlap what they copy
     assert not any(np.shares_memory(a, b) for a in cor.copies for b in within(("w", "det", "R")))
     # x and best, which outlive the solve, overlap no array the line search writes

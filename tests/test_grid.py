@@ -10,13 +10,16 @@ from maflow.grid import (
     ScalarField,
     TorusGrid,
     _along,
+    _along_every_axis,
     _axis_matrices,
     _fd_first,
     _fd_second,
+    _quarter_laplacian_basis,
     _quarter_laplacian_symbol,
     gaussian_smooth,
     gradient_sq,
     hessian_components,
+    inner,
     inverse_shifted_symbol,
     oscillation,
     quarter_laplacian_rayleigh,
@@ -236,6 +239,44 @@ def test_n2_hessian_with_the_quarter_in_its_matrices_keeps_every_bit(N, dtype, b
     assert all(a is b for a, b in zip(got, out))
     for components in (got, hessian_components(v, g, backend)):
         assert [c.tobytes() for c in components] == [c.tobytes() for c in want]
+
+
+def solve_and_rayleigh_with_the_symbol_cached_whole(values, backend, shift):
+    """The n=2 solve and Rayleigh quotient with a grid-shaped symbol, shift added on each solve.
+
+    The symbol is summed whole in float64 and cast whole to float32 for
+    float32 values.
+    """
+    q, pair = _quarter_laplacian_basis(values.shape[0], backend)
+    symbol = pair[:, :, None, None] + pair[None, None, :, :]
+    q, symbol = q.astype(values.dtype), symbol.astype(values.dtype)
+    coef = _along_every_axis(q.T, values)
+    power = np.square(coef)
+    rayleigh = inner(power, symbol) / float(np.sum(power))
+    coef /= np.add(shift, symbol, out=np.empty_like(values))
+    return _along_every_axis(q, coef), rayleigh
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+@pytest.mark.parametrize("N, dtype", [(8, np.float64), (16, np.float64), (16, np.float32)])
+# a number, and an np.float64 as the flow's shift is, which a float32 sum promotes
+@pytest.mark.parametrize("shift", [3.0, np.float64(1.0) / 3.0])
+def test_n2_solve_with_a_laid_out_symbol_keeps_every_bit(N, dtype, backend, shift):
+    # the Rayleigh quotient leaves the symbol in its scratch, and the shift
+    # added there once is what every solve divides by
+    g = TorusGrid(2, N)
+    v = np.random.default_rng(N).standard_normal(g.shape).astype(dtype)
+    want, want_rayleigh = solve_and_rayleigh_with_the_symbol_cached_whole(v, backend, shift)
+    out, scratch, symbol = (np.empty(g.shape, dtype) for _ in range(3))
+    assert quarter_laplacian_rayleigh(v, g, backend, out, symbol) == want_rayleigh
+    laid_out = np.add(shift, symbol, out=symbol)
+    got = solve_shifted_laplacian(v, g, backend, laid_out, out, scratch)
+    assert got is out and got.tobytes() == want.tobytes()
+    # a shift given as a number is laid out by the solve itself
+    assert solve_shifted_laplacian(v, g, backend, shift).tobytes() == want.tobytes()
+    got = solve_shifted_laplacian(v, g, backend, shift, out, scratch)
+    assert got.tobytes() == want.tobytes()
+    assert quarter_laplacian_rayleigh(v, g, backend) == want_rayleigh
 
 
 class TestSpectralLayer:
