@@ -89,6 +89,7 @@ from .geometry import (
 from .grid import (
     ScalarField,
     TorusGrid,
+    add_shift,
     correction_dtype,
     hessian_components,
     inner,
@@ -837,7 +838,7 @@ def _preconditioner_terms(total, det, R, fs, dt, ws) -> tuple:
     scale *= s
     sigma = c * (1.0 / dt + max(0.0, float(np.mean(fs))))
     if grid.n == 2:
-        return scale, sigma, np.add(sigma, cor.symbol, out=cor.symbol)
+        return scale, sigma, add_shift(sigma, cor.symbol)
     return scale, sigma, inverse_shifted_symbol(grid, backend, sigma, cor.inverse, cor.spectrum[1])
 
 

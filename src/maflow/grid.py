@@ -296,8 +296,7 @@ def solve_shifted_laplacian(
         q = _per_axis(_quarter_laplacian_basis, values, grid.resolution, backend)[0]
         coef = _along_every_axis(q.T, values, out, scratch)
         if not np.ndim(shift):
-            symbol = _laid_out_symbol(grid, backend, values.dtype, scratch)
-            shift = np.add(shift, symbol, out=symbol)
+            shift = add_shift(shift, _laid_out_symbol(grid, backend, values.dtype, scratch))
         coef /= shift
         return _along_every_axis(q, coef, out, scratch)
     if not np.ndim(shift):
@@ -305,6 +304,27 @@ def solve_shifted_laplacian(
     hat = _rfft(values, grid, None if spectrum is None else spectrum[0])
     hat *= shift
     return _irfft(hat, grid, out)
+
+
+def add_shift(shift, symbol: np.ndarray) -> np.ndarray:
+    """symbol += shift in place, with the bits of np.add(shift, symbol, out=symbol).
+
+    numpy sums in the dtype the two promote to and rounds into symbol's, so
+    an np.float64 shift (the flow's, as dt is one) on a float32 symbol sums
+    in float64.  np.add would cast through numpy's buffer, up to 8192
+    values (a quarter field at 16^4); here the sum is taken one slice
+    along the first axis at a time (N^3 values at n = 2), copied up into
+    a block of the promoted dtype, added and copied back down.
+    """
+    dtype = np.result_type(shift, symbol)
+    if dtype == symbol.dtype:
+        return np.add(shift, symbol, out=symbol)
+    block = np.empty(symbol.shape[1:], dtype)
+    for part in symbol:
+        np.copyto(block, part)
+        block += shift
+        np.copyto(part, block)
+    return symbol
 
 
 def quarter_laplacian_rayleigh(
@@ -337,10 +357,15 @@ def quarter_laplacian_rayleigh(
 def gaussian_smooth(values: np.ndarray, grid: TorusGrid, delta: float) -> np.ndarray:
     """Convolution with the periodised kernel ~ exp(-|u|^2/delta^2) (mass one).
 
-    Mode k is scaled by exp(-pi^2 delta^2 |k|^2).
+    Mode k is scaled by exp(-pi^2 delta^2 |k|^2), laid out per call from
+    the per-axis wavenumbers, so no spectrum-sized array stays cached.
     """
-    symbol = _quarter_laplacian_symbol(grid.n, grid.resolution, "spectral")
-    return _irfft(_rfft(values, grid) * np.exp(-(delta**2) * symbol), grid)
+    scale = sum(k * k for k in _wavenumbers(grid.n, grid.resolution, False))
+    scale *= np.pi**2
+    scale *= -(delta**2)
+    hat = _rfft(values, grid)
+    hat *= np.exp(scale, out=scale)
+    return _irfft(hat, grid)
 
 
 # ---------------------------------------------------------------------------

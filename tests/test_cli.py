@@ -886,17 +886,19 @@ def test_the_readme_quotes_the_array_estimate_of_an_n2_run():
     assert f"{cli.array_estimate(n2_doc(32)) / 1e6:.0f}" == match[2]
 
 
-# Runs and then verifies a scenario document; prints whether numpy.ma was imported.
+# Runs and then verifies a scenario document; prints whether numpy.ma and
+# OpenSSL's hashlib backend were imported.
 RUN_AND_VERIFY = """
 import sys
 from maflow import cli
 codes = [cli.main(["run", "--config", sys.argv[1]]), cli.main(["verify", sys.argv[2]])]
-print(codes, "numpy.ma" in sys.modules)
+print(codes, "numpy.ma" in sys.modules, "_hashlib" in sys.modules)
 """
 
 
 def test_run_and_verify_leave_numpy_ma_unimported(tmp_path):
-    # importing numpy.ma costs about 1.3 MB of resident memory; np.unique makes it
+    # importing numpy.ma costs about 1.3 MB of resident memory; np.unique makes it.
+    # _hashlib maps OpenSSL's libcrypto, about 3.6 MB; importing hashlib makes it
     cfg_path, _ = write_doc(tmp_path, checks=["apriori-bounds", "residual-certificate"])
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -905,7 +907,7 @@ def test_run_and_verify_leave_numpy_ma_unimported(tmp_path):
         [sys.executable, "-c", RUN_AND_VERIFY, str(cfg_path), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=600, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False False"
 
 
 def test_a_run_too_large_to_fit_exits_two_before_it_allocates(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from maflow.grid import (
     _fd_second,
     _quarter_laplacian_basis,
     _quarter_laplacian_symbol,
+    add_shift,
     gaussian_smooth,
     gradient_sq,
     hessian_components,
@@ -277,6 +278,25 @@ def test_n2_solve_with_a_laid_out_symbol_keeps_every_bit(N, dtype, backend, shif
     got = solve_shifted_laplacian(v, g, backend, shift, out, scratch)
     assert got.tobytes() == want.tobytes()
     assert quarter_laplacian_rayleigh(v, g, backend) == want_rayleigh
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shift", [3.0, np.float64(1.0) / 3.0, np.float32(0.7)])
+def test_a_shift_added_in_place_keeps_np_adds_bits_without_its_buffer(dtype, shift):
+    import tracemalloc
+
+    g = TorusGrid(2, 16)
+    symbol = 100.0 * np.random.default_rng(5).random(g.shape).astype(dtype)
+    want = np.add(shift, symbol, out=symbol.copy())
+    tracemalloc.start()
+    try:
+        assert add_shift(shift, symbol) is symbol
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert symbol.tobytes() == want.tobytes()
+    # np.add's casting buffer for an np.float64 shift on float32 is a quarter field
+    assert peak <= 0.1 * 8 * symbol.size
 
 
 class TestSpectralLayer:

@@ -1,6 +1,11 @@
 """Snapshot archives: bit-exact round trips and manifest hygiene."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from maflow import (
     run,
     run_cascade,
 )
+from maflow import io as archive_io
 from maflow.io import (
     config_hash,
     load_cascade,
@@ -27,6 +33,7 @@ from maflow.io import (
     save_field,
     save_trajectory,
 )
+from maflow.scenarios import available, scenario_path
 
 
 def small_run(probes=(0.02,)):
@@ -88,6 +95,44 @@ def test_config_hash_ignores_key_order():
     b = {"seed": 7, "grid": {"resolution": 32, "n": 1}}
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({**a, "seed": 8})
+
+
+def bundled_documents() -> list:
+    return [json.loads(scenario_path(stem).read_text()) for stem in available()]
+
+
+def test_config_hash_is_hashlibs_sha256_of_every_bundled_document():
+    docs = bundled_documents()
+    assert len(docs) == 14
+    for doc in docs:
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        assert config_hash(doc) == hashlib.sha256(canon.encode("ascii")).hexdigest()
+
+
+# Hashes every bundled document with CPython's built-in SHA-256 modules
+# hidden, so io falls back to hashlib; prints the module it bound and the digests.
+WITHOUT_BUILTIN_SHA256 = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from maflow import io
+from maflow.scenarios import available, scenario_path
+docs = [json.loads(scenario_path(stem).read_text()) for stem in available()]
+print(json.dumps([io.sha256.__module__, [io.config_hash(doc) for doc in docs]]))
+"""
+
+
+def test_config_hash_falls_back_to_hashlib_with_the_same_digest():
+    src = str(Path(archive_io.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_BUILTIN_SHA256],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    module, digests = json.loads(proc.stdout)
+    # hashlib's own sha256, where this process bound the built-in one
+    assert module == hashlib.sha256.__module__ != archive_io.sha256.__module__
+    assert digests == [config_hash(doc) for doc in bundled_documents()]
 
 
 def test_trajectory_round_trip(tmp_path):
