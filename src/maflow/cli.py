@@ -25,7 +25,7 @@ import re
 import sys
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ from .flow import (
     DrivingTerm,
     FlowConfig,
     TrajectoryAudit,
+    _transformed_time,
     audit_array_bytes,
     peak_array_bytes,
     run,
@@ -554,24 +555,57 @@ def run_comparison_pair(ctx: RunContext, out: Path = None):
     return ctx.traj_b
 
 
-def array_estimate(doc: dict, forced_mode: str = None) -> int:
-    """flow.peak_array_bytes of the document's run, with the snapshots its mode keeps in memory.
+def array_estimate(doc: dict, forced_mode: str = None, checks=()) -> int:
+    """flow.peak_array_bytes of the document's run, with the snapshots kept in memory.
 
     A single flow streams its snapshots; every cascade level, and every nef
     member and the witness, keeps its stored fields and phidots, and a
-    cascade its ladder too.  Nothing grid-sized is made here.
+    cascade its ladder too.  Of the named checks, those that run flows of
+    their own keep theirs (`_check_fields`).  Nothing grid-sized is made here.
     """
     grid, cfg = build_grid(doc), build_flow_config(doc)
     mode = forced_mode or resolve_mode(doc, build_initial(_section(doc, "initial"), grid.n))
-    runs = 0  # the runs whose snapshots stay in memory
+    stored, kept = int(np.count_nonzero(stored_steps(cfg))), 0
     if mode == "cascade" and doc.get("schedule") is not None:
-        runs = len(build_schedule(doc["schedule"]).deltas)
+        kept = _cascade_fields(len(build_schedule(doc["schedule"]).deltas), stored)
     elif mode == "nef":
         runs = len(build_metric(doc, grid, cfg.horizon).meta.get("eps_schedule", ())) + 1
-    kept = 2 * runs * int(np.count_nonzero(stored_steps(cfg)))
-    if mode == "cascade":
-        kept += runs + 1  # the ladder's levels and base
-    return peak_array_bytes(grid, kept)
+        kept = 2 * runs * stored
+    return peak_array_bytes(grid, kept + _check_fields(doc, cfg, checks, stored))
+
+
+def _cascade_fields(levels: int, stored: int) -> int:
+    """The fields a cascade keeps: its levels' stored fields and phidots, and its ladder."""
+    return 2 * levels * stored + levels + 1
+
+
+def _check_fields(doc: dict, cfg: FlowConfig, checks, stored: int) -> int:
+    """The most fields one of the named checks keeps in the snapshots of flows of its own.
+
+    stability keeps its homotopy_samples runs, uniqueness its two cascades
+    and transform-roundtrip each transformed run and its pull-back.  The
+    checks run one at a time, and each drops its flows when it returns.
+    stored is the number of snapshots a run with cfg stores.
+    """
+    params = _check_params(doc)
+    kept = [0]
+    if "stability" in checks:
+        default = inspect.signature(verify.check_stability).parameters["homotopy_samples"].default
+        samples = params.get("stability", {}).get("homotopy_samples", default)
+        kept.append(2 * max(int(samples), 2) * stored)
+    if "uniqueness" in checks and all(doc.get(k) is not None for k in ("schedule", "schedule_b")):
+        levels = (len(build_schedule(doc[k], k).deltas) for k in ("schedule", "schedule_b"))
+        kept.append(sum(_cascade_fields(m, stored) for m in levels))
+    if "transform-roundtrip" in checks:
+        settings, F, T = params.get("transform-roundtrip", {}), build_driving(doc), cfg.horizon
+        rates = [settings.get("reduction_rate") or -1.0 / T] if (F.defect or 0.0) > 0.0 else []
+        if F.time_bound is not None and settings.get("rescale_rate") is not None:
+            rates.append(settings["rescale_rate"])
+        # as `check_transform_roundtrip` runs each transform with a finite horizon
+        horizons = [_transformed_time(r, T) for r in rates if r < 0.0 or 0.0 < r * T < 1.0]
+        runs = [replace(cfg, horizon=h, t_min=min(cfg.t_min, 0.5 * h), probes=()) for h in horizons]
+        kept.append(sum(4 * int(np.count_nonzero(stored_steps(c))) for c in runs))
+    return max(kept)
 
 
 def replay_estimate(doc: dict, manifest: dict) -> int:
@@ -603,7 +637,7 @@ def cmd_run(args, forced_mode: str = None) -> int:
         doc["seed"] = args.seed  # archived with the run, so verify replays the same draws
     out = Path(args.out) if args.out else Path(doc.get("out", "runs/latest"))
     names = _resolve_checks(doc, list(args.check or doc.get("checks", [])))
-    _within_budget("the run", doc, array_estimate(doc, forced_mode))
+    _within_budget("the run", doc, array_estimate(doc, forced_mode, names))
 
     # everything goes to a staged directory that reaches out only if the run ends normally
     with archive_io.staged(out) as stage:

@@ -412,62 +412,80 @@ def _l2(a: np.ndarray) -> float:
     return math.sqrt(inner(a, a))
 
 
-def _form_arrays(grid: TorusGrid) -> tuple:
-    """A new float64 form's arrays: one real array at n = 1, two and a complex h12 at n = 2."""
-    if grid.n == 1:
-        return (np.empty(grid.shape),)
-    return np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape, complex)
-
-
-# Where a float32 Newton correction's arrays lie in its run's `_Workspace`:
-# each array's name, the workspace array it is a view of and the first part
-# of that array it takes.  A part holds one float32 grid array, counted
-# through the workspace array's components in order (two in a float64
-# field, four in a complex h12); a complex64 array (w12, h12) takes two.
-# `_Correction` says why each workspace array is idle while it is lent.
-_LENT = {
-    # the form, det w and R that `operands` copies
-    "w11": ("h", 0), "w22": ("h", 1), "w12": ("h", 2), "det": ("h", 4), "R": ("h", 5),
-    # the shifted symbol the n = 2 preconditioner lays out
-    "symbol": ("h", 6),
+# The arrays of a run's `_Workspace` and of its Newton `_Correction`, each
+# declared once, in the order its owner makes it: name; owner (ws, the
+# workspace; u, its iterate slots, made only with iterates; cor, the
+# correction; copy, a float32 correction's only); kind (a real or complex
+# grid-shaped array, or a complex spectrum or real power array of the grid's
+# spectrum_shape), in float64 in a workspace and in dtype in a correction;
+# the n it exists at (None: both); and, for a correction's, the workspace
+# array a float32 correction lies in and the first part of it it takes.  A
+# part holds one float32 grid array, two in a float64 field and four in a
+# complex h12; a complex64 array takes two.
+_ARRAYS = (
+    # the workspace: the iterate slots, h, w, det w, rhs, R, its own scratch
+    # and the array an n = 1 Hessian transforms into
+    ("u0", "u", "real", None), ("u1", "u", "real", None),
+    ("h11", "ws", "real", None), ("h22", "ws", "real", 2), ("h12", "ws", "complex", 2),
+    ("w11", "ws", "real", None), ("w22", "ws", "real", 2), ("w12", "ws", "complex", 2),
+    ("det", "ws", "real", None), ("rhs", "ws", "real", None), ("R", "ws", "real", None),
+    ("tmp0", "ws", "real", None), ("spectrum", "ws", "spectrum", 1),
+    # the correction: the form, det w and R that `operands` copies, and the
+    # shifted symbol the n = 2 preconditioner lays out
+    ("w11", "copy", "real", 2, "h11", 0), ("w22", "copy", "real", 2, "h11", 1),
+    ("w12", "copy", "complex", 2, "h22", 0), ("det", "copy", "real", 2, "h12", 0),
+    ("R", "copy", "real", 2, "h12", 1), ("symbol", "cor", "real", 2, "h12", 2),
     # scratch, the preconditioner's scaling and H(v)'s h12
-    "tmp0": ("tmp", 0), "tmp1": ("tmp", 1), "tmp2": ("tmp", 2), "scale": ("tmp", 3),
-    "h12": ("tmp", 4),
+    ("tmp0", "cor", "real", None, "tmp0", 0), ("tmp1", "cor", "real", None, "tmp0", 1),
+    ("tmp2", "cor", "real", None, "rhs", 0), ("scale", "cor", "real", None, "rhs", 1),
+    ("h12", "cor", "complex", 2, "R", 0),
     # BiCGSTAB's vectors, in its order: the iterate and the best one in det
-    "x": ("det", 0),
-    "r": ("w", 0), "p": ("w", 1), "v": ("w", 2), "z": ("w", 3), "t": ("w", 4),
-    "best": ("det", 1),
-}
-_COPIES = ("w11", "w22", "w12", "det", "R")
-_KRYLOV = ("x", "r", "p", "v", "z", "t", "best")
-_COMPLEX = ("w12", "h12")
-_N2_ONLY = (*_COMPLEX, "symbol")
+    ("x", "cor", "real", None, "det", 0), ("r", "cor", "real", None, "w11", 0),
+    ("p", "cor", "real", None, "w11", 1), ("v", "cor", "real", None, "w22", 0),
+    ("z", "cor", "real", None, "w22", 1), ("t", "cor", "real", None, "w12", 0),
+    ("best", "cor", "real", None, "det", 1),
+    # n = 1's transform, its power spectrum and the reciprocal shift + symbol
+    ("spectrum", "cor", "spectrum", 1), ("power", "cor", "power", 1),
+    ("inverse", "cor", "spectrum", 1),
+)
 
 
-def _correction_arrays(n: int, lent: bool) -> list:
-    """The names of the grid-shaped arrays of a correction on an n-dimensional grid.
+def _rows(grid: TorusGrid, owners, dtype):
+    """(name, dtype, shape, lender, part) of each row of owners in `_ARRAYS` that exists on grid."""
+    real, cplx = np.dtype(dtype), np.result_type(dtype, np.complex64)
+    kinds = {
+        "real": (real, grid.shape), "complex": (cplx, grid.shape),
+        "spectrum": (cplx, grid.spectrum_shape), "power": (real, grid.spectrum_shape),
+    }
+    for name, owner, kind, n, *lent in _ARRAYS:
+        if owner in owners and n in (None, grid.n):
+            yield (name, *kinds[kind], *(lent or (None, 0)))
 
-    copies exist only in a lent (float32) correction, and the complex
-    arrays and the symbol only at n = 2.
+
+def _laid_out(grid: TorusGrid, owners, dtype=np.float64, lenders=None) -> dict:
+    """The arrays of owners' rows on grid, by name, made in order.
+
+    Given lenders, the workspace's arrays by name, each row with a lender
+    is a view of that array from its part on; every other array is new.
     """
-    return [
-        name for name in _LENT
-        if (lent or name not in _COPIES) and (n == 2 or name not in _N2_ONLY)
-    ]
+    arrays = {}
+    for name, kind, shape, lender, part in _rows(grid, owners, dtype):
+        if lenders is None or lender is None:
+            arrays[name] = np.empty(shape, kind)
+            continue
+        size = math.prod(shape)
+        parts = lenders[lender].reshape(-1).view(np.float32)[part * size :]
+        arrays[name] = parts[: kind.itemsize // 4 * size].view(kind).reshape(shape)
+    return arrays
 
 
-def _lent_view(ws, name: str, dtype) -> np.ndarray:
-    """The dtype array `name` of a correction, a view of the workspace array `_LENT` gives it."""
-    attr, part = _LENT[name]
-    size = math.prod(ws.grid.shape)
-    width = np.dtype(dtype).itemsize // 4
-    arrays = getattr(ws, attr)
-    for array in (arrays,) if isinstance(arrays, np.ndarray) else arrays:
-        parts = array.reshape(-1).view(np.float32)
-        if part * size < parts.size:
-            return parts[part * size : (part + width) * size].view(dtype).reshape(ws.grid.shape)
-        part -= parts.size // size
-    raise ValueError(f"the workspace's {attr} has no part for {name}")
+def _made_bytes(grid: TorusGrid, owners, dtype=np.float64, lent=False) -> int:
+    """The bytes of the arrays `_laid_out` makes of owners' rows, with lenders if lent."""
+    return sum(
+        kind.itemsize * math.prod(shape)
+        for _, kind, shape, lender, _ in _rows(grid, owners, dtype)
+        if not lent or lender is None
+    )
 
 
 class _Correction:
@@ -491,9 +509,9 @@ class _Correction:
     workspace's own w, det and R, which stay live through the solve.  A
     float32 one (n = 2 only) makes none: each array, and copies, the form,
     det w and R that `operands` lays out once per Newton iteration, is a
-    view of a float64 array of ws, the run's `_Workspace`, as `_LENT` lays
-    out.  `_advance` leaves each of those arrays idle while the correction
-    is alive:
+    view of a float64 array of ws, the run's `_Workspace`, as `_ARRAYS`
+    places it.  `_advance` leaves each of those arrays idle while the
+    correction is alive:
 
     - the copies and the symbol lie in ws.h, which the margin that built w
       read last; the line search's Hessian overwrites them;
@@ -507,44 +525,32 @@ class _Correction:
       next `rhs_at` rewrites, so the correction BiCGSTAB returns lasts
       through the line search.
 
-    u is never lent, and rhs and R only as tmp.  Without ws, a float32
-    correction's arrays are None.  `nbytes` counts what the constructor
-    makes.
+    u is never lent, and rhs and R only as tmp.  `nbytes` counts what the
+    constructor makes.
     """
 
-    def __init__(self, grid: TorusGrid, dtype, ws=None):
+    # the owners of its rows in `_ARRAYS`, by whether it is lent: copies only then
+    owners = {False: ("cor",), True: ("cor", "copy")}
+
+    def __init__(self, grid: TorusGrid, dtype, ws):
         lent = dtype != np.float64
-        cplx = np.result_type(dtype, np.complex64)
-
-        def array(name):
-            kind = cplx if name in _COMPLEX else dtype
-            if not lent:
-                return np.empty(grid.shape, kind)
-            return None if ws is None else _lent_view(ws, name, kind)
-
-        arrays = {name: array(name) for name in _correction_arrays(grid.n, lent)}
+        arrays = _laid_out(grid, _Correction.owners[lent], dtype, ws.lenders if lent else None)
         self.dtype = dtype
         self.tmp = (arrays["tmp0"], arrays["tmp1"], arrays["tmp2"])
         self.hv = self.tmp[:1] if grid.n == 1 else (*self.tmp[:2], arrays["h12"])
         self.scale = arrays["scale"]
         self.symbol = arrays.get("symbol")
-        self.krylov = tuple(arrays[name] for name in _KRYLOV)
-        self.copies = tuple(arrays[name] for name in _COPIES) if lent else None
+        self.krylov = tuple(arrays[k] for k in ("x", "r", "p", "v", "z", "t", "best"))
+        self.copies = tuple(arrays[k] for k in ("w11", "w22", "w12", "det", "R")) if lent else None
         self.spectrum = self.inverse = None
         if grid.n == 1:
-            self.spectrum = np.empty(grid.spectrum_shape, cplx), np.empty(grid.spectrum_shape, dtype)
-            self.inverse = np.empty(grid.spectrum_shape, cplx)
+            self.spectrum, self.inverse = (arrays["spectrum"], arrays["power"]), arrays["inverse"]
 
     @staticmethod
     def nbytes(grid: TorusGrid, dtype) -> int:
-        """The bytes of the arrays a `_Correction(grid, dtype)` makes: none in float32."""
-        if dtype != np.float64:
-            return 0
-        fields = sum(2 if name in _COMPLEX else 1 for name in _correction_arrays(grid.n, False))
-        spectrum = 0
-        if grid.n == 1:  # two complex arrays and a real one
-            spectrum = 5 * math.prod(grid.spectrum_shape)
-        return 8 * (fields * math.prod(grid.shape) + spectrum)
+        """The bytes of the arrays a `_Correction(grid, dtype, ws)` makes: none in float32."""
+        lent = dtype != np.float64
+        return _made_bytes(grid, _Correction.owners[lent], dtype, lent)
 
     def operands(self, total, det, R) -> tuple:
         """(total, det, R) in dtype: themselves in float64, copies in copies otherwise."""
@@ -553,45 +559,6 @@ class _Correction:
         for dst, src in zip(self.copies, (*total, det, R)):
             np.copyto(dst, src)
         return self.copies[:-2], self.copies[-2], self.copies[-1]
-
-
-# The arrays of a `_Workspace`, in the order it makes them: each one's name,
-# the grid fields it takes and the array whose memory it shares, if any.  A
-# field is one float64 grid array; a form takes one at n = 1 and four at
-# n = 2 (two reals and a complex h12), and n = 1's spectrum (none at n = 2),
-# a complex array of the grid's spectrum_shape, is counted in bytes.  The
-# scratch tmp1 and tmp2 serve only `hessian` and `margin`, which run while
-# rhs and R are idle: each later `rhs_at` and `step_residual` rewrites them.
-_WORKSPACE = (
-    ("u0", 1, None), ("u1", 1, None),  # the iterate slots, none with iterates=False
-    ("h", "form", None), ("w", "form", None),
-    ("det", 1, None), ("rhs", 1, None), ("R", 1, None),
-    ("tmp0", 1, None), ("tmp1", 1, "rhs"), ("tmp2", 1, "R"),
-    ("spectrum", "spectrum", None),
-)
-
-
-def _workspace_entries(iterates: bool) -> list:
-    """The entries of `_WORKSPACE` a `_Workspace` makes: the iterate slots only with iterates."""
-    return [entry for entry in _WORKSPACE if iterates or entry[0] not in ("u0", "u1")]
-
-
-def _workspace_array(grid: TorusGrid, fields):
-    """A new array of `_WORKSPACE`'s kind fields: a real field, a form's arrays or n = 1's spectrum."""
-    if fields == "form":
-        return _form_arrays(grid)
-    if fields == "spectrum":
-        return (np.empty(grid.spectrum_shape, complex),) if grid.n == 1 else None
-    return np.empty(grid.shape)
-
-
-def _workspace_bytes(grid: TorusGrid, fields) -> int:
-    """The bytes of the array `_workspace_array(grid, fields)` makes."""
-    if fields == "spectrum":
-        return 16 * math.prod(grid.spectrum_shape) if grid.n == 1 else 0
-    if fields == "form":
-        fields = 1 if grid.n == 1 else 4
-    return fields * 8 * math.prod(grid.shape)
 
 
 class _Workspace:
@@ -625,31 +592,28 @@ class _Workspace:
     grid.correction_dtype (float32 at n = 2 from
     grid.SINGLE_PRECISION_RESOLUTION points per axis up, float64 elsewhere),
     made on a run's first Newton iteration, so an audit never makes one.  A
-    float32 correction is views of h, tmp, w and det, which the solve
-    leaves idle (`_Correction` says how); a float64 one makes its own
-    arrays.  The arrays are declared in `_WORKSPACE`, which `nbytes` sums.
+    float32 correction is views of lenders, the workspace's arrays by name
+    but the iterate slots, which are handed over; the solve leaves them
+    idle (`_Correction` says how).  A float64 one makes its own arrays.  The
+    arrays are declared in `_ARRAYS`, which `nbytes` sums.
     """
 
     def __init__(self, grid: TorusGrid, backend: str, iterates: bool = True):
-        arrays = {}
-        for name, fields, shared in _workspace_entries(iterates):
-            arrays[name] = arrays[shared] if shared else _workspace_array(grid, fields)
+        arrays = _laid_out(grid, ("u", "ws") if iterates else ("ws",))
         self.grid, self.backend = grid, backend
-        self.u = [arrays["u0"], arrays["u1"]] if iterates else []
+        self.u = [arrays.pop("u0"), arrays.pop("u1")] if iterates else []
         self._spare = None  # a state `run` gave back, the next slot to refill
-        self.h, self.w = arrays["h"], arrays["w"]
+        self.lenders = arrays
+        self.h = tuple(arrays[name] for name in ("h11", "h22", "h12") if name in arrays)
+        self.w = tuple(arrays[name] for name in ("w11", "w22", "w12") if name in arrays)
         self.det, self.rhs, self.R = arrays["det"], arrays["rhs"], arrays["R"]
-        self.tmp = (arrays["tmp0"], arrays["tmp1"], arrays["tmp2"])
-        self.spectrum = arrays["spectrum"]
+        self.tmp = (arrays["tmp0"], self.rhs, self.R)
+        self.spectrum = (arrays["spectrum"],) if grid.n == 1 else None
 
     @staticmethod
     def nbytes(grid: TorusGrid, iterates: bool = True) -> int:
         """The bytes of the arrays a `_Workspace` on grid makes (its correction aside)."""
-        return sum(
-            _workspace_bytes(grid, fields)
-            for _, fields, shared in _workspace_entries(iterates)
-            if shared is None
-        )
+        return _made_bytes(grid, ("u", "ws") if iterates else ("ws",))
 
     @functools.cached_property
     def correction(self) -> _Correction:
@@ -1143,9 +1107,8 @@ def peak_array_bytes(grid: TorusGrid, kept_fields: int = 0) -> int:
     (none in float32, where the correction lies in the workspace),
     RUN_FIELDS fields more and numpy's buffer; the audit, which comes after
     it, holds `audit_array_bytes`.  kept_fields fields, the snapshots a mode
-    keeps in memory, are held through both, so the estimate is the larger
-    phase plus them.  A check that runs flows of its own (stability,
-    uniqueness, transform-roundtrip) holds more than this.
+    or a check's own flows keep in memory, are held through both, so the
+    estimate is the larger phase plus them.
     """
     field = 8 * math.prod(grid.shape)
     correction = _Correction.nbytes(grid, correction_dtype(grid))

@@ -985,6 +985,104 @@ def test_a_mode_adds_the_snapshots_it_keeps_in_memory(tmp_path):
     assert cli.array_estimate(nef) == flow.peak_array_bytes(grid) + 6 * stored * field
 
 
+def test_a_check_that_runs_flows_of_its_own_adds_the_snapshots_they_keep(monkeypatch):
+    from maflow import flow, verify
+
+    doc = n2_doc(8)
+    doc.update(
+        initial_b=doc["initial"],
+        schedule={"deltas": [0.25, 0.125]},
+        schedule_b={"deltas": [0.3, 0.2, 0.125]},
+        check_params={"stability": {"homotopy_samples": 3}},
+    )
+    grid, cfg = cli.build_grid(doc), cli.build_flow_config(doc)
+    field, base = 8 * 8**4, flow.peak_array_bytes(grid)
+    stored = int(np.count_nonzero(flow.stored_steps(cfg)))
+
+    def estimate(doc, *checks):
+        return cli.array_estimate(doc, checks=checks)
+
+    # the audit's checks run no flow of their own
+    assert estimate(doc, *doc["checks"]) == base
+    # stability keeps the fields and phidots of its homotopy_samples runs
+    stability = 2 * 3 * stored
+    assert estimate(doc, "stability") == base + stability * field
+    assert estimate({**doc, "check_params": {}}, "stability") == base + 2 * 5 * stored * field
+    # uniqueness keeps two cascades, each its levels' fields and phidots and its ladder
+    uniqueness = (2 * 2 * stored + 3) + (2 * 3 * stored + 4)
+    assert estimate(doc, "uniqueness") == base + uniqueness * field
+    # the checks run one at a time, so the one that keeps most counts
+    assert estimate(doc, "stability", "uniqueness") == base + max(stability, uniqueness) * field
+    # transform-roundtrip keeps each transformed run and its pull-back, each
+    # with as many snapshots as the check's own runs store
+    doc["driving"] = {"kind": "affine", "constant": 0.2, "slope": -0.5}
+    doc["check_params"] = {"transform-roundtrip": {"rescale_rate": 2.0}}
+    snapshots = []
+
+    def counted(*args, **kwargs):
+        traj = flow.run(*args, **kwargs)
+        snapshots.append(len(traj.fields))
+        return traj
+
+    monkeypatch.setattr(verify, "run", counted)
+    phi0 = cli.build_initial(doc["initial"], 2).sample(grid)
+    problem = (cli.build_metric(doc, grid, cfg.horizon), cli.build_driving(doc))
+    reports = verify.check_transform_roundtrip(
+        phi0, *problem, cli.build_volume(doc, grid), cfg, rescale_rate=2.0
+    )
+    assert [r.name for r in reports] == ["transform-reduction", "transform-rescale"]
+    assert len(snapshots) == 2
+    assert estimate(doc, "transform-roundtrip") == base + 4 * sum(snapshots) * field
+
+
+def test_the_array_estimate_of_a_stability_check_is_within_a_tenth_of_its_traced_peak(tmp_path):
+    import tracemalloc
+
+    doc = n2_doc(8)
+    doc.update(initial_b=doc["initial"], checks=["stability"])
+    doc["check_params"] = {"stability": {"homotopy_samples": 3}}
+    _, ctx, _ = cli.integrate_scenario(doc, out=tmp_path / "run")
+    tracemalloc.start()
+    try:
+        cli.execute_checks(doc["checks"], ctx)
+        checks_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cli.array_estimate(doc, checks=doc["checks"]) == pytest.approx(checks_peak, rel=0.1)
+
+
+def test_a_stability_check_too_large_to_fit_exits_two_before_it_allocates(
+    tmp_path, capsys, monkeypatch
+):
+    import tracemalloc
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("a refused run was integrated")
+
+    monkeypatch.setattr(cli, "integrate_scenario", integrate)
+    doc = n2_doc(32, tmp_path / "out")
+    modes = [[0.01, [1, 0, 0, 1], 0.5], [0.012, [0, 1, 1, 0], 1.5]]
+    doc.update(initial_b={"kind": "fourier-sum", "modes": modes}, checks=["stability"])
+    cfg_path = tmp_path / "stability.json"
+    cfg_path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", "--config", str(cfg_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    # one 32^4 field is 8 MiB; the refusal made nothing near one
+    assert peak < 2**20
+    # the run alone fits; the five homotopy runs' snapshots do not
+    assert cli.array_estimate(doc) < cli.ARRAY_BUDGET
+    estimate = cli.array_estimate(doc, checks=doc["checks"])
+    assert estimate > cli.ARRAY_BUDGET
+    err = capsys.readouterr().err
+    assert f"{estimate / 2**20:,.0f} MiB" in err and "flow.ARRAY_BUDGET" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_replay_estimate_adds_the_ladder_a_cascade_archive_reads():
     from maflow import flow
 

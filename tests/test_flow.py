@@ -611,12 +611,36 @@ def test_a_float32_correction_lies_in_the_workspace_arrays_its_solve_leaves_idle
     assert ws.tmp[1] is ws.rhs and ws.tmp[2] is ws.R
     in_rhs_or_r = [a for a in distinct if any(np.shares_memory(a, b) for b in (ws.rhs, ws.R))]
     assert {id(a) for a in in_rhs_or_r} == {id(cor.tmp[2]), id(cor.scale), id(cor.hv[2])}
-    assert all(flow._LENT[name][0] == "tmp" for name in ("tmp2", "scale", "h12"))
     # the copies do not overlap what they copy
     assert not any(np.shares_memory(a, b) for a in cor.copies for b in within(("w", "det", "R")))
     # x and best, which outlive the solve, overlap no array the line search writes
     x, best = cor.krylov[0], cor.krylov[-1]
     assert not any(np.shares_memory(a, b) for a in (x, best) for b in within(("h", "w", "tmp")))
+
+
+def test_the_declared_float32_placements_lie_apart_in_idle_lenders():
+    # read from flow._ARRAYS alone at n = 2, allocating nothing: the float32
+    # parts each array takes, and those each float64 workspace array holds
+    width, room = {"real": 1, "complex": 2}, {"real": 2, "complex": 4}
+    rows = [row for row in flow._ARRAYS if row[3] in (None, 2)]
+    lenders = {row[0]: row[2] for row in rows if row[1] in ("u", "ws")}
+    correction = [row for row in rows if row[1] in ("cor", "copy")]
+    # a float32 correction makes no array: each one is placed
+    assert correction and all(len(row) == 6 for row in correction)
+    taken = {}
+    for name, _, kind, _, lender, part in correction:
+        # inside its lender
+        assert 0 <= part and part + width[kind] <= room[lenders[lender]]
+        taken.setdefault(lender, []).append((part, part + width[kind], name))
+    # no two placements overlap
+    for spans in taken.values():
+        spans.sort()
+        assert all(end <= start for (_, end, _), (start, _, _) in zip(spans, spans[1:]))
+    # the iterate slots, which are handed over, are never lent
+    assert not {"u0", "u1"} & taken.keys()
+    # rhs and R only to the correction's tmp2, scale and H(v)'s h12
+    lent_rhs_or_r = {name for lender in ("rhs", "R") for *_, name in taken[lender]}
+    assert lent_rhs_or_r == {"tmp2", "scale", "h12"}
 
 
 def distinct_bytes(arrays) -> int:
@@ -635,9 +659,13 @@ def distinct_bytes(arrays) -> int:
 def test_the_workspace_and_correction_count_the_bytes_they_make(n, resolution, dtype):
     grid = TorusGrid(n=n, resolution=resolution)
     ws = flow._Workspace(grid, "spectral")
-    assert distinct_bytes(arrays_in(vars(ws).values())) == flow._Workspace.nbytes(grid)
-    cor = flow._Correction(grid, dtype)
-    assert distinct_bytes(arrays_in(vars(cor).values())) == flow._Correction.nbytes(grid, dtype)
+    made = arrays_in(vars(ws).values())
+    assert distinct_bytes(made) == flow._Workspace.nbytes(grid)
+    # a float32 correction lies in ws and owns no byte outside its memory
+    cor = arrays_in(vars(flow._Correction(grid, dtype, ws)).values())
+    own = [a for a in cor if not any(np.shares_memory(a, b) for b in made)]
+    assert len(own) == (len(cor) if dtype == np.float64 else 0)
+    assert distinct_bytes(own) == flow._Correction.nbytes(grid, dtype)
 
 
 # -- the Newton solve: preconditioned BiCGSTAB -----------------------------------
@@ -820,7 +848,7 @@ def test_float32_newton_kernels_match_their_float64_reference(backend, fs_kind, 
     hv = flow.hessian_components(v, grid, backend)
     want_jac = v / dt - geometry.comps_trace_inv(total, hv) + fs * v
     reference = flow._Workspace(grid, backend)
-    reference.correction = flow._Correction(grid, np.float64)
+    reference.correction = flow._Correction(grid, np.float64, reference)
     want_pre = flow._preconditioner(total, det, R, fs, dt, reference)(v)
     ws = flow._Workspace(grid, backend)
     assert ws.correction.dtype == np.float32

@@ -181,6 +181,69 @@ def test_the_workspace_read_check_sees_a_planted_read(tmp_path):
     ]
 
 
+# the constructors whose arrays flow._ARRAYS declares, and numpy's makers of new arrays
+DECLARED = ("_Workspace.__init__", "_Correction.__init__")
+MAKERS = ("empty", "zeros", "ones", "full", "empty_like", "zeros_like", "ones_like", "full_like")
+
+
+def arrays_made(path: Path, methods) -> list:
+    """(line, Class.method, call) of each numpy maker or `_laid_out` call inside the named methods."""
+    tree = ast.parse(path.read_text())
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+        if a.name == "numpy"
+    }
+    hits = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and f"{cls.name}.{fn.name}" in methods):
+                continue
+            for call in (node for node in ast.walk(fn) if isinstance(node, ast.Call)):
+                f = call.func
+                if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                    name = f.attr if f.value.id in aliases else None
+                else:
+                    name = f.id if isinstance(f, ast.Name) else None
+                if name in (*MAKERS, "_laid_out"):
+                    hits.append((call.lineno, f"{cls.name}.{fn.name}", name))
+    return sorted(hits)
+
+
+def test_the_workspace_and_correction_make_arrays_only_from_the_declared_rows():
+    found = arrays_made(Path(maflow.__file__).parent / "flow.py", DECLARED)
+    assert [(where, call) for _, where, call in found] == [
+        ("_Correction.__init__", "_laid_out"),
+        ("_Workspace.__init__", "_laid_out"),
+    ]
+
+
+def test_the_array_maker_check_sees_a_planted_allocation(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as xp\n"
+        "from numpy import empty_like\n"
+        "class _Workspace:\n"
+        "    def __init__(self, grid):\n"
+        "        self.a = _laid_out(grid, ('ws',))\n"
+        "        self.b = xp.zeros(grid.shape)\n"
+        "        self.c = empty_like(self.b)\n"
+        "    def other(self):\n"
+        "        return xp.empty(3)\n"
+        "class _Correction:\n"
+        "    def __init__(self, grid):\n"
+        "        self.d = [xp.empty(grid.shape)]\n"
+    )
+    assert arrays_made(probe, DECLARED) == [
+        (5, "_Workspace.__init__", "_laid_out"),
+        (6, "_Workspace.__init__", "zeros"),
+        (7, "_Workspace.__init__", "empty_like"),
+        (12, "_Correction.__init__", "empty"),
+    ]
+
+
 def test_single_precision_stays_inside_grid_and_flow():
     # grid's n = 2 kernels follow their values' dtype and flow's Newton
     # correction is the one caller that hands them float32
