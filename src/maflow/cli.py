@@ -369,8 +369,9 @@ class Check:
     fn is the function as imported; its keyword-only parameters are the
     check_params keys the check accepts, typed by their annotations.  needs
     names the RunContext objects it cannot run without, column the
-    TrajectoryAudit column it reads from traj (convergence: the finest level)
-    and archive whether `maflow verify` can replay it from saved archives.
+    TrajectoryAudit column it reads from traj (convergence: the finest level),
+    archive whether `maflow verify` can replay it from saved archives and
+    audited whether it reads ctx.audit at all.
     """
 
     fn: object
@@ -378,25 +379,33 @@ class Check:
     needs: tuple = ()
     column: str = None
     archive: bool = False
+    audited: bool = False
 
 
 CHECK_TABLE = {
     "comparison": Check(verify.check_comparison, _chk_comparison, ("traj", "traj_b"), archive=True),
-    "apriori-bounds": Check(verify.check_apriori_bounds, _chk_apriori, ("traj",), archive=True),
+    "apriori-bounds": Check(
+        verify.check_apriori_bounds, _chk_apriori, ("traj",), archive=True, audited=True
+    ),
     "time-derivative": Check(
         verify.check_time_derivative, _chk_time_derivative, ("traj",), archive=True
     ),
     "gradient-laplacian": Check(
-        verify.check_gradient_laplacian, _chk_gradient_laplacian, ("traj",), "sup-trace", True
+        verify.check_gradient_laplacian, _chk_gradient_laplacian, ("traj",), "sup-trace", True,
+        audited=True,
     ),
-    "energy": Check(verify.check_energy_monotonicity, _chk_energy, ("traj",), "energy", True),
+    "energy": Check(
+        verify.check_energy_monotonicity, _chk_energy, ("traj",), "energy", True, audited=True
+    ),
     "residual-certificate": Check(
-        verify.check_residual_certificate, _chk_residual, ("traj",), "step_residual", True
+        verify.check_residual_certificate, _chk_residual, ("traj",), "step_residual", True,
+        audited=True,
     ),
     "stability": Check(verify.check_stability, _chk_stability, ("initial_b",)),
     "uniqueness": Check(verify.check_uniqueness, _chk_uniqueness),
     "convergence": Check(
-        verify.check_convergence_modes, _chk_convergence, ("cascade",), "energy", True
+        verify.check_convergence_modes, _chk_convergence, ("cascade",), "energy", True,
+        audited=True,
     ),
     "transform-roundtrip": Check(verify.check_transform_roundtrip, _chk_transform),
     "trace-inequality": Check(verify.check_trace_inequality, _chk_trace_inequality),
@@ -419,15 +428,23 @@ def _check_params(doc: dict) -> dict:
 
 
 def execute_checks(names, ctx: RunContext):
-    if ctx.traj is not None:
-        columns = [CHECK_TABLE[name].column for name in names if CHECK_TABLE[name].column]
-        ctx.audit = TrajectoryAudit(ctx.traj, ctx.path, ctx.F, ctx.omega, columns)
+    """The reports of the named checks, run in order on ctx.
+
+    ctx.audit, traj's audit with the columns the named checks read, is
+    built when the first check that reads it runs, so the checks before it
+    (the flows of stability, say) run without its arrays.
+    """
+    columns = [CHECK_TABLE[name].column for name in names if CHECK_TABLE[name].column]
+    ctx.audit = None
     reports = []
     for name in names:
-        missing = [attr for attr in CHECK_TABLE[name].needs if getattr(ctx, attr) is None]
+        check = CHECK_TABLE[name]
+        missing = [attr for attr in check.needs if getattr(ctx, attr) is None]
         if missing:
             raise ConfigError(f"check {name!r} needs {missing[0].replace('_', ' ')}")
-        reports.extend(CHECK_TABLE[name].executor(ctx, **ctx.params.get(name, {})))
+        if check.audited and ctx.audit is None and ctx.traj is not None:
+            ctx.audit = TrajectoryAudit(ctx.traj, ctx.path, ctx.F, ctx.omega, columns)
+        reports.extend(check.executor(ctx, **ctx.params.get(name, {})))
     return reports
 
 

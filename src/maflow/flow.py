@@ -416,15 +416,16 @@ def _l2(a: np.ndarray) -> float:
 # declared once, in the order its owner makes it: name; owner (ws, the
 # workspace; u, its iterate slots, made only with iterates; cor, the
 # correction; copy, a float32 correction's only); kind (a real or complex
-# grid-shaped array, or a complex spectrum or real power array of the grid's
-# spectrum_shape), in float64 in a workspace and in dtype in a correction;
+# grid-shaped array, or a complex spectrum of the grid's spectrum_shape), in
+# float64 in a workspace and in dtype in a correction;
 # the n it exists at (None: both); and, for a correction's, the workspace
-# array a float32 correction lies in and the first part of it it takes.  A
-# part holds one float32 grid array, two in a float64 field and four in a
-# complex h12; a complex64 array takes two.
+# array a lent correction (float32 at n = 2, float64 at n = 1) lies in and
+# the first part of it it takes.  A part holds one float32 array of the
+# row's shape, so a float64 field holds two and a complex h12 four; a
+# complex64 or float64 array takes two, so at n = 1 each fills its lender.
 _ARRAYS = (
-    # the workspace: the iterate slots, h, w, det w, rhs, R, its own scratch
-    # and the array an n = 1 Hessian transforms into
+    # the workspace: the iterate slots, h, w, det w (written at n = 2 only),
+    # rhs, R, its own scratch and the array an n = 1 Hessian transforms into
     ("u0", "u", "real", None), ("u1", "u", "real", None),
     ("h11", "ws", "real", None), ("h22", "ws", "real", 2), ("h12", "ws", "complex", 2),
     ("w11", "ws", "real", None), ("w22", "ws", "real", 2), ("w12", "ws", "complex", 2),
@@ -435,18 +436,24 @@ _ARRAYS = (
     ("w11", "copy", "real", 2, "h11", 0), ("w22", "copy", "real", 2, "h11", 1),
     ("w12", "copy", "complex", 2, "h22", 0), ("det", "copy", "real", 2, "h12", 0),
     ("R", "copy", "real", 2, "h12", 1), ("symbol", "cor", "real", 2, "h12", 2),
-    # scratch, the preconditioner's scaling and H(v)'s h12
-    ("tmp0", "cor", "real", None, "tmp0", 0), ("tmp1", "cor", "real", None, "tmp0", 1),
-    ("tmp2", "cor", "real", None, "rhs", 0), ("scale", "cor", "real", None, "rhs", 1),
+    # scratch (at n = 1 the Krylov step's a, b and the scratch of its sum),
+    # the preconditioner's scaling and H(v)'s h12
+    ("tmp0", "cor", "real", None, "tmp0", 0),
+    ("tmp1", "cor", "real", 2, "tmp0", 1), ("tmp1", "cor", "real", 1, "h11", 0),
+    ("tmp2", "cor", "real", 2, "rhs", 0), ("tmp2", "cor", "real", 1, "w11", 0),
+    ("scale", "cor", "real", 2, "rhs", 1), ("scale", "cor", "real", 1),
     ("h12", "cor", "complex", 2, "R", 0),
-    # BiCGSTAB's vectors, in its order: the iterate and the best one in det
-    ("x", "cor", "real", None, "det", 0), ("r", "cor", "real", None, "w11", 0),
-    ("p", "cor", "real", None, "w11", 1), ("v", "cor", "real", None, "w22", 0),
-    ("z", "cor", "real", None, "w22", 1), ("t", "cor", "real", None, "w12", 0),
-    ("best", "cor", "real", None, "det", 1),
-    # n = 1's transform, its power spectrum and the reciprocal shift + symbol
-    ("spectrum", "cor", "spectrum", 1), ("power", "cor", "power", 1),
-    ("inverse", "cor", "spectrum", 1),
+    # BiCGSTAB's vectors, in its order: the iterate in det; at n = 2 the best
+    # one in det too and the others in w, at n = 1 the best one in rhs and
+    # the others in arrays of their own
+    ("x", "cor", "real", None, "det", 0),
+    ("r", "cor", "real", 2, "w11", 0), ("p", "cor", "real", 2, "w11", 1),
+    ("v", "cor", "real", 2, "w22", 0), ("z", "cor", "real", 2, "w22", 1),
+    ("t", "cor", "real", 2, "w12", 0), ("best", "cor", "real", 2, "det", 1),
+    ("r", "cor", "real", 1), ("p", "cor", "real", 1), ("v", "cor", "real", 1),
+    ("z", "cor", "real", 1), ("t", "cor", "real", 1), ("best", "cor", "real", 1, "rhs", 0),
+    # n = 1's transform (in the workspace's) and the reciprocal shift + symbol
+    ("spectrum", "cor", "spectrum", 1, "spectrum", 0), ("inverse", "cor", "spectrum", 1),
 )
 
 
@@ -455,7 +462,7 @@ def _rows(grid: TorusGrid, owners, dtype):
     real, cplx = np.dtype(dtype), np.result_type(dtype, np.complex64)
     kinds = {
         "real": (real, grid.shape), "complex": (cplx, grid.shape),
-        "spectrum": (cplx, grid.spectrum_shape), "power": (real, grid.spectrum_shape),
+        "spectrum": (cplx, grid.spectrum_shape),
     }
     for name, owner, kind, n, *lent in _ARRAYS:
         if owner in owners and n in (None, grid.n):
@@ -497,21 +504,22 @@ class _Correction:
     at n = 1) is the grid-shaped array the n = 2 preconditioner lays out
     shift + symbol of -(1/4) Laplacian in, once per Newton iteration, for
     every solve to divide by; its Rayleigh quotient leaves the symbol there
-    first.  spectrum (None at n = 2) is a complex and a real array of the
-    grid's spectrum_shape: the preconditioner's Rayleigh quotient writes the
-    transform and the power spectrum into them, then the shift + symbol
-    into the second, and every later solve or Hessian transforms into the
-    first.  inverse (None at n = 2) is a complex array of that shape, into
-    which the preconditioner lays out the reciprocal of the shift + symbol
-    that every solve multiplies by.
+    first.  inverse (None at n = 2) is a complex array of the grid's
+    spectrum_shape, into which the preconditioner lays out the reciprocal
+    of the shift + symbol that every solve multiplies by.  spectrum (None
+    at n = 2) is a complex array of that shape and inverse's real part:
+    the preconditioner's Rayleigh quotient writes the transform and the
+    power spectrum into them, then the shift + symbol into the second,
+    which inverse becomes, and every later solve or Hessian transforms into
+    the first.
 
-    A float64 correction makes its arrays, as its operands are the
-    workspace's own w, det and R, which stay live through the solve.  A
-    float32 one (n = 2 only) makes none: each array, and copies, the form,
-    det w and R that `operands` lays out once per Newton iteration, is a
-    view of a float64 array of ws, the run's `_Workspace`, as `_ARRAYS`
-    places it.  `_advance` leaves each of those arrays idle while the
-    correction is alive:
+    The float64 correction at n = 2 makes its arrays, as its operands are
+    the workspace's own w, det and R, which stay live through the solve.
+    Every other is lent: the arrays `_ARRAYS` places are views of float64
+    arrays of ws, the run's `_Workspace`, which `_advance` leaves idle while
+    the correction is alive.  A float32 one (n = 2) makes none: it also
+    copies, the form, det w and R that `operands` lays out once per Newton
+    iteration, and
 
     - the copies and the symbol lie in ws.h, which the margin that built w
       read last; the line search's Hessian overwrites them;
@@ -525,32 +533,50 @@ class _Correction:
       next `rhs_at` rewrites, so the correction BiCGSTAB returns lasts
       through the line search.
 
-    u is never lent, and rhs and R only as tmp.  `nbytes` counts what the
-    constructor makes.
+    The float64 one at n = 1 solves in w and R themselves, and no Krylov
+    step there reads w once `_krylov_step` has laid out a and b from it, so
+
+    - tmp lies in ws.tmp[0], ws.h and ws.w: a and b in the first two, which
+      no evaluation uses during the solve and the line search rewrites,
+      and the step's scratch in w, which the line search's margin rebuilds;
+    - x and best lie in ws.det and ws.rhs: det w is w itself at n = 1, so
+      nothing writes ws.det, and the n = 1 line search leaves rhs alone
+      (its margin takes no scratch) until the next `rhs_at`;
+    - spectrum[0] is ws.spectrum[0], which only `hessian` uses besides.
+
+    Its scale, r, p, v, z, t and inverse (whose real part is spectrum[1])
+    are its own.  u is never lent, and R only to the float32 one's h12.
+    `nbytes` counts what the constructor makes.
     """
 
-    # the owners of its rows in `_ARRAYS`, by whether it is lent: copies only then
-    owners = {False: ("cor",), True: ("cor", "copy")}
-
     def __init__(self, grid: TorusGrid, dtype, ws):
-        lent = dtype != np.float64
-        arrays = _laid_out(grid, _Correction.owners[lent], dtype, ws.lenders if lent else None)
+        owners, lent = _Correction._layout(grid, dtype)
+        arrays = _laid_out(grid, owners, dtype, ws.lenders if lent else None)
         self.dtype = dtype
         self.tmp = (arrays["tmp0"], arrays["tmp1"], arrays["tmp2"])
         self.hv = self.tmp[:1] if grid.n == 1 else (*self.tmp[:2], arrays["h12"])
         self.scale = arrays["scale"]
         self.symbol = arrays.get("symbol")
         self.krylov = tuple(arrays[k] for k in ("x", "r", "p", "v", "z", "t", "best"))
-        self.copies = tuple(arrays[k] for k in ("w11", "w22", "w12", "det", "R")) if lent else None
+        self.copies = None
+        if "copy" in owners:
+            self.copies = tuple(arrays[k] for k in ("w11", "w22", "w12", "det", "R"))
         self.spectrum = self.inverse = None
         if grid.n == 1:
-            self.spectrum, self.inverse = (arrays["spectrum"], arrays["power"]), arrays["inverse"]
+            self.inverse = arrays["inverse"]
+            self.spectrum = (arrays["spectrum"], self.inverse.real)
+
+    @staticmethod
+    def _layout(grid: TorusGrid, dtype) -> tuple:
+        """(the owners of its rows in `_ARRAYS`, whether it is lent): copies in float32 only."""
+        single = dtype != np.float64
+        return ("cor", "copy") if single else ("cor",), single or grid.n == 1
 
     @staticmethod
     def nbytes(grid: TorusGrid, dtype) -> int:
         """The bytes of the arrays a `_Correction(grid, dtype, ws)` makes: none in float32."""
-        lent = dtype != np.float64
-        return _made_bytes(grid, _Correction.owners[lent], dtype, lent)
+        owners, lent = _Correction._layout(grid, dtype)
+        return _made_bytes(grid, owners, dtype, lent)
 
     def operands(self, total, det, R) -> tuple:
         """(total, det, R) in dtype: themselves in float64, copies in copies otherwise."""
@@ -586,16 +612,18 @@ class _Workspace:
     first its own, and the other two, which only `hessian` and `margin`
     use, rhs and R themselves, so a `hessian` or `margin` overwrites the
     last rhs and R.  spectrum (None at n = 2) holds the complex array that
-    an n = 1 Hessian transforms into.
+    an n = 1 Hessian transforms into.  At n = 1 det w is w itself, so det
+    is never written there; it holds the correction's iterate.
 
     The Newton correction is solved in correction, a `_Correction` in
     grid.correction_dtype (float32 at n = 2 from
     grid.SINGLE_PRECISION_RESOLUTION points per axis up, float64 elsewhere),
     made on a run's first Newton iteration, so an audit never makes one.  A
-    float32 correction is views of lenders, the workspace's arrays by name
-    but the iterate slots, which are handed over; the solve leaves them
-    idle (`_Correction` says how).  A float64 one makes its own arrays.  The
-    arrays are declared in `_ARRAYS`, which `nbytes` sums.
+    float32 correction, and the float64 one at n = 1, lie in part or whole
+    in lenders, the workspace's arrays by name but the iterate slots, which
+    are handed over; the solve leaves them idle (`_Correction` says how).
+    The float64 one at n = 2 makes its own arrays.  The arrays are declared
+    in `_ARRAYS`, which `nbytes` sums.
     """
 
     def __init__(self, grid: TorusGrid, backend: str, iterates: bool = True):
@@ -764,12 +792,14 @@ def _jacobian(total, det, fs, dt, ws):
 
     It is called as apply(v, out=None), writes H(v) into ws.correction's hv
     and returns its result, written into out when given; total, det, v and
-    out are in the correction's dtype.  ws is the run's workspace.
+    out are in the correction's dtype.  ws is the run's workspace; total
+    may be its w, as no scratch the apply takes lies there.
     """
     inv_dt = 1.0 / dt
     cor = ws.correction
     fs = np.asarray(fs, dtype=cor.dtype)
-    spare = cor.tmp[2]
+    # hv is tmp[0] alone at n = 1, where tmp[2] lies in ws.w
+    spare = cor.tmp[1] if ws.grid.n == 1 else cor.tmp[2]
 
     def apply(v, out=None):
         hv = hessian_components(v, ws.grid, ws.backend, cor.hv, spare, cor.spectrum)
@@ -853,7 +883,8 @@ def _krylov_step(total, det, R, fs, dt, ws):
     with a and b laid out here, in ws.correction's tmp[0] and tmp[1]: the
     step takes no Hessian, and it agrees with the composition to rounding.
     Until the solve ends, the correction's tmp (which its hv shares) belongs
-    to the step, so no `_jacobian` may run on ws meanwhile.
+    to the step, so no `_jacobian` may run on ws meanwhile.  The step reads
+    neither w nor det, so its scratch, tmp[2], may lie in w (`_Correction`).
     """
     if ws.grid.n == 2:
         precond = _preconditioner(total, det, R, fs, dt, ws)
@@ -1072,8 +1103,9 @@ def stored_steps(cfg: FlowConfig, times=None) -> np.ndarray:
 # about 143 MB; a 64^4 one would hold about 2.3 GB, and a 128^4 one about
 # 37 GB.
 ARRAY_BUDGET = 2 * 2**30
-# Grid fields a run holds beside its workspace and correction: phi0 and the
-# two states its ring holds beyond the workspace's slots.
+# Grid fields a run holds beside its workspace and correction: phi0, the copy
+# of its values the run starts from and the one state more its ring holds
+# beyond the workspace's slots.
 RUN_FIELDS = 3
 # Grid fields an audit holds beside its workspace: the snapshot it builds,
 # the one before it and its phidot.
@@ -1138,15 +1170,16 @@ def run(
     starts from its last state too, and extrapolation resumes once a step
     needs more.
 
-    The states are one fixed set of arrays: each step hands its accepted
-    iterate over, and the state that leaves the history with that step is
-    recycled into the workspace as the slot to refill, unless it is phi0's
-    (read-only) values or the history or the last state still holds it
-    (a step of 0 Newton iterations returns its start).  After its third
-    step a run allocates no state-sized array.  Each stored snapshot goes
-    to store (by default one in memory) when its step is accepted, as the
-    run's own arrays, so no workspace array reaches the trajectory;
-    unstored steps copy nothing.
+    The states are one fixed set of arrays: the run starts from a copy of
+    phi0's values that it owns, each step hands its accepted iterate over,
+    and the state that leaves the history with that step is recycled into
+    the workspace as the slot to refill, unless the history or the last
+    state still holds it (a step of 0 Newton iterations returns its start).
+    After its second step a run allocates no state-sized array.  phi0's
+    values themselves are only read, and go to store as snapshot 0.  Each
+    later stored snapshot goes to store (by default one in memory) when its
+    step is accepted, as the run's own arrays, so no workspace array
+    reaches the trajectory; unstored steps copy nothing.
     """
     grid = phi0.grid
     if path.grid is not grid and path.grid != grid:
@@ -1178,14 +1211,14 @@ def run(
     stored_times = [0.0]
     stored_indices = [0]
     diagnostics = []
-    vals = phi0.values
+    vals = phi0.values.copy()  # the run's own, recycled once it leaves the history
     history = []  # the accepted states before vals, oldest first
     extrapolate = False
     for k in range(1, len(times)):
         if len(history) == 2:
             # the oldest state leaves the history with this step, once read
             leaving = history[0][1]
-            if leaving.flags.writeable and leaving is not history[1][1] and leaving is not vals:
+            if leaving is not history[1][1] and leaving is not vals:
                 ws.recycle(leaving)
         new_vals, phidot_vals, diag = _advance(
             vals, times[k - 1], times[k], path, F, log_om, cfg, coords, ws,
@@ -1316,6 +1349,14 @@ class TrajectoryAudit:
         if self._certificate is None:
             self._certificate = geometry.certify_metric_path(self.path, self.omega_form)
         return self._certificate
+
+    @property
+    def scratch(self) -> np.ndarray:
+        """A grid-shaped float64 array of the audit's workspace for a check's own values.
+
+        No row keeps it, and the next build overwrites it.
+        """
+        return self._ws.tmp[0]
 
 
 def residual_certificate(audit: TrajectoryAudit) -> dict:

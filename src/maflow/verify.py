@@ -254,23 +254,24 @@ def check_apriori_bounds(audit: TrajectoryAudit, *, kcap: float | None = None) -
     running maximum c(t) (the smallest majorant that decreases to 0 as t
     does), and the check fits the smallest K with c(t) <= K (t log(1/t) + t).
     Passes iff K <= kcap, default 2n.  The audit supplies the trajectory,
-    the driving term and the path certificate.  Both bounds share one walk
-    over the stored snapshots, which reads each of them at most once.
+    the driving term, the path certificate and the scratch array the walk
+    forms each snapshot's excess and drop in, so the check makes no grid
+    array beside the snapshots it reads.  Both bounds share one walk over
+    the stored snapshots, which reads each of them at most once.
     """
     traj, F = audit.traj, audit.F
     grid = traj.grid
     n = grid.n
     monotone = F.defect is not None and F.defect == 0.0
-    scratch = np.empty(grid.shape)  # F's values, then each snapshot's excess and drop
     if monotone:
         delta = audit.certificate()
         coords = grid.coordinates()
-        zeros = np.zeros(grid.shape)
         probes = _distinct_sorted(np.concatenate([traj.times, np.linspace(0.0, traj.times[-1], 33)]))
-        inf_f = _sampled_min(lambda t, _: F(t, coords, zeros, out=scratch), probes, (0.0,))
+        # F(t, z, 0) at s = 0.0, a scalar, has the values of F at zero potentials
+        inf_f = _sampled_min(lambda t, s: F(t, coords, s), probes, (0.0,))
         C = -inf_f + n * math.log(delta)
-        del zeros
 
+    scratch = audit.scratch  # each snapshot's excess and drop
     base = traj.fields[0].values
     M0 = max(float(base.max()), 0.0)
     sups, ts, c_raw, locs = [], [], [], []

@@ -856,11 +856,20 @@ def n2_doc(resolution, out=None):
     return doc
 
 
-@pytest.mark.parametrize("resolution", [8, 16])
-def test_the_array_estimate_is_within_a_tenth_of_the_traced_peak(tmp_path, resolution):
+def degenerate_doc():
+    """Scenario 07: n = 1, a paraboloid corner on 128^2 fd, its correction lent by the workspace."""
+    return json.loads(scenario_path("07-derivative-asymptotics").read_text())
+
+
+@pytest.mark.parametrize(
+    "make_doc",
+    [functools.partial(n2_doc, 8), functools.partial(n2_doc, 16), degenerate_doc],
+    ids=["8", "16", "07-derivative-asymptotics"],
+)
+def test_the_array_estimate_is_within_a_tenth_of_the_traced_peak(tmp_path, make_doc):
     import tracemalloc
 
-    doc = n2_doc(resolution)
+    doc = make_doc()
     for attempt in range(2):  # the first pass fills the operators' caches
         tracemalloc.start()
         try:
@@ -1049,6 +1058,27 @@ def test_the_array_estimate_of_a_stability_check_is_within_a_tenth_of_its_traced
     finally:
         tracemalloc.stop()
     assert cli.array_estimate(doc, checks=doc["checks"]) == pytest.approx(checks_peak, rel=0.1)
+
+
+def test_the_audit_is_built_when_the_first_check_that_reads_it_runs(tmp_path, monkeypatch):
+    from maflow import verify
+
+    doc = n2_doc(8)
+    doc["initial_b"] = doc["initial"]
+    _, ctx, _ = cli.integrate_scenario(doc, out=tmp_path / "run")
+    audits = []
+
+    def stability(*args, **kwargs):  # the audit a check that runs flows would hold through them
+        audits.append(ctx.audit)
+        return "stability"
+
+    monkeypatch.setattr(verify, "check_stability", stability)
+    reports = cli.execute_checks(["stability", "energy", "stability"], ctx)
+    assert reports[0] == reports[2] == "stability" and reports[1].name == "energy-monotone"
+    assert audits[0] is None and audits[1] is ctx.audit is not None
+    # each call builds its own, with the columns its checks read
+    cli.execute_checks(["stability"], ctx)
+    assert audits[2] is None and ctx.audit is None
 
 
 def test_a_stability_check_too_large_to_fit_exits_two_before_it_allocates(

@@ -161,6 +161,72 @@ def test_recomputed_step_residuals_meet_newton_tolerance():
     assert cert["max_residual"] <= 2.0 * cfg.newton_tol
 
 
+# -- a manufactured solution: the integrator's orders of accuracy ---------------
+#
+# phi_e = 0.02 e^{-t} (cos 2 pi x + 0.5 sin 2 pi y) solves the n = 1 flow with
+# theta = 1, Omega = 1 and F(t, z, s) = log(1 + H(phi_e)) - d_t phi_e + (s - phi_e),
+# c = 1, so dF/ds = 1 and the defect is 0.  H(phi_e) = (1/4) Laplacian phi_e =
+# -pi^2 phi_e in closed form, and d_t phi_e = -phi_e, so F = log(1 - pi^2 phi_e) + s.
+# (P. J. Roache, J. Fluids Eng. 124 (2002) 4-10.)
+
+
+def manufactured(t, x, y):
+    return 0.02 * math.exp(-t) * (np.cos(2 * np.pi * x) + 0.5 * np.sin(2 * np.pi * y))
+
+
+MANUFACTURED_F = DrivingTerm(
+    "manufactured",
+    lambda t, c, s: np.log(1.0 - np.pi**2 * manufactured(t, *c)) + s,
+    ds=lambda t, c, s: np.float64(1.0),
+    defect=0.0,
+    time_bound=None,
+)
+
+
+def manufactured_error(resolution, backend, dt_max, horizon=0.1):
+    """sup |phi - phi_e| at the horizon of a run from phi_e(0)."""
+    grid = TorusGrid(n=1, resolution=resolution)
+    x, y = grid.coordinates()
+    phi0 = ScalarField(grid, np.broadcast_to(manufactured(0.0, x, y), grid.shape))
+    cfg = FlowConfig(horizon=horizon, t_min=1e-4, ratio=1.1, dt_max=dt_max, backend=backend)
+    path, omega = MetricPath.constant(grid, horizon), VolumeForm.constant(grid)
+    traj = run(phi0, path, MANUFACTURED_F, omega, cfg)
+    return float(np.max(np.abs(traj.final().values - manufactured(horizon, x, y))))
+
+
+def test_a_manufactured_solution_converges_at_first_order_in_time():
+    # phi_e has modes of degree 1 only, which the spectral Hessian takes
+    # exactly at 16^2, so the error is backward Euler's: C1 dt + C2 dt^2 + ...
+    # With r = C2 dt / C1, the order observed over (2 dt, dt) is
+    # 1 + log2((1 + 2r) / (1 + r)) = 1 + (r - 3r^2/2 + ...) / ln 2, and halving
+    # dt halves r, so each order's distance from 1 is about half the last:
+    # between 0.35 and 0.65 of it while |r| <= 0.2.  (The steps below dt_max
+    # near t = 0 add an error of order dt_max^2, a part of C2.)
+    errors = [manufactured_error(16, "spectral", dt) for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    gaps = [p - 1.0 for p in orders]
+    assert abs(gaps[0]) < 0.2  # |r| < 0.12 at dt = 2e-3
+    assert all(0.35 <= b / a <= 0.65 for a, b in zip(gaps, gaps[1:]))
+
+
+def test_a_manufactured_solution_converges_at_second_order_in_space_on_fd():
+    # The fd error is S h^2 (1 + q_s) + E_t: the centred stencils' relative
+    # error on a mode of wavenumber 2 pi is q_s = (2 pi h)^2 / 12 to leading
+    # order, and E_t is the time error of the schedule, which the spectral run
+    # on the same schedule measures (it has no spatial error).  With q the
+    # sum of the two relative parts, the order observed over (h, h/2) is
+    # 2 + log2((1 + q_h) / (1 + q_{h/2})), within log2((1 + q) / (1 - q)) of 2
+    # for q the largest |q| of the three grids.
+    dt_max, resolutions = 5e-4, (16, 32, 64)
+    errors = [manufactured_error(N, "fd", dt_max) for N in resolutions]
+    time_error = manufactured_error(16, "spectral", dt_max)
+    q = (2 * np.pi / resolutions[0]) ** 2 / 12 + time_error / errors[-1]
+    assert q < 0.1
+    band = math.log2((1 + q) / (1 - q))
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert all(abs(p - 2.0) <= band for p in orders)
+
+
 def audited_run():
     grid, path, omega, cfg = make_problem(horizon=0.05, t_min=1e-3, ratio=1.3)
     x, y = grid.coordinates()
@@ -516,8 +582,9 @@ def test_a_warm_step_in_a_run_allocates_no_state(monkeypatch, n, resolution, bac
 
 
 def test_a_16_4_run_allocates_no_state_after_its_third_step(monkeypatch):
-    # steps 2 and 3 each make a slot; from step 4 on the states cycle
-    steps = traced_run_steps(monkeypatch, 2, 16, "spectral", 4)
+    # step 2 makes a slot; from step 3 on the states cycle, the run's copy of
+    # phi0 the first to leave the history
+    steps = traced_run_steps(monkeypatch, 2, 16, "spectral", 3)
     assert max(peak for peak, _ in steps) < 0.5
     assert max(kept for _, kept in steps) < 0.1
 
@@ -578,15 +645,38 @@ def stepped_workspace(n, resolution, backend, dtype):
     return ws, correction
 
 
-@pytest.mark.parametrize(
-    "n, resolution, backend, dtype",
-    [(1, 16, "spectral", np.float64), (1, 16, "fd", np.float64),
-     (2, 8, "spectral", np.float64)],
-)
+@pytest.mark.parametrize("n, resolution, backend, dtype", [(2, 8, "spectral", np.float64)])
 def test_the_correction_has_its_own_arrays_in_its_own_precision(n, resolution, backend, dtype):
+    # the float64 n = 2 correction solves in w, det and R themselves, live through the solve
     ws, correction = stepped_workspace(n, resolution, backend, dtype)
     state = arrays_in(v for k, v in vars(ws).items() if k != "correction")
     assert not any(np.shares_memory(a, b) for a in correction for b in state)
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_an_n1_correction_lies_in_the_workspace_arrays_its_solve_leaves_idle(backend):
+    ws, correction = stepped_workspace(1, 16, backend, np.float64)
+    cor = ws.correction
+    # a, b and the Krylov step's scratch in tmp[0], h and w; the iterate in
+    # det (w is its own det at n = 1), the best one in rhs; the transform in
+    # the workspace's spectrum
+    lent = zip((*cor.tmp, cor.krylov[0], cor.krylov[-1], cor.spectrum[0]),
+               (ws.tmp[0], ws.h[0], ws.w[0], ws.det, ws.rhs, ws.spectrum[0]))
+    assert all(a.base is b or a is b for a, b in lent)
+    # the rest overlap no array of the workspace: scale, r, p, v, z, t and
+    # inverse, whose real part is the power spectrum's scratch
+    own = [cor.scale, *cor.krylov[1:-1], cor.inverse]
+    state = arrays_in(v for k, v in vars(ws).items() if k != "correction")
+    assert not any(np.shares_memory(a, b) for a in own for b in state)
+    assert cor.spectrum[1].base is cor.inverse
+    assert sum(a.nbytes for a in own) == flow._Correction.nbytes(ws.grid, np.float64)
+    # the iterate slots and R, which BiCGSTAB reads throughout, are never lent
+    assert not any(np.shares_memory(a, b) for a in correction for b in (*ws.u, ws.R))
+    # x and best, which outlive the solve, overlap no array the line search
+    # writes: h, w, its Hessian's transform or stencil scratch, its trial
+    x, best = cor.krylov[0], cor.krylov[-1]
+    written = (*ws.h, *ws.w, *ws.spectrum, ws.tmp[2], *ws.u)
+    assert not any(np.shares_memory(a, b) for a in (x, best) for b in written)
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
@@ -643,6 +733,22 @@ def test_the_declared_float32_placements_lie_apart_in_idle_lenders():
     assert lent_rhs_or_r == {"tmp2", "scale", "h12"}
 
 
+def test_the_declared_n1_placements_fill_distinct_idle_lenders():
+    # read from flow._ARRAYS alone at n = 1, where the correction is float64
+    # like the workspace: a placed array takes the whole of a lender of its kind
+    rows = [row for row in flow._ARRAYS if row[3] in (None, 1)]
+    lenders = {row[0]: row[2] for row in rows if row[1] in ("u", "ws")}
+    correction = [row for row in rows if row[1] in ("cor", "copy")]
+    placed = [row for row in correction if len(row) == 6]
+    assert all(part == 0 and lenders[lender] == kind for _, _, kind, _, lender, part in placed)
+    assert {row[4] for row in placed} == {"tmp0", "h11", "w11", "det", "rhs", "spectrum"}
+    assert len(placed) == 6  # no two share a lender
+    # the rest are the correction's own: scale, r, p, v, z, t and inverse
+    assert [row[0] for row in correction if len(row) == 4] == [
+        "scale", "r", "p", "v", "z", "t", "inverse"
+    ]
+
+
 def distinct_bytes(arrays) -> int:
     """The bytes of the memory blocks the arrays view, each counted once."""
     bases = {}
@@ -664,7 +770,10 @@ def test_the_workspace_and_correction_count_the_bytes_they_make(n, resolution, d
     # a float32 correction lies in ws and owns no byte outside its memory
     cor = arrays_in(vars(flow._Correction(grid, dtype, ws)).values())
     own = [a for a in cor if not any(np.shares_memory(a, b) for b in made)]
-    assert len(own) == (len(cor) if dtype == np.float64 else 0)
+    if n == 1:  # the float64 one's scale, r, p, v, z, t, inverse and its real part
+        assert len(own) == 8
+    else:
+        assert len(own) == (len(cor) if dtype == np.float64 else 0)
     assert distinct_bytes(own) == flow._Correction.nbytes(grid, dtype)
 
 
@@ -916,6 +1025,38 @@ def test_a_lent_float32_correction_gives_the_bits_of_one_in_memory_of_its_own(mo
     monkeypatch.setattr(flow._Workspace, "correction", property(apart))
     own = run(phi0, path, F, omega, cfg)
     assert max(d["newton_iters"] for d in lent.diagnostics) > 1
+    assert lent.diagnostics == own.diagnostics
+    for a, b in zip(lent.fields + lent.phidots, own.fields + own.phidots, strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("max_linear", [200, 1])
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_a_lent_n1_correction_gives_the_bits_of_one_in_memory_of_its_own(
+    monkeypatch, backend, max_linear
+):
+    # a view overwritten while the correction still reads it would change the
+    # bits; one linear iteration cuts every step's solves short, so the best
+    # iterate (in rhs) is the one the line search reads
+    grid = TorusGrid(n=1, resolution=32)
+    x, y = grid.coordinates()
+    phi0 = ScalarField(grid, 0.04 * np.cos(2 * np.pi * (x + y)) + 0.01 * np.sin(2 * np.pi * y))
+    cfg = FlowConfig(horizon=0.02, t_min=1e-3, ratio=1.2, backend=backend, max_linear=max_linear)
+    path = MetricPath.constant(grid, cfg.horizon)
+    omega = VolumeForm(grid, 1.0 + 0.2 * np.cos(2 * np.pi * x))
+    F = DrivingTerm.affine(slope=0.5)
+    lent = run(phi0, path, F, omega, cfg)
+
+    def apart(ws):  # lent by a workspace of its own
+        if "_apart" not in vars(ws):
+            ws._apart = flow._Correction(grid, np.float64, flow._Workspace(grid, ws.backend))
+        return ws._apart
+
+    monkeypatch.setattr(flow._Workspace, "correction", property(apart))
+    own = run(phi0, path, F, omega, cfg)
+    assert max(d["newton_iters"] for d in lent.diagnostics) > 1
+    converged = {d["linear_converged"] for d in lent.diagnostics}
+    assert converged == {max_linear == 200}
     assert lent.diagnostics == own.diagnostics
     for a, b in zip(lent.fields + lent.phidots, own.fields + own.phidots, strict=True):
         assert a.values.tobytes() == b.values.tobytes()

@@ -287,6 +287,29 @@ def test_apriori_bounds_read_each_snapshot_once(tmp_path, monkeypatch, F):
     assert reads == {"fields": list(range(len(audit.traj.times))), "phidots": []}
 
 
+@pytest.mark.parametrize("F", [DrivingTerm.affine(0.2, 0.0), DrivingTerm.affine(0.0, -0.3)])
+def test_apriori_bounds_make_no_grid_array_beside_the_snapshots(F):
+    # the snapshots are in memory, so whatever the check allocates is its own:
+    # F is sampled at s = 0.0 and each excess and drop is formed in the audit's scratch
+    import tracemalloc
+
+    grid = TorusGrid(n=1, resolution=128)
+    phi0 = ScalarField.from_function(grid, lambda x, y: 0.02 * np.cos(2.0 * np.pi * x))
+    cfg = FlowConfig(horizon=0.05, t_min=1e-3, ratio=1.5)
+    path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
+    audit = TrajectoryAudit(run(phi0, path, F, omega, cfg), path, F, omega)
+    audit.certificate()  # the path's, computed once for every check
+    check_apriori_bounds(audit)  # fills grid's caches
+    tracemalloc.start()
+    try:
+        upper, lower = check_apriori_bounds(audit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert upper.details["applicable"] is (F.defect == 0.0) and lower.constants["K"] > 0.0
+    assert peak < 0.25 * phi0.values.nbytes
+
+
 def test_time_derivative_reads_each_phidot_once(tmp_path, monkeypatch):
     traj = streamed_run(tmp_path, DrivingTerm.zero()).traj
     eps = verify.default_eps(traj, traj.config.t_min)
