@@ -27,16 +27,16 @@ theta_t + dd^c phi with its cone margin, det and the right-hand side, and
 the backward-Euler residual, each written into grid-shaped arrays (and at
 n = 1 a spectrum-shaped one) that it passes as outputs to grid's
 derivatives and geometry's form algebra.  The Newton correction is solved
-in a `_Correction` in the correction's precision: in float64 in arrays of
-its own, and in float32 in views of the workspace's float64 arrays that its
-solve leaves idle.  Each `run` holds one workspace for its whole length and
-cycles its accepted states through the workspace's iterate slots, so after
-its first steps no array is new but the values of a driving term that makes
-its own (an affine term writes into the workspace), at n = 1 and n = 2
-alike.  A stored snapshot goes to the run's snapshot store when its step is
-accepted: a list in memory by default, which copies it, or io.ArchiveStore,
-which writes it to disk at once and reads it back when the trajectory is
-indexed.
+in a `_Correction` in the correction's precision: in float64 at n = 2 in
+arrays of its own, and otherwise in part or whole in views of workspace
+arrays that its solve leaves idle.  Each `run` holds one workspace for its
+whole length and owns four state arrays, laid out once, which its steps
+take turns writing, so after that no array is new but the values of a
+driving term that makes its own (an affine term writes into the
+workspace), at n = 1 and n = 2 alike.  A stored snapshot goes to the run's
+snapshot store when its step is accepted: a list in memory by default,
+which copies it, or io.ArchiveStore, which writes it to disk at once and
+reads it back when the trajectory is indexed.
 Checks read stored snapshots through `TrajectoryAudit`, which evaluates
 each snapshot in its own workspace at most once, keeps only scalars, and
 reports a snapshot outside the positive cone instead of taking the
@@ -412,24 +412,27 @@ def _l2(a: np.ndarray) -> float:
     return math.sqrt(inner(a, a))
 
 
-# The arrays of a run's `_Workspace` and of its Newton `_Correction`, each
-# declared once, in the order its owner makes it: name; owner (ws, the
-# workspace; u, its iterate slots, made only with iterates; cor, the
-# correction; copy, a float32 correction's only); kind (a real or complex
-# grid-shaped array, or a complex spectrum of the grid's spectrum_shape), in
-# float64 in a workspace and in dtype in a correction;
-# the n it exists at (None: both); and, for a correction's, the workspace
-# array a lent correction (float32 at n = 2, float64 at n = 1) lies in and
-# the first part of it it takes.  A part holds one float32 array of the
-# row's shape, so a float64 field holds two and a complex h12 four; a
-# complex64 or float64 array takes two, so at n = 1 each fills its lender.
+# The arrays of a run's states, `_Workspace` and Newton `_Correction`, each
+# declared once, in the order its owner makes it: name; owner (state, the
+# states `run` lays out; ws, the workspace; cor, the correction; copy, a
+# float32 correction's only); kind (a real or complex grid-shaped array, or
+# a complex spectrum of the grid's spectrum_shape), in float64 outside a
+# correction and in dtype in one; the n it exists at (None: both); and, for
+# a correction's, the workspace array a lent correction (float32 at n = 2,
+# float64 at n = 1) lies in and the first part of it it takes.  A part
+# holds one float32 array of the row's shape, so a float64 field holds two
+# and a complex h12 four; a complex64 or float64 array takes two, so at
+# n = 1 each fills its lender.
 _ARRAYS = (
-    # the workspace: the iterate slots, h, w, det w (written at n = 2 only),
-    # rhs, R, its own scratch and the array an n = 1 Hessian transforms into
-    ("u0", "u", "real", None), ("u1", "u", "real", None),
+    # a run's four states: a step's start and the newer state of its history,
+    # which it reads, and the two it may write (`run` picks them)
+    ("s0", "state", "real", None), ("s1", "state", "real", None),
+    ("s2", "state", "real", None), ("s3", "state", "real", None),
+    # the workspace: h, w, det w (n = 2 only; at n = 1 it is w), rhs, R, its
+    # own scratch and the array an n = 1 Hessian transforms into
     ("h11", "ws", "real", None), ("h22", "ws", "real", 2), ("h12", "ws", "complex", 2),
     ("w11", "ws", "real", None), ("w22", "ws", "real", 2), ("w12", "ws", "complex", 2),
-    ("det", "ws", "real", None), ("rhs", "ws", "real", None), ("R", "ws", "real", None),
+    ("det", "ws", "real", 2), ("rhs", "ws", "real", None), ("R", "ws", "real", None),
     ("tmp0", "ws", "real", None), ("spectrum", "ws", "spectrum", 1),
     # the correction: the form, det w and R that `operands` copies, and the
     # shifted symbol the n = 2 preconditioner lays out
@@ -443,15 +446,16 @@ _ARRAYS = (
     ("tmp2", "cor", "real", 2, "rhs", 0), ("tmp2", "cor", "real", 1, "w11", 0),
     ("scale", "cor", "real", 2, "rhs", 1), ("scale", "cor", "real", 1),
     ("h12", "cor", "complex", 2, "R", 0),
-    # BiCGSTAB's vectors, in its order: the iterate in det; at n = 2 the best
-    # one in det too and the others in w, at n = 1 the best one in rhs and
-    # the others in arrays of their own
-    ("x", "cor", "real", None, "det", 0),
+    # BiCGSTAB's vectors, in its order: at n = 2 the iterate and the best
+    # one in det and the others in w, at n = 1 the best one in rhs and the
+    # others in arrays of their own
+    ("x", "cor", "real", 2, "det", 0),
     ("r", "cor", "real", 2, "w11", 0), ("p", "cor", "real", 2, "w11", 1),
     ("v", "cor", "real", 2, "w22", 0), ("z", "cor", "real", 2, "w22", 1),
     ("t", "cor", "real", 2, "w12", 0), ("best", "cor", "real", 2, "det", 1),
-    ("r", "cor", "real", 1), ("p", "cor", "real", 1), ("v", "cor", "real", 1),
-    ("z", "cor", "real", 1), ("t", "cor", "real", 1), ("best", "cor", "real", 1, "rhs", 0),
+    ("x", "cor", "real", 1), ("r", "cor", "real", 1), ("p", "cor", "real", 1),
+    ("v", "cor", "real", 1), ("z", "cor", "real", 1), ("t", "cor", "real", 1),
+    ("best", "cor", "real", 1, "rhs", 0),
     # n = 1's transform (in the workspace's) and the reciprocal shift + symbol
     ("spectrum", "cor", "spectrum", 1, "spectrum", 0), ("inverse", "cor", "spectrum", 1),
 )
@@ -539,14 +543,14 @@ class _Correction:
     - tmp lies in ws.tmp[0], ws.h and ws.w: a and b in the first two, which
       no evaluation uses during the solve and the line search rewrites,
       and the step's scratch in w, which the line search's margin rebuilds;
-    - x and best lie in ws.det and ws.rhs: det w is w itself at n = 1, so
-      nothing writes ws.det, and the n = 1 line search leaves rhs alone
-      (its margin takes no scratch) until the next `rhs_at`;
+    - best lies in ws.rhs, which the n = 1 line search leaves alone (its
+      margin takes no scratch) until the next `rhs_at`;
     - spectrum[0] is ws.spectrum[0], which only `hessian` uses besides.
 
-    Its scale, r, p, v, z, t and inverse (whose real part is spectrum[1])
-    are its own.  u is never lent, and R only to the float32 one's h12.
-    `nbytes` counts what the constructor makes.
+    Its scale, x, r, p, v, z, t and inverse (whose real part is
+    spectrum[1]) are its own.  R is lent only to the float32 one's h12; a
+    run's states are not the workspace's, so none is lent.  `nbytes` counts
+    what the constructor makes.
     """
 
     def __init__(self, grid: TorusGrid, dtype, ws):
@@ -591,86 +595,50 @@ class _Workspace:
     """The one evaluator of a flow state, in float64 grid-shaped arrays it reuses.
 
     `run` makes one and hands it to every `_advance`, so the Newton loop
-    allocates no array; `TrajectoryAudit` makes one without iterates and
-    builds every stored snapshot in it.  A state u at time t is evaluated in
-    three calls, each overwriting the arrays it names: `hessian` (h =
-    H(u)), `margin` (w = theta_t + h and its cone margin) and `rhs_at` (det
-    w, into det at n = 2, and the right-hand side into rhs); `step_residual`
-    then gives the sup of the backward-Euler residual R from a previous
-    state.
+    allocates no array; `TrajectoryAudit` makes one and builds every stored
+    snapshot in it.  A state u at time t is evaluated in three calls, each
+    overwriting the arrays it names: `hessian` (h = H(u)), `margin` (w =
+    theta_t + h and its cone margin) and `rhs_at` (det w, into det at n = 2,
+    and the right-hand side into rhs); `step_residual` then gives the sup of
+    the backward-Euler residual R from a previous state.  The states
+    themselves are the caller's.
 
-    u holds the two iterate slots (none when made with iterates=False): the
-    Newton iterate and the line search's trial, which swap roles when a
-    trial is accepted; the extrapolated start of a step is written into
-    u[0].  A step hands its accepted iterate over (`hand_over`) instead of
-    copying it, and its slot is refilled when a slot is next needed, with
-    the state `run` gave back through `recycle` if there is one and a new
-    array otherwise; u[1] is None until then.  The line search overwrites h
-    and w, as the accepted iterate needs neither once its Newton direction
-    is solved; between steps h is H of the step's values, the warm start of
-    a step that starts from them.  tmp is three real scratch arrays: the
-    first its own, and the other two, which only `hessian` and `margin`
-    use, rhs and R themselves, so a `hessian` or `margin` overwrites the
-    last rhs and R.  spectrum (None at n = 2) holds the complex array that
-    an n = 1 Hessian transforms into.  At n = 1 det w is w itself, so det
-    is never written there; it holds the correction's iterate.
+    Between steps h is H of the step's values, the warm start of a step that
+    starts from them; the line search overwrites h and w, as the accepted
+    iterate needs neither once its Newton direction is solved.  tmp is three
+    real scratch arrays: the first its own, and the other two, which only
+    `hessian` and `margin` use, rhs and R themselves, so a `hessian` or
+    `margin` overwrites the last rhs and R.  spectrum (None at n = 2) holds
+    the complex array that an n = 1 Hessian transforms into.  det is None
+    at n = 1, where det w is w itself.
 
     The Newton correction is solved in correction, a `_Correction` in
     grid.correction_dtype (float32 at n = 2 from
     grid.SINGLE_PRECISION_RESOLUTION points per axis up, float64 elsewhere),
     made on a run's first Newton iteration, so an audit never makes one.  A
     float32 correction, and the float64 one at n = 1, lie in part or whole
-    in lenders, the workspace's arrays by name but the iterate slots, which
-    are handed over; the solve leaves them idle (`_Correction` says how).
-    The float64 one at n = 2 makes its own arrays.  The arrays are declared
-    in `_ARRAYS`, which `nbytes` sums.
+    in lenders, the workspace's arrays by name, which the solve leaves idle
+    (`_Correction` says how).  The float64 one at n = 2 makes its own
+    arrays.  The arrays are declared in `_ARRAYS`, which `nbytes` sums.
     """
 
-    def __init__(self, grid: TorusGrid, backend: str, iterates: bool = True):
-        arrays = _laid_out(grid, ("u", "ws") if iterates else ("ws",))
-        self.grid, self.backend = grid, backend
-        self.u = [arrays.pop("u0"), arrays.pop("u1")] if iterates else []
-        self._spare = None  # a state `run` gave back, the next slot to refill
-        self.lenders = arrays
+    def __init__(self, grid: TorusGrid, backend: str):
+        arrays = _laid_out(grid, ("ws",))
+        self.grid, self.backend, self.lenders = grid, backend, arrays
         self.h = tuple(arrays[name] for name in ("h11", "h22", "h12") if name in arrays)
         self.w = tuple(arrays[name] for name in ("w11", "w22", "w12") if name in arrays)
-        self.det, self.rhs, self.R = arrays["det"], arrays["rhs"], arrays["R"]
+        self.det, self.rhs, self.R = arrays.get("det"), arrays["rhs"], arrays["R"]
         self.tmp = (arrays["tmp0"], self.rhs, self.R)
         self.spectrum = (arrays["spectrum"],) if grid.n == 1 else None
 
     @staticmethod
-    def nbytes(grid: TorusGrid, iterates: bool = True) -> int:
+    def nbytes(grid: TorusGrid) -> int:
         """The bytes of the arrays a `_Workspace` on grid makes (its correction aside)."""
-        return _made_bytes(grid, ("u", "ws") if iterates else ("ws",))
+        return _made_bytes(grid, ("ws",))
 
     @functools.cached_property
     def correction(self) -> _Correction:
         return _Correction(self.grid, correction_dtype(self.grid), self)
-
-    def recycle(self, state):
-        """Take back a state that nothing reads any more, to refill the next slot.
-
-        state must be writeable and must not be read again by its giver
-        after the next `_advance` has read its history.
-        """
-        self._spare = state
-
-    def _refill(self):
-        spare, self._spare = self._spare, None
-        return np.empty(self.grid.shape) if spare is None else spare
-
-    def trial(self, u):
-        """The iterate slot that u is not, refilled first if it was handed over."""
-        if self.u[1] is None:
-            self.u[1] = self._refill()
-        return self.u[1] if u is self.u[0] else self.u[0]
-
-    def hand_over(self, u):
-        """Give up u, if it is an iterate slot, to the caller; the other slot becomes u[0]."""
-        if u is self.u[1]:
-            self.u[1] = None
-        elif u is self.u[0]:
-            self.u = [self.u[1] if self.u[1] is not None else self._refill(), None]
 
     def hessian(self, u):
         """h = H(u)."""
@@ -938,7 +906,7 @@ def _extrapolate(states, t, out, scratch):
     return out
 
 
-def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=()):
+def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, states, history=()):
     """One backward-Euler step; returns (values, phidot_values, diagnostics).
 
     history holds the accepted states (t, values) before (t_from,
@@ -950,15 +918,16 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
     Newton starts from prev_vals.  The diagnostics' start names which
     ("extrapolated", "fallback" or "previous").
 
-    ws is the run's workspace (`_Workspace`).  On entry its h must be
-    H(prev_vals) when history is empty and is free otherwise; the guess is
-    written into ws.u[0] through ws.tmp[0].  On return h = H(values), the
-    next step's warm start.  The Newton loop works in ws's arrays and
-    copies nothing out: values is the accepted iterate, which ws hands
-    over (`_Workspace.hand_over`; prev_vals itself after 0 iterations), and
-    phidot_values is ws.rhs, valid until ws next evaluates a state.  So a
-    call allocates at most the iterate slot it hands over, and none when
-    the caller has recycled a state into ws.  log_om is log Omega.  Each
+    states is the two grid-shaped float64 arrays the step may write, the
+    caller's: the guess is written into the first through ws.tmp[0], so
+    the second may be the oldest state of history, and the Newton iterate
+    and the line search's trial take turns in them.  ws is the run's
+    workspace (`_Workspace`).  On entry its h must be H(prev_vals) when
+    history is empty and is free otherwise; on return h = H(values), the
+    next step's warm start.  values is the accepted iterate, one of states
+    (prev_vals itself after 0 iterations), and phidot_values is ws.rhs,
+    valid until ws next evaluates a state, so a call copies nothing out
+    and allocates no grid-sized array.  log_om is log Omega.  Each
     correction is solved in ws.correction (`_Correction`), in its dtype;
     the residual, the cone tests and the iterates stay float64.
     """
@@ -969,7 +938,7 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
     theta = path.theta(t_to)
     u, start = prev_vals, "previous"
     if history:
-        u = _extrapolate((*history, (t_from, prev_vals)), t_to, ws.u[0], ws.tmp[0])
+        u = _extrapolate((*history, (t_from, prev_vals)), t_to, states[0], ws.tmp[0])
         ws.hessian(u)
         start = "extrapolated"
     margin = ws.margin(theta)
@@ -1016,7 +985,7 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
         linear_total += lin_iters
         linear_worst = max(linear_worst, lin_res)
         linear_converged = linear_converged and lin_ok
-        trial = ws.trial(u)
+        trial = states[1] if u is states[0] else states[0]
         lam = 1.0
         while True:
             np.subtract(u, np.multiply(correction, lam, out=trial), out=trial)
@@ -1048,7 +1017,6 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, history=
         "linear_rel_residual": linear_worst,
         "linear_converged": linear_converged,
     }
-    ws.hand_over(u)
     return u, rhs, diag
 
 
@@ -1103,10 +1071,8 @@ def stored_steps(cfg: FlowConfig, times=None) -> np.ndarray:
 # about 143 MB; a 64^4 one would hold about 2.3 GB, and a 128^4 one about
 # 37 GB.
 ARRAY_BUDGET = 2 * 2**30
-# Grid fields a run holds beside its workspace and correction: phi0, the copy
-# of its values the run starts from and the one state more its ring holds
-# beyond the workspace's slots.
-RUN_FIELDS = 3
+# Grid fields a run holds beside its states, workspace and correction: phi0.
+RUN_FIELDS = 1
 # Grid fields an audit holds beside its workspace: the snapshot it builds,
 # the one before it and its phidot.
 AUDIT_FIELDS = 3
@@ -1124,19 +1090,19 @@ def _buffer_bytes(grid: TorusGrid) -> int:
 def audit_array_bytes(grid: TorusGrid) -> int:
     """About the most bytes of grid-sized arrays that a `TrajectoryAudit` on grid holds.
 
-    It holds a workspace without iterates and AUDIT_FIELDS fields more, and
-    evaluates in numpy's buffer (`_buffer_bytes`); the energy takes its
-    scratch from the workspace.
+    It holds a workspace and AUDIT_FIELDS fields more, and evaluates in
+    numpy's buffer (`_buffer_bytes`); the energy takes its scratch from the
+    workspace.
     """
     field = 8 * math.prod(grid.shape)
-    return _Workspace.nbytes(grid, iterates=False) + AUDIT_FIELDS * field + _buffer_bytes(grid)
+    return _Workspace.nbytes(grid) + AUDIT_FIELDS * field + _buffer_bytes(grid)
 
 
 def peak_array_bytes(grid: TorusGrid, kept_fields: int = 0) -> int:
     """About the most bytes of grid-sized arrays that a run on grid and its audit hold at once.
 
-    The run holds its `_Workspace`, the arrays its `_Correction` makes
-    (none in float32, where the correction lies in the workspace),
+    The run holds its states and `_Workspace`, the arrays its `_Correction`
+    makes (none in float32, where the correction lies in the workspace),
     RUN_FIELDS fields more and numpy's buffer; the audit, which comes after
     it, holds `audit_array_bytes`.  kept_fields fields, the snapshots a mode
     or a check's own flows keep in memory, are held through both, so the
@@ -1144,7 +1110,8 @@ def peak_array_bytes(grid: TorusGrid, kept_fields: int = 0) -> int:
     """
     field = 8 * math.prod(grid.shape)
     correction = _Correction.nbytes(grid, correction_dtype(grid))
-    run_phase = _Workspace.nbytes(grid) + correction + RUN_FIELDS * field + _buffer_bytes(grid)
+    arrays = _made_bytes(grid, ("state", "ws")) + correction
+    run_phase = arrays + RUN_FIELDS * field + _buffer_bytes(grid)
     return max(run_phase, audit_array_bytes(grid)) + kept_fields * field
 
 
@@ -1170,12 +1137,13 @@ def run(
     starts from its last state too, and extrapolation resumes once a step
     needs more.
 
-    The states are one fixed set of arrays: the run starts from a copy of
-    phi0's values that it owns, each step hands its accepted iterate over,
-    and the state that leaves the history with that step is recycled into
-    the workspace as the slot to refill, unless the history or the last
-    state still holds it (a step of 0 Newton iterations returns its start).
-    After its second step a run allocates no state-sized array.  phi0's
+    The run owns its states, four arrays declared in `_ARRAYS` and laid
+    out once, after the workspace: the first a copy of phi0's values, the
+    start of the first step.  Each step is given the two that neither its
+    start nor the newer state of its history is, the one leaving the
+    history last, as the extrapolated guess is written into the first
+    (`_advance`); a step of 0 Newton iterations returns its start.  So a
+    run allocates no state-sized array after it lays them out.  phi0's
     values themselves are only read, and go to store as snapshot 0.  Each
     later stored snapshot goes to store (by default one in memory) when its
     step is accepted, as the run's own arrays, so no workspace array
@@ -1188,6 +1156,7 @@ def run(
         raise ConfigError("flow horizon exceeds the metric path horizon")
     notices = []
     ws = _Workspace(grid, cfg.backend)
+    states = tuple(_laid_out(grid, ("state",)).values())
     ws.hessian(phi0.values)  # the first step's warm start
     margin0 = ws.margin(path.theta(0.0))
     if margin0 < -PSH_TOL:
@@ -1211,17 +1180,19 @@ def run(
     stored_times = [0.0]
     stored_indices = [0]
     diagnostics = []
-    vals = phi0.values.copy()  # the run's own, recycled once it leaves the history
+    vals = states[0]
+    np.copyto(vals, phi0.values)
     history = []  # the accepted states before vals, oldest first
     extrapolate = False
     for k in range(1, len(times)):
-        if len(history) == 2:
-            # the oldest state leaves the history with this step, once read
-            leaving = history[0][1]
-            if leaving is not history[1][1] and leaving is not vals:
-                ws.recycle(leaving)
+        # the step writes two states that nothing reads after it: neither
+        # vals nor the newer history state, and the oldest, which the guess
+        # is extrapolated from, second
+        kept = (vals, *(s for _, s in history[-1:]))
+        free = [s for s in states if all(s is not a for a in kept)]
+        free.sort(key=lambda s: any(s is a for _, a in history))
         new_vals, phidot_vals, diag = _advance(
-            vals, times[k - 1], times[k], path, F, log_om, cfg, coords, ws,
+            vals, times[k - 1], times[k], path, F, log_om, cfg, coords, ws, free[:2],
             history if extrapolate else (),
         )
         history = [*history[-1:], (times[k - 1], vals)]
@@ -1264,9 +1235,9 @@ class TrajectoryAudit:
     from snapshot k - 1, None unless the two are consecutive schedule points).
     Outside the positive cone both residual columns are infinite.  Every
     build evaluates the snapshot in the audit's one `_Workspace`, as a
-    Newton iterate is evaluated (a workspace without iterates), and keeps
-    no array of its own but the last snapshot it built, so builds in order
-    read a trajectory on disk once;
+    Newton iterate is evaluated, and keeps no array of its own but the
+    last snapshot it built, so builds in order read a trajectory on disk
+    once;
     it reads a snapshot's phidot only for "phidot_range".
     certificate() is the metric path's volume-sandwich delta
     (geometry.certify_metric_path), computed once.
@@ -1282,7 +1253,7 @@ class TrajectoryAudit:
         self.backend = traj.config.backend if traj.config is not None else "spectral"
         self._rows = {}
         self._certificate = None
-        self._ws = _Workspace(traj.grid, self.backend, iterates=False)
+        self._ws = _Workspace(traj.grid, self.backend)
         # the energy's densities and scratch: tmp's reals (the second is rhs,
         # which `rhs_at` writes after) and, at n = 2, h's h12, as h is free
         # once `margin` has built w

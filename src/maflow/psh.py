@@ -224,9 +224,16 @@ class RoughPotential:
 
     @classmethod
     def from_field(cls, fld: ScalarField, tag: str) -> "RoughPotential":
+        """fld's values, which only coordinates of fld's grid may sample."""
         vals = fld.values
 
         def ev(*coords):
+            shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+            if shape != vals.shape:
+                raise ConfigError(
+                    f"a field on a {vals.shape[0]}^{vals.ndim} grid cannot be sampled "
+                    f"on a {shape[0]}^{len(shape)} grid"
+                )
             return vals
 
         return cls("sampled", tag, ev)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maflow import ConfigError, cli
-from maflow.io import config_hash, load_trajectory, save_trajectory
+from maflow.io import config_hash, load_field, load_trajectory, save_trajectory
 from maflow.scenarios import available, scenario_path
 
 
@@ -149,6 +149,30 @@ def test_exit_two_on_configuration_problems(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # argparse usage error
         cli.main(["run"])
     assert exc.value.code == 2
+
+
+def test_a_run_starts_from_an_archived_snapshot_bit_for_bit(tmp_path):
+    first, _ = write_doc(tmp_path, "first.json")
+    assert cli.main(["run", "--config", str(first)]) == 0
+    snapshot = tmp_path / "out" / "phi_000003.bin"
+    second, _ = write_doc(tmp_path, "second.json", initial={"kind": "snapshot", "path": str(snapshot)})
+    assert cli.main(["run", "--config", str(second), "--out", str(tmp_path / "again")]) == 0
+    start = load_trajectory(tmp_path / "again").fields[0].values
+    assert start.tobytes() == load_field(snapshot)[0].values.tobytes()
+
+
+@pytest.mark.parametrize("grid, name", [({"n": 1, "resolution": 32}, "32^2"), ({"n": 2, "resolution": 8}, "8^4")])
+def test_a_snapshot_on_another_grid_exits_two(tmp_path, capsys, grid, name):
+    first, _ = write_doc(tmp_path, "first.json")
+    assert cli.main(["run", "--config", str(first)]) == 0
+    snapshot = tmp_path / "out" / "phi_000003.bin"
+    second, _ = write_doc(
+        tmp_path, "second.json", grid=grid, initial={"kind": "snapshot", "path": str(snapshot)}
+    )
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(second), "--out", str(tmp_path / "again")]) == 2
+    assert f"a field on a 16^2 grid cannot be sampled on a {name} grid" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
 
 
 @pytest.mark.parametrize("eps, message", [(0.1, "eps schedule"), ([], "nonempty list")])
@@ -1119,7 +1143,7 @@ def test_a_replay_estimate_adds_the_ladder_a_cascade_archive_reads():
     doc = n2_doc(8)
     grid = cli.build_grid(doc)
     assert cli.replay_estimate(doc, {}) == flow.audit_array_bytes(grid)
-    # the audit phase, without a run's iterates and correction, is the smaller
+    # the audit phase, without a run's states and correction, is the smaller
     assert flow.audit_array_bytes(grid) < flow.peak_array_bytes(grid)
     cascade = {**doc, "mode": "cascade", "schedule": {"deltas": [0.25, 0.125]}}
     ladder = 3 * 8 * 8**4  # two levels and their base

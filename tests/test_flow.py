@@ -284,12 +284,23 @@ def test_audit_rows_built_in_its_arrays_match_fresh_arrays(n, backend, varying_f
     # built last to first, so each build overwrites another snapshot's arrays
     for k in reversed(range(len(traj.times))):
         assert audit.row(k) == fresh_row(audit, k)
-    # the audit evaluates states only: it never makes a Newton correction's
-    # arrays, nor iterate slots
+    # the audit evaluates states only, in the workspace a run makes: it never
+    # makes a Newton correction's arrays
     assert "correction" not in vars(audit._ws)
-    assert audit._ws.u == []
     made = distinct_bytes(arrays_in(vars(audit._ws).values()))
-    assert made == flow._Workspace.nbytes(grid, iterates=False)
+    assert made == flow._Workspace.nbytes(grid)
+
+
+def test_an_n1_audit_holds_no_det():
+    # det w is w itself at n = 1, so no workspace makes det there
+    traj, path, F, omega = audited_run()
+    audit = TrajectoryAudit(traj, path, F, omega)
+    assert residual_certificate(audit)["pairs"] > 0
+    assert audit._ws.det is None and "det" not in audit._ws.lenders
+    # at 128^2: h, w, rhs, R and tmp[0], a spectrum, AUDIT_FIELDS fields and
+    # numpy's 8192-element buffer
+    field, spectrum = 8 * 128**2, 16 * 128 * 65
+    assert flow.audit_array_bytes(TorusGrid(1, 128)) == 8 * field + spectrum + 8 * 8192
 
 
 def test_step_residual_audit_never_evaluates_the_energy(monkeypatch):
@@ -328,14 +339,15 @@ def test_inadmissible_initial_data_is_refused():
 def advance(phi, t_from, t_to, path, F, omega, cfg, history=()):
     """One backward-Euler step from phi after the accepted states history.
 
-    It runs on a new workspace warm-started by H(phi) and returns the new
-    values and the step's diagnostics.
+    It runs on a new workspace warm-started by H(phi), writes two new
+    states, and returns the new values and the step's diagnostics.
     """
     ws = flow._Workspace(phi.grid, cfg.backend)
     ws.hessian(phi.values)
     coords = phi.grid.coordinates()
+    states = (np.empty(phi.grid.shape), np.empty(phi.grid.shape))
     vals, _, diag = flow._advance(
-        phi.values, t_from, t_to, path, F, omega.log(), cfg, coords, ws, history
+        phi.values, t_from, t_to, path, F, omega.log(), cfg, coords, ws, states, history
     )
     return vals, diag
 
@@ -478,9 +490,11 @@ def warm_problem(n, resolution, backend):
 def warm_step_peak(n, resolution, backend):
     """(peak, kept) of the 10th backward-Euler step called directly, in grid fields.
 
-    The steps run on one workspace with the run's history, as `run` would,
-    but no state is recycled into it.  Below half a field, a peak is
-    numpy's casting buffers (at most 8192 elements each), not an array.
+    The steps run on one workspace with the run's history, each writing the
+    two of four states that are neither its start nor the newer history
+    state, the older one second, as `run` gives them.  Below half a field,
+    a peak is numpy's casting buffers (at most 8192 elements each), not an
+    array.
     """
     vals, cfg, path, omega, F = warm_problem(n, resolution, backend)
     grid, log_om = path.grid, omega.log()
@@ -488,29 +502,39 @@ def warm_step_peak(n, resolution, backend):
     ws = flow._Workspace(grid, backend)
     ws.hessian(vals)
     times = schedule_times(cfg)
+    states = [vals, *(np.empty(grid.shape) for _ in range(3))]
     history = []
+
+    def step(k):
+        kept = (vals, *(a for _, a in history[-1:]))
+        free = [s for s in states if all(s is not a for a in kept)]
+        free.sort(key=lambda s: any(s is a for _, a in history))
+        return flow._advance(vals, times[k - 1], times[k], path, F, log_om, cfg, c, ws,
+                             free[:2], history)
+
     for k in range(1, 10):
-        new = flow._advance(vals, times[k - 1], times[k], path, F, log_om, cfg, c, ws, history)[0]
+        new = step(k)[0]
         history, vals = [*history[-1:], (times[k - 1], vals)], new
-    before = [a.copy() for _, a in history] + [vals.copy()]
+    read_after = (history[-1][1], vals)
+    before = [a.copy() for a in read_after]
     tracemalloc.start()
     try:
-        step = flow._advance(vals, times[9], times[10], path, F, log_om, cfg, c, ws, history)
+        out = step(10)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert step[2]["start"] == "extrapolated" and step[2]["newton_iters"] > 1
-    # the caller's states are intact: the step hands over a slot it no longer uses
-    assert all(np.array_equal(a, b) for a, b in zip([a for _, a in history] + [vals], before))
-    assert step[0] is not ws.u[0] and step[0] is not ws.u[1]
+    assert out[2]["start"] == "extrapolated" and out[2]["newton_iters"] > 1
+    # the step wrote only the states it was given, and returns one of them
+    assert all(np.array_equal(a, b) for a, b in zip(read_after, before))
+    assert any(out[0] is s for s in states) and all(out[0] is not a for a in read_after)
     return peak / vals.nbytes, kept / vals.nbytes
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
 def test_a_warm_n2_step_allocates_only_what_it_returns(backend):
-    # the slot of its values, refilled; its phidot is the workspace's rhs
+    # its values are one of the caller's states; its phidot is the workspace's rhs
     peak, kept = warm_step_peak(2, 8, backend)
-    assert peak < 1.5 and 0.9 < kept < 1.1
+    assert peak < 0.5 and kept < 0.1
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
@@ -518,14 +542,14 @@ def test_a_warm_float32_n2_step_allocates_only_what_it_returns(backend):
     # the correction's float32 arrays are made by the earlier steps
     assert grid_module.correction_dtype(TorusGrid(2, 16)) == np.float32
     peak, kept = warm_step_peak(2, 16, backend)
-    assert peak < 1.5 and 0.9 < kept < 1.1
+    assert peak < 0.5 and kept < 0.1
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
 def test_a_warm_n1_step_allocates_only_what_it_returns(backend):
     # transforms and stencils land in the workspace
     peak, kept = warm_step_peak(1, 64, backend)
-    assert peak < 1.5 and 0.9 < kept < 1.1
+    assert peak < 0.5 and kept < 0.1
 
 
 class _NullStore:
@@ -576,15 +600,15 @@ def traced_run_steps(monkeypatch, n, resolution, backend, first):
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
 @pytest.mark.parametrize("n, resolution", [(1, 64), (2, 8)])
 def test_a_warm_step_in_a_run_allocates_no_state(monkeypatch, n, resolution, backend):
-    # the run recycles the state leaving its history into the slot a step hands over
+    # each step writes two of the four states the run laid out
     for peak, kept in traced_run_steps(monkeypatch, n, resolution, backend, 10):
         assert peak < 0.5 and kept < 0.1
 
 
 def test_a_16_4_run_allocates_no_state_after_its_third_step(monkeypatch):
-    # step 2 makes a slot; from step 3 on the states cycle, the run's copy of
-    # phi0 the first to leave the history
-    steps = traced_run_steps(monkeypatch, 2, 16, "spectral", 3)
+    # the run lays its four states out before its first step, so from step 2
+    # on (the first with a history) no step makes one
+    steps = traced_run_steps(monkeypatch, 2, 16, "spectral", 2)
     assert max(peak for peak, _ in steps) < 0.5
     assert max(kept for _, kept in steps) < 0.1
 
@@ -623,7 +647,10 @@ def arrays_in(values) -> list:
 
 
 def stepped_workspace(n, resolution, backend, dtype):
-    """A workspace after one backward-Euler step of Newton iterations on it, and its correction's arrays."""
+    """A workspace after one backward-Euler step of Newton iterations on it.
+
+    Returns it, its correction's arrays and the states the step read and wrote.
+    """
     grid = TorusGrid(n=n, resolution=resolution)
     assert grid_module.correction_dtype(grid) == dtype
     c = grid.coordinates()
@@ -634,54 +661,54 @@ def stepped_workspace(n, resolution, backend, dtype):
     ws = flow._Workspace(grid, backend)
     ws.hessian(phi)
     assert "correction" not in vars(ws)
+    states = (phi, np.empty(grid.shape), np.empty(grid.shape))
     diag = flow._advance(phi, 0.0, 1e-3, path, DrivingTerm.affine(slope=0.5), omega.log(),
-                         cfg, c, ws)[2]
+                         cfg, c, ws, states[1:])[2]
     assert diag["newton_iters"] > 0
     correction = arrays_in(vars(ws.correction).values())
     complex_dtype = np.result_type(dtype, np.complex64)
     # h12 (and at n = 1 the transform) complex of the correction's precision
     assert any(np.iscomplexobj(a) for a in correction)
     assert all(a.dtype == (complex_dtype if np.iscomplexobj(a) else dtype) for a in correction)
-    return ws, correction
+    return ws, correction, states
 
 
 @pytest.mark.parametrize("n, resolution, backend, dtype", [(2, 8, "spectral", np.float64)])
 def test_the_correction_has_its_own_arrays_in_its_own_precision(n, resolution, backend, dtype):
     # the float64 n = 2 correction solves in w, det and R themselves, live through the solve
-    ws, correction = stepped_workspace(n, resolution, backend, dtype)
+    ws, correction, states = stepped_workspace(n, resolution, backend, dtype)
     state = arrays_in(v for k, v in vars(ws).items() if k != "correction")
-    assert not any(np.shares_memory(a, b) for a in correction for b in state)
+    assert not any(np.shares_memory(a, b) for a in correction for b in (*state, *states))
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
 def test_an_n1_correction_lies_in_the_workspace_arrays_its_solve_leaves_idle(backend):
-    ws, correction = stepped_workspace(1, 16, backend, np.float64)
+    ws, correction, states = stepped_workspace(1, 16, backend, np.float64)
     cor = ws.correction
-    # a, b and the Krylov step's scratch in tmp[0], h and w; the iterate in
-    # det (w is its own det at n = 1), the best one in rhs; the transform in
-    # the workspace's spectrum
-    lent = zip((*cor.tmp, cor.krylov[0], cor.krylov[-1], cor.spectrum[0]),
-               (ws.tmp[0], ws.h[0], ws.w[0], ws.det, ws.rhs, ws.spectrum[0]))
+    # a, b and the Krylov step's scratch in tmp[0], h and w; the best iterate
+    # in rhs; the transform in the workspace's spectrum
+    lent = zip((*cor.tmp, cor.krylov[-1], cor.spectrum[0]),
+               (ws.tmp[0], ws.h[0], ws.w[0], ws.rhs, ws.spectrum[0]))
     assert all(a.base is b or a is b for a, b in lent)
-    # the rest overlap no array of the workspace: scale, r, p, v, z, t and
+    # the rest overlap no array of the workspace: scale, x, r, p, v, z, t and
     # inverse, whose real part is the power spectrum's scratch
-    own = [cor.scale, *cor.krylov[1:-1], cor.inverse]
+    own = [cor.scale, *cor.krylov[:-1], cor.inverse]
     state = arrays_in(v for k, v in vars(ws).items() if k != "correction")
     assert not any(np.shares_memory(a, b) for a in own for b in state)
     assert cor.spectrum[1].base is cor.inverse
     assert sum(a.nbytes for a in own) == flow._Correction.nbytes(ws.grid, np.float64)
-    # the iterate slots and R, which BiCGSTAB reads throughout, are never lent
-    assert not any(np.shares_memory(a, b) for a in correction for b in (*ws.u, ws.R))
+    # the states and R, which BiCGSTAB reads throughout, are never lent
+    assert not any(np.shares_memory(a, b) for a in correction for b in (*states, ws.R))
     # x and best, which outlive the solve, overlap no array the line search
     # writes: h, w, its Hessian's transform or stencil scratch, its trial
     x, best = cor.krylov[0], cor.krylov[-1]
-    written = (*ws.h, *ws.w, *ws.spectrum, ws.tmp[2], *ws.u)
+    written = (*ws.h, *ws.w, *ws.spectrum, ws.tmp[2], *states)
     assert not any(np.shares_memory(a, b) for a in (x, best) for b in written)
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
 def test_a_float32_correction_lies_in_the_workspace_arrays_its_solve_leaves_idle(backend):
-    ws, correction = stepped_workspace(2, 16, backend, np.float32)
+    ws, correction, states = stepped_workspace(2, 16, backend, np.float32)
     cor = ws.correction
     assert flow._Correction.nbytes(ws.grid, np.float32) == 0
 
@@ -689,9 +716,9 @@ def test_a_float32_correction_lies_in_the_workspace_arrays_its_solve_leaves_idle
         return arrays_in(getattr(ws, name) for name in names)
 
     lenders = within(("h", "w", "tmp", "det"))
-    # every array is a view of h, w, tmp or det, never of u
+    # every array is a view of h, w, tmp or det, never of a state
     assert all(any(np.shares_memory(a, b) for b in lenders) for a in correction)
-    assert not any(np.shares_memory(a, b) for a in correction for b in within(("u",)))
+    assert not any(np.shares_memory(a, b) for a in correction for b in states)
     # no two arrays overlap, hv's reals being tmp's own
     distinct = {id(a): a for a in correction}.values()
     assert len(distinct) == 18
@@ -713,7 +740,7 @@ def test_the_declared_float32_placements_lie_apart_in_idle_lenders():
     # parts each array takes, and those each float64 workspace array holds
     width, room = {"real": 1, "complex": 2}, {"real": 2, "complex": 4}
     rows = [row for row in flow._ARRAYS if row[3] in (None, 2)]
-    lenders = {row[0]: row[2] for row in rows if row[1] in ("u", "ws")}
+    lenders = {row[0]: row[2] for row in rows if row[1] == "ws"}
     correction = [row for row in rows if row[1] in ("cor", "copy")]
     # a float32 correction makes no array: each one is placed
     assert correction and all(len(row) == 6 for row in correction)
@@ -726,8 +753,8 @@ def test_the_declared_float32_placements_lie_apart_in_idle_lenders():
     for spans in taken.values():
         spans.sort()
         assert all(end <= start for (_, end, _), (start, _, _) in zip(spans, spans[1:]))
-    # the iterate slots, which are handed over, are never lent
-    assert not {"u0", "u1"} & taken.keys()
+    # every lender is the workspace's: a run's states are never lent
+    assert taken.keys() <= lenders.keys()
     # rhs and R only to the correction's tmp2, scale and H(v)'s h12
     lent_rhs_or_r = {name for lender in ("rhs", "R") for *_, name in taken[lender]}
     assert lent_rhs_or_r == {"tmp2", "scale", "h12"}
@@ -737,15 +764,17 @@ def test_the_declared_n1_placements_fill_distinct_idle_lenders():
     # read from flow._ARRAYS alone at n = 1, where the correction is float64
     # like the workspace: a placed array takes the whole of a lender of its kind
     rows = [row for row in flow._ARRAYS if row[3] in (None, 1)]
-    lenders = {row[0]: row[2] for row in rows if row[1] in ("u", "ws")}
+    lenders = {row[0]: row[2] for row in rows if row[1] == "ws"}
+    # det w is w itself at n = 1, so the workspace declares no det there
+    assert "det" not in lenders
     correction = [row for row in rows if row[1] in ("cor", "copy")]
     placed = [row for row in correction if len(row) == 6]
     assert all(part == 0 and lenders[lender] == kind for _, _, kind, _, lender, part in placed)
-    assert {row[4] for row in placed} == {"tmp0", "h11", "w11", "det", "rhs", "spectrum"}
-    assert len(placed) == 6  # no two share a lender
-    # the rest are the correction's own: scale, r, p, v, z, t and inverse
+    assert {row[4] for row in placed} == {"tmp0", "h11", "w11", "rhs", "spectrum"}
+    assert len(placed) == 5  # no two share a lender
+    # the rest are the correction's own: scale, x, r, p, v, z, t and inverse
     assert [row[0] for row in correction if len(row) == 4] == [
-        "scale", "r", "p", "v", "z", "t", "inverse"
+        "scale", "x", "r", "p", "v", "z", "t", "inverse"
     ]
 
 
@@ -770,8 +799,8 @@ def test_the_workspace_and_correction_count_the_bytes_they_make(n, resolution, d
     # a float32 correction lies in ws and owns no byte outside its memory
     cor = arrays_in(vars(flow._Correction(grid, dtype, ws)).values())
     own = [a for a in cor if not any(np.shares_memory(a, b) for b in made)]
-    if n == 1:  # the float64 one's scale, r, p, v, z, t, inverse and its real part
-        assert len(own) == 8
+    if n == 1:  # the float64 one's scale, x, r, p, v, z, t, inverse and its real part
+        assert len(own) == 9
     else:
         assert len(own) == (len(cor) if dtype == np.float64 else 0)
     assert distinct_bytes(own) == flow._Correction.nbytes(grid, dtype)

@@ -332,33 +332,29 @@ def same_snapshots(a, b) -> bool:
     )
 
 
-def recorded_workspaces(monkeypatch):
-    """The list every flow._Workspace made from now on is appended to."""
+def recorded_arrays(monkeypatch):
+    """The list every array flow lays out from now on is appended to.
+
+    Those are a run's states and the arrays of its workspace and Newton
+    correction, which no stored snapshot may share memory with.
+    """
     from maflow import flow
 
-    made = []
+    made, laid_out = [], flow._laid_out
 
-    class Recorded(flow._Workspace):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
+    def recorded(*args, **kwargs):
+        arrays = laid_out(*args, **kwargs)
+        made.extend(arrays.values())
+        return arrays
 
-    monkeypatch.setattr(flow, "_Workspace", Recorded)
+    monkeypatch.setattr(flow, "_laid_out", recorded)
     return made
 
 
-def workspace_arrays(ws) -> list:
-    found = [ws._spare] if ws._spare is not None else []
-    for value in (*vars(ws).values(), *vars(ws.correction).values()):
-        items = value if isinstance(value, (tuple, list)) else (value,)
-        found += [a for a in items if isinstance(a, np.ndarray)]
-    return found
-
-
-def assert_no_workspace_array_in(traj, made):
+def assert_no_run_array_in(traj, made):
     kept = [f.values for f in (*traj.fields, *traj.phidots) if f is not None]
-    arrays = [a for ws in made for a in workspace_arrays(ws)]
-    assert not any(np.shares_memory(k, a) for k in kept for a in arrays)
+    assert any(a.ndim == len(traj.grid.shape) for a in made)
+    assert not any(np.shares_memory(k, a) for k in kept for a in made)
 
 
 def store_problem(case):
@@ -391,9 +387,9 @@ def test_memory_and_archive_stores_take_the_same_bits(tmp_path, monkeypatch, cas
 
         monkeypatch.setattr(flow, "_extrapolate", far_guess)
     problem = store_problem(case)
-    made = recorded_workspaces(monkeypatch)
+    made = recorded_arrays(monkeypatch)
     kept = run(*problem)
-    assert_no_workspace_array_in(kept, made)
+    assert_no_run_array_in(kept, made)
     if case == "fallback":
         calls.clear()
     grid = problem[0].grid
@@ -417,10 +413,10 @@ def test_cascade_levels_take_the_bits_of_streamed_runs(tmp_path, monkeypatch):
     F = DrivingTerm.affine(0.0, 0.5)
     rough = RoughPotential.max_kink()
     schedule = RegularizationSchedule(deltas=(0.25, 0.125))
-    made = recorded_workspaces(monkeypatch)
+    made = recorded_arrays(monkeypatch)
     cascade = run_cascade(rough, schedule, path, F, omega, cfg)
     for j, (level, traj) in enumerate(zip(cascade.ladder.levels, cascade.trajectories)):
-        assert_no_workspace_array_in(traj, made)
+        assert_no_run_array_in(traj, made)
         streamed = run(level, path, F, omega, cfg, store=ArchiveStore(tmp_path / f"{j}", grid))
         assert same_snapshots(traj.fields, streamed.fields)
         assert same_snapshots(traj.phidots, streamed.phidots)

@@ -181,13 +181,20 @@ def test_the_workspace_read_check_sees_a_planted_read(tmp_path):
     ]
 
 
-# the constructors whose arrays flow._ARRAYS declares, and numpy's makers of new arrays
-DECLARED = ("_Workspace.__init__", "_Correction.__init__")
-MAKERS = ("empty", "zeros", "ones", "full", "empty_like", "zeros_like", "ones_like", "full_like")
+# the code whose arrays flow._ARRAYS declares: the constructors, the run that
+# makes its states and the step that writes them; and the makers of new
+# arrays, numpy's and an array's copy method
+DECLARED = ("_Workspace.__init__", "_Correction.__init__", "run", "_advance")
+MAKERS = (
+    "empty", "zeros", "ones", "full", "empty_like", "zeros_like", "ones_like", "full_like", "copy"
+)
 
 
-def arrays_made(path: Path, methods) -> list:
-    """(line, Class.method, call) of each numpy maker or `_laid_out` call inside the named methods."""
+def arrays_made(path: Path, names) -> list:
+    """(line, name, call) of each array maker or `_laid_out` call inside the named code.
+
+    A name is Class.method or a module-level function.
+    """
     tree = ast.parse(path.read_text())
     aliases = {
         a.asname or a.name
@@ -196,27 +203,32 @@ def arrays_made(path: Path, methods) -> list:
         for a in node.names
         if a.name == "numpy"
     }
+    scopes = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        scopes += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body if isinstance(fn, ast.FunctionDef)]
     hits = []
-    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
-        for fn in cls.body:
-            if not (isinstance(fn, ast.FunctionDef) and f"{cls.name}.{fn.name}" in methods):
-                continue
-            for call in (node for node in ast.walk(fn) if isinstance(node, ast.Call)):
-                f = call.func
-                if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
-                    name = f.attr if f.value.id in aliases else None
-                else:
-                    name = f.id if isinstance(f, ast.Name) else None
-                if name in (*MAKERS, "_laid_out"):
-                    hits.append((call.lineno, f"{cls.name}.{fn.name}", name))
+    for where, fn in scopes:
+        if where not in names:
+            continue
+        for call in (node for node in ast.walk(fn) if isinstance(node, ast.Call)):
+            f = call.func
+            if isinstance(f, ast.Attribute):
+                numpy = isinstance(f.value, ast.Name) and f.value.id in aliases
+                name = f.attr if numpy or f.attr == "copy" else None
+            else:
+                name = f.id if isinstance(f, ast.Name) else None
+            if name in (*MAKERS, "_laid_out"):
+                hits.append((call.lineno, where, name))
     return sorted(hits)
 
 
 def test_the_workspace_and_correction_make_arrays_only_from_the_declared_rows():
+    # run makes its states through `_laid_out` only, and a step makes none
     found = arrays_made(Path(maflow.__file__).parent / "flow.py", DECLARED)
     assert [(where, call) for _, where, call in found] == [
         ("_Correction.__init__", "_laid_out"),
         ("_Workspace.__init__", "_laid_out"),
+        ("run", "_laid_out"),
     ]
 
 
@@ -235,12 +247,23 @@ def test_the_array_maker_check_sees_a_planted_allocation(tmp_path):
         "class _Correction:\n"
         "    def __init__(self, grid):\n"
         "        self.d = [xp.empty(grid.shape)]\n"
+        "def run(phi0, grid):\n"
+        "    states = _laid_out(grid, ('state',))\n"
+        "    return states, phi0.values.copy()\n"
+        "def _advance(u, ws):\n"
+        "    return xp.copy(u), ws.u.copy()\n"
+        "def other(u):\n"
+        "    return u.copy()\n"
     )
     assert arrays_made(probe, DECLARED) == [
         (5, "_Workspace.__init__", "_laid_out"),
         (6, "_Workspace.__init__", "zeros"),
         (7, "_Workspace.__init__", "empty_like"),
         (12, "_Correction.__init__", "empty"),
+        (14, "run", "_laid_out"),
+        (15, "run", "copy"),
+        (17, "_advance", "copy"),
+        (17, "_advance", "copy"),
     ]
 
 
