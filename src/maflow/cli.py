@@ -25,7 +25,7 @@ import re
 import sys
 import types
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,9 @@ from .flow import (
     TrajectoryAudit,
     _transformed_time,
     audit_array_bytes,
+    finite_horizon,
     peak_array_bytes,
+    reduction_rate,
     run,
     run_cascade,
     run_nef,
@@ -370,8 +372,7 @@ class Check:
     check_params keys the check accepts, typed by their annotations.  needs
     names the RunContext objects it cannot run without, column the
     TrajectoryAudit column it reads from traj (convergence: the finest level),
-    archive whether `maflow verify` can replay it from saved archives and
-    audited whether it reads ctx.audit at all.
+    and archive whether `maflow verify` can replay it from saved archives.
     """
 
     fn: object
@@ -379,33 +380,25 @@ class Check:
     needs: tuple = ()
     column: str = None
     archive: bool = False
-    audited: bool = False
 
 
 CHECK_TABLE = {
     "comparison": Check(verify.check_comparison, _chk_comparison, ("traj", "traj_b"), archive=True),
-    "apriori-bounds": Check(
-        verify.check_apriori_bounds, _chk_apriori, ("traj",), archive=True, audited=True
-    ),
+    "apriori-bounds": Check(verify.check_apriori_bounds, _chk_apriori, ("traj",), archive=True),
     "time-derivative": Check(
         verify.check_time_derivative, _chk_time_derivative, ("traj",), archive=True
     ),
     "gradient-laplacian": Check(
-        verify.check_gradient_laplacian, _chk_gradient_laplacian, ("traj",), "sup-trace", True,
-        audited=True,
+        verify.check_gradient_laplacian, _chk_gradient_laplacian, ("traj",), "sup-trace", True
     ),
-    "energy": Check(
-        verify.check_energy_monotonicity, _chk_energy, ("traj",), "energy", True, audited=True
-    ),
+    "energy": Check(verify.check_energy_monotonicity, _chk_energy, ("traj",), "energy", True),
     "residual-certificate": Check(
-        verify.check_residual_certificate, _chk_residual, ("traj",), "step_residual", True,
-        audited=True,
+        verify.check_residual_certificate, _chk_residual, ("traj",), "step_residual", True
     ),
     "stability": Check(verify.check_stability, _chk_stability, ("initial_b",)),
     "uniqueness": Check(verify.check_uniqueness, _chk_uniqueness),
     "convergence": Check(
-        verify.check_convergence_modes, _chk_convergence, ("cascade",), "energy", True,
-        audited=True,
+        verify.check_convergence_modes, _chk_convergence, ("cascade",), "energy", True
     ),
     "transform-roundtrip": Check(verify.check_transform_roundtrip, _chk_transform),
     "trace-inequality": Check(verify.check_trace_inequality, _chk_trace_inequality),
@@ -431,8 +424,9 @@ def execute_checks(names, ctx: RunContext):
     """The reports of the named checks, run in order on ctx.
 
     ctx.audit, traj's audit with the columns the named checks read, is
-    built when the first check that reads it runs, so the checks before it
-    (the flows of stability, say) run without its arrays.
+    built when the first check that reads it (whose function takes a
+    TrajectoryAudit) runs, so the checks before it (the flows of
+    stability, say) run without its arrays.
     """
     columns = [CHECK_TABLE[name].column for name in names if CHECK_TABLE[name].column]
     ctx.audit = None
@@ -442,10 +436,16 @@ def execute_checks(names, ctx: RunContext):
         missing = [attr for attr in check.needs if getattr(ctx, attr) is None]
         if missing:
             raise ConfigError(f"check {name!r} needs {missing[0].replace('_', ' ')}")
-        if check.audited and ctx.audit is None and ctx.traj is not None:
+        if ctx.audit is None and ctx.traj is not None and _reads_audit(check.fn):
             ctx.audit = TrajectoryAudit(ctx.traj, ctx.path, ctx.F, ctx.omega, columns)
         reports.extend(check.executor(ctx, **ctx.params.get(name, {})))
     return reports
+
+
+def _reads_audit(fn) -> bool:
+    """Whether verify function fn takes a TrajectoryAudit."""
+    signature = inspect.signature(fn, eval_str=True).parameters.values()
+    return any(p.annotation is TrajectoryAudit for p in signature)
 
 
 def print_reports(reports):
@@ -609,18 +609,20 @@ def _check_fields(doc: dict, cfg: FlowConfig, checks, stored: int) -> int:
     if "stability" in checks:
         default = inspect.signature(verify.check_stability).parameters["homotopy_samples"].default
         samples = params.get("stability", {}).get("homotopy_samples", default)
-        kept.append(2 * max(int(samples), 2) * stored)
+        kept.append(2 * verify.homotopy_runs(samples) * stored)
     if "uniqueness" in checks and all(doc.get(k) is not None for k in ("schedule", "schedule_b")):
         levels = (len(build_schedule(doc[k], k).deltas) for k in ("schedule", "schedule_b"))
         kept.append(sum(_cascade_fields(m, stored) for m in levels))
     if "transform-roundtrip" in checks:
         settings, F, T = params.get("transform-roundtrip", {}), build_driving(doc), cfg.horizon
-        rates = [settings.get("reduction_rate") or -1.0 / T] if (F.defect or 0.0) > 0.0 else []
+        rates = []
+        if (F.defect or 0.0) > 0.0:
+            rates.append(reduction_rate(settings.get("reduction_rate"), T))
         if F.time_bound is not None and settings.get("rescale_rate") is not None:
             rates.append(settings["rescale_rate"])
         # as `check_transform_roundtrip` runs each transform with a finite horizon
-        horizons = [_transformed_time(r, T) for r in rates if r < 0.0 or 0.0 < r * T < 1.0]
-        runs = [replace(cfg, horizon=h, t_min=min(cfg.t_min, 0.5 * h), probes=()) for h in horizons]
+        horizons = [_transformed_time(r, T) for r in rates if r != 0.0 and finite_horizon(r, T)]
+        runs = [verify.transformed_config(cfg, h) for h in horizons]
         kept.append(sum(4 * int(np.count_nonzero(stored_steps(c))) for c in runs))
     return max(kept)
 

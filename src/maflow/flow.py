@@ -89,7 +89,6 @@ from .geometry import (
 from .grid import (
     ScalarField,
     TorusGrid,
-    add_shift,
     correction_dtype,
     hessian_components,
     inner,
@@ -800,7 +799,7 @@ def _preconditioner_terms(total, det, R, fs, dt, ws) -> tuple:
     scale *= s
     sigma = c * (1.0 / dt + max(0.0, float(np.mean(fs))))
     if grid.n == 2:
-        return scale, sigma, add_shift(sigma, cor.symbol)
+        return scale, sigma, np.add(sigma, cor.symbol, out=cor.symbol)
     return scale, sigma, inverse_shifted_symbol(grid, backend, sigma, cor.inverse, cor.spectrum[1])
 
 
@@ -1542,6 +1541,16 @@ class TransformedProblem:
         )
 
 
+def reduction_rate(B: float | None, T: float) -> float:
+    """The monotone reduction's rate over [0, T]: B, or by default -1/T, where -B e^{BT} peaks."""
+    return -1.0 / T if B is None else B
+
+
+def finite_horizon(rate: float, T: float) -> bool:
+    """Whether a time change at a nonzero rate maps [0, T] to a finite horizon: rate * T < 1."""
+    return rate * T < 1.0
+
+
 def _original_time(rate: float, t: float) -> float:
     """tau(t) = (1 - e^{-rate t}) / rate, the original time of transformed time t."""
     return (1.0 - math.exp(-rate * t)) / rate
@@ -1549,10 +1558,9 @@ def _original_time(rate: float, t: float) -> float:
 
 def _transformed_time(rate: float, tau: float) -> float:
     """The inverse chart -log(1 - rate tau) / rate."""
-    arg = 1.0 - rate * tau
-    if arg <= 0:
+    if not finite_horizon(rate, tau):
         raise ConfigError(f"original time {tau} beyond the transform's reach")
-    return -math.log(arg) / rate
+    return -math.log(1.0 - rate * tau) / rate
 
 
 def _time_change(kind: str, F: DrivingTerm, path: MetricPath, rate: float, defect):
@@ -1616,8 +1624,7 @@ def monotone_reduction(
             f"no admissible rate exists: defect {C} exceeds 1/(eT) = {ceiling:.6g} "
             f"at horizon {T}"
         )
-    if B is None:
-        B = -1.0 / T
+    B = reduction_rate(B, T)
     if B >= 0:
         raise ConfigError("the monotonicity reduction needs a negative rate")
     boundary = -B * math.exp(B * T)
@@ -1666,7 +1673,7 @@ def uniqueness_rescale(
         )
     if not A > F.time_bound:
         raise ConfigError(f"rate A = {A} must exceed the time bound {F.time_bound}")
-    if A * T >= 1.0:
+    if not finite_horizon(A, T):
         raise HorizonTooLongError(
             f"A*T = {A * T:.6g} >= 1: the rescaled horizon is infinite; shorten T"
         )

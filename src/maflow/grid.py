@@ -42,13 +42,14 @@ transform allocates.
 
 The n=2 kernels the Newton correction applies (`hessian_components`,
 `solve_shifted_laplacian`, `quarter_laplacian_rayleigh`) follow the dtype
-of values: float32 values are multiplied by cached float32 copies of the
-per-axis matrices and give float32 (and complex64) results.  The flow
-solves its Newton correction in float32 on the grids `correction_dtype`
-names, n=2 from SINGLE_PRECISION_RESOLUTION points per axis up, and in
-float64 everywhere else; every other operator here is float64 only.  The
-n=2 caches hold N x N arrays only: the grid-shaped symbol the solve and
-the Rayleigh quotient need is laid out into their scratch when they run.
+of values: float32 values are multiplied by float32 copies of the per-axis
+matrices, cached beside the float64 ones, and give float32 (and complex64)
+results.  The flow solves its Newton correction in float32 on the grids
+`correction_dtype` names, n=2 from SINGLE_PRECISION_RESOLUTION points per
+axis up, and in float64 everywhere else; every other operator here is
+float64 only.  The n=2 caches hold N x N arrays only: the grid-shaped
+symbol the solve and the Rayleigh quotient need is laid out into their
+scratch when they run.
 """
 
 from __future__ import annotations
@@ -289,14 +290,17 @@ def solve_shifted_laplacian(
     in its scratch, in values' dtype.  u is written into out when given (a
     grid-shaped float array that may be values).  At n = 2 scratch, a
     grid-shaped float array not aliasing values or a laid-out shift, holds
-    the per-axis products (and shift + symbol for a float shift); at n = 1
-    spectrum[0] holds the transform.
+    the per-axis products (and shift + symbol for a float shift, added
+    into the symbol's own array: numpy sums an np.float64 shift and a
+    float32 symbol in float64 and rounds once); at n = 1 spectrum[0] holds
+    the transform.
     """
     if grid.n == 2:
-        q = _per_axis(_quarter_laplacian_basis, values, grid.resolution, backend)[0]
+        q = _quarter_laplacian_basis(grid.resolution, backend, values.dtype)[0]
         coef = _along_every_axis(q.T, values, out, scratch)
         if not np.ndim(shift):
-            shift = add_shift(shift, _laid_out_symbol(grid, backend, values.dtype, scratch))
+            symbol = _laid_out_symbol(grid, backend, values.dtype, scratch)
+            shift = np.add(shift, symbol, out=symbol)
         coef /= shift
         return _along_every_axis(q, coef, out, scratch)
     if not np.ndim(shift):
@@ -304,27 +308,6 @@ def solve_shifted_laplacian(
     hat = _rfft(values, grid, None if spectrum is None else spectrum[0])
     hat *= shift
     return _irfft(hat, grid, out)
-
-
-def add_shift(shift, symbol: np.ndarray) -> np.ndarray:
-    """symbol += shift in place, with the bits of np.add(shift, symbol, out=symbol).
-
-    numpy sums in the dtype the two promote to and rounds into symbol's, so
-    an np.float64 shift (the flow's, as dt is one) on a float32 symbol sums
-    in float64.  np.add would cast through numpy's buffer, up to 8192
-    values (a quarter field at 16^4); here the sum is taken one slice
-    along the first axis at a time (N^3 values at n = 2), copied up into
-    a block of the promoted dtype, added and copied back down.
-    """
-    dtype = np.result_type(shift, symbol)
-    if dtype == symbol.dtype:
-        return np.add(shift, symbol, out=symbol)
-    block = np.empty(symbol.shape[1:], dtype)
-    for part in symbol:
-        np.copyto(block, part)
-        block += shift
-        np.copyto(part, block)
-    return symbol
 
 
 def quarter_laplacian_rayleigh(
@@ -340,7 +323,7 @@ def quarter_laplacian_rayleigh(
     spectrum.
     """
     if grid.n == 2:
-        q = _per_axis(_quarter_laplacian_basis, values, grid.resolution, backend)[0]
+        q = _quarter_laplacian_basis(grid.resolution, backend, values.dtype)[0]
         power = _along_every_axis(q.T, values, out, scratch)
         np.square(power, out=power)
         symbol = _laid_out_symbol(grid, backend, values.dtype, scratch)
@@ -401,27 +384,35 @@ def _axis_matrices(N, backend):
     return _freeze(d1), _freeze(d2)
 
 
-@lru_cache(maxsize=8)
-def _hessian_matrices(N, backend):
-    """(d1 / 2, d2 / 4): _axis_matrices with the Hessian's factor 1/4 folded in.
+@lru_cache(maxsize=16)
+def _hessian_matrices(N, backend, dtype=np.float64):
+    """(d1 / 2, d2 / 4): _axis_matrices with the Hessian's factor 1/4 folded in, in dtype.
 
     Both factors are powers of two, so a product with them rounds exactly as
-    the unscaled product then scaled.
+    the unscaled product then scaled.  Any dtype argument but the default
+    gives cached copies of the float64 matrices (for a float64 dtype, the
+    matrices themselves).
     """
+    if dtype is not np.float64:
+        return tuple(_freeze(a.astype(dtype, copy=False)) for a in _hessian_matrices(N, backend))
     d1, d2 = _axis_matrices(N, backend)
     return _freeze(0.5 * d1), _freeze(0.25 * d2)
 
 
-@lru_cache(maxsize=8)
-def _quarter_laplacian_basis(N, backend):
-    """(Q, pair): -(1/4) Laplacian at n=2 is Q diag(symbol) Q^T on every axis.
+@lru_cache(maxsize=16)
+def _quarter_laplacian_basis(N, backend, dtype=np.float64):
+    """(Q, pair) in dtype: -(1/4) Laplacian at n=2 is Q diag(symbol) Q^T on every axis.
 
     Q holds orthonormal eigenvectors of the per-axis -(1/4) d2 and pair
     (N x N) the sums of their eigenvalues over two axes, so the symbol, the
     sum over all four, is pair[i, j] + pair[k, l] at grid index (i, j, k,
     l).  Only these N x N arrays are cached: the grid-shaped symbol is laid
-    out where it is used (`_laid_out_symbol`).
+    out where it is used (`_laid_out_symbol`).  Another dtype gives cached
+    copies, as in `_hessian_matrices`.
     """
+    if dtype is not np.float64:
+        basis = _quarter_laplacian_basis(N, backend)
+        return tuple(_freeze(a.astype(dtype, copy=False)) for a in basis)
     lam, q = np.linalg.eigh(-_hessian_matrices(N, backend)[1])
     return _freeze(q), _freeze(lam[:, None] + lam[None, :])
 
@@ -451,22 +442,6 @@ def _laid_out_symbol(grid, backend, dtype, out=None):
         if block is not None:
             np.copyto(rows[i : i + N], block)
     return out
-
-
-@lru_cache(maxsize=8)
-def _single(source, N, backend):
-    """float32 copies of the arrays source(N, backend) returns."""
-    return tuple(_freeze(a.astype(np.float32)) for a in source(N, backend))
-
-
-def _per_axis(source, values, N, backend):
-    """source(N, backend)'s arrays in the precision of values.
-
-    source is _hessian_matrices or _quarter_laplacian_basis.
-    """
-    if values.dtype == np.float32:
-        return _single(source, N, backend)
-    return source(N, backend)
 
 
 def _along(m, values, axis, out=None):
@@ -583,7 +558,7 @@ def _hessian_axes(values, grid, backend, out=None, scratch=None):
     (d1/2 on each of the two axes of a mixed term, d2/4), so no pass scales
     the sums.  out and scratch as in hessian_components.
     """
-    d1, d2 = _per_axis(_hessian_matrices, values, grid.resolution, backend)
+    d1, d2 = _hessian_matrices(grid.resolution, backend, values.dtype)
     h12_dtype = np.result_type(values, np.complex64)
     h11, h22, h12 = out or (None, None, np.empty(values.shape, h12_dtype))
     # the first derivatives sit in h11's and h22's arrays until h12 is done

@@ -563,6 +563,11 @@ def check_energy_monotonicity(audit: TrajectoryAudit, *, slack: float = 1e-8) ->
 # stability
 
 
+def homotopy_runs(homotopy_samples: int) -> int:
+    """The flows `check_stability` runs: its homotopy's samples, at least the two ends."""
+    return max(int(homotopy_samples), 2)
+
+
 def check_stability(
     phi0: ScalarField,
     psi0: ScalarField,
@@ -591,7 +596,7 @@ def check_stability(
     tol = comparison_tolerance(grid, cfg.backend, max(oscillation(phi0), oscillation(psi0)))
     d0 = float(np.abs(phi0.values - psi0.values).max())
 
-    m = max(int(homotopy_samples), 2)
+    m = homotopy_runs(homotopy_samples)
     lams = np.linspace(0.0, 1.0, m)
     runs = []
     for lam in lams:
@@ -901,6 +906,11 @@ def check_residual_certificate(audit: TrajectoryAudit) -> MarginReport:
     )
 
 
+def transformed_config(cfg: FlowConfig, horizon: float) -> FlowConfig:
+    """cfg for a transformed run over [0, horizon]: t_min at most half of it, no probes."""
+    return replace(cfg, horizon=horizon, t_min=min(cfg.t_min, 0.5 * horizon), probes=())
+
+
 def check_transform_roundtrip(
     phi0: ScalarField,
     path: MetricPath,
@@ -933,10 +943,7 @@ def check_transform_roundtrip(
             "no transform applies: need a positive defect or a rescale rate with a declared time bound"
         )
     for label, tp in jobs:
-        tcfg = replace(
-            cfg, horizon=tp.horizon, t_min=min(cfg.t_min, 0.5 * tp.horizon), probes=()
-        )
-        tilde = run(phi0, tp.path, tp.driving, omega_form, tcfg)
+        tilde = run(phi0, tp.path, tp.driving, omega_form, transformed_config(cfg, tp.horizon))
         pulled = tp.pull_back(tilde)
         res = instantaneous_residuals(pulled, tp.base_path, tp.base_driving, omega_form)
         margin = budget - res["max_residual"]

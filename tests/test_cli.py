@@ -314,6 +314,29 @@ def test_regularize_builds_ladder_archive(tmp_path, capsys):
         assert (out / name).read_bytes() == (ladder / name).read_bytes()
 
 
+def test_regularize_refuses_a_repair_beyond_its_allowance(tmp_path, capsys, monkeypatch):
+    from maflow import psh
+
+    smooth = psh.gaussian_smooth
+
+    def lifted(values, grid, delta):  # the finer level lifted above the allowance 0.625
+        return smooth(values, grid, delta) + (1.0 if delta == 0.125 else 0.0)
+
+    monkeypatch.setattr(psh, "gaussian_smooth", lifted)
+    cfg_path, _ = write_doc(
+        tmp_path,
+        grid={"n": 1, "resolution": 32},
+        initial={"kind": "max-kink"},
+        schedule={"deltas": [0.25, 0.125]},
+        checks=[],
+    )
+    out = tmp_path / "lad"
+    assert cli.main(["regularize", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: monotonicity repair 9.659e-01 exceeds allowance 6.250e-01" in err
+    assert not out.exists()
+
+
 def test_nef_family_archive_layout(tmp_path):
     cfg_path, doc = write_doc(
         tmp_path,

@@ -227,6 +227,110 @@ def test_a_manufactured_solution_converges_at_second_order_in_space_on_fd():
     assert all(abs(p - 2.0) <= band for p in orders)
 
 
+# -- exact symmetries and the product split at n = 2 ---------------------------
+#
+# At 16^4 the Newton correction is solved in float32 (grid.correction_dtype),
+# so these check the float32 n = 2 kernels against answers the code does not
+# give itself.  An accepted state's step residual is at most newton_tol, and
+# the step's operator I/dt - L + F_s (L the linearised Monge-Ampere operator,
+# F_s >= 0) has an inverse of sup norm at most dt by the maximum principle,
+# which the spectral backend keeps up to roundoff on these smooth fields.  So
+# a state lies within dt * newton_tol of the exact backward-Euler state from
+# its start, and since the exact step moves no two starts further apart, a
+# final state lies within horizon * newton_tol of the exact discrete one.
+# Runs whose exact discrete states agree exactly differ by at most the sum
+# of those distances, rounding included (about 1e-15 here).
+
+ORACLE_T, NEWTON_TOL = 0.01, 1e-10
+
+
+def symmetry_run(values):
+    """The final state of the n = 2 flow from values: identity metric, constant Omega and F."""
+    grid = TorusGrid(n=2, resolution=16)
+    cfg = FlowConfig(horizon=ORACLE_T, t_min=1e-3, ratio=1.5, newton_tol=NEWTON_TOL)
+    path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid, 1.3)
+    # F independent of z and s, so every map below carries the problem to itself
+    F = DrivingTerm.affine(constant=0.2)
+    return run(ScalarField(grid, values), path, F, omega, cfg).final().values
+
+
+@pytest.fixture(scope="module")
+def symmetric_base():
+    grid = TorusGrid(n=2, resolution=16)
+    assert grid_module.correction_dtype(grid) == np.float32
+    x1, y1, x2, y2 = (2 * np.pi * c for c in grid.coordinates())
+    # not of the form a(z1) + b(z2), so h12 is not zero
+    phi0 = (
+        0.01 * np.cos(x1 + x2)
+        + 0.006 * np.sin(y1 - 2 * y2)
+        + 0.005 * np.cos(x1 + y1 + y2)
+        + 0.004 * np.sin(2 * x1 - y2)
+    )
+    phi0 = np.ascontiguousarray(np.broadcast_to(phi0, grid.shape))
+    return phi0, symmetry_run(phi0)
+
+
+@pytest.mark.parametrize(
+    "symmetry",
+    [
+        lambda v: v.transpose(2, 3, 0, 1),  # (z1, z2) -> (z2, z1)
+        lambda v: np.roll(v, (3, 5), axis=(0, 3)),  # 3 grid points along x1, 5 along y2
+        lambda v: v + 0.7,  # H(phi + c) = H(phi), and F does not read s
+    ],
+    ids=["swap", "translate", "constant"],
+)
+def test_an_n2_flow_commutes_with_the_symmetries_of_its_problem(symmetric_base, symmetry):
+    phi0, final = symmetric_base
+    moved = symmetry_run(np.ascontiguousarray(symmetry(phi0)))
+    assert np.max(np.abs(moved - symmetry(final))) <= 2 * ORACLE_T * NEWTON_TOL
+
+
+def product_split_run(n, data, f, omega, backend):
+    """The final state of the flow from data(coordinates), F = f(coordinates) + s / 2."""
+    grid = TorusGrid(n=n, resolution=16)
+    coords = grid.coordinates()
+    F = DrivingTerm(
+        "split", lambda t, c, s: f(*c) + 0.5 * s, ds=lambda t, c, s: np.float64(0.5)
+    )
+    cfg = FlowConfig(
+        horizon=ORACLE_T, t_min=1e-3, ratio=1.5, newton_tol=NEWTON_TOL, backend=backend
+    )
+    phi0 = ScalarField(grid, np.ascontiguousarray(np.broadcast_to(data(*coords), grid.shape)))
+    path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid, omega)
+    return run(phi0, path, F, omega, cfg).final().values
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+def test_an_n2_flow_of_a_sum_over_the_two_factors_is_the_sum_of_two_n1_flows(backend):
+    # With data a(z1) + b(z2), F = f1(z1) + f2(z2) + s / 2, the identity
+    # metric and Omega = 1.5 * 1.0, h12 = 0 and log det splits into the two
+    # n = 1 equations, step by step: the n = 2 backward-Euler states are the
+    # sums of those of the two n = 1 flows on the same schedule.  Three runs,
+    # so three horizon * newton_tol distances.
+    tau = 2 * np.pi
+
+    def a(x, y):
+        return 0.01 * np.cos(tau * x) + 0.006 * np.sin(tau * (x - 2 * y))
+
+    def b(x, y):
+        return 0.008 * np.sin(tau * (2 * x + y)) + 0.005 * np.cos(tau * y)
+
+    def f1(x, y):
+        return 0.3 * np.cos(tau * y)
+
+    def f2(x, y):
+        return 0.2 * np.sin(tau * x)
+
+    whole = product_split_run(
+        2, lambda x1, y1, x2, y2: a(x1, y1) + b(x2, y2),
+        lambda x1, y1, x2, y2: f1(x1, y1) + f2(x2, y2), 1.5, backend,
+    )
+    first = product_split_run(1, a, f1, 1.5, backend)
+    second = product_split_run(1, b, f2, 1.0, backend)
+    parts = first[:, :, None, None] + second[None, None, :, :]
+    assert np.max(np.abs(whole - parts)) <= 3 * ORACLE_T * NEWTON_TOL
+
+
 def audited_run():
     grid, path, omega, cfg = make_problem(horizon=0.05, t_min=1e-3, ratio=1.3)
     x, y = grid.coordinates()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maflow.errors import ConfigError, NotKahlerError
+from maflow import psh
+from maflow.errors import ConfigError, NotKahlerError, RepairTooLargeError
 from maflow.geometry import cone_margin, identity_form, kahler_form
 from maflow.grid import ScalarField, TorusGrid, hessian_components, oscillation
 from maflow.psh import (
@@ -144,6 +145,25 @@ class TestMollification:
             RoughPotential.fourier_sum([(0.01, (1, 0), 0.0)]), sched, g
         )
         assert max(abs(s) for s in ladder.shifts) < 1e-10
+
+    def test_a_repair_beyond_its_allowance_is_refused(self, monkeypatch):
+        # the delta = 0.125 level lifted by 1.0 lies above the 0.25 level by
+        # about 1 - (drift(0.25) - drift(0.125)) = 0.953, more than the
+        # allowance 10 * drift(0.25) = 0.625 that a repair of the 0.25 level may take
+        # (the admissibility gate, smoothed at 4 / 32 = 0.125 too, keeps its
+        # margin, as a constant has no Hessian)
+        smooth = psh.gaussian_smooth
+
+        def lifted(values, grid, delta):
+            return smooth(values, grid, delta) + (1.0 if delta == 0.125 else 0.0)
+
+        monkeypatch.setattr(psh, "gaussian_smooth", lifted)
+        sched = RegularizationSchedule((0.25, 0.125))
+        with pytest.raises(RepairTooLargeError) as refused:
+            mollify_decreasing(RoughPotential.max_kink(), sched, TorusGrid(1, 32))
+        assert str(refused.value) == "monotonicity repair 9.659e-01 exceeds allowance 6.250e-01"
+        assert refused.value.allowance == 10.0 * drift(1, 0.25) == 0.625
+        assert refused.value.shift == pytest.approx(0.9659, abs=5e-5)
 
     def test_bulk_violation_is_rejected(self):
         g = TorusGrid(1, 64)
