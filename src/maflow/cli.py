@@ -42,7 +42,6 @@ from .flow import (
     audit_array_bytes,
     finite_horizon,
     peak_array_bytes,
-    reduction_rate,
     run,
     run_cascade,
     run_nef,
@@ -286,7 +285,12 @@ def resolve_mode(doc: dict, initial: RoughPotential) -> str:
 
 @dataclass
 class RunContext:
-    """Everything a check executor may need, built once per invocation."""
+    """Everything a check may take, built once per invocation.
+
+    Its properties are computed when a check reads them: phi0 and psi0 are
+    initial and initial_b sampled on grid, schedules is (schedule,
+    schedule_b), or None unless both are given.
+    """
 
     doc: dict
     grid: TorusGrid
@@ -306,69 +310,26 @@ class RunContext:
     params: dict = field(default_factory=dict)
     audit: TrajectoryAudit = None  # traj's audit, shared by one execute_checks call
 
+    @property
+    def phi0(self):
+        return self.initial.sample(self.grid)
 
-# Each executor hands the run's objects to its verify function and the
-# document's settings to that function's keyword-only parameters.  It calls
-# the function through the verify module, so a wrapper installed there sees it.
+    @property
+    def psi0(self):
+        return self.initial_b.sample(self.grid)
 
-
-def _chk_comparison(ctx: RunContext, **settings):
-    return [verify.check_comparison(ctx.traj, ctx.traj_b, ctx.path, ctx.F, ctx.omega, **settings)]
-
-
-def _chk_apriori(ctx: RunContext, **settings):
-    return verify.check_apriori_bounds(ctx.audit, **settings)
-
-
-def _chk_time_derivative(ctx: RunContext, **settings):
-    return verify.check_time_derivative(ctx.traj, **settings)
-
-
-def _chk_gradient_laplacian(ctx: RunContext, **settings):
-    return verify.check_gradient_laplacian(ctx.audit, **settings)
-
-
-def _chk_energy(ctx: RunContext, **settings):
-    return [verify.check_energy_monotonicity(ctx.audit, **settings)]
-
-
-def _chk_residual(ctx: RunContext, **settings):
-    return [verify.check_residual_certificate(ctx.audit, **settings)]
-
-
-def _chk_stability(ctx: RunContext, **settings):
-    phi0, psi0 = ctx.initial.sample(ctx.grid), ctx.initial_b.sample(ctx.grid)
-    return [verify.check_stability(phi0, psi0, ctx.path, ctx.F, ctx.omega, ctx.cfg, **settings)]
-
-
-def _chk_uniqueness(ctx: RunContext, **settings):
-    both = ctx.schedule is not None and ctx.schedule_b is not None
-    problem = (ctx.initial, ctx.path, ctx.F, ctx.omega, ctx.cfg)
-    schedules = (ctx.schedule, ctx.schedule_b) if both else None
-    return [verify.check_uniqueness(*problem, schedules, **settings)]
-
-
-def _chk_convergence(ctx: RunContext, **settings):
-    if settings.get("seed") is None:  # the run's seed; 0 leaves verify's default
-        settings = {**settings, "seed": ctx.seed or None}
-    problem = (ctx.cascade, ctx.initial, ctx.path, ctx.omega, ctx.audit)
-    return verify.check_convergence_modes(*problem, **settings)
-
-
-def _chk_transform(ctx: RunContext, **settings):
-    problem = (ctx.initial.sample(ctx.grid), ctx.path, ctx.F, ctx.omega, ctx.cfg)
-    return verify.check_transform_roundtrip(*problem, **settings)
-
-
-def _chk_trace_inequality(ctx: RunContext, **settings):
-    return [verify.check_trace_inequality(ctx.grid, ctx.seed, **settings)]
+    @property
+    def schedules(self):
+        both = self.schedule is not None and self.schedule_b is not None
+        return (self.schedule, self.schedule_b) if both else None
 
 
 @dataclass(frozen=True)
 class Check:
-    """One check: executor(ctx, **check_params) runs verify function fn.
+    """One check: verify function fn, called as fn(*args, **check_params).
 
-    fn is the function as imported; its keyword-only parameters are the
+    args names the RunContext fields and properties passed to fn's
+    positional parameters, in order; fn's keyword-only parameters are the
     check_params keys the check accepts, typed by their annotations.  needs
     names the RunContext objects it cannot run without, column the
     TrajectoryAudit column it reads from traj (convergence: the finest level),
@@ -376,32 +337,45 @@ class Check:
     """
 
     fn: object
-    executor: object
+    args: tuple
     needs: tuple = ()
     column: str = None
     archive: bool = False
 
 
 CHECK_TABLE = {
-    "comparison": Check(verify.check_comparison, _chk_comparison, ("traj", "traj_b"), archive=True),
-    "apriori-bounds": Check(verify.check_apriori_bounds, _chk_apriori, ("traj",), archive=True),
-    "time-derivative": Check(
-        verify.check_time_derivative, _chk_time_derivative, ("traj",), archive=True
+    "comparison": Check(
+        verify.check_comparison,
+        ("traj", "traj_b", "path", "F", "omega"),
+        ("traj", "traj_b"),
+        archive=True,
     ),
+    "apriori-bounds": Check(verify.check_apriori_bounds, ("audit",), ("traj",), archive=True),
+    "time-derivative": Check(verify.check_time_derivative, ("traj",), ("traj",), archive=True),
     "gradient-laplacian": Check(
-        verify.check_gradient_laplacian, _chk_gradient_laplacian, ("traj",), "sup-trace", True
+        verify.check_gradient_laplacian, ("audit",), ("traj",), "sup-trace", True
     ),
-    "energy": Check(verify.check_energy_monotonicity, _chk_energy, ("traj",), "energy", True),
+    "energy": Check(verify.check_energy_monotonicity, ("audit",), ("traj",), "energy", True),
     "residual-certificate": Check(
-        verify.check_residual_certificate, _chk_residual, ("traj",), "step_residual", True
+        verify.check_residual_certificate, ("audit",), ("traj",), "step_residual", True
     ),
-    "stability": Check(verify.check_stability, _chk_stability, ("initial_b",)),
-    "uniqueness": Check(verify.check_uniqueness, _chk_uniqueness),
+    "stability": Check(
+        verify.check_stability, ("phi0", "psi0", "path", "F", "omega", "cfg"), ("initial_b",)
+    ),
+    "uniqueness": Check(
+        verify.check_uniqueness, ("initial", "path", "F", "omega", "cfg", "schedules")
+    ),
     "convergence": Check(
-        verify.check_convergence_modes, _chk_convergence, ("cascade",), "energy", True
+        verify.check_convergence_modes,
+        ("cascade", "initial", "path", "omega", "audit", "seed"),
+        ("cascade",),
+        "energy",
+        True,
     ),
-    "transform-roundtrip": Check(verify.check_transform_roundtrip, _chk_transform),
-    "trace-inequality": Check(verify.check_trace_inequality, _chk_trace_inequality),
+    "transform-roundtrip": Check(
+        verify.check_transform_roundtrip, ("phi0", "path", "F", "omega", "cfg")
+    ),
+    "trace-inequality": Check(verify.check_trace_inequality, ("grid", "seed")),
 }
 
 ARCHIVE_CHECKS = tuple(name for name, check in CHECK_TABLE.items() if check.archive)
@@ -413,39 +387,40 @@ def _check_params(doc: dict) -> dict:
     for name, settings in params.items():
         if name not in CHECK_TABLE:
             raise ConfigError(f"check_params.{name} is no check; available: {sorted(CHECK_TABLE)}")
-        fn = CHECK_TABLE[name].fn
-        signature = inspect.signature(fn).parameters.values()
-        given = [p.name for p in signature if p.kind != p.KEYWORD_ONLY]  # the run supplies these
-        _typed(f"check_params.{name}", fn, settings, given)
+        check = CHECK_TABLE[name]
+        given = list(inspect.signature(check.fn).parameters)[: len(check.args)]  # args fills
+        _typed(f"check_params.{name}", check.fn, settings, given)
     return params
 
 
 def execute_checks(names, ctx: RunContext):
     """The reports of the named checks, run in order on ctx.
 
-    ctx.audit, traj's audit with the columns the named checks read, is
-    built when the first check that reads it (whose function takes a
-    TrajectoryAudit) runs, so the checks before it (the flows of
-    stability, say) run without its arrays.
+    Each check's function is called through the verify module, so a
+    wrapper installed there sees the call.  ctx.audit, traj's audit with
+    the columns the named checks read, is built when the first check that
+    takes it runs, so the checks before it (the flows of stability, say)
+    run without its arrays.
     """
     columns = [CHECK_TABLE[name].column for name in names if CHECK_TABLE[name].column]
     ctx.audit = None
     reports = []
     for name in names:
         check = CHECK_TABLE[name]
-        missing = [attr for attr in check.needs if getattr(ctx, attr) is None]
-        if missing:
-            raise ConfigError(f"check {name!r} needs {missing[0].replace('_', ' ')}")
-        if ctx.audit is None and ctx.traj is not None and _reads_audit(check.fn):
+        _refuse_unmet(name, lambda attr: getattr(ctx, attr) is not None)
+        if ctx.audit is None and ctx.traj is not None and "audit" in check.args:
             ctx.audit = TrajectoryAudit(ctx.traj, ctx.path, ctx.F, ctx.omega, columns)
-        reports.extend(check.executor(ctx, **ctx.params.get(name, {})))
+        fn = getattr(verify, check.fn.__name__)
+        out = fn(*(getattr(ctx, arg) for arg in check.args), **ctx.params.get(name, {}))
+        reports.extend(out if isinstance(out, list) else [out])
     return reports
 
 
-def _reads_audit(fn) -> bool:
-    """Whether verify function fn takes a TrajectoryAudit."""
-    signature = inspect.signature(fn, eval_str=True).parameters.values()
-    return any(p.annotation is TrajectoryAudit for p in signature)
+def _refuse_unmet(name: str, has):
+    """Refuse check name if has(attr) is false for a RunContext object it needs."""
+    missing = [attr for attr in CHECK_TABLE[name].needs if not has(attr)]
+    if missing:
+        raise ConfigError(f"check {name!r} needs {missing[0].replace('_', ' ')}")
 
 
 def print_reports(reports):
@@ -463,14 +438,28 @@ def print_reports(reports):
 # subcommand: run
 
 
-def _resolve_checks(doc: dict, names: list) -> list:
-    """names, refused before any flow runs if one is unknown or lacks what doc must give it."""
+# what each mode's run gives of the RunContext objects a check may need
+_MODE_GIVES = {"single": ("traj",), "cascade": ("traj", "cascade"), "nef": ("traj",), "audit": ()}
+
+
+def _resolve_checks(doc: dict, names: list, forced_mode: str = None) -> list:
+    """names, refused before any flow runs if one is unknown or lacks what doc must give it.
+
+    doc's initial_b gives the second datum and its run (the comparison
+    pair); the resolved mode's run gives the rest (`_MODE_GIVES`).
+    """
     unknown = [name for name in names if name not in CHECK_TABLE]
     if unknown:
         raise ConfigError(f"unknown check {unknown[0]!r}; available: {sorted(CHECK_TABLE)}")
-    for name in ("comparison", "stability"):
-        if name in names and not doc.get("initial_b"):
+    has_b = bool(doc.get("initial_b"))
+    for name, check in CHECK_TABLE.items():
+        if name in names and not has_b and {"traj_b", "psi0"} & set(check.args):
             raise ConfigError(f"check {name!r} needs an 'initial_b' datum")
+    initial = build_initial(_section(doc, "initial"), build_grid(doc).n)
+    given = _MODE_GIVES[forced_mode or resolve_mode(doc, initial)]
+    given += ("initial_b", "traj_b") if has_b else ()
+    for name in names:
+        _refuse_unmet(name, given.__contains__)
     return names
 
 
@@ -614,12 +603,8 @@ def _check_fields(doc: dict, cfg: FlowConfig, checks, stored: int) -> int:
         levels = (len(build_schedule(doc[k], k).deltas) for k in ("schedule", "schedule_b"))
         kept.append(sum(_cascade_fields(m, stored) for m in levels))
     if "transform-roundtrip" in checks:
-        settings, F, T = params.get("transform-roundtrip", {}), build_driving(doc), cfg.horizon
-        rates = []
-        if (F.defect or 0.0) > 0.0:
-            rates.append(reduction_rate(settings.get("reduction_rate"), T))
-        if F.time_bound is not None and settings.get("rescale_rate") is not None:
-            rates.append(settings["rescale_rate"])
+        T, settings = cfg.horizon, params.get("transform-roundtrip", {})
+        rates = verify.transform_rates(build_driving(doc), T, **settings).values()
         # as `check_transform_roundtrip` runs each transform with a finite horizon
         horizons = [_transformed_time(r, T) for r in rates if r != 0.0 and finite_horizon(r, T)]
         runs = [verify.transformed_config(cfg, h) for h in horizons]
@@ -655,7 +640,7 @@ def cmd_run(args, forced_mode: str = None) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed  # archived with the run, so verify replays the same draws
     out = Path(args.out) if args.out else Path(doc.get("out", "runs/latest"))
-    names = _resolve_checks(doc, list(args.check or doc.get("checks", [])))
+    names = _resolve_checks(doc, list(args.check or doc.get("checks", [])), forced_mode)
     _within_budget("the run", doc, array_estimate(doc, forced_mode, names))
 
     # everything goes to a staged directory that reaches out only if the run ends normally

@@ -37,6 +37,7 @@ from .flow import (
     instantaneous_residuals,
     monotone_reduction,
     ordering_gap,
+    reduction_rate as default_reduction_rate,
     residual_certificate,
     run,
     run_cascade,
@@ -755,6 +756,7 @@ def check_convergence_modes(
     path: MetricPath = None,
     omega_form: VolumeForm = None,
     audit: TrajectoryAudit = None,
+    run_seed: int = 0,
     *,
     time_ladder: list[float] | None = None,
     eps_cap: float | None = None,
@@ -770,8 +772,8 @@ def check_convergence_modes(
     admits it.  Each ladder must be decreasing over its tail (the later,
     smaller times), and the L1 mode must also land below l1_tol, default
     1e-2 times the oscillation.  The energy ladder reads audit, an audit of
-    the finest level (built here when not given).  seed (default 7) seeds
-    the capacity dictionaries.
+    the finest level (built here when not given).  seed, by default
+    run_seed or 7 when that is 0, seeds the capacity dictionaries.
     """
     traj = cascade.trajectories[-1]
     grid = traj.grid
@@ -835,7 +837,7 @@ def check_convergence_modes(
         if eps_cap is None:
             eps_cap = 0.05 * osc
         if seed is None:
-            seed = 7
+            seed = run_seed or 7
         caps = []
         for f in fields:
             mask = np.abs(f.values - base.values) > eps_cap
@@ -911,6 +913,20 @@ def transformed_config(cfg: FlowConfig, horizon: float) -> FlowConfig:
     return replace(cfg, horizon=horizon, t_min=min(cfg.t_min, 0.5 * horizon), probes=())
 
 
+def transform_rates(F: DrivingTerm, T: float, reduction_rate=None, rescale_rate=None) -> dict:
+    """The rate, by label, of each transform `check_transform_roundtrip` runs over [0, T].
+
+    The monotone reduction runs when F has a positive defect, the uniqueness
+    rescale when F declares a time bound and rescale_rate is given.
+    """
+    rates = {}
+    if F.defect is not None and F.defect > 0.0:
+        rates["reduction"] = default_reduction_rate(reduction_rate, T)
+    if F.time_bound is not None and rescale_rate is not None:
+        rates["rescale"] = rescale_rate
+    return rates
+
+
 def check_transform_roundtrip(
     phi0: ScalarField,
     path: MetricPath,
@@ -933,11 +949,9 @@ def check_transform_roundtrip(
     s_range = (float(vals.min()) - 1.0, float(vals.max()) + 1.0)
     budget = 10.0 * cfg.newton_tol
     reports = []
-    jobs = []
-    if F.defect is not None and F.defect > 0.0:
-        jobs.append(("reduction", monotone_reduction(F, path, B=reduction_rate, s_range=s_range)))
-    if F.time_bound is not None and rescale_rate is not None:
-        jobs.append(("rescale", uniqueness_rescale(F, path, rescale_rate, s_range=s_range)))
+    transforms = {"reduction": monotone_reduction, "rescale": uniqueness_rescale}
+    rates = transform_rates(F, path.horizon, reduction_rate, rescale_rate)
+    jobs = [(k, transforms[k](F, path, rate, s_range=s_range)) for k, rate in rates.items()]
     if not jobs:
         raise ConfigError(
             "no transform applies: need a positive defect or a rescale rate with a declared time bound"

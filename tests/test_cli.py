@@ -547,6 +547,30 @@ def test_bad_check_settings_exit_two_before_integrating(tmp_path, capsys, change
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "stem, changes, named",
+    [
+        # 07 resolves to a single flow, which holds no cascade
+        ("07-derivative-asymptotics", {"checks": ["convergence"]}, "'convergence' needs cascade"),
+        # an audit-mode run integrates nothing, so no check has a trajectory
+        ("04-comparison-pair", {"mode": "audit"}, "'comparison' needs traj"),
+    ],
+)
+def test_a_check_the_mode_cannot_feed_exits_two_before_any_flow(
+    tmp_path, capsys, monkeypatch, stem, changes, named
+):
+    from maflow import flow
+
+    doc = {**json.loads(scenario_path(stem).read_text()), **changes, "out": str(tmp_path / "out")}
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(doc))
+    runs = count_calls(monkeypatch, flow, "run")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert runs == []
+    assert list(tmp_path.iterdir()) == [cfg_path]  # neither the archive nor its stage
+
+
 def scenario_09_changed(tmp_path, changes):
     cfg_path = scenario_09_with(tmp_path, {})
     doc = json.loads(cfg_path.read_text())

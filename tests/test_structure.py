@@ -1,6 +1,7 @@
 """Module boundaries inside the package."""
 
 import ast
+import dataclasses
 import inspect
 import re
 import typing
@@ -10,6 +11,7 @@ import numpy as np
 
 import maflow
 from maflow import DrivingTerm, FlowConfig, MetricPath, ScalarField, TorusGrid, VolumeForm, cli, run
+from maflow.flow import TrajectoryAudit
 from maflow.psh import RegularizationSchedule
 
 # grid holds the one Hessian entry point and geometry the one form algebra;
@@ -357,3 +359,46 @@ def test_the_typing_check_sees_unannotated_and_foreign_types():
         pass
 
     assert untyped(probe, ("grid",)) == ["a", "c"]
+
+
+def row_faults(check) -> list:
+    """What a CHECK_TABLE row says wrongly about the verify function it calls.
+
+    Each name in args must be a RunContext field or property, args must fill
+    fn's positional parameters, and args must hold "audit" exactly when fn
+    takes a TrajectoryAudit.
+    """
+    ctx_names = {f.name for f in dataclasses.fields(cli.RunContext)}
+    ctx_names |= {k for k, v in vars(cli.RunContext).items() if isinstance(v, property)}
+    faults = [f"RunContext has no {name!r}" for name in check.args if name not in ctx_names]
+    params = inspect.signature(check.fn, eval_str=True).parameters.values()
+    positional = [p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    if len(check.args) != len(positional):
+        faults.append(f"{len(check.args)} args for {len(positional)} positional parameters")
+    if ("audit" in check.args) != any(p.annotation is TrajectoryAudit for p in params):
+        faults.append("'audit' in args unlike a TrajectoryAudit parameter")
+    return faults
+
+
+def test_every_check_row_names_what_its_function_takes():
+    assert {name: row_faults(check) for name, check in cli.CHECK_TABLE.items()} == dict.fromkeys(
+        cli.CHECK_TABLE, []
+    )
+
+
+def test_the_row_check_sees_a_planted_bad_row():
+    energy = cli.CHECK_TABLE["energy"]  # verify.check_energy_monotonicity(audit, *, slack)
+    assert row_faults(dataclasses.replace(energy, args=("traj",))) == [
+        "'audit' in args unlike a TrajectoryAudit parameter"
+    ]
+    assert row_faults(dataclasses.replace(energy, args=("audit", "seed"))) == [
+        "2 args for 1 positional parameters"
+    ]
+    assert row_faults(dataclasses.replace(energy, args=("audits",))) == [
+        "RunContext has no 'audits'",
+        "'audit' in args unlike a TrajectoryAudit parameter",
+    ]
+    trace = cli.CHECK_TABLE["trace-inequality"]  # check_trace_inequality(grid, seed, *, ...)
+    assert row_faults(dataclasses.replace(trace, args=("grid", "audit"))) == [
+        "'audit' in args unlike a TrajectoryAudit parameter"
+    ]

@@ -33,13 +33,15 @@ from maflow import (
     run_cascade,
     write_reports,
 )
-from maflow import verify
+from maflow import cli, verify
+from maflow import grid as grid_module
 from maflow.flow import (
     TrajectoryAudit,
     instantaneous_residuals,
     residual_certificate,
     trajectory_from_family,
 )
+from maflow.scenarios import scenario_path
 from maflow.verify import (
     CSV_HEADER,
     _tail_margin,
@@ -607,3 +609,80 @@ def test_trajectory_series_quantities(grid8):
         trajectory_series(traj, "volume")
     with pytest.raises(ConfigError, match="needs the metric path"):
         trajectory_series(traj, "energy")
+
+
+# -- the scenario checks on rough n = 2 data -----------------------------------------------------
+#
+# Every rough start among the bundled scenarios is n = 1, where the
+# Monge-Ampere operator is a Laplacian.  These run 07's paraboloid corner
+# (curvature 0.999, so the cone constraint is nearly active) and 06's kink
+# with only the grid made n = 2, along the path `maflow run` takes.
+
+
+def rough_n2_doc(stem, resolution, **flow):
+    """Bundled scenario stem on the n = 2 grid of the given resolution, flow settings updated."""
+    doc = json.loads(scenario_path(stem).read_text())
+    doc["grid"] = {"n": 2, "resolution": resolution}
+    doc["flow"].update(flow)
+    return doc
+
+
+def rough_n2_run(doc, checks):
+    """(ctx, reports) of the document's run and the named checks."""
+    _, ctx, reports = cli.integrate_scenario(doc)
+    return ctx, reports + cli.execute_checks(checks, ctx)
+
+
+def test_the_paraboloid_corner_passes_its_checks_at_n2():
+    doc = rough_n2_doc("07-derivative-asymptotics", 8)
+    _, reports = rough_n2_run(doc, doc["checks"])
+    assert {r.name: r.passed for r in reports} == dict.fromkeys(
+        [
+            "derivative-upper",
+            "derivative-lower",
+            "gradient-bound",
+            "laplacian-bound",
+            "apriori-upper",
+            "apriori-lower",
+            "residual-certificate",
+        ],
+        True,
+    )
+    # min_z phidot grows like n log t: its fitted log slope clears 0.9 n = 1.8,
+    # by far more than the fit's rounding, and not through the bounded clause
+    lower = next(r for r in reports if r.name == "derivative-lower")
+    assert lower.details["clause"] == "slope" and lower.margin > 1e-3
+
+
+@pytest.mark.parametrize("resolution", [8, 16])  # 16^4 solves its corrections in float32
+def test_the_kink_passes_its_checks_at_n2(resolution):
+    doc = rough_n2_doc("06-kink-smoothing", resolution)
+    _, reports = rough_n2_run(doc, doc["checks"])
+    assert {r.name: r.passed for r in reports} == dict.fromkeys(
+        ["gradient-bound", "laplacian-bound", "apriori-upper", "apriori-lower"], True
+    )
+
+
+def test_a_float32_correction_keeps_the_float64_states_of_the_paraboloid_corner(monkeypatch):
+    # Up to t = 0.0125 the corner's cone margin falls to about 0.008, the
+    # nearest to degenerate a float32 BiCGSTAB solve meets in any test.  Each
+    # run's state lies within horizon * newton_tol of the exact backward-Euler
+    # state on their shared schedule (the derivation above the n = 2 symmetry
+    # tests in test_flow.py, which assumes the step operator keeps the maximum
+    # principle), so the two runs' states lie within twice that.
+    doc = rough_n2_doc("07-derivative-asymptotics", 16, horizon=0.0125, probes=[0.0125])
+    checks = ["apriori-bounds", "residual-certificate"]  # the Laplacian fit needs a longer run
+    grid, cfg = cli.build_grid(doc), cli.build_flow_config(doc)
+    assert grid_module.correction_dtype(grid) == np.float32
+    single, reports = rough_n2_run(doc, checks)
+    monkeypatch.setattr(grid_module, "SINGLE_PRECISION_RESOLUTION", 32)
+    assert grid_module.correction_dtype(grid) == np.float64
+    double, reports_64 = rough_n2_run(doc, checks)
+    for run_reports in (reports, reports_64):
+        assert {r.name: r.passed for r in run_reports} == dict.fromkeys(
+            ["apriori-upper", "apriori-lower", "residual-certificate"], True
+        )
+    assert np.array_equal(single.traj.times, double.traj.times)
+    bound = 2 * cfg.horizon * cfg.newton_tol
+    for f, g in zip(single.traj.fields, double.traj.fields, strict=True):
+        assert np.max(np.abs(f.values - g.values)) <= bound
