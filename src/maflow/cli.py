@@ -742,6 +742,20 @@ def _load_any(directory, manifest: dict = None):
     return archive_io.load_trajectory(directory, manifest), None
 
 
+def _flow_config(traj, directory) -> FlowConfig:
+    """The flow config of an archive's trajectory, which the metric's horizon comes from.
+
+    An archive of a trajectory no flow integrated (`io.save_trajectory` of
+    a `flow.trajectory_from_family` one) has none, and is refused.
+    """
+    if traj.config is None:
+        raise ConfigError(
+            f"{directory} has a run_config but no flow_config: its trajectory was not "
+            "integrated by a flow, so its metric path cannot be rebuilt"
+        )
+    return traj.config
+
+
 def cmd_verify(args) -> int:
     if len(args.archives) > 2:
         raise ConfigError("verify takes one archive, or two for comparison")
@@ -753,7 +767,8 @@ def cmd_verify(args) -> int:
         )
     _within_budget(f"the replay of {args.archives[0]}", doc, replay_estimate(doc, manifest))
     traj, cascade = _load_any(args.archives[0], manifest)
-    ctx = _context(doc, traj.grid, traj.config, args.seed, traj=traj, cascade=cascade)
+    cfg = _flow_config(traj, args.archives[0])
+    ctx = _context(doc, traj.grid, cfg, args.seed, traj=traj, cascade=cascade)
     pair = Path(args.archives[0]) / "pair"
     if len(args.archives) == 2:
         ctx.traj_b = _load_any(args.archives[1])[0]
@@ -796,7 +811,7 @@ def cmd_series(args) -> int:
     doc = manifest.get("run_config")
     if isinstance(doc, dict):
         omega = build_volume(doc, traj.grid)
-        path = build_metric(doc, traj.grid, traj.config.horizon)
+        path = build_metric(doc, traj.grid, _flow_config(traj, args.archive).horizon)
     rows = verify.trajectory_series(traj, args.quantity, path=path, omega_form=omega)
     if args.out:
         out = Path(args.out)

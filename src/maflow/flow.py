@@ -30,7 +30,7 @@ derivatives and geometry's form algebra.  The Newton correction is solved
 in a `_Correction` in the correction's precision: in float64 at n = 2 in
 arrays of its own, and otherwise in part or whole in views of workspace
 arrays that its solve leaves idle.  Each `run` holds one workspace for its
-whole length and owns four state arrays, laid out once, which its steps
+whole length and owns three state arrays, laid out once, which its steps
 take turns writing, so after that no array is new but the values of a
 driving term that makes its own (an affine term writes into the
 workspace), at n = 1 and n = 2 alike.  A stored snapshot goes to the run's
@@ -423,10 +423,13 @@ def _l2(a: np.ndarray) -> float:
 # and a complex h12 four; a complex64 or float64 array takes two, so at
 # n = 1 each fills its lender.
 _ARRAYS = (
-    # a run's four states: a step's start and the newer state of its history,
-    # which it reads, and the two it may write (`run` picks them)
+    # a run's three states: a step's start and the newer state of its
+    # history, which it reads, and the one it writes (`run` picks it), which
+    # may be the oldest state of its history: the guess is written over it
+    # and the line search updates the iterate there in place, so a damped
+    # step may move by rounding (`_advance`)
     ("s0", "state", "real", None), ("s1", "state", "real", None),
-    ("s2", "state", "real", None), ("s3", "state", "real", None),
+    ("s2", "state", "real", None),
     # the workspace: h, w, det w (n = 2 only; at n = 1 it is w), rhs, R, its
     # own scratch and the array an n = 1 Hessian transforms into
     ("h11", "ws", "real", None), ("h22", "ws", "real", 2), ("h12", "ws", "complex", 2),
@@ -893,19 +896,22 @@ def _extrapolate(states, t, out, scratch):
     """The polynomial through the accepted states (t_j, u_j), newest last, at t, into out.
 
     The weights sum to one, so it is written as the newest values plus
-    weighted differences from them; scratch holds each difference.
+    weighted differences from them; scratch holds each difference.  The
+    oldest state's is formed before the newest values are copied into
+    out, so out may be the oldest state's array.
     """
     weights = _lagrange_weights([s for s, _ in states], t)
     newest = states[-1][1]
-    np.copyto(out, newest)
-    for weight, (_, vals) in zip(weights, states[:-1]):
+    for j, (weight, (_, vals)) in enumerate(zip(weights, states[:-1])):
         diff = np.subtract(vals, newest, out=scratch)
         diff *= weight
+        if j == 0:
+            np.copyto(out, newest)
         out += diff
     return out
 
 
-def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, states, history=()):
+def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, state, history=()):
     """One backward-Euler step; returns (values, phidot_values, diagnostics).
 
     history holds the accepted states (t, values) before (t_from,
@@ -917,18 +923,23 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, states, 
     Newton starts from prev_vals.  The diagnostics' start names which
     ("extrapolated", "fallback" or "previous").
 
-    states is the two grid-shaped float64 arrays the step may write, the
-    caller's: the guess is written into the first through ws.tmp[0], so
-    the second may be the oldest state of history, and the Newton iterate
-    and the line search's trial take turns in them.  ws is the run's
-    workspace (`_Workspace`).  On entry its h must be H(prev_vals) when
-    history is empty and is free otherwise; on return h = H(values), the
-    next step's warm start.  values is the accepted iterate, one of states
-    (prev_vals itself after 0 iterations), and phidot_values is ws.rhs,
-    valid until ws next evaluates a state, so a call copies nothing out
-    and allocates no grid-sized array.  log_om is log Omega.  Each
-    correction is solved in ws.correction (`_Correction`), in its dtype;
-    the residual, the cone tests and the iterates stay float64.
+    state is the one grid-shaped float64 array the step may write, the
+    caller's; it may be the oldest state of history, as the guess is
+    written over it (`_extrapolate`).  Newton's first trial from prev_vals
+    is written into state; once the iterate is state, the line search
+    updates it in place (u -= correction), and a rejected trial adds the
+    correction back and halves it in place.  That is the arithmetic of u -
+    lam correction but for a damped trial, which may move by rounding, as
+    adding the correction back may not restore the iterate bit for bit.
+    ws is the run's workspace (`_Workspace`).  On entry its h must be
+    H(prev_vals) when history is empty and is free otherwise; on return h
+    = H(values), the next step's warm start.  values is the accepted
+    iterate, state (prev_vals itself after 0 iterations from it), and
+    phidot_values is ws.rhs, valid until ws next evaluates a state, so a
+    call copies nothing out and allocates no grid-sized array.  log_om is
+    log Omega.  Each correction is solved in ws.correction (`_Correction`),
+    in its dtype; the residual, the cone tests and the iterates stay
+    float64.
     """
     grid = path.grid
     dt = t_to - t_from
@@ -937,7 +948,7 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, states, 
     theta = path.theta(t_to)
     u, start = prev_vals, "previous"
     if history:
-        u = _extrapolate((*history, (t_from, prev_vals)), t_to, states[0], ws.tmp[0])
+        u = _extrapolate((*history, (t_from, prev_vals)), t_to, state, ws.tmp[0])
         ws.hessian(u)
         start = "extrapolated"
     margin = ws.margin(theta)
@@ -984,11 +995,14 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, states, 
         linear_total += lin_iters
         linear_worst = max(linear_worst, lin_res)
         linear_converged = linear_converged and lin_ok
-        trial = states[1] if u is states[0] else states[0]
+        in_place = u is state
         lam = 1.0
         while True:
-            np.subtract(u, np.multiply(correction, lam, out=trial), out=trial)
-            ws.hessian(trial)
+            if in_place:
+                u -= correction
+            else:
+                np.subtract(u, np.multiply(correction, lam, out=state), out=state)
+            ws.hessian(state)
             t_margin = ws.margin(theta)
             if t_margin > 0.0:
                 break
@@ -1000,8 +1014,11 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, states, 
                     ws.w,
                     grid,
                 )
+            if in_place:
+                u += correction
+                correction *= 0.5
         damping_min = min(damping_min, lam)
-        u, margin = trial, t_margin
+        u, margin = state, t_margin
         iters += 1
     diag = {
         "t": float(t_to),
@@ -1067,8 +1084,8 @@ def stored_steps(cfg: FlowConfig, times=None) -> np.ndarray:
 
 # The most bytes of arrays `maflow run` or `maflow verify` lets one document
 # hold at once, as `peak_array_bytes` estimates them.  A 32^4 n = 2 run holds
-# about 143 MB; a 64^4 one would hold about 2.3 GB, and a 128^4 one about
-# 37 GB.
+# about 134 MB; a 64^4 one would hold about 2.1 GB, 64 KiB over the budget,
+# and a 128^4 one about 34 GB.
 ARRAY_BUDGET = 2 * 2**30
 # Grid fields a run holds beside its states, workspace and correction: phi0.
 RUN_FIELDS = 1
@@ -1136,13 +1153,15 @@ def run(
     starts from its last state too, and extrapolation resumes once a step
     needs more.
 
-    The run owns its states, four arrays declared in `_ARRAYS` and laid
+    The run owns its states, three arrays declared in `_ARRAYS` and laid
     out once, after the workspace: the first a copy of phi0's values, the
-    start of the first step.  Each step is given the two that neither its
-    start nor the newer state of its history is, the one leaving the
-    history last, as the extrapolated guess is written into the first
-    (`_advance`); a step of 0 Newton iterations returns its start.  So a
-    run allocates no state-sized array after it lays them out.  phi0's
+    start of the first step.  Each step is given the first that neither
+    its start nor the newer state of its history is: from the third step
+    on, the oldest state of its history, which the extrapolated guess is
+    written over.  The step updates its Newton iterate there in place, so
+    a damped step may move by rounding (`_advance`); a step of 0 Newton
+    iterations from its start returns it.  So a run allocates no
+    state-sized array after it lays them out.  phi0's
     values themselves are only read, and go to store as snapshot 0.  Each
     later stored snapshot goes to store (by default one in memory) when its
     step is accepted, as the run's own arrays, so no workspace array
@@ -1184,14 +1203,12 @@ def run(
     history = []  # the accepted states before vals, oldest first
     extrapolate = False
     for k in range(1, len(times)):
-        # the step writes two states that nothing reads after it: neither
-        # vals nor the newer history state, and the oldest, which the guess
-        # is extrapolated from, second
+        # the step writes a state that nothing reads after it: neither vals
+        # nor the newer history state
         kept = (vals, *(s for _, s in history[-1:]))
-        free = [s for s in states if all(s is not a for a in kept)]
-        free.sort(key=lambda s: any(s is a for _, a in history))
+        state = next(s for s in states if all(s is not a for a in kept))
         new_vals, phidot_vals, diag = _advance(
-            vals, times[k - 1], times[k], path, F, log_om, cfg, coords, ws, free[:2],
+            vals, times[k - 1], times[k], path, F, log_om, cfg, coords, ws, state,
             history if extrapolate else (),
         )
         history = [*history[-1:], (times[k - 1], vals)]

@@ -361,7 +361,8 @@ def check_time_derivative(
 
     Upper: the smallest C_up with t phidot_t(z) <= -phi_eps(z) + C_up over
     t in [eps, T].  Existence check: margin 0, constant reported.  eps
-    defaults to `default_eps` at the run's t_min.
+    defaults to `default_eps` at the run's t_min, so a trajectory with no
+    flow config (`flow.trajectory_from_family`) needs it given.
 
     Lower: least-squares fit of min_z phidot_t against log t.  Passes iff
     the fitted slope >= slope_floor * n, or the series has total variation
@@ -373,6 +374,8 @@ def check_time_derivative(
     if len(traj.times) < 2:
         raise ConfigError("time-derivative checks need at least two snapshots")
     if eps is None:
+        if traj.config is None:
+            raise ConfigError("time-derivative checks need eps on a trajectory with no flow config")
         eps = default_eps(traj, traj.config.t_min)
     first_pos = float(traj.times[1]) if traj.times[0] == 0.0 else float(traj.times[0])
     if eps < first_pos * (1.0 - 1e-12):

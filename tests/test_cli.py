@@ -803,6 +803,25 @@ def test_verify_names_an_audit_mode_archive(tmp_path, capsys):
     assert "manifest.json" not in err
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["series", "osc"]])
+def test_an_archive_without_a_flow_config_is_refused_by_name(tmp_path, capsys, argv):
+    # io.save_trajectory of an analytic family writes a run_config and no flow_config
+    from maflow import ScalarField, TorusGrid
+    from maflow.flow import trajectory_from_family
+
+    grid = TorusGrid(n=1, resolution=16)
+    x, y = grid.coordinates()
+    mode = np.cos(2 * np.pi * x) * np.ones_like(y)
+    traj = trajectory_from_family(
+        grid, [0.0, 0.01, 0.02], lambda t: ScalarField(grid, 0.01 * (1 + t) * mode)
+    )
+    out = tmp_path / "family"
+    save_trajectory(out, traj, run_config=base_doc(out))
+    assert json.loads((out / "manifest.json").read_text())["flow_config"] is None
+    assert cli.main([argv[0], str(out), *argv[1:]]) == 2
+    assert "no flow_config" in capsys.readouterr().err
+
+
 def test_verify_parses_a_cascade_manifest_once(tmp_path, monkeypatch):
     from maflow import io as archive_io
 

@@ -443,15 +443,15 @@ def test_inadmissible_initial_data_is_refused():
 def advance(phi, t_from, t_to, path, F, omega, cfg, history=()):
     """One backward-Euler step from phi after the accepted states history.
 
-    It runs on a new workspace warm-started by H(phi), writes two new
-    states, and returns the new values and the step's diagnostics.
+    It runs on a new workspace warm-started by H(phi), writes a new state,
+    and returns the new values and the step's diagnostics.
     """
     ws = flow._Workspace(phi.grid, cfg.backend)
     ws.hessian(phi.values)
     coords = phi.grid.coordinates()
-    states = (np.empty(phi.grid.shape), np.empty(phi.grid.shape))
     vals, _, diag = flow._advance(
-        phi.values, t_from, t_to, path, F, omega.log(), cfg, coords, ws, states, history
+        phi.values, t_from, t_to, path, F, omega.log(), cfg, coords, ws,
+        np.empty(phi.grid.shape), history,
     )
     return vals, diag
 
@@ -472,7 +472,7 @@ def test_exhausted_damping_names_the_worst_point(monkeypatch):
     # a Newton direction 1e9 cos(2 pi x) (the negated correction) so large
     # that every damped trial leaves the cone, worst at x = 0
     correction = -1e9 * np.cos(2 * np.pi * x) * np.ones_like(y)
-    correction.flags.writeable = False  # the line search only reads the direction
+    correction.flags.writeable = False  # a line search from phi0 only reads the direction
     monkeypatch.setattr(flow, "_bicgstab", lambda *a, **k: (correction, 1, 0.0, True))
     phi0 = ScalarField(grid, 0.02 * np.sin(2 * np.pi * y) * np.ones_like(x))
     with pytest.raises(ConeExitError) as info:
@@ -577,6 +577,49 @@ def test_extrapolation_reproduces_quadratics_on_the_schedule(probe):
         np.testing.assert_allclose(got, a + times[k] * b, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("older", [1, 2])
+def test_extrapolation_may_write_over_its_oldest_state(older):
+    # the line (one state before the newest) and the quadratic (two)
+    grid = TorusGrid(n=1, resolution=8)
+    x, y = grid.coordinates()
+    times = schedule_times(FlowConfig(horizon=0.1, t_min=1e-3, ratio=1.3))[3 : 3 + older + 2]
+    states = [
+        (s, np.cos(2 * np.pi * (x + s)) * np.sin(2 * np.pi * y) + s * x * y) for s in times[:-1]
+    ]
+    scratch = np.empty(grid.shape)
+    want = flow._extrapolate(states, times[-1], np.empty(grid.shape), scratch)
+    oldest = states[0][1]
+    got = flow._extrapolate(states, times[-1], oldest, scratch)
+    assert got is oldest
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_rejected_trial_on_the_iterate_in_place_halves_the_correction(monkeypatch):
+    grid, path, omega, cfg = make_problem(resolution=16, newton_tol=5.0)
+    # the linear guess 2 (-0.08) - (-0.21) = 0.05 (cos 2 pi x) lies inside the
+    # cone, so Newton starts from it, its iterate the state the step writes
+    prev = ScalarField(grid, cos_potential(grid, -0.08))
+    history = ((0.0, cos_potential(grid, -0.21)),)
+    guess = flow._extrapolate((*history, (0.01, prev.values)), 0.02, np.empty(grid.shape),
+                              np.empty(grid.shape))
+    # a correction twice guess - prev: the full step, near -0.21 cos, leaves
+    # the cone (0.21 pi^2 > 1); the half step lands near prev, residual about
+    # |log(1 - 0.08 pi^2)| = 1.6 against 13 at the guess, below newton_tol
+    correction = 2.0 * (guess - prev.values)
+    halved = 0.5 * correction
+    monkeypatch.setattr(flow, "_bicgstab", lambda *a, **k: (correction, 1, 0.0, True))
+    vals, diag = advance(prev, 0.01, 0.02, path, DrivingTerm.zero(), omega, cfg, history)
+    assert diag["start"] == "extrapolated" and diag["newton_iters"] == 1
+    assert diag["damping"] == 0.5
+    # the correction is halved in place, exactly
+    assert np.array_equal(correction, halved)
+    # the iterate went guess -> fl(guess - c) -> fl(. + c) -> fl(. - c/2):
+    # three roundings, and one more in the reference guess - c/2, each of a
+    # value below |guess| + |c| (to first order) by at most eps/2 of it
+    bound = 2 * np.finfo(np.float64).eps * (np.abs(guess) + 2 * np.abs(halved))
+    assert np.all(np.abs(vals - (guess - halved)) <= bound)
+
+
 def warm_problem(n, resolution, backend):
     """A smooth datum's values, a run's config, path and volume, and F = 0 on a grid.
 
@@ -595,10 +638,10 @@ def warm_step_peak(n, resolution, backend):
     """(peak, kept) of the 10th backward-Euler step called directly, in grid fields.
 
     The steps run on one workspace with the run's history, each writing the
-    two of four states that are neither its start nor the newer history
-    state, the older one second, as `run` gives them.  Below half a field,
-    a peak is numpy's casting buffers (at most 8192 elements each), not an
-    array.
+    first of three states that is neither its start nor the newer history
+    state, as `run` gives it: from the third step on the oldest history
+    state, which the guess is written over.  Below half a field, a peak is
+    numpy's casting buffers (at most 8192 elements each), not an array.
     """
     vals, cfg, path, omega, F = warm_problem(n, resolution, backend)
     grid, log_om = path.grid, omega.log()
@@ -606,20 +649,19 @@ def warm_step_peak(n, resolution, backend):
     ws = flow._Workspace(grid, backend)
     ws.hessian(vals)
     times = schedule_times(cfg)
-    states = [vals, *(np.empty(grid.shape) for _ in range(3))]
+    states = [vals, *(np.empty(grid.shape) for _ in range(2))]
     history = []
 
     def step(k):
         kept = (vals, *(a for _, a in history[-1:]))
-        free = [s for s in states if all(s is not a for a in kept)]
-        free.sort(key=lambda s: any(s is a for _, a in history))
+        state = next(s for s in states if all(s is not a for a in kept))
         return flow._advance(vals, times[k - 1], times[k], path, F, log_om, cfg, c, ws,
-                             free[:2], history)
+                             state, history)
 
     for k in range(1, 10):
         new = step(k)[0]
         history, vals = [*history[-1:], (times[k - 1], vals)], new
-    read_after = (history[-1][1], vals)
+    read_after, oldest = (history[-1][1], vals), history[0][1]
     before = [a.copy() for a in read_after]
     tracemalloc.start()
     try:
@@ -628,9 +670,9 @@ def warm_step_peak(n, resolution, backend):
     finally:
         tracemalloc.stop()
     assert out[2]["start"] == "extrapolated" and out[2]["newton_iters"] > 1
-    # the step wrote only the states it was given, and returns one of them
+    # the step wrote only the state it was given, the oldest of its history, and returns it
     assert all(np.array_equal(a, b) for a, b in zip(read_after, before))
-    assert any(out[0] is s for s in states) and all(out[0] is not a for a in read_after)
+    assert out[0] is oldest
     return peak / vals.nbytes, kept / vals.nbytes
 
 
@@ -704,13 +746,13 @@ def traced_run_steps(monkeypatch, n, resolution, backend, first):
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
 @pytest.mark.parametrize("n, resolution", [(1, 64), (2, 8)])
 def test_a_warm_step_in_a_run_allocates_no_state(monkeypatch, n, resolution, backend):
-    # each step writes two of the four states the run laid out
+    # each step writes one of the three states the run laid out
     for peak, kept in traced_run_steps(monkeypatch, n, resolution, backend, 10):
         assert peak < 0.5 and kept < 0.1
 
 
 def test_a_16_4_run_allocates_no_state_after_its_third_step(monkeypatch):
-    # the run lays its four states out before its first step, so from step 2
+    # the run lays its three states out before its first step, so from step 2
     # on (the first with a history) no step makes one
     steps = traced_run_steps(monkeypatch, 2, 16, "spectral", 2)
     assert max(peak for peak, _ in steps) < 0.5
@@ -765,9 +807,9 @@ def stepped_workspace(n, resolution, backend, dtype):
     ws = flow._Workspace(grid, backend)
     ws.hessian(phi)
     assert "correction" not in vars(ws)
-    states = (phi, np.empty(grid.shape), np.empty(grid.shape))
+    states = (phi, np.empty(grid.shape))
     diag = flow._advance(phi, 0.0, 1e-3, path, DrivingTerm.affine(slope=0.5), omega.log(),
-                         cfg, c, ws, states[1:])[2]
+                         cfg, c, ws, states[1])[2]
     assert diag["newton_iters"] > 0
     correction = arrays_in(vars(ws.correction).values())
     complex_dtype = np.result_type(dtype, np.complex64)

@@ -247,6 +247,16 @@ def test_derivative_eps_gating(grid8):
     assert exc.value.pairs == [(0.3, 0.3)]
 
 
+def test_derivative_default_eps_needs_a_flow_config(grid8):
+    # an analytic family has no flow config, so no t_min to place eps by
+    times = np.array([0.0, 0.1, 0.2, 0.4])
+    traj = const_family(grid8, times, lambda t: 0.0, phidot_fn=lambda t: 1.0)
+    assert traj.config is None
+    with pytest.raises(ConfigError, match="no flow config"):
+        check_time_derivative(traj)
+    assert check_time_derivative(traj, eps=0.1)[0].passed
+
+
 # -- snapshot reads ----------------------------------------------------------------------
 
 
