@@ -69,6 +69,7 @@ from .errors import (
     ConeExitError,
     ConfigError,
     HorizonTooLongError,
+    MissingSnapshotsError,
     MonotonicityError,
     NewtonDivergedError,
     NotKahlerError,
@@ -375,7 +376,7 @@ class FlowTrajectory:
     def index_of(self, t: float, tol: float = 1e-9) -> int:
         hits = np.nonzero(np.abs(self.times - t) <= tol * max(1.0, abs(t)))[0]
         if hits.size == 0:
-            raise KeyError(f"no stored snapshot at t = {t}")
+            raise MissingSnapshotsError(f"no stored snapshot at t = {t}", pairs=[(t, t)])
         return int(hits[0])
 
     def field_at(self, t: float) -> ScalarField:
@@ -424,10 +425,10 @@ def _l2(a: np.ndarray) -> float:
 # n = 1 each fills its lender.
 _ARRAYS = (
     # a run's three states: a step's start and the newer state of its
-    # history, which it reads, and the one it writes (`run` picks it), which
-    # may be the oldest state of its history: the guess is written over it
-    # and the line search updates the iterate there in place, so a damped
-    # step may move by rounding (`_advance`)
+    # history, which it reads, and the one it writes (step k's is s{k % 3}),
+    # which may be the oldest state of its history: the guess is written
+    # over it and the line search updates the iterate there in place, so a
+    # damped step may move by rounding (`_advance`)
     ("s0", "state", "real", None), ("s1", "state", "real", None),
     ("s2", "state", "real", None),
     # the workspace: h, w, det w (n = 2 only; at n = 1 it is w), rhs, R, its
@@ -925,40 +926,40 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, state, h
 
     state is the one grid-shaped float64 array the step may write, the
     caller's; it may be the oldest state of history, as the guess is
-    written over it (`_extrapolate`).  Newton's first trial from prev_vals
-    is written into state; once the iterate is state, the line search
-    updates it in place (u -= correction), and a rejected trial adds the
-    correction back and halves it in place.  That is the arithmetic of u -
-    lam correction but for a damped trial, which may move by rounding, as
+    written over it (`_extrapolate`).  Newton's iterate is state from its
+    start: the guess, or a copy of prev_vals.  The line search updates it
+    in place (u -= correction), and a rejected trial adds the correction
+    back and halves it in place.  That is the arithmetic of u - lam
+    correction but for a damped trial, which may move by rounding, as
     adding the correction back may not restore the iterate bit for bit.
     ws is the run's workspace (`_Workspace`).  On entry its h must be
     H(prev_vals) when history is empty and is free otherwise; on return h
     = H(values), the next step's warm start.  values is the accepted
-    iterate, state (prev_vals itself after 0 iterations from it), and
-    phidot_values is ws.rhs, valid until ws next evaluates a state, so a
-    call copies nothing out and allocates no grid-sized array.  log_om is
-    log Omega.  Each correction is solved in ws.correction (`_Correction`),
-    in its dtype; the residual, the cone tests and the iterates stay
-    float64.
+    iterate, always state, and phidot_values is ws.rhs, valid until ws
+    next evaluates a state, so a call copies nothing out and allocates no
+    grid-sized array.  log_om is log Omega.  Each correction is solved in
+    ws.correction (`_Correction`), in its dtype; the residual, the cone
+    tests and the iterates stay float64.
     """
     grid = path.grid
     dt = t_to - t_from
     if dt <= 0:
         raise ConfigError("time step must move forward")
     theta = path.theta(t_to)
-    u, start = prev_vals, "previous"
+    u, start = state, "previous"
     if history:
-        u = _extrapolate((*history, (t_from, prev_vals)), t_to, state, ws.tmp[0])
+        _extrapolate((*history, (t_from, prev_vals)), t_to, state, ws.tmp[0])
         ws.hessian(u)
         start = "extrapolated"
     margin = ws.margin(theta)
     if margin <= 0.0 and start == "extrapolated":
-        u, start = prev_vals, "fallback"
-        ws.hessian(u)
+        start = "fallback"
+        ws.hessian(prev_vals)
         margin = ws.margin(theta)
     if margin <= 0.0:
         raise _cone_exit(f"warm start leaves the positivity cone at t = {t_to:.6g}", ws.w, grid)
-    residual = math.inf
+    if start != "extrapolated":
+        np.copyto(state, prev_vals)
     damping_min = 1.0
     linear_total = 0
     linear_worst = 0.0
@@ -995,14 +996,10 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, state, h
         linear_total += lin_iters
         linear_worst = max(linear_worst, lin_res)
         linear_converged = linear_converged and lin_ok
-        in_place = u is state
         lam = 1.0
         while True:
-            if in_place:
-                u -= correction
-            else:
-                np.subtract(u, np.multiply(correction, lam, out=state), out=state)
-            ws.hessian(state)
+            u -= correction
+            ws.hessian(u)
             t_margin = ws.margin(theta)
             if t_margin > 0.0:
                 break
@@ -1014,11 +1011,10 @@ def _advance(prev_vals, t_from, t_to, path, F, log_om, cfg, coords, ws, state, h
                     ws.w,
                     grid,
                 )
-            if in_place:
-                u += correction
-                correction *= 0.5
+            u += correction
+            correction *= 0.5
         damping_min = min(damping_min, lam)
-        u, margin = state, t_margin
+        margin = t_margin
         iters += 1
     diag = {
         "t": float(t_to),
@@ -1154,18 +1150,16 @@ def run(
     needs more.
 
     The run owns its states, three arrays declared in `_ARRAYS` and laid
-    out once, after the workspace: the first a copy of phi0's values, the
-    start of the first step.  Each step is given the first that neither
-    its start nor the newer state of its history is: from the third step
-    on, the oldest state of its history, which the extrapolated guess is
-    written over.  The step updates its Newton iterate there in place, so
-    a damped step may move by rounding (`_advance`); a step of 0 Newton
-    iterations from its start returns it.  So a run allocates no
-    state-sized array after it lays them out.  phi0's
-    values themselves are only read, and go to store as snapshot 0.  Each
-    later stored snapshot goes to store (by default one in memory) when its
-    step is accepted, as the run's own arrays, so no workspace array
-    reaches the trajectory; unstored steps copy nothing.
+    out once, after the workspace.  Step k writes states[k % 3] and
+    returns it, so from the fourth step on the state it writes is the
+    oldest of its history, which the extrapolated guess is written over.
+    The step updates its Newton iterate there in place, so a damped step
+    may move by rounding (`_advance`).  So a run allocates no state-sized
+    array after it lays them out.  The first step starts from phi0's
+    values themselves, which are only read and go to store as snapshot 0.
+    Each later stored snapshot goes to store (by default one in memory)
+    when its step is accepted, as the run's own arrays, so no workspace
+    array reaches the trajectory; unstored steps copy nothing.
     """
     grid = phi0.grid
     if path.grid is not grid and path.grid != grid:
@@ -1198,17 +1192,12 @@ def run(
     stored_times = [0.0]
     stored_indices = [0]
     diagnostics = []
-    vals = states[0]
-    np.copyto(vals, phi0.values)
+    vals = phi0.values
     history = []  # the accepted states before vals, oldest first
     extrapolate = False
     for k in range(1, len(times)):
-        # the step writes a state that nothing reads after it: neither vals
-        # nor the newer history state
-        kept = (vals, *(s for _, s in history[-1:]))
-        state = next(s for s in states if all(s is not a for a in kept))
         new_vals, phidot_vals, diag = _advance(
-            vals, times[k - 1], times[k], path, F, log_om, cfg, coords, ws, state,
+            vals, times[k - 1], times[k], path, F, log_om, cfg, coords, ws, states[k % 3],
             history if extrapolate else (),
         )
         history = [*history[-1:], (times[k - 1], vals)]

@@ -50,6 +50,14 @@ def _periodic_sq_dist(coords, center):
     return acc / np.pi**2
 
 
+def _center(center, n: int, default: float) -> tuple:
+    """center's 2n real coordinates (each default when None); any other count is refused."""
+    c = tuple(center) if center is not None else (default,) * (2 * n)
+    if len(c) != 2 * n:
+        raise ConfigError(f"center needs {2 * n} coordinates")
+    return c
+
+
 # ---------------------------------------------------------------------------
 # rough potential catalog
 
@@ -146,9 +154,7 @@ class RoughPotential:
         b = float(curvature)
         if not 0.0 < b <= 1.0:
             raise ConfigError("paraboloid curvature must lie in (0, 1]")
-        c = tuple(center) if center is not None else (0.5,) * (2 * n)
-        if len(c) != 2 * n:
-            raise ConfigError(f"center needs {2 * n} coordinates")
+        c = _center(center, n, 0.5)
 
         def ev(*coords):
             # true periodic squared distance, not the smooth cosine proxy:
@@ -191,7 +197,7 @@ class RoughPotential:
         g = float(gamma)
         if g < 0:
             raise ConfigError("pole strength must be nonnegative")
-        c = tuple(center) if center is not None else (0.0,) * (2 * n)
+        c = _center(center, n, 0.0)
 
         def ev(*coords):
             ssq = _periodic_sq_dist(coords, c)
@@ -212,7 +218,7 @@ class RoughPotential:
         k = float(amplitude)
         if k <= 0:
             raise ConfigError("amplitude must be positive")
-        c = tuple(center) if center is not None else (0.0,) * (2 * n)
+        c = _center(center, n, 0.0)
 
         def ev(*coords):
             ssq = _periodic_sq_dist(coords, c)

@@ -380,13 +380,7 @@ def check_time_derivative(
     first_pos = float(traj.times[1]) if traj.times[0] == 0.0 else float(traj.times[0])
     if eps < first_pos * (1.0 - 1e-12):
         raise ConfigError(f"eps = {eps} is below the first schedule time {first_pos}")
-    try:
-        k_eps = traj.index_of(eps)
-    except KeyError:
-        raise MissingSnapshotsError(
-            f"no stored snapshot at t = {eps} for the upper envelope",
-            pairs=[(float(eps), float(eps))],
-        ) from None
+    k_eps = traj.index_of(eps)
     grid = traj.grid
     phi_eps = traj.fields[k_eps].values
 
@@ -491,7 +485,7 @@ def check_gradient_laplacian(audit: TrajectoryAudit, *, pair_tol: float = 1e-9) 
             continue
         try:
             kh = traj.index_of(t / 2.0, tol=pair_tol)
-        except KeyError:
+        except MissingSnapshotsError:
             missing.append((t / 2.0, t))
             continue
         tr = audit.value(k, "sup-trace")
@@ -590,7 +584,8 @@ def check_stability(
     every snapshot.  Homotopy: the finite-difference-in-lambda derivative's
     sup norm is non-increasing in t.  Also reports the second-order
     difference quotient at t = eps as an empirical C(2, eps); that part is a
-    diagnostic, not a gate.
+    diagnostic, not a gate.  An eps with no stored snapshot raises
+    MissingSnapshotsError after the flow from phi0, before the others run.
     """
     if F.defect is None or F.defect > 0.0:
         raise ConfigError(
@@ -602,11 +597,17 @@ def check_stability(
 
     m = homotopy_runs(homotopy_samples)
     lams = np.linspace(0.0, 1.0, m)
-    runs = []
-    for lam in lams:
+
+    def homotopy_run(lam):
         start = ScalarField(grid, (1.0 - lam) * phi0.values + lam * psi0.values)
-        runs.append(run(start, path, F, omega_form, cfg))
-    phi_run, psi_run = runs[0], runs[-1]
+        return run(start, path, F, omega_form, cfg)
+
+    phi_run = homotopy_run(lams[0])
+    if eps is None:
+        eps = default_eps(phi_run, cfg.t_min)
+    ke = phi_run.index_of(eps)  # a missing snapshot is refused before the other flows run
+    runs = [phi_run, *(homotopy_run(lam) for lam in lams[1:])]
+    psi_run = runs[-1]
 
     d_max, t_c, j_c = snapshot_sup(
         (t, np.abs(f.values - g.values))
@@ -628,10 +629,6 @@ def check_stability(
             if prev is not None:
                 margin_h = min(margin_h, prev - d + tol_h)
             prev = d
-
-    if eps is None:
-        eps = default_eps(phi_run, cfg.t_min)
-    ke = phi_run.index_of(eps)
 
     def lap(vals):
         return 4.0 * comps_trace(hessian_components(vals, grid, cfg.backend))
@@ -794,7 +791,7 @@ def check_convergence_modes(
     for t in time_ladder:
         try:
             fields.append(traj.field_at(t))
-        except KeyError:
+        except MissingSnapshotsError:
             missing.append((t, t))
     if missing:
         raise MissingSnapshotsError(
@@ -900,8 +897,22 @@ def check_convergence_modes(
 
 
 def check_residual_certificate(audit: TrajectoryAudit) -> MarginReport:
-    """Recomputed backward-Euler residuals stay within twice the Newton gate."""
+    """Recomputed backward-Euler residuals stay within twice the Newton gate.
+
+    A trajectory that stores no two consecutive schedule points leaves no
+    residual to recompute: MissingSnapshotsError lists, for each stored
+    snapshot after t = 0, the (previous schedule time, its time) pair.
+    """
     cert = residual_certificate(audit)
+    if cert["pairs"] == 0:
+        traj = audit.traj
+        missing = [
+            (float(traj.schedule[i - 1]), float(t))
+            for i, t in zip(traj.stored_indices[1:], traj.times[1:])
+        ]
+        raise MissingSnapshotsError(
+            "residual certificate needs two consecutive schedule points stored", pairs=missing
+        )
     margin = 2.0 * cert["tol"] - cert["max_residual"]
     return MarginReport(
         name="residual-certificate",
@@ -1000,9 +1011,12 @@ def check_trace_inequality(
     """Both trace/determinant inequalities on seeded positive definite pairs.
 
     The margin is the worst slack of either inequality plus slack; n
-    defaults to the grid's complex dimension.
+    defaults to the grid's complex dimension.  The closed forms hold for
+    n = 1 and n = 2 only; any other n is refused.
     """
     n = grid.n if n is None else n
+    if n not in (1, 2):
+        raise ConfigError(f"trace-inequality takes n = 1 or 2, not {n}")
     wp, w = random_pd_pairs(n, samples, seed)
     lower, upper = trace_inequality_slacks(wp, w)
     worst = float(min(lower.min(), upper.min()))

@@ -571,6 +571,56 @@ def test_a_check_the_mode_cannot_feed_exits_two_before_any_flow(
     assert list(tmp_path.iterdir()) == [cfg_path]  # neither the archive nor its stage
 
 
+def test_a_stability_eps_with_no_snapshot_exits_two_after_one_homotopy_flow(
+    tmp_path, capsys, monkeypatch
+):
+    from maflow import flow
+
+    doc = {
+        **json.loads(scenario_path("05-contraction-pair").read_text()),
+        "checks": ["stability"],
+        "check_params": {"stability": {"eps": 0.0123}},  # not a schedule time
+        "out": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "05.json"
+    cfg_path.write_text(json.dumps(doc))
+    runs = count_calls(monkeypatch, flow, "run")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert "missing snapshot pair: (0.0123, 0.0123)" in capsys.readouterr().err
+    assert len(runs) == 2  # the scenario's flow and the homotopy's first
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_residual_certificate_with_no_consecutive_snapshots_exits_two(tmp_path, capsys):
+    from maflow.flow import schedule_times, stored_steps
+
+    # store_every = 4 stores no two consecutive points of this schedule
+    flow_sec = {"horizon": 0.01, "t_min": 0.001, "ratio": 1.5, "store_every": 4}
+    cfg = cli.build_flow_config({"flow": flow_sec})
+    times, kept = schedule_times(cfg).tolist(), np.flatnonzero(stored_steps(cfg))
+    assert np.all(np.diff(kept) > 1)
+    cfg_path, _ = write_doc(tmp_path, initial={"kind": "constant", "value": 0.0}, flow=flow_sec)
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    # one line per stored snapshot after t = 0, naming the step it lacks
+    pairs = [f"missing snapshot pair: ({times[i - 1]!r}, {times[i]!r})" for i in kept[1:]]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.strip() for line in err[1:]] == pairs
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_a_trace_inequality_outside_n_1_or_2_exits_two(tmp_path, capsys, n):
+    # its closed forms are the 1x1 and 2x2 ones
+    doc = {
+        **json.loads(scenario_path("13-trace-inequality").read_text()),
+        "check_params": {"trace-inequality": {"samples": 100, "n": n}},
+        "out": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "13.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert f"trace-inequality takes n = 1 or 2, not {n}" in capsys.readouterr().err
+
+
 def scenario_09_changed(tmp_path, changes):
     cfg_path = scenario_09_with(tmp_path, {})
     doc = json.loads(cfg_path.read_text())

@@ -471,8 +471,8 @@ def test_exhausted_damping_names_the_worst_point(monkeypatch):
     x, y = grid.coordinates()
     # a Newton direction 1e9 cos(2 pi x) (the negated correction) so large
     # that every damped trial leaves the cone, worst at x = 0
+    # (writable: each rejected trial halves the correction in place)
     correction = -1e9 * np.cos(2 * np.pi * x) * np.ones_like(y)
-    correction.flags.writeable = False  # a line search from phi0 only reads the direction
     monkeypatch.setattr(flow, "_bicgstab", lambda *a, **k: (correction, 1, 0.0, True))
     phi0 = ScalarField(grid, 0.02 * np.sin(2 * np.pi * y) * np.ones_like(x))
     with pytest.raises(ConeExitError) as info:
@@ -620,6 +620,87 @@ def test_a_rejected_trial_on_the_iterate_in_place_halves_the_correction(monkeypa
     assert np.all(np.abs(vals - (guess - halved)) <= bound)
 
 
+def test_a_rejected_first_trial_from_the_last_state_halves_the_correction(monkeypatch):
+    grid, path, omega, cfg = make_problem(resolution=16, horizon=0.2, newton_tol=1.5)
+    # without a history Newton starts from a copy of prev = 0.09 cos, residual
+    # |log(1 - 0.09 pi^2)| = 2.2 > newton_tol; the full step to -0.13 cos leaves
+    # the cone (0.13 pi^2 > 1); the half step to -0.02 cos has residual about
+    # 0.11 / dt + |log(1 - 0.02 pi^2)| = 0.77 below it
+    prev = ScalarField(grid, cos_potential(grid, 0.09))
+    correction = cos_potential(grid, 0.22)
+    halved = 0.5 * correction
+    monkeypatch.setattr(flow, "_bicgstab", lambda *a, **k: (correction, 1, 0.0, True))
+    vals, diag = advance(prev, 0.0, 0.2, path, DrivingTerm.zero(), omega, cfg)
+    assert diag["start"] == "previous" and diag["newton_iters"] == 1
+    assert diag["damping"] == 0.5
+    assert np.array_equal(correction, halved)
+    # the iterate went prev (copied exactly) -> fl(prev - c) -> fl(. + c) ->
+    # fl(. - c/2), and the reference is fl(prev - c/2): four roundings of
+    # values below |prev| + |c| (to first order), each by at most eps/2 of it
+    bound = 2 * np.finfo(np.float64).eps * (np.abs(prev.values) + 2 * np.abs(halved))
+    assert np.all(np.abs(vals - (prev.values - halved)) <= bound)
+
+
+@pytest.mark.parametrize(
+    "amplitude, older, start",
+    [
+        (0.0, None, "previous"),  # 0 is the flow's fixed point under F = 0: no iteration
+        (0.05, None, "previous"),
+        (0.05, 0.04, "extrapolated"),  # the guess 0.06 cos lies inside the cone
+        (0.05, -0.1, "fallback"),  # the guess 0.2 cos does not (0.2 pi^2 > 1)
+    ],
+)
+def test_a_step_returns_the_state_it_is_given(amplitude, older, start):
+    grid, path, omega, cfg = make_problem(resolution=16)
+    prev = cos_potential(grid, amplitude)
+    before = prev.copy()
+    history = () if older is None else ((0.0, cos_potential(grid, older)),)
+    ws = flow._Workspace(grid, cfg.backend)
+    ws.hessian(prev)
+    state = np.full(grid.shape, np.nan)
+    vals, _, diag = flow._advance(
+        prev, 0.01, 0.02, path, DrivingTerm.zero(), omega.log(), cfg, grid.coordinates(), ws,
+        state, history,
+    )
+    assert diag["start"] == start
+    assert (diag["newton_iters"] == 0) == (amplitude == 0.0)
+    assert vals is state and np.array_equal(prev, before)
+    if amplitude == 0.0:
+        assert np.array_equal(vals, prev)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.05])
+def test_run_hands_step_k_the_state_k_mod_3(monkeypatch, amplitude):
+    # at 0 every step starts from its last state and takes no Newton
+    # iteration; at 0.05 the steps extrapolate
+    grid, path, omega, cfg = make_problem(resolution=16)
+    phi0 = ScalarField(grid, cos_potential(grid, amplitude))
+    laid_out, advance_step, layouts, calls = flow._laid_out, flow._advance, [], []
+
+    def laid(grid, owners, *args, **kwargs):
+        arrays = laid_out(grid, owners, *args, **kwargs)
+        if owners == ("state",):
+            layouts.append(tuple(arrays.values()))
+        return arrays
+
+    def step(*args):
+        out = advance_step(*args)
+        calls.append((args[0], args[9], out[0]))  # its start, its state and its values
+        return out
+
+    monkeypatch.setattr(flow, "_laid_out", laid)
+    monkeypatch.setattr(flow, "_advance", step)
+    traj = run(phi0, path, DrivingTerm.zero(), omega, cfg)
+    (states,) = layouts
+    assert calls[0][0] is phi0.values
+    for k, (start, state, vals) in enumerate(calls, 1):
+        assert state is states[k % 3] and vals is state
+        assert k == 1 or start is calls[k - 2][2]
+    starts = {d["start"] for d in traj.diagnostics}
+    assert starts == ({"previous"} if amplitude == 0.0 else {"previous", "extrapolated"})
+    assert (max(d["newton_iters"] for d in traj.diagnostics) == 0) == (amplitude == 0.0)
+
+
 def warm_problem(n, resolution, backend):
     """A smooth datum's values, a run's config, path and volume, and F = 0 on a grid.
 
@@ -637,11 +718,11 @@ def warm_problem(n, resolution, backend):
 def warm_step_peak(n, resolution, backend):
     """(peak, kept) of the 10th backward-Euler step called directly, in grid fields.
 
-    The steps run on one workspace with the run's history, each writing the
-    first of three states that is neither its start nor the newer history
-    state, as `run` gives it: from the third step on the oldest history
-    state, which the guess is written over.  Below half a field, a peak is
-    numpy's casting buffers (at most 8192 elements each), not an array.
+    The steps run on one workspace with the run's history, step k writing
+    states[k % 3] of three, as `run` gives them: from the fourth step on
+    the oldest history state, which the guess is written over.  Below half
+    a field, a peak is numpy's casting buffers (at most 8192 elements
+    each), not an array.
     """
     vals, cfg, path, omega, F = warm_problem(n, resolution, backend)
     grid, log_om = path.grid, omega.log()
@@ -649,14 +730,12 @@ def warm_step_peak(n, resolution, backend):
     ws = flow._Workspace(grid, backend)
     ws.hessian(vals)
     times = schedule_times(cfg)
-    states = [vals, *(np.empty(grid.shape) for _ in range(2))]
+    states = [np.empty(grid.shape) for _ in range(3)]
     history = []
 
     def step(k):
-        kept = (vals, *(a for _, a in history[-1:]))
-        state = next(s for s in states if all(s is not a for a in kept))
         return flow._advance(vals, times[k - 1], times[k], path, F, log_om, cfg, c, ws,
-                             state, history)
+                             states[k % 3], history)
 
     for k in range(1, 10):
         new = step(k)[0]

@@ -99,6 +99,14 @@ class TestCatalog:
         with pytest.raises(ConfigError):
             RoughPotential.paraboloid(curvature=0.5, center=(0.5,), n=1)
 
+    @pytest.mark.parametrize("make", [RoughPotential.log_pole, RoughPotential.sqrt_log_pole])
+    @pytest.mark.parametrize("center, n", [((0.5, 0.5), 2), ((0.5,) * 4, 1)])
+    def test_a_pole_refuses_a_center_of_the_wrong_length(self, make, center, n):
+        # the distance proxy zips coordinates with the center: a short one
+        # would put the pole on a plane, a long one would be ignored in part
+        with pytest.raises(ConfigError, match=f"center needs {2 * n} coordinates"):
+            make(center=center, n=n)
+
     def test_log_pole_clamps_to_floor(self):
         g = TorusGrid(1, 64)
         f = RoughPotential.log_pole(0.3, center=(0.5, 0.5)).sample(g)
