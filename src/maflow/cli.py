@@ -324,61 +324,52 @@ class RunContext:
         return (self.schedule, self.schedule_b) if both else None
 
 
-@dataclass(frozen=True)
-class Check:
-    """One check: verify function fn, called as fn(*args, **check_params).
-
-    args names the RunContext fields and properties passed to fn's
-    positional parameters, in order; fn's keyword-only parameters are the
-    check_params keys the check accepts, typed by their annotations.  needs
-    names the RunContext objects it cannot run without, column the
-    TrajectoryAudit column it reads from traj (convergence: the finest level),
-    and archive whether `maflow verify` can replay it from saved archives.
-    """
-
-    fn: object
-    args: tuple
-    needs: tuple = ()
-    column: str = None
-    archive: bool = False
-
-
+# Each check is its verify function fn, called as fn(*_args(fn), **check_params):
+# its keyword-only parameters are the check_params keys it accepts, typed by annotation.
 CHECK_TABLE = {
-    "comparison": Check(
-        verify.check_comparison,
-        ("traj", "traj_b", "path", "F", "omega"),
-        ("traj", "traj_b"),
-        archive=True,
-    ),
-    "apriori-bounds": Check(verify.check_apriori_bounds, ("audit",), ("traj",), archive=True),
-    "time-derivative": Check(verify.check_time_derivative, ("traj",), ("traj",), archive=True),
-    "gradient-laplacian": Check(
-        verify.check_gradient_laplacian, ("audit",), ("traj",), "sup-trace", True
-    ),
-    "energy": Check(verify.check_energy_monotonicity, ("audit",), ("traj",), "energy", True),
-    "residual-certificate": Check(
-        verify.check_residual_certificate, ("audit",), ("traj",), "step_residual", True
-    ),
-    "stability": Check(
-        verify.check_stability, ("phi0", "psi0", "path", "F", "omega", "cfg"), ("initial_b",)
-    ),
-    "uniqueness": Check(
-        verify.check_uniqueness, ("initial", "path", "F", "omega", "cfg", "schedules")
-    ),
-    "convergence": Check(
-        verify.check_convergence_modes,
-        ("cascade", "initial", "path", "omega", "audit", "seed"),
-        ("cascade",),
-        "energy",
-        True,
-    ),
-    "transform-roundtrip": Check(
-        verify.check_transform_roundtrip, ("phi0", "path", "F", "omega", "cfg")
-    ),
-    "trace-inequality": Check(verify.check_trace_inequality, ("grid", "seed")),
+    "comparison": verify.check_comparison,
+    "apriori-bounds": verify.check_apriori_bounds,
+    "time-derivative": verify.check_time_derivative,
+    "gradient-laplacian": verify.check_gradient_laplacian,
+    "energy": verify.check_energy_monotonicity,
+    "residual-certificate": verify.check_residual_certificate,
+    "stability": verify.check_stability,
+    "uniqueness": verify.check_uniqueness,
+    "convergence": verify.check_convergence_modes,
+    "transform-roundtrip": verify.check_transform_roundtrip,
+    "trace-inequality": verify.check_trace_inequality,
 }
 
-ARCHIVE_CHECKS = tuple(name for name, check in CHECK_TABLE.items() if check.archive)
+# the TrajectoryAudit column a check reads from traj (convergence: the finest level)
+_COLUMNS = {
+    "gradient-laplacian": "sup-trace",
+    "energy": "energy",
+    "convergence": "energy",
+    "residual-certificate": "step_residual",
+}
+
+# the RunContext attribute a positional parameter takes, where the names differ
+_ATTRIBUTES = {"phi": "traj", "psi": "traj_b", "omega_form": "omega", "run_seed": "seed"}
+
+
+def _args(fn) -> tuple:
+    """The RunContext attributes passed to fn's positional parameters, in order."""
+    params = inspect.signature(fn).parameters.values()
+    return tuple(_ATTRIBUTES.get(p.name, p.name) for p in params if p.kind != p.KEYWORD_ONLY)
+
+
+def _needs(fn) -> tuple:
+    """The RunContext objects check fn cannot run without: the runs' objects it
+    takes, traj for an audit, and the second datum, initial_b, for psi0."""
+    sources = [{"audit": "traj", "psi0": "initial_b"}.get(arg, arg) for arg in _args(fn)]
+    needed = [s for s in sources if s in ("traj", "traj_b", "cascade", "initial_b")]
+    return tuple(dict.fromkeys(needed))  # in order, once each
+
+
+_NEEDS = {name: _needs(fn) for name, fn in CHECK_TABLE.items()}
+
+# `maflow verify` replays the checks that need a run but not the second datum
+ARCHIVE_CHECKS = tuple(name for name, needs in _NEEDS.items() if needs and "initial_b" not in needs)
 
 
 def _check_params(doc: dict) -> dict:
@@ -387,9 +378,9 @@ def _check_params(doc: dict) -> dict:
     for name, settings in params.items():
         if name not in CHECK_TABLE:
             raise ConfigError(f"check_params.{name} is no check; available: {sorted(CHECK_TABLE)}")
-        check = CHECK_TABLE[name]
-        given = list(inspect.signature(check.fn).parameters)[: len(check.args)]  # args fills
-        _typed(f"check_params.{name}", check.fn, settings, given)
+        fn = CHECK_TABLE[name]
+        given = list(inspect.signature(fn).parameters)[: len(_args(fn))]  # the RunContext fills
+        _typed(f"check_params.{name}", fn, settings, given)
     return params
 
 
@@ -402,23 +393,23 @@ def execute_checks(names, ctx: RunContext):
     takes it runs, so the checks before it (the flows of stability, say)
     run without its arrays.
     """
-    columns = [CHECK_TABLE[name].column for name in names if CHECK_TABLE[name].column]
+    columns = [_COLUMNS[name] for name in names if name in _COLUMNS]
     ctx.audit = None
     reports = []
     for name in names:
-        check = CHECK_TABLE[name]
+        args = _args(CHECK_TABLE[name])
         _refuse_unmet(name, lambda attr: getattr(ctx, attr) is not None)
-        if ctx.audit is None and ctx.traj is not None and "audit" in check.args:
+        if ctx.audit is None and ctx.traj is not None and "audit" in args:
             ctx.audit = TrajectoryAudit(ctx.traj, ctx.path, ctx.F, ctx.omega, columns)
-        fn = getattr(verify, check.fn.__name__)
-        out = fn(*(getattr(ctx, arg) for arg in check.args), **ctx.params.get(name, {}))
+        fn = getattr(verify, CHECK_TABLE[name].__name__)
+        out = fn(*(getattr(ctx, arg) for arg in args), **ctx.params.get(name, {}))
         reports.extend(out if isinstance(out, list) else [out])
     return reports
 
 
 def _refuse_unmet(name: str, has):
     """Refuse check name if has(attr) is false for a RunContext object it needs."""
-    missing = [attr for attr in CHECK_TABLE[name].needs if not has(attr)]
+    missing = [attr for attr in _NEEDS[name] if not has(attr)]
     if missing:
         raise ConfigError(f"check {name!r} needs {missing[0].replace('_', ' ')}")
 
@@ -452,8 +443,8 @@ def _resolve_checks(doc: dict, names: list, forced_mode: str = None) -> list:
     if unknown:
         raise ConfigError(f"unknown check {unknown[0]!r}; available: {sorted(CHECK_TABLE)}")
     has_b = bool(doc.get("initial_b"))
-    for name, check in CHECK_TABLE.items():
-        if name in names and not has_b and {"traj_b", "psi0"} & set(check.args):
+    for name, needs in _NEEDS.items():
+        if name in names and not has_b and {"traj_b", "initial_b"} & set(needs):
             raise ConfigError(f"check {name!r} needs an 'initial_b' datum")
     initial = build_initial(_section(doc, "initial"), build_grid(doc).n)
     given = _MODE_GIVES[forced_mode or resolve_mode(doc, initial)]
@@ -485,7 +476,11 @@ def _context(doc: dict, grid: TorusGrid, cfg: FlowConfig, seed: int = None, **ob
     """The scenario's problem on grid as a RunContext; seed defaults to the document's.
 
     Every section given is built, so typed, here, a schedule the run never reads too.
+    A negative seed, which seeds no generator, is refused.
     """
+    seed = doc.get("seed", 0) if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     return RunContext(
         doc=doc,
         grid=grid,
@@ -494,7 +489,7 @@ def _context(doc: dict, grid: TorusGrid, cfg: FlowConfig, seed: int = None, **ob
         F=build_driving(doc),
         initial=build_initial(_section(doc, "initial"), grid.n),
         path=build_metric(doc, grid, cfg.horizon),
-        seed=doc.get("seed", 0) if seed is None else seed,
+        seed=seed,
         params=_check_params(doc),
         **{k: build_schedule(doc[k], k) for k in ("schedule", "schedule_b") if k in doc},
         **objects,

@@ -187,7 +187,9 @@ def check_comparison(
     phi plays the sub-solution role and psi the super-solution role.  When
     path, F and omega_form are supplied the declared roles are re-verified
     from recomputed residual signs before any margin is claimed.  lam
-    defaults to F's certified monotonicity defect, or 0 without one.
+    defaults to F's certified monotonicity defect, or 0 without one.  A
+    bound past the largest float (lam T too large for a positive initial
+    gap) is refused, never passed.
     """
     if phi.grid.n != psi.grid.n or phi.grid.resolution != psi.grid.resolution:
         raise ConfigError("mismatched discretizations: comparison needs one grid")
@@ -223,7 +225,15 @@ def check_comparison(
 
     T = float(phi.times[-1])
     gap0 = float((phi.fields[0].values - psi.fields[0].values).max())
-    bound = math.exp(lam * T) * max(gap0, 0.0) + tol
+    try:  # e^{lam T} max(gap0, 0) is 0 for gap0 <= 0, however large lam T is
+        bound = (math.exp(lam * T) * gap0 if gap0 > 0.0 else 0.0) + tol
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ConfigError(
+            f"the comparison bound e^(lam T) max(gap0, 0) + tol is not finite for lam = {lam} "
+            f"and horizon T = {T} (gap0 = {gap0:.6g}, tol = {tol:.6g}); lower lam or the horizon"
+        )
     margin = bound - worst
     return MarginReport(
         name="comparison",
@@ -655,7 +665,7 @@ def check_stability(
 
 
 def check_uniqueness(
-    phi0: RoughPotential,
+    initial: RoughPotential,
     path: MetricPath,
     F: DrivingTerm,
     omega_form: VolumeForm,
@@ -672,7 +682,7 @@ def check_uniqueness(
     rate.  A term failing any of these gets a refusal report (margin -inf,
     details.certified False) rather than a margin; refusing is the correct
     answer for terms admitting several solutions.  Only a term that passes
-    these preconditions needs the two regularization schedules.
+    these preconditions needs schedules, one per cascade of the datum initial.
     """
     reasons = []
     if F.defect is None:
@@ -703,12 +713,12 @@ def check_uniqueness(
     if rate is None:
         c_prime = float(F.time_bound)
         rate = 0.5 * (c_prime + 1.0 / T) if c_prime < 1.0 / T else c_prime + 1.0
-    sample = phi0.sample(grid).values
+    sample = initial.sample(grid).values
     s_range = (float(sample.min()) - 1.0, float(sample.max()) + 1.0)
     transformed = uniqueness_rescale(F, path, rate, s_range=s_range)
 
-    casc_a = run_cascade(phi0, schedules[0], path, F, omega_form, cfg)
-    casc_b = run_cascade(phi0, schedules[1], path, F, omega_form, cfg)
+    casc_a = run_cascade(initial, schedules[0], path, F, omega_form, cfg)
+    casc_b = run_cascade(initial, schedules[1], path, F, omega_form, cfg)
     tol = comparison_tolerance(grid, cfg.backend, oscillation(casc_a.ladder.base))
 
     keys = sorted(set(casc_a.limit_gaps) & set(casc_b.limit_gaps), key=float)
@@ -752,7 +762,7 @@ def _tail_margin(values, slack: float) -> float:
 
 def check_convergence_modes(
     cascade,
-    phi0: RoughPotential,
+    initial: RoughPotential,
     path: MetricPath = None,
     omega_form: VolumeForm = None,
     audit: TrajectoryAudit = None,
@@ -765,20 +775,20 @@ def check_convergence_modes(
 ) -> list:
     """Distance-to-initial-data ladders, one report per applicable mode.
 
-    The reference is the clamped grid sample of phi0 retained by the
-    cascade.  Modes: L1 for every tag; sup for smooth and lipschitz tags;
-    capacity of the deviation set (plus the mollification-ladder capacity
-    route) for the bounded tag; energy distance whenever the representative
-    admits it.  Each ladder must be decreasing over its tail (the later,
-    smaller times), and the L1 mode must also land below l1_tol, default
-    1e-2 times the oscillation.  The energy ladder reads audit, an audit of
-    the finest level (built here when not given).  seed, by default
-    run_seed or 7 when that is 0, seeds the capacity dictionaries.
+    The reference is the clamped grid sample of initial, the datum the
+    cascade regularized.  Modes by initial's tag: L1 for every tag; sup for
+    smooth and lipschitz; capacity of the deviation set (plus the
+    mollification-ladder capacity route) for bounded; energy distance
+    whenever the representative admits it.  Each ladder must be decreasing
+    over its tail (the later, smaller times), and the L1 mode must also land
+    below l1_tol, default 1e-2 times the oscillation.  The energy ladder reads
+    audit, an audit of the finest level (built here when not given).  seed,
+    by default run_seed or 7 when that is 0, seeds the capacity dictionaries.
     """
     traj = cascade.trajectories[-1]
     grid = traj.grid
     base = cascade.ladder.base
-    tag = phi0.tag
+    tag = initial.tag
 
     if time_ladder is None:
         time_ladder = sorted((float(k) for k in cascade.limit_gaps), reverse=True)
@@ -1012,11 +1022,13 @@ def check_trace_inequality(
 
     The margin is the worst slack of either inequality plus slack; n
     defaults to the grid's complex dimension.  The closed forms hold for
-    n = 1 and n = 2 only; any other n is refused.
+    n = 1 and n = 2 only; any other n is refused, as is samples < 1.
     """
     n = grid.n if n is None else n
     if n not in (1, 2):
         raise ConfigError(f"trace-inequality takes n = 1 or 2, not {n}")
+    if samples < 1:
+        raise ConfigError(f"trace-inequality takes samples >= 1, not {samples}")
     wp, w = random_pd_pairs(n, samples, seed)
     lower, upper = trace_inequality_slacks(wp, w)
     worst = float(min(lower.min(), upper.min()))

@@ -773,6 +773,43 @@ def test_a_mutated_document_exits_two_naming_its_key(data):
     assert ".".join(k for k in at if isinstance(k, str)) in err
 
 
+@pytest.mark.parametrize(
+    "stem, changes, argv, code, named",
+    [
+        ("13-trace-inequality", {"check_params.trace-inequality.samples": 0}, [], 2, "samples"),
+        ("13-trace-inequality", {"check_params.trace-inequality.samples": -1}, [], 2, "samples"),
+        ("13-trace-inequality", {"seed": -1}, [], 2, "seed"),
+        ("09-energy-monotone", {}, ["--seed", "-1"], 2, "seed"),
+        ("09-energy-monotone", {}, ["verify", "--seed", "-1"], 2, "seed"),
+        # phi_0 - psi_0 > 0, so e^{lam T} max(gap0, 0) is past the largest float
+        ("04-comparison-pair", {"flow.horizon": 1e12}, [], 2, "horizon"),
+        # phi_0 - psi_0 < 0, so the bound is tol for any lam, and the check runs
+        ("05-contraction-pair", {"check_params.comparison.lam": 1e12}, [], 0, "PASS  comparison"),
+    ],
+)
+def test_a_typed_value_ends_in_an_exit_code_naming_its_key_not_a_traceback(
+    tmp_path, capsys, monkeypatch, stem, changes, argv, code, named
+):
+    from maflow import flow
+
+    doc = json.loads(scenario_path(stem).read_text())
+    for key, value in changes.items():
+        *sections, last = key.split(".")
+        functools.reduce(lambda node, sec: node[sec], sections, doc)[last] = value
+    cfg_path, out = tmp_path / "doc.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(doc))
+    command = ["run", "--config", str(cfg_path), "--out", str(out)]
+    if argv[:1] == ["verify"]:  # the seed of a replay, of an archive run wrote
+        assert cli.main(command) == 0
+        command, argv = ["verify", str(out)], argv[1:]
+    capsys.readouterr()
+    runs = count_calls(monkeypatch, flow, "run")
+    assert cli.main(command + argv) == code  # raises if an exception leaves cli.main
+    assert named in "".join(capsys.readouterr())
+    if named == "seed":
+        assert runs == []
+
+
 def test_check_params_of_a_skipped_check_are_accepted(tmp_path):
     cfg_path, _ = write_doc(tmp_path, check_params={"energy": {"slack": 1.0}})
     assert cli.main(["run", "--config", str(cfg_path), "--check", "residual-certificate"]) == 0

@@ -42,6 +42,7 @@ from maflow.flow import (
     trajectory_from_family,
     uniqueness_rescale,
 )
+from maflow.verify import check_apriori_bounds, check_residual_certificate
 
 
 def make_problem(resolution=8, horizon=0.1, backend="spectral", **cfg_kw):
@@ -1390,21 +1391,40 @@ print(json.dumps({"points": grid.resolution**2, "counts": counts, "bits": bits})
 """
 
 
-def test_an_n1_run_has_the_same_bits_under_one_and_two_blas_threads():
+# Two steps at 16^4, n = 2, whose Newton correction is solved in float32;
+# prints what DEGENERATE_RUN prints.
+FLOAT32_N2_RUN = """
+import hashlib, json
+from maflow import DrivingTerm, FlowConfig, MetricPath, RoughPotential, TorusGrid, VolumeForm, run
+from maflow.grid import correction_dtype
+grid = TorusGrid(n=2, resolution=16)
+assert correction_dtype(grid).__name__ == "float32"
+phi0 = RoughPotential.fourier_sum([[0.01, [1, 0, 0, 0], 0.0], [0.005, [0, 1, 1, 0], 0.7]], n=2)
+cfg = FlowConfig(horizon=0.0012, t_min=1e-3, ratio=1.2)
+path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
+traj = run(phi0.sample(grid), path, DrivingTerm.affine(0.0, 0.5), omega, cfg)
+bits = hashlib.sha256(b"".join(f.values.tobytes() for f in traj.fields)).hexdigest()
+counts = [[d["newton_iters"], d["linear_iters"]] for d in traj.diagnostics]
+print(json.dumps({"points": grid.resolution**4, "counts": counts, "bits": bits}))
+"""
+
+
+def test_n1_and_n2_runs_have_the_same_bits_under_one_and_two_blas_threads():
     # a threaded BLAS dot product sums in an order set by its thread count
     src = str(Path(flow.__file__).resolve().parents[1])
-    outcomes = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-c", DEGENERATE_RUN], env=env, capture_output=True, text=True,
-            timeout=600, check=True,
-        )
-        outcomes.append(json.loads(proc.stdout.splitlines()[-1]))
-    one, two = outcomes
-    assert one["points"] >= 16384 and sum(c[1] for c in one["counts"]) > 20
-    assert one == two
+    for script, linear_floor in ((DEGENERATE_RUN, 20), (FLOAT32_N2_RUN, 4)):
+        outcomes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=600, check=True,
+            )
+            outcomes.append(json.loads(proc.stdout.splitlines()[-1]))
+        one, two = outcomes
+        assert one["points"] >= 16384 and sum(c[1] for c in one["counts"]) > linear_floor
+        assert one == two
 
 
 def test_newton_stall_names_the_unconverged_linear_solve():
@@ -1631,6 +1651,49 @@ def test_cascade_refuses_non_admissible_tags():
             omega,
             cfg,
         )
+
+
+POLE_WIDTHS = RegularizationSchedule.geometric(delta0=0.25, ratio=0.5, levels=4)
+
+
+def pole_cascade(datum):
+    """datum's cascade over POLE_WIDTHS on 64^2 fd, F = 0, to t = 0.1 with a probe at 0.01."""
+    grid = TorusGrid(n=1, resolution=64)
+    cfg = FlowConfig(horizon=0.1, t_min=1e-3, ratio=1.3, backend="fd", probes=(0.01,))
+    path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
+    return run_cascade(datum, POLE_WIDTHS, path, DrivingTerm.zero(), omega, cfg), path, omega
+
+
+def infimum_drops_per_width(cascade, t: float) -> np.ndarray:
+    """How far the levels' infimum at time t falls from each width to the next, over the width."""
+    infima = [float(traj.field_at(t).values.min()) for traj in cascade.trajectories]
+    return -np.diff(infima) / np.asarray(POLE_WIDTHS.deltas[:-1])
+
+
+def test_a_zero_lelong_poles_infima_converge_like_the_widths_and_a_log_poles_do_not():
+    # The source paper's theorem: from data with zero Lelong numbers the flow
+    # is smooth at every t > 0.  Were the level at width delta that smooth
+    # limit (Lipschitz, constant L) mollified at width delta, it would lie
+    # within L delta of it, and the ladder's drift n delta^2 adds at most
+    # delta; so the infimum falls by at most (L + 1)(delta + delta/2) from one
+    # width to the next.  The drop over the width is then bounded, and the
+    # infima converge geometrically, like the widths: the test asks that the
+    # drop over the width does not grow.  With Lelong number gamma > 0 a
+    # halving of the width drops the datum's infimum by gamma log 2 however
+    # small the width; at t = 0.01 the flow has not yet smoothed that pole
+    # away, and the drop over the width grows.
+    smooth, path, omega = pole_cascade(RoughPotential.sqrt_log_pole(amplitude=0.1))
+    for t in (0.01, 0.1):
+        drops = infimum_drops_per_width(smooth, t)
+        assert np.all(drops > 0.0) and np.all(np.diff(drops) <= 0.0), (t, drops)
+    control, _, _ = pole_cascade(RoughPotential.log_pole(gamma=0.1, cap=-40.0))
+    drops = infimum_drops_per_width(control, 0.01)
+    assert np.all(np.diff(drops) > 0.0), drops
+
+    audit = TrajectoryAudit(smooth.trajectories[-1], path, DrivingTerm.zero(), omega)
+    reports = check_apriori_bounds(audit) + [check_residual_certificate(audit)]
+    assert [r.name for r in reports] == ["apriori-upper", "apriori-lower", "residual-certificate"]
+    assert all(r.passed for r in reports), [(r.name, r.margin) for r in reports]
 
 
 # -- exponential time reparameterizations --------------------------------------

@@ -347,9 +347,9 @@ def test_every_document_setting_is_typed():
     targets += [(RegularizationSchedule, ()), (RegularizationSchedule.geometric, ())]
     tables = (cli.METRIC_KINDS, cli.VOLUME_KINDS, cli.DRIVING_KINDS, cli.INITIAL_KINDS)
     targets += [(fn, ("grid", "horizon", "n")) for table in tables for fn in table.values()]
-    for check in cli.CHECK_TABLE.values():
-        params = inspect.signature(check.fn).parameters.values()
-        targets.append((check.fn, [p.name for p in params if p.kind != p.KEYWORD_ONLY]))
+    for fn in cli.CHECK_TABLE.values():
+        params = inspect.signature(fn).parameters.values()
+        targets.append((fn, [p.name for p in params if p.kind != p.KEYWORD_ONLY]))
     found = [f"{fn.__qualname__}.{name}" for fn, given in targets for name in untyped(fn, given)]
     assert found == []
 
@@ -361,44 +361,54 @@ def test_the_typing_check_sees_unannotated_and_foreign_types():
     assert untyped(probe, ("grid",)) == ["a", "c"]
 
 
-def row_faults(check) -> list:
-    """What a CHECK_TABLE row says wrongly about the verify function it calls.
+def check_faults(fn) -> list:
+    """What the RunContext cannot give the check fn from what its signature says it takes.
 
-    Each name in args must be a RunContext field or property, args must fill
-    fn's positional parameters, and args must hold "audit" exactly when fn
-    takes a TrajectoryAudit.
+    Each argument cli derives from fn's positional parameters must be a
+    RunContext field or property, and "audit" must be among them exactly
+    when fn takes a TrajectoryAudit.
     """
     ctx_names = {f.name for f in dataclasses.fields(cli.RunContext)}
     ctx_names |= {k for k, v in vars(cli.RunContext).items() if isinstance(v, property)}
-    faults = [f"RunContext has no {name!r}" for name in check.args if name not in ctx_names]
-    params = inspect.signature(check.fn, eval_str=True).parameters.values()
-    positional = [p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-    if len(check.args) != len(positional):
-        faults.append(f"{len(check.args)} args for {len(positional)} positional parameters")
-    if ("audit" in check.args) != any(p.annotation is TrajectoryAudit for p in params):
+    args = cli._args(fn)
+    faults = [f"RunContext has no {name!r}" for name in args if name not in ctx_names]
+    params = inspect.signature(fn, eval_str=True).parameters.values()
+    if ("audit" in args) != any(p.annotation is TrajectoryAudit for p in params):
         faults.append("'audit' in args unlike a TrajectoryAudit parameter")
     return faults
 
 
-def test_every_check_row_names_what_its_function_takes():
-    assert {name: row_faults(check) for name, check in cli.CHECK_TABLE.items()} == dict.fromkeys(
+def test_the_context_gives_every_check_what_its_function_takes():
+    assert {name: check_faults(fn) for name, fn in cli.CHECK_TABLE.items()} == dict.fromkeys(
         cli.CHECK_TABLE, []
     )
 
 
-def test_the_row_check_sees_a_planted_bad_row():
-    energy = cli.CHECK_TABLE["energy"]  # verify.check_energy_monotonicity(audit, *, slack)
-    assert row_faults(dataclasses.replace(energy, args=("traj",))) == [
-        "'audit' in args unlike a TrajectoryAudit parameter"
-    ]
-    assert row_faults(dataclasses.replace(energy, args=("audit", "seed"))) == [
-        "2 args for 1 positional parameters"
-    ]
-    assert row_faults(dataclasses.replace(energy, args=("audits",))) == [
+def test_verify_replays_the_checks_that_need_a_run_but_not_the_second_datum():
+    assert cli.ARCHIVE_CHECKS == (
+        "comparison",
+        "apriori-bounds",
+        "time-derivative",
+        "gradient-laplacian",
+        "energy",
+        "residual-certificate",
+        "convergence",
+    )
+
+
+def test_the_check_check_sees_a_planted_bad_function():
+    def unaudited(audit, *, slack: float = 1e-8):  # no TrajectoryAudit annotation
+        pass
+
+    def misnamed(audits: TrajectoryAudit, run_seed: int):
+        pass
+
+    def audited_late(grid: TorusGrid, seed: int, *, audit: TrajectoryAudit = None):
+        pass
+
+    assert check_faults(unaudited) == ["'audit' in args unlike a TrajectoryAudit parameter"]
+    assert check_faults(misnamed) == [
         "RunContext has no 'audits'",
         "'audit' in args unlike a TrajectoryAudit parameter",
     ]
-    trace = cli.CHECK_TABLE["trace-inequality"]  # check_trace_inequality(grid, seed, *, ...)
-    assert row_faults(dataclasses.replace(trace, args=("grid", "audit"))) == [
-        "'audit' in args unlike a TrajectoryAudit parameter"
-    ]
+    assert check_faults(audited_late) == ["'audit' in args unlike a TrajectoryAudit parameter"]
