@@ -37,15 +37,16 @@ from .flow import (
     ARRAY_BUDGET,
     DrivingTerm,
     FlowConfig,
+    Member,
     TrajectoryAudit,
-    _transformed_time,
     audit_array_bytes,
-    finite_horizon,
+    cascade_members,
+    kept_fields,
+    nef_members,
     peak_array_bytes,
-    run,
     run_cascade,
+    run_family,
     run_nef,
-    stored_steps,
 )
 from .geometry import MetricPath, VolumeForm
 from .grid import TorusGrid, oscillation
@@ -268,15 +269,20 @@ def build_schedule(sec: dict, key: str = "schedule") -> RegularizationSchedule:
     return _call(key, ctor, sec)
 
 
-def resolve_mode(doc: dict, initial: RoughPotential) -> str:
-    mode = doc.get("mode", "auto")
+def resolve_mode(doc: dict, initial: RoughPotential, forced: str = None) -> str:
+    """The mode: forced, else the document's, else the one its metric and datum take.
+    A cascade without a schedule and a nef family without a nef metric are refused."""
+    mode = forced or doc.get("mode", "auto")
     if mode not in ("auto", "single", "cascade", "nef", "audit"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if mode != "auto":
-        return mode
-    if doc.get("metric", {}).get("kind") == "nef":
-        return "nef"
-    return "single" if initial.tag == "smooth" else "cascade"
+    nef = doc.get("metric", {}).get("kind") == "nef"
+    if mode == "auto":
+        mode = "nef" if nef else "single" if initial.tag == "smooth" else "cascade"
+    if mode == "cascade" and doc.get("schedule") is None:
+        raise ConfigError("scenario is missing the 'schedule' section")
+    if mode == "nef" and not nef:
+        raise ConfigError("nef mode needs a metric of kind 'nef'")
+    return mode
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +387,8 @@ def _check_params(doc: dict) -> dict:
         fn = CHECK_TABLE[name]
         given = list(inspect.signature(fn).parameters)[: len(_args(fn))]  # the RunContext fills
         _typed(f"check_params.{name}", fn, settings, given)
+        if (settings.get("seed") or 0) < 0:  # a negative seed seeds no generator
+            raise ConfigError(f"check_params.{name}.seed must be >= 0, got {settings['seed']}")
     return params
 
 
@@ -447,7 +455,7 @@ def _resolve_checks(doc: dict, names: list, forced_mode: str = None) -> list:
         if name in names and not has_b and {"traj_b", "initial_b"} & set(needs):
             raise ConfigError(f"check {name!r} needs an 'initial_b' datum")
     initial = build_initial(_section(doc, "initial"), build_grid(doc).n)
-    given = _MODE_GIVES[forced_mode or resolve_mode(doc, initial)]
+    given = _MODE_GIVES[resolve_mode(doc, initial, forced_mode)]
     given += ("initial_b", "traj_b") if has_b else ()
     for name in names:
         _refuse_unmet(name, given.__contains__)
@@ -503,7 +511,7 @@ def integrate_scenario(doc: dict, forced_mode: str = None, out: Path = None):
     nef runs; the context holds the trajectory/cascade/family objects so the
     caller can execute the scenario's checks or save archives.  Given out, a
     single flow streams its snapshots into that archive directory as it runs
-    (`io.ArchiveStore`); every other mode keeps them in memory.
+    (`_streamed`); every other mode keeps them in memory.
     """
     grid = build_grid(doc)
     cfg = build_flow_config(doc)
@@ -511,17 +519,14 @@ def integrate_scenario(doc: dict, forced_mode: str = None, out: Path = None):
     if doc.get("initial_b"):
         ctx.initial_b = build_initial(doc["initial_b"], grid.n, "initial_b")
     path, F, omega, initial = ctx.path, ctx.F, ctx.omega, ctx.initial
-    mode = forced_mode or resolve_mode(doc, initial)
+    mode = resolve_mode(doc, initial, forced_mode)
 
     reports = []
     if mode == "single":
-        store = None if out is None else archive_io.ArchiveStore(out, grid)
-        ctx.traj = run(initial.sample(grid), path, F, omega, cfg, store=store)
+        (ctx.traj,) = run_family([_streamed(ctx, initial, out)], omega)
         if _uncertified(F):
             ctx.traj.notices.append(NO_UNIQUENESS_NOTICE)
     elif mode == "cascade":
-        if ctx.schedule is None:
-            raise ConfigError("scenario is missing the 'schedule' section")
         cascade = run_cascade(initial, ctx.schedule, path, F, omega, cfg)
         if _uncertified(F):
             cascade.notices.append(NO_UNIQUENESS_NOTICE)
@@ -529,8 +534,6 @@ def integrate_scenario(doc: dict, forced_mode: str = None, out: Path = None):
         ctx.traj = cascade.trajectories[-1]
         reports.append(_ordering_report("cascade-ordering", "decreasing-level-order", cascade))
     elif mode == "nef":
-        if path.kind != "nef":
-            raise ConfigError("nef mode needs a metric of kind 'nef'")
         eps = path.meta["eps_schedule"]
         family = run_nef(path.meta["theta0"], eps, initial.sample(grid), F, omega, cfg)
         ctx.family = family
@@ -547,64 +550,64 @@ def integrate_scenario(doc: dict, forced_mode: str = None, out: Path = None):
     return mode, ctx, reports
 
 
+def _streamed(ctx: RunContext, datum: RoughPotential, out: Path = None) -> Member:
+    """The member that flows datum on ctx's grid, into an io.ArchiveStore at out when given."""
+    store = None if out is None else (lambda: archive_io.ArchiveStore(out, ctx.grid))
+    return Member(ctx.cfg, lambda: (datum.sample(ctx.grid), ctx.path, ctx.F), store)
+
+
 def run_comparison_pair(ctx: RunContext, out: Path = None):
     """Integrate the second datum so pairwise checks can run, streamed into out when given."""
-    store = None if out is None else archive_io.ArchiveStore(out, ctx.grid)
-    ctx.traj_b = run(
-        ctx.initial_b.sample(ctx.grid), ctx.path, ctx.F, ctx.omega, ctx.cfg, store=store
-    )
+    (ctx.traj_b,) = run_family([_streamed(ctx, ctx.initial_b, out)], ctx.omega)
     return ctx.traj_b
 
 
+def _cascades(ctx: RunContext, schedules) -> int:
+    """The fields the cascades of ctx's datum under schedules keep: each level's
+    snapshots, and the ladder's levels and base."""
+    families = [cascade_members(ctx.initial, s, ctx.path, ctx.F, ctx.cfg)[1] for s in schedules]
+    return sum(kept_fields(members) + len(members) + 1 for members in families)
+
+
+# The fields each flow family of `maflow run` keeps in memory, from the RunContext and a
+# check's settings.  A member makes its start and store only when it runs, so no datum is
+# sampled (None) and no archive is made (Path()) here.
+_KEPT = {
+    "single": lambda ctx, _: kept_fields([_streamed(ctx, ctx.initial, Path())]),
+    "cascade": lambda ctx, _: _cascades(ctx, [ctx.schedule]),
+    "nef": lambda ctx, _: kept_fields(
+        nef_members(ctx.path.meta["theta0"], ctx.path.meta["eps_schedule"], None, ctx.F, ctx.cfg)
+    ),
+    "audit": lambda ctx, _: 0,
+    "stability": lambda ctx, s: kept_fields(
+        verify.homotopy(None, None, ctx.path, ctx.F, ctx.cfg, s["homotopy_samples"])
+    ),
+    "uniqueness": lambda ctx, _: (
+        0 if verify.uniqueness_refusals(ctx.F) else _cascades(ctx, ctx.schedules or ())
+    ),
+    "transform-roundtrip": lambda ctx, s: 2 * kept_fields(  # each run's pull-back too
+        m for _, m in verify.transformed_runs(None, ctx.path, ctx.F, ctx.cfg, **s).values()
+    ),
+}
+
+
 def array_estimate(doc: dict, forced_mode: str = None, checks=()) -> int:
-    """flow.peak_array_bytes of the document's run, with the snapshots kept in memory.
+    """flow.peak_array_bytes of `maflow run` on the document, with what its flows keep (`_KEPT`).
 
-    A single flow streams its snapshots; every cascade level, and every nef
-    member and the witness, keeps its stored fields and phidots, and a
-    cascade its ladder too.  Of the named checks, those that run flows of
-    their own keep theirs (`_check_fields`).  Nothing grid-sized is made here.
+    The checks run one at a time and drop their flows when they return, so
+    the one that keeps most counts.  Nothing grid-sized is made here.
     """
-    grid, cfg = build_grid(doc), build_flow_config(doc)
-    mode = forced_mode or resolve_mode(doc, build_initial(_section(doc, "initial"), grid.n))
-    stored, kept = int(np.count_nonzero(stored_steps(cfg))), 0
-    if mode == "cascade" and doc.get("schedule") is not None:
-        kept = _cascade_fields(len(build_schedule(doc["schedule"]).deltas), stored)
-    elif mode == "nef":
-        runs = len(build_metric(doc, grid, cfg.horizon).meta.get("eps_schedule", ())) + 1
-        kept = 2 * runs * stored
-    return peak_array_bytes(grid, kept + _check_fields(doc, cfg, checks, stored))
+    ctx = _context(doc, build_grid(doc), build_flow_config(doc))
+    mode = resolve_mode(doc, ctx.initial, forced_mode)
+    kept = [_KEPT[name](ctx, _settings(name, ctx)) for name in checks if name in _KEPT]
+    return peak_array_bytes(ctx.grid, _KEPT[mode](ctx, {}) + max(kept, default=0))
 
 
-def _cascade_fields(levels: int, stored: int) -> int:
-    """The fields a cascade keeps: its levels' stored fields and phidots, and its ladder."""
-    return 2 * levels * stored + levels + 1
-
-
-def _check_fields(doc: dict, cfg: FlowConfig, checks, stored: int) -> int:
-    """The most fields one of the named checks keeps in the snapshots of flows of its own.
-
-    stability keeps its homotopy_samples runs, uniqueness its two cascades
-    and transform-roundtrip each transformed run and its pull-back.  The
-    checks run one at a time, and each drops its flows when it returns.
-    stored is the number of snapshots a run with cfg stores.
-    """
-    params = _check_params(doc)
-    kept = [0]
-    if "stability" in checks:
-        default = inspect.signature(verify.check_stability).parameters["homotopy_samples"].default
-        samples = params.get("stability", {}).get("homotopy_samples", default)
-        kept.append(2 * verify.homotopy_runs(samples) * stored)
-    if "uniqueness" in checks and all(doc.get(k) is not None for k in ("schedule", "schedule_b")):
-        levels = (len(build_schedule(doc[k], k).deltas) for k in ("schedule", "schedule_b"))
-        kept.append(sum(_cascade_fields(m, stored) for m in levels))
-    if "transform-roundtrip" in checks:
-        T, settings = cfg.horizon, params.get("transform-roundtrip", {})
-        rates = verify.transform_rates(build_driving(doc), T, **settings).values()
-        # as `check_transform_roundtrip` runs each transform with a finite horizon
-        horizons = [_transformed_time(r, T) for r in rates if r != 0.0 and finite_horizon(r, T)]
-        runs = [verify.transformed_config(cfg, h) for h in horizons]
-        kept.append(sum(4 * int(np.count_nonzero(stored_steps(c))) for c in runs))
-    return max(kept)
+def _settings(name: str, ctx: RunContext) -> dict:
+    """Check name's settings: its keyword-only defaults, updated by the document's check_params."""
+    params = inspect.signature(CHECK_TABLE[name]).parameters.values()
+    defaults = {p.name: p.default for p in params if p.kind == p.KEYWORD_ONLY}
+    return defaults | ctx.params.get(name, {})
 
 
 def replay_estimate(doc: dict, manifest: dict) -> int:

@@ -42,10 +42,14 @@ each snapshot in its own workspace at most once, keeps only scalars, and
 reports a snapshot outside the positive cone instead of taking the
 logarithm there.
 
-Rough initial data never enter `run` directly: they are regularized by the
-decreasing mollification ladder and integrated level by level (`run_cascade`),
+Every flow is a `Member` of a family, which makes what `run` takes only
+when it runs; `run_family` runs a member list and is the one caller of
+`run`, and `kept_fields` counts the snapshots a list keeps in memory before
+it runs.  Rough initial data never enter `run` directly: they are
+regularized by the decreasing mollification ladder and integrated level by
+level (`cascade_members`, `run_cascade`),
 with the pointwise ordering of levels checked at every snapshot.  That check,
-the eps-shift family's (`run_nef`, members and the unshifted witness) and
+the eps-shift family's (`nef_members`: members and the unshifted witness) and
 verify's comparison principle share one test, `ordering_gap`, a case of
 `snapshot_sup` (the sup over snapshots with its time and grid point).  The
 exponential time changes phi~(t) = e^{rt} phi(tau(t)) are invertible problem
@@ -59,7 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -1229,6 +1233,25 @@ def run(
     )
 
 
+@dataclass(frozen=True)
+class Member:
+    """A flow of a family: its cfg, and what `run` takes, made only when it runs."""
+
+    cfg: FlowConfig
+    problem: Callable  # () -> (phi0, path, F)
+    store: Callable = None  # () -> the snapshot store; None keeps the snapshots in memory
+
+
+def run_family(members, omega_form: VolumeForm) -> list:
+    """The trajectory of each member, in member order; the one caller of `run`."""
+    return [run(*m.problem(), omega_form, m.cfg, store=m.store and m.store()) for m in members]
+
+
+def kept_fields(members) -> int:
+    """Fields kept in memory: a field and a phidot per snapshot of each member without a store."""
+    return sum(2 * int(np.count_nonzero(stored_steps(m.cfg))) for m in members if m.store is None)
+
+
 class TrajectoryAudit:
     """Scalars of each stored snapshot's form theta_t + H(phi_k), for the checks.
 
@@ -1454,6 +1477,17 @@ def _family_ordering(trajectories, tol: float, members: str) -> float:
     return worst
 
 
+def cascade_members(phi0: RoughPotential, schedule, path, F, cfg) -> tuple:
+    """(ladder, members): ladder() makes phi0's ladder once; member j flows level j."""
+    if not phi0.flow_admissible():
+        raise ConfigError(
+            f"potential tag {phi0.tag!r} is not admissible as flow data"
+        )
+    ladder = functools.cache(lambda: mollify_decreasing(phi0, schedule, path.grid))
+    levels = range(len(schedule.deltas))
+    return ladder, [Member(cfg, lambda j=j: (ladder().levels[j], path, F)) for j in levels]
+
+
 def run_cascade(
     phi0: RoughPotential,
     schedule: RegularizationSchedule,
@@ -1462,7 +1496,7 @@ def run_cascade(
     omega_form: VolumeForm,
     cfg: FlowConfig,
 ) -> CascadeResult:
-    """Regularize rough data, integrate every level, and audit the ordering.
+    """Regularize rough data, integrate every level (`cascade_members`), and audit the ordering.
 
     The mollification ladder decreases pointwise, so with a monotone driving
     term the level trajectories stay ordered at every snapshot; the worst
@@ -1470,13 +1504,9 @@ def run_cascade(
     levels give the reported limit-gap estimate at each probe time and at the
     horizon.  Each level's `run` audits the driving term's declared bounds.
     """
-    grid = path.grid
-    if not phi0.flow_admissible():
-        raise ConfigError(
-            f"potential tag {phi0.tag!r} is not admissible as flow data"
-        )
-    ladder = mollify_decreasing(phi0, schedule, grid)
-    trajectories = [run(level, path, F, omega_form, cfg) for level in ladder.levels]
+    ladder, members = cascade_members(phi0, schedule, path, F, cfg)
+    trajectories = run_family(members, omega_form)
+    ladder = ladder()
 
     tol = cascade_tolerance(oscillation(ladder.base), cfg.newton_tol)
     worst = _family_ordering(trajectories, tol, "cascade levels")
@@ -1732,6 +1762,16 @@ class NefResult:
     notices: list = field(default_factory=list)
 
 
+def nef_members(theta0, eps, phi0: ScalarField, F: DrivingTerm, cfg: FlowConfig) -> list:
+    """The members from phi0 on theta0 + (t + e) omega: one per e in eps, and the witness e = 0."""
+    if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] <= 0:
+        raise ConfigError("eps schedule must be strictly decreasing and positive")
+    return [
+        Member(cfg, lambda e=e: (phi0, MetricPath.nef(phi0.grid, cfg.horizon, theta0, eps=e), F))
+        for e in (*eps, 0.0)
+    ]
+
+
 def run_nef(
     theta0,
     eps_schedule,
@@ -1740,22 +1780,16 @@ def run_nef(
     omega_form: VolumeForm,
     cfg: FlowConfig,
 ) -> NefResult:
-    """Flow from a merely semi-positive reference form via eps-shifts.
+    """Flow from a merely semi-positive reference form via eps-shifts (`nef_members`).
 
-    theta_t = theta0 + (t + eps) * omega for each eps in the decreasing
-    schedule; solutions decrease pointwise as eps decreases, which is
-    audited at every snapshot.  The eps = 0 flow (when it can be started) is
-    the lower-bound witness: every shifted solution must dominate it.
+    Solutions decrease pointwise as eps decreases, which is audited at every
+    snapshot.  The eps = 0 flow (when it can be started) is the lower-bound
+    witness: every shifted solution must dominate it.
     """
-    grid = phi0.grid
     eps = tuple(float(e) for e in eps_schedule)
-    if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] <= 0:
-        raise ConfigError("eps schedule must be strictly decreasing and positive")
+    *members, witness_member = nef_members(theta0, eps, phi0, F, cfg)
     notices = []
-    trajectories = []
-    for e in eps:
-        path = MetricPath.nef(grid, cfg.horizon, theta0, eps=e)
-        trajectories.append(run(phi0, path, F, omega_form, cfg))
+    trajectories = run_family(members, omega_form)
     tol = cascade_tolerance(oscillation(phi0), cfg.newton_tol)
     worst = _family_ordering(trajectories, tol, "eps-trajectories")
     limit_gap = float(
@@ -1764,8 +1798,7 @@ def run_nef(
     witness = None
     witness_margin = None
     try:
-        path0 = MetricPath.nef(grid, cfg.horizon, theta0, eps=0.0)
-        witness = run(phi0, path0, F, omega_form, cfg)
+        (witness,) = run_family([witness_member], omega_form)
         # every member must dominate the witness: min(member - witness)
         witness_margin = -max(ordering_gap(traj, witness)[0] for traj in trajectories)
         if witness_margin < -tol:

@@ -21,6 +21,7 @@ Conventions shared by every check in this module:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -31,16 +32,19 @@ from .flow import (
     DrivingTerm,
     FlowConfig,
     FlowTrajectory,
+    Member,
     TrajectoryAudit,
     _distinct_sorted,
     _sampled_min,
+    _transformed_time,
+    finite_horizon,
     instantaneous_residuals,
     monotone_reduction,
     ordering_gap,
     reduction_rate as default_reduction_rate,
     residual_certificate,
-    run,
     run_cascade,
+    run_family,
     snapshot_sup,
     uniqueness_rescale,
 )
@@ -571,9 +575,19 @@ def check_energy_monotonicity(audit: TrajectoryAudit, *, slack: float = 1e-8) ->
 # stability
 
 
-def homotopy_runs(homotopy_samples: int) -> int:
-    """The flows `check_stability` runs: its homotopy's samples, at least the two ends."""
-    return max(int(homotopy_samples), 2)
+def homotopy(phi0, psi0, path: MetricPath, F: DrivingTerm, cfg: FlowConfig, samples: int) -> list:
+    """The members `check_stability` runs: from (1 - lam) phi0 + lam psi0, samples lam in [0, 1]."""
+    if F.defect is None or F.defect > 0.0:
+        raise ConfigError(
+            "stability needs a monotone driving term (defect 0); apply the reduction first"
+        )
+    if samples < 2:
+        raise ConfigError(f"check_params.stability.homotopy_samples must be >= 2, got {samples}")
+
+    def start(lam):
+        return ScalarField(phi0.grid, (1.0 - lam) * phi0.values + lam * psi0.values), path, F
+
+    return [Member(cfg, functools.partial(start, lam)) for lam in np.linspace(0.0, 1.0, samples)]
 
 
 def check_stability(
@@ -590,33 +604,23 @@ def check_stability(
     """Sup-norm contraction between two flows plus the homotopy-family audit.
 
     Runs the flows from phi0, psi0 and from the straight-line family between
-    them.  Contraction: |phi_t - psi_t|_sup <= |phi_0 - psi_0|_sup + tol at
+    them (`homotopy`).  Contraction: |phi_t - psi_t|_sup <= |phi_0 - psi_0|_sup + tol at
     every snapshot.  Homotopy: the finite-difference-in-lambda derivative's
     sup norm is non-increasing in t.  Also reports the second-order
     difference quotient at t = eps as an empirical C(2, eps); that part is a
     diagnostic, not a gate.  An eps with no stored snapshot raises
     MissingSnapshotsError after the flow from phi0, before the others run.
     """
-    if F.defect is None or F.defect > 0.0:
-        raise ConfigError(
-            "stability needs a monotone driving term (defect 0); apply the reduction first"
-        )
+    members = homotopy(phi0, psi0, path, F, cfg, homotopy_samples)
     grid = phi0.grid
     tol = comparison_tolerance(grid, cfg.backend, max(oscillation(phi0), oscillation(psi0)))
     d0 = float(np.abs(phi0.values - psi0.values).max())
 
-    m = homotopy_runs(homotopy_samples)
-    lams = np.linspace(0.0, 1.0, m)
-
-    def homotopy_run(lam):
-        start = ScalarField(grid, (1.0 - lam) * phi0.values + lam * psi0.values)
-        return run(start, path, F, omega_form, cfg)
-
-    phi_run = homotopy_run(lams[0])
+    (phi_run,) = run_family(members[:1], omega_form)
     if eps is None:
         eps = default_eps(phi_run, cfg.t_min)
     ke = phi_run.index_of(eps)  # a missing snapshot is refused before the other flows run
-    runs = [phi_run, *(homotopy_run(lam) for lam in lams[1:])]
+    runs = [phi_run, *run_family(members[1:], omega_form)]
     psi_run = runs[-1]
 
     d_max, t_c, j_c = snapshot_sup(
@@ -627,10 +631,10 @@ def check_stability(
     where = (t_c,) + _point(grid, j_c)
     ratio = d_max / d0 if d0 > 0.0 else 0.0
 
-    dlam = 1.0 / (m - 1)
+    dlam = 1.0 / (homotopy_samples - 1)
     tol_h = tol / dlam
     margin_h = math.inf
-    for i in range(m - 1):
+    for i in range(homotopy_samples - 1):
         prev = None
         for k in range(len(phi_run.times)):
             d = float(
@@ -655,13 +659,27 @@ def check_stability(
         margin=margin,
         location=where,
         constants={"C0": ratio, "C2_eps": c2, "eps": float(eps), "tol": tol},
-        details={"d0": d0, "homotopy_samples": m, "contraction_margin": margin_c,
+        details={"d0": d0, "homotopy_samples": homotopy_samples, "contraction_margin": margin_c,
                  "homotopy_margin": margin_h},
     )
 
 
 # ---------------------------------------------------------------------------
 # uniqueness via two regularization schedules
+
+
+def uniqueness_refusals(F: DrivingTerm) -> list:
+    """Why `check_uniqueness` refuses F, and runs no cascade: none for a certified F."""
+    reasons = []
+    if F.defect is None:
+        reasons.append("no monotonicity certificate declared")
+    elif F.defect > 0.0:
+        reasons.append(f"monotonicity defect {F.defect} > 0; reduce first")
+    if F.time_bound is None:
+        reasons.append("time-derivative bound undeclared")
+    if not F.smooth:
+        reasons.append("driving term not declared smooth in s")
+    return reasons
 
 
 def check_uniqueness(
@@ -684,15 +702,7 @@ def check_uniqueness(
     answer for terms admitting several solutions.  Only a term that passes
     these preconditions needs schedules, one per cascade of the datum initial.
     """
-    reasons = []
-    if F.defect is None:
-        reasons.append("no monotonicity certificate declared")
-    elif F.defect > 0.0:
-        reasons.append(f"monotonicity defect {F.defect} > 0; reduce first")
-    if F.time_bound is None:
-        reasons.append("time-derivative bound undeclared")
-    if not F.smooth:
-        reasons.append("driving term not declared smooth in s")
+    reasons = uniqueness_refusals(F)
     if reasons:
         return MarginReport(
             name="uniqueness",
@@ -717,8 +727,7 @@ def check_uniqueness(
     s_range = (float(sample.min()) - 1.0, float(sample.max()) + 1.0)
     transformed = uniqueness_rescale(F, path, rate, s_range=s_range)
 
-    casc_a = run_cascade(initial, schedules[0], path, F, omega_form, cfg)
-    casc_b = run_cascade(initial, schedules[1], path, F, omega_form, cfg)
+    casc_a, casc_b = (run_cascade(initial, s, path, F, omega_form, cfg) for s in schedules)
     tol = comparison_tolerance(grid, cfg.backend, oscillation(casc_a.ladder.base))
 
     keys = sorted(set(casc_a.limit_gaps) & set(casc_b.limit_gaps), key=float)
@@ -932,23 +941,44 @@ def check_residual_certificate(audit: TrajectoryAudit) -> MarginReport:
     )
 
 
-def transformed_config(cfg: FlowConfig, horizon: float) -> FlowConfig:
-    """cfg for a transformed run over [0, horizon]: t_min at most half of it, no probes."""
-    return replace(cfg, horizon=horizon, t_min=min(cfg.t_min, 0.5 * horizon), probes=())
+TRANSFORMS = {"reduction": monotone_reduction, "rescale": uniqueness_rescale}
 
 
-def transform_rates(F: DrivingTerm, T: float, reduction_rate=None, rescale_rate=None) -> dict:
-    """The rate, by label, of each transform `check_transform_roundtrip` runs over [0, T].
+def transformed_runs(phi0, path, F, cfg, reduction_rate=None, rescale_rate=None) -> dict:
+    """label -> (transform, member) of each transform `check_transform_roundtrip` runs.
 
     The monotone reduction runs when F has a positive defect, the uniqueness
     rescale when F declares a time bound and rescale_rate is given.
+    transform() builds the problem once, sampling its certificate over
+    phi0's range padded by 1; the member flows it from phi0 over the
+    transformed horizon, t_min at most half of it and no probes.
     """
+    T = path.horizon
     rates = {}
     if F.defect is not None and F.defect > 0.0:
         rates["reduction"] = default_reduction_rate(reduction_rate, T)
     if F.time_bound is not None and rescale_rate is not None:
         rates["rescale"] = rescale_rate
-    return rates
+    if not rates:
+        raise ConfigError(
+            "no transform applies: need a positive defect or a rescale rate with a declared time bound"
+        )
+
+    def transform(label, rate):
+        s_range = (float(phi0.values.min()) - 1.0, float(phi0.values.max()) + 1.0)
+        return TRANSFORMS[label](F, path, rate, s_range=s_range)
+
+    runs = {}
+    for label, rate in rates.items():
+        if rate == 0.0 or not finite_horizon(rate, T):
+            raise ConfigError(
+                f"check_params.transform-roundtrip.{label}_rate {rate} gives no finite horizon"
+            )
+        horizon = _transformed_time(rate, T)
+        tp = functools.cache(functools.partial(transform, label, rate))
+        cfg_t = replace(cfg, horizon=horizon, t_min=min(cfg.t_min, 0.5 * horizon), probes=())
+        runs[label] = tp, Member(cfg_t, lambda tp=tp: (phi0, tp().path, tp().driving))
+    return runs
 
 
 def check_transform_roundtrip(
@@ -961,27 +991,21 @@ def check_transform_roundtrip(
     reduction_rate: float | None = None,
     rescale_rate: float | None = None,
 ) -> list:
-    """Run each exponential transform, pull back, and measure the residual.
+    """Run each exponential transform (`transformed_runs`), pull back, and measure the residual.
 
     The pulled-back trajectory must satisfy the original equation: its
     instantaneous residual (phidot against the recomputed right-hand side)
     stays within 10x the Newton tolerance.  Produces one report per
     applicable transform: the monotone reduction when the term has a
     positive defect, the uniqueness rescale when a time bound is declared.
+    Every transform is built, so refused, before any of them runs.
     """
-    vals = phi0.values
-    s_range = (float(vals.min()) - 1.0, float(vals.max()) + 1.0)
     budget = 10.0 * cfg.newton_tol
+    runs = transformed_runs(phi0, path, F, cfg, reduction_rate, rescale_rate)
+    problems = {label: transform() for label, (transform, _) in runs.items()}
+    trajectories = run_family([member for _, member in runs.values()], omega_form)
     reports = []
-    transforms = {"reduction": monotone_reduction, "rescale": uniqueness_rescale}
-    rates = transform_rates(F, path.horizon, reduction_rate, rescale_rate)
-    jobs = [(k, transforms[k](F, path, rate, s_range=s_range)) for k, rate in rates.items()]
-    if not jobs:
-        raise ConfigError(
-            "no transform applies: need a positive defect or a rescale rate with a declared time bound"
-        )
-    for label, tp in jobs:
-        tilde = run(phi0, tp.path, tp.driving, omega_form, transformed_config(cfg, tp.horizon))
+    for (label, tp), tilde in zip(problems.items(), trajectories):
         pulled = tp.pull_back(tilde)
         res = instantaneous_residuals(pulled, tp.base_path, tp.base_driving, omega_form)
         margin = budget - res["max_residual"]

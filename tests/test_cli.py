@@ -591,6 +591,25 @@ def test_a_stability_eps_with_no_snapshot_exits_two_after_one_homotopy_flow(
     assert not (tmp_path / "out").exists()
 
 
+def test_a_stability_check_of_an_uncertified_term_exits_two_before_any_flow(
+    tmp_path, capsys, monkeypatch
+):
+    from maflow import flow
+
+    doc = {
+        **json.loads(scenario_path("05-contraction-pair").read_text()),
+        "driving": {"kind": "counterexample"},  # no certified defect
+        "out": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "05.json"
+    cfg_path.write_text(json.dumps(doc))
+    runs = count_calls(monkeypatch, flow, "run")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert "stability needs a monotone driving term" in capsys.readouterr().err
+    assert runs == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_residual_certificate_with_no_consecutive_snapshots_exits_two(tmp_path, capsys):
     from maflow.flow import schedule_times, stored_steps
 
@@ -785,6 +804,11 @@ def test_a_mutated_document_exits_two_naming_its_key(data):
         ("04-comparison-pair", {"flow.horizon": 1e12}, [], 2, "horizon"),
         # phi_0 - psi_0 < 0, so the bound is tol for any lam, and the check runs
         ("05-contraction-pair", {"check_params.comparison.lam": 1e12}, [], 0, "PASS  comparison"),
+        # refused before any flow runs: a seed that seeds no generator, a one-point homotopy
+        ("11-convergence-modes", {"check_params": {"convergence": {"seed": -1}}}, [], 2,
+         "check_params.convergence.seed"),
+        ("05-contraction-pair", {"check_params": {"stability": {"homotopy_samples": 1}}}, [], 2,
+         "check_params.stability.homotopy_samples"),
     ],
 )
 def test_a_typed_value_ends_in_an_exit_code_naming_its_key_not_a_traceback(
@@ -806,7 +830,7 @@ def test_a_typed_value_ends_in_an_exit_code_naming_its_key_not_a_traceback(
     runs = count_calls(monkeypatch, flow, "run")
     assert cli.main(command + argv) == code  # raises if an exception leaves cli.main
     assert named in "".join(capsys.readouterr())
-    if named == "seed":
+    if named.endswith(("seed", "homotopy_samples")):  # refused before any flow runs
         assert runs == []
 
 
@@ -1199,18 +1223,23 @@ def test_a_check_that_runs_flows_of_its_own_adds_the_snapshots_they_keep(monkeyp
     assert estimate(doc, "uniqueness") == base + uniqueness * field
     # the checks run one at a time, so the one that keeps most counts
     assert estimate(doc, "stability", "uniqueness") == base + max(stability, uniqueness) * field
+    # an uncertified driving term runs no cascade, and stability refuses it before any flow
+    uncertified = {**doc, "driving": {"kind": "counterexample"}}
+    assert estimate(uncertified, "uniqueness") == base
+    with pytest.raises(ConfigError, match="stability needs a monotone driving term"):
+        estimate(uncertified, "stability")
     # transform-roundtrip keeps each transformed run and its pull-back, each
     # with as many snapshots as the check's own runs store
     doc["driving"] = {"kind": "affine", "constant": 0.2, "slope": -0.5}
     doc["check_params"] = {"transform-roundtrip": {"rescale_rate": 2.0}}
-    snapshots = []
+    snapshots, run = [], flow.run
 
     def counted(*args, **kwargs):
-        traj = flow.run(*args, **kwargs)
+        traj = run(*args, **kwargs)
         snapshots.append(len(traj.fields))
         return traj
 
-    monkeypatch.setattr(verify, "run", counted)
+    monkeypatch.setattr(flow, "run", counted)
     phi0 = cli.build_initial(doc["initial"], 2).sample(grid)
     problem = (cli.build_metric(doc, grid, cfg.horizon), cli.build_driving(doc))
     reports = verify.check_transform_roundtrip(

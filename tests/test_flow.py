@@ -1572,7 +1572,7 @@ def fake_runs(monkeypatch, levels):
     """flow.run returns flat trajectories at the given levels, in call order."""
     queue = list(levels)
 
-    def fake(phi0, path, F, omega_form, cfg):
+    def fake(phi0, path, F, omega_form, cfg, store=None):
         return flat_family(phi0.grid, schedule_times(cfg), queue.pop(0))
 
     monkeypatch.setattr(flow, "run", fake)

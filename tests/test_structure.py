@@ -96,6 +96,63 @@ def matmul_uses(path: Path) -> list:
     return hits
 
 
+def run_uses(path: Path) -> list:
+    """(line, enclosing function, how) of each use of flow's `run` in the module.
+
+    how is "call" for a call of run or flow.run, and "name" for any other
+    reference: an import of it, or the bare name or attribute read.
+    """
+    tree = ast.parse(path.read_text())
+    hits, called = [], set()
+
+    def is_run(node):
+        if isinstance(node, ast.Name):
+            return node.id == "run"
+        return isinstance(node, ast.Attribute) and node.attr == "run" and (
+            isinstance(node.value, ast.Name) and node.value.id == "flow"
+        )
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and is_run(node.func):
+            called.add(id(node.func))
+            hits.append((node.lineno, where, "call"))
+        elif is_run(node) and id(node) not in called:
+            hits.append((node.lineno, where, "name"))
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "run" for a in node.names):
+            hits.append((node.lineno, where, "name"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return hits
+
+
+def test_only_run_family_calls_run():
+    # every flow the library integrates is a member of a family (flow.run_family);
+    # the package's __init__ re-exports run, and names it for nothing else
+    package = Path(maflow.__file__).parent
+    found = {p.stem: run_uses(p) for p in sorted(package.glob("*.py"))}
+    assert [how for _, _, how in found.pop("__init__")] == ["name"]
+    assert [(where, how) for _, where, how in found.pop("flow")] == [("run_family", "call")]
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_run_check_sees_imports_reads_and_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .flow import run, run_family\n"
+        "from . import flow\n"
+        "def family(members):\n"
+        "    go = flow.run\n"
+        "    return [run(*m) for m in members], flow.run(members)\n"
+    )
+    assert run_uses(probe) == [
+        (1, None, "name"), (4, "family", "name"), (5, "family", "call"), (5, "family", "call")
+    ]
+
+
 def test_only_grid_transforms_and_only_psh_despiking_rolls():
     package = Path(maflow.__file__).parent
     modules = sorted(package.glob("*.py"))

@@ -33,7 +33,7 @@ from maflow import (
     run_cascade,
     write_reports,
 )
-from maflow import cli, verify
+from maflow import cli, flow, verify
 from maflow import grid as grid_module
 from maflow.flow import (
     TrajectoryAudit,
@@ -514,13 +514,13 @@ def test_transform_roundtrip_reports(grid8):
 
 def test_transform_roundtrip_keeps_the_solver_settings(grid8, monkeypatch):
     configs = []
-    real_run = verify.run
+    real_run = flow.run
 
     def spy(phi0, path, F, omega_form, cfg, **kwargs):
         configs.append(cfg)
         return real_run(phi0, path, F, omega_form, cfg, **kwargs)
 
-    monkeypatch.setattr(verify, "run", spy)
+    monkeypatch.setattr(flow, "run", spy)
     omega = VolumeForm.constant(grid8)
     path = MetricPath.constant(grid8, 0.3)
     cfg = FlowConfig(
