@@ -187,7 +187,8 @@ def _nef_path(
     grid, horizon: float, theta0: list[list[float]], eps: float | list[float] = (0.2, 0.1, 0.05)
 ) -> MetricPath:
     """theta0 + (t + eps) omega at the last eps of the schedule, a number being a
-    one-member schedule; nef mode flows every member (meta["eps_schedule"])."""
+    one-member schedule, which only a single flow takes: nef mode flows every
+    member (meta["eps_schedule"]) of two or more (`resolve_mode`)."""
     schedule = np.atleast_1d(eps).tolist()
     if not schedule:
         raise ConfigError("metric.eps must be a number or a nonempty list")
@@ -269,9 +270,20 @@ def build_schedule(sec: dict, key: str = "schedule") -> RegularizationSchedule:
     return _call(key, ctor, sec)
 
 
+def _eps_family(eps) -> bool:
+    """Whether eps is a list of two or more strictly decreasing positive numbers."""
+    return (
+        isinstance(eps, list) and len(eps) >= 2
+        and all(isinstance(e, (int, float)) for e in eps)
+        and all(a > b for a, b in zip(eps, eps[1:])) and eps[-1] > 0
+    )
+
+
 def resolve_mode(doc: dict, initial: RoughPotential, forced: str = None) -> str:
     """The mode: forced, else the document's, else the one its metric and datum take.
-    A cascade without a schedule and a nef family without a nef metric are refused."""
+    A cascade without a schedule, and a nef family without a nef metric or
+    with a metric.eps other than two or more strictly decreasing positive
+    values, are refused."""
     mode = forced or doc.get("mode", "auto")
     if mode not in ("auto", "single", "cascade", "nef", "audit"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -282,6 +294,12 @@ def resolve_mode(doc: dict, initial: RoughPotential, forced: str = None) -> str:
         raise ConfigError("scenario is missing the 'schedule' section")
     if mode == "nef" and not nef:
         raise ConfigError("nef mode needs a metric of kind 'nef'")
+    eps = doc.get("metric", {}).get("eps")  # None: _nef_path's default, a family
+    if mode == "nef" and eps is not None and not _eps_family(eps):
+        raise ConfigError(
+            f"metric.eps of a nef family must be a nonempty list: an eps schedule of two or "
+            f"more strictly decreasing positive values, got {eps!r}"
+        )
     return mode
 
 
@@ -600,7 +618,8 @@ def array_estimate(doc: dict, forced_mode: str = None, checks=()) -> int:
     ctx = _context(doc, build_grid(doc), build_flow_config(doc))
     mode = resolve_mode(doc, ctx.initial, forced_mode)
     kept = [_KEPT[name](ctx, _settings(name, ctx)) for name in checks if name in _KEPT]
-    return peak_array_bytes(ctx.grid, _KEPT[mode](ctx, {}) + max(kept, default=0))
+    kept = _KEPT[mode](ctx, {}) + max(kept, default=0)
+    return peak_array_bytes(ctx.grid, kept, ctx.cfg.backend)
 
 
 def _settings(name: str, ctx: RunContext) -> dict:

@@ -20,7 +20,11 @@ the harmonic mean of w's eigenvalues (w = theta + dd^c phi), matched to the
 Jacobian at the stiffness of the current Newton residual, so it keeps up
 where w nears the edge of the positive cone.  At n = 1 that solve inverts
 the Laplacian the Hessian takes, so each Krylov step reads the Jacobian of
-the preconditioned vector off the solve instead of taking a Hessian.
+the preconditioned vector off the solve instead of taking a Hessian.  At
+n = 1 on fd grids from grid.MULTIGRID_RESOLUTION points per axis, a form
+whose spread mean(w) mean(1/w) passes MULTIGRID_SPREAD is preconditioned
+instead by a multigrid V-cycle on w J (grid.ShiftedVCycle), whose
+iterations do not grow with the grid.
 
 A flow state is evaluated in one place, `_Workspace`: its Hessian, the form
 theta_t + dd^c phi with its cone margin, det and the right-hand side, and
@@ -33,7 +37,8 @@ arrays that its solve leaves idle.  Each `run` holds one workspace for its
 whole length and owns three state arrays, laid out once, which its steps
 take turns writing, so after that no array is new but the values of a
 driving term that makes its own (an affine term writes into the
-workspace), at n = 1 and n = 2 alike.  A stored snapshot goes to the run's
+workspace) and, once, the V-cycle's coarse levels, at n = 1 and n = 2
+alike.  A stored snapshot goes to the run's
 snapshot store when its step is accepted: a list in memory by default,
 which copies it, or io.ArchiveStore, which writes it to disk at once and
 reads it back when the trajectory is indexed.
@@ -92,11 +97,14 @@ from .geometry import (
     lowest_eigenvalue,
 )
 from .grid import (
+    MULTIGRID_RESOLUTION,
     ScalarField,
+    ShiftedVCycle,
     TorusGrid,
     correction_dtype,
     hessian_components,
     inner,
+    multigrid_size,
     oscillation,
     quarter_laplacian_rayleigh,
     inverse_shifted_symbol,
@@ -465,6 +473,13 @@ _ARRAYS = (
     ("best", "cor", "real", 1, "rhs", 0),
     # n = 1's transform (in the workspace's) and the reciprocal shift + symbol
     ("spectrum", "cor", "spectrum", 1, "spectrum", 0), ("inverse", "cor", "spectrum", 1),
+    # the V-cycle's, at n = 1 on fd grids from grid.MULTIGRID_RESOLUTION up: c,
+    # its Jacobi weights and two scratch arrays lie in what its path leaves
+    # idle (the correction's scale and inverse, and a and b); its coarse
+    # levels are one row
+    ("c", "vcycle", "real", 1, "scale", 0), ("dinv", "vcycle", "real", 1, "inverse", 0),
+    ("vr", "vcycle", "real", 1, "tmp0", 0), ("vs", "vcycle", "real", 1, "h11", 0),
+    ("levels", "vcycle", "levels", 1),
 )
 
 
@@ -475,6 +490,8 @@ def _rows(grid: TorusGrid, owners, dtype):
         "real": (real, grid.shape), "complex": (cplx, grid.shape),
         "spectrum": (cplx, grid.spectrum_shape),
     }
+    if "vcycle" in owners:
+        kinds["levels"] = (real, (multigrid_size(grid.resolution),))
     for name, owner, kind, n, *lent in _ARRAYS:
         if owner in owners and n in (None, grid.n):
             yield (name, *kinds[kind], *(lent or (None, 0)))
@@ -558,12 +575,22 @@ class _Correction:
     spectrum[1]) are its own.  R is lent only to the float32 one's h12; a
     run's states are not the workspace's, so none is lent.  `nbytes` counts
     what the constructor makes.
+
+    On an fd grid at n = 1 from MULTIGRID_RESOLUTION points per axis its
+    Newton iterations may take a V-cycle instead (`_vcycle_step`), made on
+    the first that does (`multigrid`).  Each takes either the FFT solve or
+    the cycle, never both, so the cycle's fine level lies in what the FFT
+    path owns and the cycle's leaves idle: c in scale, the Jacobi weights
+    in inverse and the cycle's scratch in a and b (ws.tmp[0] and ws.h).
+    Its coarse levels are one packed array of its own.  The cycle reads w,
+    so nothing of it lies there.  `nbytes` counts the packed array wherever
+    the cycle may be made.
     """
 
     def __init__(self, grid: TorusGrid, dtype, ws):
         owners, lent = _Correction._layout(grid, dtype)
         arrays = _laid_out(grid, owners, dtype, ws.lenders if lent else None)
-        self.dtype = dtype
+        self.grid, self.dtype = grid, dtype
         self.tmp = (arrays["tmp0"], arrays["tmp1"], arrays["tmp2"])
         self.hv = self.tmp[:1] if grid.n == 1 else (*self.tmp[:2], arrays["h12"])
         self.scale = arrays["scale"]
@@ -576,6 +603,10 @@ class _Correction:
         if grid.n == 1:
             self.inverse = arrays["inverse"]
             self.spectrum = (arrays["spectrum"], self.inverse.real)
+        # what the V-cycle's rows lie in, by name; None where it has none
+        self.vcycle_lenders = None
+        if _Correction._has_vcycle(grid, ws.backend):
+            self.vcycle_lenders = {**arrays, **ws.lenders}
 
     @staticmethod
     def _layout(grid: TorusGrid, dtype) -> tuple:
@@ -584,10 +615,28 @@ class _Correction:
         return ("cor", "copy") if single else ("cor",), single or grid.n == 1
 
     @staticmethod
-    def nbytes(grid: TorusGrid, dtype) -> int:
-        """The bytes of the arrays a `_Correction(grid, dtype, ws)` makes: none in float32."""
+    def _has_vcycle(grid: TorusGrid, backend: str) -> bool:
+        """Whether its Newton iterations may take the V-cycle: at n = 1, fd, from MULTIGRID_RESOLUTION."""
+        return grid.n == 1 and backend == "fd" and grid.resolution >= MULTIGRID_RESOLUTION
+
+    @staticmethod
+    def nbytes(grid: TorusGrid, dtype, backend: str) -> int:
+        """The most bytes of arrays a `_Correction(grid, dtype, ws)` makes: none in float32."""
         owners, lent = _Correction._layout(grid, dtype)
+        if _Correction._has_vcycle(grid, backend):
+            owners += ("vcycle",)
         return _made_bytes(grid, owners, dtype, lent)
+
+    @functools.cached_property
+    def multigrid(self) -> ShiftedVCycle:
+        """The V-cycle (`_vcycle_step`), made on first use.
+
+        The first Newton iteration that takes the cycle lays out its rows, so
+        a run whose forms never degenerate makes none of its arrays.
+        """
+        arrays = _laid_out(self.grid, ("vcycle",), self.dtype, self.vcycle_lenders)
+        fine = tuple(arrays[k] for k in ("c", "dinv", "vr", "vs"))
+        return ShiftedVCycle(self.grid.resolution, fine, arrays["levels"])
 
     def operands(self, total, det, R) -> tuple:
         """(total, det, R) in dtype: themselves in float64, copies in copies otherwise."""
@@ -826,7 +875,10 @@ def _preconditioner(total, det, R, fs, dt, ws):
     1/dt - Laplacian/(4c) (1/dt - Laplacian/4 when w = I); where kappa >> s,
     D -> s and M follows the pointwise degeneracy of w at the cone's edge.
     The Laplacian is the one the backend's Hessian takes, which is what
-    lets `_krylov_step` skip the Hessian at n = 1.
+    lets `_krylov_step` skip the Hessian at n = 1.  There, on fd grids, a
+    degenerate form's solves take a V-cycle instead (`_vcycle_step`), as
+    with w spanning decades the frozen scaling D leaves the iterations
+    growing with the grid.
 
     det is det(w).  It is called as apply(r, out=None) and writes D r into
     out (a new array when omitted), where the solve also lands.  ws is the
@@ -860,6 +912,10 @@ def _krylov_step(total, det, R, fs, dt, ws):
     Until the solve ends, the correction's tmp (which its hv shares) belongs
     to the step, so no `_jacobian` may run on ws meanwhile.  The step reads
     neither w nor det, so its scratch, tmp[2], may lie in w (`_Correction`).
+
+    Where the correction has a V-cycle (n = 1, fd, from MULTIGRID_RESOLUTION
+    points per axis) and the form is degenerate (`_degenerate`), M^-1 is
+    that cycle instead (`_vcycle_step`).
     """
     if ws.grid.n == 2:
         precond = _preconditioner(total, det, R, fs, dt, ws)
@@ -870,9 +926,12 @@ def _krylov_step(total, det, R, fs, dt, ws):
             return z, jacobian(z, v)
 
         return step
-    grid, backend, spectrum = ws.grid, ws.backend, ws.correction.spectrum
+    cor = ws.correction
+    if cor.vcycle_lenders is not None and _degenerate(total[0], fs, dt, cor.tmp[0]):
+        return _vcycle_step(total[0], fs, dt, cor)
+    grid, backend, spectrum = ws.grid, ws.backend, cor.spectrum
     scale, sigma, shift = _preconditioner_terms(total, det, R, fs, dt, ws)
-    a, b, spare = ws.correction.tmp
+    a, b, spare = cor.tmp
     w = total[0]
     np.divide(sigma, w, out=a)
     np.subtract(fs, a, out=a)
@@ -884,6 +943,52 @@ def _krylov_step(total, det, R, fs, dt, ws):
         z = solve_shifted_laplacian(z, grid, backend, shift, z, None, spectrum)
         v = np.multiply(a, z, out=v)
         v += np.multiply(b, p, out=spare)
+        return z, v
+
+    return step
+
+
+# The spread mean(w) mean(1/w) of an n = 1 form above which its Newton
+# corrections take the V-cycle.  Over the bundled scenarios the FFT path took
+# 1.75 BiCGSTAB iterations per solve at spreads in 1.1-1.5, 4.2 in 1.5-3 and
+# 8.3 above 3; every scenario but 07 stays at 1.262 or below.  On a 2-vCPU
+# x86_64 VM a cycle's Krylov step cost 6-7 FFT steps at 128^2 and 3-4 at
+# 256^2 (two runs), and 07's flow at 128^2 took 0.46 s with this bound,
+# 0.44 s with 3 and 0.72 s through the FFT solve alone (medians of 8
+# alternating runs).
+MULTIGRID_SPREAD = 1.5
+
+
+def _degenerate(w, fs, dt, scratch) -> bool:
+    """Whether the n = 1 form w spreads past MULTIGRID_SPREAD and 1/dt + F_s > 0 everywhere.
+
+    The second keeps the V-cycle's operator w (1/dt + F_s) - (1/4) Laplacian
+    positive definite.  scratch, a grid-shaped array, receives 1/w.
+    """
+    spread = float(np.mean(w)) * float(np.mean(np.divide(1.0, w, out=scratch)))
+    return spread > MULTIGRID_SPREAD and 1.0 / dt + float(np.min(fs)) > 0.0
+
+
+def _vcycle_step(w, fs, dt, cor):
+    """BiCGSTAB's step(p, z, v) -> (M^-1 p, J M^-1 p) through cor's V-cycle, at n = 1 (fd).
+
+    w J = A = w (1/dt + F_s) - H, H the fd Hessian, is c - (1/4) Laplacian
+    with c = w (1/dt + F_s) > 0, so J^-1 = A^-1 w and M^-1 p = V(w p), V
+    one `grid.ShiftedVCycle` for A, laid out here from c.  The step forms
+    w p in v, which the cycle reads until it returns, then applies
+    J z = A z / w into v with the same stencil, so it takes no Hessian.  It
+    reads w throughout: nothing of the correction lies in it on this path
+    (`_Correction`).
+    """
+    vcycle = cor.multigrid
+    c = np.add(fs, 1.0 / dt, out=vcycle.fine[0])
+    c *= w
+    vcycle.prepare()
+
+    def step(p, z, v):
+        z = vcycle(np.multiply(w, p, out=v), z)
+        v = vcycle.apply(z, v)
+        v /= w
         return z, v
 
     return step
@@ -1114,7 +1219,7 @@ def audit_array_bytes(grid: TorusGrid) -> int:
     return _Workspace.nbytes(grid) + AUDIT_FIELDS * field + _buffer_bytes(grid)
 
 
-def peak_array_bytes(grid: TorusGrid, kept_fields: int = 0) -> int:
+def peak_array_bytes(grid: TorusGrid, kept_fields: int = 0, backend: str = "spectral") -> int:
     """About the most bytes of grid-sized arrays that a run on grid and its audit hold at once.
 
     The run holds its states and `_Workspace`, the arrays its `_Correction`
@@ -1122,10 +1227,11 @@ def peak_array_bytes(grid: TorusGrid, kept_fields: int = 0) -> int:
     RUN_FIELDS fields more and numpy's buffer; the audit, which comes after
     it, holds `audit_array_bytes`.  kept_fields fields, the snapshots a mode
     or a check's own flows keep in memory, are held through both, so the
-    estimate is the larger phase plus them.
+    estimate is the larger phase plus them.  backend is the run's: an fd
+    correction also holds the V-cycle's coarse levels where it has one.
     """
     field = 8 * math.prod(grid.shape)
-    correction = _Correction.nbytes(grid, correction_dtype(grid))
+    correction = _Correction.nbytes(grid, correction_dtype(grid), backend)
     arrays = _made_bytes(grid, ("state", "ws")) + correction
     run_phase = arrays + RUN_FIELDS * field + _buffer_bytes(grid)
     return max(run_phase, audit_array_bytes(grid)) + kept_fields * field

@@ -25,7 +25,9 @@ which is what the comparison-sensitive n=1 runs rely on.
 Every derivative operator of the package lives here, built once per grid:
 the Hessian, the -(1/4) Laplacian of either backend (the shifted solve at
 the core of the flow's preconditioner, and the Rayleigh quotient that sets
-the stiffness it is matched at) and Gaussian smoothing (mollification).
+the stiffness it is matched at), a multigrid V-cycle for the n=1 fd
+Laplacian shifted by a pointwise c (the preconditioner of degenerate forms)
+and Gaussian smoothing (mollification).
 At n=1 they are Fourier symbols applied with real FFTs, and fd stencils
 built from slices.  At n=2 derivatives and the preconditioner's operator
 are per-axis N x N matrices applied axis by axis (Trefethen, Spectral
@@ -575,6 +577,256 @@ def _hessian_axes(values, grid, backend, out=None, scratch=None):
     h22 = _along(d2, values, 2, h22)
     h22 += _along(d2, values, 3, scratch)
     return h11, h22, h12
+
+
+# ---------------------------------------------------------------------------
+# multigrid (n=1 fd)
+#
+# A geometric-multigrid V-cycle for (c - (1/4) Laplacian) x = b on an n = 1
+# fd grid, c > 0 pointwise (W. L. Briggs, V. E. Henson and S. F. McCormick,
+# A Multigrid Tutorial, 2nd ed., SIAM 2000): damped Jacobi smoothing,
+# full-weighting restriction of the residual and of c, bilinear
+# prolongation, and the fd operator rediscretised on each level, the side
+# halved down to MULTIGRID_COARSEST points, whose system a dense inverse
+# solves.  Its contraction per cycle does not depend on the grid, where a
+# constant-coefficient preconditioner's iterations grow with it once c spans
+# decades.
+
+# The smallest n = 1 fd resolution whose degenerate Newton corrections the
+# flow preconditions with the V-cycle.  On a 2-vCPU x86_64 VM with one
+# OpenBLAS thread, scenario 07's corner run to t = 0.02 took, in medians of
+# 15 alternating pairs, 0.096 s through it against 0.053 s through the FFT
+# solve at 32^2, 0.139 against 0.116 s at 64^2, 0.280 against 0.438 s at
+# 128^2 and 1.10 against 2.99 s at 256^2: about 1.1 BiCGSTAB iterations per
+# solve at every size against 4, 6, 8 and 10, but below 128^2 a cycle costs
+# more than the iterations it saves.
+MULTIGRID_RESOLUTION = 128
+MULTIGRID_COARSEST = 4
+# damped Jacobi's weight, and its sweeps before and after the coarse
+# correction.  One sweep each way was no faster (07's flow at 128^2: 0.48
+# against 0.46 s), and an 8^2 coarsest level's inverse cost more per Newton
+# iteration (0.9 ms) than its cycles saved.
+_JACOBI_WEIGHT = 0.8
+_SWEEPS = 2
+
+
+def _multigrid_sides(N: int) -> tuple:
+    """The sides of a V-cycle's coarse levels below N, halving down to MULTIGRID_COARSEST."""
+    sides = []
+    while N > MULTIGRID_COARSEST:
+        N //= 2
+        sides.append(N)
+    return tuple(sides)
+
+
+def _packed_shapes(N: int) -> list:
+    """The shapes of the coarse-level arrays a `ShiftedVCycle` on N^2 points packs, in order.
+
+    c, the Jacobi weights, the right-hand side and the correction on each
+    smoothed level; c, the right-hand side, the correction and the inverse
+    of the operator on the coarsest.
+    """
+    *smoothed, q = _multigrid_sides(N)
+    return [(m, m) for m in smoothed for _ in range(4)] + [(q, q)] * 3 + [(q * q, q * q)]
+
+
+def multigrid_size(N: int) -> int:
+    """The float64 values a `ShiftedVCycle` on N^2 points packs its coarse levels into."""
+    return sum(math.prod(shape) for shape in _packed_shapes(N))
+
+
+@lru_cache(maxsize=1)
+def _coarsest_quarter_laplacian():
+    """The matrix of -(1/4) Laplacian (fd) on the coarsest level's points, in C order."""
+    m = MULTIGRID_COARSEST
+    eye = np.eye(m * m).reshape(m * m, m, m)
+    lap = _fd_second(eye, 1.0 / m, 1) + _fd_second(eye, 1.0 / m, 2)
+    return _freeze(-0.25 * lap.reshape(m * m, m * m))
+
+
+def _invert(m, scratch, spare):
+    """Gauss-Jordan inversion of m (n x n) in place, without pivoting: m must be diagonally dominant.
+
+    scratch and spare each hold n^2 values: each rank-one update is the
+    product of two broadcast copies, as a ufunc buffers a broadcast operand
+    and a copy does not.  LAPACK's inverse would map about 0.5 MB of its
+    code on its first call.
+    """
+    n = len(m)
+    column, update = (a.reshape(-1)[: n * n].reshape(n, n) for a in (scratch, spare))
+    for k in range(n):
+        pivot = float(m[k, k])
+        np.copyto(column, m[:, k : k + 1])  # m[i, k] in every column of row i
+        column[k] = 0.0
+        m[:, k] = 0.0
+        m[k, k] = 1.0
+        m[k] /= pivot
+        np.copyto(update, m[k])
+        update *= column
+        m -= update
+    return m
+
+
+def _fold_rows(v, out):
+    """out[i, j] = v[i, 2j - 1] + 2 v[i, 2j] + v[i, 2j + 1], periodic along v's rows.
+
+    v and out are C-contiguous.  The sums run on flat views a stride of two
+    apart, which numpy iterates unbuffered, as it does not a 2-D strided
+    slice; the first column, which they get wrong, is then written afresh.
+    """
+    flat, o = v.reshape(-1), out.reshape(-1)
+    odd = flat[1::2]
+    np.add(odd[1:], odd[:-1], out=o[1:])
+    o[0] = 0.0
+    o += flat[0::2]
+    o += flat[0::2]
+    first = out[:, 0]
+    np.add(v[:, -1], v[:, 1], out=first)
+    first += v[:, 0]
+    first += v[:, 0]
+    return out
+
+
+def _interpolate_rows(e, out):
+    """out[i, 2j] = e[i, j] and out[i, 2j + 1] = (e[i, j] + e[i, j + 1]) / 2, periodic.
+
+    e and out are C-contiguous; as in `_fold_rows`, flat views do the work
+    and the last column is written afresh.
+    """
+    flat, o = e.reshape(-1), out.reshape(-1)
+    np.copyto(o[0::2], flat)
+    odd = o[1::2]
+    np.add(flat[:-1], flat[1:], out=odd[:-1])
+    np.add(e[:, -1], e[:, 0], out=out[:, -1])
+    odd *= 0.5
+    return out
+
+
+def _restrict(fine, out, scratch):
+    """Full weighting of a periodic 2m x 2m array into out (m x m).
+
+    scratch (4m^2 values, not fine's) holds the rows folded, their
+    transpose, and that folded; the transposes are copies, as a ufunc
+    buffers a transposed operand.
+    """
+    m = len(out)
+    work = scratch.reshape(-1)
+    rows = _fold_rows(fine, work[: 2 * m * m].reshape(2 * m, m))
+    columns = work[2 * m * m : 4 * m * m].reshape(m, 2 * m)
+    np.copyto(columns, rows.T)
+    np.copyto(out, _fold_rows(columns, work[: m * m].reshape(m, m)).T)
+    out *= 1.0 / 16.0
+    return out
+
+
+def _prolong_add(coarse, fine, scratch, spare):
+    """fine += the bilinear interpolation of coarse (m x m) onto 2m x 2m points.
+
+    scratch and spare each hold 4m^2 values; as in `_restrict`, the
+    transposes are copies.
+    """
+    m = len(coarse)
+    work, other = scratch.reshape(-1), spare.reshape(-1)
+    rows = _interpolate_rows(coarse, work[: 2 * m * m].reshape(m, 2 * m))
+    columns = work[2 * m * m : 4 * m * m].reshape(2 * m, m)
+    np.copyto(columns, rows.T)
+    both = _interpolate_rows(columns, other[: 4 * m * m].reshape(2 * m, 2 * m))
+    correction = work[: 4 * m * m].reshape(2 * m, 2 * m)
+    np.copyto(correction, both.T)
+    fine += correction
+    return fine
+
+
+def _shifted_apply(values, c, h, out, scratch):
+    """(c - (1/4) Laplacian) values at n = 1, the fd Laplacian at spacing h, into out.
+
+    out and scratch are arrays shaped like values, aliasing neither it nor
+    each other.  The stencil at spacing 2h is the quarter of the one at h
+    exactly, as h^2 and 4 h^2 are powers of two.
+    """
+    _fd_second(values, 2.0 * h, 0, out)
+    out += _fd_second(values, 2.0 * h, 1, scratch)
+    return np.subtract(np.multiply(c, values, out=scratch), out, out=out)
+
+
+class ShiftedVCycle:
+    """A V-cycle approximating (c - (1/4) Laplacian)^-1 on an n = 1 fd grid of N^2 points, N >= 16.
+
+    fine is (c, dinv, r, s), four N x N float64 arrays.  The caller writes
+    c (positive) into the first; `prepare` then lays out the rest of the
+    cycle from it: the Jacobi weights into dinv and every coarse level into
+    packed, a float64 array of multigrid_size(N) values.  r and s are the
+    fine level's scratch, and each coarse level takes its own from their
+    first values, as a level's scratch is free while a coarser one runs.
+    Neither `prepare` nor a cycle allocates.
+    """
+
+    def __init__(self, N: int, fine, packed):
+        self.fine, self.packed = fine, packed
+        c, dinv, r, s = fine
+        *smoothed, _ = _multigrid_sides(N)
+        views, at = [], 0
+        for shape in _packed_shapes(N):
+            views.append(packed[at : at + math.prod(shape)].reshape(shape))
+            at += math.prod(shape)
+        views = iter(views)
+        # (spacing, c, Jacobi weights) per smoothed level, finest first, and
+        # (right-hand side, correction) per coarse level, the coarsest last
+        self.levels, self.coarse = [(1.0 / N, c, dinv)], []
+        for m in smoothed:
+            self.levels.append((1.0 / m, next(views), next(views)))
+            self.coarse.append((next(views), next(views)))
+        self.coarsest_c, coarsest_b, coarsest_x, self.inverse = views
+        self.coarse.append((coarsest_b, coarsest_x))
+        self.scratch = [
+            tuple(a.reshape(-1)[: m * m].reshape(m, m) for a in (r, s)) for m in (N, *smoothed)
+        ]
+
+    def prepare(self):
+        """Lay out each level's c and Jacobi weights, and the coarsest inverse, from fine c."""
+        s = self.fine[3]
+        cs = [c for _, c, _ in self.levels] + [self.coarsest_c]
+        for finer, coarser in zip(cs, cs[1:]):
+            _restrict(finer, coarser, s)
+        for h, c, dinv in self.levels:
+            np.add(c, 1.0 / h**2, out=dinv)  # the operator's diagonal
+            np.divide(_JACOBI_WEIGHT, dinv, out=dinv)
+        np.copyto(self.inverse, _coarsest_quarter_laplacian())
+        self.inverse.reshape(-1)[:: self.inverse.shape[0] + 1] += self.coarsest_c.reshape(-1)
+        _invert(self.inverse, *self.fine[2:])
+
+    def apply(self, values, out):
+        """(c - (1/4) Laplacian) values on the fine level, into out; s is its scratch."""
+        h, c, _ = self.levels[0]
+        return _shifted_apply(values, c, h, out, self.fine[3])
+
+    def __call__(self, b, out):
+        """The V-cycle from zero for the fine system with right-hand side b, into out."""
+        return self._cycle(0, b, out)
+
+    def _cycle(self, k, b, x):
+        if k == len(self.levels):
+            _along(self.inverse, b.reshape(-1), 0, x.reshape(-1))
+            return x
+        h, c, dinv = self.levels[k]
+        r, s = self.scratch[k]
+        coarse_b, coarse_x = self.coarse[k]
+        np.multiply(dinv, b, out=x)  # the first sweep, from zero
+        for _ in range(_SWEEPS - 1):
+            self._sweep(k, b, x)
+        residual = np.subtract(b, _shifted_apply(x, c, h, r, s), out=r)
+        self._cycle(k + 1, _restrict(residual, coarse_b, s), coarse_x)
+        _prolong_add(coarse_x, x, r, s)
+        for _ in range(_SWEEPS):
+            self._sweep(k, b, x)
+        return x
+
+    def _sweep(self, k, b, x):
+        """One damped Jacobi sweep on level k: x += dinv (b - A x)."""
+        h, c, dinv = self.levels[k]
+        r, s = self.scratch[k]
+        residual = np.subtract(b, _shifted_apply(x, c, h, r, s), out=r)
+        x += np.multiply(dinv, residual, out=r)
 
 
 def gradient_sq(phi: ScalarField, backend: str = "spectral") -> ScalarField:

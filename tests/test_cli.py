@@ -809,6 +809,8 @@ def test_a_mutated_document_exits_two_naming_its_key(data):
          "check_params.convergence.seed"),
         ("05-contraction-pair", {"check_params": {"stability": {"homotopy_samples": 1}}}, [], 2,
          "check_params.stability.homotopy_samples"),
+        # a number is a one-member schedule, which a nef family cannot flow
+        ("12-nef-start", {"metric.eps": 0.1}, [], 2, "metric.eps"),
     ],
 )
 def test_a_typed_value_ends_in_an_exit_code_naming_its_key_not_a_traceback(
@@ -830,7 +832,7 @@ def test_a_typed_value_ends_in_an_exit_code_naming_its_key_not_a_traceback(
     runs = count_calls(monkeypatch, flow, "run")
     assert cli.main(command + argv) == code  # raises if an exception leaves cli.main
     assert named in "".join(capsys.readouterr())
-    if named.endswith(("seed", "homotopy_samples")):  # refused before any flow runs
+    if named.endswith(("seed", "homotopy_samples", "eps")):  # refused before any flow runs
         assert runs == []
 
 

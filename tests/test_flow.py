@@ -702,21 +702,25 @@ def test_run_hands_step_k_the_state_k_mod_3(monkeypatch, amplitude):
     assert (max(d["newton_iters"] for d in traj.diagnostics) == 0) == (amplitude == 0.0)
 
 
-def warm_problem(n, resolution, backend):
+def warm_problem(n, resolution, backend, corner=False):
     """A smooth datum's values, a run's config, path and volume, and F = 0 on a grid.
 
-    F = 0 makes no array of its own, so what a step allocates is the flow's.
+    With corner, the datum is scenario 07's paraboloid corner (n = 1), whose
+    degenerate form takes the V-cycle on an fd grid of 128^2 or more.  F = 0
+    makes no array of its own, so what a step allocates is the flow's.
     """
     grid = TorusGrid(n=n, resolution=resolution)
     c = grid.coordinates()
     phi = 0.02 * np.cos(2 * np.pi * c[0]) * np.sin(2 * np.pi * c[1])
     phi = phi + 0.01 * np.cos(2 * np.pi * (c[0] + c[-1]))
+    if corner:
+        phi = RoughPotential.paraboloid(curvature=0.999).sample(grid).values
     cfg = FlowConfig(horizon=0.1, t_min=1e-3, ratio=1.2, backend=backend)
     path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
     return np.broadcast_to(phi, grid.shape).copy(), cfg, path, omega, DrivingTerm.zero()
 
 
-def warm_step_peak(n, resolution, backend):
+def warm_step_peak(n, resolution, backend, corner=False):
     """(peak, kept) of the 10th backward-Euler step called directly, in grid fields.
 
     The steps run on one workspace with the run's history, step k writing
@@ -725,7 +729,7 @@ def warm_step_peak(n, resolution, backend):
     a field, a peak is numpy's casting buffers (at most 8192 elements
     each), not an array.
     """
-    vals, cfg, path, omega, F = warm_problem(n, resolution, backend)
+    vals, cfg, path, omega, F = warm_problem(n, resolution, backend, corner)
     grid, log_om = path.grid, omega.log()
     c = grid.coordinates()
     ws = flow._Workspace(grid, backend)
@@ -775,6 +779,28 @@ def test_a_warm_float32_n2_step_allocates_only_what_it_returns(backend):
 def test_a_warm_n1_step_allocates_only_what_it_returns(backend):
     # transforms and stencils land in the workspace
     peak, kept = warm_step_peak(1, 64, backend)
+    assert peak < 0.5 and kept < 0.1
+
+
+def vcycle_steps(monkeypatch) -> list:
+    """A list that gets the dt of each Newton iteration whose solve takes the V-cycle."""
+    real, steps = flow._vcycle_step, []
+
+    def recorded(w, fs, dt, cor):
+        steps.append(dt)
+        return real(w, fs, dt, cor)
+
+    monkeypatch.setattr(flow, "_vcycle_step", recorded)
+    return steps
+
+
+def test_a_warm_vcycle_step_allocates_only_what_it_returns(monkeypatch):
+    # the cycle's fine level lies in the workspace and the correction, its
+    # coarse levels in the row the first Newton iteration lays out
+    steps = vcycle_steps(monkeypatch)
+    peak, kept = warm_step_peak(1, 128, "fd", corner=True)
+    times = schedule_times(warm_problem(1, 128, "fd", corner=True)[1])
+    assert steps[-1] == times[10] - times[9]  # the 10th step's solves took it
     assert peak < 0.5 and kept < 0.1
 
 
@@ -922,7 +948,7 @@ def test_an_n1_correction_lies_in_the_workspace_arrays_its_solve_leaves_idle(bac
     state = arrays_in(v for k, v in vars(ws).items() if k != "correction")
     assert not any(np.shares_memory(a, b) for a in own for b in state)
     assert cor.spectrum[1].base is cor.inverse
-    assert sum(a.nbytes for a in own) == flow._Correction.nbytes(ws.grid, np.float64)
+    assert sum(a.nbytes for a in own) == flow._Correction.nbytes(ws.grid, np.float64, ws.backend)
     # the states and R, which BiCGSTAB reads throughout, are never lent
     assert not any(np.shares_memory(a, b) for a in correction for b in (*states, ws.R))
     # x and best, which outlive the solve, overlap no array the line search
@@ -936,7 +962,7 @@ def test_an_n1_correction_lies_in_the_workspace_arrays_its_solve_leaves_idle(bac
 def test_a_float32_correction_lies_in_the_workspace_arrays_its_solve_leaves_idle(backend):
     ws, correction, states = stepped_workspace(2, 16, backend, np.float32)
     cor = ws.correction
-    assert flow._Correction.nbytes(ws.grid, np.float32) == 0
+    assert flow._Correction.nbytes(ws.grid, np.float32, ws.backend) == 0
 
     def within(names):
         return arrays_in(getattr(ws, name) for name in names)
@@ -986,6 +1012,42 @@ def test_the_declared_float32_placements_lie_apart_in_idle_lenders():
     assert lent_rhs_or_r == {"tmp2", "scale", "h12"}
 
 
+def test_the_declared_vcycle_placements_fill_distinct_lenders_its_path_leaves_idle():
+    # read from flow._ARRAYS alone: the FFT path's scaling and reciprocal
+    # symbol, and a and b (in tmp0 and h11), each whole; w, R, rhs (the best
+    # iterate) and BiCGSTAB's vectors stay apart
+    rows = [row for row in flow._ARRAYS if row[1] == "vcycle"]
+    placed = [row for row in rows if len(row) == 6]
+    assert {row[4] for row in placed} == {"scale", "inverse", "tmp0", "h11"}
+    assert len(placed) == 4 and all(part == 0 and kind == "real" for _, _, kind, _, _, part in placed)
+    # the coarse levels are the V-cycle's own
+    assert [row[0] for row in rows if len(row) == 4] == ["levels"]
+
+
+def test_an_fd_vcycle_lies_in_the_arrays_its_path_leaves_idle():
+    ws, correction, states = stepped_workspace(1, 128, "fd", np.float64)
+    cor = ws.correction
+    assert "multigrid" not in vars(cor)  # the smooth datum's forms never took it
+    cycle = cor.multigrid
+    c, dinv, r, s = cycle.fine
+    lent = zip((c, dinv, r, s), (cor.scale, cor.inverse, ws.tmp[0], ws.h[0]))
+    assert all(a.base is b for a, b in lent)
+    # read through the solve: w, R, the best iterate in rhs, the states and
+    # BiCGSTAB's vectors, none of which a V-cycle array overlaps
+    read = (*ws.w, ws.R, ws.rhs, *states, *cor.krylov)
+    mine = (c, dinv, r, s, cycle.packed)
+    assert not any(np.shares_memory(a, b) for a in mine for b in read)
+    assert not any(np.shares_memory(a, b) for a in mine for b in mine if a is not b)
+    # the correction's bytes: its own arrays and the packed coarse levels
+    made = arrays_in(vars(ws).values())
+    own = [a for a in correction if not any(np.shares_memory(a, b) for b in made)]
+    own_bytes = distinct_bytes(own) + cycle.packed.nbytes
+    assert own_bytes == flow._Correction.nbytes(ws.grid, np.float64, "fd")
+    assert own_bytes - flow._Correction.nbytes(ws.grid, np.float64, "spectral") == 8 * (
+        grid_module.multigrid_size(128)
+    )
+
+
 def test_the_declared_n1_placements_fill_distinct_idle_lenders():
     # read from flow._ARRAYS alone at n = 1, where the correction is float64
     # like the workspace: a placed array takes the whole of a lender of its kind
@@ -1029,7 +1091,7 @@ def test_the_workspace_and_correction_count_the_bytes_they_make(n, resolution, d
         assert len(own) == 9
     else:
         assert len(own) == (len(cor) if dtype == np.float64 else 0)
-    assert distinct_bytes(own) == flow._Correction.nbytes(grid, dtype)
+    assert distinct_bytes(own) == flow._Correction.nbytes(grid, dtype, ws.backend)
 
 
 # -- the Newton solve: preconditioned BiCGSTAB -----------------------------------
@@ -1285,6 +1347,33 @@ def test_a_lent_float32_correction_gives_the_bits_of_one_in_memory_of_its_own(mo
         assert a.values.tobytes() == b.values.tobytes()
 
 
+def lent_and_apart_n1_runs(monkeypatch, phi0, cfg):
+    """Two runs from phi0 (n = 1), the second's correction lent by a workspace of its own.
+
+    The volume varies and F = 0.5 s, so the driving term writes into the
+    workspace and F_s is a constant.
+    """
+    grid = phi0.grid
+    path = MetricPath.constant(grid, cfg.horizon)
+    omega = VolumeForm(grid, 1.0 + 0.2 * np.cos(2 * np.pi * grid.coordinates()[0]))
+    F = DrivingTerm.affine(slope=0.5)
+    lent = run(phi0, path, F, omega, cfg)
+
+    def apart(ws):  # lent by a workspace of its own
+        if "_apart" not in vars(ws):
+            ws._apart = flow._Correction(grid, np.float64, flow._Workspace(grid, ws.backend))
+        return ws._apart
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flow._Workspace, "correction", property(apart))
+        own = run(phi0, path, F, omega, cfg)
+    assert max(d["newton_iters"] for d in lent.diagnostics) > 1
+    assert lent.diagnostics == own.diagnostics
+    for a, b in zip(lent.fields + lent.phidots, own.fields + own.phidots, strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
+    return lent
+
+
 @pytest.mark.parametrize("max_linear", [200, 1])
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
 def test_a_lent_n1_correction_gives_the_bits_of_one_in_memory_of_its_own(
@@ -1297,24 +1386,20 @@ def test_a_lent_n1_correction_gives_the_bits_of_one_in_memory_of_its_own(
     x, y = grid.coordinates()
     phi0 = ScalarField(grid, 0.04 * np.cos(2 * np.pi * (x + y)) + 0.01 * np.sin(2 * np.pi * y))
     cfg = FlowConfig(horizon=0.02, t_min=1e-3, ratio=1.2, backend=backend, max_linear=max_linear)
-    path = MetricPath.constant(grid, cfg.horizon)
-    omega = VolumeForm(grid, 1.0 + 0.2 * np.cos(2 * np.pi * x))
-    F = DrivingTerm.affine(slope=0.5)
-    lent = run(phi0, path, F, omega, cfg)
-
-    def apart(ws):  # lent by a workspace of its own
-        if "_apart" not in vars(ws):
-            ws._apart = flow._Correction(grid, np.float64, flow._Workspace(grid, ws.backend))
-        return ws._apart
-
-    monkeypatch.setattr(flow._Workspace, "correction", property(apart))
-    own = run(phi0, path, F, omega, cfg)
-    assert max(d["newton_iters"] for d in lent.diagnostics) > 1
+    lent = lent_and_apart_n1_runs(monkeypatch, phi0, cfg)
     converged = {d["linear_converged"] for d in lent.diagnostics}
     assert converged == {max_linear == 200}
-    assert lent.diagnostics == own.diagnostics
-    for a, b in zip(lent.fields + lent.phidots, own.fields + own.phidots, strict=True):
-        assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_a_lent_vcycle_correction_gives_the_bits_of_one_in_memory_of_its_own(monkeypatch):
+    # the corner's solves take the V-cycle, whose fine level is lent too
+    grid = TorusGrid(n=1, resolution=128)
+    phi0 = RoughPotential.paraboloid(curvature=0.999).sample(grid)
+    cfg = FlowConfig(horizon=0.003, t_min=1e-3, ratio=1.2, backend="fd")
+    steps = vcycle_steps(monkeypatch)
+    lent = lent_and_apart_n1_runs(monkeypatch, phi0, cfg)
+    newton = sum(d["newton_iters"] for d in lent.diagnostics)
+    assert len(steps) == 2 * newton  # every solve of both runs
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
@@ -1331,11 +1416,11 @@ def test_w_times_the_n1_newton_operator_is_symmetric(backend, varying_form):
     assert np.max(np.abs(wJ - wJ.T)) <= 1e-13 * np.max(np.abs(wJ))
 
 
-def degenerate_problem(**cfg_kw):
-    """Scenario 07's paraboloid corner (curvature 0.999) on a 32^2 fd grid."""
-    grid = TorusGrid(n=1, resolution=32)
+def degenerate_problem(resolution=32, **cfg_kw):
+    """Scenario 07's paraboloid corner (curvature 0.999) on an fd grid, to t = 0.003 unless given."""
+    grid = TorusGrid(n=1, resolution=resolution)
     phi0 = RoughPotential.paraboloid(curvature=0.999).sample(grid)
-    cfg = FlowConfig(horizon=0.003, t_min=1e-3, ratio=1.2, backend="fd", **cfg_kw)
+    cfg = FlowConfig(**{"horizon": 0.003, "t_min": 1e-3, "ratio": 1.2, "backend": "fd", **cfg_kw})
     return phi0, MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid), cfg
 
 
@@ -1349,6 +1434,51 @@ def test_degenerate_run_needs_few_linear_iterations_per_newton_step():
     assert linear / newton < 6.35
     assert all(d["linear_converged"] for d in traj.diagnostics)
     assert max(d["linear_rel_residual"] for d in traj.diagnostics) <= cfg.linear_rel_tol
+
+
+def cycle_contraction(phi0, dt) -> float:
+    """The slowest contraction of the residual per V-cycle on the corner's first Newton system.
+
+    The system is A x = b with A = w/dt - H, w = 1 + H(phi0) and b random;
+    ten steps of the stationary iteration x += V(b - A x) from x = 0, whose
+    ratios of successive residual norms rise towards the cycle's rate.
+    """
+    grid, N = phi0.grid, phi0.grid.resolution
+    w = 1.0 + flow.hessian_components(phi0.values, grid, "fd")[0]
+    fine = [np.empty(grid.shape) for _ in range(4)]
+    cycle = grid_module.ShiftedVCycle(N, fine, np.empty(grid_module.multigrid_size(N)))
+    np.divide(w, dt, out=fine[0])
+    cycle.prepare()
+    b = np.random.default_rng(0).standard_normal(grid.shape)
+    x, r, e = np.zeros(grid.shape), np.empty(grid.shape), np.empty(grid.shape)
+    norms = []
+    for _ in range(10):
+        np.subtract(b, cycle.apply(x, r), out=r)
+        norms.append(flow._l2(r))
+        x += cycle(r, e)
+    return max(later / earlier for earlier, later in zip(norms, norms[1:]))
+
+
+def test_vcycle_solves_take_as_few_iterations_at_every_size(monkeypatch):
+    # the FFT path took 6.1 and 8.1 linear iterations per Newton iteration
+    # here; at 64^2, where a cycle costs more than they do, the run takes
+    # the cycle only with MULTIGRID_RESOLUTION lowered
+    monkeypatch.setattr(flow, "MULTIGRID_RESOLUTION", 64)
+    steps = vcycle_steps(monkeypatch)
+    for N in (64, 128):
+        phi0, path, omega, cfg = degenerate_problem(N, horizon=0.02)
+        # The stationary iteration contracts the residual by rho per cycle,
+        # so it reaches linear_rel_tol after log(tol) / log(rho) cycles.
+        # BiCGSTAB, which accelerates it, applies the cycle twice per
+        # iteration: half as many iterations.  rho does not grow with N.
+        rho = cycle_contraction(phi0, cfg.t_min)
+        bound = math.log(cfg.linear_rel_tol) / (2.0 * math.log(rho))
+        steps.clear()
+        traj = run(phi0, path, DrivingTerm.zero(), omega, cfg)
+        newton = sum(d["newton_iters"] for d in traj.diagnostics)
+        linear = sum(d["linear_iters"] for d in traj.diagnostics)
+        assert len(steps) == newton  # every solve took the cycle
+        assert linear / newton <= bound
 
 
 def test_bicgstab_reports_a_solve_it_cut_short():
@@ -1375,14 +1505,15 @@ def test_bicgstab_reports_a_solve_it_cut_short():
     assert np.array_equal(R, b)  # the right-hand side is only read
 
 
-# Scenario 07's corner at its 128^2 fd size, two steps; prints the per-step
-# Newton and linear counts and a digest of every stored field's bits.
+# Scenario 07's corner at its 128^2 fd size, three steps, whose Newton
+# corrections take the V-cycle; prints the per-step Newton and linear counts
+# and a digest of every stored field's bits.
 DEGENERATE_RUN = """
 import hashlib, json
 from maflow import DrivingTerm, FlowConfig, MetricPath, RoughPotential, TorusGrid, VolumeForm, run
 grid = TorusGrid(n=1, resolution=128)
 phi0 = RoughPotential.paraboloid(curvature=0.999).sample(grid)
-cfg = FlowConfig(horizon=0.0012, t_min=1e-3, ratio=1.2, backend="fd")
+cfg = FlowConfig(horizon=0.00144, t_min=1e-3, ratio=1.2, backend="fd")
 path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
 traj = run(phi0, path, DrivingTerm.zero(), omega, cfg)
 bits = hashlib.sha256(b"".join(f.values.tobytes() for f in traj.fields)).hexdigest()

@@ -8,19 +8,26 @@ from hypothesis import strategies as st
 from maflow.errors import ConfigError
 from maflow.grid import (
     ScalarField,
+    ShiftedVCycle,
     TorusGrid,
     _along,
     _along_every_axis,
     _axis_matrices,
+    _coarsest_quarter_laplacian,
     _fd_first,
     _fd_second,
+    _invert,
+    _multigrid_sides,
+    _prolong_add,
     _quarter_laplacian_basis,
     _quarter_laplacian_symbol,
+    _restrict,
     gaussian_smooth,
     gradient_sq,
     hessian_components,
     inner,
     inverse_shifted_symbol,
+    multigrid_size,
     oscillation,
     quarter_laplacian_rayleigh,
     solve_shifted_laplacian,
@@ -406,3 +413,104 @@ def test_the_n1_solve_multiplies_by_the_bits_of_the_divide(backend):
     out, scratch = np.empty(g.spectrum_shape, complex), np.empty(g.spectrum_shape)
     assert inverse_shifted_symbol(g, backend, 2.5, out, scratch) is out
     assert out.tobytes() == inverse.tobytes()
+
+
+# -- the n = 1 fd V-cycle ---------------------------------------------------------
+
+U = np.finfo(np.float64).eps / 2
+
+
+@pytest.mark.parametrize("m", [4, 16])
+def test_the_vcycle_transfers_are_the_roll_formulas(m):
+    rng = np.random.default_rng(m)
+    fine, coarse = rng.standard_normal((2 * m, 2 * m)), rng.standard_normal((m, m))
+    # full weighting: 1/4, 1/2, 1/4 along each axis, taken at the even points
+    folded = np.roll(fine, 1, 0) + 2 * fine + np.roll(fine, -1, 0)
+    want = (np.roll(folded, 1, 1) + 2 * folded + np.roll(folded, -1, 1))[0::2, 0::2] / 16
+    got = _restrict(fine, np.empty((m, m)), np.empty(4 * m * m))
+    # each side sums 16 weighted values (weights summing to 16) in 8 roundings
+    # of partial sums below 16 max|fine|, then scales by 1/16 exactly
+    assert np.max(np.abs(got - want)) <= 2 * 8 * U * np.max(np.abs(fine))
+    # bilinear interpolation: the values at even points, means of 2 or 4 between
+    down, right = np.roll(coarse, -1, 0), np.roll(coarse, -1, 1)
+    want = np.zeros((2 * m, 2 * m))
+    want[0::2, 0::2] = coarse
+    want[1::2, 0::2] = (coarse + down) / 2
+    want[0::2, 1::2] = (coarse + right) / 2
+    want[1::2, 1::2] = (coarse + down + right + np.roll(down, -1, 1)) / 4
+    base = rng.standard_normal((2 * m, 2 * m))
+    got = _prolong_add(coarse, base.copy(), np.empty(4 * m * m), np.empty(4 * m * m))
+    # each side rounds a mean of means and the add at most four times
+    assert np.max(np.abs(got - base - want)) <= 2 * 4 * U * (
+        np.max(np.abs(coarse)) + np.max(np.abs(base))
+    )
+
+
+def test_the_coarsest_operator_and_its_inverse():
+    # the matrix is -(1/4) Laplacian of the 4^2 level, the fd stencil at h = 1/4
+    q, m = _coarsest_quarter_laplacian(), _multigrid_sides(64)[-1]
+    values = np.random.default_rng(1).standard_normal((m, m))
+    want = -0.25 * (roll_second(values, 1 / m, 0) + roll_second(values, 1 / m, 1))
+    assert np.allclose((q @ values.reshape(-1)).reshape(m, m), want, rtol=0, atol=1e-12)
+    c = np.random.default_rng(2).uniform(1e-3, 1e3, m * m)
+    matrix = q + np.diag(c)
+    inverse = _invert(matrix.copy(), np.empty(matrix.size), np.empty(matrix.size))
+    # Gauss-Jordan on a diagonally dominant matrix: a residual within a few
+    # n u |matrix| |inverse| (N. J. Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., SIAM 2002, ch. 14)
+    n = len(matrix)
+    bound = 2 * n * U * np.max(np.abs(matrix) @ np.abs(inverse))
+    assert np.max(np.abs(matrix @ inverse - np.eye(n))) <= bound
+
+
+def corner_vcycle(N, dt=1e-3):
+    """A V-cycle for w/dt - (1/4) Laplacian, w = 1 + H of scenario 07's corner on N^2 fd points."""
+    from maflow import RoughPotential
+
+    grid = TorusGrid(n=1, resolution=N)
+    phi = RoughPotential.paraboloid(curvature=0.999).sample(grid).values
+    w = 1.0 + hessian_components(phi, grid, "fd")[0]
+    fine = [np.empty(grid.shape) for _ in range(4)]
+    cycle = ShiftedVCycle(N, fine, np.empty(multigrid_size(N)))
+    np.divide(w, dt, out=fine[0])
+    cycle.prepare()
+    return cycle
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_the_vcycle_is_linear_to_rounding(N):
+    cycle = corner_vcycle(N)
+    a, b = np.random.default_rng(N).standard_normal((2, N, N))
+
+    def V(rhs):
+        return cycle(rhs, np.empty((N, N))).copy()
+
+    # a power of two scales every value the cycle forms exactly
+    assert np.array_equal(V(0.25 * a), 0.25 * V(a))
+    # Each sweep x + dinv (b - A x) is non-expansive in the max norm (the
+    # absolute row sums of I - dinv A are 1 - w + w / (1 + c h^2) <= 1),
+    # full weighting and bilinear interpolation average, and each forms a
+    # value in at most 16 roundings: 4 sweeps and 2 transfers per level, so
+    # a cycle rounds each value at most 16 * 6 * levels times, each time
+    # within u of values that the non-expansive steps keep below the
+    # cycle's output.  Three cycles are compared.
+    levels = len(_multigrid_sides(N)) + 1
+    bound = 3 * 16 * 6 * levels * U * max(np.max(np.abs(V(v))) for v in (a, b, a + b))
+    assert np.max(np.abs(V(a + b) - V(a) - V(b))) <= bound
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_the_vcycle_applies_the_operator_it_inverts(N):
+    # fine's c, h and the stencil: (c - (1/4) Laplacian) x, the fd Laplacian
+    cycle = corner_vcycle(N)
+    x = np.random.default_rng(3).standard_normal((N, N))
+    c = cycle.fine[0]
+    want = c * x - 0.25 * (roll_second(x, 1 / N, 0) + roll_second(x, 1 / N, 1))
+    got = cycle.apply(x, np.empty((N, N)))
+    # the stencils' terms reach (c + 2 N^2) |x|, each rounded a few times
+    assert np.max(np.abs(got - want)) <= 8 * U * np.max((c + 2 * N * N) * np.abs(x))
+    # one cycle from zero already removes most of the residual
+    b = np.random.default_rng(4).standard_normal((N, N))
+    residual = b - cycle.apply(cycle(b, np.empty((N, N))).copy(), np.empty((N, N)))
+    assert np.linalg.norm(residual) < 0.25 * np.linalg.norm(b)
+
