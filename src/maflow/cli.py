@@ -270,6 +270,14 @@ def build_schedule(sec: dict, key: str = "schedule") -> RegularizationSchedule:
     return _call(key, ctor, sec)
 
 
+def _refuse_one_level(doc: dict, key: str):
+    """Refuse by key a schedule a cascade flows that has fewer than two widths:
+    one level leaves no pair of levels to order or converge."""
+    deltas = build_schedule(_section(doc, key), key).deltas
+    if len(deltas) < 2:
+        raise ConfigError(f"{key} of a cascade needs two or more widths, got {list(deltas)}")
+
+
 def _eps_family(eps) -> bool:
     """Whether eps is a list of two or more strictly decreasing positive numbers."""
     return (
@@ -281,17 +289,17 @@ def _eps_family(eps) -> bool:
 
 def resolve_mode(doc: dict, initial: RoughPotential, forced: str = None) -> str:
     """The mode: forced, else the document's, else the one its metric and datum take.
-    A cascade without a schedule, and a nef family without a nef metric or
-    with a metric.eps other than two or more strictly decreasing positive
-    values, are refused."""
+    A cascade without a schedule of two or more widths, and a nef family
+    without a nef metric or with a metric.eps other than two or more
+    strictly decreasing positive values, are refused."""
     mode = forced or doc.get("mode", "auto")
     if mode not in ("auto", "single", "cascade", "nef", "audit"):
         raise ConfigError(f"unknown mode {mode!r}")
     nef = doc.get("metric", {}).get("kind") == "nef"
     if mode == "auto":
         mode = "nef" if nef else "single" if initial.tag == "smooth" else "cascade"
-    if mode == "cascade" and doc.get("schedule") is None:
-        raise ConfigError("scenario is missing the 'schedule' section")
+    if mode == "cascade":
+        _refuse_one_level(doc, "schedule")
     if mode == "nef" and not nef:
         raise ConfigError("nef mode needs a metric of kind 'nef'")
     eps = doc.get("metric", {}).get("eps")  # None: _nef_path's default, a family
@@ -463,7 +471,8 @@ def _resolve_checks(doc: dict, names: list, forced_mode: str = None) -> list:
     """names, refused before any flow runs if one is unknown or lacks what doc must give it.
 
     doc's initial_b gives the second datum and its run (the comparison
-    pair); the resolved mode's run gives the rest (`_MODE_GIVES`).
+    pair); the resolved mode's run gives the rest (`_MODE_GIVES`).  A
+    schedule that uniqueness cascades has two or more widths.
     """
     unknown = [name for name in names if name not in CHECK_TABLE]
     if unknown:
@@ -477,6 +486,9 @@ def _resolve_checks(doc: dict, names: list, forced_mode: str = None) -> list:
     given += ("initial_b", "traj_b") if has_b else ()
     for name in names:
         _refuse_unmet(name, given.__contains__)
+    for key in ("schedule", "schedule_b"):
+        if "uniqueness" in names and doc.get(key) is not None:
+            _refuse_one_level(doc, key)
     return names
 
 

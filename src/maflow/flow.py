@@ -31,17 +31,17 @@ theta_t + dd^c phi with its cone margin, det and the right-hand side, and
 the backward-Euler residual, each written into grid-shaped arrays (and at
 n = 1 a spectrum-shaped one) that it passes as outputs to grid's
 derivatives and geometry's form algebra.  The Newton correction is solved
-in a `_Correction` in the correction's precision: in float64 at n = 2 in
-arrays of its own, and otherwise in part or whole in views of workspace
-arrays that its solve leaves idle.  Each `run` holds one workspace for its
-whole length and owns three state arrays, laid out once, which its steps
-take turns writing, so after that no array is new but the values of a
-driving term that makes its own (an affine term writes into the
-workspace) and, once, the V-cycle's coarse levels, at n = 1 and n = 2
-alike.  A stored snapshot goes to the run's
-snapshot store when its step is accepted: a list in memory by default,
-which copies it, or io.ArchiveStore, which writes it to disk at once and
-reads it back when the trajectory is indexed.
+in a `_Correction` in the correction's precision: in float64 in arrays of
+its own, and in float32 in views of workspace arrays that its solve leaves
+idle.  Each `run` holds one workspace for its whole length and owns three
+state arrays, laid out once, which its steps take turns writing, so after
+its first Newton iteration, which makes the correction, no grid-sized
+array is new but the values of a driving term that makes its own (an
+affine term writes into the workspace), at n = 1 and n = 2 alike.  A
+stored snapshot goes to the run's snapshot store when its step is
+accepted: a list in memory by default, which copies it, or
+io.ArchiveStore, which writes it to disk at once and reads it back when
+the trajectory is indexed.
 Checks read stored snapshots through `TrajectoryAudit`, which evaluates
 each snapshot in its own workspace at most once, keeps only scalars, and
 reports a snapshot outside the positive cone instead of taking the
@@ -427,14 +427,14 @@ def _l2(a: np.ndarray) -> float:
 # The arrays of a run's states, `_Workspace` and Newton `_Correction`, each
 # declared once, in the order its owner makes it: name; owner (state, the
 # states `run` lays out; ws, the workspace; cor, the correction; copy, a
-# float32 correction's only); kind (a real or complex grid-shaped array, or
-# a complex spectrum of the grid's spectrum_shape), in float64 outside a
-# correction and in dtype in one; the n it exists at (None: both); and, for
-# a correction's, the workspace array a lent correction (float32 at n = 2,
-# float64 at n = 1) lies in and the first part of it it takes.  A part
-# holds one float32 array of the row's shape, so a float64 field holds two
-# and a complex h12 four; a complex64 or float64 array takes two, so at
-# n = 1 each fills its lender.
+# float32 correction's only; vcycle, the V-cycle of an n = 1 fd correction
+# from grid.MULTIGRID_RESOLUTION points per axis); kind (a real or complex
+# grid-shaped array, a complex spectrum of the grid's spectrum_shape, or
+# the V-cycle's packed coarse levels), in float64 outside a correction and
+# in dtype in one; the n it exists at (None: both); and, for a float32
+# correction's (so at n = 2 only), the workspace array it lies in and the
+# first part of it it takes.  A part holds one float32 array of the row's
+# shape, so a float64 field holds two and a complex h12 four.
 _ARRAYS = (
     # a run's three states: a step's start and the newer state of its
     # history, which it reads, and the one it writes (step k's is s{k % 3}),
@@ -449,36 +449,31 @@ _ARRAYS = (
     ("w11", "ws", "real", None), ("w22", "ws", "real", 2), ("w12", "ws", "complex", 2),
     ("det", "ws", "real", 2), ("rhs", "ws", "real", None), ("R", "ws", "real", None),
     ("tmp0", "ws", "real", None), ("spectrum", "ws", "spectrum", 1),
-    # the correction: the form, det w and R that `operands` copies, and the
-    # shifted symbol the n = 2 preconditioner lays out
+    # the correction at n = 2: the form, det w and R that `operands` copies,
+    # the shifted symbol the preconditioner lays out, scratch, the
+    # preconditioner's scaling, H(v)'s h12 and BiCGSTAB's vectors, in its
+    # order: the iterate and the best one in det and the others in w
     ("w11", "copy", "real", 2, "h11", 0), ("w22", "copy", "real", 2, "h11", 1),
     ("w12", "copy", "complex", 2, "h22", 0), ("det", "copy", "real", 2, "h12", 0),
     ("R", "copy", "real", 2, "h12", 1), ("symbol", "cor", "real", 2, "h12", 2),
-    # scratch (at n = 1 the Krylov step's a, b and the scratch of its sum),
-    # the preconditioner's scaling and H(v)'s h12
-    ("tmp0", "cor", "real", None, "tmp0", 0),
-    ("tmp1", "cor", "real", 2, "tmp0", 1), ("tmp1", "cor", "real", 1, "h11", 0),
-    ("tmp2", "cor", "real", 2, "rhs", 0), ("tmp2", "cor", "real", 1, "w11", 0),
-    ("scale", "cor", "real", 2, "rhs", 1), ("scale", "cor", "real", 1),
+    ("tmp0", "cor", "real", 2, "tmp0", 0), ("tmp1", "cor", "real", 2, "tmp0", 1),
+    ("tmp2", "cor", "real", 2, "rhs", 0), ("scale", "cor", "real", 2, "rhs", 1),
     ("h12", "cor", "complex", 2, "R", 0),
-    # BiCGSTAB's vectors, in its order: at n = 2 the iterate and the best
-    # one in det and the others in w, at n = 1 the best one in rhs and the
-    # others in arrays of their own
     ("x", "cor", "real", 2, "det", 0),
     ("r", "cor", "real", 2, "w11", 0), ("p", "cor", "real", 2, "w11", 1),
     ("v", "cor", "real", 2, "w22", 0), ("z", "cor", "real", 2, "w22", 1),
     ("t", "cor", "real", 2, "w12", 0), ("best", "cor", "real", 2, "det", 1),
-    ("x", "cor", "real", 1), ("r", "cor", "real", 1), ("p", "cor", "real", 1),
-    ("v", "cor", "real", 1), ("z", "cor", "real", 1), ("t", "cor", "real", 1),
-    ("best", "cor", "real", 1, "rhs", 0),
-    # n = 1's transform (in the workspace's) and the reciprocal shift + symbol
-    ("spectrum", "cor", "spectrum", 1, "spectrum", 0), ("inverse", "cor", "spectrum", 1),
-    # the V-cycle's, at n = 1 on fd grids from grid.MULTIGRID_RESOLUTION up: c,
-    # its Jacobi weights and two scratch arrays lie in what its path leaves
-    # idle (the correction's scale and inverse, and a and b); its coarse
-    # levels are one row
-    ("c", "vcycle", "real", 1, "scale", 0), ("dinv", "vcycle", "real", 1, "inverse", 0),
-    ("vr", "vcycle", "real", 1, "tmp0", 0), ("vs", "vcycle", "real", 1, "h11", 0),
+    # the correction at n = 1: the Krylov step's a, b and the scratch of its
+    # sum, the scaling, BiCGSTAB's vectors, the transform and the reciprocal
+    # shift + symbol
+    ("tmp0", "cor", "real", 1), ("tmp1", "cor", "real", 1), ("tmp2", "cor", "real", 1),
+    ("scale", "cor", "real", 1), ("x", "cor", "real", 1), ("r", "cor", "real", 1),
+    ("p", "cor", "real", 1), ("v", "cor", "real", 1), ("z", "cor", "real", 1),
+    ("t", "cor", "real", 1), ("best", "cor", "real", 1),
+    ("spectrum", "cor", "spectrum", 1), ("inverse", "cor", "spectrum", 1),
+    # the V-cycle's: c, its Jacobi weights, two scratch arrays and the coarse levels
+    ("c", "vcycle", "real", 1), ("dinv", "vcycle", "real", 1),
+    ("vr", "vcycle", "real", 1), ("vs", "vcycle", "real", 1),
     ("levels", "vcycle", "levels", 1),
 )
 
@@ -539,15 +534,16 @@ class _Correction:
     the preconditioner's Rayleigh quotient writes the transform and the
     power spectrum into them, then the shift + symbol into the second,
     which inverse becomes, and every later solve or Hessian transforms into
-    the first.
+    the first.  vcycle is the `grid.ShiftedVCycle` of an n = 1 fd correction
+    from MULTIGRID_RESOLUTION points per axis (`_vcycle_step`), None
+    elsewhere.
 
-    The float64 correction at n = 2 makes its arrays, as its operands are
-    the workspace's own w, det and R, which stay live through the solve.
-    Every other is lent: the arrays `_ARRAYS` places are views of float64
-    arrays of ws, the run's `_Workspace`, which `_advance` leaves idle while
-    the correction is alive.  A float32 one (n = 2) makes none: it also
-    copies, the form, det w and R that `operands` lays out once per Newton
-    iteration, and
+    A float64 correction makes every array it holds and solves in the
+    workspace's own w, det and R (`operands`).  A float32 one (n = 2)
+    makes none: it also copies, the form, det w and R that `operands` lays
+    out once per Newton iteration, and each array `_ARRAYS` places is a
+    view of a float64 array of ws, the run's `_Workspace`, which `_advance`
+    leaves idle while the correction is alive:
 
     - the copies and the symbol lie in ws.h, which the margin that built w
       read last; the line search's Hessian overwrites them;
@@ -561,36 +557,14 @@ class _Correction:
       next `rhs_at` rewrites, so the correction BiCGSTAB returns lasts
       through the line search.
 
-    The float64 one at n = 1 solves in w and R themselves, and no Krylov
-    step there reads w once `_krylov_step` has laid out a and b from it, so
-
-    - tmp lies in ws.tmp[0], ws.h and ws.w: a and b in the first two, which
-      no evaluation uses during the solve and the line search rewrites,
-      and the step's scratch in w, which the line search's margin rebuilds;
-    - best lies in ws.rhs, which the n = 1 line search leaves alone (its
-      margin takes no scratch) until the next `rhs_at`;
-    - spectrum[0] is ws.spectrum[0], which only `hessian` uses besides.
-
-    Its scale, x, r, p, v, z, t and inverse (whose real part is
-    spectrum[1]) are its own.  R is lent only to the float32 one's h12; a
-    run's states are not the workspace's, so none is lent.  `nbytes` counts
-    what the constructor makes.
-
-    On an fd grid at n = 1 from MULTIGRID_RESOLUTION points per axis its
-    Newton iterations may take a V-cycle instead (`_vcycle_step`), made on
-    the first that does (`multigrid`).  Each takes either the FFT solve or
-    the cycle, never both, so the cycle's fine level lies in what the FFT
-    path owns and the cycle's leaves idle: c in scale, the Jacobi weights
-    in inverse and the cycle's scratch in a and b (ws.tmp[0] and ws.h).
-    Its coarse levels are one packed array of its own.  The cycle reads w,
-    so nothing of it lies there.  `nbytes` counts the packed array wherever
-    the cycle may be made.
+    A run's states are not the workspace's, so none is lent.  `nbytes`
+    counts what the constructor makes.
     """
 
     def __init__(self, grid: TorusGrid, dtype, ws):
-        owners, lent = _Correction._layout(grid, dtype)
+        owners, lent = _Correction._layout(grid, dtype, ws.backend)
         arrays = _laid_out(grid, owners, dtype, ws.lenders if lent else None)
-        self.grid, self.dtype = grid, dtype
+        self.dtype = dtype
         self.tmp = (arrays["tmp0"], arrays["tmp1"], arrays["tmp2"])
         self.hv = self.tmp[:1] if grid.n == 1 else (*self.tmp[:2], arrays["h12"])
         self.scale = arrays["scale"]
@@ -599,44 +573,31 @@ class _Correction:
         self.copies = None
         if "copy" in owners:
             self.copies = tuple(arrays[k] for k in ("w11", "w22", "w12", "det", "R"))
-        self.spectrum = self.inverse = None
+        self.spectrum = self.inverse = self.vcycle = None
         if grid.n == 1:
             self.inverse = arrays["inverse"]
             self.spectrum = (arrays["spectrum"], self.inverse.real)
-        # what the V-cycle's rows lie in, by name; None where it has none
-        self.vcycle_lenders = None
-        if _Correction._has_vcycle(grid, ws.backend):
-            self.vcycle_lenders = {**arrays, **ws.lenders}
+        if "vcycle" in owners:
+            fine = tuple(arrays[k] for k in ("c", "dinv", "vr", "vs"))
+            self.vcycle = ShiftedVCycle(grid.resolution, fine, arrays["levels"])
 
     @staticmethod
-    def _layout(grid: TorusGrid, dtype) -> tuple:
-        """(the owners of its rows in `_ARRAYS`, whether it is lent): copies in float32 only."""
-        single = dtype != np.float64
-        return ("cor", "copy") if single else ("cor",), single or grid.n == 1
+    def _layout(grid: TorusGrid, dtype, backend: str) -> tuple:
+        """(the owners of its rows in `_ARRAYS`, whether it is lent).
 
-    @staticmethod
-    def _has_vcycle(grid: TorusGrid, backend: str) -> bool:
-        """Whether its Newton iterations may take the V-cycle: at n = 1, fd, from MULTIGRID_RESOLUTION."""
-        return grid.n == 1 and backend == "fd" and grid.resolution >= MULTIGRID_RESOLUTION
+        Only a float32 one is lent, and has copies; an n = 1 fd one from
+        MULTIGRID_RESOLUTION points per axis has a V-cycle.
+        """
+        if dtype != np.float64:
+            return ("cor", "copy"), True
+        vcycle = grid.n == 1 and backend == "fd" and grid.resolution >= MULTIGRID_RESOLUTION
+        return ("cor", "vcycle") if vcycle else ("cor",), False
 
     @staticmethod
     def nbytes(grid: TorusGrid, dtype, backend: str) -> int:
-        """The most bytes of arrays a `_Correction(grid, dtype, ws)` makes: none in float32."""
-        owners, lent = _Correction._layout(grid, dtype)
-        if _Correction._has_vcycle(grid, backend):
-            owners += ("vcycle",)
+        """The bytes of the arrays a `_Correction(grid, dtype, ws)` makes: none in float32."""
+        owners, lent = _Correction._layout(grid, dtype, backend)
         return _made_bytes(grid, owners, dtype, lent)
-
-    @functools.cached_property
-    def multigrid(self) -> ShiftedVCycle:
-        """The V-cycle (`_vcycle_step`), made on first use.
-
-        The first Newton iteration that takes the cycle lays out its rows, so
-        a run whose forms never degenerate makes none of its arrays.
-        """
-        arrays = _laid_out(self.grid, ("vcycle",), self.dtype, self.vcycle_lenders)
-        fine = tuple(arrays[k] for k in ("c", "dinv", "vr", "vs"))
-        return ShiftedVCycle(self.grid.resolution, fine, arrays["levels"])
 
     def operands(self, total, det, R) -> tuple:
         """(total, det, R) in dtype: themselves in float64, copies in copies otherwise."""
@@ -672,10 +633,10 @@ class _Workspace:
     grid.correction_dtype (float32 at n = 2 from
     grid.SINGLE_PRECISION_RESOLUTION points per axis up, float64 elsewhere),
     made on a run's first Newton iteration, so an audit never makes one.  A
-    float32 correction, and the float64 one at n = 1, lie in part or whole
-    in lenders, the workspace's arrays by name, which the solve leaves idle
-    (`_Correction` says how).  The float64 one at n = 2 makes its own
-    arrays.  The arrays are declared in `_ARRAYS`, which `nbytes` sums.
+    float32 correction lies in lenders, the workspace's arrays by name,
+    which the solve leaves idle (`_Correction` says how); a float64 one
+    makes its own arrays.  The arrays are declared in `_ARRAYS`, which
+    `nbytes` sums.
     """
 
     def __init__(self, grid: TorusGrid, backend: str):
@@ -822,8 +783,7 @@ def _jacobian(total, det, fs, dt, ws):
     inv_dt = 1.0 / dt
     cor = ws.correction
     fs = np.asarray(fs, dtype=cor.dtype)
-    # hv is tmp[0] alone at n = 1, where tmp[2] lies in ws.w
-    spare = cor.tmp[1] if ws.grid.n == 1 else cor.tmp[2]
+    spare = cor.tmp[2]
 
     def apply(v, out=None):
         hv = hessian_components(v, ws.grid, ws.backend, cor.hv, spare, cor.spectrum)
@@ -910,8 +870,7 @@ def _krylov_step(total, det, R, fs, dt, ws):
     with a and b laid out here, in ws.correction's tmp[0] and tmp[1]: the
     step takes no Hessian, and it agrees with the composition to rounding.
     Until the solve ends, the correction's tmp (which its hv shares) belongs
-    to the step, so no `_jacobian` may run on ws meanwhile.  The step reads
-    neither w nor det, so its scratch, tmp[2], may lie in w (`_Correction`).
+    to the step, so no `_jacobian` may run on ws meanwhile.
 
     Where the correction has a V-cycle (n = 1, fd, from MULTIGRID_RESOLUTION
     points per axis) and the form is degenerate (`_degenerate`), M^-1 is
@@ -927,8 +886,8 @@ def _krylov_step(total, det, R, fs, dt, ws):
 
         return step
     cor = ws.correction
-    if cor.vcycle_lenders is not None and _degenerate(total[0], fs, dt, cor.tmp[0]):
-        return _vcycle_step(total[0], fs, dt, cor)
+    if cor.vcycle is not None and _degenerate(total[0], fs, dt, cor.tmp[0]):
+        return _vcycle_step(total[0], fs, dt, cor.vcycle)
     grid, backend, spectrum = ws.grid, ws.backend, cor.spectrum
     scale, sigma, shift = _preconditioner_terms(total, det, R, fs, dt, ws)
     a, b, spare = cor.tmp
@@ -969,18 +928,16 @@ def _degenerate(w, fs, dt, scratch) -> bool:
     return spread > MULTIGRID_SPREAD and 1.0 / dt + float(np.min(fs)) > 0.0
 
 
-def _vcycle_step(w, fs, dt, cor):
-    """BiCGSTAB's step(p, z, v) -> (M^-1 p, J M^-1 p) through cor's V-cycle, at n = 1 (fd).
+def _vcycle_step(w, fs, dt, vcycle):
+    """BiCGSTAB's step(p, z, v) -> (M^-1 p, J M^-1 p) through a V-cycle, at n = 1 (fd).
 
     w J = A = w (1/dt + F_s) - H, H the fd Hessian, is c - (1/4) Laplacian
     with c = w (1/dt + F_s) > 0, so J^-1 = A^-1 w and M^-1 p = V(w p), V
-    one `grid.ShiftedVCycle` for A, laid out here from c.  The step forms
-    w p in v, which the cycle reads until it returns, then applies
-    J z = A z / w into v with the same stencil, so it takes no Hessian.  It
-    reads w throughout: nothing of the correction lies in it on this path
-    (`_Correction`).
+    the correction's `grid.ShiftedVCycle` vcycle for A, laid out here from
+    c.  The step forms w p in v, which the cycle reads until it returns,
+    then applies J z = A z / w into v with the same stencil, so it takes no
+    Hessian.
     """
-    vcycle = cor.multigrid
     c = np.add(fs, 1.0 / dt, out=vcycle.fine[0])
     c *= w
     vcycle.prepare()
@@ -1228,7 +1185,7 @@ def peak_array_bytes(grid: TorusGrid, kept_fields: int = 0, backend: str = "spec
     it, holds `audit_array_bytes`.  kept_fields fields, the snapshots a mode
     or a check's own flows keep in memory, are held through both, so the
     estimate is the larger phase plus them.  backend is the run's: an fd
-    correction also holds the V-cycle's coarse levels where it has one.
+    correction also holds its V-cycle where it has one.
     """
     field = 8 * math.prod(grid.shape)
     correction = _Correction.nbytes(grid, correction_dtype(grid), backend)

@@ -26,8 +26,10 @@ Every derivative operator of the package lives here, built once per grid:
 the Hessian, the -(1/4) Laplacian of either backend (the shifted solve at
 the core of the flow's preconditioner, and the Rayleigh quotient that sets
 the stiffness it is matched at), a multigrid V-cycle for the n=1 fd
-Laplacian shifted by a pointwise c (the preconditioner of degenerate forms)
-and Gaussian smoothing (mollification).
+Laplacian shifted by a pointwise c (the preconditioner of degenerate forms,
+whose coarsest 4^2 level LAPACK's inverse solves exactly) and Gaussian
+smoothing (mollification).  One fd quarter Laplacian serves the n=1 fd
+Hessian and every level of the V-cycle.
 At n=1 they are Fourier symbols applied with real FFTs, and fd stencils
 built from slices.  At n=2 derivatives and the preconditioner's operator
 are per-axis N x N matrices applied axis by axis (Trefethen, Spectral
@@ -507,6 +509,20 @@ def _fd_second(values, h, axis, out=None):
     return out
 
 
+def _fd_quarter_laplacian(values, h, out=None, scratch=None):
+    """(1/4) Laplacian over values' last two axes, the fd stencil at spacing h, into out when given.
+
+    It sums the two second differences at spacing 2h.  (2h)^2 is 4 h^2
+    exactly, so each quotient, and so the sum, is bit for bit a quarter of
+    the one at h, short of underflow.  out and scratch, when given, are
+    shaped like values, aliasing neither it nor each other.
+    """
+    axis = values.ndim - 2
+    out = _fd_second(values, 2.0 * h, axis, out)
+    out += _fd_second(values, 2.0 * h, axis + 1, scratch)
+    return out
+
+
 def _fd_first(values, h, axis, out=None):
     """(v[i+1] - v[i-1]) / (2 h) along axis, periodic, into out (not aliasing values) when given."""
     if out is None:
@@ -546,10 +562,7 @@ def hessian_components(
         hat *= _complex_quarter_laplacian_symbol(1, grid.resolution)
         h11 = _irfft(hat, grid, h11)
         return (np.negative(h11, out=h11),)
-    h = grid.spacing
-    h11 = _fd_second(values, h, 0, h11)
-    h11 += _fd_second(values, h, 1, scratch)
-    return (np.multiply(0.25, h11, out=h11),)
+    return (_fd_quarter_laplacian(values, grid.spacing, h11, scratch),)
 
 
 def _hessian_axes(values, grid, backend, out=None, scratch=None):
@@ -587,10 +600,16 @@ def _hessian_axes(values, grid, backend, out=None, scratch=None):
 # A Multigrid Tutorial, 2nd ed., SIAM 2000): damped Jacobi smoothing,
 # full-weighting restriction of the residual and of c, bilinear
 # prolongation, and the fd operator rediscretised on each level, the side
-# halved down to MULTIGRID_COARSEST points, whose system a dense inverse
-# solves.  Its contraction per cycle does not depend on the grid, where a
+# halved down to MULTIGRID_COARSEST points, whose system is solved exactly
+# by its inverse, LAPACK's (np.linalg.inv), laid out once per Newton
+# iteration.  Its contraction per cycle does not depend on the grid, where a
 # constant-coefficient preconditioner's iterations grow with it once c spans
-# decades.
+# decades.  The exact 4^2 solve keeps its rate flat in dt as well: on
+# scenario 07's corner at 64^2 a cycle contracts the residual by 0.171 at
+# dt = 1e-3, 0.02 and 0.2, where three damped Jacobi sweeps on the 4^2
+# level instead gave 0.27, 0.34 and 0.52.  Correcting only the 4^2 level's
+# constant mode left the rate at 0.27, and halving down to one point held
+# it but made the scenario's flow about 17% slower.
 
 # The smallest n = 1 fd resolution whose degenerate Newton corrections the
 # flow preconditions with the V-cycle.  On a 2-vCPU x86_64 VM with one
@@ -604,8 +623,7 @@ MULTIGRID_RESOLUTION = 128
 MULTIGRID_COARSEST = 4
 # damped Jacobi's weight, and its sweeps before and after the coarse
 # correction.  One sweep each way was no faster (07's flow at 128^2: 0.48
-# against 0.46 s), and an 8^2 coarsest level's inverse cost more per Newton
-# iteration (0.9 ms) than its cycles saved.
+# against 0.46 s).
 _JACOBI_WEIGHT = 0.8
 _SWEEPS = 2
 
@@ -640,31 +658,7 @@ def _coarsest_quarter_laplacian():
     """The matrix of -(1/4) Laplacian (fd) on the coarsest level's points, in C order."""
     m = MULTIGRID_COARSEST
     eye = np.eye(m * m).reshape(m * m, m, m)
-    lap = _fd_second(eye, 1.0 / m, 1) + _fd_second(eye, 1.0 / m, 2)
-    return _freeze(-0.25 * lap.reshape(m * m, m * m))
-
-
-def _invert(m, scratch, spare):
-    """Gauss-Jordan inversion of m (n x n) in place, without pivoting: m must be diagonally dominant.
-
-    scratch and spare each hold n^2 values: each rank-one update is the
-    product of two broadcast copies, as a ufunc buffers a broadcast operand
-    and a copy does not.  LAPACK's inverse would map about 0.5 MB of its
-    code on its first call.
-    """
-    n = len(m)
-    column, update = (a.reshape(-1)[: n * n].reshape(n, n) for a in (scratch, spare))
-    for k in range(n):
-        pivot = float(m[k, k])
-        np.copyto(column, m[:, k : k + 1])  # m[i, k] in every column of row i
-        column[k] = 0.0
-        m[:, k] = 0.0
-        m[k, k] = 1.0
-        m[k] /= pivot
-        np.copyto(update, m[k])
-        update *= column
-        m -= update
-    return m
+    return _freeze(-_fd_quarter_laplacian(eye, 1.0 / m).reshape(m * m, m * m))
 
 
 def _fold_rows(v, out):
@@ -741,11 +735,9 @@ def _shifted_apply(values, c, h, out, scratch):
     """(c - (1/4) Laplacian) values at n = 1, the fd Laplacian at spacing h, into out.
 
     out and scratch are arrays shaped like values, aliasing neither it nor
-    each other.  The stencil at spacing 2h is the quarter of the one at h
-    exactly, as h^2 and 4 h^2 are powers of two.
+    each other.
     """
-    _fd_second(values, 2.0 * h, 0, out)
-    out += _fd_second(values, 2.0 * h, 1, scratch)
+    _fd_quarter_laplacian(values, h, out, scratch)
     return np.subtract(np.multiply(c, values, out=scratch), out, out=out)
 
 
@@ -758,7 +750,8 @@ class ShiftedVCycle:
     packed, a float64 array of multigrid_size(N) values.  r and s are the
     fine level's scratch, and each coarse level takes its own from their
     first values, as a level's scratch is free while a coarser one runs.
-    Neither `prepare` nor a cycle allocates.
+    A cycle allocates nothing, and `prepare` only the coarsest inverse that
+    LAPACK returns, 16 x 16 values.
     """
 
     def __init__(self, N: int, fine, packed):
@@ -791,9 +784,10 @@ class ShiftedVCycle:
         for h, c, dinv in self.levels:
             np.add(c, 1.0 / h**2, out=dinv)  # the operator's diagonal
             np.divide(_JACOBI_WEIGHT, dinv, out=dinv)
-        np.copyto(self.inverse, _coarsest_quarter_laplacian())
-        self.inverse.reshape(-1)[:: self.inverse.shape[0] + 1] += self.coarsest_c.reshape(-1)
-        _invert(self.inverse, *self.fine[2:])
+        inverse = self.inverse  # the coarsest operator, then its inverse
+        np.copyto(inverse, _coarsest_quarter_laplacian())
+        inverse.reshape(-1)[:: len(inverse) + 1] += self.coarsest_c.reshape(-1)
+        np.copyto(inverse, np.linalg.inv(inverse))
 
     def apply(self, values, out):
         """(c - (1/4) Laplacian) values on the fine level, into out; s is its scratch."""

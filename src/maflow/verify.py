@@ -13,7 +13,8 @@ Conventions shared by every check in this module:
   The constant itself is in report.constants and its stability under
   schedule refinement is a separate test;
 * a check that needs snapshots the trajectory did not store raises
-  MissingSnapshotsError with the missing (s, t) time pairs attached;
+  MissingSnapshotsError, with the missing (s, t) time pairs attached
+  where it needs pairs;
 * the keyword-only parameters of a check_* function are its settings: a
   scenario's check_params entry for the check sets them, each typed by its
   annotation, and their defaults are the document's.
@@ -268,11 +269,13 @@ def check_apriori_bounds(audit: TrajectoryAudit, *, kcap: float | None = None) -
     Lower: c_raw(t) = max(0, sup_z(phi_0 - phi_t)) is majorized by its
     running maximum c(t) (the smallest majorant that decreases to 0 as t
     does), and the check fits the smallest K with c(t) <= K (t log(1/t) + t).
-    Passes iff K <= kcap, default 2n.  The audit supplies the trajectory,
-    the driving term, the path certificate and the scratch array the walk
-    forms each snapshot's excess and drop in, so the check makes no grid
-    array beside the snapshots it reads.  Both bounds share one walk over
-    the stored snapshots, which reads each of them at most once.
+    Passes iff K <= kcap, default 2n.  A trajectory that stores no snapshot
+    at a time in (0, 2), where the fit runs, is refused
+    (MissingSnapshotsError).  The audit supplies the trajectory, the
+    driving term, the path certificate and the scratch array the walk forms
+    each snapshot's excess and drop in, so the check makes no grid array
+    beside the snapshots it reads.  Both bounds share one walk over the
+    stored snapshots, which reads each of them at most once.
     """
     traj, F = audit.traj, audit.F
     grid = traj.grid
@@ -334,14 +337,7 @@ def check_apriori_bounds(audit: TrajectoryAudit, *, kcap: float | None = None) -
     if kcap is None:
         kcap = 2.0 * n
     if not ts:
-        lower = MarginReport(
-            name="apriori-lower",
-            anchor="modulus-lower",
-            margin=0.0,
-            constants={"K": 0.0, "kcap": kcap},
-            details={"note": "no positive times stored"},
-        )
-        return [upper, lower]
+        raise MissingSnapshotsError("apriori-lower needs a stored snapshot at a time in (0, 2)")
     order = np.argsort(ts)
     ts = np.asarray(ts)[order]
     c = np.maximum.accumulate(np.asarray(c_raw)[order])

@@ -811,6 +811,15 @@ def test_a_mutated_document_exits_two_naming_its_key(data):
          "check_params.stability.homotopy_samples"),
         # a number is a one-member schedule, which a nef family cannot flow
         ("12-nef-start", {"metric.eps": 0.1}, [], 2, "metric.eps"),
+        # no stored snapshot lies in (0, 2), where apriori-lower fits its modulus
+        ("09-energy-monotone", {"flow": {"horizon": 2.5, "t_min": 2.0, "ratio": 1.2},
+                                "driving": {"kind": "zero"}, "checks": ["apriori-bounds"]},
+         [], 2, "(0, 2)"),
+        # one width is a one-level cascade: no pair of levels to order or converge
+        ("11-convergence-modes", {"grid.resolution": 64, "schedule": {"deltas": [0.25]},
+                                  "initial": {"kind": "log-pole", "gamma": 0.1, "cap": -40.0}},
+         [], 2, "schedule"),
+        ("10-cascade-uniqueness", {"schedule_b": {"deltas": [0.25]}}, [], 2, "schedule_b"),
     ],
 )
 def test_a_typed_value_ends_in_an_exit_code_naming_its_key_not_a_traceback(
@@ -832,7 +841,8 @@ def test_a_typed_value_ends_in_an_exit_code_naming_its_key_not_a_traceback(
     runs = count_calls(monkeypatch, flow, "run")
     assert cli.main(command + argv) == code  # raises if an exception leaves cli.main
     assert named in "".join(capsys.readouterr())
-    if named.endswith(("seed", "homotopy_samples", "eps")):  # refused before any flow runs
+    # refused before any flow runs
+    if named.endswith(("seed", "homotopy_samples", "eps", "schedule", "schedule_b")):
         assert runs == []
 
 
@@ -1060,7 +1070,7 @@ def n2_doc(resolution, out=None):
 
 
 def degenerate_doc():
-    """Scenario 07: n = 1, a paraboloid corner on 128^2 fd, its correction lent by the workspace."""
+    """Scenario 07: n = 1, a paraboloid corner on 128^2 fd, whose correction has a V-cycle."""
     return json.loads(scenario_path("07-derivative-asymptotics").read_text())
 
 

@@ -786,17 +786,17 @@ def vcycle_steps(monkeypatch) -> list:
     """A list that gets the dt of each Newton iteration whose solve takes the V-cycle."""
     real, steps = flow._vcycle_step, []
 
-    def recorded(w, fs, dt, cor):
+    def recorded(w, fs, dt, vcycle):
         steps.append(dt)
-        return real(w, fs, dt, cor)
+        return real(w, fs, dt, vcycle)
 
     monkeypatch.setattr(flow, "_vcycle_step", recorded)
     return steps
 
 
 def test_a_warm_vcycle_step_allocates_only_what_it_returns(monkeypatch):
-    # the cycle's fine level lies in the workspace and the correction, its
-    # coarse levels in the row the first Newton iteration lays out
+    # the correction laid out the cycle's arrays when the first Newton
+    # iteration made it
     steps = vcycle_steps(monkeypatch)
     peak, kept = warm_step_peak(1, 128, "fd", corner=True)
     times = schedule_times(warm_problem(1, 128, "fd", corner=True)[1])
@@ -934,31 +934,6 @@ def test_the_correction_has_its_own_arrays_in_its_own_precision(n, resolution, b
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
-def test_an_n1_correction_lies_in_the_workspace_arrays_its_solve_leaves_idle(backend):
-    ws, correction, states = stepped_workspace(1, 16, backend, np.float64)
-    cor = ws.correction
-    # a, b and the Krylov step's scratch in tmp[0], h and w; the best iterate
-    # in rhs; the transform in the workspace's spectrum
-    lent = zip((*cor.tmp, cor.krylov[-1], cor.spectrum[0]),
-               (ws.tmp[0], ws.h[0], ws.w[0], ws.rhs, ws.spectrum[0]))
-    assert all(a.base is b or a is b for a, b in lent)
-    # the rest overlap no array of the workspace: scale, x, r, p, v, z, t and
-    # inverse, whose real part is the power spectrum's scratch
-    own = [cor.scale, *cor.krylov[:-1], cor.inverse]
-    state = arrays_in(v for k, v in vars(ws).items() if k != "correction")
-    assert not any(np.shares_memory(a, b) for a in own for b in state)
-    assert cor.spectrum[1].base is cor.inverse
-    assert sum(a.nbytes for a in own) == flow._Correction.nbytes(ws.grid, np.float64, ws.backend)
-    # the states and R, which BiCGSTAB reads throughout, are never lent
-    assert not any(np.shares_memory(a, b) for a in correction for b in (*states, ws.R))
-    # x and best, which outlive the solve, overlap no array the line search
-    # writes: h, w, its Hessian's transform or stencil scratch, its trial
-    x, best = cor.krylov[0], cor.krylov[-1]
-    written = (*ws.h, *ws.w, *ws.spectrum, ws.tmp[2], *states)
-    assert not any(np.shares_memory(a, b) for a in (x, best) for b in written)
-
-
-@pytest.mark.parametrize("backend", ["spectral", "fd"])
 def test_a_float32_correction_lies_in_the_workspace_arrays_its_solve_leaves_idle(backend):
     ws, correction, states = stepped_workspace(2, 16, backend, np.float32)
     cor = ws.correction
@@ -1012,58 +987,17 @@ def test_the_declared_float32_placements_lie_apart_in_idle_lenders():
     assert lent_rhs_or_r == {"tmp2", "scale", "h12"}
 
 
-def test_the_declared_vcycle_placements_fill_distinct_lenders_its_path_leaves_idle():
-    # read from flow._ARRAYS alone: the FFT path's scaling and reciprocal
-    # symbol, and a and b (in tmp0 and h11), each whole; w, R, rhs (the best
-    # iterate) and BiCGSTAB's vectors stay apart
-    rows = [row for row in flow._ARRAYS if row[1] == "vcycle"]
-    placed = [row for row in rows if len(row) == 6]
-    assert {row[4] for row in placed} == {"scale", "inverse", "tmp0", "h11"}
-    assert len(placed) == 4 and all(part == 0 and kind == "real" for _, _, kind, _, _, part in placed)
-    # the coarse levels are the V-cycle's own
-    assert [row[0] for row in rows if len(row) == 4] == ["levels"]
+def rows_lent_off_n2(rows) -> list:
+    """The rows among `_ARRAYS`-like rows that name a lender yet exist at an n other than 2."""
+    return [row for row in rows if len(row) == 6 and row[3] != 2]
 
 
-def test_an_fd_vcycle_lies_in_the_arrays_its_path_leaves_idle():
-    ws, correction, states = stepped_workspace(1, 128, "fd", np.float64)
-    cor = ws.correction
-    assert "multigrid" not in vars(cor)  # the smooth datum's forms never took it
-    cycle = cor.multigrid
-    c, dinv, r, s = cycle.fine
-    lent = zip((c, dinv, r, s), (cor.scale, cor.inverse, ws.tmp[0], ws.h[0]))
-    assert all(a.base is b for a, b in lent)
-    # read through the solve: w, R, the best iterate in rhs, the states and
-    # BiCGSTAB's vectors, none of which a V-cycle array overlaps
-    read = (*ws.w, ws.R, ws.rhs, *states, *cor.krylov)
-    mine = (c, dinv, r, s, cycle.packed)
-    assert not any(np.shares_memory(a, b) for a in mine for b in read)
-    assert not any(np.shares_memory(a, b) for a in mine for b in mine if a is not b)
-    # the correction's bytes: its own arrays and the packed coarse levels
-    made = arrays_in(vars(ws).values())
-    own = [a for a in correction if not any(np.shares_memory(a, b) for b in made)]
-    own_bytes = distinct_bytes(own) + cycle.packed.nbytes
-    assert own_bytes == flow._Correction.nbytes(ws.grid, np.float64, "fd")
-    assert own_bytes - flow._Correction.nbytes(ws.grid, np.float64, "spectral") == 8 * (
-        grid_module.multigrid_size(128)
-    )
-
-
-def test_the_declared_n1_placements_fill_distinct_idle_lenders():
-    # read from flow._ARRAYS alone at n = 1, where the correction is float64
-    # like the workspace: a placed array takes the whole of a lender of its kind
-    rows = [row for row in flow._ARRAYS if row[3] in (None, 1)]
-    lenders = {row[0]: row[2] for row in rows if row[1] == "ws"}
-    # det w is w itself at n = 1, so the workspace declares no det there
-    assert "det" not in lenders
-    correction = [row for row in rows if row[1] in ("cor", "copy")]
-    placed = [row for row in correction if len(row) == 6]
-    assert all(part == 0 and lenders[lender] == kind for _, _, kind, _, lender, part in placed)
-    assert {row[4] for row in placed} == {"tmp0", "h11", "w11", "rhs", "spectrum"}
-    assert len(placed) == 5  # no two share a lender
-    # the rest are the correction's own: scale, x, r, p, v, z, t and inverse
-    assert [row[0] for row in correction if len(row) == 4] == [
-        "scale", "x", "r", "p", "v", "z", "t", "inverse"
-    ]
+def test_only_float32_corrections_are_lent():
+    # a lender row is a float32 correction's, and float32 is at n = 2 only
+    assert rows_lent_off_n2(flow._ARRAYS) == []
+    assert any(len(row) == 6 for row in flow._ARRAYS)
+    planted = (("best", "cor", "real", 1, "rhs", 0), ("tmp0", "cor", "real", None, "tmp0", 0))
+    assert rows_lent_off_n2(flow._ARRAYS + planted) == list(planted)
 
 
 def distinct_bytes(arrays) -> int:
@@ -1077,20 +1011,22 @@ def distinct_bytes(arrays) -> int:
 
 @pytest.mark.parametrize(
     "n, resolution, dtype",
-    [(1, 16, np.float64), (2, 8, np.float64), (2, 16, np.float32), (2, 8, np.float32)],
+    [(1, 16, np.float64), (1, 128, np.float64), (2, 8, np.float64), (2, 16, np.float32),
+     (2, 8, np.float32)],
 )
 def test_the_workspace_and_correction_count_the_bytes_they_make(n, resolution, dtype):
+    # on fd grids, where an n = 1 correction from 128^2 up has a V-cycle
     grid = TorusGrid(n=n, resolution=resolution)
-    ws = flow._Workspace(grid, "spectral")
+    ws = flow._Workspace(grid, "fd")
     made = arrays_in(vars(ws).values())
     assert distinct_bytes(made) == flow._Workspace.nbytes(grid)
-    # a float32 correction lies in ws and owns no byte outside its memory
-    cor = arrays_in(vars(flow._Correction(grid, dtype, ws)).values())
+    correction = flow._Correction(grid, dtype, ws)
+    assert (correction.vcycle is not None) == (resolution >= grid_module.MULTIGRID_RESOLUTION)
+    cycle = vars(correction.vcycle) if correction.vcycle is not None else {}
+    cor = arrays_in([*vars(correction).values(), *cycle.values()])
+    # a float64 correction owns every array it makes, a float32 one none
     own = [a for a in cor if not any(np.shares_memory(a, b) for b in made)]
-    if n == 1:  # the float64 one's scale, x, r, p, v, z, t, inverse and its real part
-        assert len(own) == 9
-    else:
-        assert len(own) == (len(cor) if dtype == np.float64 else 0)
+    assert len(own) == (len(cor) if dtype == np.float64 else 0)
     assert distinct_bytes(own) == flow._Correction.nbytes(grid, dtype, ws.backend)
 
 
@@ -1345,61 +1281,6 @@ def test_a_lent_float32_correction_gives_the_bits_of_one_in_memory_of_its_own(mo
     assert lent.diagnostics == own.diagnostics
     for a, b in zip(lent.fields + lent.phidots, own.fields + own.phidots, strict=True):
         assert a.values.tobytes() == b.values.tobytes()
-
-
-def lent_and_apart_n1_runs(monkeypatch, phi0, cfg):
-    """Two runs from phi0 (n = 1), the second's correction lent by a workspace of its own.
-
-    The volume varies and F = 0.5 s, so the driving term writes into the
-    workspace and F_s is a constant.
-    """
-    grid = phi0.grid
-    path = MetricPath.constant(grid, cfg.horizon)
-    omega = VolumeForm(grid, 1.0 + 0.2 * np.cos(2 * np.pi * grid.coordinates()[0]))
-    F = DrivingTerm.affine(slope=0.5)
-    lent = run(phi0, path, F, omega, cfg)
-
-    def apart(ws):  # lent by a workspace of its own
-        if "_apart" not in vars(ws):
-            ws._apart = flow._Correction(grid, np.float64, flow._Workspace(grid, ws.backend))
-        return ws._apart
-
-    with monkeypatch.context() as patch:
-        patch.setattr(flow._Workspace, "correction", property(apart))
-        own = run(phi0, path, F, omega, cfg)
-    assert max(d["newton_iters"] for d in lent.diagnostics) > 1
-    assert lent.diagnostics == own.diagnostics
-    for a, b in zip(lent.fields + lent.phidots, own.fields + own.phidots, strict=True):
-        assert a.values.tobytes() == b.values.tobytes()
-    return lent
-
-
-@pytest.mark.parametrize("max_linear", [200, 1])
-@pytest.mark.parametrize("backend", ["spectral", "fd"])
-def test_a_lent_n1_correction_gives_the_bits_of_one_in_memory_of_its_own(
-    monkeypatch, backend, max_linear
-):
-    # a view overwritten while the correction still reads it would change the
-    # bits; one linear iteration cuts every step's solves short, so the best
-    # iterate (in rhs) is the one the line search reads
-    grid = TorusGrid(n=1, resolution=32)
-    x, y = grid.coordinates()
-    phi0 = ScalarField(grid, 0.04 * np.cos(2 * np.pi * (x + y)) + 0.01 * np.sin(2 * np.pi * y))
-    cfg = FlowConfig(horizon=0.02, t_min=1e-3, ratio=1.2, backend=backend, max_linear=max_linear)
-    lent = lent_and_apart_n1_runs(monkeypatch, phi0, cfg)
-    converged = {d["linear_converged"] for d in lent.diagnostics}
-    assert converged == {max_linear == 200}
-
-
-def test_a_lent_vcycle_correction_gives_the_bits_of_one_in_memory_of_its_own(monkeypatch):
-    # the corner's solves take the V-cycle, whose fine level is lent too
-    grid = TorusGrid(n=1, resolution=128)
-    phi0 = RoughPotential.paraboloid(curvature=0.999).sample(grid)
-    cfg = FlowConfig(horizon=0.003, t_min=1e-3, ratio=1.2, backend="fd")
-    steps = vcycle_steps(monkeypatch)
-    lent = lent_and_apart_n1_runs(monkeypatch, phi0, cfg)
-    newton = sum(d["newton_iters"] for d in lent.diagnostics)
-    assert len(steps) == 2 * newton  # every solve of both runs
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])

@@ -16,7 +16,6 @@ from maflow.grid import (
     _coarsest_quarter_laplacian,
     _fd_first,
     _fd_second,
-    _invert,
     _multigrid_sides,
     _prolong_add,
     _quarter_laplacian_basis,
@@ -452,15 +451,15 @@ def test_the_coarsest_operator_and_its_inverse():
     values = np.random.default_rng(1).standard_normal((m, m))
     want = -0.25 * (roll_second(values, 1 / m, 0) + roll_second(values, 1 / m, 1))
     assert np.allclose((q @ values.reshape(-1)).reshape(m, m), want, rtol=0, atol=1e-12)
-    c = np.random.default_rng(2).uniform(1e-3, 1e3, m * m)
-    matrix = q + np.diag(c)
-    inverse = _invert(matrix.copy(), np.empty(matrix.size), np.empty(matrix.size))
-    # Gauss-Jordan on a diagonally dominant matrix: a residual within a few
-    # n u |matrix| |inverse| (N. J. Higham, Accuracy and Stability of
-    # Numerical Algorithms, 2nd ed., SIAM 2002, ch. 14)
+    # the inverse a cycle lays out is that of q shifted by its coarsest c
+    cycle = corner_vcycle(64)
+    matrix = q + np.diag(cycle.coarsest_c.reshape(-1))
+    # LU with partial pivoting on a diagonally dominant matrix: a residual
+    # within a few n u |matrix| |inverse| (N. J. Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 14)
     n = len(matrix)
-    bound = 2 * n * U * np.max(np.abs(matrix) @ np.abs(inverse))
-    assert np.max(np.abs(matrix @ inverse - np.eye(n))) <= bound
+    bound = 2 * n * U * np.max(np.abs(matrix) @ np.abs(cycle.inverse))
+    assert np.max(np.abs(matrix @ cycle.inverse - np.eye(n))) <= bound
 
 
 def corner_vcycle(N, dt=1e-3):

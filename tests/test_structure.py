@@ -240,12 +240,11 @@ def test_the_workspace_read_check_sees_a_planted_read(tmp_path):
     ]
 
 
-# the code whose arrays flow._ARRAYS declares: the constructors and the
-# correction's V-cycle, the run that makes its states and the step that
-# writes them; and the makers of new arrays, numpy's and an array's copy method
-DECLARED = (
-    "_Workspace.__init__", "_Correction.__init__", "_Correction.multigrid", "run", "_advance"
-)
+# the code whose arrays flow._ARRAYS declares: the constructors (the
+# correction's lays out its V-cycle's rows too), the run that makes its
+# states and the step that writes them; and the makers of new arrays,
+# numpy's and an array's copy method
+DECLARED = ("_Workspace.__init__", "_Correction.__init__", "run", "_advance")
 MAKERS = (
     "empty", "zeros", "ones", "full", "empty_like", "zeros_like", "ones_like", "full_like", "copy"
 )
@@ -288,7 +287,6 @@ def test_the_workspace_and_correction_make_arrays_only_from_the_declared_rows():
     found = arrays_made(Path(maflow.__file__).parent / "flow.py", DECLARED)
     assert [(where, call) for _, where, call in found] == [
         ("_Correction.__init__", "_laid_out"),
-        ("_Correction.multigrid", "_laid_out"),
         ("_Workspace.__init__", "_laid_out"),
         ("run", "_laid_out"),
     ]
