@@ -27,12 +27,14 @@ import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from . import io as archive_io
 from . import verify
-from .errors import ConfigError, MissingSnapshotsError, NumericError
+from .errors import AT_LEAST_0, ConfigError, MissingSnapshotsError, NumericError, declared
+from .errors import one_of, refuse_outside, signature
 from .flow import (
     ARRAY_BUDGET,
     DrivingTerm,
@@ -50,7 +52,7 @@ from .flow import (
 )
 from .geometry import MetricPath, VolumeForm
 from .grid import TorusGrid, oscillation
-from .psh import RegularizationSchedule, RoughPotential, mollify_decreasing
+from .psh import TAG, RegularizationSchedule, RoughPotential, mollify_decreasing
 
 NO_UNIQUENESS_NOTICE = (
     "NO-UNIQUENESS-CERTIFICATE: the driving term declares no usable "
@@ -60,8 +62,8 @@ NO_UNIQUENESS_NOTICE = (
 
 
 # ---------------------------------------------------------------------------
-# scenario document parsing: each value is typed by the annotation of the
-# parameter it feeds, whose default is the document's (see README)
+# scenario document parsing: each value is typed, and held to its domain, by the
+# annotation of the parameter it feeds, whose default is the document's (see README)
 
 # the classes a scenario section builds; a section is an object
 _SECTIONS = (
@@ -78,6 +80,8 @@ _SECTIONS = (
 def _fits(value, annotation) -> bool:
     """Whether value is JSON of the annotated type; TypeError for an annotation no JSON fits."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is typing.Annotated:
+        return _fits(value, args[0])
     if origin is types.UnionType:
         return any(_fits(value, a) for a in args)
     if origin in (list, tuple):
@@ -96,12 +100,15 @@ def _fits(value, annotation) -> bool:
 
 
 def _check(path: str, annotation, value):
+    """value, once it is JSON of annotation's type in the domain annotation declares."""
     if _fits(value, annotation):
-        return
+        refuse_outside(path, annotation, value)
+        return value
     if annotation in _SECTIONS:
         noun = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", annotation.__name__).lower()
         raise ConfigError(f"{path}: a {noun} must be an object, got {value!r}")
-    raise ConfigError(f"{path} must be {inspect.formatannotation(annotation)}, got {value!r}")
+    shown = annotation.__origin__ if hasattr(annotation, "__metadata__") else annotation
+    raise ConfigError(f"{path} must be {inspect.formatannotation(shown)}, got {value!r}")
 
 
 def _typed(path: str, fn, settings, given=()):
@@ -111,7 +118,7 @@ def _typed(path: str, fn, settings, given=()):
     set; path ("" at the top level) prefixes every key path.
     """
     _check(path or "scenario document", dict, settings)
-    params = inspect.signature(fn, eval_str=True).parameters
+    params = signature(fn).parameters
     accepted = [k for k in params if k not in given]
     prefix = f"{path}." if path else ""
     unknown = [prefix + k for k in settings if k not in accepted]
@@ -150,6 +157,10 @@ def _build(path: str, table: dict, sec, **given):
     return _call(path, table[kind], settings, **given)
 
 
+SEED = Annotated[int, AT_LEAST_0]
+
+
+@declared
 def _scenario(
     grid: TorusGrid,
     initial: RoughPotential,
@@ -160,10 +171,10 @@ def _scenario(
     initial_b: RoughPotential = None,
     schedule: RegularizationSchedule = None,
     schedule_b: RegularizationSchedule = None,
-    mode: str = None,
+    mode: Annotated[str, one_of("auto", "single", "cascade", "nef", "audit")] = None,
     checks: list[str] = None,
     check_params: dict = None,
-    seed: int = None,
+    seed: SEED = None,
     out: str = None,
     name: str = None,
     comment: str = None,
@@ -183,26 +194,28 @@ def _section(doc: dict, key: str) -> dict:
     return doc[key]
 
 
+@declared
 def _nef_path(
-    grid, horizon: float, theta0: list[list[float]], eps: float | list[float] = (0.2, 0.1, 0.05)
+    grid, horizon: float, theta0: list[list[float]],
+    eps: Annotated[float | list[float], (np.size, "a number or nonempty list")] = (0.2, 0.1, 0.05),
 ) -> MetricPath:
     """theta0 + (t + eps) omega at the last eps of the schedule, a number being a
     one-member schedule, which only a single flow takes: nef mode flows every
-    member (meta["eps_schedule"]) of two or more (`resolve_mode`)."""
+    member (meta["eps_schedule"]) of two or more (`flow.nef_members`)."""
     schedule = np.atleast_1d(eps).tolist()
-    if not schedule:
-        raise ConfigError("metric.eps must be a number or a nonempty list")
     path = MetricPath.nef(grid, horizon, theta0, eps=schedule[-1])
     path.meta["eps_schedule"] = schedule
     return path
 
 
-def _cosine_volume(grid: TorusGrid, amplitude: float = 0.2, axis: int = 0) -> VolumeForm:
-    """The density 1 + amplitude cos(2 pi x_axis), for |amplitude| < 1."""
+@declared
+def _cosine_volume(
+    grid: TorusGrid, amplitude: Annotated[float, (lambda a: -1 < a < 1, "in (-1, 1)")] = 0.2,
+    axis: int = 0,
+) -> VolumeForm:
+    """The density 1 + amplitude cos(2 pi x_axis)."""
     if not 0 <= axis < 2 * grid.n:
         raise ConfigError(f"volume.axis {axis} out of range for n = {grid.n}")
-    if abs(amplitude) >= 1.0:
-        raise ConfigError("volume.amplitude of a cosine density must satisfy |a| < 1")
     return VolumeForm.from_function(
         grid, lambda *coords: 1.0 + amplitude * np.cos(2.0 * np.pi * coords[axis])
     )
@@ -215,7 +228,8 @@ def _cosine_driving(n: int, amplitude: float = 0.1, axis: int = 0) -> DrivingTer
     return DrivingTerm.spatial(lambda *coords: amplitude * np.cos(2.0 * np.pi * coords[axis]))
 
 
-def _snapshot(path: str, tag: str = "smooth") -> RoughPotential:
+@declared
+def _snapshot(path: str, tag: Annotated[str, TAG] = "smooth") -> RoughPotential:
     """The potential of a saved snapshot (its .bin or .json path) under a declared tag."""
     return RoughPotential.from_field(archive_io.load_field(path)[0], tag)
 
@@ -278,23 +292,12 @@ def _refuse_one_level(doc: dict, key: str):
         raise ConfigError(f"{key} of a cascade needs two or more widths, got {list(deltas)}")
 
 
-def _eps_family(eps) -> bool:
-    """Whether eps is a list of two or more strictly decreasing positive numbers."""
-    return (
-        isinstance(eps, list) and len(eps) >= 2
-        and all(isinstance(e, (int, float)) for e in eps)
-        and all(a > b for a, b in zip(eps, eps[1:])) and eps[-1] > 0
-    )
-
-
 def resolve_mode(doc: dict, initial: RoughPotential, forced: str = None) -> str:
     """The mode: forced, else the document's, else the one its metric and datum take.
     A cascade without a schedule of two or more widths, and a nef family
-    without a nef metric or with a metric.eps other than two or more
-    strictly decreasing positive values, are refused."""
+    without a nef metric, are refused (a nef family's metric.eps by
+    `flow.nef_members`)."""
     mode = forced or doc.get("mode", "auto")
-    if mode not in ("auto", "single", "cascade", "nef", "audit"):
-        raise ConfigError(f"unknown mode {mode!r}")
     nef = doc.get("metric", {}).get("kind") == "nef"
     if mode == "auto":
         mode = "nef" if nef else "single" if initial.tag == "smooth" else "cascade"
@@ -302,12 +305,6 @@ def resolve_mode(doc: dict, initial: RoughPotential, forced: str = None) -> str:
         _refuse_one_level(doc, "schedule")
     if mode == "nef" and not nef:
         raise ConfigError("nef mode needs a metric of kind 'nef'")
-    eps = doc.get("metric", {}).get("eps")  # None: _nef_path's default, a family
-    if mode == "nef" and eps is not None and not _eps_family(eps):
-        raise ConfigError(
-            f"metric.eps of a nef family must be a nonempty list: an eps schedule of two or "
-            f"more strictly decreasing positive values, got {eps!r}"
-        )
     return mode
 
 
@@ -413,8 +410,6 @@ def _check_params(doc: dict) -> dict:
         fn = CHECK_TABLE[name]
         given = list(inspect.signature(fn).parameters)[: len(_args(fn))]  # the RunContext fills
         _typed(f"check_params.{name}", fn, settings, given)
-        if (settings.get("seed") or 0) < 0:  # a negative seed seeds no generator
-            raise ConfigError(f"check_params.{name}.seed must be >= 0, got {settings['seed']}")
     return params
 
 
@@ -514,11 +509,8 @@ def _context(doc: dict, grid: TorusGrid, cfg: FlowConfig, seed: int = None, **ob
     """The scenario's problem on grid as a RunContext; seed defaults to the document's.
 
     Every section given is built, so typed, here, a schedule the run never reads too.
-    A negative seed, which seeds no generator, is refused.
     """
-    seed = doc.get("seed", 0) if seed is None else seed
-    if seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    seed = _check("seed", SEED, doc.get("seed", 0) if seed is None else seed)  # or --seed
     return RunContext(
         doc=doc,
         grid=grid,

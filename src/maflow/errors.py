@@ -3,9 +3,17 @@
 Configuration problems (bad schemas, inconsistent declarations, inadmissible
 transform parameters) are kept apart from numeric failures so the command line
 driver can map them to distinct exit codes.
+
+A parameter declares the values it may take in its annotation, Annotated[T,
+(holds, text)]: holds(value) tells whether value lies in that domain, and
+text names it.  `refuse_outside` refuses a value outside it (None never is):
+`cli` calls it for a document value by key path, `declared` for each argument.
 """
 
 from __future__ import annotations
+
+import functools
+import inspect
 
 
 class MaflowError(Exception):
@@ -14,6 +22,41 @@ class MaflowError(Exception):
 
 class ConfigError(MaflowError):
     """Invalid configuration, schema violation, or failed declared-bound audit."""
+
+
+POSITIVE = (lambda v: v > 0, "> 0")
+AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+
+
+def one_of(*values) -> tuple:
+    return values.__contains__, " or ".join(map(repr, values))
+
+
+def refuse_outside(name: str, annotation, value):
+    for holds, text in getattr(annotation, "__metadata__", ()):
+        if value is not None and not holds(value):
+            raise ConfigError(f"{name} must be {text}, got {value!r}")
+
+
+# fn's signature with its annotations evaluated, resolved once per function
+signature = functools.cache(functools.partial(inspect.signature, eval_str=True))
+
+
+def declared(fn):
+    """fn refusing each argument outside its parameter's domain; given a class, its __init__."""
+    if isinstance(fn, type):
+        fn.__init__ = declared(fn.__init__)
+        return fn
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        params = signature(fn).parameters
+        for name, value in (*zip(params, args), *kwargs.items()):
+            refuse_outside(name, getattr(params.get(name), "annotation", None), value)
+        return fn(*args, **kwargs)
+
+    return checked
 
 
 class MissingSnapshotsError(ConfigError):

@@ -70,9 +70,11 @@ import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
+from .errors import AT_LEAST_1, POSITIVE, declared, one_of
 from .errors import (
     CertificateError,
     ConeExitError,
@@ -288,6 +290,7 @@ class DrivingTerm:
 # schedules and configuration
 
 
+@declared
 @dataclass(frozen=True)
 class FlowConfig:
     """Time-stepping policy.
@@ -297,40 +300,47 @@ class FlowConfig:
     Probe times are inserted exactly (snapshots at probes are never
     interpolated).  store_every thins stored snapshots (probes, t = 0 and the
     horizon are always kept); per-step diagnostics are always complete.
+    t_min and each probe lie in (0, horizon], and a schedule whose times
+    alone exceed ARRAY_BUDGET is refused before it is built (`schedule_steps`).
     """
 
-    horizon: float
-    t_min: float = 1e-4
-    ratio: float = 1.05
-    dt_max: float | None = None
-    newton_tol: float = 1e-10
-    max_newton: int = 30
-    backend: str = "spectral"
+    horizon: Annotated[float, POSITIVE]
+    t_min: Annotated[float, POSITIVE] = 1e-4
+    ratio: Annotated[float, (lambda r: 1 < r <= 2, "in (1, 2]")] = 1.05
+    dt_max: Annotated[float | None, POSITIVE] = None
+    newton_tol: Annotated[float, POSITIVE] = 1e-10
+    max_newton: Annotated[int, AT_LEAST_1] = 30
+    backend: Annotated[str, one_of("spectral", "fd")] = "spectral"
     probes: tuple[float, ...] = ()
-    store_every: int = 1
-    linear_rel_tol: float = 1e-2
-    max_linear: int = 200
-    min_damping: float = 2.0**-20
+    store_every: Annotated[int, AT_LEAST_1] = 1
+    linear_rel_tol: Annotated[float, (lambda r: 0 < r < 1, "in (0, 1)")] = 1e-2
+    max_linear: Annotated[int, AT_LEAST_1] = 200
+    min_damping: Annotated[float, (lambda d: 0 < d <= 1, "in (0, 1]")] = 2.0**-20
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        if not 0 < self.t_min <= self.horizon:
-            raise ConfigError("t_min must lie in (0, horizon]")
-        if not 1.0 < self.ratio <= 2.0:
-            raise ConfigError(f"schedule ratio must be in (1, 2], got {self.ratio}")
-        if self.dt_max is not None and self.dt_max <= 0:
-            raise ConfigError("dt_max must be positive when set")
-        if self.newton_tol <= 0 or self.max_newton < 1:
-            raise ConfigError("invalid Newton settings")
-        if self.backend not in ("spectral", "fd"):
-            raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.store_every < 1:
-            raise ConfigError("store_every must be >= 1")
+        if self.t_min > self.horizon:
+            raise ConfigError(f"t_min must lie in (0, horizon], got {self.t_min} > {self.horizon}")
         object.__setattr__(self, "probes", tuple(float(p) for p in self.probes))
         for p in self.probes:
             if not 0.0 < p <= self.horizon * (1 + 1e-12):
                 raise ConfigError(f"probe time {p} outside (0, horizon]")
+        steps = schedule_steps(self)
+        if steps * SCHEDULE_STEP_BYTES > ARRAY_BUDGET:
+            raise ConfigError(
+                f"horizon {self.horizon}, t_min {self.t_min}, ratio {self.ratio} and dt_max "
+                f"{self.dt_max} make about {steps:.3g} steps, whose times alone exceed the "
+                f"{ARRAY_BUDGET / 2**20:,.0f} MiB a run may hold (flow.ARRAY_BUDGET)"
+            )
+
+
+def schedule_steps(cfg: FlowConfig) -> float:
+    """An upper bound, within a few steps, on len(schedule_times(cfg)): steps grow
+    geometrically up to dt_max / (ratio - 1), where they reach dt_max, and stay there."""
+    T, grow = cfg.horizon, cfg.ratio - 1.0
+    turn = T if cfg.dt_max is None else min(T, max(cfg.t_min, cfg.dt_max / grow))
+    geometric = math.log(turn / cfg.t_min) / math.log1p(grow)
+    linear = 0.0 if cfg.dt_max is None else (T - turn) / cfg.dt_max
+    return geometric + linear + 4 + len(cfg.probes)
 
 
 def schedule_times(cfg: FlowConfig) -> np.ndarray:
@@ -1149,6 +1159,8 @@ def stored_steps(cfg: FlowConfig, times=None) -> np.ndarray:
 # about 134 MB; a 64^4 one would hold about 2.1 GB, 64 KiB over the budget,
 # and a 128^4 one about 34 GB.
 ARRAY_BUDGET = 2 * 2**30
+# The bytes schedule_times takes per step: a list slot and a float object, then a float64.
+SCHEDULE_STEP_BYTES = 8 + 24 + 8
 # Grid fields a run holds beside its states, workspace and correction: phi0.
 RUN_FIELDS = 1
 # Grid fields an audit holds beside its workspace: the snapshot it builds,
@@ -1828,7 +1840,10 @@ class NefResult:
 def nef_members(theta0, eps, phi0: ScalarField, F: DrivingTerm, cfg: FlowConfig) -> list:
     """The members from phi0 on theta0 + (t + e) omega: one per e in eps, and the witness e = 0."""
     if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] <= 0:
-        raise ConfigError("eps schedule must be strictly decreasing and positive")
+        raise ConfigError(
+            "metric.eps of a nef family must be an eps schedule of two or more strictly "
+            f"decreasing positive values, got {list(eps)}"
+        )
     return [
         Member(cfg, lambda e=e: (phi0, MetricPath.nef(phi0.grid, cfg.horizon, theta0, eps=e), F))
         for e in (*eps, 0.0)

@@ -61,10 +61,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, declared, one_of
 
 BACKENDS = ("spectral", "fd")
 
@@ -83,23 +84,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@declared
 @dataclass(frozen=True)
 class TorusGrid:
-    """Equispaced grid on R^{2n}/Z^{2n}.
+    """Equispaced grid on R^{2n}/Z^{2n}: n is the complex dimension, resolution
+    the points per real axis."""
 
-    n : complex dimension, 1 or 2.
-    resolution : points per real axis, a power of two >= 8.
-    """
-
-    n: int = 1
-    resolution: int = 64
-
-    def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ConfigError(f"complex dimension must be 1 or 2, got {self.n}")
-        N = self.resolution
-        if N < 8 or (N & (N - 1)) != 0:
-            raise ConfigError(f"resolution must be a power of two >= 8, got {N}")
+    n: Annotated[int, one_of(1, 2)] = 1
+    resolution: Annotated[int, (lambda N: N >= 8 and not N & (N - 1), "a power of two >= 8")] = 64
 
     @property
     def real_dim(self) -> int:

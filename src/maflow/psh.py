@@ -10,15 +10,18 @@ go through the decreasing mollification ladder below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, NotKahlerError, RepairTooLargeError
+from .errors import AT_LEAST_0, POSITIVE, ConfigError, NotKahlerError, RepairTooLargeError
+from .errors import declared, one_of
 from .geometry import comps_det, comps_mixed, cone_margin, identity_form, kahler_form
 from .grid import ScalarField, TorusGrid, gaussian_smooth, hessian_components
 
 TAGS = ("smooth", "lipschitz", "bounded", "unbounded-zero-lelong", "unbounded-positive-lelong")
 FLOW_ADMISSIBLE_TAGS = ("smooth", "lipschitz", "bounded", "unbounded-zero-lelong")
+TAG = one_of(*TAGS)
 DEFAULT_FLOOR = -40.0
 PSH_TOL = 1e-8
 
@@ -62,6 +65,7 @@ def _center(center, n: int, default: float) -> tuple:
 # rough potential catalog
 
 
+@declared
 @dataclass(frozen=True)
 class RoughPotential:
     """Closed-form or sampled potential with a declared regularity tag.
@@ -75,13 +79,9 @@ class RoughPotential:
     """
 
     kind: str
-    tag: str
+    tag: Annotated[str, TAG]
     evaluator: object = field(repr=False)
     floor: float = DEFAULT_FLOOR
-
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ConfigError(f"unknown regularity tag {self.tag!r}")
 
     def evaluate(self, *coords) -> np.ndarray:
         return self.evaluator(*coords)
@@ -110,8 +110,9 @@ class RoughPotential:
         return cls("constant", "smooth", lambda *c: np.float64(value))
 
     @classmethod
+    @declared
     def fourier_sum(
-        cls, modes: list[tuple[float, list[int], float]], n: int = 1
+        cls, modes: Annotated[list[tuple[float, list[int], float]], (bool, "nonempty")], n: int = 1
     ) -> "RoughPotential":
         """Finite cosine sum: phi = sum_m  a_m cos(2 pi k_m . x + p_m).
 
@@ -119,8 +120,6 @@ class RoughPotential:
         wavevectors of length 2n.
         """
         modes = tuple((float(a), tuple(int(v) for v in k), float(p)) for a, k, p in modes)
-        if not modes:
-            raise ConfigError("fourier-sum needs a nonempty 'modes' list")
         for _, k, _ in modes:
             if len(k) != 2 * n:
                 raise ConfigError(
@@ -140,8 +139,10 @@ class RoughPotential:
         return cls("fourier-sum", "smooth", ev)
 
     @classmethod
+    @declared
     def paraboloid(
-        cls, curvature: float = 0.999, center: list[float] | None = None, n: int = 1
+        cls, curvature: Annotated[float, (lambda b: 0 < b <= 1, "in (0, 1]")] = 0.999,
+        center: list[float] | None = None, n: int = 1,
     ) -> "RoughPotential":
         """Lipschitz model -b * dist(z, center)^2 with the periodic distance.
 
@@ -152,8 +153,6 @@ class RoughPotential:
         cosine kink never does (its positivity margin stays at 1/2).
         """
         b = float(curvature)
-        if not 0.0 < b <= 1.0:
-            raise ConfigError("paraboloid curvature must lie in (0, 1]")
         c = _center(center, n, 0.5)
 
         def ev(*coords):
@@ -179,9 +178,10 @@ class RoughPotential:
         )
 
     @classmethod
+    @declared
     def log_pole(
         cls,
-        gamma: float = 0.3,
+        gamma: Annotated[float, AT_LEAST_0] = 0.3,
         center: list[float] | None = None,
         cap: float | None = None,
         n: int = 1,
@@ -195,8 +195,6 @@ class RoughPotential:
         and is not accepted as flow data.
         """
         g = float(gamma)
-        if g < 0:
-            raise ConfigError("pole strength must be nonnegative")
         c = _center(center, n, 0.0)
 
         def ev(*coords):
@@ -209,15 +207,17 @@ class RoughPotential:
         return cls("log-pole", tag, ev)
 
     @classmethod
-    def sqrt_log_pole(cls, amplitude: float = 0.1, center: list[float] | None = None, n: int = 1):
+    @declared
+    def sqrt_log_pole(
+        cls, amplitude: Annotated[float, POSITIVE] = 0.1, center: list[float] | None = None,
+        n: int = 1,
+    ):
         """Unbounded model -kappa sqrt(-log dist): zero pole strength.
 
         Unbounded below at the center yet with vanishing slope against log r,
         so the pole-strength estimate is ~ kappa / (2 sqrt(-log r)) -> 0.
         """
         k = float(amplitude)
-        if k <= 0:
-            raise ConfigError("amplitude must be positive")
         c = _center(center, n, 0.0)
 
         def ev(*coords):
@@ -249,16 +249,15 @@ class RoughPotential:
 # decreasing mollification
 
 
+@declared
 @dataclass(frozen=True)
 class RegularizationSchedule:
     """Strictly decreasing mollification widths; the last must resolve the grid."""
 
-    deltas: tuple[float, ...]
+    deltas: Annotated[tuple[float, ...], (lambda d: min(d, default=0) > 0, "nonempty and positive")]
 
     def __post_init__(self):
         d = tuple(float(x) for x in self.deltas)
-        if len(d) < 1 or any(x <= 0 for x in d):
-            raise ConfigError("need at least one positive width")
         if any(d[i + 1] >= d[i] for i in range(len(d) - 1)):
             raise ConfigError("widths must be strictly decreasing")
         object.__setattr__(self, "deltas", d)

@@ -16,8 +16,8 @@ Conventions shared by every check in this module:
   MissingSnapshotsError, with the missing (s, t) time pairs attached
   where it needs pairs;
 * the keyword-only parameters of a check_* function are its settings: a
-  scenario's check_params entry for the check sets them, each typed by its
-  annotation, and their defaults are the document's.
+  scenario's check_params entry for the check sets them, each typed and held
+  to its domain by its annotation, and their defaults are the document's.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, MissingSnapshotsError, NotKahlerError, NumericError
+from .errors import AT_LEAST_0, AT_LEAST_1, ConfigError, MissingSnapshotsError, NotKahlerError
+from .errors import NumericError, declared, one_of
 from .flow import (
     DrivingTerm,
     FlowConfig,
@@ -577,8 +579,6 @@ def homotopy(phi0, psi0, path: MetricPath, F: DrivingTerm, cfg: FlowConfig, samp
         raise ConfigError(
             "stability needs a monotone driving term (defect 0); apply the reduction first"
         )
-    if samples < 2:
-        raise ConfigError(f"check_params.stability.homotopy_samples must be >= 2, got {samples}")
 
     def start(lam):
         return ScalarField(phi0.grid, (1.0 - lam) * phi0.values + lam * psi0.values), path, F
@@ -586,6 +586,7 @@ def homotopy(phi0, psi0, path: MetricPath, F: DrivingTerm, cfg: FlowConfig, samp
     return [Member(cfg, functools.partial(start, lam)) for lam in np.linspace(0.0, 1.0, samples)]
 
 
+@declared
 def check_stability(
     phi0: ScalarField,
     psi0: ScalarField,
@@ -594,7 +595,7 @@ def check_stability(
     omega_form: VolumeForm,
     cfg: FlowConfig,
     *,
-    homotopy_samples: int = 5,
+    homotopy_samples: Annotated[int, (lambda k: k >= 2, ">= 2")] = 5,
     eps: float | None = None,
 ) -> MarginReport:
     """Sup-norm contraction between two flows plus the homotopy-family audit.
@@ -765,6 +766,7 @@ def _tail_margin(values, slack: float) -> float:
     return min(v[m] - v[m + 1] + slack for m in range(start, len(v) - 1))
 
 
+@declared
 def check_convergence_modes(
     cascade,
     initial: RoughPotential,
@@ -776,7 +778,7 @@ def check_convergence_modes(
     time_ladder: list[float] | None = None,
     eps_cap: float | None = None,
     l1_tol: float | None = None,
-    seed: int | None = None,
+    seed: Annotated[int | None, AT_LEAST_0] = None,
 ) -> list:
     """Distance-to-initial-data ladders, one report per applicable mode.
 
@@ -1035,20 +1037,18 @@ def random_pd_pairs(n: int, samples: int, seed: int):
     return stack(), stack()
 
 
+@declared
 def check_trace_inequality(
-    grid: TorusGrid, seed: int, *, samples: int = 1000, slack: float = 1e-10, n: int | None = None
+    grid: TorusGrid, seed: int, *, samples: Annotated[int, AT_LEAST_1] = 1000, slack: float = 1e-10,
+    n: Annotated[int | None, one_of(1, 2)] = None,
 ) -> MarginReport:
     """Both trace/determinant inequalities on seeded positive definite pairs.
 
     The margin is the worst slack of either inequality plus slack; n
-    defaults to the grid's complex dimension.  The closed forms hold for
-    n = 1 and n = 2 only; any other n is refused, as is samples < 1.
+    defaults to the grid's complex dimension.  The closed forms are the
+    n = 1 and n = 2 ones.
     """
     n = grid.n if n is None else n
-    if n not in (1, 2):
-        raise ConfigError(f"trace-inequality takes n = 1 or 2, not {n}")
-    if samples < 1:
-        raise ConfigError(f"trace-inequality takes samples >= 1, not {samples}")
     wp, w = random_pd_pairs(n, samples, seed)
     lower, upper = trace_inequality_slacks(wp, w)
     worst = float(min(lower.min(), upper.min()))

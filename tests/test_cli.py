@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maflow import ConfigError, cli
+from maflow import ConfigError, RegularizationSchedule, cli
+from maflow.errors import signature
 from maflow.io import config_hash, load_field, load_trajectory, save_trajectory
 from maflow.scenarios import available, scenario_path
 
@@ -637,7 +638,7 @@ def test_a_trace_inequality_outside_n_1_or_2_exits_two(tmp_path, capsys, n):
     cfg_path = tmp_path / "13.json"
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(cfg_path)]) == 2
-    assert f"trace-inequality takes n = 1 or 2, not {n}" in capsys.readouterr().err
+    assert f"check_params.trace-inequality.n must be 1 or 2, got {n}" in capsys.readouterr().err
 
 
 def scenario_09_changed(tmp_path, changes):
@@ -656,9 +657,10 @@ def scenario_09_changed(tmp_path, changes):
 @pytest.mark.parametrize(
     "changes, named",
     [
-        ({"grid.resolution": 12}, "grid: resolution must be a power of two >= 8, got 12"),
-        ({"flow.ratio": 3.0}, "flow: schedule ratio must be in (1, 2], got 3.0"),
-        ({"initial": {"kind": "paraboloid", "curvature": 1.5}}, "initial: paraboloid curvature"),
+        ({"grid.resolution": 12}, "grid.resolution must be a power of two >= 8, got 12"),
+        ({"flow.ratio": 3.0}, "flow.ratio must be in (1, 2], got 3.0"),
+        ({"initial": {"kind": "paraboloid", "curvature": 1.5}},
+         "initial.curvature must be in (0, 1], got 1.5"),
     ],
 )
 def test_a_range_error_names_its_section(tmp_path, capsys, changes, named):
@@ -792,6 +794,105 @@ def test_a_mutated_document_exits_two_naming_its_key(data):
     assert ".".join(k for k in at if isinstance(k, str)) in err
 
 
+# A valid 8^2 document of three steps and no checks, with a schedule for rough data.
+# Each draw below sets one declared setting of it, or of its setting's section or check.
+TINY = {
+    "grid": {"n": 1, "resolution": 8},
+    "flow": {"horizon": 0.004, "t_min": 1e-3, "ratio": 2.0},
+    "initial": {"kind": "constant", "value": 0.0},
+    "initial_b": {"kind": "constant", "value": 0.01},
+    "schedule": {"deltas": [0.5, 0.25]},
+    "checks": [],
+}
+PROBE_VALUES = (0, -1, 1e-12, 1e12, 0.5, 7, 2)
+# what a check needs beyond TINY to reach its settings: convergence reads a cascade
+CHECK_NEEDS = {"convergence": {"initial": {"kind": "max-kink"}}}
+
+
+def declared_settings() -> list:
+    """(where, name, annotation) of each document setting that declares a domain, over the
+    targets test_structure.test_every_document_setting_is_typed walks.  where is the key
+    path of its section ("" at the top level), "section:kind", or "check_params.<check>"."""
+    targets = [("", cli._scenario), ("grid", cli.TorusGrid), ("flow", cli.FlowConfig)]
+    targets += [("schedule", RegularizationSchedule), ("schedule", RegularizationSchedule.geometric)]
+    tables = {"metric": cli.METRIC_KINDS, "volume": cli.VOLUME_KINDS}
+    tables |= {"driving": cli.DRIVING_KINDS, "initial": cli.INITIAL_KINDS}
+    targets += [(f"{key}:{kind}", fn) for key, table in tables.items() for kind, fn in table.items()]
+    targets += [(f"check_params.{name}", fn) for name, fn in cli.CHECK_TABLE.items()]
+    return [
+        (where, name, param.annotation)
+        for where, fn in targets
+        for name, param in signature(fn).parameters.items()
+        if hasattr(param.annotation, "__metadata__")
+    ]
+
+
+def domain_draws(annotation) -> list:
+    """Each bound the domain's text names, just inside and just outside it, and the probe values."""
+    ((_, text),) = annotation.__metadata__
+    values = [*PROBE_VALUES, []]
+    for word in re.findall(r"'([^']*)'", text):
+        values += [word, word + "x"]
+    for number in map(float, re.findall(r"-?\d+(?:\.\d+)?", re.sub(r"'[^']*'", "", text))):
+        values += [number, math.nextafter(number, -math.inf), math.nextafter(number, math.inf)]
+        if number.is_integer():
+            values += [int(number) - 1, int(number), int(number) + 1]
+    return values
+
+
+def with_setting(where: str, name: str, value) -> tuple:
+    """(TINY with name set to value at where, the key path of name)."""
+    doc = copy.deepcopy(TINY)
+    if where.startswith("check_params."):
+        check = where.split(".")[1]
+        doc["check_params"], doc["checks"] = {check: {name: value}}, [check]
+        doc.update(CHECK_NEEDS.get(check, {}))
+    elif ":" in where:
+        where, kind = where.split(":")
+        doc[where] = {"kind": kind, name: value}
+    elif where:
+        doc[where] = {**doc.get(where, {}), name: value}
+    else:
+        doc[name] = value
+    return doc, f"{where}.{name}".lstrip(".")
+
+
+def test_every_declared_setting_is_drawn_inside_and_outside_its_domain():
+    keys = {with_setting(where, name, None)[1] for where, name, _ in declared_settings()}
+    assert {"seed", "grid.resolution", "flow.min_damping", "initial.curvature"} <= keys
+    for where, name, annotation in declared_settings():
+        ((holds, text),) = annotation.__metadata__
+        inside = [cli._fits(v, annotation) and holds(v) for v in domain_draws(annotation)]
+        assert not all(inside), (where, name)
+        names_a_bound = re.search(r"\d|'", text)  # no list is drawn inside "nonempty"
+        assert any(inside) or not names_a_bound, (where, name)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_declared_value_outside_its_domain_exits_two_naming_its_key(data):
+    from unittest import mock
+
+    from maflow import flow
+
+    where, name, annotation = data.draw(st.sampled_from(declared_settings()))
+    value = data.draw(st.sampled_from(domain_draws(annotation)))
+    doc, key = with_setting(where, name, value)
+    ((holds, _),) = annotation.__metadata__
+    inside = cli._fits(value, annotation) and holds(value)
+    out, err = _io.StringIO(), _io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(flow, "run", wraps=flow.run) as run:
+        (Path(tmp) / "doc.json").write_text(json.dumps(doc))
+        argv = ["run", "--config", str(Path(tmp) / "doc.json"), "--out", str(Path(tmp) / "out")]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)  # raises if an exception leaves cli.main
+    assert code in (0, 1, 2, 3)
+    assert code != 1 or "FAIL" in out.getvalue()
+    if not inside:
+        assert (code, run.call_count) == (2, 0)
+        assert key in err.getvalue()
+
+
 @pytest.mark.parametrize(
     "stem, changes, argv, code, named",
     [
@@ -820,6 +921,11 @@ def test_a_mutated_document_exits_two_naming_its_key(data):
                                   "initial": {"kind": "log-pole", "gamma": 0.1, "cap": -40.0}},
          [], 2, "schedule"),
         ("10-cascade-uniqueness", {"schedule_b": {"deltas": [0.25]}}, [], 2, "schedule_b"),
+        # solver settings outside their domains: min_damping 0 would halve the line
+        # search's step about 1075 times before Newton stalls
+        ("09-energy-monotone", {"flow.linear_rel_tol": 1.0}, [], 2, "flow.linear_rel_tol"),
+        ("09-energy-monotone", {"flow.max_linear": 0}, [], 2, "flow.max_linear"),
+        ("09-energy-monotone", {"flow.min_damping": 0.0}, [], 2, "flow.min_damping"),
     ],
 )
 def test_a_typed_value_ends_in_an_exit_code_naming_its_key_not_a_traceback(
@@ -842,7 +948,8 @@ def test_a_typed_value_ends_in_an_exit_code_naming_its_key_not_a_traceback(
     assert cli.main(command + argv) == code  # raises if an exception leaves cli.main
     assert named in "".join(capsys.readouterr())
     # refused before any flow runs
-    if named.endswith(("seed", "homotopy_samples", "eps", "schedule", "schedule_b")):
+    no_flow = ("seed", "homotopy_samples", "eps", "schedule", "schedule_b")
+    if named.endswith((*no_flow, "linear_rel_tol", "max_linear", "min_damping")):
         assert runs == []
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maflow import (
     ConeExitError,
@@ -100,6 +103,57 @@ def test_probe_times_appear_exactly():
     cfg = FlowConfig(horizon=0.1, t_min=1e-3, ratio=1.5, probes=(probe,))
     times = schedule_times(cfg)
     assert probe in times  # exact float membership, not merely close
+
+
+def test_schedule_step_bytes_are_a_list_slot_a_float_and_a_float64():
+    # schedule_times appends each time to a list, then copies the list into an array
+    slot = sys.getsizeof([0.0, 0.0]) - sys.getsizeof([0.0])
+    assert flow.SCHEDULE_STEP_BYTES == slot + sys.getsizeof(0.0) + np.dtype(np.float64).itemsize
+
+
+@pytest.mark.parametrize(
+    "kw, steps",
+    [
+        ({"horizon": 0.1, "dt_max": 1e-12}, 1e11),
+        ({"horizon": 1e12, "dt_max": 0.01}, 1e14),
+        ({"horizon": 1.0, "t_min": 1e-3, "ratio": 1 + 1e-12}, 6.9e12),
+    ],
+)
+def test_an_unbounded_schedule_is_refused_before_it_is_built(monkeypatch, kw, steps):
+    def unbuilt(cfg):
+        raise AssertionError("schedule_times was called")
+
+    monkeypatch.setattr(flow, "schedule_times", unbuilt)
+    with pytest.raises(ConfigError) as info:
+        FlowConfig(**kw)
+    message = str(info.value)
+    assert all(key in message for key in ("horizon", "t_min", "ratio", "dt_max"))
+    assert math.isclose(float(re.search(r"about (\S+) steps", message)[1]), steps, rel_tol=0.01)
+
+
+def test_the_schedule_bound_is_within_a_few_steps_of_every_bundled_schedule():
+    from maflow import cli
+    from maflow.scenarios import available, scenario_path
+
+    for stem in available():
+        cfg = cli.build_flow_config(json.loads(scenario_path(stem).read_text()))
+        steps = len(schedule_times(cfg))
+        assert steps <= flow.schedule_steps(cfg) <= steps + 4, stem
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    horizon=st.floats(1e-3, 10.0),
+    t_min=st.floats(1e-5, 1e-2),
+    ratio=st.floats(1.01, 2.0),
+    dt_max=st.none() | st.floats(1e-3, 1.0),
+    probes=st.lists(st.floats(0.01, 1.0), max_size=3),
+)
+def test_the_schedule_bound_is_never_below_the_schedule(horizon, t_min, ratio, dt_max, probes):
+    t_min = min(t_min, horizon)
+    cfg = FlowConfig(horizon, t_min, ratio, dt_max, probes=[p * horizon for p in probes])
+    steps = len(schedule_times(cfg))
+    assert steps <= flow.schedule_steps(cfg) <= steps + 4 + len(probes)
 
 
 # -- the integrator against a hand-computable recurrence ----------------------

@@ -2,14 +2,18 @@
 
 import ast
 import dataclasses
+import importlib
+import importlib.util
 import inspect
 import re
 import typing
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import maflow
+from maflow import errors
 from maflow import DrivingTerm, FlowConfig, MetricPath, ScalarField, TorusGrid, VolumeForm, cli, run
 from maflow.flow import TrajectoryAudit
 from maflow.psh import RegularizationSchedule
@@ -383,6 +387,8 @@ def untyped(fn, given=()) -> list:
     """The parameters of fn outside given whose annotation the scenario reader cannot type."""
 
     def leaves(annotation):
+        if typing.get_origin(annotation) is typing.Annotated:  # a type and its domain
+            return leaves(typing.get_args(annotation)[0])
         args = [a for a in typing.get_args(annotation) if a is not Ellipsis]
         return [leaf for a in args for leaf in leaves(a)] if args else [annotation]
 
@@ -417,6 +423,63 @@ def test_the_typing_check_sees_unannotated_and_foreign_types():
         pass
 
     assert untyped(probe, ("grid",)) == ["a", "c"]
+
+
+def test_the_typing_check_sees_a_foreign_type_under_a_domain():
+    def probe(a: typing.Annotated[set, errors.POSITIVE], b: typing.Annotated[int, errors.POSITIVE]):
+        pass
+
+    assert untyped(probe) == ["a"]
+
+
+def undeclared(module) -> list:
+    """The functions of module, and of its classes, whose signature declares a domain
+    (an Annotated parameter) but that errors.declared does not wrap, so that a direct
+    call would not refuse a value outside it."""
+    found = []
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = [(f"{name}.{k}", v) for k, v in vars(obj).items()] if isinstance(obj, type) else []
+        for qualname, fn in members or [(name, obj)]:
+            fn = getattr(fn, "__func__", fn)  # a classmethod's function
+            if not inspect.isfunction(fn):
+                continue
+            params = errors.signature(fn).parameters.values()
+            if any(hasattr(p.annotation, "__metadata__") for p in params):
+                if fn.__code__.co_qualname != "declared.<locals>.checked":
+                    found.append(qualname)
+    return found
+
+
+def test_every_declared_domain_is_refused_on_a_direct_call_too():
+    paths = sorted(Path(maflow.__file__).parent.glob("*.py"))
+    modules = [importlib.import_module(f"maflow.{p.stem}") for p in paths if p.stem != "__init__"]
+    assert [f"{m.__name__}.{name}" for m in modules for name in undeclared(m)] == []
+
+
+def test_the_declared_check_sees_an_unwrapped_domain(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "from dataclasses import dataclass\n"
+        "from typing import Annotated\n"
+        "from maflow.errors import POSITIVE, declared\n"
+        "@dataclass\nclass Open:\n    width: Annotated[float, POSITIVE] = 1.0\n"
+        "@declared\n@dataclass\nclass Closed:\n    width: Annotated[float, POSITIVE] = 1.0\n"
+        "class Maker:\n"
+        "    @classmethod\n    def loose(cls, width: Annotated[float, POSITIVE] = 1.0): ...\n"
+        "    @classmethod\n    @declared\n"
+        "    def tight(cls, width: Annotated[float, POSITIVE] = 1.0): ...\n"
+        "    def plain(self, width: float = 1.0): ...\n"
+        "def loose(width: Annotated[float, POSITIVE] = 1.0): ...\n"
+        "@declared\ndef tight(width: Annotated[float, POSITIVE] = 1.0): ...\n"
+    )
+    spec = importlib.util.spec_from_file_location("planted", planted)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert undeclared(module) == ["Open.__init__", "Maker.loose", "loose"]
+    with pytest.raises(errors.ConfigError, match="width must be > 0, got 0"):
+        module.Closed(0)
 
 
 def check_faults(fn) -> list:
