@@ -37,11 +37,11 @@ idle.  Each `run` holds one workspace for its whole length and owns three
 state arrays, laid out once, which its steps take turns writing, so after
 its first Newton iteration, which makes the correction, no grid-sized
 array is new but the values of a driving term that makes its own (an
-affine term writes into the workspace), at n = 1 and n = 2 alike.  A
-stored snapshot goes to the run's snapshot store when its step is
-accepted: a list in memory by default, which copies it, or
-io.ArchiveStore, which writes it to disk at once and reads it back when
-the trajectory is indexed.
+affine term writes into the workspace) and the V-cycle of the first
+degenerate form, at n = 1 and n = 2 alike.  A stored snapshot goes to
+the run's snapshot store when its step is accepted: a list in memory by
+default, which copies it, or io.ArchiveStore, which writes it to disk at
+once and reads it back when the trajectory is indexed.
 Checks read stored snapshots through `TrajectoryAudit`, which evaluates
 each snapshot in its own workspace at most once, keeps only scalars, and
 reports a snapshot outside the positive cone instead of taking the
@@ -106,7 +106,6 @@ from .grid import (
     correction_dtype,
     hessian_components,
     inner,
-    multigrid_size,
     oscillation,
     quarter_laplacian_rayleigh,
     inverse_shifted_symbol,
@@ -437,14 +436,13 @@ def _l2(a: np.ndarray) -> float:
 # The arrays of a run's states, `_Workspace` and Newton `_Correction`, each
 # declared once, in the order its owner makes it: name; owner (state, the
 # states `run` lays out; ws, the workspace; cor, the correction; copy, a
-# float32 correction's only; vcycle, the V-cycle of an n = 1 fd correction
-# from grid.MULTIGRID_RESOLUTION points per axis); kind (a real or complex
-# grid-shaped array, a complex spectrum of the grid's spectrum_shape, or
-# the V-cycle's packed coarse levels), in float64 outside a correction and
-# in dtype in one; the n it exists at (None: both); and, for a float32
-# correction's (so at n = 2 only), the workspace array it lies in and the
-# first part of it it takes.  A part holds one float32 array of the row's
-# shape, so a float64 field holds two and a complex h12 four.
+# float32 correction's only); kind (a real or complex grid-shaped array, or
+# a complex spectrum of the grid's spectrum_shape), in float64 outside a
+# correction and in dtype in one; the n it exists at (None: both); and, for
+# a float32 correction's (so at n = 2 only), the workspace array it lies in
+# and the first part of it it takes.  A part holds one float32 array of the
+# row's shape, so a float64 field holds two and a complex h12 four.  A
+# correction's V-cycle (grid.ShiftedVCycle) makes its own arrays.
 _ARRAYS = (
     # a run's three states: a step's start and the newer state of its
     # history, which it reads, and the one it writes (step k's is s{k % 3}),
@@ -481,22 +479,14 @@ _ARRAYS = (
     ("p", "cor", "real", 1), ("v", "cor", "real", 1), ("z", "cor", "real", 1),
     ("t", "cor", "real", 1), ("best", "cor", "real", 1),
     ("spectrum", "cor", "spectrum", 1), ("inverse", "cor", "spectrum", 1),
-    # the V-cycle's: c, its Jacobi weights, two scratch arrays and the coarse levels
-    ("c", "vcycle", "real", 1), ("dinv", "vcycle", "real", 1),
-    ("vr", "vcycle", "real", 1), ("vs", "vcycle", "real", 1),
-    ("levels", "vcycle", "levels", 1),
 )
 
 
 def _rows(grid: TorusGrid, owners, dtype):
     """(name, dtype, shape, lender, part) of each row of owners in `_ARRAYS` that exists on grid."""
     real, cplx = np.dtype(dtype), np.result_type(dtype, np.complex64)
-    kinds = {
-        "real": (real, grid.shape), "complex": (cplx, grid.shape),
-        "spectrum": (cplx, grid.spectrum_shape),
-    }
-    if "vcycle" in owners:
-        kinds["levels"] = (real, (multigrid_size(grid.resolution),))
+    kinds = {"real": (real, grid.shape), "complex": (cplx, grid.shape)}
+    kinds["spectrum"] = (cplx, grid.spectrum_shape)
     for name, owner, kind, n, *lent in _ARRAYS:
         if owner in owners and n in (None, grid.n):
             yield (name, *kinds[kind], *(lent or (None, 0)))
@@ -544,9 +534,9 @@ class _Correction:
     the preconditioner's Rayleigh quotient writes the transform and the
     power spectrum into them, then the shift + symbol into the second,
     which inverse becomes, and every later solve or Hessian transforms into
-    the first.  vcycle is the `grid.ShiftedVCycle` of an n = 1 fd correction
-    from MULTIGRID_RESOLUTION points per axis (`_vcycle_step`), None
-    elsewhere.
+    the first.  vcycle is the `grid.ShiftedVCycle` that `_krylov_step`
+    takes for a degenerate form where `cycles` holds (`_vcycle_step`), made
+    on that first use, so a run whose forms never degenerate makes none.
 
     A float64 correction makes every array it holds and solves in the
     workspace's own w, det and R (`operands`).  A float32 one (n = 2)
@@ -568,13 +558,13 @@ class _Correction:
       through the line search.
 
     A run's states are not the workspace's, so none is lent.  `nbytes`
-    counts what the constructor makes.
+    counts what the constructor makes, and the V-cycle where one may be made.
     """
 
     def __init__(self, grid: TorusGrid, dtype, ws):
-        owners, lent = _Correction._layout(grid, dtype, ws.backend)
+        owners, lent = _Correction._layout(dtype)
         arrays = _laid_out(grid, owners, dtype, ws.lenders if lent else None)
-        self.dtype = dtype
+        self.dtype, self.resolution = dtype, grid.resolution
         self.tmp = (arrays["tmp0"], arrays["tmp1"], arrays["tmp2"])
         self.hv = self.tmp[:1] if grid.n == 1 else (*self.tmp[:2], arrays["h12"])
         self.scale = arrays["scale"]
@@ -583,31 +573,32 @@ class _Correction:
         self.copies = None
         if "copy" in owners:
             self.copies = tuple(arrays[k] for k in ("w11", "w22", "w12", "det", "R"))
-        self.spectrum = self.inverse = self.vcycle = None
+        self.spectrum = self.inverse = None
         if grid.n == 1:
             self.inverse = arrays["inverse"]
             self.spectrum = (arrays["spectrum"], self.inverse.real)
-        if "vcycle" in owners:
-            fine = tuple(arrays[k] for k in ("c", "dinv", "vr", "vs"))
-            self.vcycle = ShiftedVCycle(grid.resolution, fine, arrays["levels"])
+
+    @functools.cached_property
+    def vcycle(self) -> ShiftedVCycle:
+        return ShiftedVCycle(self.resolution)
 
     @staticmethod
-    def _layout(grid: TorusGrid, dtype, backend: str) -> tuple:
-        """(the owners of its rows in `_ARRAYS`, whether it is lent).
+    def cycles(grid: TorusGrid, backend: str) -> bool:
+        """Whether a correction may make a V-cycle: n = 1, fd, from MULTIGRID_RESOLUTION points."""
+        return grid.n == 1 and backend == "fd" and grid.resolution >= MULTIGRID_RESOLUTION
 
-        Only a float32 one is lent, and has copies; an n = 1 fd one from
-        MULTIGRID_RESOLUTION points per axis has a V-cycle.
-        """
-        if dtype != np.float64:
-            return ("cor", "copy"), True
-        vcycle = grid.n == 1 and backend == "fd" and grid.resolution >= MULTIGRID_RESOLUTION
-        return ("cor", "vcycle") if vcycle else ("cor",), False
+    @staticmethod
+    def _layout(dtype) -> tuple:
+        """(its owners in `_ARRAYS`, whether it is lent): only a float32 one is, with copies."""
+        lent = dtype != np.float64
+        return ("cor", "copy") if lent else ("cor",), lent
 
     @staticmethod
     def nbytes(grid: TorusGrid, dtype, backend: str) -> int:
-        """The bytes of the arrays a `_Correction(grid, dtype, ws)` makes: none in float32."""
-        owners, lent = _Correction._layout(grid, dtype, backend)
-        return _made_bytes(grid, owners, dtype, lent)
+        """The bytes a `_Correction(grid, dtype, ws)` (none in float32) and its V-cycle make."""
+        owners, lent = _Correction._layout(dtype)
+        cycle = ShiftedVCycle.nbytes(grid.resolution) if _Correction.cycles(grid, backend) else 0
+        return _made_bytes(grid, owners, dtype, lent) + cycle
 
     def operands(self, total, det, R) -> tuple:
         """(total, det, R) in dtype: themselves in float64, copies in copies otherwise."""
@@ -882,9 +873,10 @@ def _krylov_step(total, det, R, fs, dt, ws):
     Until the solve ends, the correction's tmp (which its hv shares) belongs
     to the step, so no `_jacobian` may run on ws meanwhile.
 
-    Where the correction has a V-cycle (n = 1, fd, from MULTIGRID_RESOLUTION
-    points per axis) and the form is degenerate (`_degenerate`), M^-1 is
-    that cycle instead (`_vcycle_step`).
+    Where the correction may make a V-cycle (`_Correction.cycles`: n = 1,
+    fd, from MULTIGRID_RESOLUTION points per axis) and the form is
+    degenerate (`_degenerate`), M^-1 is that cycle instead (`_vcycle_step`),
+    made on the first such Newton iteration.
     """
     if ws.grid.n == 2:
         precond = _preconditioner(total, det, R, fs, dt, ws)
@@ -896,7 +888,7 @@ def _krylov_step(total, det, R, fs, dt, ws):
 
         return step
     cor = ws.correction
-    if cor.vcycle is not None and _degenerate(total[0], fs, dt, cor.tmp[0]):
+    if _Correction.cycles(ws.grid, ws.backend) and _degenerate(total[0], fs, dt, cor.tmp[0]):
         return _vcycle_step(total[0], fs, dt, cor.vcycle)
     grid, backend, spectrum = ws.grid, ws.backend, cor.spectrum
     scale, sigma, shift = _preconditioner_terms(total, det, R, fs, dt, ws)
@@ -1197,7 +1189,7 @@ def peak_array_bytes(grid: TorusGrid, kept_fields: int = 0, backend: str = "spec
     it, holds `audit_array_bytes`.  kept_fields fields, the snapshots a mode
     or a check's own flows keep in memory, are held through both, so the
     estimate is the larger phase plus them.  backend is the run's: an fd
-    correction also holds its V-cycle where it has one.
+    correction also counts the V-cycle it may make.
     """
     field = 8 * math.prod(grid.shape)
     correction = _Correction.nbytes(grid, correction_dtype(grid), backend)

@@ -629,22 +629,6 @@ def _multigrid_sides(N: int) -> tuple:
     return tuple(sides)
 
 
-def _packed_shapes(N: int) -> list:
-    """The shapes of the coarse-level arrays a `ShiftedVCycle` on N^2 points packs, in order.
-
-    c, the Jacobi weights, the right-hand side and the correction on each
-    smoothed level; c, the right-hand side, the correction and the inverse
-    of the operator on the coarsest.
-    """
-    *smoothed, q = _multigrid_sides(N)
-    return [(m, m) for m in smoothed for _ in range(4)] + [(q, q)] * 3 + [(q * q, q * q)]
-
-
-def multigrid_size(N: int) -> int:
-    """The float64 values a `ShiftedVCycle` on N^2 points packs its coarse levels into."""
-    return sum(math.prod(shape) for shape in _packed_shapes(N))
-
-
 @lru_cache(maxsize=1)
 def _coarsest_quarter_laplacian():
     """The matrix of -(1/4) Laplacian (fd) on the coarsest level's points, in C order."""
@@ -736,36 +720,38 @@ def _shifted_apply(values, c, h, out, scratch):
 class ShiftedVCycle:
     """A V-cycle approximating (c - (1/4) Laplacian)^-1 on an n = 1 fd grid of N^2 points, N >= 16.
 
-    fine is (c, dinv, r, s), four N x N float64 arrays.  The caller writes
-    c (positive) into the first; `prepare` then lays out the rest of the
-    cycle from it: the Jacobi weights into dinv and every coarse level into
-    packed, a float64 array of multigrid_size(N) values.  r and s are the
-    fine level's scratch, and each coarse level takes its own from their
-    first values, as a level's scratch is free while a coarser one runs.
-    A cycle allocates nothing, and `prepare` only the coarsest inverse that
-    LAPACK returns, 16 x 16 values.
+    It makes its own float64 arrays (`nbytes` counts them): fine, (c, dinv,
+    r, s), four N x N arrays, and each coarse level's.  The caller writes c
+    (positive) into fine[0]; `prepare` lays out the rest from it: dinv, the
+    Jacobi weights, and each coarse level's c, weights and the coarsest
+    inverse.  r and s are the fine level's scratch, and each coarse level
+    takes its own from their first values, as a level's scratch is free
+    while a coarser one runs.  A cycle allocates nothing, and `prepare`
+    only the 16 x 16 coarsest inverse that LAPACK returns.
     """
 
-    def __init__(self, N: int, fine, packed):
-        self.fine, self.packed = fine, packed
-        c, dinv, r, s = fine
-        *smoothed, _ = _multigrid_sides(N)
-        views, at = [], 0
-        for shape in _packed_shapes(N):
-            views.append(packed[at : at + math.prod(shape)].reshape(shape))
-            at += math.prod(shape)
-        views = iter(views)
+    def __init__(self, N: int):
+        *smoothed, q = _multigrid_sides(N)
+        self.fine = c, dinv, r, s = tuple(np.empty((N, N)) for _ in range(4))
         # (spacing, c, Jacobi weights) per smoothed level, finest first, and
         # (right-hand side, correction) per coarse level, the coarsest last
         self.levels, self.coarse = [(1.0 / N, c, dinv)], []
         for m in smoothed:
-            self.levels.append((1.0 / m, next(views), next(views)))
-            self.coarse.append((next(views), next(views)))
-        self.coarsest_c, coarsest_b, coarsest_x, self.inverse = views
-        self.coarse.append((coarsest_b, coarsest_x))
+            c, dinv, b, x = (np.empty((m, m)) for _ in range(4))
+            self.levels.append((1.0 / m, c, dinv))
+            self.coarse.append((b, x))
+        self.coarsest_c, *coarsest = (np.empty((q, q)) for _ in range(3))
+        self.coarse.append(tuple(coarsest))
+        self.inverse = np.empty((q * q, q * q))
         self.scratch = [
             tuple(a.reshape(-1)[: m * m].reshape(m, m) for a in (r, s)) for m in (N, *smoothed)
         ]
+
+    @staticmethod
+    def nbytes(N: int) -> int:
+        """The bytes of the arrays a `ShiftedVCycle(N)` makes."""
+        *smoothed, q = _multigrid_sides(N)
+        return 8 * (4 * N * N + sum(4 * m * m for m in smoothed) + 3 * q * q + q**4)
 
     def prepare(self):
         """Lay out each level's c and Jacobi weights, and the coarsest inverse, from fine c."""

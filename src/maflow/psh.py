@@ -14,8 +14,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import AT_LEAST_0, POSITIVE, ConfigError, NotKahlerError, RepairTooLargeError
-from .errors import declared, one_of
+from .errors import AT_LEAST_0, AT_LEAST_1, POSITIVE, ConfigError, NotKahlerError
+from .errors import RepairTooLargeError, declared, one_of
 from .geometry import comps_det, comps_mixed, cone_margin, identity_form, kahler_form
 from .grid import ScalarField, TorusGrid, gaussian_smooth, hessian_components
 
@@ -263,7 +263,12 @@ class RegularizationSchedule:
         object.__setattr__(self, "deltas", d)
 
     @classmethod
-    def geometric(cls, delta0: float = 0.125, ratio: float = 0.5, levels: int = 5):
+    @declared
+    def geometric(
+        cls, delta0: Annotated[float, POSITIVE] = 0.125,
+        ratio: Annotated[float, (lambda r: 0 < r < 1, "in (0, 1)")] = 0.5,
+        levels: Annotated[int, AT_LEAST_1] = 5,
+    ):
         return cls(tuple(delta0 * ratio**j for j in range(levels)))
 
     def validate_for_grid(self, grid: TorusGrid):

@@ -193,7 +193,8 @@ def check_comparison(
 
     phi plays the sub-solution role and psi the super-solution role.  When
     path, F and omega_form are supplied the declared roles are re-verified
-    from recomputed residual signs before any margin is claimed.  lam
+    from recomputed residual signs before any margin is claimed.  A pair
+    that stores no snapshot after t = 0 compares nothing and is refused.  lam
     defaults to F's certified monotonicity defect, or 0 without one.  A
     bound past the largest float (lam T too large for a positive initial
     gap) is refused, never passed.
@@ -201,6 +202,8 @@ def check_comparison(
     if phi.grid.n != psi.grid.n or phi.grid.resolution != psi.grid.resolution:
         raise ConfigError("mismatched discretizations: comparison needs one grid")
     worst, t_worst, j_worst = ordering_gap(psi, phi)
+    if max(phi.times) <= 0.0:
+        raise MissingSnapshotsError("comparison needs a stored snapshot after t = 0")
     if lam is None:
         lam = (F is not None and F.defect) or 0.0
     if F is not None and F.defect is not None and lam < F.defect - 1e-12:
@@ -1083,17 +1086,14 @@ SERIES_QUANTITIES = (
 )
 
 
+@declared
 def trajectory_series(
     traj: FlowTrajectory,
-    quantity: str,
+    quantity: Annotated[str, one_of(*SERIES_QUANTITIES)],
     path: MetricPath = None,
     omega_form: VolumeForm = None,
 ) -> list:
     """(t, value) pairs of a named scalar diagnostic along the trajectory."""
-    if quantity not in SERIES_QUANTITIES:
-        raise ConfigError(
-            f"unknown series quantity {quantity!r}; choose from {', '.join(SERIES_QUANTITIES)}"
-        )
     audit = None
     if quantity in ("energy", "sup-trace"):
         if path is None:

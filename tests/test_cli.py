@@ -921,6 +921,9 @@ def test_a_declared_value_outside_its_domain_exits_two_naming_its_key(data):
                                   "initial": {"kind": "log-pole", "gamma": 0.1, "cap": -40.0}},
          [], 2, "schedule"),
         ("10-cascade-uniqueness", {"schedule_b": {"deltas": [0.25]}}, [], 2, "schedule_b"),
+        # a geometric schedule's own settings, named before its widths are built
+        ("11-convergence-modes", {"schedule.levels": 0}, [], 2, "schedule.levels"),
+        ("11-convergence-modes", {"schedule.ratio": 2.0}, [], 2, "schedule.ratio"),
         # solver settings outside their domains: min_damping 0 would halve the line
         # search's step about 1075 times before Newton stalls
         ("09-energy-monotone", {"flow.linear_rel_tol": 1.0}, [], 2, "flow.linear_rel_tol"),
@@ -948,7 +951,8 @@ def test_a_typed_value_ends_in_an_exit_code_naming_its_key_not_a_traceback(
     assert cli.main(command + argv) == code  # raises if an exception leaves cli.main
     assert named in "".join(capsys.readouterr())
     # refused before any flow runs
-    no_flow = ("seed", "homotopy_samples", "eps", "schedule", "schedule_b")
+    no_flow = ("seed", "homotopy_samples", "eps", "schedule", "schedule_b", "schedule.levels",
+               "schedule.ratio")
     if named.endswith((*no_flow, "linear_rel_tol", "max_linear", "min_damping")):
         assert runs == []
 

@@ -848,6 +848,41 @@ def vcycle_steps(monkeypatch) -> list:
     return steps
 
 
+def vcycles_made(monkeypatch) -> tuple:
+    """(made, iterations): made gets len(iterations) for each V-cycle made, and
+    iterations an entry for each Newton iteration begun."""
+    krylov_step, iterations, made = flow._krylov_step, [], []
+
+    def counted(*args):
+        iterations.append(None)
+        return krylov_step(*args)
+
+    class Counted(flow.ShiftedVCycle):
+        def __init__(self, N):
+            made.append(len(iterations))
+            super().__init__(N)
+
+    monkeypatch.setattr(flow, "_krylov_step", counted)
+    monkeypatch.setattr(flow, "ShiftedVCycle", Counted)
+    return made, iterations
+
+
+def test_only_a_degenerate_form_makes_a_vcycle_at_its_first_such_newton_iteration(monkeypatch):
+    from maflow import cli
+    from maflow.scenarios import scenario_path
+
+    made, iterations = vcycles_made(monkeypatch)
+    vals, cfg, path, omega, F = warm_problem(1, 128, "fd")
+    run(ScalarField(path.grid, vals), path, F, omega, cfg)
+    assert made == [] and len(iterations) > 0
+    # scenario 07's corner degenerates from its first Newton iteration (of 136)
+    iterations.clear()
+    doc = json.loads(scenario_path("07-derivative-asymptotics").read_text())
+    _, ctx, _ = cli.integrate_scenario(doc)
+    assert made == [1]
+    assert len(iterations) == sum(d["newton_iters"] for d in ctx.traj.diagnostics) > 1
+
+
 def test_a_warm_vcycle_step_allocates_only_what_it_returns(monkeypatch):
     # the correction laid out the cycle's arrays when the first Newton
     # iteration made it
@@ -1065,23 +1100,29 @@ def distinct_bytes(arrays) -> int:
 
 @pytest.mark.parametrize(
     "n, resolution, dtype",
-    [(1, 16, np.float64), (1, 128, np.float64), (2, 8, np.float64), (2, 16, np.float32),
-     (2, 8, np.float32)],
+    [(1, 16, np.float64), (1, 128, np.float64), (1, 256, np.float64), (2, 8, np.float64),
+     (2, 16, np.float32), (2, 8, np.float32)],
 )
 def test_the_workspace_and_correction_count_the_bytes_they_make(n, resolution, dtype):
-    # on fd grids, where an n = 1 correction from 128^2 up has a V-cycle
+    # on fd grids, where an n = 1 correction from 128^2 up may make a V-cycle
     grid = TorusGrid(n=n, resolution=resolution)
     ws = flow._Workspace(grid, "fd")
     made = arrays_in(vars(ws).values())
     assert distinct_bytes(made) == flow._Workspace.nbytes(grid)
     correction = flow._Correction(grid, dtype, ws)
-    assert (correction.vcycle is not None) == (resolution >= grid_module.MULTIGRID_RESOLUTION)
-    cycle = vars(correction.vcycle) if correction.vcycle is not None else {}
-    cor = arrays_in([*vars(correction).values(), *cycle.values()])
+    cor = arrays_in(vars(correction).values())
     # a float64 correction owns every array it makes, a float32 one none
     own = [a for a in cor if not any(np.shares_memory(a, b) for b in made)]
     assert len(own) == (len(cor) if dtype == np.float64 else 0)
-    assert distinct_bytes(own) == flow._Correction.nbytes(grid, dtype, ws.backend)
+    cycles = flow._Correction.cycles(grid, ws.backend)
+    assert cycles == (n == 1 and resolution >= grid_module.MULTIGRID_RESOLUTION)
+    cycle_bytes = 0
+    if cycles:  # the cycle, made when first read, owns its arrays too
+        cycle = arrays_in(vars(correction.vcycle).values())
+        assert not any(np.shares_memory(a, b) for a in cycle for b in made + own)
+        cycle_bytes = distinct_bytes(cycle)
+        assert cycle_bytes == grid_module.ShiftedVCycle.nbytes(resolution)
+    assert distinct_bytes(own) + cycle_bytes == flow._Correction.nbytes(grid, dtype, ws.backend)
 
 
 # -- the Newton solve: preconditioned BiCGSTAB -----------------------------------
@@ -1380,9 +1421,8 @@ def cycle_contraction(phi0, dt) -> float:
     """
     grid, N = phi0.grid, phi0.grid.resolution
     w = 1.0 + flow.hessian_components(phi0.values, grid, "fd")[0]
-    fine = [np.empty(grid.shape) for _ in range(4)]
-    cycle = grid_module.ShiftedVCycle(N, fine, np.empty(grid_module.multigrid_size(N)))
-    np.divide(w, dt, out=fine[0])
+    cycle = grid_module.ShiftedVCycle(N)
+    np.divide(w, dt, out=cycle.fine[0])
     cycle.prepare()
     b = np.random.default_rng(0).standard_normal(grid.shape)
     x, r, e = np.zeros(grid.shape), np.empty(grid.shape), np.empty(grid.shape)

@@ -26,7 +26,6 @@ from maflow.grid import (
     hessian_components,
     inner,
     inverse_shifted_symbol,
-    multigrid_size,
     oscillation,
     quarter_laplacian_rayleigh,
     solve_shifted_laplacian,
@@ -469,9 +468,8 @@ def corner_vcycle(N, dt=1e-3):
     grid = TorusGrid(n=1, resolution=N)
     phi = RoughPotential.paraboloid(curvature=0.999).sample(grid).values
     w = 1.0 + hessian_components(phi, grid, "fd")[0]
-    fine = [np.empty(grid.shape) for _ in range(4)]
-    cycle = ShiftedVCycle(N, fine, np.empty(multigrid_size(N)))
-    np.divide(w, dt, out=fine[0])
+    cycle = ShiftedVCycle(N)
+    np.divide(w, dt, out=cycle.fine[0])
     cycle.prepare()
     return cycle
 

@@ -244,9 +244,9 @@ def test_the_workspace_read_check_sees_a_planted_read(tmp_path):
     ]
 
 
-# the code whose arrays flow._ARRAYS declares: the constructors (the
-# correction's lays out its V-cycle's rows too), the run that makes its
-# states and the step that writes them; and the makers of new arrays,
+# the code whose arrays flow._ARRAYS declares: the constructors, the run
+# that makes its states and the step that writes them (a correction's
+# V-cycle, grid.ShiftedVCycle, makes its own); and the makers of new arrays,
 # numpy's and an array's copy method
 DECLARED = ("_Workspace.__init__", "_Correction.__init__", "run", "_advance")
 MAKERS = (
@@ -328,6 +328,56 @@ def test_the_array_maker_check_sees_a_planted_allocation(tmp_path):
         (15, "run", "copy"),
         (17, "_advance", "copy"),
         (17, "_advance", "copy"),
+    ]
+
+
+def calls_of(path: Path, name: str) -> list:
+    """(line, enclosing scope) of each call of name, bare or as an attribute, in the module.
+
+    The scope is its enclosing classes and functions joined by dots, as
+    Class.method or function.inner, or None at module level.
+    """
+    tree = ast.parse(path.read_text())
+    hits = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if called == name:
+                hits.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return hits
+
+
+def test_only_the_correction_makes_a_vcycle():
+    # on the first Newton iteration that takes it (flow._krylov_step)
+    found = calls_of(Path(maflow.__file__).parent / "flow.py", "ShiftedVCycle")
+    assert [where for _, where in found] == ["_Correction.vcycle"]
+
+
+def test_the_call_check_sees_a_planted_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import grid\n"
+        "class _Correction:\n"
+        "    def vcycle(self):\n"
+        "        return ShiftedVCycle(self.resolution)\n"
+        "    def __init__(self, N):\n"
+        "        self.cycle = grid.ShiftedVCycle(N)\n"
+        "def _krylov_step(ws):\n"
+        "    def step():\n"
+        "        return ShiftedVCycle(8)\n"
+        "    return step, ShiftedVCycle.nbytes(8)\n"
+        "cycle = ShiftedVCycle(16)\n"
+    )
+    assert calls_of(probe, "ShiftedVCycle") == [
+        (4, "_Correction.vcycle"), (6, "_Correction.__init__"), (9, "_krylov_step.step"), (11, None)
     ]
 
 

@@ -33,7 +33,7 @@ from maflow import (
     run_cascade,
     write_reports,
 )
-from maflow import cli, flow, verify
+from maflow import cli, flow, psh, verify
 from maflow import grid as grid_module
 from maflow.flow import (
     TrajectoryAudit,
@@ -107,6 +107,40 @@ def test_comparison_rejects_mismatched_inputs(grid8):
     psi = const_family(grid8, np.linspace(0.0, 0.5, 5), lambda t: 0.0)
     with pytest.raises(ConfigError, match="shared snapshot times"):
         check_comparison(phi, psi)
+
+
+def test_a_comparison_over_no_time_is_refused(grid8):
+    # psi = phi + 1 at t = 0 only: nothing after the start to compare
+    phi = const_family(grid8, [0.0], lambda t: 0.0)
+    psi = const_family(grid8, [0.0], lambda t: 1.0)
+    for pair in ((phi, psi), (psi, phi)):
+        with pytest.raises(MissingSnapshotsError, match="after t = 0"):
+            check_comparison(*pair)
+
+
+# a valid 8^2 document whose every archive check finds what it takes
+START_ONLY_DOC = {
+    "grid": {"n": 1, "resolution": 8},
+    "flow": {"horizon": 0.004, "t_min": 1e-3, "ratio": 2.0},
+    "initial": {"kind": "constant", "value": 0.0},
+    "schedule": {"deltas": [0.5, 0.25]},
+}
+
+
+@pytest.mark.parametrize("name", cli.ARCHIVE_CHECKS)
+def test_every_archive_check_refuses_a_run_that_holds_only_its_start(name):
+    # a report over the stored times after t = 0 would count none
+    doc = START_ONLY_DOC
+    grid, cfg = cli.build_grid(doc), cli.build_flow_config(doc)
+    phi = const_family(grid, [0.0], lambda t: 0.0, phidot_fn=lambda t: 0.0)
+    psi = const_family(grid, [0.0], lambda t: 1.0, phidot_fn=lambda t: 0.0)
+    ctx = cli._context(doc, grid, cfg, traj=phi, traj_b=psi)
+    ladder = psh.mollify_decreasing(ctx.initial, ctx.schedule, grid)
+    ctx.cascade = flow.CascadeResult(ladder, [phi], 0.0, 0.0, {"0": 0.0})
+    reports = None
+    with pytest.raises(ConfigError):
+        reports = cli.execute_checks([name], ctx)
+    assert reports is None
 
 
 def test_comparison_requires_lambda_at_least_the_defect(grid8):
@@ -615,7 +649,7 @@ def test_trajectory_series_quantities(grid8):
     assert [v for _, v in dist] == pytest.approx([0.0, 0.5, 1.0])
     # phidot-based series skip snapshots without a stored derivative
     assert trajectory_series(traj, "min-phidot") == []
-    with pytest.raises(ConfigError, match="unknown series quantity"):
+    with pytest.raises(ConfigError, match="quantity must be 'sup' or 'inf' or .*, got 'volume'"):
         trajectory_series(traj, "volume")
     with pytest.raises(ConfigError, match="needs the metric path"):
         trajectory_series(traj, "energy")
