@@ -284,30 +284,6 @@ def build_schedule(sec: dict, key: str = "schedule") -> RegularizationSchedule:
     return _call(key, ctor, sec)
 
 
-def _refuse_one_level(doc: dict, key: str):
-    """Refuse by key a schedule a cascade flows that has fewer than two widths:
-    one level leaves no pair of levels to order or converge."""
-    deltas = build_schedule(_section(doc, key), key).deltas
-    if len(deltas) < 2:
-        raise ConfigError(f"{key} of a cascade needs two or more widths, got {list(deltas)}")
-
-
-def resolve_mode(doc: dict, initial: RoughPotential, forced: str = None) -> str:
-    """The mode: forced, else the document's, else the one its metric and datum take.
-    A cascade without a schedule of two or more widths, and a nef family
-    without a nef metric, are refused (a nef family's metric.eps by
-    `flow.nef_members`)."""
-    mode = forced or doc.get("mode", "auto")
-    nef = doc.get("metric", {}).get("kind") == "nef"
-    if mode == "auto":
-        mode = "nef" if nef else "single" if initial.tag == "smooth" else "cascade"
-    if mode == "cascade":
-        _refuse_one_level(doc, "schedule")
-    if mode == "nef" and not nef:
-        raise ConfigError("nef mode needs a metric of kind 'nef'")
-    return mode
-
-
 # ---------------------------------------------------------------------------
 # check execution
 
@@ -338,6 +314,7 @@ class RunContext:
     seed: int = 0
     params: dict = field(default_factory=dict)
     audit: TrajectoryAudit = None  # traj's audit, shared by one execute_checks call
+    mode: str = None  # the mode `scenario` resolves for the run
 
     @property
     def phi0(self):
@@ -462,28 +439,26 @@ def print_reports(reports):
 _MODE_GIVES = {"single": ("traj",), "cascade": ("traj", "cascade"), "nef": ("traj",), "audit": ()}
 
 
-def _resolve_checks(doc: dict, names: list, forced_mode: str = None) -> list:
-    """names, refused before any flow runs if one is unknown or lacks what doc must give it.
+def _resolve_checks(ctx: RunContext, names: list) -> list:
+    """names, refused before any flow runs if one is unknown or lacks what ctx must give it.
 
-    doc's initial_b gives the second datum and its run (the comparison
-    pair); the resolved mode's run gives the rest (`_MODE_GIVES`).  A
-    schedule that uniqueness cascades has two or more widths.
+    ctx's initial_b gives the second datum and its run (the comparison
+    pair); its mode's run gives the rest (`_MODE_GIVES`).  A schedule that
+    uniqueness cascades has two or more widths.
     """
     unknown = [name for name in names if name not in CHECK_TABLE]
     if unknown:
         raise ConfigError(f"unknown check {unknown[0]!r}; available: {sorted(CHECK_TABLE)}")
-    has_b = bool(doc.get("initial_b"))
+    has_b = ctx.initial_b is not None
     for name, needs in _NEEDS.items():
         if name in names and not has_b and {"traj_b", "initial_b"} & set(needs):
             raise ConfigError(f"check {name!r} needs an 'initial_b' datum")
-    initial = build_initial(_section(doc, "initial"), build_grid(doc).n)
-    given = _MODE_GIVES[resolve_mode(doc, initial, forced_mode)]
-    given += ("initial_b", "traj_b") if has_b else ()
+    given = _MODE_GIVES[ctx.mode] + (("initial_b", "traj_b") if has_b else ())
     for name in names:
         _refuse_unmet(name, given.__contains__)
     for key in ("schedule", "schedule_b"):
-        if "uniqueness" in names and doc.get(key) is not None:
-            _refuse_one_level(doc, key)
+        if "uniqueness" in names and getattr(ctx, key) is not None:
+            _refuse_one_level(ctx, key)
     return names
 
 
@@ -521,43 +496,71 @@ def _context(doc: dict, grid: TorusGrid, cfg: FlowConfig, seed: int = None, **ob
         path=build_metric(doc, grid, cfg.horizon),
         seed=seed,
         params=_check_params(doc),
+        initial_b=(
+            build_initial(doc["initial_b"], grid.n, "initial_b") if doc.get("initial_b") else None
+        ),
         **{k: build_schedule(doc[k], k) for k in ("schedule", "schedule_b") if k in doc},
         **objects,
     )
 
 
-def integrate_scenario(doc: dict, forced_mode: str = None, out: Path = None):
-    """Build the problem, integrate by mode, and return (mode, ctx, reports).
+def scenario(doc: dict, forced_mode: str = None) -> RunContext:
+    """The problem `maflow run` integrates, each section built once, and its mode."""
+    ctx = _context(doc, build_grid(doc), build_flow_config(doc))
+    ctx.mode = resolve_mode(ctx, forced_mode)
+    return ctx
 
-    reports carries the ordering audits that come for free with cascade and
-    nef runs; the context holds the trajectory/cascade/family objects so the
-    caller can execute the scenario's checks or save archives.  Given out, a
-    single flow streams its snapshots into that archive directory as it runs
+
+def _refuse_one_level(ctx: RunContext, key: str):
+    """Refuse by key a schedule a cascade flows that has fewer than two widths:
+    one level leaves no pair of levels to order or converge."""
+    _section(ctx.doc, key)  # a missing schedule is refused by name
+    deltas = list(getattr(ctx, key).deltas)
+    if len(deltas) < 2:
+        raise ConfigError(f"{key} of a cascade needs two or more widths, got {deltas}")
+
+
+def resolve_mode(ctx: RunContext, forced_mode: str = None) -> str:
+    """The mode: forced, else the document's, else the one its metric and datum take.
+    A cascade without a schedule of two or more widths, and a nef family
+    without a nef metric, are refused (a nef family's metric.eps by
+    `flow.nef_members`)."""
+    mode = forced_mode or ctx.doc.get("mode", "auto")
+    nef = ctx.doc.get("metric", {}).get("kind") == "nef"
+    if mode == "auto":
+        mode = "nef" if nef else "single" if ctx.initial.tag == "smooth" else "cascade"
+    if mode == "cascade":
+        _refuse_one_level(ctx, "schedule")
+    if mode == "nef" and not nef:
+        raise ConfigError("nef mode needs a metric of kind 'nef'")
+    return mode
+
+
+def integrate_scenario(ctx: RunContext, out: Path = None) -> list:
+    """Integrate ctx by its mode, and return the reports that come with the run.
+
+    They are the ordering audits that come for free with cascade and nef
+    runs; ctx takes the trajectory/cascade/family objects so the caller can
+    execute the scenario's checks or save archives.  Given out, a single
+    flow streams its snapshots into that archive directory as it runs
     (`_streamed`); every other mode keeps them in memory.
     """
-    grid = build_grid(doc)
-    cfg = build_flow_config(doc)
-    ctx = _context(doc, grid, cfg)
-    if doc.get("initial_b"):
-        ctx.initial_b = build_initial(doc["initial_b"], grid.n, "initial_b")
     path, F, omega, initial = ctx.path, ctx.F, ctx.omega, ctx.initial
-    mode = resolve_mode(doc, initial, forced_mode)
-
     reports = []
-    if mode == "single":
+    if ctx.mode == "single":
         (ctx.traj,) = run_family([_streamed(ctx, initial, out)], omega)
         if _uncertified(F):
             ctx.traj.notices.append(NO_UNIQUENESS_NOTICE)
-    elif mode == "cascade":
-        cascade = run_cascade(initial, ctx.schedule, path, F, omega, cfg)
+    elif ctx.mode == "cascade":
+        cascade = run_cascade(initial, ctx.schedule, path, F, omega, ctx.cfg)
         if _uncertified(F):
             cascade.notices.append(NO_UNIQUENESS_NOTICE)
         ctx.cascade = cascade
         ctx.traj = cascade.trajectories[-1]
         reports.append(_ordering_report("cascade-ordering", "decreasing-level-order", cascade))
-    elif mode == "nef":
+    elif ctx.mode == "nef":
         eps = path.meta["eps_schedule"]
-        family = run_nef(path.meta["theta0"], eps, initial.sample(grid), F, omega, cfg)
+        family = run_nef(path.meta["theta0"], eps, initial.sample(ctx.grid), F, omega, ctx.cfg)
         ctx.family = family
         ctx.traj = family.trajectories[-1]
         reports.append(
@@ -569,7 +572,7 @@ def integrate_scenario(doc: dict, forced_mode: str = None, out: Path = None):
                 witness_margin=family.witness_margin,
             )
         )
-    return mode, ctx, reports
+    return reports
 
 
 def _streamed(ctx: RunContext, datum: RoughPotential, out: Path = None) -> Member:
@@ -613,16 +616,14 @@ _KEPT = {
 }
 
 
-def array_estimate(doc: dict, forced_mode: str = None, checks=()) -> int:
-    """flow.peak_array_bytes of `maflow run` on the document, with what its flows keep (`_KEPT`).
+def array_estimate(ctx: RunContext, checks=()) -> int:
+    """flow.peak_array_bytes of `maflow run` on ctx, with what its flows keep (`_KEPT`).
 
     The checks run one at a time and drop their flows when they return, so
     the one that keeps most counts.  Nothing grid-sized is made here.
     """
-    ctx = _context(doc, build_grid(doc), build_flow_config(doc))
-    mode = resolve_mode(doc, ctx.initial, forced_mode)
     kept = [_KEPT[name](ctx, _settings(name, ctx)) for name in checks if name in _KEPT]
-    kept = _KEPT[mode](ctx, {}) + max(kept, default=0)
+    kept = _KEPT[ctx.mode](ctx, {}) + max(kept, default=0)
     return peak_array_bytes(ctx.grid, kept, ctx.cfg.backend)
 
 
@@ -633,25 +634,23 @@ def _settings(name: str, ctx: RunContext) -> dict:
     return defaults | ctx.params.get(name, {})
 
 
-def replay_estimate(doc: dict, manifest: dict) -> int:
-    """flow.audit_array_bytes of a replay of the document's archive, with what it reads whole.
+def replay_estimate(directory, manifest: dict) -> int:
+    """flow.audit_array_bytes of a replay of the archive in directory, with what it reads whole.
 
-    A replay audits the archived snapshots as it reads them; a cascade
-    archive's ladder, every level and its base, is read into memory.
-    Nothing grid-sized is made here.
+    The replay lays its snapshots out on the manifest's grid and audits them
+    as it reads them; a cascade archive's ladder, every level and its base,
+    is read into memory.  Nothing grid-sized is made here.
     """
-    grid = build_grid(doc)
-    kept = 0
-    if "cascade" in manifest and doc.get("schedule") is not None:
-        kept = len(build_schedule(doc["schedule"]).deltas) + 1
-    return audit_array_bytes(grid) + kept * 8 * math.prod(grid.shape)
+    grid = archive_io.manifest_grid(directory, manifest)
+    ladder = len(manifest["cascade"]["deltas"]) + 1 if manifest.get("cascade") else 0
+    return audit_array_bytes(grid) + ladder * 8 * math.prod(grid.shape)
 
 
-def _within_budget(what: str, doc: dict, estimate: int):
+def _within_budget(what: str, grid: dict, estimate: int):
     """Refuse, before anything is allocated, a command whose arrays exceed flow.ARRAY_BUDGET."""
     if estimate > ARRAY_BUDGET:
         raise ConfigError(
-            f"{what} on grid {doc['grid']} would hold about {estimate / 2**20:,.0f} MiB of "
+            f"{what} on grid {grid} would hold about {estimate / 2**20:,.0f} MiB of "
             f"arrays, over the {ARRAY_BUDGET / 2**20:,.0f} MiB a run may hold (flow.ARRAY_BUDGET)"
         )
 
@@ -661,17 +660,18 @@ def cmd_run(args, forced_mode: str = None) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed  # archived with the run, so verify replays the same draws
     out = Path(args.out) if args.out else Path(doc.get("out", "runs/latest"))
-    names = _resolve_checks(doc, list(args.check or doc.get("checks", [])), forced_mode)
-    _within_budget("the run", doc, array_estimate(doc, forced_mode, names))
+    ctx = scenario(doc, forced_mode)
+    names = _resolve_checks(ctx, list(args.check or doc.get("checks", [])))
+    _within_budget("the run", doc["grid"], array_estimate(ctx, names))
 
     # everything goes to a staged directory that reaches out only if the run ends normally
     with archive_io.staged(out) as stage:
-        mode, ctx, reports = integrate_scenario(doc, forced_mode, stage)
-        if mode == "single":
+        reports = integrate_scenario(ctx, stage)
+        if ctx.mode == "single":
             archive_io.save_trajectory(stage, ctx.traj, run_config=doc)
-        elif mode == "cascade":
+        elif ctx.mode == "cascade":
             archive_io.save_cascade(stage, ctx.cascade, run_config=doc)
-        elif mode == "nef":
+        elif ctx.mode == "nef":
             _save_nef(stage, ctx.family, doc)
 
         if "comparison" in names and ctx.traj_b is None:
@@ -754,9 +754,12 @@ def _load_any(directory, manifest: dict = None):
     """Load an archive directory, whose manifest is read unless given, as (traj, cascade).
 
     traj is the trajectory the archive gives (a cascade's finest level);
-    cascade is None for a single-trajectory archive.
+    cascade is None for a single-trajectory archive.  A replay too large
+    to fit (`replay_estimate`) is refused before anything is loaded.
     """
     manifest = manifest or _manifest(directory)
+    estimate = replay_estimate(directory, manifest)
+    _within_budget(f"the replay of {directory}", manifest["grid"], estimate)
     if "cascade" in manifest:
         cascade = archive_io.load_cascade(directory, manifest)
         return cascade.trajectories[-1], cascade
@@ -786,7 +789,6 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             "archive has no stored scenario; re-run with a run_config to verify"
         )
-    _within_budget(f"the replay of {args.archives[0]}", doc, replay_estimate(doc, manifest))
     traj, cascade = _load_any(args.archives[0], manifest)
     cfg = _flow_config(traj, args.archives[0])
     ctx = _context(doc, traj.grid, cfg, args.seed, traj=traj, cascade=cascade)
@@ -827,26 +829,21 @@ def cmd_verify(args) -> int:
 def cmd_series(args) -> int:
     manifest = _manifest(args.archive)
     traj, _ = _load_any(args.archive, manifest)
-    path = None
-    omega = None
+    path = omega = None
     doc = manifest.get("run_config")
     if isinstance(doc, dict):
         omega = build_volume(doc, traj.grid)
         path = build_metric(doc, traj.grid, _flow_config(traj, args.archive).horizon)
     rows = verify.trajectory_series(traj, args.quantity, path=path, omega_form=omega)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        target = out / f"series-{args.quantity}.csv"
-        with open(target, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "value"])
-            w.writerows(rows)
-        print(f"wrote {target}")
-    else:
-        w = csv.writer(sys.stdout)
-        w.writerow(["t", "value"])
-        w.writerows(rows)
+    rows = [("t", "value"), *rows]
+    if not args.out:
+        csv.writer(sys.stdout).writerows(rows)
+        return 0
+    target = Path(args.out) / f"series-{args.quantity}.csv"
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with open(target, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    print(f"wrote {target}")
     return 0
 
 

@@ -33,6 +33,11 @@ def one_of(*values) -> tuple:
     return values.__contains__, " or ".join(map(repr, values))
 
 
+def each(domain) -> tuple:  # a list's, whose every item lies in domain
+    holds, text = domain
+    return (lambda items: all(map(holds, items))), f"a list of {text}"
+
+
 def refuse_outside(name: str, annotation, value):
     for holds, text in getattr(annotation, "__metadata__", ()):
         if value is not None and not holds(value):

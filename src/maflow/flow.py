@@ -1185,17 +1185,16 @@ def peak_array_bytes(grid: TorusGrid, kept_fields: int = 0, backend: str = "spec
 
     The run holds its states and `_Workspace`, the arrays its `_Correction`
     makes (none in float32, where the correction lies in the workspace),
-    RUN_FIELDS fields more and numpy's buffer; the audit, which comes after
-    it, holds `audit_array_bytes`.  kept_fields fields, the snapshots a mode
-    or a check's own flows keep in memory, are held through both, so the
-    estimate is the larger phase plus them.  backend is the run's: an fd
-    correction also counts the V-cycle it may make.
+    RUN_FIELDS fields more and numpy's buffer: more than the audit after it
+    (`audit_array_bytes`, AUDIT_FIELDS fields in the same workspace and
+    buffer).  kept_fields fields, the snapshots a mode or a check's own
+    flows keep in memory, are held through both.  backend is the run's: an
+    fd correction also counts the V-cycle it may make.
     """
     field = 8 * math.prod(grid.shape)
     correction = _Correction.nbytes(grid, correction_dtype(grid), backend)
     arrays = _made_bytes(grid, ("state", "ws")) + correction
-    run_phase = arrays + RUN_FIELDS * field + _buffer_bytes(grid)
-    return max(run_phase, audit_array_bytes(grid)) + kept_fields * field
+    return arrays + (RUN_FIELDS + kept_fields) * field + _buffer_bytes(grid)
 
 
 def run(

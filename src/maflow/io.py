@@ -40,21 +40,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-__all__ = [
-    "config_hash",
-    "save_field",
-    "load_field",
-    "SnapshotSequence",
-    "ArchiveStore",
-    "save_trajectory",
-    "load_trajectory",
-    "save_cascade",
-    "save_ladder",
-    "load_cascade",
-    "read_json",
-    "staged",
-]
-
 MANIFEST_KEYS = ("grid", "schedule", "stored_indices", "snapshots")  # load_trajectory needs each
 
 
@@ -349,26 +334,39 @@ def _check_snapshot(directory: Path, name: str, grid: TorusGrid):
     _check_size(bin_path, size, grid)
 
 
-def load_trajectory(directory, manifest: dict = None) -> FlowTrajectory:
-    """The trajectory archived in directory, whose snapshots are read when indexed.
+def manifest_grid(directory, manifest: dict) -> TorusGrid:
+    """The grid the trajectory archived in directory lays out, read from its manifest alone.
 
-    Every snapshot's sidecar and .bin size are checked first, so a missing,
-    truncated or foreign snapshot file, like a manifest without one of
-    MANIFEST_KEYS, is a ConfigError naming it.
+    A manifest of another format, without one of MANIFEST_KEYS, or with a
+    malformed grid, is a ConfigError naming it.
     """
-    directory = Path(directory)
-    where = directory / "manifest.json"
-    manifest = manifest or read_json(where)
+    where = Path(directory) / "manifest.json"
     if manifest.get("format") != "trajectory-archive-v1":
         raise ConfigError(f"unrecognized archive format in {directory}")
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise ConfigError(f"{where} lacks {missing[0]!r}")
     try:
-        grid = TorusGrid(int(manifest["grid"]["n"]), int(manifest["grid"]["resolution"]))
+        return TorusGrid(int(manifest["grid"]["n"]), int(manifest["grid"]["resolution"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} has a malformed grid ({exc!r})") from None
+
+
+def load_trajectory(directory, manifest: dict = None) -> FlowTrajectory:
+    """The trajectory archived in directory, whose snapshots are read when indexed.
+
+    Every snapshot's sidecar and .bin size are checked first, so a missing,
+    truncated or foreign snapshot file, like a manifest `manifest_grid`
+    refuses, is a ConfigError naming it.
+    """
+    directory = Path(directory)
+    where = directory / "manifest.json"
+    manifest = manifest or read_json(where)
+    grid = manifest_grid(directory, manifest)
+    try:
         snaps = [(s["name"], float(s["time"]), bool(s.get("phidot"))) for s in manifest["snapshots"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} has a malformed grid or snapshot entry ({exc!r})") from None
+        raise ConfigError(f"{where} has a malformed snapshot entry ({exc!r})") from None
     fields = SnapshotSequence(directory, grid, [name for name, _, _ in snaps])
     phidots = SnapshotSequence(directory, grid, [_phidot_name(n) if pd else None for n, _, pd in snaps])
     for name in fields.names + phidots.names:

@@ -30,7 +30,7 @@ from typing import Annotated
 import numpy as np
 
 from .errors import AT_LEAST_0, AT_LEAST_1, ConfigError, MissingSnapshotsError, NotKahlerError
-from .errors import NumericError, declared, one_of
+from .errors import NumericError, declared, each, one_of
 from .flow import (
     DrivingTerm,
     FlowConfig,
@@ -55,26 +55,6 @@ from .geometry import MetricPath, VolumeForm, comps_trace, trace_inequality_slac
 from .grid import ScalarField, TorusGrid, gradient_sq, hessian_components, oscillation
 from .io import _json_clean
 from .psh import RoughPotential, capacity_lower_bound, energy
-
-__all__ = [
-    "MarginReport",
-    "comparison_tolerance",
-    "default_eps",
-    "check_comparison",
-    "check_apriori_bounds",
-    "check_time_derivative",
-    "check_gradient_laplacian",
-    "check_energy_monotonicity",
-    "check_stability",
-    "check_uniqueness",
-    "check_convergence_modes",
-    "check_trace_inequality",
-    "random_pd_pairs",
-    "trajectory_series",
-    "write_reports",
-    "SERIES_QUANTITIES",
-]
-
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -176,8 +156,10 @@ def default_eps(traj: FlowTrajectory, t_min: float) -> float:
 
 # how far a declared sub- (super-) solution's residual may rise above (fall below) 0
 ROLE_SLACK = 1e-8
+ROLES = ("solution", "sub", "subsolution", "super", "supersolution")  # check_comparison's
 
 
+@declared
 def check_comparison(
     phi: FlowTrajectory,
     psi: FlowTrajectory,
@@ -187,7 +169,7 @@ def check_comparison(
     *,
     lam: float | None = None,
     tol: float | None = None,
-    roles: tuple[str, str] = ("solution", "solution"),
+    roles: Annotated[tuple[str, str], each(one_of(*ROLES))] = ("solution", "solution"),
 ) -> MarginReport:
     """sup(phi_t - psi_t) against e^{lam T} max(sup(phi_0 - psi_0), 0).
 
@@ -461,11 +443,13 @@ def check_gradient_laplacian(audit: TrajectoryAudit, *, pair_tol: float = 1e-9) 
 
     Laplacian: over stored pairs (t/2, t), fits (A, C) in
     t log tr(omega_t) <= 2 A Osc(phi_{t/2}) + C by least squares on the
-    slope and a zero-slack intercept.  Needs at least two such pairs;
-    raises MissingSnapshotsError listing the missing (t/2, t) pairs
-    otherwise.  omega_t is read from the audit's sup-trace column.
+    slope and a zero-slack intercept.  Needs a snapshot after t = 0 and two
+    such pairs; raises MissingSnapshotsError (listing any missing (t/2, t)
+    pairs) otherwise.  omega_t is read from the audit's sup-trace column.
     """
     traj = audit.traj
+    if max(traj.times) <= 0.0:
+        raise MissingSnapshotsError("gradient-laplacian needs a stored snapshot after t = 0")
     backend = audit.backend
 
     c_g = 0.0

@@ -39,12 +39,13 @@ def run_scenario(stem: str) -> ScenarioOutcome:
         return _CACHE[stem]
     doc = json.loads(scenario_path(stem).read_text())
     with counting(dict.fromkeys(KEYS, 0)) as work:
-        mode, ctx, reports = cli.integrate_scenario(doc)
+        ctx = cli.scenario(doc)
+        reports = cli.integrate_scenario(ctx)
         names = list(doc.get("checks", []))
         if "comparison" in names and ctx.traj_b is None and ctx.initial_b is not None:
             cli.run_comparison_pair(ctx)
         reports = list(reports) + cli.execute_checks(names, ctx)
-    outcome = ScenarioOutcome(stem=stem, mode=mode, ctx=ctx, reports=reports, work=work)
+    outcome = ScenarioOutcome(stem=stem, mode=ctx.mode, ctx=ctx, reports=reports, work=work)
     _CACHE[stem] = outcome
     return outcome
 

@@ -246,7 +246,8 @@ def test_criterion_07_derivative_asymptotics(scenario):
 
     doc = dict(outcome.ctx.doc)
     doc["flow"] = {**doc["flow"], "ratio": 1.095}
-    _, ctx2, _ = cli.integrate_scenario(doc, forced_mode="single")
+    ctx2 = cli.scenario(doc, forced_mode="single")
+    cli.integrate_scenario(ctx2)
     upper2 = check_time_derivative(ctx2.traj, eps=0.0125)[0]
     drift = abs(upper2.constants["C_up"] - upper.constants["C_up"]) / abs(
         upper.constants["C_up"]

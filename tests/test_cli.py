@@ -67,7 +67,8 @@ def test_run_archives_reload_bit_exact(tmp_path):
     assert manifest["config_hash"] == config_hash(doc)
 
     reloaded = load_trajectory(out)
-    _, ctx, _ = cli.integrate_scenario(doc)
+    ctx = cli.scenario(doc)
+    cli.integrate_scenario(ctx)
     assert len(reloaded.fields) == len(ctx.traj.fields)
     for a, b in zip(reloaded.fields, ctx.traj.fields):
         assert a.values.tobytes() == b.values.tobytes()
@@ -93,8 +94,28 @@ def test_run_archives_reload_bit_exact(tmp_path):
 )
 def test_mode_resolution(tmp_path, overrides, expected):
     doc = base_doc(tmp_path / "out", **overrides)
-    mode, _, _ = cli.integrate_scenario(doc)
-    assert mode == expected
+    ctx = cli.scenario(doc)
+    cli.integrate_scenario(ctx)
+    assert ctx.mode == expected
+
+
+# what builds a RunContext: each section's builder, the context, its check settings, the mode
+BUILDERS = ("build_grid", "build_flow_config", "build_metric", "build_volume", "build_driving",
+            "build_initial", "build_schedule", "_context", "_check_params", "resolve_mode")
+
+
+def test_a_run_builds_each_section_once(tmp_path, monkeypatch):
+    # the checks' resolution, the array estimate and the integration read one RunContext
+    schedule = {"deltas": [0.25, 0.125]}
+    cfg_path, _ = write_doc(
+        tmp_path, initial_b={"kind": "fourier-sum", "modes": [[0.02, [0, 1], 0.0]]},
+        schedule=schedule, schedule_b=schedule, checks=["comparison", "residual-certificate"],
+    )
+    calls = {name: count_calls(monkeypatch, cli, name) for name in BUILDERS}
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    # build_driving builds its own grid, on which a cosine term's axis is bounded
+    twice = {"build_grid": 2, "build_initial": 2, "build_schedule": 2}
+    assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(BUILDERS, 1) | twice
 
 
 def test_uncertified_driving_term_is_flagged(tmp_path):
@@ -105,8 +126,9 @@ def test_uncertified_driving_term_is_flagged(tmp_path):
         flow={"horizon": 0.01, "t_min": 1e-3, "ratio": 1.4},
         checks=[],
     )
-    mode, ctx, _ = cli.integrate_scenario(doc)
-    assert mode == "single"
+    ctx = cli.scenario(doc)
+    cli.integrate_scenario(ctx)
+    assert ctx.mode == "single"
     assert any("NO-UNIQUENESS-CERTIFICATE" in n for n in ctx.traj.notices)
 
 
@@ -828,11 +850,15 @@ def declared_settings() -> list:
 
 
 def domain_draws(annotation) -> list:
-    """Each bound the domain's text names, just inside and just outside it, and the probe values."""
+    """Each bound the domain's text names, just inside and just outside it, and the probe
+    values; a pair's domain is drawn as pairs: each word it names twice, and beside its
+    misspelling."""
     ((_, text),) = annotation.__metadata__
     values = [*PROBE_VALUES, []]
     for word in re.findall(r"'([^']*)'", text):
         values += [word, word + "x"]
+        if annotation.__origin__ == tuple[str, str]:
+            values += [[word, word], [word, word + "x"]]
     for number in map(float, re.findall(r"-?\d+(?:\.\d+)?", re.sub(r"'[^']*'", "", text))):
         values += [number, math.nextafter(number, -math.inf), math.nextafter(number, math.inf)]
         if number.is_integer():
@@ -910,6 +936,9 @@ def test_a_declared_value_outside_its_domain_exits_two_naming_its_key(data):
          "check_params.convergence.seed"),
         ("05-contraction-pair", {"check_params": {"stability": {"homotopy_samples": 1}}}, [], 2,
          "check_params.stability.homotopy_samples"),
+        # a misspelt role would skip the residual-sign verification it names
+        ("04-comparison-pair", {"check_params.comparison.roles": ["supersolutoin", "subsolution"]},
+         [], 2, "check_params.comparison.roles"),
         # a number is a one-member schedule, which a nef family cannot flow
         ("12-nef-start", {"metric.eps": 0.1}, [], 2, "metric.eps"),
         # no stored snapshot lies in (0, 2), where apriori-lower fits its modulus
@@ -952,7 +981,7 @@ def test_a_typed_value_ends_in_an_exit_code_naming_its_key_not_a_traceback(
     assert named in "".join(capsys.readouterr())
     # refused before any flow runs
     no_flow = ("seed", "homotopy_samples", "eps", "schedule", "schedule_b", "schedule.levels",
-               "schedule.ratio")
+               "schedule.ratio", "roles")
     if named.endswith((*no_flow, "linear_rel_tol", "max_linear", "min_damping")):
         assert runs == []
 
@@ -1197,7 +1226,8 @@ def test_the_array_estimate_is_within_a_tenth_of_the_traced_peak(tmp_path, make_
     for attempt in range(2):  # the first pass fills the operators' caches
         tracemalloc.start()
         try:
-            _, ctx, _ = cli.integrate_scenario(doc, out=tmp_path / f"run{attempt}")
+            ctx = cli.scenario(doc)
+            cli.integrate_scenario(ctx, out=tmp_path / f"run{attempt}")
             run_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             cli.execute_checks(doc["checks"], ctx)
@@ -1206,7 +1236,7 @@ def test_the_array_estimate_is_within_a_tenth_of_the_traced_peak(tmp_path, make_
             tracemalloc.stop()
     # the run, not the audit after it, holds the most
     assert run_peak > checks_peak
-    assert cli.array_estimate(doc) == pytest.approx(run_peak, rel=0.1)
+    assert cli.array_estimate(cli.scenario(doc)) == pytest.approx(run_peak, rel=0.1)
 
 
 def test_the_readme_quotes_the_array_estimate_of_an_n2_run():
@@ -1215,8 +1245,8 @@ def test_the_readme_quotes_the_array_estimate_of_an_n2_run():
     match = re.search(r"16\^4 comes to about ([\d.]+) MB and at 32\^4 to about (\d+) MB", text)
     assert match is not None
     # quoted to one decimal and to the megabyte
-    assert f"{cli.array_estimate(n2_doc(16)) / 1e6:.1f}" == match[1]
-    assert f"{cli.array_estimate(n2_doc(32)) / 1e6:.0f}" == match[2]
+    assert f"{cli.array_estimate(cli.scenario(n2_doc(16))) / 1e6:.1f}" == match[1]
+    assert f"{cli.array_estimate(cli.scenario(n2_doc(32))) / 1e6:.0f}" == match[2]
 
 
 # Runs and then verifies a scenario document; prints whether numpy.ma and
@@ -1262,22 +1292,23 @@ def test_a_run_too_large_to_fit_exits_two_before_it_allocates(tmp_path, capsys, 
     assert code == 2
     # one 128^4 field is 2 GiB; the refusal made nothing near one
     assert peak < 2**20
-    estimate = cli.array_estimate(doc)
+    estimate = cli.array_estimate(cli.scenario(doc))
     assert estimate > cli.ARRAY_BUDGET
     err = capsys.readouterr().err
     assert f"{estimate / 2**20:,.0f} MiB" in err and "flow.ARRAY_BUDGET" in err
     assert not (tmp_path / "out").exists()
 
 
-def test_a_replay_too_large_to_fit_exits_two_before_it_loads(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [["verify"], ["series", "energy"]], ids=["verify", "series"])
+def test_a_replay_too_large_to_fit_exits_two_before_it_loads(tmp_path, capsys, monkeypatch, argv):
     import tracemalloc
 
     cfg_path, _ = write_doc(tmp_path)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
-    # the archive's scenario, as the replay estimates it, is on a 128^4 grid
+    # the grid the archive's snapshots are laid out on, which the replay sizes, is 128^4
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["run_config"]["grid"] = {"n": 2, "resolution": 128}
+    manifest["grid"] = {"n": 2, "resolution": 128}
     (out / "manifest.json").write_text(json.dumps(manifest))
 
     def load(*args, **kwargs):
@@ -1288,13 +1319,13 @@ def test_a_replay_too_large_to_fit_exits_two_before_it_loads(tmp_path, capsys, m
     capsys.readouterr()
     tracemalloc.start()
     try:
-        code = cli.main(["verify", str(out)])
+        code = cli.main([argv[0], str(out), *argv[1:]])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 2
     assert peak < 2**20
-    estimate = cli.replay_estimate(manifest["run_config"], manifest)
+    estimate = cli.replay_estimate(out, manifest)
     assert estimate > cli.ARRAY_BUDGET
     err = capsys.readouterr().err
     assert f"{estimate / 2**20:,.0f} MiB" in err and "flow.ARRAY_BUDGET" in err
@@ -1308,13 +1339,13 @@ def test_a_mode_adds_the_snapshots_it_keeps_in_memory(tmp_path):
     grid = cli.build_grid(doc)
     field = 8 * 8**4
     stored = int(np.count_nonzero(flow.stored_steps(cli.build_flow_config(doc))))
-    assert cli.array_estimate(doc) == flow.peak_array_bytes(grid)
+    assert cli.array_estimate(cli.scenario(doc)) == flow.peak_array_bytes(grid)
     # a cascade keeps every level's fields and phidots, and its ladder
-    cascade = {**doc, "mode": "cascade", "schedule": {"deltas": [0.25, 0.125]}}
+    cascade = cli.scenario({**doc, "mode": "cascade", "schedule": {"deltas": [0.25, 0.125]}})
     assert cli.array_estimate(cascade) == flow.peak_array_bytes(grid) + (4 * stored + 3) * field
     # a nef family keeps every member's and the witness's
     metric = {"kind": "nef", "theta0": [[1.0, 0.0], [0.0, 0.0]], "eps": [0.2, 0.1]}
-    nef = {**doc, "mode": "nef", "metric": metric}
+    nef = cli.scenario({**doc, "mode": "nef", "metric": metric})
     assert cli.array_estimate(nef) == flow.peak_array_bytes(grid) + 6 * stored * field
 
 
@@ -1333,7 +1364,7 @@ def test_a_check_that_runs_flows_of_its_own_adds_the_snapshots_they_keep(monkeyp
     stored = int(np.count_nonzero(flow.stored_steps(cfg)))
 
     def estimate(doc, *checks):
-        return cli.array_estimate(doc, checks=checks)
+        return cli.array_estimate(cli.scenario(doc), checks=checks)
 
     # the audit's checks run no flow of their own
     assert estimate(doc, *doc["checks"]) == base
@@ -1379,14 +1410,15 @@ def test_the_array_estimate_of_a_stability_check_is_within_a_tenth_of_its_traced
     doc = n2_doc(8)
     doc.update(initial_b=doc["initial"], checks=["stability"])
     doc["check_params"] = {"stability": {"homotopy_samples": 3}}
-    _, ctx, _ = cli.integrate_scenario(doc, out=tmp_path / "run")
+    ctx = cli.scenario(doc)
+    cli.integrate_scenario(ctx, out=tmp_path / "run")
     tracemalloc.start()
     try:
         cli.execute_checks(doc["checks"], ctx)
         checks_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cli.array_estimate(doc, checks=doc["checks"]) == pytest.approx(checks_peak, rel=0.1)
+    assert cli.array_estimate(ctx, checks=doc["checks"]) == pytest.approx(checks_peak, rel=0.1)
 
 
 def test_the_audit_is_built_when_the_first_check_that_reads_it_runs(tmp_path, monkeypatch):
@@ -1394,7 +1426,8 @@ def test_the_audit_is_built_when_the_first_check_that_reads_it_runs(tmp_path, mo
 
     doc = n2_doc(8)
     doc["initial_b"] = doc["initial"]
-    _, ctx, _ = cli.integrate_scenario(doc, out=tmp_path / "run")
+    ctx = cli.scenario(doc)
+    cli.integrate_scenario(ctx, out=tmp_path / "run")
     audits = []
 
     def stability(*args, **kwargs):  # the audit a check that runs flows would hold through them
@@ -1434,8 +1467,8 @@ def test_a_stability_check_too_large_to_fit_exits_two_before_it_allocates(
     # one 32^4 field is 8 MiB; the refusal made nothing near one
     assert peak < 2**20
     # the run alone fits; the five homotopy runs' snapshots do not
-    assert cli.array_estimate(doc) < cli.ARRAY_BUDGET
-    estimate = cli.array_estimate(doc, checks=doc["checks"])
+    assert cli.array_estimate(cli.scenario(doc)) < cli.ARRAY_BUDGET
+    estimate = cli.array_estimate(cli.scenario(doc), checks=doc["checks"])
     assert estimate > cli.ARRAY_BUDGET
     err = capsys.readouterr().err
     assert f"{estimate / 2**20:,.0f} MiB" in err and "flow.ARRAY_BUDGET" in err
@@ -1445,14 +1478,15 @@ def test_a_stability_check_too_large_to_fit_exits_two_before_it_allocates(
 def test_a_replay_estimate_adds_the_ladder_a_cascade_archive_reads():
     from maflow import flow
 
-    doc = n2_doc(8)
-    grid = cli.build_grid(doc)
-    assert cli.replay_estimate(doc, {}) == flow.audit_array_bytes(grid)
+    manifest = {"format": "trajectory-archive-v1", "grid": {"n": 2, "resolution": 8}}
+    manifest |= {"schedule": [], "stored_indices": [], "snapshots": []}
+    grid = cli.TorusGrid(2, 8)
+    assert cli.replay_estimate("archive", manifest) == flow.audit_array_bytes(grid)
     # the audit phase, without a run's states and correction, is the smaller
     assert flow.audit_array_bytes(grid) < flow.peak_array_bytes(grid)
-    cascade = {**doc, "mode": "cascade", "schedule": {"deltas": [0.25, 0.125]}}
+    cascade = {**manifest, "cascade": {"deltas": [0.25, 0.125]}}
     ladder = 3 * 8 * 8**4  # two levels and their base
-    assert cli.replay_estimate(cascade, {"cascade": {}}) == flow.audit_array_bytes(grid) + ladder
+    assert cli.replay_estimate("archive", cascade) == flow.audit_array_bytes(grid) + ladder
 
 
 def test_a_broadcast_volume_gives_the_bits_of_its_full_grid_copy():

@@ -462,6 +462,14 @@ def test_an_n1_audit_holds_no_det():
     assert flow.audit_array_bytes(TorusGrid(1, 128)) == 8 * field + spectrum + 8 * 8192
 
 
+@pytest.mark.parametrize("backend", ["spectral", "fd"])
+@pytest.mark.parametrize("n, resolution", [(1, 16), (1, 128), (2, 8), (2, 16)])
+def test_a_run_holds_more_than_the_audit_after_it(n, resolution, backend):
+    # three states and phi0 against the audit's three fields, in one workspace and buffer
+    grid = TorusGrid(n, resolution)
+    assert flow.peak_array_bytes(grid, backend=backend) > flow.audit_array_bytes(grid)
+
+
 def test_step_residual_audit_never_evaluates_the_energy(monkeypatch):
     traj, path, F, omega = audited_run()
 
@@ -878,7 +886,8 @@ def test_only_a_degenerate_form_makes_a_vcycle_at_its_first_such_newton_iteratio
     # scenario 07's corner degenerates from its first Newton iteration (of 136)
     iterations.clear()
     doc = json.loads(scenario_path("07-derivative-asymptotics").read_text())
-    _, ctx, _ = cli.integrate_scenario(doc)
+    ctx = cli.scenario(doc)
+    cli.integrate_scenario(ctx)
     assert made == [1]
     assert len(iterations) == sum(d["newton_iters"] for d in ctx.traj.diagnostics) > 1
 

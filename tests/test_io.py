@@ -258,8 +258,9 @@ def test_a_streamed_archive_is_the_in_memory_archive(tmp_path, monkeypatch, doc)
     assert len(written) == len(set(written)) == len(list(streamed.glob("*.bin")))  # each once
     monkeypatch.undo()
     full = {"checks": [], **doc}
-    mode, ctx, _ = cli.integrate_scenario(full)
-    assert mode == "single" and isinstance(ctx.traj.fields, list)
+    ctx = cli.scenario(full)
+    cli.integrate_scenario(ctx)
+    assert ctx.mode == "single" and isinstance(ctx.traj.fields, list)
     save_trajectory(tmp_path / "memory", ctx.traj, run_config=full)
     assert archive_files(streamed) == archive_files(tmp_path / "memory")
     assert len(ctx.traj.times) < len(ctx.traj.schedule)  # store_every thinned the snapshots
@@ -271,7 +272,9 @@ def test_lazy_sequences_read_bitwise_read_only_fields(tmp_path):
     from maflow import cli
 
     _, streamed = run_cli(N2_BOUNDARY, tmp_path)
-    memory = cli.integrate_scenario({"checks": [], **N2_BOUNDARY})[1].traj
+    ctx = cli.scenario({"checks": [], **N2_BOUNDARY})
+    cli.integrate_scenario(ctx)
+    memory = ctx.traj
     back = load_trajectory(streamed)
     for lazy, kept in ((back.fields, memory.fields), (back.phidots, memory.phidots)):
         assert len(lazy) == len(kept) >= 4

@@ -138,9 +138,12 @@ def test_every_archive_check_refuses_a_run_that_holds_only_its_start(name):
     ladder = psh.mollify_decreasing(ctx.initial, ctx.schedule, grid)
     ctx.cascade = flow.CascadeResult(ladder, [phi], 0.0, 0.0, {"0": 0.0})
     reports = None
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as refusal:
         reports = cli.execute_checks([name], ctx)
     assert reports is None
+    if name in ("comparison", "gradient-laplacian"):  # each names the snapshot it lacks
+        assert refusal.type is MissingSnapshotsError
+        assert str(refusal.value) == f"{name} needs a stored snapshot after t = 0"
 
 
 def test_comparison_requires_lambda_at_least_the_defect(grid8):
@@ -673,7 +676,8 @@ def rough_n2_doc(stem, resolution, **flow):
 
 def rough_n2_run(doc, checks):
     """(ctx, reports) of the document's run and the named checks."""
-    _, ctx, reports = cli.integrate_scenario(doc)
+    ctx = cli.scenario(doc)
+    reports = cli.integrate_scenario(ctx)
     return ctx, reports + cli.execute_checks(checks, ctx)
 
 
