@@ -754,10 +754,12 @@ def _load_any(directory, manifest: dict = None):
     """Load an archive directory, whose manifest is read unless given, as (traj, cascade).
 
     traj is the trajectory the archive gives (a cascade's finest level);
-    cascade is None for a single-trajectory archive.  A replay too large
-    to fit (`replay_estimate`) is refused before anything is loaded.
+    cascade is None for a single-trajectory archive.  `io.cascade_entry`'s
+    and `replay_estimate`'s refusals come before anything is loaded.
     """
     manifest = manifest or _manifest(directory)
+    if "cascade" in manifest:
+        archive_io.cascade_entry(directory, manifest)
     estimate = replay_estimate(directory, manifest)
     _within_budget(f"the replay of {directory}", manifest["grid"], estimate)
     if "cascade" in manifest:

@@ -913,10 +913,10 @@ def _krylov_step(total, det, R, fs, dt, ws):
 # corrections take the V-cycle.  Over the bundled scenarios the FFT path took
 # 1.75 BiCGSTAB iterations per solve at spreads in 1.1-1.5, 4.2 in 1.5-3 and
 # 8.3 above 3; every scenario but 07 stays at 1.262 or below.  On a 2-vCPU
-# x86_64 VM a cycle's Krylov step cost 6-7 FFT steps at 128^2 and 3-4 at
-# 256^2 (two runs), and 07's flow at 128^2 took 0.46 s with this bound,
-# 0.44 s with 3 and 0.72 s through the FFT solve alone (medians of 8
-# alternating runs).
+# x86_64 VM a cycle's Krylov step cost 2.5-2.6 FFT steps at 128^2 and 1.6 at
+# 256^2 (two runs).  With the float64 cycle, 07's flow at 128^2 took 0.46 s
+# with this bound, 0.44 s with 3 and 0.72 s through the FFT solve alone
+# (medians of 8 alternating runs).
 MULTIGRID_SPREAD = 1.5
 
 

@@ -29,7 +29,8 @@ the stiffness it is matched at), a multigrid V-cycle for the n=1 fd
 Laplacian shifted by a pointwise c (the preconditioner of degenerate forms,
 whose coarsest 4^2 level LAPACK's inverse solves exactly) and Gaussian
 smoothing (mollification).  One fd quarter Laplacian serves the n=1 fd
-Hessian and every level of the V-cycle.
+Hessian, the V-cycle's operator and its coarsest level; the cycle's
+float32 levels take a stencil of their own.
 At n=1 they are Fourier symbols applied with real FFTs, and fd stencils
 built from slices.  At n=2 derivatives and the preconditioner's operator
 are per-axis N x N matrices applied axis by axis (Trefethen, Spectral
@@ -51,16 +52,16 @@ matrices, cached beside the float64 ones, and give float32 (and complex64)
 results.  The flow solves its Newton correction in float32 on the grids
 `correction_dtype` names, n=2 from SINGLE_PRECISION_RESOLUTION points per
 axis up, and in float64 everywhere else; every other operator here is
-float64 only.  The n=2 caches hold N x N arrays only: the grid-shaped
-symbol the solve and the Rayleigh quotient need is laid out into their
-scratch when they run.
+float64 only, but for the V-cycle's levels, which run in float32.  The
+n=2 caches hold N x N arrays only: the grid-shaped symbol the solve and
+the Rayleigh quotient need is laid out into their scratch when they run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Annotated
 
 import numpy as np
@@ -602,22 +603,35 @@ def _hessian_axes(values, grid, backend, out=None, scratch=None):
 # level instead gave 0.27, 0.34 and 0.52.  Correcting only the 4^2 level's
 # constant mode left the rate at 0.27, and halving down to one point held
 # it but made the scenario's flow about 17% slower.
+#
+# The cycle only preconditions a BiCGSTAB solve to a relative 1e-2, so it
+# runs in float32 while the operator BiCGSTAB applies stays float64 (C. T.
+# Kelley, "Newton's method in mixed precision", SIAM Review 64, 2022): one
+# cycle on 07's corner at 128^2 leaves a residual of 0.0646 of a random
+# right-hand side in either precision.  Each level solves its system over
+# m^2/4 (m its side), d x - (the sum of x's four neighbours) = b, with b, c
+# and d = c + 4 over m^2/4, by calls laid out once on 1-D or contiguous
+# views and 0-d constants, strided views only copied: numpy allocates no
+# iterator or buffer for those.
 
 # The smallest n = 1 fd resolution whose degenerate Newton corrections the
 # flow preconditions with the V-cycle.  On a 2-vCPU x86_64 VM with one
 # OpenBLAS thread, scenario 07's corner run to t = 0.02 took, in medians of
-# 15 alternating pairs, 0.096 s through it against 0.053 s through the FFT
-# solve at 32^2, 0.139 against 0.116 s at 64^2, 0.280 against 0.438 s at
-# 128^2 and 1.10 against 2.99 s at 256^2: about 1.1 BiCGSTAB iterations per
-# solve at every size against 4, 6, 8 and 10, but below 128^2 a cycle costs
-# more than the iterations it saves.
-MULTIGRID_RESOLUTION = 128
+# 15 alternating pairs, 0.037 s through it against 0.050 s through the FFT
+# solve at 32^2, 0.057 against 0.117 s at 64^2, 0.130 against 0.452 s at
+# 128^2 and 0.465 against 2.50 s at 256^2, the cycle faster in every pair:
+# about 1.1 BiCGSTAB iterations per solve at every size against 4, 6, 8
+# and 10.
+MULTIGRID_RESOLUTION = 64
 MULTIGRID_COARSEST = 4
 # damped Jacobi's weight, and its sweeps before and after the coarse
 # correction.  One sweep each way was no faster (07's flow at 128^2: 0.48
 # against 0.46 s).
 _JACOBI_WEIGHT = 0.8
 _SWEEPS = 2
+# 0.5 and 0.25 as 0-d float32 arrays, which a ufunc takes as they are
+_HALF, _QUARTER = np.array(0.5, np.float32), np.array(0.25, np.float32)
+_HALF.flags.writeable = _QUARTER.flags.writeable = False
 
 
 def _multigrid_sides(N: int) -> tuple:
@@ -637,73 +651,84 @@ def _coarsest_quarter_laplacian():
     return _freeze(-_fd_quarter_laplacian(eye, 1.0 / m).reshape(m * m, m * m))
 
 
-def _fold_rows(v, out):
-    """out[i, j] = v[i, 2j - 1] + 2 v[i, 2j] + v[i, 2j + 1], periodic along v's rows.
+def _neighbour_sum(x, out):
+    """The calls that write into out the sum of each point's four periodic neighbours in x.
 
-    v and out are C-contiguous.  The sums run on flat views a stride of two
-    apart, which numpy iterates unbuffered, as it does not a 2-D strided
-    slice; the first column, which they get wrong, is then written afresh.
+    x and out are C-contiguous m x m arrays, on whose flat views a point's
+    neighbours are 1 and m values away: the first call sums the row
+    neighbours but in the wrap columns, written next, and the rest add the
+    column neighbours, the wrap rows apart.
     """
-    flat, o = v.reshape(-1), out.reshape(-1)
-    odd = flat[1::2]
-    np.add(odd[1:], odd[:-1], out=o[1:])
-    o[0] = 0.0
-    o += flat[0::2]
-    o += flat[0::2]
-    first = out[:, 0]
-    np.add(v[:, -1], v[:, 1], out=first)
-    first += v[:, 0]
-    first += v[:, 0]
-    return out
+    m, v, o = len(x), x.reshape(-1), out.reshape(-1)
+    return [
+        partial(np.add, v[:-2], v[2:], o[1:-1]),
+        partial(np.add, x[:, -1], x[:, 1], out[:, 0]),
+        partial(np.add, x[:, -2], x[:, 0], out[:, -1]),
+        partial(np.add, o[m:], v[:-m], o[m:]), partial(np.add, o[:m], v[-m:], o[:m]),
+        partial(np.add, o[:-m], v[m:], o[:-m]), partial(np.add, o[-m:], v[:m], o[-m:]),
+    ]
 
 
-def _interpolate_rows(e, out):
-    """out[i, 2j] = e[i, j] and out[i, 2j + 1] = (e[i, j] + e[i, j + 1]) / 2, periodic.
+def _restriction(fine, coarse, scratch, scale=None):
+    """The calls that write into coarse (m x m) the fold of fine (2m x 2m), times scale when given.
 
-    e and out are C-contiguous; as in `_fold_rows`, flat views do the work
-    and the last column is written afresh.
+    The fold weights 1, 2, 1 along each axis, periodic, at the even points;
+    full weighting is the fold over 16.  fine's rows fold first, into
+    scratch's first 2m^2 values, on flat views a stride of two apart, and
+    the first column, which they get wrong, is written afresh; coarse and
+    scratch's next m^2 values then take copies of the even and odd rows of
+    that, which fold along the columns.
     """
-    flat, o = e.reshape(-1), out.reshape(-1)
-    np.copyto(o[0::2], flat)
-    odd = o[1::2]
-    np.add(flat[:-1], flat[1:], out=odd[:-1])
-    np.add(e[:, -1], e[:, 0], out=out[:, -1])
-    odd *= 0.5
-    return out
+    m = len(coarse)
+    work = scratch.reshape(-1)
+    rows, odd = work[: 2 * m * m].reshape(2 * m, m), work[2 * m * m : 3 * m * m].reshape(m, m)
+    v, f, c, o = fine.reshape(-1), rows.reshape(-1), coarse.reshape(-1), odd.reshape(-1)
+    first, left = rows[:, 0], fine[:, 0]
+    calls = [
+        partial(np.add, v[1:-2:2], v[3::2], f[1:]), *[partial(np.add, f[1:], v[2::2], f[1:])] * 2,
+        partial(np.add, fine[:, -1], fine[:, 1], first), *[partial(np.add, first, left, first)] * 2,
+        partial(np.copyto, coarse, rows[0::2]), partial(np.copyto, odd, rows[1::2]),
+        partial(np.add, c, c, c), partial(np.add, c, o, c),
+        partial(np.add, c[m:], o[:-m], c[m:]), partial(np.add, coarse[0], odd[-1], coarse[0]),
+    ]
+    return calls if scale is None else [*calls, partial(np.multiply, c, scale, c)]
+
+
+def _prolongation(coarse, fine, scratch, spare):
+    """The calls that add to fine (2m x 2m) the bilinear interpolation of coarse (m x m), periodic.
+
+    The means of coarse's neighbouring rows go to spare, and copies of
+    coarse and of them to the even and odd rows of scratch's first 2m^2
+    values; the means of their neighbouring columns go to spare's, on flat
+    views, the last column written afresh.  Flat views a stride of two
+    apart then add both into fine's even and odd columns.
+    """
+    m = len(coarse)
+    rows, means = (a.reshape(-1)[: 2 * m * m].reshape(2 * m, m) for a in (scratch, spare))
+    between = means.reshape(-1)[: m * m].reshape(m, m)
+    c, b, r, s, v = (a.reshape(-1) for a in (coarse, between, rows, means, fine))
+    return [
+        partial(np.add, c[:-m], c[m:], b[:-m]), partial(np.add, coarse[-1], coarse[0], between[-1]),
+        partial(np.multiply, b, _HALF, b),
+        partial(np.copyto, rows[0::2], coarse), partial(np.copyto, rows[1::2], between),
+        partial(np.add, r[:-1], r[1:], s[:-1]),
+        partial(np.add, rows[:, -1], rows[:, 0], means[:, -1]),
+        partial(np.multiply, s, _HALF, s),
+        partial(np.add, v[0::2], r, v[0::2]), partial(np.add, v[1::2], s, v[1::2]),
+    ]
 
 
 def _restrict(fine, out, scratch):
-    """Full weighting of a periodic 2m x 2m array into out (m x m).
-
-    scratch (4m^2 values, not fine's) holds the rows folded, their
-    transpose, and that folded; the transposes are copies, as a ufunc
-    buffers a transposed operand.
-    """
-    m = len(out)
-    work = scratch.reshape(-1)
-    rows = _fold_rows(fine, work[: 2 * m * m].reshape(2 * m, m))
-    columns = work[2 * m * m : 4 * m * m].reshape(m, 2 * m)
-    np.copyto(columns, rows.T)
-    np.copyto(out, _fold_rows(columns, work[: m * m].reshape(m, m)).T)
-    out *= 1.0 / 16.0
+    """Full weighting of fine (2m x 2m) into out (m x m), through 3m^2 scratch values."""
+    for call in _restriction(fine, out, scratch, 1.0 / 16.0):
+        call()
     return out
 
 
 def _prolong_add(coarse, fine, scratch, spare):
-    """fine += the bilinear interpolation of coarse (m x m) onto 2m x 2m points.
-
-    scratch and spare each hold 4m^2 values; as in `_restrict`, the
-    transposes are copies.
-    """
-    m = len(coarse)
-    work, other = scratch.reshape(-1), spare.reshape(-1)
-    rows = _interpolate_rows(coarse, work[: 2 * m * m].reshape(m, 2 * m))
-    columns = work[2 * m * m : 4 * m * m].reshape(2 * m, m)
-    np.copyto(columns, rows.T)
-    both = _interpolate_rows(columns, other[: 4 * m * m].reshape(2 * m, 2 * m))
-    correction = work[: 4 * m * m].reshape(2 * m, 2 * m)
-    np.copyto(correction, both.T)
-    fine += correction
+    """fine (2m x 2m) += coarse (m x m) interpolated, through 2m^2 values of each scratch."""
+    for call in _prolongation(coarse, fine, scratch, spare):
+        call()
     return fine
 
 
@@ -720,85 +745,88 @@ def _shifted_apply(values, c, h, out, scratch):
 class ShiftedVCycle:
     """A V-cycle approximating (c - (1/4) Laplacian)^-1 on an n = 1 fd grid of N^2 points, N >= 16.
 
-    It makes its own float64 arrays (`nbytes` counts them): fine, (c, dinv,
-    r, s), four N x N arrays, and each coarse level's.  The caller writes c
-    (positive) into fine[0]; `prepare` lays out the rest from it: dinv, the
-    Jacobi weights, and each coarse level's c, weights and the coarsest
-    inverse.  r and s are the fine level's scratch, and each coarse level
-    takes its own from their first values, as a level's scratch is free
-    while a coarser one runs.  A cycle allocates nothing, and `prepare`
-    only the 16 x 16 coarsest inverse that LAPACK returns.
+    It makes its own arrays (`nbytes` counts them): fine, (c, s), float64
+    N x N, and in float32 (d, dinv, b, x) per smoothed level, the fine one
+    first, the coarsest c, b and x, its inverse, spread (its solve's
+    scratch) and scale, 4 / N^2.  The caller writes c (positive) into
+    fine[0], and `prepare` lays out the rest from it.  s is `apply`'s
+    scratch, and the cycle's as two float32 halves, each level's from their
+    first values.  A cycle makes the calls `__init__` lays out and
+    allocates nothing; `prepare` only the inverse that LAPACK returns.
     """
 
     def __init__(self, N: int):
         *smoothed, q = _multigrid_sides(N)
-        self.fine = c, dinv, r, s = tuple(np.empty((N, N)) for _ in range(4))
-        # (spacing, c, Jacobi weights) per smoothed level, finest first, and
-        # (right-hand side, correction) per coarse level, the coarsest last
-        self.levels, self.coarse = [(1.0 / N, c, dinv)], []
-        for m in smoothed:
-            c, dinv, b, x = (np.empty((m, m)) for _ in range(4))
-            self.levels.append((1.0 / m, c, dinv))
-            self.coarse.append((b, x))
-        self.coarsest_c, *coarsest = (np.empty((q, q)) for _ in range(3))
-        self.coarse.append(tuple(coarsest))
-        self.inverse = np.empty((q * q, q * q))
-        self.scratch = [
-            tuple(a.reshape(-1)[: m * m].reshape(m, m) for a in (r, s)) for m in (N, *smoothed)
-        ]
+        self.fine = c, s = np.empty((N, N)), np.empty((N, N))
+        self.spacing, self.scale = 1.0 / N, np.array(4.0 / N**2, np.float32)
+        halves = s.reshape(-1).view(np.float32).reshape(2, -1)
+        self.levels = [tuple(np.empty((4, m, m), np.float32)) for m in (N, *smoothed)]
+        self.coarsest_c, *self.coarsest = (np.empty((q, q), np.float32) for _ in range(3))
+        self.inverse, self.spread = (np.empty((q * q, q * q), np.float32) for _ in range(2))
+        # each level's c (then d) and (b, x), from the second down
+        below = [(d, (b, x)) for d, _, b, x in self.levels[1:]] + [(self.coarsest_c, self.coarsest)]
+        down, up, self.coarsening = [], [], []
+        for (d, dinv, b, x), (coarse_d, (coarse_b, coarse_x)) in zip(self.levels, below):
+            m = len(x)
+            r, t = (half[: m * m].reshape(m, m) for half in halves)
+            # b + (the neighbour sum of x) - d x, the residual over m^2/4, into r
+            residual = [*_neighbour_sum(x, r), partial(np.add, r, b, r),
+                        partial(np.multiply, d, x, t), partial(np.subtract, r, t, r)]
+            sweep = [*residual, partial(np.multiply, dinv, r, r), partial(np.add, x, r, x)]
+            # the fold over 16 times m^2/4 over the next level's: a quarter, or
+            # 1 into the unscaled coarsest, as (2 MULTIGRID_COARSEST)^2/4 = 16
+            scale = None if coarse_d is self.coarsest_c else _QUARTER
+            self.coarsening += _restriction(d, coarse_d, t, scale)
+            down += [partial(np.multiply, dinv, b, x), *sweep * (_SWEEPS - 1), *residual,
+                     *_restriction(r, coarse_b, t, scale)]
+            up[:0] = [*_prolongation(coarse_x, x, r, t), *sweep * _SWEEPS]
+        # the coarsest operator is symmetric, and so its inverse: spread's row j
+        # is b[j] times the inverse's row j, and its rows sum pairwise to x
+        b, x, f = (a.reshape(-1) for a in (*self.coarsest, self.spread))
+        down += [partial(np.copyto, self.spread, b[:, None]),
+                 partial(np.multiply, self.spread, self.inverse, self.spread)]
+        n = len(f)
+        while n > len(b):
+            n //= 2
+            down.append(partial(np.add, f[:n], f[n : 2 * n], x if n == len(b) else f[:n]))
+        self.calls = (*down, *up)
 
     @staticmethod
     def nbytes(N: int) -> int:
         """The bytes of the arrays a `ShiftedVCycle(N)` makes."""
         *smoothed, q = _multigrid_sides(N)
-        return 8 * (4 * N * N + sum(4 * m * m for m in smoothed) + 3 * q * q + q**4)
+        levels = sum(4 * m * m for m in (N, *smoothed))
+        return 16 * N * N + 4 * (levels + 3 * q * q + 2 * q**4 + 1)
 
     def prepare(self):
-        """Lay out each level's c and Jacobi weights, and the coarsest inverse, from fine c."""
-        s = self.fine[3]
-        cs = [c for _, c, _ in self.levels] + [self.coarsest_c]
-        for finer, coarser in zip(cs, cs[1:]):
-            _restrict(finer, coarser, s)
-        for h, c, dinv in self.levels:
-            np.add(c, 1.0 / h**2, out=dinv)  # the operator's diagonal
-            np.divide(_JACOBI_WEIGHT, dinv, out=dinv)
+        """Lay out each level's d and Jacobi weights, and the coarsest c and inverse, from c."""
+        c = self.levels[0][0]
+        np.copyto(c, self.fine[0])
+        c *= self.scale  # over N^2/4
+        for call in self.coarsening:
+            call()
+        for d, dinv, _, _ in self.levels:
+            d += 4.0
+            np.divide(_JACOBI_WEIGHT, d, out=dinv)
         inverse = self.inverse  # the coarsest operator, then its inverse
         np.copyto(inverse, _coarsest_quarter_laplacian())
         inverse.reshape(-1)[:: len(inverse) + 1] += self.coarsest_c.reshape(-1)
         np.copyto(inverse, np.linalg.inv(inverse))
 
     def apply(self, values, out):
-        """(c - (1/4) Laplacian) values on the fine level, into out; s is its scratch."""
-        h, c, _ = self.levels[0]
-        return _shifted_apply(values, c, h, out, self.fine[3])
+        """(c - (1/4) Laplacian) values on the fine level in float64, into out; s is its scratch."""
+        c, s = self.fine
+        return _shifted_apply(values, c, self.spacing, out, s)
 
     def __call__(self, b, out):
-        """The V-cycle from zero for the fine system with right-hand side b, into out."""
-        return self._cycle(0, b, out)
-
-    def _cycle(self, k, b, x):
-        if k == len(self.levels):
-            _along(self.inverse, b.reshape(-1), 0, x.reshape(-1))
-            return x
-        h, c, dinv = self.levels[k]
-        r, s = self.scratch[k]
-        coarse_b, coarse_x = self.coarse[k]
-        np.multiply(dinv, b, out=x)  # the first sweep, from zero
-        for _ in range(_SWEEPS - 1):
-            self._sweep(k, b, x)
-        residual = np.subtract(b, _shifted_apply(x, c, h, r, s), out=r)
-        self._cycle(k + 1, _restrict(residual, coarse_b, s), coarse_x)
-        _prolong_add(coarse_x, x, r, s)
-        for _ in range(_SWEEPS):
-            self._sweep(k, b, x)
-        return x
-
-    def _sweep(self, k, b, x):
-        """One damped Jacobi sweep on level k: x += dinv (b - A x)."""
-        h, c, dinv = self.levels[k]
-        r, s = self.scratch[k]
-        residual = np.subtract(b, _shifted_apply(x, c, h, r, s), out=r)
-        x += np.multiply(dinv, residual, out=r)
+        """The V-cycle from zero for the fine system with right-hand side b, into out (float64)."""
+        _, _, rhs, x = self.levels[0]
+        np.copyto(rhs, b)
+        rhs *= self.scale  # over N^2/4
+        for call in self.calls:
+            call()
+        np.copyto(out, x)
+        return out
 
 
 def gradient_sq(phi: ScalarField, backend: str = "spectral") -> ScalarField:

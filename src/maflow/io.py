@@ -41,6 +41,7 @@ except ImportError:
         from hashlib import sha256
 
 MANIFEST_KEYS = ("grid", "schedule", "stored_indices", "snapshots")  # load_trajectory needs each
+CASCADE_KEYS = ("deltas", "shifts", "margins", "monotone_violation", "monotone_tol", "limit_gaps")
 
 
 def config_hash(obj) -> str:
@@ -352,6 +353,17 @@ def manifest_grid(directory, manifest: dict) -> TorusGrid:
         raise ConfigError(f"{where} has a malformed grid ({exc!r})") from None
 
 
+def cascade_entry(directory, manifest: dict) -> dict:
+    """The manifest's cascade entry; a ConfigError names it missing or a CASCADE_KEYS key absent."""
+    info = manifest.get("cascade")
+    if not info:
+        raise ConfigError(f"{directory} is not a cascade archive")
+    missing = [key for key in CASCADE_KEYS if key not in info]
+    if missing:
+        raise ConfigError(f"{Path(directory) / 'manifest.json'} cascade lacks {missing[0]!r}")
+    return info
+
+
 def load_trajectory(directory, manifest: dict = None) -> FlowTrajectory:
     """The trajectory archived in directory, whose snapshots are read when indexed.
 
@@ -428,9 +440,7 @@ def load_cascade(directory, manifest: dict = None):
 
     directory = Path(directory)
     manifest = manifest or read_json(directory / "manifest.json")
-    info = manifest.get("cascade")
-    if not info:
-        raise ConfigError(f"{directory} is not a cascade archive")
+    info = cascade_entry(directory, manifest)
     traj = load_trajectory(directory, manifest)
     ladder_dir = directory / "ladder"
     base, _ = load_field(ladder_dir / "base.json")

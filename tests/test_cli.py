@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maflow import ConfigError, RegularizationSchedule, cli
+from maflow import io as archive_io
 from maflow.errors import signature
 from maflow.io import config_hash, load_field, load_trajectory, save_trajectory
 from maflow.scenarios import available, scenario_path
@@ -1189,6 +1191,32 @@ def test_verify_names_a_key_the_manifest_lacks(tmp_path, capsys, key):
     capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cascade_archive(tmp_path_factory):
+    """A tiny fd cascade archive (32^2, three levels), run once for the module."""
+    tmp = tmp_path_factory.mktemp("cascade")
+    cli.main(["run", "--config", str(seeded_cascade_doc(tmp))])
+    return tmp / "out"
+
+
+@pytest.mark.parametrize("key", archive_io.CASCADE_KEYS)
+def test_verify_names_a_key_the_cascade_manifest_lacks(cascade_archive, tmp_path, capsys, monkeypatch, key):
+    out = tmp_path / "out"
+    shutil.copytree(cascade_archive, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["cascade"][key]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+    def loaded(*args):
+        raise AssertionError("the refusal comes before anything is loaded")
+
+    for loader in ("load_trajectory", "load_cascade", "load_field"):
+        monkeypatch.setattr(cli.archive_io, loader, loaded)
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 2
+    assert f"cascade lacks {key!r}" in capsys.readouterr().err
 
 
 # -- the array estimate and the refusal of a run that cannot fit -----------------

@@ -768,7 +768,7 @@ def warm_problem(n, resolution, backend, corner=False):
     """A smooth datum's values, a run's config, path and volume, and F = 0 on a grid.
 
     With corner, the datum is scenario 07's paraboloid corner (n = 1), whose
-    degenerate form takes the V-cycle on an fd grid of 128^2 or more.  F = 0
+    degenerate form takes the V-cycle on an fd grid of 64^2 or more.  F = 0
     makes no array of its own, so what a step allocates is the flow's.
     """
     grid = TorusGrid(n=n, resolution=resolution)
@@ -1113,7 +1113,7 @@ def distinct_bytes(arrays) -> int:
      (2, 16, np.float32), (2, 8, np.float32)],
 )
 def test_the_workspace_and_correction_count_the_bytes_they_make(n, resolution, dtype):
-    # on fd grids, where an n = 1 correction from 128^2 up may make a V-cycle
+    # on fd grids, where an n = 1 correction from 64^2 up may make a V-cycle
     grid = TorusGrid(n=n, resolution=resolution)
     ws = flow._Workspace(grid, "fd")
     made = arrays_in(vars(ws).values())
@@ -1444,10 +1444,7 @@ def cycle_contraction(phi0, dt) -> float:
 
 
 def test_vcycle_solves_take_as_few_iterations_at_every_size(monkeypatch):
-    # the FFT path took 6.1 and 8.1 linear iterations per Newton iteration
-    # here; at 64^2, where a cycle costs more than they do, the run takes
-    # the cycle only with MULTIGRID_RESOLUTION lowered
-    monkeypatch.setattr(flow, "MULTIGRID_RESOLUTION", 64)
+    # the FFT path took 6.1 and 8.1 linear iterations per Newton iteration here
     steps = vcycle_steps(monkeypatch)
     for N in (64, 128):
         phi0, path, omega, cfg = degenerate_problem(N, horizon=0.02)
@@ -1463,6 +1460,14 @@ def test_vcycle_solves_take_as_few_iterations_at_every_size(monkeypatch):
         linear = sum(d["linear_iters"] for d in traj.diagnostics)
         assert len(steps) == newton  # every solve took the cycle
         assert linear / newton <= bound
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.02, 0.2])
+def test_the_float32_vcycle_keeps_the_recorded_contraction(dt):
+    # the multigrid comment in grid records 0.171 per cycle on the corner at
+    # 64^2 for each of these dt, measured when the cycle ran in float64
+    phi0 = degenerate_problem(64)[0]
+    assert abs(cycle_contraction(phi0, dt) - 0.171) <= 1e-3
 
 
 def test_bicgstab_reports_a_solve_it_cut_short():

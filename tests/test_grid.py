@@ -1,5 +1,8 @@
 """Grid, Hessian, and norm primitives against hand-computed oracles."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from maflow.grid import (
     _quarter_laplacian_basis,
     _quarter_laplacian_symbol,
     _restrict,
+    _shifted_apply,
     gaussian_smooth,
     gradient_sq,
     hessian_components,
@@ -416,6 +420,7 @@ def test_the_n1_solve_multiplies_by_the_bits_of_the_divide(backend):
 # -- the n = 1 fd V-cycle ---------------------------------------------------------
 
 U = np.finfo(np.float64).eps / 2
+U_CYCLE = np.finfo(np.float32).eps / 2  # the V-cycle runs in float32: 2^-24
 
 
 @pytest.mark.parametrize("m", [4, 16])
@@ -457,7 +462,7 @@ def test_the_coarsest_operator_and_its_inverse():
     # within a few n u |matrix| |inverse| (N. J. Higham, Accuracy and
     # Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 14)
     n = len(matrix)
-    bound = 2 * n * U * np.max(np.abs(matrix) @ np.abs(cycle.inverse))
+    bound = 2 * n * U_CYCLE * np.max(np.abs(matrix) @ np.abs(cycle.inverse))
     assert np.max(np.abs(matrix @ cycle.inverse - np.eye(n))) <= bound
 
 
@@ -492,7 +497,7 @@ def test_the_vcycle_is_linear_to_rounding(N):
     # within u of values that the non-expansive steps keep below the
     # cycle's output.  Three cycles are compared.
     levels = len(_multigrid_sides(N)) + 1
-    bound = 3 * 16 * 6 * levels * U * max(np.max(np.abs(V(v))) for v in (a, b, a + b))
+    bound = 3 * 16 * 6 * levels * U_CYCLE * max(np.max(np.abs(V(v))) for v in (a, b, a + b))
     assert np.max(np.abs(V(a + b) - V(a) - V(b))) <= bound
 
 
@@ -511,3 +516,36 @@ def test_the_vcycle_applies_the_operator_it_inverts(N):
     residual = b - cycle.apply(cycle(b, np.empty((N, N))).copy(), np.empty((N, N)))
     assert np.linalg.norm(residual) < 0.25 * np.linalg.norm(b)
 
+
+def test_the_vcycle_applies_the_float64_stencil_bit_for_bit():
+    # the Krylov operator J z = A z / w stays float64: apply is
+    # _shifted_apply with the float64 c, also after a cycle has used s
+    cycle = corner_vcycle(64)
+    x, b = np.random.default_rng(6).standard_normal((2, 64, 64))
+    cycle(b, np.empty((64, 64)))
+    want = _shifted_apply(x, cycle.fine[0].copy(), 1.0 / 64, np.empty((64, 64)), np.empty((64, 64)))
+    assert cycle.apply(x, np.empty((64, 64))).tobytes() == want.tobytes()
+
+
+def test_a_vcycle_allocates_nothing():
+    # every call it makes is laid out at construction, on 1-D or contiguous
+    # operands that numpy iterates without buffers, or copies of strided views
+    cycle = corner_vcycle(128)
+    b, out = np.random.default_rng(7).standard_normal((2, 128, 128))
+    cycle(b, out)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cycle(b, out)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an array, even a view or a 0-d one, takes at least its header: more
+    # than the iterator of the loop over the calls
+    assert after == before and peak - before < sys.getsizeof(np.empty(()))
+
+
+def test_the_float32_vcycle_holds_no_more_than_the_float64_one():
+    # the float64 cycle held 700,800 B at 128^2; its coarse levels take half
+    # as many bytes in float32, and the fine level's scratch lies in apply's
+    assert ShiftedVCycle.nbytes(128) <= 700_800
