@@ -21,10 +21,9 @@ Jacobian at the stiffness of the current Newton residual, so it keeps up
 where w nears the edge of the positive cone.  At n = 1 that solve inverts
 the Laplacian the Hessian takes, so each Krylov step reads the Jacobian of
 the preconditioned vector off the solve instead of taking a Hessian.  At
-n = 1 on fd grids from grid.MULTIGRID_RESOLUTION points per axis, a form
-whose spread mean(w) mean(1/w) passes MULTIGRID_SPREAD is preconditioned
-instead by a multigrid V-cycle on w J (grid.ShiftedVCycle), whose
-iterations do not grow with the grid.
+n = 1 on fd grids every correction is preconditioned instead by a
+multigrid V-cycle on w J (grid.ShiftedVCycle), whose iterations do not
+grow with the grid, wherever its operator is positive (1/dt + F_s > 0).
 
 A flow state is evaluated in one place, `_Workspace`: its Hessian, the form
 theta_t + dd^c phi with its cone margin, det and the right-hand side, and
@@ -35,13 +34,13 @@ in a `_Correction` in the correction's precision: in float64 in arrays of
 its own, and in float32 in views of workspace arrays that its solve leaves
 idle.  Each `run` holds one workspace for its whole length and owns three
 state arrays, laid out once, which its steps take turns writing, so after
-its first Newton iteration, which makes the correction, no grid-sized
-array is new but the values of a driving term that makes its own (an
-affine term writes into the workspace) and the V-cycle of the first
-degenerate form, at n = 1 and n = 2 alike.  A stored snapshot goes to
-the run's snapshot store when its step is accepted: a list in memory by
-default, which copies it, or io.ArchiveStore, which writes it to disk at
-once and reads it back when the trajectory is indexed.
+its first Newton iteration, which makes the correction and its V-cycle,
+no grid-sized array is new but the values of a driving term that makes
+its own (an affine term writes into the workspace), at n = 1 and n = 2
+alike.  A stored snapshot goes to the run's snapshot store when its step
+is accepted: a list in memory by default, which copies it, or
+io.ArchiveStore, which writes it to disk at once and reads it back when
+the trajectory is indexed.
 Checks read stored snapshots through `TrajectoryAudit`, which evaluates
 each snapshot in its own workspace at most once, keeps only scalars, and
 reports a snapshot outside the positive cone instead of taking the
@@ -99,7 +98,6 @@ from .geometry import (
     lowest_eigenvalue,
 )
 from .grid import (
-    MULTIGRID_RESOLUTION,
     ScalarField,
     ShiftedVCycle,
     TorusGrid,
@@ -534,9 +532,8 @@ class _Correction:
     the preconditioner's Rayleigh quotient writes the transform and the
     power spectrum into them, then the shift + symbol into the second,
     which inverse becomes, and every later solve or Hessian transforms into
-    the first.  vcycle is the `grid.ShiftedVCycle` that `_krylov_step`
-    takes for a degenerate form where `cycles` holds (`_vcycle_step`), made
-    on that first use, so a run whose forms never degenerate makes none.
+    the first.  vcycle (None unless `cycles`: n = 1, fd) is the
+    `grid.ShiftedVCycle` that `_krylov_step` takes (`_vcycle_step`).
 
     A float64 correction makes every array it holds and solves in the
     workspace's own w, det and R (`operands`).  A float32 one (n = 2)
@@ -558,13 +555,13 @@ class _Correction:
       through the line search.
 
     A run's states are not the workspace's, so none is lent.  `nbytes`
-    counts what the constructor makes, and the V-cycle where one may be made.
+    counts what the constructor makes, the V-cycle included.
     """
 
     def __init__(self, grid: TorusGrid, dtype, ws):
         owners, lent = _Correction._layout(dtype)
         arrays = _laid_out(grid, owners, dtype, ws.lenders if lent else None)
-        self.dtype, self.resolution = dtype, grid.resolution
+        self.dtype = dtype
         self.tmp = (arrays["tmp0"], arrays["tmp1"], arrays["tmp2"])
         self.hv = self.tmp[:1] if grid.n == 1 else (*self.tmp[:2], arrays["h12"])
         self.scale = arrays["scale"]
@@ -577,15 +574,12 @@ class _Correction:
         if grid.n == 1:
             self.inverse = arrays["inverse"]
             self.spectrum = (arrays["spectrum"], self.inverse.real)
-
-    @functools.cached_property
-    def vcycle(self) -> ShiftedVCycle:
-        return ShiftedVCycle(self.resolution)
+        self.vcycle = ShiftedVCycle(grid.resolution) if _Correction.cycles(grid, ws.backend) else None
 
     @staticmethod
     def cycles(grid: TorusGrid, backend: str) -> bool:
-        """Whether a correction may make a V-cycle: n = 1, fd, from MULTIGRID_RESOLUTION points."""
-        return grid.n == 1 and backend == "fd" and grid.resolution >= MULTIGRID_RESOLUTION
+        """Whether a correction makes a V-cycle: n = 1, fd."""
+        return grid.n == 1 and backend == "fd"
 
     @staticmethod
     def _layout(dtype) -> tuple:
@@ -836,10 +830,10 @@ def _preconditioner(total, det, R, fs, dt, ws):
     1/dt - Laplacian/(4c) (1/dt - Laplacian/4 when w = I); where kappa >> s,
     D -> s and M follows the pointwise degeneracy of w at the cone's edge.
     The Laplacian is the one the backend's Hessian takes, which is what
-    lets `_krylov_step` skip the Hessian at n = 1.  There, on fd grids, a
-    degenerate form's solves take a V-cycle instead (`_vcycle_step`), as
-    with w spanning decades the frozen scaling D leaves the iterations
-    growing with the grid.
+    lets `_krylov_step` skip the Hessian at n = 1.  There, on fd grids, the
+    solves take a V-cycle instead (`_vcycle_step`) wherever its operator is
+    positive, as with w spanning decades the frozen scaling D leaves the
+    iterations growing with the grid.
 
     det is det(w).  It is called as apply(r, out=None) and writes D r into
     out (a new array when omitted), where the solve also lands.  ws is the
@@ -873,10 +867,10 @@ def _krylov_step(total, det, R, fs, dt, ws):
     Until the solve ends, the correction's tmp (which its hv shares) belongs
     to the step, so no `_jacobian` may run on ws meanwhile.
 
-    Where the correction may make a V-cycle (`_Correction.cycles`: n = 1,
-    fd, from MULTIGRID_RESOLUTION points per axis) and the form is
-    degenerate (`_degenerate`), M^-1 is that cycle instead (`_vcycle_step`),
-    made on the first such Newton iteration.
+    Where the correction has a V-cycle (`_Correction.cycles`: n = 1, fd)
+    and 1/dt + F_s > 0 everywhere, which keeps the cycle's operator positive
+    definite, M^-1 is that cycle instead (`_vcycle_step`); elsewhere the
+    FFT step above runs.
     """
     if ws.grid.n == 2:
         precond = _preconditioner(total, det, R, fs, dt, ws)
@@ -888,7 +882,7 @@ def _krylov_step(total, det, R, fs, dt, ws):
 
         return step
     cor = ws.correction
-    if _Correction.cycles(ws.grid, ws.backend) and _degenerate(total[0], fs, dt, cor.tmp[0]):
+    if cor.vcycle is not None and 1.0 / dt + float(np.min(fs)) > 0.0:
         return _vcycle_step(total[0], fs, dt, cor.vcycle)
     grid, backend, spectrum = ws.grid, ws.backend, cor.spectrum
     scale, sigma, shift = _preconditioner_terms(total, det, R, fs, dt, ws)
@@ -909,30 +903,10 @@ def _krylov_step(total, det, R, fs, dt, ws):
     return step
 
 
-# The spread mean(w) mean(1/w) of an n = 1 form above which its Newton
-# corrections take the V-cycle.  Over the bundled scenarios the FFT path took
-# 1.75 BiCGSTAB iterations per solve at spreads in 1.1-1.5, 4.2 in 1.5-3 and
-# 8.3 above 3; every scenario but 07 stays at 1.262 or below.  On a 2-vCPU
-# x86_64 VM a cycle's Krylov step cost 2.5-2.6 FFT steps at 128^2 and 1.6 at
-# 256^2 (two runs).  With the float64 cycle, 07's flow at 128^2 took 0.46 s
-# with this bound, 0.44 s with 3 and 0.72 s through the FFT solve alone
-# (medians of 8 alternating runs).
-MULTIGRID_SPREAD = 1.5
-
-
-def _degenerate(w, fs, dt, scratch) -> bool:
-    """Whether the n = 1 form w spreads past MULTIGRID_SPREAD and 1/dt + F_s > 0 everywhere.
-
-    The second keeps the V-cycle's operator w (1/dt + F_s) - (1/4) Laplacian
-    positive definite.  scratch, a grid-shaped array, receives 1/w.
-    """
-    spread = float(np.mean(w)) * float(np.mean(np.divide(1.0, w, out=scratch)))
-    return spread > MULTIGRID_SPREAD and 1.0 / dt + float(np.min(fs)) > 0.0
-
-
 def _vcycle_step(w, fs, dt, vcycle):
     """BiCGSTAB's step(p, z, v) -> (M^-1 p, J M^-1 p) through a V-cycle, at n = 1 (fd).
 
+    Every n = 1 fd Newton iteration with 1/dt + F_s > 0 everywhere takes it.
     w J = A = w (1/dt + F_s) - H, H the fd Hessian, is c - (1/4) Laplacian
     with c = w (1/dt + F_s) > 0, so J^-1 = A^-1 w and M^-1 p = V(w p), V
     the correction's `grid.ShiftedVCycle` vcycle for A, laid out here from

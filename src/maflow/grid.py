@@ -26,10 +26,10 @@ Every derivative operator of the package lives here, built once per grid:
 the Hessian, the -(1/4) Laplacian of either backend (the shifted solve at
 the core of the flow's preconditioner, and the Rayleigh quotient that sets
 the stiffness it is matched at), a multigrid V-cycle for the n=1 fd
-Laplacian shifted by a pointwise c (the preconditioner of degenerate forms,
-whose coarsest 4^2 level LAPACK's inverse solves exactly) and Gaussian
-smoothing (mollification).  One fd quarter Laplacian serves the n=1 fd
-Hessian, the V-cycle's operator and its coarsest level; the cycle's
+Laplacian shifted by a pointwise c (the preconditioner of n=1 fd Newton
+corrections, whose coarsest 4^2 level LAPACK's inverse solves exactly) and
+Gaussian smoothing (mollification).  One fd quarter Laplacian serves the
+n=1 fd Hessian, the V-cycle's operator and its coarsest level; the cycle's
 float32 levels take a stencil of their own.
 At n=1 they are Fourier symbols applied with real FFTs, and fd stencils
 built from slices.  At n=2 derivatives and the preconditioner's operator
@@ -595,14 +595,16 @@ def _hessian_axes(values, grid, backend, out=None, scratch=None):
 # prolongation, and the fd operator rediscretised on each level, the side
 # halved down to MULTIGRID_COARSEST points, whose system is solved exactly
 # by its inverse, LAPACK's (np.linalg.inv), laid out once per Newton
-# iteration.  Its contraction per cycle does not depend on the grid, where a
-# constant-coefficient preconditioner's iterations grow with it once c spans
-# decades.  The exact 4^2 solve keeps its rate flat in dt as well: on
-# scenario 07's corner at 64^2 a cycle contracts the residual by 0.171 at
-# dt = 1e-3, 0.02 and 0.2, where three damped Jacobi sweeps on the 4^2
-# level instead gave 0.27, 0.34 and 0.52.  Correcting only the 4^2 level's
-# constant mode left the rate at 0.27, and halving down to one point held
-# it but made the scenario's flow about 17% slower.
+# iteration.  Its contraction per cycle does not grow with the grid, where a
+# constant-coefficient preconditioner's iterations do once c spans decades,
+# so it serves every side from 8 (one smoothed level over the 4^2 solve):
+# on scenario 07's corner at dt = 1e-3 a cycle contracts the residual by
+# 0.117 at 8^2, 0.152 at 16^2, 0.168 at 32^2 and 0.170 at 128^2.  The exact
+# 4^2 solve keeps its rate flat in dt as well: at 64^2 a cycle contracts it
+# by 0.171 at dt = 1e-3, 0.02 and 0.2, where three damped Jacobi sweeps on
+# the 4^2 level instead gave 0.27, 0.34 and 0.52.  Correcting only the 4^2
+# level's constant mode left the rate at 0.27, and halving down to one
+# point held it but made the scenario's flow about 17% slower.
 #
 # The cycle only preconditions a BiCGSTAB solve to a relative 1e-2, so it
 # runs in float32 while the operator BiCGSTAB applies stays float64 (C. T.
@@ -614,15 +616,6 @@ def _hessian_axes(values, grid, backend, out=None, scratch=None):
 # views and 0-d constants, strided views only copied: numpy allocates no
 # iterator or buffer for those.
 
-# The smallest n = 1 fd resolution whose degenerate Newton corrections the
-# flow preconditions with the V-cycle.  On a 2-vCPU x86_64 VM with one
-# OpenBLAS thread, scenario 07's corner run to t = 0.02 took, in medians of
-# 15 alternating pairs, 0.037 s through it against 0.050 s through the FFT
-# solve at 32^2, 0.057 against 0.117 s at 64^2, 0.130 against 0.452 s at
-# 128^2 and 0.465 against 2.50 s at 256^2, the cycle faster in every pair:
-# about 1.1 BiCGSTAB iterations per solve at every size against 4, 6, 8
-# and 10.
-MULTIGRID_RESOLUTION = 64
 MULTIGRID_COARSEST = 4
 # damped Jacobi's weight, and its sweeps before and after the coarse
 # correction.  One sweep each way was no faster (07's flow at 128^2: 0.48
@@ -743,7 +736,7 @@ def _shifted_apply(values, c, h, out, scratch):
 
 
 class ShiftedVCycle:
-    """A V-cycle approximating (c - (1/4) Laplacian)^-1 on an n = 1 fd grid of N^2 points, N >= 16.
+    """A V-cycle approximating (c - (1/4) Laplacian)^-1 on an n = 1 fd grid of N^2 points, N >= 8.
 
     It makes its own arrays (`nbytes` counts them): fine, (c, s), float64
     N x N, and in float32 (d, dinv, b, x) per smoothed level, the fine one

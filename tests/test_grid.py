@@ -479,7 +479,7 @@ def corner_vcycle(N, dt=1e-3):
     return cycle
 
 
-@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("N", [8, 16, 64])
 def test_the_vcycle_is_linear_to_rounding(N):
     cycle = corner_vcycle(N)
     a, b = np.random.default_rng(N).standard_normal((2, N, N))
@@ -501,7 +501,7 @@ def test_the_vcycle_is_linear_to_rounding(N):
     assert np.max(np.abs(V(a + b) - V(a) - V(b))) <= bound
 
 
-@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("N", [8, 16, 64])
 def test_the_vcycle_applies_the_operator_it_inverts(N):
     # fine's c, h and the stencil: (c - (1/4) Laplacian) x, the fd Laplacian
     cycle = corner_vcycle(N)

@@ -356,9 +356,9 @@ def calls_of(path: Path, name: str) -> list:
 
 
 def test_only_the_correction_makes_a_vcycle():
-    # on the first Newton iteration that takes it (flow._krylov_step)
+    # with its other arrays, on an n = 1 fd grid (flow._Correction.cycles)
     found = calls_of(Path(maflow.__file__).parent / "flow.py", "ShiftedVCycle")
-    assert [where for _, where in found] == ["_Correction.vcycle"]
+    assert [where for _, where in found] == ["_Correction.__init__"]
 
 
 def test_the_call_check_sees_a_planted_call(tmp_path):

@@ -3,7 +3,8 @@
 work_ledger.json holds, for each bundled scenario, the flow runs it makes
 (those inside its checks included), their backward-Euler steps, Newton
 iterations, linear iterations, damped steps (a line search that cut the
-Newton step) and stored snapshots.  The counts repeat exactly for the same
+Newton step), stored snapshots and the Newton iterations whose solve took
+the V-cycle (`flow._vcycle_step`).  The counts repeat exactly for the same
 code and numpy, so a change meant to keep every value must keep them too;
 test_work_ledger.py compares them with the scenarios the session cache runs.
 
@@ -20,7 +21,9 @@ import sys
 from pathlib import Path
 
 LEDGER = Path(__file__).with_name("work_ledger.json")
-KEYS = ("runs", "steps", "newton_iters", "linear_iters", "damped_steps", "snapshots")
+KEYS = (
+    "runs", "steps", "newton_iters", "linear_iters", "damped_steps", "snapshots", "vcycle_iters"
+)
 
 
 @contextlib.contextmanager
@@ -32,7 +35,7 @@ def counting(work: dict):
     """
     from maflow import cli, flow, io, psh, verify
 
-    run, advance = flow.run, flow._advance
+    run, advance, vcycle_step = flow.run, flow._advance, flow._vcycle_step
 
     def counted_run(*args, **kwargs):
         work["runs"] += 1
@@ -49,15 +52,19 @@ def counting(work: dict):
         work["damped_steps"] += int(diag["damping"] < 1.0)
         return step
 
+    def counted_vcycle_step(*args, **kwargs):
+        work["vcycle_iters"] += 1
+        return vcycle_step(*args, **kwargs)
+
     modules = (cli, flow, io, psh, verify)
     sites = [(m, name) for m in modules for name, value in vars(m).items() if value is run]
-    flow._advance = counted_advance
+    flow._advance, flow._vcycle_step = counted_advance, counted_vcycle_step
     for module, name in sites:
         setattr(module, name, counted_run)
     try:
         yield work
     finally:
-        flow._advance = advance
+        flow._advance, flow._vcycle_step = advance, vcycle_step
         for module, name in sites:
             setattr(module, name, run)
 
