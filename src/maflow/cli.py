@@ -738,16 +738,29 @@ def _without_trajectory(directory: Path):
         )
 
 
-def _manifest(directory) -> dict:
-    """The manifest of an archive directory.
+# the manifest values `io.load_trajectory` takes as they are, typed as a document's
+MANIFEST_TYPES = {
+    "schedule": list[float], "stored_indices": list[int], "diagnostics": list[dict] | None
+}
 
-    A nef family or audit-mode archive, which has none, is refused by its
-    mode (`_without_trajectory`).
+
+def _manifest(directory) -> dict:
+    """The manifest of an archive directory, its values typed as a document's are.
+
+    Each of MANIFEST_TYPES it holds is refused by file and key unless of its
+    type, and flow_config unless it is a document's flow section.  A nef
+    family or audit-mode archive, which has none, is refused by its mode
+    (`_without_trajectory`).
     """
     where = Path(directory) / "manifest.json"
     if not where.is_file():
         _without_trajectory(Path(directory))
-    return archive_io.read_json(where)
+    manifest = _check(str(where), dict, archive_io.read_json(where))
+    for key in MANIFEST_TYPES.keys() & manifest.keys():
+        _check(f"{where} {key}", MANIFEST_TYPES[key], manifest[key])
+    if manifest.get("flow_config") is not None:
+        _typed(f"{where} flow_config", FlowConfig, manifest["flow_config"])
+    return manifest
 
 
 def _load_any(directory, manifest: dict = None):

@@ -18,12 +18,12 @@ solve of a shifted -(1/4) Laplacian (grid.solve_shifted_laplacian: real
 FFTs at n = 1, per-axis matrices at n = 2) with a pointwise scaling built from
 the harmonic mean of w's eigenvalues (w = theta + dd^c phi), matched to the
 Jacobian at the stiffness of the current Newton residual, so it keeps up
-where w nears the edge of the positive cone.  At n = 1 that solve inverts
-the Laplacian the Hessian takes, so each Krylov step reads the Jacobian of
-the preconditioned vector off the solve instead of taking a Hessian.  At
-n = 1 on fd grids every correction is preconditioned instead by a
-multigrid V-cycle on w J (grid.ShiftedVCycle), whose iterations do not
-grow with the grid, wherever its operator is positive (1/dt + F_s > 0).
+where w nears the edge of the positive cone.  At n = 1 on fd grids a
+float32 multigrid V-cycle on w J (grid.ShiftedVCycle), whose iterations do
+not grow with the grid, preconditions every correction instead wherever its
+operator is positive (1/dt + F_s > 0).  Each Krylov step applies the
+preconditioner, then the Jacobian; but the n = 1 FFT solve inverts the
+Laplacian the Hessian takes, so its step reads the Jacobian off the solve.
 
 A flow state is evaluated in one place, `_Workspace`: its Hessian, the form
 theta_t + dd^c phi with its cone margin, det and the right-hand side, and
@@ -533,7 +533,7 @@ class _Correction:
     power spectrum into them, then the shift + symbol into the second,
     which inverse becomes, and every later solve or Hessian transforms into
     the first.  vcycle (None unless `cycles`: n = 1, fd) is the
-    `grid.ShiftedVCycle` that `_krylov_step` takes (`_vcycle_step`).
+    `grid.ShiftedVCycle` that `_vcycle_preconditioner` lays out.
 
     A float64 correction makes every array it holds and solves in the
     workspace's own w, det and R (`operands`).  A float32 one (n = 2)
@@ -771,18 +771,22 @@ def _jacobian(total, det, fs, dt, ws):
     """The Newton operator v -> v/dt + F_s v - tr(w^-1 H(v)), w = total, det = det(w).
 
     It is called as apply(v, out=None), writes H(v) into ws.correction's hv
-    and returns its result, written into out when given; total, det, v and
-    out are in the correction's dtype.  ws is the run's workspace; total
-    may be its w, as no scratch the apply takes lies there.
+    and returns its result, written into out (not v) when given; total,
+    det, v and out are in the correction's dtype.  ws is the run's
+    workspace; total may be its w, as no scratch the apply takes lies
+    there.  At n = 1 the trace is taken in hv, and out, when given, is the
+    fd Hessian's scratch, as it is written only after: such an apply writes
+    no array of the correction's but hv.
     """
     inv_dt = 1.0 / dt
     cor = ws.correction
     fs = np.asarray(fs, dtype=cor.dtype)
-    spare = cor.tmp[2]
+    spare, one = cor.tmp[2], ws.grid.n == 1
 
     def apply(v, out=None):
-        hv = hessian_components(v, ws.grid, ws.backend, cor.hv, spare, cor.spectrum)
-        tr = comps_trace_inv(total, hv, spare, hv, det)
+        scratch = out if one and out is not None else spare
+        hv = hessian_components(v, ws.grid, ws.backend, cor.hv, scratch, cor.spectrum)
+        tr = comps_trace_inv(total, hv, hv[0] if one else spare, hv, det)
         out = np.multiply(v, inv_dt, out=out)
         out -= tr
         out += np.multiply(fs, v, out=hv[0])
@@ -831,7 +835,7 @@ def _preconditioner(total, det, R, fs, dt, ws):
     D -> s and M follows the pointwise degeneracy of w at the cone's edge.
     The Laplacian is the one the backend's Hessian takes, which is what
     lets `_krylov_step` skip the Hessian at n = 1.  There, on fd grids, the
-    solves take a V-cycle instead (`_vcycle_step`) wherever its operator is
+    V-cycle (`_vcycle_preconditioner`) replaces it wherever its operator is
     positive, as with w spanning decades the frozen scaling D leaves the
     iterations growing with the grid.
 
@@ -854,26 +858,28 @@ def _preconditioner(total, det, R, fs, dt, ws):
 def _krylov_step(total, det, R, fs, dt, ws):
     """BiCGSTAB's step(p, z, v) -> (M^-1 p, J M^-1 p) for one Newton iteration.
 
-    J is `_jacobian` and M^-1 `_preconditioner`, at the same arguments; z
-    and v receive the two.  At n = 2 the step applies M^-1 and then J.  At
-    n = 1 the preconditioner solves (sigma - (1/4) Laplacian) z = D p with
-    the Laplacian of the Hessian H, so H(z) = sigma z - D p and
+    J is `_jacobian`, and z and v receive the two.  M^-1 is the correction's
+    V-cycle (`_vcycle_preconditioner`) where it has one (`_Correction.cycles`:
+    n = 1, fd) and 1/dt + F_s > 0 everywhere, which keeps the cycle's
+    operator positive definite, and `_preconditioner` elsewhere.  The step
+    applies M^-1 and then J, but at n = 1 under `_preconditioner`, whose
+    solve (sigma - (1/4) Laplacian) z = D p takes the Laplacian of the
+    Hessian H, so H(z) = sigma z - D p and
 
         J z = z/dt + F_s z - H(z)/w = a z + b p,
         a = 1/dt + F_s - sigma/w,  b = D/w,
 
-    with a and b laid out here, in ws.correction's tmp[0] and tmp[1]: the
+    with a and b laid out here, in ws.correction's tmp[0] and tmp[1]: that
     step takes no Hessian, and it agrees with the composition to rounding.
     Until the solve ends, the correction's tmp (which its hv shares) belongs
-    to the step, so no `_jacobian` may run on ws meanwhile.
-
-    Where the correction has a V-cycle (`_Correction.cycles`: n = 1, fd)
-    and 1/dt + F_s > 0 everywhere, which keeps the cycle's operator positive
-    definite, M^-1 is that cycle instead (`_vcycle_step`); elsewhere the
-    FFT step above runs.
+    to the step, so no other `_jacobian` may run on ws meanwhile.
     """
-    if ws.grid.n == 2:
+    cor, precond = ws.correction, None
+    if cor.vcycle is not None and 1.0 / dt + float(np.min(fs)) > 0.0:
+        precond = _vcycle_preconditioner(total[0], fs, dt, cor)
+    elif ws.grid.n == 2:
         precond = _preconditioner(total, det, R, fs, dt, ws)
+    if precond is not None:
         jacobian = _jacobian(total, det, fs, dt, ws)
 
         def step(p, z, v):
@@ -881,9 +887,6 @@ def _krylov_step(total, det, R, fs, dt, ws):
             return z, jacobian(z, v)
 
         return step
-    cor = ws.correction
-    if cor.vcycle is not None and 1.0 / dt + float(np.min(fs)) > 0.0:
-        return _vcycle_step(total[0], fs, dt, cor.vcycle)
     grid, backend, spectrum = ws.grid, ws.backend, cor.spectrum
     scale, sigma, shift = _preconditioner_terms(total, det, R, fs, dt, ws)
     a, b, spare = cor.tmp
@@ -903,28 +906,23 @@ def _krylov_step(total, det, R, fs, dt, ws):
     return step
 
 
-def _vcycle_step(w, fs, dt, vcycle):
-    """BiCGSTAB's step(p, z, v) -> (M^-1 p, J M^-1 p) through a V-cycle, at n = 1 (fd).
+def _vcycle_preconditioner(w, fs, dt, cor):
+    """M^-1 p = V(w p) at n = 1 (fd), V the `grid.ShiftedVCycle` of cor, the correction.
 
-    Every n = 1 fd Newton iteration with 1/dt + F_s > 0 everywhere takes it.
-    w J = A = w (1/dt + F_s) - H, H the fd Hessian, is c - (1/4) Laplacian
-    with c = w (1/dt + F_s) > 0, so J^-1 = A^-1 w and M^-1 p = V(w p), V
-    the correction's `grid.ShiftedVCycle` vcycle for A, laid out here from
-    c.  The step forms w p in v, which the cycle reads until it returns,
-    then applies J z = A z / w into v with the same stencil, so it takes no
-    Hessian.
+    w J = w (1/dt + F_s) - H, H the fd Hessian, is c - (1/4) Laplacian with
+    c = w (1/dt + F_s) > 0, so J^-1 = (w J)^-1 w, and V, a cycle for w J
+    laid out here, preconditions it.  c is formed in float64 in BiCGSTAB's
+    best vector, free until the solve starts.  It is called as apply(p, out)
+    and forms w p in out, which the cycle reads before it writes there.
     """
-    c = np.add(fs, 1.0 / dt, out=vcycle.fine[0])
+    c = np.add(fs, 1.0 / dt, out=cor.krylov[-1])
     c *= w
-    vcycle.prepare()
+    cor.vcycle.prepare(c)
 
-    def step(p, z, v):
-        z = vcycle(np.multiply(w, p, out=v), z)
-        v = vcycle.apply(z, v)
-        v /= w
-        return z, v
+    def apply(p, out):
+        return cor.vcycle(np.multiply(w, p, out=out), out)
 
-    return step
+    return apply
 
 
 def _lagrange_weights(nodes, t) -> list:

@@ -29,8 +29,8 @@ the stiffness it is matched at), a multigrid V-cycle for the n=1 fd
 Laplacian shifted by a pointwise c (the preconditioner of n=1 fd Newton
 corrections, whose coarsest 4^2 level LAPACK's inverse solves exactly) and
 Gaussian smoothing (mollification).  One fd quarter Laplacian serves the
-n=1 fd Hessian, the V-cycle's operator and its coarsest level; the cycle's
-float32 levels take a stencil of their own.
+n=1 fd Hessian and the V-cycle's coarsest level; the cycle's float32 levels
+take a stencil of their own.
 At n=1 they are Fourier symbols applied with real FFTs, and fd stencils
 built from slices.  At n=2 derivatives and the preconditioner's operator
 are per-axis N x N matrices applied axis by axis (Trefethen, Spectral
@@ -52,7 +52,7 @@ matrices, cached beside the float64 ones, and give float32 (and complex64)
 results.  The flow solves its Newton correction in float32 on the grids
 `correction_dtype` names, n=2 from SINGLE_PRECISION_RESOLUTION points per
 axis up, and in float64 everywhere else; every other operator here is
-float64 only, but for the V-cycle's levels, which run in float32.  The
+float64 only, but for the V-cycle, which runs in float32 only.  The
 n=2 caches hold N x N arrays only: the grid-shaped symbol the solve and
 the Rayleigh quotient need is laid out into their scratch when they run.
 """
@@ -607,14 +607,15 @@ def _hessian_axes(values, grid, backend, out=None, scratch=None):
 # point held it but made the scenario's flow about 17% slower.
 #
 # The cycle only preconditions a BiCGSTAB solve to a relative 1e-2, so it
-# runs in float32 while the operator BiCGSTAB applies stays float64 (C. T.
-# Kelley, "Newton's method in mixed precision", SIAM Review 64, 2022): one
-# cycle on 07's corner at 128^2 leaves a residual of 0.0646 of a random
-# right-hand side in either precision.  Each level solves its system over
-# m^2/4 (m its side), d x - (the sum of x's four neighbours) = b, with b, c
-# and d = c + 4 over m^2/4, by calls laid out once on 1-D or contiguous
-# views and 0-d constants, strided views only copied: numpy allocates no
-# iterator or buffer for those.
+# runs in float32 only, while the operator BiCGSTAB applies is the flow's
+# float64 Newton operator (C. T. Kelley, "Newton's method in mixed
+# precision", SIAM Review 64, 2022): one cycle on 07's corner at 128^2
+# leaves a residual of 0.0646 of a random right-hand side in either
+# precision.  Each level solves its system over m^2/4 (m its side), d x -
+# (the sum of x's four neighbours) = b, with b, c and d = c + 4 over m^2/4,
+# by calls laid out once on 1-D or contiguous views and 0-d constants,
+# strided views only copied: numpy allocates no iterator or buffer for
+# those.
 
 MULTIGRID_COARSEST = 4
 # damped Jacobi's weight, and its sweeps before and after the coarse
@@ -711,48 +712,22 @@ def _prolongation(coarse, fine, scratch, spare):
     ]
 
 
-def _restrict(fine, out, scratch):
-    """Full weighting of fine (2m x 2m) into out (m x m), through 3m^2 scratch values."""
-    for call in _restriction(fine, out, scratch, 1.0 / 16.0):
-        call()
-    return out
-
-
-def _prolong_add(coarse, fine, scratch, spare):
-    """fine (2m x 2m) += coarse (m x m) interpolated, through 2m^2 values of each scratch."""
-    for call in _prolongation(coarse, fine, scratch, spare):
-        call()
-    return fine
-
-
-def _shifted_apply(values, c, h, out, scratch):
-    """(c - (1/4) Laplacian) values at n = 1, the fd Laplacian at spacing h, into out.
-
-    out and scratch are arrays shaped like values, aliasing neither it nor
-    each other.
-    """
-    _fd_quarter_laplacian(values, h, out, scratch)
-    return np.subtract(np.multiply(c, values, out=scratch), out, out=out)
-
-
 class ShiftedVCycle:
     """A V-cycle approximating (c - (1/4) Laplacian)^-1 on an n = 1 fd grid of N^2 points, N >= 8.
 
-    It makes its own arrays (`nbytes` counts them): fine, (c, s), float64
-    N x N, and in float32 (d, dinv, b, x) per smoothed level, the fine one
-    first, the coarsest c, b and x, its inverse, spread (its solve's
-    scratch) and scale, 4 / N^2.  The caller writes c (positive) into
-    fine[0], and `prepare` lays out the rest from it.  s is `apply`'s
-    scratch, and the cycle's as two float32 halves, each level's from their
-    first values.  A cycle makes the calls `__init__` lays out and
-    allocates nothing; `prepare` only the inverse that LAPACK returns.
+    It makes its own arrays, all float32 (`nbytes` counts them): (d, dinv,
+    b, x) per smoothed level, the fine one first, the coarsest c, b and x,
+    its inverse, spread (its solve's scratch), scale, 4 / N^2, and halves,
+    two scratch fields of N^2 values, each level's from their first values.
+    `prepare` lays out every level from c.  A cycle makes the calls
+    `__init__` lays out and allocates nothing; `prepare` only the inverse
+    that LAPACK returns.
     """
 
     def __init__(self, N: int):
         *smoothed, q = _multigrid_sides(N)
-        self.fine = c, s = np.empty((N, N)), np.empty((N, N))
-        self.spacing, self.scale = 1.0 / N, np.array(4.0 / N**2, np.float32)
-        halves = s.reshape(-1).view(np.float32).reshape(2, -1)
+        self.scale = np.array(4.0 / N**2, np.float32)
+        self.halves = halves = np.empty((2, N * N), np.float32)
         self.levels = [tuple(np.empty((4, m, m), np.float32)) for m in (N, *smoothed)]
         self.coarsest_c, *self.coarsest = (np.empty((q, q), np.float32) for _ in range(3))
         self.inverse, self.spread = (np.empty((q * q, q * q), np.float32) for _ in range(2))
@@ -789,13 +764,13 @@ class ShiftedVCycle:
         """The bytes of the arrays a `ShiftedVCycle(N)` makes."""
         *smoothed, q = _multigrid_sides(N)
         levels = sum(4 * m * m for m in (N, *smoothed))
-        return 16 * N * N + 4 * (levels + 3 * q * q + 2 * q**4 + 1)
+        return 4 * (2 * N * N + levels + 3 * q * q + 2 * q**4 + 1)
 
-    def prepare(self):
-        """Lay out each level's d and Jacobi weights, and the coarsest c and inverse, from c."""
-        c = self.levels[0][0]
-        np.copyto(c, self.fine[0])
-        c *= self.scale  # over N^2/4
+    def prepare(self, c):
+        """Lay out each level's d and Jacobi weights, and the coarsest c and inverse, from c > 0."""
+        fine = self.levels[0][0]
+        np.copyto(fine, c)
+        fine *= self.scale  # over N^2/4
         for call in self.coarsening:
             call()
         for d, dinv, _, _ in self.levels:
@@ -805,11 +780,6 @@ class ShiftedVCycle:
         np.copyto(inverse, _coarsest_quarter_laplacian())
         inverse.reshape(-1)[:: len(inverse) + 1] += self.coarsest_c.reshape(-1)
         np.copyto(inverse, np.linalg.inv(inverse))
-
-    def apply(self, values, out):
-        """(c - (1/4) Laplacian) values on the fine level in float64, into out; s is its scratch."""
-        c, s = self.fine
-        return _shifted_apply(values, c, self.spacing, out, s)
 
     def __call__(self, b, out):
         """The V-cycle from zero for the fine system with right-hand side b, into out (float64)."""

@@ -127,8 +127,19 @@ def load_field(path) -> tuple:
     path = Path(path)
     side_path = path.with_suffix(".json") if path.suffix == ".bin" else path
     sidecar = _read_sidecar(side_path)
-    grid = TorusGrid(int(sidecar["n"]), int(sidecar["resolution"]))
-    return _read_snapshot(side_path.with_suffix(".bin"), grid), sidecar
+    return _read_snapshot(side_path.with_suffix(".bin"), _stored_grid(side_path, sidecar)), sidecar
+
+
+def _stored_grid(where, record) -> TorusGrid:
+    """The grid of record's n and resolution; one that is no integer is a ConfigError naming
+    where and its key."""
+    sizes = {}
+    for key in ("n", "resolution"):
+        try:
+            sizes[key] = int(record[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{where} has a malformed grid {key!r} ({exc!r})") from None
+    return TorusGrid(**sizes)
 
 
 def read_json(path):
@@ -347,10 +358,7 @@ def manifest_grid(directory, manifest: dict) -> TorusGrid:
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise ConfigError(f"{where} lacks {missing[0]!r}")
-    try:
-        return TorusGrid(int(manifest["grid"]["n"]), int(manifest["grid"]["resolution"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} has a malformed grid ({exc!r})") from None
+    return _stored_grid(where, manifest["grid"])
 
 
 def cascade_entry(directory, manifest: dict) -> dict:

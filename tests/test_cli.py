@@ -1194,6 +1194,53 @@ def test_verify_names_a_key_the_manifest_lacks(tmp_path, capsys, key):
 
 
 @pytest.fixture(scope="module")
+def energy_archive(tmp_path_factory):
+    """Scenario 09's archive, run once for the module."""
+    out = tmp_path_factory.mktemp("energy") / "out"
+    run_scenario("09-energy-monotone", out)
+    return out
+
+
+def snapshot_with_n_one(manifest, out):
+    """Start the archived scenario from a copy of its first snapshot whose sidecar says n = "one"."""
+    side = out.parent / "snap" / "u.json"
+    side.parent.mkdir()
+    shutil.copy(out / "phi_000000.bin", side.with_suffix(".bin"))
+    side.write_text(json.dumps({**json.loads((out / "phi_000000.json").read_text()), "n": "one"}))
+    manifest["run_config"]["initial"] = {"kind": "snapshot", "path": str(side)}
+    return side, "'n'"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m, out: (m["flow_config"].update(bogus=1), "flow_config.bogus"),
+        lambda m, out: (m["flow_config"].update(horizon="x"), "flow_config.horizon"),
+        lambda m, out: (m.update(flow_config=[1, 2]), "flow_config"),
+        lambda m, out: (m.update(stored_indices=["a"]), "stored_indices"),
+        lambda m, out: (m.update(diagnostics=5), "diagnostics"),
+        lambda m, out: (m.update(schedule="x"), "schedule"),
+        snapshot_with_n_one,
+    ],
+    ids=["flow-extra-key", "flow-horizon-x", "flow-list", "indices", "diagnostics", "schedule",
+         "sidecar-n"],
+)
+def test_verify_refuses_a_malformed_archive_value_by_file_and_key(
+    energy_archive, tmp_path, capsys, edit
+):
+    out = tmp_path / "out"
+    shutil.copytree(energy_archive, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    # each edit gives the file it broke (None: the manifest) and the key to name
+    where, key = edit(manifest, out)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(where or out / "manifest.json") in err and key in err
+
+
+@pytest.fixture(scope="module")
 def cascade_archive(tmp_path_factory):
     """A tiny fd cascade archive (32^2, three levels), run once for the module."""
     tmp = tmp_path_factory.mktemp("cascade")

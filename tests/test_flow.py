@@ -846,13 +846,13 @@ def test_a_warm_n1_step_allocates_only_what_it_returns(backend):
 
 def vcycle_steps(monkeypatch) -> list:
     """A list that gets the dt of each Newton iteration whose solve takes the V-cycle."""
-    real, steps = flow._vcycle_step, []
+    real, steps = flow._vcycle_preconditioner, []
 
-    def recorded(w, fs, dt, vcycle):
+    def recorded(w, fs, dt, cor):
         steps.append(dt)
-        return real(w, fs, dt, vcycle)
+        return real(w, fs, dt, cor)
 
-    monkeypatch.setattr(flow, "_vcycle_step", recorded)
+    monkeypatch.setattr(flow, "_vcycle_preconditioner", recorded)
     return steps
 
 
@@ -1122,6 +1122,7 @@ def test_the_workspace_and_correction_count_the_bytes_they_make(n, resolution, d
     cycle_bytes = 0
     if cycles:  # the cycle, made with the correction, owns its arrays too
         cycle = arrays_in(vars(correction.vcycle).values())
+        assert {a.dtype for a in cycle} == {np.dtype(np.float32)}
         assert not any(np.shares_memory(a, b) for a in cycle for b in made + own)
         cycle_bytes = distinct_bytes(cycle)
         assert cycle_bytes == grid_module.ShiftedVCycle.nbytes(resolution)
@@ -1264,13 +1265,14 @@ def test_the_n2_krylov_step_is_the_preconditioner_then_the_jacobian(backend, var
     assert np.array_equal(z, want_z) and np.array_equal(v, want_v)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_only_the_n2_krylov_step_takes_hessians(n, monkeypatch):
+@pytest.mark.parametrize("n, backend", [(1, "spectral"), (1, "fd"), (2, "spectral")])
+def test_every_krylov_step_but_the_n1_fft_one_takes_one_hessian(n, backend, monkeypatch):
+    # n = 1 fd: every step is the V-cycle's, as F_s = 0.5 > 0 keeps its operator positive
     grid = TorusGrid(n=n, resolution=16 if n == 1 else 8)
     c = grid.coordinates()
     phi0 = 0.02 * np.cos(2 * np.pi * c[0]) * np.sin(2 * np.pi * c[1])
     phi0 = ScalarField(grid, np.broadcast_to(phi0, grid.shape))
-    cfg = FlowConfig(horizon=0.003, t_min=1e-3, ratio=1.2)
+    cfg = FlowConfig(horizon=0.003, t_min=1e-3, ratio=1.2, backend=backend)
     path, omega = MetricPath.constant(grid, cfg.horizon), VolumeForm.constant(grid)
     calls = {"inside": 0, "outside": 0, "steps": 0}
     inside = []
@@ -1304,7 +1306,7 @@ def test_only_the_n2_krylov_step_takes_hessians(n, monkeypatch):
     assert calls["steps"] >= sum(d["linear_iters"] for d in traj.diagnostics) > 0
     assert calls["outside"] > 0  # the line search still takes its Hessians here
     # each step is one half of a BiCGSTAB iteration
-    assert calls["inside"] == (0 if n == 1 else calls["steps"])
+    assert calls["inside"] == (0 if backend == "spectral" and n == 1 else calls["steps"])
 
 
 @pytest.mark.parametrize("fs_kind", ["scalar", "array"])
@@ -1430,20 +1432,20 @@ def test_degenerate_run_needs_few_linear_iterations_per_newton_step():
 def cycle_contraction(phi0, dt) -> float:
     """The slowest contraction of the residual per V-cycle on the corner's first Newton system.
 
-    The system is A x = b with A = w/dt - H, w = 1 + H(phi0) and b random;
-    ten steps of the stationary iteration x += V(b - A x) from x = 0, whose
-    ratios of successive residual norms rise towards the cycle's rate.
+    The system is A x = b with A = w/dt - H, w = 1 + H(phi0) and b random,
+    H the fd Hessian; ten steps of the stationary iteration x += V(b - A x)
+    from x = 0, whose ratios of successive residual norms rise towards the
+    cycle's rate.
     """
-    grid, N = phi0.grid, phi0.grid.resolution
-    w = 1.0 + flow.hessian_components(phi0.values, grid, "fd")[0]
-    cycle = grid_module.ShiftedVCycle(N)
-    np.divide(w, dt, out=cycle.fine[0])
-    cycle.prepare()
+    grid = phi0.grid
+    c = (1.0 + flow.hessian_components(phi0.values, grid, "fd")[0]) / dt
+    cycle = grid_module.ShiftedVCycle(grid.resolution)
+    cycle.prepare(c)
     b = np.random.default_rng(0).standard_normal(grid.shape)
     x, r, e = np.zeros(grid.shape), np.empty(grid.shape), np.empty(grid.shape)
     norms = []
     for _ in range(10):
-        np.subtract(b, cycle.apply(x, r), out=r)
+        np.subtract(b, c * x - flow.hessian_components(x, grid, "fd")[0], out=r)
         norms.append(flow._l2(r))
         x += cycle(r, e)
     return max(later / earlier for earlier, later in zip(norms, norms[1:]))

@@ -20,11 +20,10 @@ from maflow.grid import (
     _fd_first,
     _fd_second,
     _multigrid_sides,
-    _prolong_add,
     _quarter_laplacian_basis,
     _quarter_laplacian_symbol,
-    _restrict,
-    _shifted_apply,
+    _prolongation,
+    _restriction,
     gaussian_smooth,
     gradient_sq,
     hessian_components,
@@ -430,7 +429,9 @@ def test_the_vcycle_transfers_are_the_roll_formulas(m):
     # full weighting: 1/4, 1/2, 1/4 along each axis, taken at the even points
     folded = np.roll(fine, 1, 0) + 2 * fine + np.roll(fine, -1, 0)
     want = (np.roll(folded, 1, 1) + 2 * folded + np.roll(folded, -1, 1))[0::2, 0::2] / 16
-    got = _restrict(fine, np.empty((m, m)), np.empty(4 * m * m))
+    got = np.empty((m, m))
+    for call in _restriction(fine, got, np.empty(4 * m * m), 1.0 / 16.0):
+        call()
     # each side sums 16 weighted values (weights summing to 16) in 8 roundings
     # of partial sums below 16 max|fine|, then scales by 1/16 exactly
     assert np.max(np.abs(got - want)) <= 2 * 8 * U * np.max(np.abs(fine))
@@ -442,7 +443,9 @@ def test_the_vcycle_transfers_are_the_roll_formulas(m):
     want[0::2, 1::2] = (coarse + right) / 2
     want[1::2, 1::2] = (coarse + down + right + np.roll(down, -1, 1)) / 4
     base = rng.standard_normal((2 * m, 2 * m))
-    got = _prolong_add(coarse, base.copy(), np.empty(4 * m * m), np.empty(4 * m * m))
+    got = base.copy()
+    for call in _prolongation(coarse, got, np.empty(4 * m * m), np.empty(4 * m * m)):
+        call()
     # each side rounds a mean of means and the add at most four times
     assert np.max(np.abs(got - base - want)) <= 2 * 4 * U * (
         np.max(np.abs(coarse)) + np.max(np.abs(base))
@@ -456,7 +459,7 @@ def test_the_coarsest_operator_and_its_inverse():
     want = -0.25 * (roll_second(values, 1 / m, 0) + roll_second(values, 1 / m, 1))
     assert np.allclose((q @ values.reshape(-1)).reshape(m, m), want, rtol=0, atol=1e-12)
     # the inverse a cycle lays out is that of q shifted by its coarsest c
-    cycle = corner_vcycle(64)
+    cycle, _ = corner_vcycle(64)
     matrix = q + np.diag(cycle.coarsest_c.reshape(-1))
     # LU with partial pivoting on a diagonally dominant matrix: a residual
     # within a few n u |matrix| |inverse| (N. J. Higham, Accuracy and
@@ -466,22 +469,27 @@ def test_the_coarsest_operator_and_its_inverse():
     assert np.max(np.abs(matrix @ cycle.inverse - np.eye(n))) <= bound
 
 
+def shifted_operator(c, x):
+    """A x = c x - H(x), H the n = 1 fd Hessian: the system a V-cycle prepared from c inverts."""
+    return c * x - hessian_components(x, TorusGrid(n=1, resolution=len(x)), "fd")[0]
+
+
 def corner_vcycle(N, dt=1e-3):
-    """A V-cycle for w/dt - (1/4) Laplacian, w = 1 + H of scenario 07's corner on N^2 fd points."""
+    """(cycle, c): a V-cycle for c - (1/4) Laplacian, c = w/dt and w = 1 + H of scenario 07's
+    corner on N^2 fd points."""
     from maflow import RoughPotential
 
     grid = TorusGrid(n=1, resolution=N)
     phi = RoughPotential.paraboloid(curvature=0.999).sample(grid).values
-    w = 1.0 + hessian_components(phi, grid, "fd")[0]
+    c = (1.0 + hessian_components(phi, grid, "fd")[0]) / dt
     cycle = ShiftedVCycle(N)
-    np.divide(w, dt, out=cycle.fine[0])
-    cycle.prepare()
-    return cycle
+    cycle.prepare(c)
+    return cycle, c
 
 
 @pytest.mark.parametrize("N", [8, 16, 64])
 def test_the_vcycle_is_linear_to_rounding(N):
-    cycle = corner_vcycle(N)
+    cycle, _ = corner_vcycle(N)
     a, b = np.random.default_rng(N).standard_normal((2, N, N))
 
     def V(rhs):
@@ -503,34 +511,23 @@ def test_the_vcycle_is_linear_to_rounding(N):
 
 @pytest.mark.parametrize("N", [8, 16, 64])
 def test_the_vcycle_applies_the_operator_it_inverts(N):
-    # fine's c, h and the stencil: (c - (1/4) Laplacian) x, the fd Laplacian
-    cycle = corner_vcycle(N)
+    # c, h and the stencil: (c - (1/4) Laplacian) x, the fd Laplacian
+    cycle, c = corner_vcycle(N)
     x = np.random.default_rng(3).standard_normal((N, N))
-    c = cycle.fine[0]
     want = c * x - 0.25 * (roll_second(x, 1 / N, 0) + roll_second(x, 1 / N, 1))
-    got = cycle.apply(x, np.empty((N, N)))
+    got = shifted_operator(c, x)
     # the stencils' terms reach (c + 2 N^2) |x|, each rounded a few times
     assert np.max(np.abs(got - want)) <= 8 * U * np.max((c + 2 * N * N) * np.abs(x))
     # one cycle from zero already removes most of the residual
     b = np.random.default_rng(4).standard_normal((N, N))
-    residual = b - cycle.apply(cycle(b, np.empty((N, N))).copy(), np.empty((N, N)))
+    residual = b - shifted_operator(c, cycle(b, np.empty((N, N))).copy())
     assert np.linalg.norm(residual) < 0.25 * np.linalg.norm(b)
-
-
-def test_the_vcycle_applies_the_float64_stencil_bit_for_bit():
-    # the Krylov operator J z = A z / w stays float64: apply is
-    # _shifted_apply with the float64 c, also after a cycle has used s
-    cycle = corner_vcycle(64)
-    x, b = np.random.default_rng(6).standard_normal((2, 64, 64))
-    cycle(b, np.empty((64, 64)))
-    want = _shifted_apply(x, cycle.fine[0].copy(), 1.0 / 64, np.empty((64, 64)), np.empty((64, 64)))
-    assert cycle.apply(x, np.empty((64, 64))).tobytes() == want.tobytes()
 
 
 def test_a_vcycle_allocates_nothing():
     # every call it makes is laid out at construction, on 1-D or contiguous
     # operands that numpy iterates without buffers, or copies of strided views
-    cycle = corner_vcycle(128)
+    cycle, _ = corner_vcycle(128)
     b, out = np.random.default_rng(7).standard_normal((2, 128, 128))
     cycle(b, out)
     tracemalloc.start()
@@ -547,5 +544,5 @@ def test_a_vcycle_allocates_nothing():
 
 def test_the_float32_vcycle_holds_no_more_than_the_float64_one():
     # the float64 cycle held 700,800 B at 128^2; its coarse levels take half
-    # as many bytes in float32, and the fine level's scratch lies in apply's
+    # as many bytes in float32, and its scratch is a float32 pair
     assert ShiftedVCycle.nbytes(128) <= 700_800

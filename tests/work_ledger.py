@@ -4,7 +4,7 @@ work_ledger.json holds, for each bundled scenario, the flow runs it makes
 (those inside its checks included), their backward-Euler steps, Newton
 iterations, linear iterations, damped steps (a line search that cut the
 Newton step), stored snapshots and the Newton iterations whose solve took
-the V-cycle (`flow._vcycle_step`).  The counts repeat exactly for the same
+the V-cycle (`flow._vcycle_preconditioner`).  The counts repeat exactly for the same
 code and numpy, so a change meant to keep every value must keep them too;
 test_work_ledger.py compares them with the scenarios the session cache runs.
 
@@ -35,7 +35,7 @@ def counting(work: dict):
     """
     from maflow import cli, flow, io, psh, verify
 
-    run, advance, vcycle_step = flow.run, flow._advance, flow._vcycle_step
+    run, advance, vcycle = flow.run, flow._advance, flow._vcycle_preconditioner
 
     def counted_run(*args, **kwargs):
         work["runs"] += 1
@@ -52,19 +52,19 @@ def counting(work: dict):
         work["damped_steps"] += int(diag["damping"] < 1.0)
         return step
 
-    def counted_vcycle_step(*args, **kwargs):
+    def counted_vcycle(*args, **kwargs):
         work["vcycle_iters"] += 1
-        return vcycle_step(*args, **kwargs)
+        return vcycle(*args, **kwargs)
 
     modules = (cli, flow, io, psh, verify)
     sites = [(m, name) for m in modules for name, value in vars(m).items() if value is run]
-    flow._advance, flow._vcycle_step = counted_advance, counted_vcycle_step
+    flow._advance, flow._vcycle_preconditioner = counted_advance, counted_vcycle
     for module, name in sites:
         setattr(module, name, counted_run)
     try:
         yield work
     finally:
-        flow._advance, flow._vcycle_step = advance, vcycle_step
+        flow._advance, flow._vcycle_preconditioner = advance, vcycle
         for module, name in sites:
             setattr(module, name, run)
 
