@@ -22,6 +22,7 @@ import inspect
 import json
 import math
 import re
+import reprlib
 import sys
 import types
 import typing
@@ -104,11 +105,12 @@ def _check(path: str, annotation, value):
     if _fits(value, annotation):
         refuse_outside(path, annotation, value)
         return value
+    got = reprlib.repr(value)  # bounded: a long list shows its first items
     if annotation in _SECTIONS:
         noun = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", annotation.__name__).lower()
-        raise ConfigError(f"{path}: a {noun} must be an object, got {value!r}")
+        raise ConfigError(f"{path}: a {noun} must be an object, got {got}")
     shown = annotation.__origin__ if hasattr(annotation, "__metadata__") else annotation
-    raise ConfigError(f"{path} must be {inspect.formatannotation(shown)}, got {value!r}")
+    raise ConfigError(f"{path} must be {inspect.formatannotation(shown)}, got {got}")
 
 
 def _typed(path: str, fn, settings, given=()):
@@ -462,6 +464,15 @@ def _resolve_checks(ctx: RunContext, names: list) -> list:
     return names
 
 
+def _refuse_unbounded_comparison(ctx: RunContext):
+    """Refuse a comparison bound ctx's data make infinite: the pair's first snapshots
+    are the data, its last time the horizon, and a default tol (None) is finite."""
+    settings = _settings("comparison", ctx)
+    lam = verify.comparison_lambda(ctx.F, settings["lam"])
+    gap0 = float((ctx.phi0.values - ctx.psi0.values).max())
+    verify.comparison_bound(lam, ctx.cfg.horizon, gap0, settings["tol"] or 0.0)
+
+
 def _uncertified(F: DrivingTerm) -> bool:
     return F.defect is None or not F.smooth
 
@@ -663,6 +674,8 @@ def cmd_run(args, forced_mode: str = None) -> int:
     ctx = scenario(doc, forced_mode)
     names = _resolve_checks(ctx, list(args.check or doc.get("checks", [])))
     _within_budget("the run", doc["grid"], array_estimate(ctx, names))
+    if "comparison" in names:  # before any flow runs, once the data may be sampled
+        _refuse_unbounded_comparison(ctx)
 
     # everything goes to a staged directory that reaches out only if the run ends normally
     with archive_io.staged(out) as stage:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import reprlib
 
 
 class MaflowError(Exception):
@@ -41,7 +42,7 @@ def each(domain) -> tuple:  # a list's, whose every item lies in domain
 def refuse_outside(name: str, annotation, value):
     for holds, text in getattr(annotation, "__metadata__", ()):
         if value is not None and not holds(value):
-            raise ConfigError(f"{name} must be {text}, got {value!r}")
+            raise ConfigError(f"{name} must be {text}, got {reprlib.repr(value)}")
 
 
 # fn's signature with its annotations evaluated, resolved once per function

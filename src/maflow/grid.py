@@ -28,11 +28,10 @@ the core of the flow's preconditioner, and the Rayleigh quotient that sets
 the stiffness it is matched at), a multigrid V-cycle for the n=1 fd
 Laplacian shifted by a pointwise c (the preconditioner of n=1 fd Newton
 corrections, whose coarsest 4^2 level LAPACK's inverse solves exactly) and
-Gaussian smoothing (mollification).  One fd quarter Laplacian serves the
-n=1 fd Hessian and the V-cycle's coarsest level; the cycle's float32 levels
-take a stencil of their own.
+Gaussian smoothing (mollification).  One n=1 fd stencil, a neighbour sum
+on flat views, serves the fd Hessian and every level of the V-cycle.
 At n=1 they are Fourier symbols applied with real FFTs, and fd stencils
-built from slices.  At n=2 derivatives and the preconditioner's operator
+on flat views and slices.  At n=2 derivatives and the preconditioner's operator
 are per-axis N x N matrices applied axis by axis (Trefethen, Spectral
 Methods in MATLAB, ch. 3): 4-D FFTs cost more there than N x N products,
 while at n=1 the dense products lose to the FFT.  Gaussian smoothing stays
@@ -373,7 +372,8 @@ def _axis_matrices(N, backend):
     eye = np.eye(N)
     if backend == "fd":
         h = 1.0 / N
-        return _freeze(_fd_first(eye, h, 0)), _freeze(_fd_second(eye, h, 0))
+        up = np.eye(N, k=1) + np.eye(N, k=1 - N)  # row i picks point i + 1, periodic
+        return _freeze(_fd_first(eye, h, 0)), _freeze((up + up.T - 2.0 * eye) / h**2)
     k = np.fft.fftfreq(N, 1.0 / N)
     modes = np.fft.fft(eye, axis=0)
     d1 = np.fft.ifft((2j * np.pi * k)[:, None] * modes, axis=0).real
@@ -476,43 +476,20 @@ def _along_every_axis(m, values, out=None, scratch=None):
 # derivatives
 
 
-def _fd_second(values, h, axis, out=None):
-    """((v[i+1] - 2 v[i]) + v[i-1]) / h^2 along axis, periodic, into out when given.
+def _fd_quarter_laplacian(values, h, out=None, scratch=None):
+    """(1/4) Laplacian of an m x m array, the fd stencil at spacing h, into out when given.
 
-    out must not alias values.  The interior is updated in place on flat
-    C-order views, where a neighbour is one axis stride away: numpy copies
-    an operand of an in-place update that is a non-contiguous slice, but
-    not a contiguous one.  The two end slabs, which the flat views get
-    wrong, are then written afresh; for a 2-D array they are 1-D, so no
-    copy is made anywhere.
+    It is (`_neighbour_sum` - 4 values) / (4 h^2).  The sum rounds at the
+    scale of |values|; 1/(4 h^2), a power of two at a spacing of 1/2^k,
+    rounds nothing.  out (C-contiguous) and scratch, which takes 4 values,
+    are shaped like values, aliasing neither it nor each other.
     """
     if out is None:
         out = np.empty(values.shape)
-    np.multiply(values, 2.0, out=out)
-    d = math.prod(values.shape[axis + 1 :])
-    v, o = values.reshape(-1), np.reshape(out, -1, copy=False)
-    np.subtract(v[d:], o[:-d], out=o[:-d])
-    o[d:] += v[:-d]
-    v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
-    for i in (0, -1):
-        np.multiply(v[i], 2.0, out=o[i])
-        np.subtract(v[i + 1], o[i], out=o[i])
-        o[i] += v[i - 1]
-    out /= h**2
-    return out
-
-
-def _fd_quarter_laplacian(values, h, out=None, scratch=None):
-    """(1/4) Laplacian over values' last two axes, the fd stencil at spacing h, into out when given.
-
-    It sums the two second differences at spacing 2h.  (2h)^2 is 4 h^2
-    exactly, so each quotient, and so the sum, is bit for bit a quarter of
-    the one at h, short of underflow.  out and scratch, when given, are
-    shaped like values, aliasing neither it nor each other.
-    """
-    axis = values.ndim - 2
-    out = _fd_second(values, 2.0 * h, axis, out)
-    out += _fd_second(values, 2.0 * h, axis + 1, scratch)
+    for call in _neighbour_sum(values, out):
+        call()
+    out -= np.multiply(values, 4.0, out=scratch)
+    out *= 0.25 / h**2
     return out
 
 
@@ -542,8 +519,8 @@ def hessian_components(
     quarter Laplacian (phi_xx + phi_yy)/4.  out, when given, is a form's
     arrays (none aliasing values) that receive the components and are
     returned.  scratch, a grid-shaped float array, holds the n=2 partial
-    products and the n=1 fd stencil along the second axis; spectrum[0]
-    holds the n=1 spectral transform.
+    products and the n=1 fd stencil's 4 values; spectrum[0] holds the n=1
+    spectral transform.
     """
     if backend not in BACKENDS:
         raise ConfigError(f"unknown derivative backend {backend!r}")
@@ -641,19 +618,19 @@ def _multigrid_sides(N: int) -> tuple:
 def _coarsest_quarter_laplacian():
     """The matrix of -(1/4) Laplacian (fd) on the coarsest level's points, in C order."""
     m = MULTIGRID_COARSEST
-    eye = np.eye(m * m).reshape(m * m, m, m)
-    return _freeze(-_fd_quarter_laplacian(eye, 1.0 / m).reshape(m * m, m * m))
+    rows = [_fd_quarter_laplacian(e, 1.0 / m) for e in np.eye(m * m).reshape(m * m, m, m)]
+    return _freeze(-np.reshape(rows, (m * m, m * m)))
 
 
 def _neighbour_sum(x, out):
     """The calls that write into out the sum of each point's four periodic neighbours in x.
 
-    x and out are C-contiguous m x m arrays, on whose flat views a point's
-    neighbours are 1 and m values away: the first call sums the row
-    neighbours but in the wrap columns, written next, and the rest add the
-    column neighbours, the wrap rows apart.
+    On the flat C-order views of x and out, m x m arrays (out's reshape
+    raises if it has none), a point's neighbours are 1 and m values away:
+    the first call sums the row neighbours but in the wrap columns, written
+    next, and the rest add the column neighbours, the wrap rows apart.
     """
-    m, v, o = len(x), x.reshape(-1), out.reshape(-1)
+    m, v, o = len(x), x.reshape(-1), np.reshape(out, -1, copy=False)
     return [
         partial(np.add, v[:-2], v[2:], o[1:-1]),
         partial(np.add, x[:, -1], x[:, 1], out[:, 0]),

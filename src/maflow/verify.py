@@ -159,6 +159,31 @@ ROLE_SLACK = 1e-8
 ROLES = ("solution", "sub", "subsolution", "super", "supersolution")  # check_comparison's
 
 
+def comparison_lambda(F: DrivingTerm = None, lam: float | None = None) -> float:
+    """check_comparison's lam: by default F's certified monotonicity defect, or 0
+    without one; a lam below that defect is refused."""
+    if lam is None:
+        return (F is not None and F.defect) or 0.0
+    if F is not None and F.defect is not None and lam < F.defect - 1e-12:
+        raise ConfigError(f"lambda = {lam} is below the certified monotonicity defect {F.defect}")
+    return lam
+
+
+def comparison_bound(lam: float, T: float, gap0: float, tol: float) -> float:
+    """e^{lam T} max(gap0, 0) + tol, refused when not finite; 0 + tol for gap0 <= 0, however
+    large lam T is."""
+    try:
+        bound = (math.exp(lam * T) * gap0 if gap0 > 0.0 else 0.0) + tol
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ConfigError(
+            f"the comparison bound e^(lam T) max(gap0, 0) + tol is not finite for lam = {lam} "
+            f"and horizon T = {T} (gap0 = {gap0:.6g}, tol = {tol:.6g}); lower lam or the horizon"
+        )
+    return bound
+
+
 @declared
 def check_comparison(
     phi: FlowTrajectory,
@@ -176,22 +201,15 @@ def check_comparison(
     phi plays the sub-solution role and psi the super-solution role.  When
     path, F and omega_form are supplied the declared roles are re-verified
     from recomputed residual signs before any margin is claimed.  A pair
-    that stores no snapshot after t = 0 compares nothing and is refused.  lam
-    defaults to F's certified monotonicity defect, or 0 without one.  A
-    bound past the largest float (lam T too large for a positive initial
-    gap) is refused, never passed.
+    that stores no snapshot after t = 0 compares nothing and is refused, as
+    are a lam and a bound that `comparison_lambda` and `comparison_bound` refuse.
     """
     if phi.grid.n != psi.grid.n or phi.grid.resolution != psi.grid.resolution:
         raise ConfigError("mismatched discretizations: comparison needs one grid")
     worst, t_worst, j_worst = ordering_gap(psi, phi)
     if max(phi.times) <= 0.0:
         raise MissingSnapshotsError("comparison needs a stored snapshot after t = 0")
-    if lam is None:
-        lam = (F is not None and F.defect) or 0.0
-    if F is not None and F.defect is not None and lam < F.defect - 1e-12:
-        raise ConfigError(
-            f"lambda = {lam} is below the certified monotonicity defect {F.defect}"
-        )
+    lam = comparison_lambda(F, lam)
     grid = phi.grid
     backend = phi.config.backend if phi.config is not None else "spectral"
     osc = max(oscillation(phi.fields[0]), oscillation(psi.fields[0]))
@@ -215,18 +233,8 @@ def check_comparison(
                     f"{side} declared a supersolution but its residual reaches {ext['min']:.3e}"
                 )
 
-    T = float(phi.times[-1])
     gap0 = float((phi.fields[0].values - psi.fields[0].values).max())
-    try:  # e^{lam T} max(gap0, 0) is 0 for gap0 <= 0, however large lam T is
-        bound = (math.exp(lam * T) * gap0 if gap0 > 0.0 else 0.0) + tol
-    except OverflowError:
-        bound = math.inf
-    if not math.isfinite(bound):
-        raise ConfigError(
-            f"the comparison bound e^(lam T) max(gap0, 0) + tol is not finite for lam = {lam} "
-            f"and horizon T = {T} (gap0 = {gap0:.6g}, tol = {tol:.6g}); lower lam or the horizon"
-        )
-    margin = bound - worst
+    margin = comparison_bound(lam, float(phi.times[-1]), gap0, tol) - worst
     return MarginReport(
         name="comparison",
         anchor="sup-difference-exponential",
