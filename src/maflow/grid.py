@@ -28,8 +28,10 @@ the core of the flow's preconditioner, and the Rayleigh quotient that sets
 the stiffness it is matched at), a multigrid V-cycle for the n=1 fd
 Laplacian shifted by a pointwise c (the preconditioner of n=1 fd Newton
 corrections, whose coarsest 4^2 level LAPACK's inverse solves exactly) and
-Gaussian smoothing (mollification).  One n=1 fd stencil, a neighbour sum
-on flat views, serves the fd Hessian and every level of the V-cycle.
+Gaussian smoothing (mollification).  One fd quarter Laplacian serves the
+n=1 fd Hessian and the V-cycle's coarsest level; the cycle's float32 levels
+take a neighbour sum of their own, which rounds at the scale of |x|, as a
+preconditioner may, where the Hessian's second differences do not.
 At n=1 they are Fourier symbols applied with real FFTs, and fd stencils
 on flat views and slices.  At n=2 derivatives and the preconditioner's operator
 are per-axis N x N matrices applied axis by axis (Trefethen, Spectral
@@ -479,16 +481,28 @@ def _along_every_axis(m, values, out=None, scratch=None):
 def _fd_quarter_laplacian(values, h, out=None, scratch=None):
     """(1/4) Laplacian of an m x m array, the fd stencil at spacing h, into out when given.
 
-    It is (`_neighbour_sum` - 4 values) / (4 h^2).  The sum rounds at the
-    scale of |values|; 1/(4 h^2), a power of two at a spacing of 1/2^k,
-    rounds nothing.  out (C-contiguous) and scratch, which takes 4 values,
-    are shaped like values, aliasing neither it nor each other.
+    The second differences (v[i+1] - 2 v[i]) + v[i-1], the columns' into out
+    and the rows' into scratch, are written on flat C-order views, where a
+    neighbour is m or 1 values away, and the wrap rows or columns afresh.
+    Unlike a sum of the four neighbours, they do not round at the scale of
+    |values|.  Their sum is scaled by 1/(4 h^2), a power of two at a spacing
+    of 1/2^k.  out and scratch are C-contiguous (a reshape raises otherwise),
+    shaped like values and aliasing neither it nor each other.
     """
-    if out is None:
-        out = np.empty(values.shape)
-    for call in _neighbour_sum(values, out):
-        call()
-    out -= np.multiply(values, 4.0, out=scratch)
+    out = np.empty(values.shape) if out is None else out
+    scratch = np.empty(values.shape) if scratch is None else scratch
+    v = values.reshape(-1)
+    for axis, o, d in ((0, out, len(values)), (1, scratch, 1)):
+        f, ends, wraps = np.reshape(o, -1, copy=False), values.swapaxes(0, axis), o.swapaxes(0, axis)
+        np.multiply(values, 2.0, out=o)
+        np.subtract(v[d:], f[:-d], out=f[:-d])
+        np.multiply(ends[-1], 2.0, out=wraps[-1])  # the last slab's next is the first
+        np.subtract(ends[0], wraps[-1], out=wraps[-1])
+        f[d:] += v[:-d]
+        np.multiply(ends[0], 2.0, out=wraps[0])  # the first slab's previous is the last
+        np.subtract(ends[1], wraps[0], out=wraps[0])
+        wraps[0] += ends[-1]
+    out += scratch
     out *= 0.25 / h**2
     return out
 
@@ -519,8 +533,8 @@ def hessian_components(
     quarter Laplacian (phi_xx + phi_yy)/4.  out, when given, is a form's
     arrays (none aliasing values) that receive the components and are
     returned.  scratch, a grid-shaped float array, holds the n=2 partial
-    products and the n=1 fd stencil's 4 values; spectrum[0] holds the n=1
-    spectral transform.
+    products and the n=1 fd stencil along the second axis; spectrum[0]
+    holds the n=1 spectral transform.
     """
     if backend not in BACKENDS:
         raise ConfigError(f"unknown derivative backend {backend!r}")
@@ -625,12 +639,12 @@ def _coarsest_quarter_laplacian():
 def _neighbour_sum(x, out):
     """The calls that write into out the sum of each point's four periodic neighbours in x.
 
-    On the flat C-order views of x and out, m x m arrays (out's reshape
-    raises if it has none), a point's neighbours are 1 and m values away:
-    the first call sums the row neighbours but in the wrap columns, written
-    next, and the rest add the column neighbours, the wrap rows apart.
+    x and out are C-contiguous m x m arrays, on whose flat views a point's
+    neighbours are 1 and m values away: the first call sums the row
+    neighbours but in the wrap columns, written next, and the rest add the
+    column neighbours, the wrap rows apart.
     """
-    m, v, o = len(x), x.reshape(-1), np.reshape(out, -1, copy=False)
+    m, v, o = len(x), x.reshape(-1), out.reshape(-1)
     return [
         partial(np.add, v[:-2], v[2:], o[1:-1]),
         partial(np.add, x[:, -1], x[:, 1], out[:, 0]),

@@ -1429,6 +1429,16 @@ def test_degenerate_run_needs_few_linear_iterations_per_newton_step():
     assert max(d["linear_rel_residual"] for d in traj.diagnostics) <= cfg.linear_rel_tol
 
 
+def test_the_corner_takes_its_first_step_at_256_squared():
+    # Newton meets its absolute newton_tol 1e-10 (residual 8.4e-11 after 10
+    # iterations) only while the fd Hessian rounds at the scale of the
+    # second differences; a stencil summing four neighbours first stalled
+    # here at 1.98e-10
+    phi0, path, omega, cfg = degenerate_problem(256, horizon=1e-3)
+    traj = run(phi0, path, DrivingTerm.zero(), omega, cfg)
+    assert [d["residual"] <= cfg.newton_tol for d in traj.diagnostics] == [True]
+
+
 def cycle_contraction(phi0, dt) -> float:
     """The slowest contraction of the residual per V-cycle on the corner's first Newton system.
 

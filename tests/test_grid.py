@@ -1,5 +1,6 @@
 """Grid, Hessian, and norm primitives against hand-computed oracles."""
 
+import math
 import sys
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maflow import RoughPotential
 from maflow.errors import ConfigError
 from maflow.grid import (
     ScalarField,
@@ -209,20 +211,13 @@ def test_slice_stencils_match_the_roll_formula_bit_for_bit(shape, order):
     assert v.tobytes() == before.tobytes()
 
 
-def roll_quarter_laplacian(v, h):
-    """(1/4) Laplacian by np.roll, summed as the neighbour sum is: ((left + right) + up) + down,
-    then - 4 v, then times 1/(4 h^2)."""
-    left, right = np.roll(v, 1, 1), np.roll(v, -1, 1)
-    up, down = np.roll(v, 1, 0), np.roll(v, -1, 0)
-    return (((left + right) + up) + down - 4.0 * v) * (0.25 / h**2)
-
-
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("N", [8, 32, 128])
 def test_the_fd_quarter_laplacian_is_the_roll_formula_bit_for_bit(N, order):
     v = np.asarray(np.random.default_rng(N).standard_normal((N, N)), order=order)
     before, h = v.copy(), 1.0 / N
-    want = roll_quarter_laplacian(v, h).tobytes()
+    # the columns' second difference plus the rows', each at spacing 2h
+    want = (roll_second(v, 2.0 * h, 0) + roll_second(v, 2.0 * h, 1)).tobytes()
     assert _fd_quarter_laplacian(v, h).tobytes() == want
     out, scratch = np.full((N, N), np.nan), np.full((N, N), np.nan)
     assert _fd_quarter_laplacian(v, h, out, scratch) is out
@@ -232,6 +227,20 @@ def test_the_fd_quarter_laplacian_is_the_roll_formula_bit_for_bit(N, order):
     for strided in (np.empty((N, N), order="F"), np.empty((N, N + 1))[:, :N]):
         with pytest.raises(ValueError):
             _fd_quarter_laplacian(v, h, strided, scratch)
+
+
+def test_the_fd_quarter_laplacian_rounds_at_the_scale_of_the_differences():
+    # scenario 07's corner at 256^2 against the correctly rounded stencil
+    # (math.fsum of the four neighbours and -4 v): second differences taken
+    # before any sum give a mean error of 4.7e-15; summing the four
+    # neighbours first rounds at the scale of |v| and gave 5.4e-13, which
+    # stalled Newton in the corner's first step at 256^2
+    N = 256
+    phi = RoughPotential.paraboloid(curvature=0.999).sample(TorusGrid(n=1, resolution=N)).values
+    terms = [np.roll(phi, s, a).ravel().tolist() for a in (0, 1) for s in (1, -1)]
+    terms.append((-4.0 * phi).ravel().tolist())
+    exact = np.reshape([math.fsum(p) for p in zip(*terms)], (N, N)) * (N * N / 4)
+    assert np.mean(np.abs(_fd_quarter_laplacian(phi, 1.0 / N) - exact)) <= 1e-14
 
 
 @pytest.mark.parametrize("N", [8, 16])
