@@ -546,8 +546,8 @@ class _Correction:
       read last; the line search's Hessian overwrites them;
     - tmp, scale and hv's h12 lie in ws.tmp, the scratch of the workspace's
       evaluations, none of which runs during the solve; its second and third
-      arrays are rhs and R, which the next `rhs_at` and `step_residual`
-      rewrite, and `operands` has copied R;
+      arrays are rhs and R, which `operands` has copied and the line
+      search's Hessian, `rhs_at` and `step_residual` rewrite;
     - r, p, v, z and t lie in ws.w, which `operands` has copied; the line
       search's margin rebuilds w;
     - x and best lie in ws.det, which `operands` copies first and only the
@@ -618,8 +618,8 @@ class _Workspace:
     Between steps h is H of the step's values, the warm start of a step that
     starts from them; the line search overwrites h and w, as the accepted
     iterate needs neither once its Newton direction is solved.  tmp is three
-    real scratch arrays: the first its own, and the other two, which only
-    `hessian` and `margin` use, rhs and R themselves, so a `hessian` or
+    real scratch arrays: its own tmp0, and rhs and R themselves, which only
+    `hessian` (R alone at n = 1) and `margin` (rhs) use, so a `hessian` or
     `margin` overwrites the last rhs and R.  spectrum (None at n = 2) holds
     the complex array that an n = 1 Hessian transforms into.  det is None
     at n = 1, where det w is w itself.
@@ -654,7 +654,8 @@ class _Workspace:
 
     def hessian(self, u):
         """h = H(u)."""
-        hessian_components(u, self.grid, self.backend, self.h, self.tmp[2], self.spectrum)
+        scratch = self.tmp[1:] if self.grid.n == 2 else self.R
+        hessian_components(u, self.grid, self.backend, self.h, scratch, self.spectrum)
 
     def margin(self, theta) -> float:
         """w = theta + h; returns the cone margin of w."""
@@ -774,9 +775,10 @@ def _jacobian(total, det, fs, dt, ws):
     and returns its result, written into out (not v) when given; total,
     det, v and out are in the correction's dtype.  ws is the run's
     workspace; total may be its w, as no scratch the apply takes lies
-    there.  At n = 1 the trace is taken in hv, and out, when given, is the
-    fd Hessian's scratch, as it is written only after: such an apply writes
-    no array of the correction's but hv.
+    there.  The Hessian takes out, when given, for scratch, as out is
+    written only after: at n = 2 beside the correction's tmp[2], where the
+    trace lands with hv's h11 and h12 for scratch, and at n = 1 alone, the
+    trace taken in hv, so it writes no array of the correction's but hv.
     """
     inv_dt = 1.0 / dt
     cor = ws.correction
@@ -784,9 +786,9 @@ def _jacobian(total, det, fs, dt, ws):
     spare, one = cor.tmp[2], ws.grid.n == 1
 
     def apply(v, out=None):
-        scratch = out if one and out is not None else spare
+        scratch = (spare if out is None else out) if one else (spare, out)
         hv = hessian_components(v, ws.grid, ws.backend, cor.hv, scratch, cor.spectrum)
-        tr = comps_trace_inv(total, hv, hv[0] if one else spare, hv, det)
+        tr = comps_trace_inv(total, hv, hv[0] if one else spare, hv[::2], det)
         out = np.multiply(v, inv_dt, out=out)
         out -= tr
         out += np.multiply(fs, v, out=hv[0])

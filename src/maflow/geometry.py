@@ -13,7 +13,9 @@ grid.  This module builds forms (`identity_form`, `form_from_matrix`, the
 potentials and the checks add theta_t to a Hessian taken by
 grid.hessian_components with `kahler_form` (no grid derivative is taken
 here), test the positive cone with `cone_margin` (`lowest_eigenvalue` also
-names the worst grid point) and take traces with `comps_trace`.
+names the worst grid point) and take traces with `comps_trace`; at n = 2
+`comps_trace_inv` and `comps_mixed` share one kernel, the pairing x11 y22 +
+x22 y11 - 2 Re(x12 conj(y12)) of two forms.
 `certify_metric_path` samples a metric path's volume sandwich and returns
 its delta, the one path fact the checks read.
 
@@ -129,36 +131,40 @@ def kahler_form(theta, hessian, out=None):
     return tuple(np.add(th, hc, out=o) for th, hc, o in zip(theta, hessian, out))
 
 
+def _pairing(x, y, out=None, real=None, cplx=None):
+    """x11 y22 + x22 y11 - 2 Re(x12 conj(y12)), or det(x + y) - det x - det y, at n = 2.
+
+    x22 y11 goes into real and conj(y12) into cplx, each once y's entry is
+    read, so either may be y's own array; a constant y12 stays a scalar.
+    """
+    x11, x22, x12 = x
+    y11, y22, y12 = y
+    pair = np.multiply(x11, y22, out=out)
+    pair = np.add(pair, np.multiply(x22, y11, out=real), out=out)
+    prod = np.multiply(x12, np.conjugate(y12, out=cplx if np.ndim(y12) else None), out=cplx)
+    return np.subtract(pair, np.multiply(2.0, prod.real, out=real), out=out)
+
+
 def comps_trace_inv(base, alpha, out=None, scratch=None, det=None):
     """trace(base^{-1} alpha) for Hermitian component tuples; base must be PD.
 
-    At n = 2 it is (b22 a11 + b11 a22 - 2 Re(b12 conj(a12))) / det(base); the
-    real part has the same rounded products as Re(conj(b12) a12).  det, when
-    given, is comps_det(base), computed once for many alphas.  scratch is a
-    form's (real, real, complex) arrays for the partial products and may be
-    alpha itself, whose arrays are then overwritten.
+    At n = 2 it is `_pairing(base, alpha)` / det(base); det, when given, is
+    comps_det(base), computed once for many alphas.  scratch is a real and a
+    complex array, as in comps_mixed, and may be alpha's h11 or h22 and its
+    h12, which are then overwritten.
     """
     if len(base) == 1:
         return np.divide(alpha[0], base[0], out=out)
-    b11, b22, b12 = base
-    a11, a22, a12 = alpha
-    # each scratch array is written only once its alpha counterpart is read
-    s11, s22, s12 = scratch or (None,) * 3
-    if det is None:
-        det = comps_det(base)
-    tr = np.multiply(b22, a11, out=out)
-    tr = np.add(tr, np.multiply(b11, a22, out=s11), out=out)
-    prod = np.multiply(b12, np.conjugate(a12, out=s12), out=s12)
-    tr = np.subtract(tr, np.multiply(2.0, prod.real, out=s22), out=out)
-    return np.divide(tr, det, out=out)
+    det = comps_det(base) if det is None else det
+    return np.divide(_pairing(base, alpha, out, *(scratch or ())), det, out=out)
 
 
 def comps_mixed(alpha, beta, j, n, out=None, scratch=None):
     """Mixed determinant density of alpha^j wedge beta^(n-j), closed form for n <= 2.
 
-    At n = 2 and j = 1 it is (a11 b22 + a22 b11 - 2 Re(a12 conj(b12))) / 2.
-    scratch is a real and a complex array for the partial products; the
-    determinants (j = 0, 2) use only the real one.
+    At n = 2 and j = 1 it is `_pairing(alpha, beta)` / 2.  scratch is a real
+    and a complex array for the partial products; the determinants (j = 0,
+    2) use only the real one.
     """
     if not 0 <= j <= n:
         raise ConfigError(f"mixed index j={j} outside 0..{n}")
@@ -169,15 +175,7 @@ def comps_mixed(alpha, beta, j, n, out=None, scratch=None):
         return comps_det(alpha if j == 2 else beta, out, real)
     if _constant((*alpha, *beta)):
         out = real = cplx = None
-    a11, a22, a12 = alpha
-    b11, b22, b12 = beta
-    mixed = np.multiply(a11, b22, out=out)
-    mixed = np.add(mixed, np.multiply(a22, b11, out=real), out=out)
-    # a constant b12 stays a scalar, as without output arrays
-    conj = np.conjugate(b12, out=cplx if np.ndim(b12) else None)
-    prod = np.multiply(a12, conj, out=cplx)
-    mixed = np.subtract(mixed, np.multiply(2.0, prod.real, out=real), out=out)
-    return np.multiply(mixed, 0.5, out=out)
+    return np.multiply(_pairing(alpha, beta, out, real, cplx), 0.5, out=out)
 
 
 def lowest_eigenvalue(comps, grid_shape):

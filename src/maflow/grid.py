@@ -532,9 +532,9 @@ def hessian_components(
     Returns (h11,) for n=1 and (h11, h22, h12) for n=2; for n=1 h11 is the
     quarter Laplacian (phi_xx + phi_yy)/4.  out, when given, is a form's
     arrays (none aliasing values) that receive the components and are
-    returned.  scratch, a grid-shaped float array, holds the n=2 partial
-    products and the n=1 fd stencil along the second axis; spectrum[0]
-    holds the n=1 spectral transform.
+    returned.  scratch is a pair of arrays shaped like values, for the n=2
+    partial products, or one float array, for the n=1 fd stencil along the
+    second axis; spectrum[0] holds the n=1 spectral transform.
     """
     if backend not in BACKENDS:
         raise ConfigError(f"unknown derivative backend {backend!r}")
@@ -555,24 +555,23 @@ def _hessian_axes(values, grid, backend, out=None, scratch=None):
     Axes are (x1, y1, x2, y2); Re h12 = (x1x2 + y1y2)/4 and
     Im h12 = (x1y2 - y1x2)/4.  The factor 1/4 is in the cached matrices
     (d1/2 on each of the two axes of a mixed term, d2/4), so no pass scales
-    the sums.  out and scratch as in hessian_components.
+    the sums.  Each part of h12 is one ufunc of two products in the scratch
+    pair (new arrays when omitted).  out as in hessian_components.
     """
     d1, d2 = _hessian_matrices(grid.resolution, backend, values.dtype)
     h12_dtype = np.result_type(values, np.complex64)
     h11, h22, h12 = out or (None, None, np.empty(values.shape, h12_dtype))
+    a, b = scratch or (None, None)
     # the first derivatives sit in h11's and h22's arrays until h12 is done
     dx1 = _along(d1, values, 0, h11)
     dy1 = _along(d1, values, 1, h22)
-    re, im = h12.real, h12.imag
-    re[...] = _along(d1, dx1, 2, scratch)
-    re += _along(d1, dy1, 3, scratch)
-    im[...] = _along(d1, dx1, 3, scratch)
-    im -= _along(d1, dy1, 2, scratch)
+    np.add(_along(d1, dx1, 2, a), _along(d1, dy1, 3, b), out=h12.real)
+    np.subtract(_along(d1, dx1, 3, a), _along(d1, dy1, 2, b), out=h12.imag)
     del dx1, dy1
     h11 = _along(d2, values, 0, h11)
-    h11 += _along(d2, values, 1, scratch)
+    h11 += _along(d2, values, 1, a)
     h22 = _along(d2, values, 2, h22)
-    h22 += _along(d2, values, 3, scratch)
+    h22 += _along(d2, values, 3, a)
     return h11, h22, h12
 
 

@@ -704,6 +704,56 @@ def test_a_rejected_first_trial_from_the_last_state_halves_the_correction(monkey
     assert np.all(np.abs(vals - (prev.values - halved)) <= bound)
 
 
+def test_an_n2_rejected_first_trial_halves_the_lent_float32_correction(monkeypatch):
+    # the n = 1 case above at 16^4, where the correction is float32 and the
+    # iterate BiCGSTAB returns a view of the workspace's det: the line
+    # search's Hessian (rhs and R its scratch) and margin must leave it alone
+    grid = TorusGrid(n=2, resolution=16)
+    assert grid_module.correction_dtype(grid) == np.float32
+    path, omega = MetricPath.constant(grid, 0.2), VolumeForm.constant(grid)
+    cfg = FlowConfig(horizon=0.2, newton_tol=1.5)
+    # theta + H(a cos 2 pi x1) is diag(1 - a pi^2 cos 2 pi x1, 1): the n = 1 form
+    x1 = grid.coordinates()[0]
+    prev = 0.09 * np.cos(2 * np.pi * x1) * np.ones(grid.shape)
+    correction = (0.22 * np.cos(2 * np.pi * x1) * np.ones(grid.shape)).astype(np.float32)
+    halved = 0.5 * correction
+    ws = flow._Workspace(grid, cfg.backend)
+    ws.hessian(prev)
+    lent, seen, margin = [], [], ws.margin
+
+    def solve(step, b, rel_tol, max_iter, work):
+        np.copyto(work[0], correction)
+        lent.append(work[0])
+        return work[0], 1, 0.0, True
+
+    def margin_then_correction(theta):
+        # the correction as each trial's margin, the last of its Hessian
+        # and margin, leaves it; the next rhs_at writes det over it
+        out = margin(theta)
+        seen.extend(x.copy() for x in lent)
+        return out
+
+    monkeypatch.setattr(flow, "_bicgstab", solve)
+    monkeypatch.setattr(ws, "margin", margin_then_correction)
+    vals, _, diag = flow._advance(
+        prev, 0.0, 0.2, path, DrivingTerm.zero(), omega.log(), cfg, grid.coordinates(), ws,
+        np.empty(grid.shape),
+    )
+    assert diag["start"] == "previous" and diag["newton_iters"] == 1
+    assert diag["damping"] == 0.5
+    (x,) = lent
+    assert x.dtype == np.float32 and np.shares_memory(x, ws.det)
+    # untouched by the rejected trial, then halved in place, exactly
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], correction) and np.array_equal(seen[1], halved)
+    # the iterate went prev (copied exactly) -> fl(prev - c) -> fl(. + c) ->
+    # fl(. - c/2), c widened to float64 exactly, and the reference is
+    # fl(prev - c/2): four roundings of values below |prev| + |c| (to first
+    # order), each by at most eps/2 of it
+    bound = 2 * np.finfo(np.float64).eps * (np.abs(prev) + 2 * np.abs(halved))
+    assert np.all(np.abs(vals - (prev - halved.astype(np.float64))) <= bound)
+
+
 @pytest.mark.parametrize(
     "amplitude, older, start",
     [

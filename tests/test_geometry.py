@@ -136,6 +136,12 @@ def test_component_algebra_matches_dense_oracle(n):
     assert np.max(np.abs(tr_inv.imag)) < 1e-12
     harmonic = n / np.trace(b_inv, axis1=-2, axis2=-1).real
     assert np.allclose(comps_harmonic_mean(base), harmonic, atol=1e-12)
+    # alpha^j beta^(n-j): the determinants at j = 0 and n and, between them
+    # (n = 2), the polarization identity (det(a + b) - det a - det b) / 2
+    det_a, det_b = np.linalg.det(a).real, np.linalg.det(b).real
+    mixed = (np.linalg.det(a + b).real - det_a - det_b) / 2
+    for j, want in enumerate((det_b, mixed, det_a) if n == 2 else (det_b, det_a)):
+        assert np.allclose(comps_mixed(alpha, base, j, n), want, atol=1e-12)
 
 
 def test_kahler_form_adds_theta_to_the_hessian():
@@ -188,13 +194,19 @@ def test_form_algebra_and_hessian_write_into_output_arrays_bit_for_bit(n, backen
     def form():
         return (real(),) if n == 1 else (real(), real(), np.full(grid.shape, np.nan, complex))
 
+    def pair():
+        """The scratch of comps_trace_inv and comps_mixed: a real and a complex array."""
+        return real(), np.full(grid.shape, np.nan, complex)
+
     h = hessian_components(phi, grid, backend)
     w = kahler_form(theta, h)
     alpha = hessian_components(v, grid, backend)
     if n == 2:
         assert np.ptp(w[2].imag) > 0.0 and all(np.ndim(c) == 0 for c in theta)
     out = form()
-    assert_output_arrays_change_nothing(hessian_components, (v, grid, backend), (out, real()), out)
+    # the n = 2 Hessian's scratch is a pair of real arrays
+    scratch = real() if n == 1 else (real(), real())
+    assert_output_arrays_change_nothing(hessian_components, (v, grid, backend), (out, scratch), out)
     out = form()
     assert_output_arrays_change_nothing(kahler_form, (theta, h), (out,), out)
     of_one_form = ((comps_det, 2), (comps_eig_min, 2), (comps_harmonic_mean, 2), (comps_trace, 1))
@@ -205,18 +217,19 @@ def test_form_algebra_and_hessian_write_into_output_arrays_bit_for_bit(n, backen
         assert_output_arrays_change_nothing(fn, (w,), (out, real())[:buffers], written)
     assert_output_arrays_change_nothing(cone_margin, (w,), (real(), real()))
     out = real()
-    assert_output_arrays_change_nothing(comps_trace_inv, (w, alpha), (out, form()), [out])
+    assert_output_arrays_change_nothing(comps_trace_inv, (w, alpha), (out, pair()), [out])
     det, want = comps_det(w), comps_trace_inv(w, alpha)
-    assert same_bits(comps_trace_inv(w, alpha, real(), form(), det), want)
-    # scratch may be alpha itself, which is then overwritten
-    scratch = tuple(a.copy() for a in alpha)
-    assert same_bits(comps_trace_inv(w, scratch, real(), scratch, det), want)
+    assert same_bits(comps_trace_inv(w, alpha, real(), pair(), det), want)
+    # scratch may be alpha's own h11 or h22 and its h12, which are then overwritten
+    for real_scratch in (0, 1)[:n]:
+        scratch = tuple(a.copy() for a in alpha)
+        own = (scratch[real_scratch], scratch[-1])
+        assert same_bits(comps_trace_inv(w, scratch, real(), own, det), want)
     assert same_bits(comps_harmonic_mean(w, real(), real(), det), comps_harmonic_mean(w))
     # mixed densities against a constant and a space-varying second form
     for beta in (theta, alpha):
         for j in range(n + 1):
-            scratch = (real(), np.full(grid.shape, np.nan, complex))
-            assert_output_arrays_change_nothing(comps_mixed, (w, beta, j, n), (real(), scratch))
+            assert_output_arrays_change_nothing(comps_mixed, (w, beta, j, n), (real(), pair()))
     # constant forms: scalar components, broadcast against the grid; the
     # second one's |h12|^2 rounds differently through C pow and np.square
     odd = 0.2432588650874949
@@ -224,7 +237,7 @@ def test_form_algebra_and_hessian_write_into_output_arrays_bit_for_bit(n, backen
         for fn in (comps_det, comps_eig_min, comps_harmonic_mean, cone_margin):
             assert_output_arrays_change_nothing(fn, (const,), (real(), real()))
         assert_output_arrays_change_nothing(comps_trace, (const,), (real(),))
-        assert_output_arrays_change_nothing(comps_trace_inv, (const, alpha), (real(), form()))
+        assert_output_arrays_change_nothing(comps_trace_inv, (const, alpha), (real(), pair()))
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])

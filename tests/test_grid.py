@@ -269,14 +269,18 @@ def hessian_with_quarter_passes(values, backend):
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd"])
-@pytest.mark.parametrize("N, dtype", [(8, np.float64), (16, np.float32)])
+@pytest.mark.parametrize(
+    "N, dtype", [(8, np.float64), (16, np.float32), (16, np.float64), (32, np.float32)]
+)
 def test_n2_hessian_with_the_quarter_in_its_matrices_keeps_every_bit(N, dtype, backend):
-    # scaling by a power of two is exact, so d1/2 and d2/4 round as the old passes did
+    # scaling by a power of two is exact, so d1/2 and d2/4 round as the old passes did;
+    # each part of h12 is one add or subtract of two products in the scratch pair
     g = TorusGrid(2, N)
     v = np.random.default_rng(N).standard_normal(g.shape).astype(dtype)
     want = hessian_with_quarter_passes(v, backend)
     out = (np.empty(g.shape, dtype), np.empty(g.shape, dtype), np.empty(g.shape, want[2].dtype))
-    got = hessian_components(v, g, backend, out, np.empty(g.shape, dtype))
+    scratch = (np.full(g.shape, np.nan, dtype), np.full(g.shape, np.nan, dtype))
+    got = hessian_components(v, g, backend, out, scratch)
     assert all(a is b for a, b in zip(got, out))
     for components in (got, hessian_components(v, g, backend)):
         assert [c.tobytes() for c in components] == [c.tobytes() for c in want]
